@@ -66,7 +66,7 @@ def main():
         acc["force"] += time.perf_counter() - t
 
     warm = dict.fromkeys(stages, 0.0)
-    tick(warm)                                  # jit compile, solver caches
+    tick(warm)
     tick(warm)
     acc = dict.fromkeys(stages, 0.0)
     totals = []

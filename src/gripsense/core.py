@@ -95,7 +95,7 @@ class NormalMap:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 3 or v.shape[2] != 3:
             raise ValueError(f"values must be (H, W, 3), got {v.shape}")
-        norms = np.linalg.norm(v, axis=2)
+        norms = np.sqrt(v[:, :, 0] ** 2 + v[:, :, 1] ** 2 + v[:, :, 2] ** 2)
         if np.max(np.abs(norms - 1.0)) > 1e-6:
             raise ValueError("normals must be unit length to 1e-6")
         if np.min(v[:, :, 2]) <= 0:

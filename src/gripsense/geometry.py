@@ -1,10 +1,12 @@
 """Contact-geometry reconstruction.
 
 Calibration maps background-subtracted RGB to surface normals with a small
-MLP trained by full-batch gradient descent; a sparse Poisson solve turns the
-predicted normal field into a heightmap. Training is hand-rolled (forward,
-analytic backprop, plain GD) because the model is tiny and the package needs
-deterministic, dependency-free fitting.
+MLP trained by full-batch gradient descent; a Poisson solve by the type-I
+discrete sine transform turns the predicted normal field into a heightmap.
+Training is hand-rolled (forward, analytic backprop, plain GD) because the
+model is tiny and the package needs deterministic, dependency-free fitting.
+Inference runs a separate float32 forward pass; the float64 ``_forward`` is
+the training path and the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy import fft
 
 from .core import DiffFrame, HeightMap, NormalMap
 
@@ -88,12 +89,16 @@ class CalibrationDataset:
         return self.features.shape[0]
 
 
+def _grid_coords(h: int, w: int):
+    """Column and row coordinates scaled to [-1, 1]."""
+    return (2.0 * np.arange(w) / max(w - 1, 1) - 1.0,
+            2.0 * np.arange(h) / max(h - 1, 1) - 1.0)
+
+
 def _pixel_features(values: np.ndarray) -> np.ndarray:
     """(H*W, 5) rows of (R, G, B, x, y) with coordinates scaled to [-1, 1]."""
     h, w, _ = values.shape
-    xn = 2.0 * np.arange(w) / max(w - 1, 1) - 1.0
-    yn = 2.0 * np.arange(h) / max(h - 1, 1) - 1.0
-    xm, ym = np.meshgrid(xn, yn)
+    xm, ym = np.meshgrid(*_grid_coords(h, w))
     return np.column_stack([values.reshape(-1, 3), xm.ravel(), ym.ravel()])
 
 
@@ -143,6 +148,12 @@ def build_calibration_dataset(presses) -> CalibrationDataset:
 # forward / backward
 # ---------------------------------------------------------------------------
 
+def _radial_gain(r: np.ndarray) -> np.ndarray:
+    """tanh(r)/r, with its series 1 - r^2/3 below 1e-6 where the quotient is 0/0."""
+    small = r < 1e-6
+    return np.where(small, 1.0 - r * r / 3.0, np.tanh(r) / np.where(r == 0, 1.0, r))
+
+
 def _squash(u: np.ndarray):
     """Radial tanh: n = u * tanh(|u|)/|u|, smooth at 0, norm always < 1.
 
@@ -150,7 +161,7 @@ def _squash(u: np.ndarray):
     """
     r = np.linalg.norm(u, axis=1)
     small = r < 1e-6
-    g = np.where(small, 1.0 - r * r / 3.0, np.tanh(r) / np.where(r == 0, 1.0, r))
+    g = _radial_gain(r)
     sech2 = 1.0 / np.cosh(np.clip(r, 0.0, 20.0)) ** 2
     q = np.where(small, -2.0 / 3.0,
                  (sech2 - g) / np.where(small, 1.0, r * r))
@@ -219,39 +230,42 @@ def fit_rgb2normal(data: CalibrationDataset, epochs: int = DEFAULT_EPOCHS,
 
 
 def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
-    """Per-pixel inference; output normals are unit length with nz > 0."""
+    """Per-pixel inference; output normals are unit length with nz > 0.
+
+    The hidden layers run in float32 and agree with the float64 ``_forward``
+    to about 1e-6 per component. Layer 1 multiplies only the RGB columns;
+    its (x, y) columns, the same for every frame of a size, enter as a
+    per-column plus a per-row bias. The radial squash, the clamp below unit
+    norm and nz run in float64 on the two output planes.
+    """
     h, w, _ = frame.values.shape
-    params = (model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
-    n2, _ = _forward(params, _pixel_features(frame.values))
-    norm = np.linalg.norm(n2, axis=1)
-    over = norm > _NORM_CLAMP
+    f32 = np.float32
+    xn, yn = _grid_coords(h, w)
+    z = frame.values.reshape(-1, 3).astype(f32) @ model.w1[:, :3].T.astype(f32)
+    z = z.reshape(h, w, -1)
+    z += (xn[:, None] * model.w1[:, 3]).astype(f32)
+    z += (yn[:, None, None] * model.w1[:, 4] + model.b1).astype(f32)
+    z = np.tanh(z, out=z).reshape(h * w, -1)
+    z = z @ model.w2.T.astype(f32)
+    z += model.b2.astype(f32)
+    np.tanh(z, out=z)
+    u = np.array((z @ model.w3.T.astype(f32)).T, dtype=np.float64, order="C")
+    u += model.b3[:, None]
+    r = np.sqrt(u[0] * u[0] + u[1] * u[1])
+    gain = _radial_gain(r)
+    over = r * gain > _NORM_CLAMP
     if np.any(over):
-        n2 = n2.copy()
-        n2[over] *= (_NORM_CLAMP / norm[over])[:, None]
-    nz = np.sqrt(np.maximum(1.0 - np.sum(n2 * n2, axis=1), 0.0))
-    return NormalMap(np.dstack([n2[:, 0].reshape(h, w), n2[:, 1].reshape(h, w),
-                                nz.reshape(h, w)]))
+        gain[over] = _NORM_CLAMP / r[over]
+    out = np.empty((h * w, 3))
+    nx = np.multiply(u[0], gain, out=out[:, 0])
+    ny = np.multiply(u[1], gain, out=out[:, 1])
+    np.sqrt(np.maximum(1.0 - (nx * nx + ny * ny), 0.0), out=out[:, 2])
+    return NormalMap(out.reshape(h, w, 3))
 
 
 # ---------------------------------------------------------------------------
 # Poisson integration
 # ---------------------------------------------------------------------------
-
-_SOLVER_CACHE: dict = {}
-
-
-def _poisson_solver(h: int, w: int):
-    """Cached LU factorization of the interior 5-point Laplacian."""
-    key = (h, w)
-    if key not in _SOLVER_CACHE:
-        def lap1(n):
-            return sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], (n, n))
-        hi, wi = h - 2, w - 2
-        lap = sparse.kron(sparse.identity(hi), lap1(wi)) \
-            + sparse.kron(lap1(hi), sparse.identity(wi))
-        _SOLVER_CACHE[key] = splu(lap.tocsc())
-    return _SOLVER_CACHE[key]
-
 
 def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     """Poisson integration of the normal field into a heightmap.
@@ -260,6 +274,12 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     grad h = g; the equation laplacian(h) = div g is solved with zero height
     on the frame edge (the gel is undeformed there) and the result is
     gauge-fixed so its minimum is exactly 0.
+
+    The interior 5-point Laplacian with that boundary is diagonalized by the
+    orthonormal type-I discrete sine transform, which is its own inverse, so
+    the system is solved exactly by a transform, a division by the
+    Laplacian's eigenvalues and a second transform (Buzbee, Golub & Nielsen,
+    SIAM J. Numer. Anal. 1970).
     """
     if not px_per_mm > 0:
         raise ValueError("px_per_mm must be positive")
@@ -269,18 +289,13 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
         raise ValueError("normal map too small to integrate")
     gx = -v[:, :, 0] / v[:, :, 2] / px_per_mm
     gy = -v[:, :, 1] / v[:, :, 2] / px_per_mm
-    div = np.zeros((h, w))
-    div[1:-1, 1:-1] = (gx[1:-1, 2:] - gx[1:-1, :-2]
-                       + gy[2:, 1:-1] - gy[:-2, 1:-1]) / 2.0
-    try:
-        solver = _poisson_solver(h, w)
-        sol = solver.solve(div[1:-1, 1:-1].ravel())
-    except RuntimeError as exc:                    # pragma: no cover
-        raise ValueError(f"singular Poisson system: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise ValueError("singular Poisson system: non-finite solution")
+    div = (gx[1:-1, 2:] - gx[1:-1, :-2] + gy[2:, 1:-1] - gy[:-2, 1:-1]) / 2.0
+    lam_y = 2.0 * np.cos(np.pi * np.arange(1, h - 1) / (h - 1)) - 2.0
+    lam_x = 2.0 * np.cos(np.pi * np.arange(1, w - 1) / (w - 1)) - 2.0
+    coef = fft.dstn(div, type=1, norm="ortho", overwrite_x=True)
+    coef /= lam_y[:, None] + lam_x
     full = np.zeros((h, w))
-    full[1:-1, 1:-1] = sol.reshape(h - 2, w - 2)
+    full[1:-1, 1:-1] = fft.dstn(coef, type=1, norm="ortho", overwrite_x=True)
     return HeightMap(full - full.min(), px_per_mm)
 
 

@@ -12,6 +12,7 @@ jitter otherwise dominates the finite difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -106,13 +107,23 @@ def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
 
 def object_velocity(masks: Sequence[ContactMask],
                     smooth_window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
-    """Per-frame centroid velocity (T, 2) px/frame; the first frame is zero."""
+    """Per-frame centroid velocity (T, 2) px/frame.
+
+    Each maximal run of frames with contact is smoothed on its own, so a
+    frame without contact never feeds a centroid into its neighbours. Frames
+    without contact, and the first frame of each run, get zero velocity.
+    """
     if len(masks) < 2:
         raise ValueError("need at least 2 frames of contact masks")
-    cents = np.array([m.centroid() for m in masks])
-    cents = _trailing_mean(cents, smooth_window)
-    v = np.zeros_like(cents)
-    v[1:] = np.diff(cents, axis=0)
+    v = np.zeros((len(masks), 2))
+    at = 0
+    for contact, run in groupby(masks, key=lambda m: m.area > 0):
+        run = list(run)
+        if contact:
+            cents = _trailing_mean(np.array([m.centroid() for m in run]),
+                                   smooth_window)
+            v[at + 1:at + len(run)] = np.diff(cents, axis=0)
+        at += len(run)
     return v
 
 
@@ -124,6 +135,7 @@ def marker_velocity(tracks: Sequence[MarkerSet],
     Membership is evaluated against the frame's own mask (or a single static
     mask). If noise momentarily leaves no marker inside the region, the four
     markers nearest the region centroid stand in, so the series stays defined.
+    A frame without contact has no region and gets zero velocity.
     """
     if len(tracks) < 2:
         raise ValueError("need at least 2 frames of marker tracks")
@@ -138,6 +150,8 @@ def marker_velocity(tracks: Sequence[MarkerSet],
     pos_s = _trailing_mean(pos.reshape(len(tracks), -1), smooth_window).reshape(pos.shape)
     v = np.zeros((len(tracks), 2))
     for t in range(1, len(tracks)):
+        if masks[t].area == 0:
+            continue
         inside = masks[t].contains(tracks[t].xy)
         if not inside.any():
             d = np.linalg.norm(tracks[t].xy - masks[t].centroid(), axis=1)

@@ -6,6 +6,8 @@ failures always indicate a defect in the package, not in the oracle.
 """
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +133,35 @@ def div_central(field):
     h, w, _ = f.shape
     gx, gy = grad_matrices(h, w)
     return (gx @ f[:, :, 0].ravel() + gy @ f[:, :, 1].ravel()).reshape(h, w)
+
+
+def poisson_reference(normals, px_per_mm):
+    """Heightmap (H, W) from unit normals by a sparse direct Poisson solve.
+
+    The slope field (-nx/nz, -ny/nz)/px_per_mm gives div g by central
+    differences at each interior pixel. The 5-point Laplacian over interior
+    pixels is assembled stencil by stencil, with zero height on the frame
+    edge, solved by ``spsolve`` and gauged to min 0.
+    """
+    n = np.asarray(normals, float)
+    h, w, _ = n.shape
+    gx = -n[:, :, 0] / n[:, :, 2] / px_per_mm
+    gy = -n[:, :, 1] / n[:, :, 2] / px_per_mm
+    hi, wi = h - 2, w - 2
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(hi * wi)
+    for i in range(1, h - 1):
+        for j in range(1, w - 1):
+            r = (i - 1) * wi + (j - 1)
+            rhs[r] = (gx[i, j + 1] - gx[i, j - 1] + gy[i + 1, j] - gy[i - 1, j]) / 2.0
+            rows.append(r); cols.append(r); vals.append(-4.0)
+            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if 1 <= a <= h - 2 and 1 <= b <= w - 2:
+                    rows.append(r); cols.append((a - 1) * wi + (b - 1)); vals.append(1.0)
+    lap = sparse.csc_matrix((vals, (rows, cols)), shape=(hi * wi, hi * wi))
+    full = np.zeros((h, w))
+    full[1:-1, 1:-1] = np.reshape(spsolve(lap, rhs), (hi, wi))
+    return full - full.min()
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gripsense import geometry, sim
-from gripsense.core import DiffFrame, HeightMap, NormalMap, diff_image
-from oracles import cap_normals_fd
+from gripsense.core import (DiffFrame, HeightMap, NormalMap, TactileFrame,
+                            diff_image)
+from oracles import cap_normals_fd, poisson_reference
 
 rng = np.random.default_rng(5)
 
@@ -109,6 +110,69 @@ class TestFit:
         assert nm.values[:, :, 2].min() > 0
 
 
+@pytest.fixture(scope="module")
+def criterion8_model():
+    presses = sim.make_calibration_presses(3, rng=np.random.default_rng(0),
+                                           resolution=64)
+    return geometry.fit_rgb2normal(geometry.build_calibration_dataset(presses),
+                                   epochs=120, learning_rate=0.1, seed=0)
+
+
+def _reference_normals(frame, model):
+    """The float64 ``_forward``, clamped below unit norm, nz completing the unit vector."""
+    params = (model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
+    n2, _ = geometry._forward(params, geometry._pixel_features(frame.values))
+    norm = np.linalg.norm(n2, axis=1, keepdims=True)
+    n2 = n2 * np.minimum(1.0, geometry._NORM_CLAMP / np.maximum(norm, 1e-300))
+    nz = np.sqrt(np.maximum(1.0 - np.sum(n2 * n2, axis=1), 0.0))
+    return np.column_stack([n2, nz]).reshape(frame.values.shape)
+
+
+class TestInference:
+    """The float32 inference pass against the float64 training forward pass."""
+
+    shape = (96, 128)
+
+    def _frames(self):
+        gel, rig = sim.GelModel(), sim.default_rig()
+        ppm = self.shape[1] / gel.gel_size_mm
+        flat = HeightMap(np.zeros(self.shape), ppm)
+        background = sim.render_tactile(flat, rig, gel)
+        press = sim.indent_heightmap(sim.Sphere(8.0), (16.0, 11.0), 1.0,
+                                     self.shape, gel)
+        noise = np.random.default_rng(7)
+        frames = {
+            "noisy press": sim.render_tactile(press, rig, gel, 0.01, noise),
+            "flat": sim.render_tactile(flat, rig, gel, 0.01, noise),
+            "saturated": TactileFrame(np.ones(self.shape + (3,)), ppm),
+        }
+        return {k: diff_image(f, background) for k, f in frames.items()}
+
+    @staticmethod
+    def _check(frame, model):
+        got = geometry.predict_normals(frame, model).values
+        assert np.max(np.abs(got - _reference_normals(frame, model))) <= 1e-5
+        assert np.max(np.abs(np.linalg.norm(got, axis=2) - 1.0)) < 1e-9
+        assert got[:, :, 2].min() > 0
+        return got
+
+    def test_matches_float64_forward(self, criterion8_model):
+        for frame in self._frames().values():
+            self._check(frame, criterion8_model)
+
+    def test_clamp_branch(self, criterion8_model):
+        # The criterion-8 model keeps |(nx, ny)| below 0.14 even on the
+        # saturated frame. An output bias of 12 puts |u| around the 10.7
+        # where tanh(|u|) passes the clamp, mostly above it.
+        m = criterion8_model
+        loud = geometry.Rgb2NormalModel(m.w1, m.b1, m.w2, m.b2, m.w3,
+                                        m.b3 + [12.0, 0.0])
+        got = self._check(self._frames()["noisy press"], loud)
+        tangential = np.linalg.norm(got[:, :, :2], axis=2)
+        assert np.mean(np.isclose(tangential, geometry._NORM_CLAMP,
+                                  rtol=0, atol=1e-12)) > 0.5
+
+
 class TestIntegration:
     def test_recovers_smooth_zero_boundary_surface(self):
         n = 48
@@ -142,6 +206,18 @@ class TestIntegration:
         n[:, :, 2] = 1.0
         with pytest.raises(ValueError):
             geometry.integrate_normals(NormalMap(n), 0.0)
+
+    # The transform lengths are 2(side - 1); side - 1 is 127 and 239 (prime)
+    # at 128 and 240, and 11 * 29 at 320.
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 9), (17, 23), (128, 128),
+                                       (240, 320)])
+    def test_matches_sparse_poisson_oracle(self, shape):
+        r = np.random.default_rng(sum(shape))
+        n = np.dstack([r.normal(0.0, 0.3, shape + (2,)), np.ones(shape)])
+        n /= np.linalg.norm(n, axis=2, keepdims=True)
+        got = geometry.integrate_normals(NormalMap(n), 2.5).values
+        want = poisson_reference(n, 2.5)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestReconstructionError:

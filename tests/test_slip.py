@@ -20,6 +20,9 @@ def _disc_masks(centers, size=96, r=10.0):
     return [slip.ContactMask(_disc(size, cx, cy, r), 0.3) for cx, cy in centers]
 
 
+_EMPTY = slip.ContactMask(np.zeros((96, 96), dtype=bool), 0.3)
+
+
 def _static_tracks(n_frames, xy):
     ids = np.arange(len(xy))
     return [MarkerSet(ids, xy) for _ in range(n_frames)]
@@ -78,6 +81,25 @@ class TestObjectVelocity:
         with pytest.raises(ValueError):
             slip.object_velocity(_disc_masks([(30.0, 30.0)]))
 
+    def test_all_contact_is_the_smoothed_centroid_difference(self):
+        jitter = np.random.default_rng(4).normal(0, 1.5, (12, 2))
+        centers = [(30.0 + dx, 30.0 + dy) for dx, dy in jitter]
+        masks = _disc_masks(centers)
+        cents = slip._trailing_mean(np.array([m.centroid() for m in masks]), 3)
+        want = np.zeros_like(cents)
+        want[1:] = np.diff(cents, axis=0)
+        assert np.array_equal(slip.object_velocity(masks), want)
+
+    def test_no_contact_frame_splits_the_runs(self):
+        centers = [(20.0 + 2.0 * t, 30.0 + 0.5 * t * t) for t in range(8)]
+        masks = _disc_masks(centers)
+        masks[1] = _EMPTY
+        v = slip.object_velocity(masks)
+        assert np.all(np.isfinite(v))
+        assert np.array_equal(v[:3], np.zeros((3, 2)))
+        assert np.array_equal(v[2:], slip.object_velocity(masks[2:]))
+        assert np.all(np.abs(v[3:]) > 0.5)
+
 
 class TestMarkerVelocity:
     def test_moving_markers_inside_static_mask(self):
@@ -106,6 +128,19 @@ class TestMarkerVelocity:
         v = slip.marker_velocity(tracks, masks, smooth_window=1)
         assert np.all(np.isfinite(v))
         assert np.allclose(v[2:, 0], 0.5, atol=0.2)
+
+    def test_no_contact_frame_gets_zero(self):
+        base = np.array([[40.0 + i * 2, 40.0 + j * 2]
+                         for i in range(3) for j in range(3)])
+        tracks = [MarkerSet(np.arange(9), base + [1.5 * t, 0.0])
+                  for t in range(8)]
+        masks = _disc_masks([(44.0, 44.0)] * 8, r=20.0)
+        want = slip.marker_velocity(tracks, masks)
+        want[1] = 0.0
+        masks[1] = _EMPTY
+        v = slip.marker_velocity(tracks, masks)
+        assert np.all(np.isfinite(v))
+        assert np.array_equal(v, want)
 
     def test_mismatched_ids_raise(self):
         a = MarkerSet(np.array([0, 1, 2]), rng.uniform(10, 80, (3, 2)))

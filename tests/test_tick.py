@@ -1,0 +1,100 @@
+"""The criterion-8 perception tick over windows that hold a no-contact frame.
+
+A grasp sees no contact before the press. Every later frame with contact
+must still get a finite heightmap, slip decision and forces while that frame
+sits in its six-frame slip window. A frame without contact has no region to
+take shear features from, and says so with a ValueError.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from gripsense import core, force, geometry, sim, slip
+from gripsense.core import HeightMap
+
+WINDOW = 6
+FIELD = (24, 24)
+SHAPE = (240, 320)
+DEPTH_MM = 1.1
+PRESS = 6
+
+
+@pytest.fixture(scope="module")
+def stack():
+    presses = sim.make_calibration_presses(3, rng=np.random.default_rng(0),
+                                           resolution=64)
+    geo = geometry.fit_rgb2normal(geometry.build_calibration_dataset(presses),
+                                  epochs=120, learning_rate=0.1, seed=0)
+    nf = force.fit_normal_force(np.column_stack(
+        sim.make_force_samples(2000, rng=np.random.default_rng(1))))
+    pairs, labels = sim.make_shear_dataset(40, rng=np.random.default_rng(2))
+    sh = force.fit_shear_model(force.build_shear_features(pairs), labels)
+    return geo, nf, sh
+
+
+def _grasp(rest, ppm):
+    """A held press, the approach frame, then the press ramp, as rendered frames."""
+    gel, rig = sim.GelModel(), sim.default_rig()
+    rng = np.random.default_rng(11)
+    sphere = sim.Sphere(7.0)
+    center = (SHAPE[1] / ppm / 2.0, SHAPE[0] / ppm / 2.0)
+    depths = [DEPTH_MM, 0.0] + [DEPTH_MM * (k + 1) / PRESS for k in range(PRESS)]
+    frames = []
+    for d in depths:
+        raw = sim.indent_heightmap(sphere, center, d, SHAPE, gel)
+        img = sim.render_tactile(raw, rig, gel, 0.01, rng)
+        markers = rest.moved(rng.normal(0.0, 0.3, rest.xy.shape))
+        current = sim.CURRENT_GAIN * sim.SERIES_STIFFNESS * d + sim.CURRENT_OFFSET
+        frames.append((img, markers, current))
+    return frames
+
+
+def test_contact_ticks_survive_a_no_contact_frame_in_the_window(stack):
+    geo, nf, sh = stack
+    gel = sim.GelModel()
+    ppm = SHAPE[1] / gel.gel_size_mm
+    background = sim.render_tactile(HeightMap(np.zeros(SHAPE), ppm),
+                                    sim.default_rig(), gel)
+    rest = sim.marker_grid(gel, ppm, SHAPE)
+    history = deque(maxlen=WINDOW)
+
+    def tick(img, markers, current):
+        diff = core.diff_image(img, background)
+        height = geometry.integrate_normals(geometry.predict_normals(diff, geo), ppm)
+        mask = slip.segment_contact(height)
+        history.append((mask, markers))
+        v_obj = v_mark = np.zeros(2)
+        if len(history) > 1:
+            masks = [m for m, _ in history]
+            v_obj = slip.object_velocity(masks)[-1]
+            v_mark = slip.marker_velocity([t for _, t in history], masks)[-1]
+        flag = slip.detect_slip(v_obj, v_mark, 10.0)
+        f_n = force.predict_normal_force(current, nf)
+        field = force.interpolate_markers(rest, markers, FIELD)
+        feat = force.shear_features(field, force.hhd_decompose(field), mask)
+        return height, v_obj, v_mark, flag, f_n, force.predict_shear(feat, sh)
+
+    gap_windows = 0
+    for k, (img, markers, current) in enumerate(_grasp(rest, ppm)):
+        try:
+            out = tick(img, markers, current)
+        except ValueError as exc:
+            out = exc
+        mask = history[-1][0]
+        assert (mask.area == 0) == (k == 1)         # only the approach frame
+        # Shear features read the mask on the field grid, where a contact of
+        # a few dozen pixels can vanish; such a tick is refused as well.
+        raised = isinstance(out, ValueError)
+        assert raised == (mask.resampled(FIELD).area == 0)
+        if raised:
+            assert str(out) == "empty contact mask"
+            continue
+        height, v_obj, v_mark, flag, f_n, shear = out
+        assert np.all(np.isfinite(height.values))
+        assert np.all(np.isfinite(v_obj)) and np.all(np.isfinite(v_mark))
+        assert isinstance(flag, bool)
+        assert np.isfinite(f_n) and np.all(np.isfinite(shear))
+        gap_windows += any(m.area == 0 for m, _ in history)
+    assert gap_windows == WINDOW - 2
