@@ -90,10 +90,15 @@ def idw_interpolate_numpy(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
     gx, gy = np.meshgrid(node_x, node_y)
     d2 = ((gx.ravel()[:, None] - px[None, :]) ** 2
           + (gy.ravel()[:, None] - py[None, :]) ** 2)
-    # stable sort keeps ascending sample index among exact distance ties
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    rows = np.arange(d2.shape[0])[:, None]
-    dk = d2[rows, order]
+    # k passes of argmin, which returns the first minimum, so exact distance
+    # ties go to the lowest sample index, as a stable sort would order them
+    rows = np.arange(d2.shape[0])
+    order = np.empty((d2.shape[0], k), dtype=np.intp)
+    dk = np.empty((d2.shape[0], k))
+    for j in range(k):
+        order[:, j] = np.argmin(d2, axis=1)
+        dk[:, j] = d2[rows, order[:, j]]
+        d2[rows, order[:, j]] = np.inf
     out = np.empty((gh * gw, vals.shape[1]))
     exact = dk[:, 0] < _COINCIDENT_SQ
     wgt = 1.0 / np.maximum(dk, _COINCIDENT_SQ) ** (power / 2.0)

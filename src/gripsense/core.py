@@ -96,7 +96,8 @@ class NormalMap:
         if v.ndim != 3 or v.shape[2] != 3:
             raise ValueError(f"values must be (H, W, 3), got {v.shape}")
         norms = np.sqrt(v[:, :, 0] ** 2 + v[:, :, 1] ** 2 + v[:, :, 2] ** 2)
-        if np.max(np.abs(norms - 1.0)) > 1e-6:
+        # written so that a NaN in any component fails it
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise ValueError("normals must be unit length to 1e-6")
         if np.min(v[:, :, 2]) <= 0:
             raise ValueError("nz must be positive everywhere")

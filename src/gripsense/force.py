@@ -207,9 +207,14 @@ def divergence(field: DisplacementField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShearFeature:
-    """10-vector of in-contact means: v, then P and S with squared terms."""
+    """10-vector of in-contact means: v, then P and S with squared terms.
+
+    ``contact=False`` marks a frame with no contact on the field grid; its
+    values are all zero and it predicts zero shear.
+    """
 
     values: np.ndarray          # (10,)
+    contact: bool = True
 
     def __post_init__(self):
         val = np.asarray(self.values, dtype=np.float64).reshape(-1)
@@ -227,14 +232,15 @@ def shear_features(v: DisplacementField, hhd: HHDResult,
     """[vx, vy, px, px^2, py, py^2, sx, sx^2, sy, sy^2] averaged over contact.
 
     The mask is resampled to the field grid if resolutions differ; squared
-    entries are squares of the means, not means of squares.
+    entries are squares of the means, not means of squares. A mask that is
+    empty on the field grid gives the all-zero no-contact feature.
     """
     h, w = v.values.shape[:2]
     if mask.values.shape != (h, w):
         mask = mask.resampled((h, w))
     m = mask.values
     if not m.any():
-        raise ValueError("empty contact mask")
+        return ShearFeature(np.zeros(10), contact=False)
 
     def mean2(f):
         return f.values[m].mean(axis=0)
@@ -282,7 +288,13 @@ def _as_feature_matrix(features) -> np.ndarray:
 
 
 def fit_shear_model(features, labels) -> ShearModel:
-    """Per-axis ordinary least squares with a shared bias column."""
+    """Per-axis ordinary least squares with a shared bias column.
+
+    No-contact features carry no shear signal and are refused.
+    """
+    features = list(features)
+    if any(isinstance(f, ShearFeature) and not f.contact for f in features):
+        raise ValueError("cannot fit shear on a no-contact feature")
     x = _as_feature_matrix(features)
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != (x.shape[0], 2):
@@ -298,6 +310,9 @@ def fit_shear_model(features, labels) -> ShearModel:
 
 
 def predict_shear(feature, model: ShearModel) -> tuple[float, float]:
+    """(F_x, F_y) from a feature; exactly (0.0, 0.0) for a no-contact one."""
+    if isinstance(feature, ShearFeature) and not feature.contact:
+        return (0.0, 0.0)
     x = feature.values if isinstance(feature, ShearFeature) \
         else np.asarray(feature, dtype=np.float64).reshape(-1)
     if x.shape != (10,):

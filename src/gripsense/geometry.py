@@ -1,12 +1,14 @@
 """Contact-geometry reconstruction.
 
 Calibration maps background-subtracted RGB to surface normals with a small
-MLP trained by full-batch gradient descent; a Poisson solve by the type-I
-discrete sine transform turns the predicted normal field into a heightmap.
+MLP trained by full-batch gradient descent; a Poisson solve turns the
+predicted normal field into a heightmap, by a type-I discrete sine transform
+along the rows and tridiagonal solves down the columns (Hockney 1965).
 Training is hand-rolled (forward, analytic backprop, plain GD) because the
 model is tiny and the package needs deterministic, dependency-free fitting.
-Inference runs a separate float32 forward pass; the float64 ``_forward`` is
-the training path and the reference it is tested against.
+Inference runs a separate float32 forward pass over bands of rows small
+enough for the hidden activations to stay in cache; the float64
+``_forward`` is the training path and the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
+from scipy.linalg import lapack
 
 from .core import DiffFrame, HeightMap, NormalMap
 
@@ -24,6 +27,9 @@ DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_SPHERE_RADIUS_MM = 5.0
 
 _NORM_CLAMP = 1.0 - 1e-9
+# Pixels per inference band: the two (band, 32) float32 hidden buffers take
+# 1 MB together, so a band's activations stay in a core's L2 cache.
+_BAND_PX = 4096
 
 
 @dataclass(frozen=True)
@@ -151,7 +157,11 @@ def build_calibration_dataset(presses) -> CalibrationDataset:
 def _radial_gain(r: np.ndarray) -> np.ndarray:
     """tanh(r)/r, with its series 1 - r^2/3 below 1e-6 where the quotient is 0/0."""
     small = r < 1e-6
-    return np.where(small, 1.0 - r * r / 3.0, np.tanh(r) / np.where(r == 0, 1.0, r))
+    g = np.tanh(r)
+    g /= np.where(small, 1.0, r)
+    if np.any(small):
+        g[small] = 1.0 - r[small] * r[small] / 3.0
+    return g
 
 
 def _squash(u: np.ndarray):
@@ -235,32 +245,48 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     The hidden layers run in float32 and agree with the float64 ``_forward``
     to about 1e-6 per component. Layer 1 multiplies only the RGB columns;
     its (x, y) columns, the same for every frame of a size, enter as a
-    per-column plus a per-row bias. The radial squash, the clamp below unit
-    norm and nz run in float64 on the two output planes.
+    per-column plus a per-row bias. The frame is processed in bands of
+    whole rows of about ``_BAND_PX`` pixels (at least one row), reusing two
+    float32 hidden buffers, so the activations stay in cache. The
+    radial squash, the clamp below unit norm and nz run in float64 per band
+    and are written straight into the (H, W, 3) output.
     """
     h, w, _ = frame.values.shape
     f32 = np.float32
     xn, yn = _grid_coords(h, w)
-    z = frame.values.reshape(-1, 3).astype(f32) @ model.w1[:, :3].T.astype(f32)
-    z = z.reshape(h, w, -1)
-    z += (xn[:, None] * model.w1[:, 3]).astype(f32)
-    z += (yn[:, None, None] * model.w1[:, 4] + model.b1).astype(f32)
-    z = np.tanh(z, out=z).reshape(h * w, -1)
-    z = z @ model.w2.T.astype(f32)
-    z += model.b2.astype(f32)
-    np.tanh(z, out=z)
-    u = np.array((z @ model.w3.T.astype(f32)).T, dtype=np.float64, order="C")
-    u += model.b3[:, None]
-    r = np.sqrt(u[0] * u[0] + u[1] * u[1])
-    gain = _radial_gain(r)
-    over = r * gain > _NORM_CLAMP
-    if np.any(over):
-        gain[over] = _NORM_CLAMP / r[over]
-    out = np.empty((h * w, 3))
-    nx = np.multiply(u[0], gain, out=out[:, 0])
-    ny = np.multiply(u[1], gain, out=out[:, 1])
-    np.sqrt(np.maximum(1.0 - (nx * nx + ny * ny), 0.0), out=out[:, 2])
-    return NormalMap(out.reshape(h, w, 3))
+    w1 = model.w1[:, :3].T.astype(f32)
+    col_bias = (xn[:, None] * model.w1[:, 3]).astype(f32)
+    row_bias = (yn[:, None, None] * model.w1[:, 4] + model.b1).astype(f32)
+    w2, b2 = model.w2.T.astype(f32), model.b2.astype(f32)
+    w3 = model.w3.T.astype(f32)
+    rows = max(1, _BAND_PX // w)
+    z1 = np.empty((rows * w, LAYER_SIZES[1]), f32)
+    z2 = np.empty((rows * w, LAYER_SIZES[2]), f32)
+    out = np.empty((h, w, 3))
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        npx = (r1 - r0) * w
+        a, b = z1[:npx], z2[:npx]
+        np.matmul(frame.values[r0:r1].reshape(npx, 3).astype(f32), w1, out=a)
+        a3 = a.reshape(r1 - r0, w, -1)
+        a3 += col_bias
+        a3 += row_bias[r0:r1]
+        np.tanh(a, out=a)
+        np.matmul(a, w2, out=b)
+        b += b2
+        np.tanh(b, out=b)
+        u = np.array((b @ w3).T, dtype=np.float64, order="C")
+        u += model.b3[:, None]
+        r = np.sqrt(u[0] * u[0] + u[1] * u[1])
+        gain = _radial_gain(r)
+        over = r * gain > _NORM_CLAMP
+        if np.any(over):
+            gain[over] = _NORM_CLAMP / r[over]
+        band = out[r0:r1].reshape(npx, 3)
+        nx = np.multiply(u[0], gain, out=band[:, 0])
+        ny = np.multiply(u[1], gain, out=band[:, 1])
+        np.sqrt(np.maximum(1.0 - (nx * nx + ny * ny), 0.0), out=band[:, 2])
+    return NormalMap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +301,17 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     on the frame edge (the gel is undeformed there) and the result is
     gauge-fixed so its minimum is exactly 0.
 
-    The interior 5-point Laplacian with that boundary is diagonalized by the
-    orthonormal type-I discrete sine transform, which is its own inverse, so
-    the system is solved exactly by a transform, a division by the
-    Laplacian's eigenvalues and a second transform (Buzbee, Golub & Nielsen,
-    SIAM J. Numer. Anal. 1970).
+    The interior 5-point system is solved exactly in float64 by Hockney's
+    method (J. ACM 1965). The orthonormal type-I discrete sine transform
+    along each row, its own inverse, diagonalizes the x half of the
+    Laplacian with eigenvalues lam_x[k] = 2 cos(pi k / (W - 1)) - 2. For
+    each x-mode k what remains down the columns is the symmetric positive
+    definite tridiagonal system with diagonal 2 - lam_x[k] and off-diagonal
+    -1 (the negated equation). The modes are laid end to end, decoupled by
+    zeros on the off-diagonal, and solved by one LAPACK ``dptsv`` call; the
+    inverse sine transform along the rows gives the heights. Unlike a sine
+    transform down the columns too, the cost does not depend on how H - 1
+    factors.
     """
     if not px_per_mm > 0:
         raise ValueError("px_per_mm must be positive")
@@ -287,16 +319,30 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     h, w = v.shape[:2]
     if h < 3 or w < 3:
         raise ValueError("normal map too small to integrate")
-    gx = -v[:, :, 0] / v[:, :, 2] / px_per_mm
-    gy = -v[:, :, 1] / v[:, :, 2] / px_per_mm
-    div = (gx[1:-1, 2:] - gx[1:-1, :-2] + gy[2:, 1:-1] - gy[:-2, 1:-1]) / 2.0
-    lam_y = 2.0 * np.cos(np.pi * np.arange(1, h - 1) / (h - 1)) - 2.0
-    lam_x = 2.0 * np.cos(np.pi * np.arange(1, w - 1) / (w - 1)) - 2.0
-    coef = fft.dstn(div, type=1, norm="ortho", overwrite_x=True)
-    coef /= lam_y[:, None] + lam_x
+    m, k = h - 2, w - 2
+    # slopes of the opposite sign, so ``rhs`` is -div g on the interior
+    gx = v[1:-1, :, 0] / v[1:-1, :, 2] / px_per_mm
+    gy = v[:, 1:-1, 1] / v[:, 1:-1, 2] / px_per_mm
+    rhs = (gx[:, 2:] - gx[:, :-2] + gy[2:] - gy[:-2]) / 2.0
+    coef = fft.dst(rhs, type=1, norm="ortho", axis=1, overwrite_x=True)
+    modes = coef.T.reshape(-1)                  # x-mode k is modes[k*m:(k+1)*m]
+    lam_x = 2.0 * np.cos(np.pi * np.arange(1, k + 1) / (k + 1)) - 2.0
+    diag = np.repeat(2.0 - lam_x, m)
+    if diag.size == 1:
+        # a 1x1 interior; dptsv's wrapper refuses an empty off-diagonal
+        modes /= diag
+    else:
+        off = np.full(diag.size - 1, -1.0)
+        off[m - 1::m] = 0.0
+        *_, modes, info = lapack.dptsv(diag, off, modes, overwrite_d=1,
+                                       overwrite_e=1, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"tridiagonal Poisson solve failed (info={info})")
     full = np.zeros((h, w))
-    full[1:-1, 1:-1] = fft.dstn(coef, type=1, norm="ortho", overwrite_x=True)
-    return HeightMap(full - full.min(), px_per_mm)
+    full[1:-1, 1:-1] = fft.dst(modes.reshape(k, m).T, type=1, norm="ortho",
+                               axis=1, overwrite_x=True)
+    full -= full.min()
+    return HeightMap(full, px_per_mm)
 
 
 def reconstruction_error(predicted: HeightMap, truth: HeightMap) -> float:

@@ -51,6 +51,14 @@ class TestNormalMap:
         with pytest.raises(ValueError):
             NormalMap(down)
 
+    @pytest.mark.parametrize("component", [0, 2])
+    def test_nan_component_rejected(self, component):
+        n = np.zeros((4, 4, 3))
+        n[:, :, 2] = 1.0
+        n[1, 2, component] = np.nan
+        with pytest.raises(ValueError, match="unit length"):
+            NormalMap(n)
+
 
 class TestHeightMap:
     def test_gauged_sets_min_to_zero(self):

@@ -206,12 +206,15 @@ class TestShearFeatures:
         feat = force.shear_features(v, out, ContactMask(big, 0.3))
         assert np.all(np.isfinite(feat.values))
 
-    def test_empty_mask_raises(self):
-        v = DisplacementField(np.zeros((10, 10, 2)))
+    def test_empty_mask_gives_zero_no_contact_feature(self):
+        v = DisplacementField(rng.normal(0, 1, (10, 10, 2)))
         out = force.hhd_decompose(v)
-        with pytest.raises(ValueError):
-            force.shear_features(v, out, ContactMask(np.zeros((10, 10),
-                                                             dtype=bool), 0.3))
+        feat = force.shear_features(v, out, ContactMask(np.zeros((10, 10),
+                                                                dtype=bool), 0.3))
+        assert feat.contact is False
+        assert np.array_equal(feat.values, np.zeros(10))
+        model = force.ShearModel(np.ones(10), np.ones(10), 0.5, -0.25)
+        assert force.predict_shear(feat, model) == (0.0, 0.0)
 
     def test_feature_validation(self):
         with pytest.raises(ValueError):
@@ -253,6 +256,13 @@ class TestShearModel:
         x, y, *_ = self._linear_data(20)
         with pytest.raises(ValueError):
             force.fit_shear_model(x, y[:, :1])
+
+    def test_no_contact_feature_refused(self):
+        x, y, *_ = self._linear_data(20)
+        feats = [force.ShearFeature(row) for row in x]
+        feats[7] = force.ShearFeature(np.zeros(10), contact=False)
+        with pytest.raises(ValueError, match="no-contact"):
+            force.fit_shear_model(feats, y)
 
     def test_rank_deficient_raises(self):
         x = np.tile(rng.normal(0, 1, 10), (30, 1))

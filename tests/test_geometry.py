@@ -160,6 +160,15 @@ class TestInference:
         for frame in self._frames().values():
             self._check(frame, criterion8_model)
 
+    # Bands hold whole rows of about _BAND_PX pixels: 13 rows of 317 end in a
+    # short band, and rows of 5000 pixels are each a band of their own.
+    @pytest.mark.parametrize("shape", [(13, 317), (3, 5000)])
+    def test_band_boundaries(self, criterion8_model, shape):
+        rows = max(1, geometry._BAND_PX // shape[1])
+        assert shape[0] % rows or shape[1] > geometry._BAND_PX
+        values = np.random.default_rng(shape[1]).uniform(-0.3, 0.3, shape + (3,))
+        self._check(DiffFrame(values, 10.0), criterion8_model)
+
     def test_clamp_branch(self, criterion8_model):
         # The criterion-8 model keeps |(nx, ny)| below 0.14 even on the
         # saturated frame. An output bias of 12 puts |u| around the 10.7
@@ -207,9 +216,11 @@ class TestIntegration:
         with pytest.raises(ValueError):
             geometry.integrate_normals(NormalMap(n), 0.0)
 
-    # The transform lengths are 2(side - 1); side - 1 is 127 and 239 (prime)
-    # at 128 and 240, and 11 * 29 at 320.
-    @pytest.mark.parametrize("shape", [(3, 3), (3, 9), (17, 23), (128, 128),
+    # 3x3 has a 1x1 interior (no tridiagonal solve), 3-row frames give
+    # one-row blocks, 3-column frames one block; side - 1 is 127 and 239
+    # (prime) at 128 and 240, and 11 * 29 at 320.
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 9), (9, 3), (3, 240),
+                                       (240, 3), (17, 23), (128, 128),
                                        (240, 320)])
     def test_matches_sparse_poisson_oracle(self, shape):
         r = np.random.default_rng(sum(shape))

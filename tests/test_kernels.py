@@ -74,6 +74,30 @@ class TestIdw:
         b = _kernels.idw_interpolate(*case)
         assert np.allclose(a, b, atol=1e-12)
 
+    def test_lattice_ties_pick_the_lowest_indices(self):
+        # Samples on a shuffled integer lattice and nodes on the half-integer
+        # lattice: nodes see exact distance ties, many of them across the
+        # 4th/5th-neighbour boundary, so only the index tie-break decides.
+        gx, gy = np.meshgrid(np.arange(6.0), np.arange(5.0))
+        perm = np.random.default_rng(3).permutation(gx.size)
+        px, py = gx.ravel()[perm], gy.ravel()[perm]
+        node_x, node_y = np.arange(0.0, 5.5, 0.5), np.arange(0.0, 4.5, 0.5)
+        vals = rng.normal(0, 1, (px.size, 2))
+        got = _kernels.idw_interpolate_numpy(px, py, vals, node_x, node_y)
+        assert np.allclose(got, idw_reference(px, py, vals, node_x, node_y),
+                           atol=1e-10)
+        # one-hot values: channel i of a node is sample i's weight there
+        weights = _kernels.idw_interpolate_numpy(
+            px, py, np.eye(px.size), node_x, node_y).reshape(-1, px.size)
+        nx, ny = np.meshgrid(node_x, node_y)
+        d2 = (nx.ravel()[:, None] - px) ** 2 + (ny.ravel()[:, None] - py) ** 2
+        want = np.argsort(d2, axis=1, kind="stable")[:, :4]
+        coincident = d2.min(axis=1) == 0.0
+        assert coincident.any() and not coincident.all()
+        for node, chosen in enumerate(weights):
+            expect = want[node, :1] if coincident[node] else want[node]
+            assert set(np.flatnonzero(chosen)) == set(expect)
+
     def test_coincident_node_returns_sample(self):
         px = np.array([2.0, 8.0, 5.0])
         py = np.array([2.0, 8.0, 1.0])

@@ -1,9 +1,10 @@
 """The criterion-8 perception tick over windows that hold a no-contact frame.
 
-A grasp sees no contact before the press. Every later frame with contact
-must still get a finite heightmap, slip decision and forces while that frame
-sits in its six-frame slip window. A frame without contact has no region to
-take shear features from, and says so with a ValueError.
+A grasp sees no contact before the press. Every frame must get a finite
+heightmap, slip decision and forces, also while a frame without contact sits
+in its six-frame slip window. A frame whose contact is empty on the 24x24
+marker-field grid has no region to take shear features from, and its shear
+force is exactly zero.
 """
 
 from collections import deque
@@ -76,25 +77,20 @@ def test_contact_ticks_survive_a_no_contact_frame_in_the_window(stack):
         feat = force.shear_features(field, force.hhd_decompose(field), mask)
         return height, v_obj, v_mark, flag, f_n, force.predict_shear(feat, sh)
 
-    gap_windows = 0
+    gap_windows = no_shear = 0
     for k, (img, markers, current) in enumerate(_grasp(rest, ppm)):
-        try:
-            out = tick(img, markers, current)
-        except ValueError as exc:
-            out = exc
+        height, v_obj, v_mark, flag, f_n, shear = tick(img, markers, current)
         mask = history[-1][0]
         assert (mask.area == 0) == (k == 1)         # only the approach frame
-        # Shear features read the mask on the field grid, where a contact of
-        # a few dozen pixels can vanish; such a tick is refused as well.
-        raised = isinstance(out, ValueError)
-        assert raised == (mask.resampled(FIELD).area == 0)
-        if raised:
-            assert str(out) == "empty contact mask"
-            continue
-        height, v_obj, v_mark, flag, f_n, shear = out
         assert np.all(np.isfinite(height.values))
         assert np.all(np.isfinite(v_obj)) and np.all(np.isfinite(v_mark))
         assert isinstance(flag, bool)
         assert np.isfinite(f_n) and np.all(np.isfinite(shear))
+        # Shear features read the mask on the field grid, where a contact of
+        # a few dozen pixels can vanish as well.
+        if mask.resampled(FIELD).area == 0:
+            assert shear == (0.0, 0.0)
+            no_shear += 1
         gap_windows += any(m.area == 0 for m, _ in history)
-    assert gap_windows == WINDOW - 2
+    assert no_shear == 2                        # approach and first press frame
+    assert gap_windows == WINDOW
