@@ -26,7 +26,9 @@ def main():
     flat = sim.render_tactile(HeightMap(np.zeros((res, res)), ppm), rig, gel)
     raw = sim.indent_heightmap(sim.Sphere(8.0), (15.0, 15.0), 1.0,
                                (res, res), gel)
-    img = sim.render_tactile(raw, rig, gel)
+    # sensor noise, so untouched gel differs from the background as it does
+    # on a real sensor
+    img = sim.render_tactile(raw, rig, gel, 0.01, np.random.default_rng(3))
 
     presses = sim.make_calibration_presses(3, rng=np.random.default_rng(0),
                                            resolution=64)
@@ -77,6 +79,10 @@ def main():
 
     for stage in stages:
         print(f"  {stage:<10} {1e3 * acc[stage] / args.ticks:7.2f} ms")
+    diff = core.diff_image(img, flat)
+    mlp_share = np.mean(np.abs(diff.values).max(axis=2) > geometry._LINEAR_TAU)
+    print(f"MLP evaluated on {100 * mlp_share:.1f}% of pixels; the rest took "
+          f"the first-order expansion")
     print(f"median tick {1e3 * float(np.median(totals)):.1f} ms at "
           f"{res}x{res} over {args.ticks} runs "
           f"(15 Hz budget: 66 ms)")

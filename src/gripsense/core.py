@@ -29,6 +29,19 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _clip_owned(a: np.ndarray, lo: float, hi: float, what: str) -> None:
+    """Check that the caller's own copy ``a`` is finite and in [lo, hi] up to
+    1e-9, clip the slack in place, and mark it read-only."""
+    amin, amax = a.min(), a.max()        # NaN and inf propagate into these
+    if not (np.isfinite(amin) and np.isfinite(amax)):
+        raise ValueError(f"{what} must be finite")
+    if amin < lo - 1e-9 or amax > hi + 1e-9:
+        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}]")
+    if amin < lo or amax > hi:
+        np.clip(a, lo, hi, out=a)
+    a.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class TactileFrame:
     """One rectified RGB raster from a finger's sensing surface."""
@@ -38,18 +51,15 @@ class TactileFrame:
     timestamp: float = 0.0
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.array(self.pixels, dtype=np.float64)
         if px.ndim != 3 or px.shape[2] != 3:
             raise ValueError(f"pixels must be (H, W, 3), got {px.shape}")
         if px.shape[0] < 8 or px.shape[1] < 8:
             raise ValueError(f"frame must be at least 8x8, got {px.shape[:2]}")
-        if not np.all(np.isfinite(px)):
-            raise ValueError("pixel intensities must be finite")
-        if px.min() < -1e-9 or px.max() > 1.0 + 1e-9:
-            raise ValueError("pixel intensities must lie in [0, 1]")
+        _clip_owned(px, 0.0, 1.0, "pixel intensities")
         if not self.px_per_mm > 0:
             raise ValueError("px_per_mm must be positive")
-        object.__setattr__(self, "pixels", _readonly(np.clip(px, 0.0, 1.0)))
+        object.__setattr__(self, "pixels", px)
 
     @property
     def height(self) -> int:
@@ -69,16 +79,13 @@ class DiffFrame:
     timestamp: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.ndim != 3 or v.shape[2] != 3:
             raise ValueError(f"values must be (H, W, 3), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("diff values must be finite")
-        if v.min() < -1.0 - 1e-9 or v.max() > 1.0 + 1e-9:
-            raise ValueError("diff values must lie in [-1, 1]")
+        _clip_owned(v, -1.0, 1.0, "diff values")
         if not self.px_per_mm > 0:
             raise ValueError("px_per_mm must be positive")
-        object.__setattr__(self, "values", _readonly(np.clip(v, -1.0, 1.0)))
+        object.__setattr__(self, "values", v)
 
     @property
     def shape(self) -> tuple:

@@ -39,6 +39,35 @@ class TestTactileFrame:
             TactileFrame(np.zeros((8, 8, 3)), 0.0)
 
 
+@pytest.mark.parametrize("cls, lo, hi", [(TactileFrame, 0.0, 1.0),
+                                         (DiffFrame, -1.0, 1.0)])
+def test_frame_clips_slack_on_its_own_copy(cls, lo, hi):
+    raw = rng.uniform(lo, hi, (8, 9, 3))
+    raw[0, 0, 0], raw[1, 1, 1] = lo - 5e-10, hi + 5e-10
+    raw[2, 2, 2] = -0.0
+    kept = raw.copy()
+    frame = cls(raw, 4.0)
+    got = frame.pixels if cls is TactileFrame else frame.values
+    assert np.array_equal(raw, kept)                  # the caller's array
+    assert not got.flags.writeable and not np.shares_memory(got, raw)
+    want = np.clip(kept, lo, hi)
+    assert got.tobytes() == want.tobytes()            # bit for bit, -0.0 too
+    inside = rng.uniform(lo, hi, (8, 9, 3)).astype(np.float32)
+    frame = cls(inside, 4.0)
+    got = frame.pixels if cls is TactileFrame else frame.values
+    assert got.dtype == np.float64
+    assert np.array_equal(got, inside.astype(np.float64))
+    for bad in (np.inf, -np.inf, np.nan):
+        v = kept.copy()
+        v[3, 3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cls(v, 4.0)
+    v = kept.copy()
+    v[4, 4, 1] = hi + 2e-9
+    with pytest.raises(ValueError, match="must lie in"):
+        cls(v, 4.0)
+
+
 class TestNormalMap:
     def test_requires_unit_length_and_positive_nz(self):
         n = np.zeros((4, 4, 3))

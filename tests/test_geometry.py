@@ -1,5 +1,7 @@
 """Normal calibration, inference and Poisson heightmap integration."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,15 @@ def criterion8_model():
                                    epochs=120, learning_rate=0.1, seed=0)
 
 
+@pytest.fixture(scope="module")
+def library_model():
+    """The library-default recipe (criteria 1, 4 and 6), more curved than criterion 8's."""
+    presses = sim.make_calibration_presses(8, rng=np.random.default_rng(0),
+                                           resolution=128)
+    return geometry.fit_rgb2normal(geometry.build_calibration_dataset(presses),
+                                   epochs=1000, learning_rate=0.1, seed=0)
+
+
 def _reference_normals(frame, model):
     """The float64 ``_forward``, clamped below unit norm, nz completing the unit vector."""
     params = (model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
@@ -128,8 +139,50 @@ def _reference_normals(frame, model):
     return np.column_stack([n2, nz]).reshape(frame.values.shape)
 
 
+def _kernel_normals(frame, model):
+    """The float32 kernel on every pixel, nz completing the unit vector."""
+    n2 = geometry._mlp(model, geometry._pixel_features(frame.values))
+    nz = np.sqrt(np.maximum(1.0 - np.sum(n2 * n2, axis=1), 0.0))
+    return np.column_stack([n2, nz]).reshape(frame.values.shape)
+
+
+def _mlp_pixels(frame):
+    """The pixels ``predict_normals`` sends to the MLP: largest |diff| above tau."""
+    mag = np.abs(frame.values.astype(np.float32)).max(axis=2)
+    return mag > geometry._LINEAR_TAU
+
+
+def _check_prediction(frame, model):
+    """Unit normals with nz > 0, and MLP pixels exactly the kernel's output."""
+    got = geometry.predict_normals(frame, model).values
+    assert np.max(np.abs(np.linalg.norm(got, axis=2) - 1.0)) < 1e-9
+    assert got[:, :, 2].min() > 0
+    sel = _mlp_pixels(frame)
+    feats = geometry._pixel_features(frame.values)[sel.ravel()]
+    assert np.array_equal(got[sel][:, :2], geometry._mlp(model, feats))
+    return got, sel
+
+
+# The stated bound of the first-order expansion against the MLP.
+EXPANSION_NORMAL_TOL = 2e-3
+EXPANSION_HEIGHT_TOL_MM = 5e-4
+
+
+def _check_expansion(frame, model):
+    got, sel = _check_prediction(frame, model)
+    dense = _kernel_normals(frame, model)
+    assert np.max(np.abs(got - dense)[~sel][:, :2],
+                  initial=0.0) <= EXPANSION_NORMAL_TOL
+    ppm = frame.px_per_mm
+    h_got = geometry.integrate_normals(NormalMap(got), ppm).values
+    h_dense = geometry.integrate_normals(NormalMap(dense), ppm).values
+    assert np.max(np.abs(h_got - h_dense)) <= EXPANSION_HEIGHT_TOL_MM
+    return sel
+
+
 class TestInference:
-    """The float32 inference pass against the float64 training forward pass."""
+    """The float32 kernel against the float64 training forward pass, and
+    ``predict_normals`` against the kernel."""
 
     shape = (96, 128)
 
@@ -149,25 +202,32 @@ class TestInference:
         return {k: diff_image(f, background) for k, f in frames.items()}
 
     @staticmethod
-    def _check(frame, model):
-        got = geometry.predict_normals(frame, model).values
+    def _check_kernel(frame, model):
+        got = _kernel_normals(frame, model)
         assert np.max(np.abs(got - _reference_normals(frame, model))) <= 1e-5
-        assert np.max(np.abs(np.linalg.norm(got, axis=2) - 1.0)) < 1e-9
-        assert got[:, :, 2].min() > 0
         return got
 
     def test_matches_float64_forward(self, criterion8_model):
         for frame in self._frames().values():
-            self._check(frame, criterion8_model)
+            self._check_kernel(frame, criterion8_model)
 
-    # Bands hold whole rows of about _BAND_PX pixels: 13 rows of 317 end in a
-    # short band, and rows of 5000 pixels are each a band of their own.
+    def test_prediction_splits_into_mlp_and_expansion(self, criterion8_model):
+        frames = self._frames()
+        for frame in frames.values():
+            _check_expansion(frame, criterion8_model)
+        assert _mlp_pixels(frames["saturated"]).all()
+        assert 0 < _mlp_pixels(frames["noisy press"]).mean() < 0.5
+
+    # The kernel runs over bands of _BAND_PX pixel rows: 13 x 317 pixels end
+    # in a short band, 3 x 5000 in three full ones and a short one.
     @pytest.mark.parametrize("shape", [(13, 317), (3, 5000)])
     def test_band_boundaries(self, criterion8_model, shape):
-        rows = max(1, geometry._BAND_PX // shape[1])
-        assert shape[0] % rows or shape[1] > geometry._BAND_PX
+        n = shape[0] * shape[1]
+        assert n > geometry._BAND_PX and n % geometry._BAND_PX
         values = np.random.default_rng(shape[1]).uniform(-0.3, 0.3, shape + (3,))
-        self._check(DiffFrame(values, 10.0), criterion8_model)
+        frame = DiffFrame(values, 10.0)
+        self._check_kernel(frame, criterion8_model)
+        _check_prediction(frame, criterion8_model)
 
     def test_clamp_branch(self, criterion8_model):
         # The criterion-8 model keeps |(nx, ny)| below 0.14 even on the
@@ -176,10 +236,100 @@ class TestInference:
         m = criterion8_model
         loud = geometry.Rgb2NormalModel(m.w1, m.b1, m.w2, m.b2, m.w3,
                                         m.b3 + [12.0, 0.0])
-        got = self._check(self._frames()["noisy press"], loud)
-        tangential = np.linalg.norm(got[:, :, :2], axis=2)
+        frame = self._frames()["noisy press"]
+        dense = self._check_kernel(frame, loud)
+        tangential = np.linalg.norm(dense[:, :, :2], axis=2)
         assert np.mean(np.isclose(tangential, geometry._NORM_CLAMP,
                                   rtol=0, atol=1e-12)) > 0.5
+        got, sel = _check_prediction(frame, loud)
+        # expansion pixels past the clamp are pulled back onto it
+        tangential = np.linalg.norm(got[:, :, :2], axis=2)
+        assert np.max(tangential) <= geometry._NORM_CLAMP + 1e-12
+        assert np.any(np.isclose(tangential, geometry._NORM_CLAMP,
+                                 rtol=0, atol=1e-12)[~sel])
+
+
+class TestExpansion:
+    """First-order expansion pixels against the MLP, on presses as a grasp
+    renders them and on rasters too small for a 4 px node stride."""
+
+    @staticmethod
+    def _grasp(shape, sigma):
+        """Approach, half press and full press of a 7 mm sphere, off centre."""
+        gel, rig = sim.GelModel(), sim.default_rig()
+        ppm = shape[1] / gel.gel_size_mm
+        background = sim.render_tactile(HeightMap(np.zeros(shape), ppm), rig, gel)
+        centre = np.array([shape[1], shape[0]]) / ppm / 2.0 + [1.0, -0.5]
+        noise = np.random.default_rng(3)
+        for depth in (0.0, 0.6, 1.2):
+            raw = sim.indent_heightmap(sim.Sphere(7.0), tuple(centre), depth,
+                                       shape, gel)
+            yield diff_image(sim.render_tactile(raw, rig, gel, sigma, noise),
+                             background)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.02])
+    @pytest.mark.parametrize("shape", [(128, 128), (240, 320)])
+    @pytest.mark.parametrize("recipe", ["criterion8_model", "library_model"])
+    def test_grasp_within_bound(self, request, recipe, shape, sigma):
+        model = request.getfixturevalue(recipe)
+        for frame in self._grasp(shape, sigma):
+            sel = _check_expansion(frame, model)
+            assert sel.mean() < 0.7
+
+    @pytest.mark.parametrize("shape", [(8, 8), (13, 317)])
+    @pytest.mark.parametrize("recipe", ["criterion8_model", "library_model"])
+    def test_small_rasters_within_bound(self, request, recipe, shape):
+        model = request.getfixturevalue(recipe)
+        values = np.random.default_rng(1).normal(0.0, 0.012, shape + (3,))
+        sel = _check_expansion(DiffFrame(values, 10.0), model)
+        assert not sel.all()
+
+
+    # An output bias of 2 moves |u| to where the squash bends, so the
+    # q u u^T term of its Jacobian matters as much as the g I term.
+    @pytest.mark.parametrize("shift", [0.0, 2.0])
+    def test_jacobian_matches_finite_differences(self, criterion8_model, shift):
+        m = criterion8_model
+        model = geometry.Rgb2NormalModel(m.w1, m.b1, m.w2, m.b2, m.w3,
+                                         m.b3 + [shift, 0.0])
+        params = (model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
+        r = np.random.default_rng(9)
+        feats = np.column_stack([r.normal(0.0, 0.05, (500, 3)),
+                                 r.uniform(-1.0, 1.0, (500, 2))])
+        _, jac = geometry._mlp(model, feats, jacobian=True)
+        for c in range(3):
+            step = np.zeros(5)
+            step[c] = 1e-5
+            fd = (geometry._forward(params, feats + step)[0]
+                  - geometry._forward(params, feats - step)[0]) / 2e-5
+            assert np.max(np.abs(jac[:, :, c] - fd)) <= 1e-5
+
+
+class TestRasterSlot:
+    """The per-raster expansion is a cache on the model, not part of it."""
+
+    @staticmethod
+    def _frame(shape, seed):
+        values = np.random.default_rng(seed).normal(0.0, 0.02, shape + (3,))
+        return DiffFrame(values, 10.0)
+
+    def test_pickled_model_carries_no_expansion(self, criterion8_model):
+        frame = self._frame((24, 32), 0)
+        want = geometry.predict_normals(frame, criterion8_model).values
+        assert criterion8_model._raster is not None
+        back = pickle.loads(pickle.dumps(criterion8_model))
+        assert back._raster is None
+        assert "_raster" not in repr(criterion8_model)
+        assert np.array_equal(geometry.predict_normals(frame, back).values, want)
+
+    def test_second_raster_replaces_slot(self, criterion8_model):
+        a, b = self._frame((24, 32), 1), self._frame((17, 9), 2)
+        first = geometry.predict_normals(a, criterion8_model).values
+        assert criterion8_model._raster.shape == (8, 24, 32)
+        geometry.predict_normals(b, criterion8_model)
+        assert criterion8_model._raster.shape == (8, 17, 9)
+        again = geometry.predict_normals(a, criterion8_model).values
+        assert np.array_equal(again, first)
 
 
 class TestIntegration:
