@@ -4,7 +4,10 @@ A light clip encoder turns one squeeze sequence (difference images plus the
 per-frame normal-force trace) into a fixed 40-dimensional embedding, and an
 antisymmetric bilinear comparator scores which of two fruits is harder.
 Training is plain full-batch gradient descent on the pairwise cross entropy,
-kept deterministic so runs reproduce bit for bit.
+kept deterministic so runs reproduce bit for bit. The gradients are BLAS
+matrix products: the weight gradients, summed over clips and frames, are
+one (clips * 16, d)^T (clips * 16, d) product each, and the logits a
+row-wise dot of the two embeddings after one product with W.
 """
 
 from __future__ import annotations
@@ -230,12 +233,13 @@ def _loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
     emb, (x, q, k, v, attn) = _forward(params, patches, forces)
     w = comparator - comparator.T
     ea, eb = emb[idx_a], emb[idx_b]
-    logits = np.einsum("kd,de,ke->k", ea, w, eb) + bias
+    ebw = eb @ w.T
+    logits = (ea * ebw).sum(axis=1) + bias
     loss = float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
 
     dlogit = (0.5 * (1.0 + np.tanh(0.5 * logits)) - labels) / logits.size
     demb = np.zeros_like(emb)
-    np.add.at(demb, idx_a, dlogit[:, None] * (eb @ w.T))
+    np.add.at(demb, idx_a, dlogit[:, None] * ebw)
     np.add.at(demb, idx_b, dlogit[:, None] * (ea @ w))
     dw = ea.T @ (dlogit[:, None] * eb)
     d_comp = dw - dw.T
@@ -253,10 +257,13 @@ def _loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
     dq = ds @ k * scale
     dk = ds.transpose(0, 2, 1) @ q * scale
     dx = dq @ w_query.T + dk @ w_key.T + dv @ w_value.T
-    d_w_query = np.einsum("cif,cig->fg", x, dq)
-    d_w_key = np.einsum("cif,cig->fg", x, dk)
-    d_w_value = np.einsum("cif,cig->fg", x, dv)
-    d_w_patch = np.einsum("cip,cit->pt", patches, dx)
+    # weight gradients sum over clips and frames: one (C*16, d) product each
+    tokens = x.reshape(-1, TOKEN_DIM).T
+    d_w_query = tokens @ dq.reshape(-1, TOKEN_DIM)
+    d_w_key = tokens @ dk.reshape(-1, TOKEN_DIM)
+    d_w_value = tokens @ dv.reshape(-1, TOKEN_DIM)
+    d_w_patch = (patches.reshape(-1, PATCH_SIZE * PATCH_SIZE).T
+                 @ dx.reshape(-1, TOKEN_DIM))
     d_b_patch = dx.sum(axis=(0, 1))
     return loss, (d_w_patch, d_b_patch, d_w_query, d_w_key, d_w_value,
                   d_w_force, d_b_force, d_comp, d_bias)
@@ -317,8 +324,11 @@ def train_ranker(pairs, epochs: int = DEFAULT_EPOCHS,
     """
     if len(pairs) == 0:
         raise ValueError("no training pairs")
-    if epochs < 1 or learning_rate <= 0.0:
-        raise ValueError("epochs must be >= 1 and learning_rate positive")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if not (np.isfinite(learning_rate) and learning_rate > 0.0):
+        raise ValueError("learning_rate must be finite and positive, "
+                         f"got {learning_rate}")
     clips, idx_a, idx_b, labels = _index_pairs(pairs)
     tensors = [_clip_tensors(c) for c in clips]
     patches = np.stack([t[0] for t in tensors])

@@ -228,3 +228,108 @@ def ols_reference(features, targets):
 def quadrature_abs_integral(field_2d, spacing=1.0):
     """Rectangle-rule integral of |f| over the grid."""
     return float(np.abs(field_2d).sum() * spacing * spacing)
+
+
+# ---------------------------------------------------------------------------
+# training losses and gradients as first written: fresh temporaries per
+# epoch and einsum contractions, the references for the package's
+# allocation-free and BLAS-product training kernels
+# ---------------------------------------------------------------------------
+
+def rgb2normal_loss_and_grads(params, x, t):
+    """Mean squared (nx, ny) error of the RGB-to-normal MLP and its gradients."""
+    from gripsense import geometry
+    w1, b1, w2, b2, w3, b3 = params
+    n, (x, z1, z2, u, g, q) = geometry._forward(params, x)
+    diff = n - t
+    loss = float(np.sum(diff * diff) / x.shape[0])
+    dn = 2.0 * diff / x.shape[0]
+    du = dn * g[:, None] + u * (np.sum(u * dn, axis=1) * q)[:, None]
+    dw3 = du.T @ z2
+    db3 = du.sum(axis=0)
+    dz2 = (du @ w3) * (1.0 - z2 * z2)
+    dw2 = dz2.T @ z1
+    db2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ w2) * (1.0 - z1 * z1)
+    dw1 = dz1.T @ x
+    db1 = dz1.sum(axis=0)
+    return loss, (dw1, db1, dw2, db2, dw3, db3)
+
+
+def fit_rgb2normal_reference(data, epochs, learning_rate, seed=0):
+    """Full-batch GD over ``rgb2normal_loss_and_grads`` with the package's
+    Glorot initialisation; returns (params, loss history)."""
+    rng = np.random.default_rng(seed)
+    params = []
+    for fan_out, fan_in in ((32, 5), (32, 32), (2, 32)):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        params.append(rng.uniform(-limit, limit, (fan_out, fan_in)))
+        params.append(np.zeros(fan_out))
+    x, t = data.features, data.normals[:, :2]
+    history = []
+    for _ in range(epochs):
+        loss, grads = rgb2normal_loss_and_grads(params, x, t)
+        history.append(loss)
+        params = [p - learning_rate * dp for p, dp in zip(params, grads)]
+    history.append(rgb2normal_loss_and_grads(params, x, t)[0])
+    return params, history
+
+
+def ranker_loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
+                          fit_bias=True):
+    """Pairwise cross entropy of the softness ranker and its gradients."""
+    from gripsense import softness
+    w_query, w_key, w_value = params[2:5]
+    comparator, bias = params[7], params[8]
+    emb, (x, q, k, v, attn) = softness._forward(params, patches, forces)
+    w = comparator - comparator.T
+    ea, eb = emb[idx_a], emb[idx_b]
+    logits = np.einsum("kd,de,ke->k", ea, w, eb) + bias
+    loss = float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
+
+    dlogit = (0.5 * (1.0 + np.tanh(0.5 * logits)) - labels) / logits.size
+    demb = np.zeros_like(emb)
+    np.add.at(demb, idx_a, dlogit[:, None] * (eb @ w.T))
+    np.add.at(demb, idx_b, dlogit[:, None] * (ea @ w))
+    dw = ea.T @ (dlogit[:, None] * eb)
+    d_comp = dw - dw.T
+    d_bias = float(dlogit.sum()) if fit_bias else 0.0
+
+    token = softness.TOKEN_DIM
+    dz, dg = demb[:, :token], demb[:, token:]
+    d_w_force = (dg * forces.mean(axis=1)[:, None]).sum(axis=0)
+    d_b_force = dg.sum(axis=0)
+
+    frames = softness.CLIP_FRAMES
+    dzt = np.broadcast_to(dz[:, None, :] / frames, attn.shape[:2] + dz.shape[-1:])
+    dv = attn.transpose(0, 2, 1) @ dzt
+    ds_attn = dzt @ v.transpose(0, 2, 1)
+    ds = attn * (ds_attn - (ds_attn * attn).sum(axis=2, keepdims=True))
+    scale = 1.0 / np.sqrt(token)
+    dq = ds @ k * scale
+    dk = ds.transpose(0, 2, 1) @ q * scale
+    dx = dq @ w_query.T + dk @ w_key.T + dv @ w_value.T
+    d_w_query = np.einsum("cif,cig->fg", x, dq)
+    d_w_key = np.einsum("cif,cig->fg", x, dk)
+    d_w_value = np.einsum("cif,cig->fg", x, dv)
+    d_w_patch = np.einsum("cip,cit->pt", patches, dx)
+    d_b_patch = dx.sum(axis=(0, 1))
+    return loss, (d_w_patch, d_b_patch, d_w_query, d_w_key, d_w_value,
+                  d_w_force, d_b_force, d_comp, d_bias)
+
+
+def train_ranker_reference(patches, forces, idx_a, idx_b, labels, epochs,
+                           learning_rate, seed=0):
+    """Full-batch GD over ``ranker_loss_and_grads`` from the package's
+    initialisation; returns (params, loss history)."""
+    from gripsense import softness
+    params = softness._init_params(seed)
+    history = []
+    for _ in range(epochs):
+        loss, grads = ranker_loss_and_grads(tuple(params), patches, forces,
+                                            idx_a, idx_b, labels)
+        history.append(loss)
+        params = [p - learning_rate * g for p, g in zip(params, grads)]
+    history.append(ranker_loss_and_grads(tuple(params), patches, forces,
+                                         idx_a, idx_b, labels)[0])
+    return params, history

@@ -238,6 +238,18 @@ class TestGeometryCommands:
         assert hm.values.shape == (48, 48)
         assert hm.values.min() == pytest.approx(0.0, abs=1e-9)
 
+    def test_calibrate_rejects_zero_learning_rate(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "lr0.cfg", "geometry.resolution = 48\n"
+                     "geometry.presses = 2\n"
+                     "geometry.learning_rate = 0\n")
+        out = tmp_path / "normals.npz"
+        capsys.readouterr()
+        rc = cli.main(["calibrate", "--out", str(out), "--config", cfg])
+        assert rc == 1
+        assert "learning_rate must be finite and positive" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_reconstruct_missing_model(self, tmp_path, capsys):
         rc = cli.main(["reconstruct", "--model", str(tmp_path / "no.npz")])
         assert rc == 1

@@ -8,7 +8,8 @@ import pytest
 from gripsense import geometry, sim
 from gripsense.core import (DiffFrame, HeightMap, NormalMap, TactileFrame,
                             diff_image)
-from oracles import cap_normals_fd, poisson_reference
+from oracles import (cap_normals_fd, fd_gradient_at, fit_rgb2normal_reference,
+                     poisson_reference, rgb2normal_loss_and_grads)
 
 rng = np.random.default_rng(5)
 
@@ -102,6 +103,11 @@ class TestFit:
         with pytest.raises(ValueError):
             geometry.fit_rgb2normal(data, epochs=0)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.1, np.nan, np.inf])
+    def test_learning_rate_validation(self, data, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            geometry.fit_rgb2normal(data, epochs=5, learning_rate=rate)
+
     def test_predictions_are_unit_normals(self, model):
         frame = _press_fixture(n=1, seed=3)[0][0]
         nm = geometry.predict_normals(frame, model)
@@ -110,6 +116,79 @@ class TestFit:
         norms = np.linalg.norm(nm.values, axis=2)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
         assert nm.values[:, :, 2].min() > 0
+
+
+def _params(model):
+    return (model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
+
+
+def _assert_fit_matches_oracle(data, epochs, model):
+    params, history = fit_rgb2normal_reference(data, epochs, 0.1, seed=0)
+    for got, want in zip(_params(model), params):
+        assert np.array_equal(got, want)
+    assert model.loss_history == tuple(history)
+
+
+class TestTrainingKernel:
+    """The allocation-free epoch against the allocating reference in
+    ``oracles``, and against central differences of its own loss."""
+
+    def test_fixture_fit_bit_equal_to_oracle(self, data, model):
+        _assert_fit_matches_oracle(data, 200, model)
+
+    def test_criterion8_recipe_bit_equal_to_oracle(self, data):
+        # the criterion-8 recipe's 3 presses at 64 px are the fixture's data
+        model = geometry.fit_rgb2normal(data, epochs=120, learning_rate=0.1,
+                                        seed=0)
+        _assert_fit_matches_oracle(data, 120, model)
+
+    def test_fits_of_different_sizes_share_no_state(self, data):
+        small = geometry.build_calibration_dataset(
+            sim.make_calibration_presses(2, rng=np.random.default_rng(4),
+                                         resolution=40))
+        assert len(small) != len(data)
+        for d in (small, data, small):
+            _assert_fit_matches_oracle(
+                d, 30, geometry.fit_rgb2normal(d, epochs=30, seed=0))
+
+    def test_stale_buffers_are_never_read(self, data, model):
+        x, t = data.features, data.normals[:, :2]
+        want = rgb2normal_loss_and_grads(_params(model), x, t)
+        buf = geometry._training_buffers(len(data))
+        for b in buf:
+            b.fill(np.nan)
+        loss, grads = geometry._loss_and_grads(_params(model), x, t, buf)
+        assert loss == want[0]
+        for got, ref in zip(grads, want[1]):
+            assert np.array_equal(got, ref)
+
+    # An output bias of 2 moves |u| to where the radial squash bends.
+    @pytest.mark.parametrize("shift", [0.0, 2.0])
+    def test_gradients_match_finite_differences(self, data, model, shift):
+        params = list(_params(model))
+        params[5] = params[5] + [shift, 0.0]
+        shapes = [p.shape for p in params]
+        offsets = np.cumsum([0] + [p.size for p in params])
+        x, t = data.features, data.normals[:, :2]
+        buf = geometry._training_buffers(len(data))
+
+        def unpack(flat):
+            return [flat[lo:hi].reshape(s)
+                    for s, lo, hi in zip(shapes, offsets[:-1], offsets[1:])]
+
+        def f(flat):
+            return geometry._loss_and_grads(unpack(flat), x, t, buf)[0]
+
+        flat0 = np.concatenate([p.ravel() for p in params])
+        _, grads = geometry._loss_and_grads(params, x, t, buf)
+        flat_grad = np.concatenate([g.ravel() for g in grads])
+        r = np.random.default_rng(0)
+        check = sorted({int(i) for lo, hi in zip(offsets[:-1], offsets[1:])
+                        for i in r.integers(lo, hi, 4)})
+        fd = fd_gradient_at(f, flat0, check, eps=1e-6)
+        for i in check:
+            denom = max(abs(fd[i]), abs(flat_grad[i]), 1e-8)
+            assert abs(fd[i] - flat_grad[i]) / denom < 1e-4
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,8 @@ import pytest
 
 from gripsense import softness
 from gripsense.core import DiffFrame
-from oracles import fd_gradient_at
+from oracles import (fd_gradient_at, ranker_loss_and_grads,
+                     train_ranker_reference)
 
 rng = np.random.default_rng(31)
 
@@ -228,6 +229,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             softness.train_ranker([(a, b, 1)], learning_rate=0.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.1, np.nan, np.inf])
+    def test_learning_rate_validation(self, rate):
+        a = _clip(seed=1, shore00=60.0)
+        b = _clip(seed=2, shore00=40.0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            softness.train_ranker([(a, b, 1)], epochs=5, learning_rate=rate)
+
     def test_gradients_match_finite_differences(self):
         a = _clip(seed=10, shore00=60.0, n_frames=5)
         b = _clip(seed=11, shore00=40.0, n_frames=5)
@@ -263,6 +271,49 @@ class TestTraining:
         for i in check:
             denom = max(abs(fd[i]), abs(flat_grad[i]), 1e-8)
             assert abs(fd[i] - flat_grad[i]) / denom < 1e-4
+
+
+@pytest.fixture(scope="module")
+def criterion6_set():
+    """The training clips of acceptance criterion 6, as stacked tensors."""
+    pairs = softness.make_ranking_pairs(softness.build_clip_library(7, seed=0))
+    clips, idx_a, idx_b, labels = softness._index_pairs(pairs)
+    tensors = [softness._clip_tensors(c) for c in clips]
+    patches = np.stack([t[0] for t in tensors])
+    forces = np.stack([t[1] for t in tensors])
+    return pairs, (patches, forces, idx_a, idx_b, labels)
+
+
+def _relative_error(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+class TestTrainingKernel:
+    """The BLAS-product gradients against the einsum reference in ``oracles``."""
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_gradients_match_oracle(self, criterion6_set, seed):
+        _, tensors = criterion6_set
+        params = tuple(softness._init_params(seed))
+        loss, grads = softness._loss_and_grads(params, *tensors)
+        want_loss, want = ranker_loss_and_grads(params, *tensors)
+        assert _relative_error(loss, want_loss) <= 1e-12
+        for got, ref in zip(grads[:-1], want[:-1]):
+            assert _relative_error(got, ref) <= 1e-12
+        # The bias gradient sums 1764 terms of size up to 1/1764 that cancel
+        # exactly when every pair comes in both orders, as here; only
+        # round-off is left, so it is held to an absolute bound.
+        assert abs(grads[-1] - want[-1]) <= 1e-15
+
+    def test_loss_history_matches_oracle(self, criterion6_set):
+        pairs, tensors = criterion6_set
+        model = softness.train_ranker(pairs, epochs=50, learning_rate=0.01,
+                                      seed=0)
+        _, history = train_ranker_reference(*tensors, epochs=50,
+                                            learning_rate=0.01, seed=0)
+        assert len(model.loss_history) == len(history) == 51
+        assert _relative_error(model.loss_history, history) <= 1e-12
 
 
 @pytest.fixture(scope="module")
