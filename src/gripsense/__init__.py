@@ -13,8 +13,9 @@ config    flat key=value configuration with schema validation
 cli       command-line entry point wiring everything together
 """
 
-from ._kernels import HAS_NUMBA, USING_NUMBA
+# numba is not used; the benchmark's machine record (perfbench/run.py) reads this
+USING_NUMBA = False
 
 __version__ = "0.1.0"
 
-__all__ = ["HAS_NUMBA", "USING_NUMBA", "__version__"]
+__all__ = ["USING_NUMBA", "__version__"]

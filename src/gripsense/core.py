@@ -8,6 +8,9 @@ Conventions used throughout the package:
   giving the isotropic pixel pitch;
 * marker positions are in frame pixels.
 
+``rectify_frame`` resamples through the bilinear homography warp
+``_warp_bilinear``.
+
 Everything here is immutable after construction: arrays are copied and marked
 read-only, so instances can be shared freely across threads.
 """
@@ -19,8 +22,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-
-from ._kernels import warp_bilinear
 
 
 def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -263,6 +264,48 @@ def _check_quad(corners: np.ndarray, width: int, height: int) -> None:
         raise ValueError("corners must form a convex quadrilateral")
 
 
+# Sample coordinates this close to an integer are snapped onto it, so that
+# identity / pure-integer-scaling homographies reproduce source pixels exactly
+# instead of mixing in ~1e-12 of a neighbour.
+_SNAP = 1e-9
+
+
+def _warp_bilinear(img: np.ndarray, hmat: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Resample ``img`` through homography ``hmat`` (output px -> source px).
+
+    ``hmat`` maps homogeneous output coordinates (x=col, y=row, 1) to source
+    coordinates. Samples are clamped to the source rectangle and blended
+    bilinearly.
+    """
+    h, w, c = img.shape
+    jj, ii = np.meshgrid(np.arange(out_w, dtype=np.float64),
+                         np.arange(out_h, dtype=np.float64))
+    denom = hmat[2, 0] * jj + hmat[2, 1] * ii + hmat[2, 2]
+    u = (hmat[0, 0] * jj + hmat[0, 1] * ii + hmat[0, 2]) / denom
+    v = (hmat[1, 0] * jj + hmat[1, 1] * ii + hmat[1, 2]) / denom
+
+    ur = np.rint(u)
+    u = np.where(np.abs(u - ur) < _SNAP, ur, u)
+    vr = np.rint(v)
+    v = np.where(np.abs(v - vr) < _SNAP, vr, v)
+
+    u = np.clip(u, 0.0, w - 1.0)
+    v = np.clip(v, 0.0, h - 1.0)
+    u0 = np.minimum(np.floor(u), w - 2.0).astype(np.int64) if w > 1 else np.zeros_like(u, np.int64)
+    v0 = np.minimum(np.floor(v), h - 2.0).astype(np.int64) if h > 1 else np.zeros_like(v, np.int64)
+    fu = (u - u0)[..., None]
+    fv = (v - v0)[..., None]
+    u1 = np.minimum(u0 + 1, w - 1)
+    v1 = np.minimum(v0 + 1, h - 1)
+
+    p00 = img[v0, u0]
+    p01 = img[v0, u1]
+    p10 = img[v1, u0]
+    p11 = img[v1, u1]
+    return ((1.0 - fv) * ((1.0 - fu) * p00 + fu * p01)
+            + fv * ((1.0 - fu) * p10 + fu * p11))
+
+
 def rectify_frame(raw: np.ndarray, corners, out_size: tuple[int, int],
                   px_per_mm: float = 1.0, timestamp: float = 0.0) -> TactileFrame:
     """Unwarp the quadrilateral ``corners`` of ``raw`` onto a full rectangle.
@@ -277,7 +320,7 @@ def rectify_frame(raw: np.ndarray, corners, out_size: tuple[int, int],
     out_h, out_w = int(out_size[0]), int(out_size[1])
     _check_quad(corners, raw.shape[1], raw.shape[0])
     hmat = _homography_from_rect(corners, out_h, out_w)
-    pixels = warp_bilinear(raw, hmat, out_h, out_w)
+    pixels = _warp_bilinear(raw, hmat, out_h, out_w)
     return TactileFrame(np.clip(pixels, 0.0, 1.0), px_per_mm, timestamp)
 
 

@@ -4,7 +4,8 @@ Normal force is a linear map from motor current. Shear force comes from the
 marker displacement field: dense interpolation, Helmholtz decomposition into
 a curl-free part P, a divergence-free part S, and a harmonic remainder H,
 then a 10-entry polynomial feature of the in-contact means feeding per-axis
-least squares.
+least squares. The marker displacements reach the grid by inverse-distance
+weighting, ``_idw_interpolate``.
 
 The decomposition computes P as the least-squares projection of the field
 onto discrete gradients and S as the projection onto discrete rotations,
@@ -23,7 +24,6 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .core import DisplacementField, MarkerSet, ScalarField
-from ._kernels import idw_interpolate
 from .slip import ContactMask
 
 FEATURE_NAMES = ("vx", "vy", "px", "px2", "py", "py2", "sx", "sx2", "sy", "sy2")
@@ -74,6 +74,47 @@ def predict_normal_force(current, model: NormalForceModel):
 # marker-field interpolation
 # ---------------------------------------------------------------------------
 
+# Squared-distance threshold under which an IDW query point is considered
+# coincident with a data point and copies its value exactly.
+_COINCIDENT_SQ = 1e-24
+
+
+def _idw_interpolate(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
+                     node_x: np.ndarray, node_y: np.ndarray,
+                     k: int = 4, power: float = 2.0) -> np.ndarray:
+    """Inverse-distance-weighted interpolation of scattered samples onto a grid.
+
+    ``(px, py)`` are N sample positions with values ``vals`` (N, C); the output
+    grid has node columns at ``node_x`` and rows at ``node_y``. For each node
+    the ``k`` nearest samples are blended with weights d^-power. Ties in
+    distance are broken by sample index (lowest first) so results are
+    deterministic; a node coinciding with a sample copies that sample's value.
+    """
+    n = px.shape[0]
+    k = min(k, n)
+    gh, gw = node_y.shape[0], node_x.shape[0]
+    gx, gy = np.meshgrid(node_x, node_y)
+    d2 = ((gx.ravel()[:, None] - px[None, :]) ** 2
+          + (gy.ravel()[:, None] - py[None, :]) ** 2)
+    # k passes of argmin, which returns the first minimum, so exact distance
+    # ties go to the lowest sample index, as a stable sort would order them
+    rows = np.arange(d2.shape[0])
+    order = np.empty((d2.shape[0], k), dtype=np.intp)
+    dk = np.empty((d2.shape[0], k))
+    for j in range(k):
+        order[:, j] = np.argmin(d2, axis=1)
+        dk[:, j] = d2[rows, order[:, j]]
+        d2[rows, order[:, j]] = np.inf
+    out = np.empty((gh * gw, vals.shape[1]))
+    exact = dk[:, 0] < _COINCIDENT_SQ
+    wgt = 1.0 / np.maximum(dk, _COINCIDENT_SQ) ** (power / 2.0)
+    wgt /= wgt.sum(axis=1, keepdims=True)
+    out[:] = np.einsum("nk,nkc->nc", wgt, vals[order])
+    if np.any(exact):
+        out[exact] = vals[order[exact, 0]]
+    return out.reshape(gh, gw, vals.shape[1])
+
+
 def interpolate_markers(before: MarkerSet, after: MarkerSet,
                         grid: tuple[int, int]) -> DisplacementField:
     """Scatter per-marker displacements to a regular grid by IDW (k=4, p=2).
@@ -104,7 +145,7 @@ def interpolate_markers(before: MarkerSet, after: MarkerSet,
         raise ValueError("degenerate marker extent")
     node_x = np.linspace(x0, x1, gw)
     node_y = np.linspace(y0, y1, gh)
-    vals = idw_interpolate(rest[:, 0], rest[:, 1], disp, node_x, node_y)
+    vals = _idw_interpolate(rest[:, 0], rest[:, 1], disp, node_x, node_y)
     return DisplacementField(vals, float(node_x[1] - node_x[0]), (x0, y0))
 
 

@@ -281,22 +281,22 @@ def _default_force_model() -> NormalForceModel:
     return _FORCE_MODEL_CACHE["model"]
 
 
-_DISC_OFFSETS = None
+def _disc_stencil(r: int) -> np.ndarray:
+    yy, xx = np.ogrid[-r:r + 1, -r:r + 1]
+    return (yy * yy + xx * xx) <= r * r
+
+
+_DISC_STENCIL = _disc_stencil(_DISC_RADIUS_PX)
 
 
 def _paint_mask(center_px: float, px_per_mm: float) -> ContactMask:
     """Small disc mask whose centroid tracks the object position."""
-    global _DISC_OFFSETS
-    if _DISC_OFFSETS is None:
-        r = _DISC_RADIUS_PX
-        yy, xx = np.ogrid[-r:r + 1, -r:r + 1]
-        _DISC_OFFSETS = (yy * yy + xx * xx) <= r * r
     values = np.zeros((_TRACK_WINDOW_PX, _TRACK_WINDOW_PX), dtype=bool)
     cx = int(round(min(max(center_px, _DISC_RADIUS_PX),
                        _TRACK_WINDOW_PX - _DISC_RADIUS_PX - 1)))
     cy = _TRACK_WINDOW_PX // 2
     r = _DISC_RADIUS_PX
-    values[cy - r:cy + r + 1, cx - r:cx + r + 1] = _DISC_OFFSETS
+    values[cy - r:cy + r + 1, cx - r:cx + r + 1] = _DISC_STENCIL
     return ContactMask(values, threshold_mm=0.3, px_per_mm=px_per_mm)
 
 

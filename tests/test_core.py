@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gripsense
 from gripsense.core import (DiffFrame, DisplacementField, HeightMap,
-                            MarkerSet, NormalMap, TactileFrame, diff_image,
-                            load_frame, load_heightmap, load_marker_tracks,
-                            rectify_frame, save_frame, save_heightmap,
-                            save_marker_tracks)
+                            MarkerSet, NormalMap, TactileFrame, _warp_bilinear,
+                            diff_image, load_frame, load_heightmap,
+                            load_marker_tracks, rectify_frame, save_frame,
+                            save_heightmap, save_marker_tracks)
 from gripsense.slip import ContactMask
+from oracles import warp_reference
 
 rng = np.random.default_rng(7)
 
@@ -169,6 +171,39 @@ class TestRectify:
             rectify_frame(img, [(-3, 0), (9, 0), (9, 9), (0, 9)], (8, 8))
 
 
+def _random_homography(r):
+    h = np.eye(3)
+    h[:2, :2] += r.normal(0.0, 0.05, (2, 2))
+    h[:2, 2] = r.normal(0.0, 2.0, 2)
+    h[2, :2] = r.normal(0.0, 1e-3, 2)
+    return h
+
+
+class TestWarp:
+    rng = np.random.default_rng(42)
+
+    def test_matches_oracle(self):
+        img = self.rng.random((12, 14, 3))
+        hmat = _random_homography(self.rng)
+        got = _warp_bilinear(img, hmat, 10, 11)
+        want = warp_reference(img, hmat, 10, 11)
+        assert np.allclose(got, want, atol=1e-12)
+
+    def test_identity_is_exact(self):
+        img = self.rng.random((9, 9, 3))
+        out = _warp_bilinear(img, np.eye(3), 9, 9)
+        assert np.allclose(out, img, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_output_within_input_range(self, seed):
+        r = np.random.default_rng(seed)
+        img = r.random((10, 10, 3))
+        out = _warp_bilinear(img, _random_homography(r), 7, 7)
+        assert out.min() >= img.min() - 1e-12
+        assert out.max() <= img.max() + 1e-12
+
+
 class TestDiffImage:
     def test_subtracts_and_preserves_metadata(self):
         a = TactileFrame(np.full((8, 8, 3), 0.75), 2.0, 9.0)
@@ -272,3 +307,8 @@ class TestFieldTypes:
         r = np.random.default_rng(seed)
         f = TactileFrame(r.random((8, 8, 3)), 1.0)
         assert np.all(diff_image(f, f).values == 0.0)
+
+
+def test_package_reports_numba_absent():
+    # perfbench/run.py records this constant in every benchmark result
+    assert gripsense.USING_NUMBA is False

@@ -90,6 +90,72 @@ class TestInterpolateMarkers:
             force.interpolate_markers(rest, tiny, (8, 8))
 
 
+class TestIdw:
+    rng = np.random.default_rng(42)
+
+    def _case(self, r, n=25, grid=7):
+        px = r.uniform(0, 10, n)
+        py = r.uniform(0, 10, n)
+        vals = r.normal(0, 1, (n, 2))
+        node_x = np.linspace(0.5, 9.5, grid)
+        node_y = np.linspace(0.5, 9.5, grid + 1)
+        return px, py, vals, node_x, node_y
+
+    def test_matches_oracle(self):
+        case = self._case(self.rng)
+        got = force._idw_interpolate(*case)
+        want = idw_reference(*case)
+        assert np.allclose(got, want, atol=1e-10)
+
+    def test_lattice_ties_pick_the_lowest_indices(self):
+        # Samples on a shuffled integer lattice and nodes on the half-integer
+        # lattice: nodes see exact distance ties, many of them across the
+        # 4th/5th-neighbour boundary, so only the index tie-break decides.
+        gx, gy = np.meshgrid(np.arange(6.0), np.arange(5.0))
+        perm = np.random.default_rng(3).permutation(gx.size)
+        px, py = gx.ravel()[perm], gy.ravel()[perm]
+        node_x, node_y = np.arange(0.0, 5.5, 0.5), np.arange(0.0, 4.5, 0.5)
+        vals = self.rng.normal(0, 1, (px.size, 2))
+        got = force._idw_interpolate(px, py, vals, node_x, node_y)
+        assert np.allclose(got, idw_reference(px, py, vals, node_x, node_y),
+                           atol=1e-10)
+        # one-hot values: channel i of a node is sample i's weight there
+        weights = force._idw_interpolate(
+            px, py, np.eye(px.size), node_x, node_y).reshape(-1, px.size)
+        nx, ny = np.meshgrid(node_x, node_y)
+        d2 = (nx.ravel()[:, None] - px) ** 2 + (ny.ravel()[:, None] - py) ** 2
+        want = np.argsort(d2, axis=1, kind="stable")[:, :4]
+        coincident = d2.min(axis=1) == 0.0
+        assert coincident.any() and not coincident.all()
+        for node, chosen in enumerate(weights):
+            expect = want[node, :1] if coincident[node] else want[node]
+            assert set(np.flatnonzero(chosen)) == set(expect)
+
+    def test_coincident_node_returns_sample(self):
+        px = np.array([2.0, 8.0, 5.0])
+        py = np.array([2.0, 8.0, 1.0])
+        vals = np.array([[1.0, -1.0], [2.0, 0.5], [3.0, 0.0]])
+        out = force._idw_interpolate(px, py, vals, np.array([2.0]),
+                                     np.array([2.0]), k=3)
+        assert np.allclose(out[0, 0], vals[0], atol=1e-12)
+
+    def test_constant_field_reproduced(self):
+        px, py, vals, nx, ny = self._case(self.rng)
+        vals = np.full_like(vals, 3.25)
+        out = force._idw_interpolate(px, py, vals, nx, ny)
+        assert np.allclose(out, 3.25, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_within_convex_value_range(self, seed):
+        r = np.random.default_rng(seed)
+        case = self._case(r, n=12, grid=5)
+        out = force._idw_interpolate(*case)
+        vals = case[2]
+        assert out.min() >= vals.min() - 1e-12
+        assert out.max() <= vals.max() + 1e-12
+
+
 class TestHHD:
     def _field(self, seed=0, n=16):
         r = np.random.default_rng(seed)
