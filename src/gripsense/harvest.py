@@ -7,19 +7,30 @@ what the perception stack reports, a normal-force estimate decoded from the
 simulated motor current and a slip flag from the marker-versus-object
 velocity rule, so the three strategies differ exactly in how they use those
 two percepts.
+
+The contact seen by the slip rule is a small disc in a square tracking
+window whose centre follows the slid object. It is held as its whole-pixel
+centre, which is exactly its centroid, and marker membership is a distance
+test on the markers' pixels, so a tick does no per-pixel work. The rule
+itself runs the kernels of ``slip.object_velocity`` and
+``slip.marker_velocity`` on the newest frame of a six-frame window.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MarkerSet
 from .force import NormalForceModel, fit_normal_force, predict_normal_force
 from .sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET, make_force_samples
-from .slip import (DEFAULT_THRESHOLD_PX, ContactMask, detect_slip,
-                   marker_velocity, object_velocity)
+from .slip import (DEFAULT_SMOOTH_WINDOW, DEFAULT_THRESHOLD_PX,
+                   _centroid_velocity, _dragged_velocity, _trailing_mean,
+                   detect_slip)
+# Unused here, but bound on purpose: perfbench's span tracer test takes
+# ``harvest.object_velocity`` as its example of a name re-bound across layers.
+from .slip import object_velocity  # noqa: F401
 
 STRATEGIES = ("open_loop", "slip", "slip_force")
 STATES = ("detect", "approach", "close", "hold_pull", "retry", "done")
@@ -43,6 +54,8 @@ DEFAULT_DIAMETER_NOISE_MM = 1.0
 DEFAULT_MARKER_JITTER_PX = 0.3
 _TRACK_WINDOW_PX = 320
 _DISC_RADIUS_PX = 8
+#: Frames of contact and marker history the slip rule sees each tick.
+_SLIP_WINDOW = 6
 
 DEFAULT_INITIAL_FORCE_N = {"cherry_tomato": 1.2, "strawberry": 2.0}
 DEFAULT_FORCE_INCREMENT_N = {"cherry_tomato": 0.3, "strawberry": 1.0}
@@ -281,23 +294,47 @@ def _default_force_model() -> NormalForceModel:
     return _FORCE_MODEL_CACHE["model"]
 
 
-def _disc_stencil(r: int) -> np.ndarray:
-    yy, xx = np.ogrid[-r:r + 1, -r:r + 1]
-    return (yy * yy + xx * xx) <= r * r
+def _disc_centre(center_px: float) -> tuple[int, int]:
+    """Pixel (column, row) of the contact disc whose centroid tracks the object.
 
-
-_DISC_STENCIL = _disc_stencil(_DISC_RADIUS_PX)
-
-
-def _paint_mask(center_px: float, px_per_mm: float) -> ContactMask:
-    """Small disc mask whose centroid tracks the object position."""
-    values = np.zeros((_TRACK_WINDOW_PX, _TRACK_WINDOW_PX), dtype=bool)
+    The disc has radius ``_DISC_RADIUS_PX`` and is clamped to lie inside the
+    ``_TRACK_WINDOW_PX`` square tracking window. It is symmetric about its
+    whole-pixel centre, so that centre is exactly its centroid.
+    """
     cx = int(round(min(max(center_px, _DISC_RADIUS_PX),
                        _TRACK_WINDOW_PX - _DISC_RADIUS_PX - 1)))
-    cy = _TRACK_WINDOW_PX // 2
-    r = _DISC_RADIUS_PX
-    values[cy - r:cy + r + 1, cx - r:cx + r + 1] = _DISC_STENCIL
-    return ContactMask(values, threshold_mm=0.3, px_per_mm=px_per_mm)
+    return cx, _TRACK_WINDOW_PX // 2
+
+
+def _disc_contains(centre: tuple[int, int], xy: np.ndarray) -> np.ndarray:
+    """Which of the (N, 2) positions fall on a pixel of the contact disc.
+
+    Positions snap to the nearest pixel of the tracking window, clipped at
+    its border, as ``ContactMask.contains`` does on a raster.
+    """
+    cols = np.clip(np.rint(xy[:, 0]).astype(int), 0, _TRACK_WINDOW_PX - 1)
+    rows = np.clip(np.rint(xy[:, 1]).astype(int), 0, _TRACK_WINDOW_PX - 1)
+    dc, dr = cols - centre[0], rows - centre[1]
+    return dc * dc + dr * dr <= _DISC_RADIUS_PX * _DISC_RADIUS_PX
+
+
+def _newest_velocities(centres, positions):
+    """Object and marker velocity of the newest frame in the slip window.
+
+    ``centres`` holds the disc centre and ``positions`` the (N, 2) marker
+    positions of each frame in the window, oldest first. The values are the
+    last rows of ``object_velocity`` and ``marker_velocity`` over the same
+    frames' disc masks: the same kernels, smoothed from the window's start.
+    """
+    cents = np.array(centres, dtype=np.float64)
+    v_obj = _centroid_velocity(cents, DEFAULT_SMOOTH_WINDOW)[-1]
+    pos = np.array(positions)
+    pos_s = _trailing_mean(pos.reshape(len(pos), -1), DEFAULT_SMOOTH_WINDOW)
+    step = (pos_s[-1] - pos_s[-2]).reshape(-1, 2)
+    v_mark = _dragged_velocity(step, positions[-1],
+                               _disc_contains(centres[-1], positions[-1]),
+                               lambda: cents[-1])
+    return v_obj, v_mark
 
 
 def _patch_radius_mm(fruit: FruitModel, opening_mm: float) -> float:
@@ -330,9 +367,8 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
                        fruit_type=fruit.fruit_type)
     marker_rest = np.stack(np.meshgrid([-20.0, 0.0, 20.0], [-20.0, 0.0, 20.0]),
                            axis=-1).reshape(-1, 2) + _TRACK_WINDOW_PX / 2.0
-    marker_ids = np.arange(marker_rest.shape[0])
-
-    masks, tracks, trace = [], [], []
+    centres, positions = deque(maxlen=_SLIP_WINDOW), deque(maxlen=_SLIP_WINDOW)
+    trace = []
     slip_mm = 0.0
     start_px = 4.0 * _DISC_RADIUS_PX
 
@@ -359,17 +395,12 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
         f_est = max(0.0, float(predict_normal_force(current, model)))
         trace.append(f_est)
 
-        masks.append(_paint_mask(start_px + slip_mm * px_per_mm, px_per_mm))
+        centres.append(_disc_centre(start_px + slip_mm * px_per_mm))
         jitter = (rng.normal(0.0, marker_jitter_px, marker_rest.shape)
                   if marker_jitter_px > 0 else 0.0)
-        tracks.append(MarkerSet(marker_ids, marker_rest + jitter, 3, 3))
-        if len(masks) >= 2:
-            window = slice(-6, None)
-            v_obj = object_velocity(masks[window])[-1]
-            v_mark = marker_velocity(tracks[window], masks[window])[-1]
-            slip_flag = detect_slip(v_obj, v_mark, threshold_px)
-        else:
-            slip_flag = False
+        positions.append(marker_rest + jitter)
+        slip_flag = len(centres) >= 2 and detect_slip(
+            *_newest_velocities(centres, positions), threshold_px)
 
         attempt_before = state.attempt
         state = step_controller(state, (slip_flag, f_est), cfg)

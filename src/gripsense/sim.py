@@ -7,6 +7,10 @@ under translational and rotational shear, stick-slip grasp sequences, and
 squeeze clips with a motor-current trace. All randomness comes from an
 explicitly passed ``numpy.random.Generator``, so identical seeds give
 bit-identical outputs and scenes are safe to generate in parallel.
+
+Slip sequences draw their mask noise over the whole frame, which keeps the
+random stream of every frame the same, but evaluate the indenter only in
+the box around the pressed cap: outside it the penetration is exactly zero.
 """
 
 from __future__ import annotations
@@ -381,6 +385,10 @@ class SlipSequence:
         return len(self.masks)
 
 
+#: Height (mm) a noisy slip-sequence pixel must exceed to count as contact.
+_SLIP_MASK_THRESHOLD_MM = 0.3
+
+
 def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
                         gel: GelModel = GelModel(),
                         rng: np.random.Generator | None = None,
@@ -396,15 +404,28 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     slip bursts run faster under heavier external load; bursts are short
     (stick-slip), matching how a held object actually loses grip, and keep
     the contact patch inside the gel. Zero load never enters phase 3.
+
+    Each frame's mask is cap height plus N(0, ``mask_noise_mm``) noise,
+    above 0.3 mm. The noise is drawn over the whole frame, but the cap is
+    evaluated only in the box around its support, where it is not zero;
+    ``depth_mm`` must lie in (0.3, sphere radius] so that the cap reaches
+    the threshold and that support is a true spherical cap.
     """
     if n_frames < 10:
         raise ValueError("need at least 10 frames")
+    sphere_r = (scene.fruit.diameter_mm / 2.0
+                if scene.fruit is not None else 16.0)
+    if not depth_mm > _SLIP_MASK_THRESHOLD_MM:
+        raise ValueError(f"depth {depth_mm} mm must exceed the "
+                         f"{_SLIP_MASK_THRESHOLD_MM} mm contact threshold")
+    if depth_mm > sphere_r:
+        raise ValueError(
+            f"depth {depth_mm} mm exceeds sphere radius {sphere_r} mm")
     rng = np.random.default_rng(0) if rng is None else rng
     load = scene.load_g
     size_px = int(round(gel.gel_size_mm * px_per_mm))
-    sphere_r = (scene.fruit.diameter_mm / 2.0
-                if scene.fruit is not None else 16.0)
-    cap_r_mm = math.sqrt(max(2.0 * sphere_r * depth_mm - depth_mm ** 2, 0.25))
+    # radius of the pressed cap: the sphere penetrates the gel exactly there
+    cap_r_mm = math.sqrt(2.0 * sphere_r * depth_mm - depth_mm ** 2)
     a_px = cap_r_mm * px_per_mm
 
     t2 = int(round(0.30 * n_frames))
@@ -452,16 +473,27 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
 
     rest = marker_grid(gel, px_per_mm, (size_px, size_px))
     xs = (np.arange(size_px) + 0.5) / px_per_mm
-    xm, ym = np.meshgrid(xs, xs)
     sphere = Sphere(sphere_r)
+    # pixel-index reach of the cap around its centre, plus a guard margin
+    # far wider than the rounding of the pixel-centre coordinates
+    reach = a_px + 2.0
 
     masks, tracks = [], []
     marker_pos = rest.xy.copy()
     for t in range(n_frames):
-        pen = sphere.penetration(xm - centers_mm[t, 0], ym - centers_mm[t, 1],
-                                 depth_mm)
-        noisy = pen + rng.normal(0.0, mask_noise_mm, pen.shape)
-        masks.append(ContactMask(noisy > 0.3, 0.3, px_per_mm))
+        # the penetration is +0.0 off the cap, where pen + noise is the noise
+        # itself; so the full-frame draw keeps the stream, and only the box
+        # around the cap adds the penetration
+        noise = rng.normal(0.0, mask_noise_mm, (size_px, size_px))
+        values = noise > _SLIP_MASK_THRESHOLD_MM
+        cx, cy = centers_mm[t] * px_per_mm - 0.5
+        c0, c1 = max(int(cx - reach), 0), min(int(cx + reach) + 2, size_px)
+        r0, r1 = max(int(cy - reach), 0), min(int(cy + reach) + 2, size_px)
+        pen = sphere.penetration(xs[None, c0:c1] - centers_mm[t, 0],
+                                 xs[r0:r1, None] - centers_mm[t, 1], depth_mm)
+        values[r0:r1, c0:c1] = (pen + noise[r0:r1, c0:c1]
+                                > _SLIP_MASK_THRESHOLD_MM)
+        masks.append(ContactMask(values, _SLIP_MASK_THRESHOLD_MM, px_per_mm))
         if t > 0:
             marker_pos = marker_pos + v_mark[t] * direction
         jitter = rng.normal(0.0, marker_jitter_px, marker_pos.shape)

@@ -44,7 +44,7 @@ class ContactMask:
     def area(self) -> int:
         cached = self.__dict__.get("_area")
         if cached is None:
-            cached = int(self.values.sum())
+            cached = int(np.count_nonzero(self.values))
             object.__setattr__(self, "_area", cached)
         return cached
 
@@ -52,14 +52,19 @@ class ContactMask:
         """Mask centroid as (x, y) pixels; requires a non-empty mask.
 
         The mask array is immutable, so the centroid is computed once and
-        cached; callers that poll sliding windows pay for it only once.
+        cached; callers that poll sliding windows pay for it only once. The
+        coordinate sums are exact int64 dot products with the per-column and
+        per-row pixel counts, so the one float division gives the same bits
+        as the mean of the ``np.nonzero`` coordinates, without listing them.
         """
         cached = self.__dict__.get("_centroid")
         if cached is None:
             if self.area == 0:
                 raise ValueError("centroid of an empty contact mask")
-            ys, xs = np.nonzero(self.values)
-            cached = np.array([xs.mean(), ys.mean()])
+            h, w = self.values.shape
+            sx = np.arange(w) @ np.count_nonzero(self.values, axis=0)
+            sy = np.arange(h) @ np.count_nonzero(self.values, axis=1)
+            cached = np.array([sx / self.area, sy / self.area])
             cached.setflags(write=False)
             object.__setattr__(self, "_centroid", cached)
         return cached
@@ -93,16 +98,45 @@ def segment_contact(h: HeightMap, threshold_mm: float = DEFAULT_CONTACT_THRESHOL
 
 
 def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
-    """Causal moving average; row t averages rows max(0, t-window+1)..t."""
+    """Causal moving average; row t averages rows max(0, t-window+1)..t.
+
+    Every row is a difference of two rows of one cumulative sum taken from
+    row 0, so the rounding depends on where ``x`` starts, not only on the
+    rows inside the window.
+    """
     if window <= 1:
         return x.copy()
-    out = np.empty_like(x, dtype=np.float64)
     csum = np.cumsum(x, axis=0, dtype=np.float64)
-    for t in range(x.shape[0]):
-        lo = max(0, t - window + 1)
-        total = csum[t] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[t] = total / (t - lo + 1)
-    return out
+    total = csum.copy()
+    total[window:] -= csum[:-window]
+    count = np.minimum(np.arange(1, x.shape[0] + 1), window)
+    return total / count.reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+def _centroid_velocity(cents: np.ndarray, smooth_window: int) -> np.ndarray:
+    """Velocity (T, 2) over one run of contact frames from their centroids.
+
+    The centroids are smoothed over the run, so the run's first row is its
+    start; that row gets zero velocity.
+    """
+    v = np.zeros((cents.shape[0], 2))
+    v[1:] = np.diff(_trailing_mean(cents, smooth_window), axis=0)
+    return v
+
+
+def _dragged_velocity(step: np.ndarray, xy: np.ndarray, inside: np.ndarray,
+                      centroid) -> np.ndarray:
+    """Mean (2,) of the per-marker steps (N, 2) over the markers a region drags.
+
+    Those are the markers ``inside`` it; if noise leaves none inside, the
+    four nearest the region centroid stand in. ``centroid`` is a zero-argument
+    callable, evaluated only for that fallback.
+    """
+    if not inside.any():
+        d = np.linalg.norm(xy - centroid(), axis=1)
+        inside = np.zeros(len(d), dtype=bool)
+        inside[np.argsort(d, kind="stable")[:4]] = True
+    return step[inside].mean(axis=0)
 
 
 def object_velocity(masks: Sequence[ContactMask],
@@ -120,9 +154,8 @@ def object_velocity(masks: Sequence[ContactMask],
     for contact, run in groupby(masks, key=lambda m: m.area > 0):
         run = list(run)
         if contact:
-            cents = _trailing_mean(np.array([m.centroid() for m in run]),
-                                   smooth_window)
-            v[at + 1:at + len(run)] = np.diff(cents, axis=0)
+            v[at:at + len(run)] = _centroid_velocity(
+                np.array([m.centroid() for m in run]), smooth_window)
         at += len(run)
     return v
 
@@ -148,16 +181,14 @@ def marker_velocity(tracks: Sequence[MarkerSet],
         raise ValueError("marker ids must match across frames")
     pos = np.array([t.xy for t in tracks])        # (T, N, 2)
     pos_s = _trailing_mean(pos.reshape(len(tracks), -1), smooth_window).reshape(pos.shape)
+    steps = np.diff(pos_s, axis=0)
     v = np.zeros((len(tracks), 2))
     for t in range(1, len(tracks)):
         if masks[t].area == 0:
             continue
-        inside = masks[t].contains(tracks[t].xy)
-        if not inside.any():
-            d = np.linalg.norm(tracks[t].xy - masks[t].centroid(), axis=1)
-            inside = np.zeros(len(d), dtype=bool)
-            inside[np.argsort(d, kind="stable")[:4]] = True
-        v[t] = (pos_s[t, inside] - pos_s[t - 1, inside]).mean(axis=0)
+        xy = tracks[t].xy
+        v[t] = _dragged_velocity(steps[t - 1], xy, masks[t].contains(xy),
+                                 masks[t].centroid)
     return v
 
 

@@ -225,9 +225,25 @@ def compare_pair(e_a: np.ndarray, e_b: np.ndarray, model: RankerModel) -> float:
     return float(e_a @ model.skew_matrix @ e_b + model.bias)
 
 
+def _pair_scatter_index(idx_a, idx_b) -> np.ndarray:
+    """Flat (clip, embedding column) bins of every pair side, a sides first.
+
+    ``np.bincount`` over these bins adds each bin's terms in the order two
+    ``np.add.at`` calls, first over ``idx_a`` then over ``idx_b``, would.
+    """
+    sides = np.concatenate([idx_a, idx_b])
+    return (sides[:, None] * EMBED_DIM + np.arange(EMBED_DIM)).ravel()
+
+
 def _loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
-                    fit_bias: bool = True):
-    """Mean pairwise cross entropy and its analytic parameter gradients."""
+                    fit_bias: bool = True, scatter: np.ndarray | None = None):
+    """Mean pairwise cross entropy and its analytic parameter gradients.
+
+    ``scatter`` is ``_pair_scatter_index(idx_a, idx_b)``; a fit builds it
+    once and passes it to every evaluation.
+    """
+    if scatter is None:
+        scatter = _pair_scatter_index(idx_a, idx_b)
     w_query, w_key, w_value = params[2:5]
     comparator, bias = params[7], params[8]
     emb, (x, q, k, v, attn) = _forward(params, patches, forces)
@@ -238,9 +254,9 @@ def _loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
     loss = float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
 
     dlogit = (0.5 * (1.0 + np.tanh(0.5 * logits)) - labels) / logits.size
-    demb = np.zeros_like(emb)
-    np.add.at(demb, idx_a, dlogit[:, None] * ebw)
-    np.add.at(demb, idx_b, dlogit[:, None] * (ea @ w))
+    side_grads = np.concatenate([dlogit[:, None] * ebw, dlogit[:, None] * (ea @ w)])
+    demb = np.bincount(scatter, side_grads.ravel(),
+                       minlength=emb.size).reshape(emb.shape)
     dw = ea.T @ (dlogit[:, None] * eb)
     d_comp = dw - dw.T
     d_bias = float(dlogit.sum()) if fit_bias else 0.0
@@ -334,18 +350,19 @@ def train_ranker(pairs, epochs: int = DEFAULT_EPOCHS,
     patches = np.stack([t[0] for t in tensors])
     forces = np.stack([t[1] for t in tensors])
 
+    scatter = _pair_scatter_index(idx_a, idx_b)
     params = _init_params(seed)
     history = []
     for _ in range(epochs):
         loss, grads = _loss_and_grads(tuple(params), patches, forces,
-                                      idx_a, idx_b, labels, fit_bias)
+                                      idx_a, idx_b, labels, fit_bias, scatter)
         if not np.isfinite(loss):
             raise ValueError("training diverged; reduce the learning rate")
         history.append(loss)
         for i, grad in enumerate(grads):
             params[i] = params[i] - learning_rate * grad
     loss, _ = _loss_and_grads(tuple(params), patches, forces,
-                              idx_a, idx_b, labels, fit_bias)
+                              idx_a, idx_b, labels, fit_bias, scatter)
     if not np.isfinite(loss):
         raise ValueError("training diverged; reduce the learning rate")
     history.append(loss)

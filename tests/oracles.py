@@ -333,3 +333,122 @@ def train_ranker_reference(patches, forces, idx_a, idx_b, labels, epochs,
     history.append(ranker_loss_and_grads(tuple(params), patches, forces,
                                          idx_a, idx_b, labels)[0])
     return params, history
+
+
+# ---------------------------------------------------------------------------
+# contact rasters as first written: whole-frame masks that the package's
+# contact-sized simulation must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+def trailing_mean_reference(x, window):
+    """Causal moving average, one row at a time from one cumulative sum."""
+    if window <= 1:
+        return x.copy()
+    out = np.empty_like(x, dtype=np.float64)
+    csum = np.cumsum(x, axis=0, dtype=np.float64)
+    for t in range(x.shape[0]):
+        lo = max(0, t - window + 1)
+        total = csum[t] - (csum[lo - 1] if lo > 0 else 0.0)
+        out[t] = total / (t - lo + 1)
+    return out
+
+
+def paint_disc_mask(center_px, window_px=320, radius_px=8, px_per_mm=24.0):
+    """The harvest contact as a raster: a disc stencil painted into a
+    ``window_px`` square at the clamped, rounded position, on row
+    ``window_px // 2``."""
+    from gripsense.slip import ContactMask
+    yy, xx = np.ogrid[-radius_px:radius_px + 1, -radius_px:radius_px + 1]
+    stencil = (yy * yy + xx * xx) <= radius_px * radius_px
+    values = np.zeros((window_px, window_px), dtype=bool)
+    cx = int(round(min(max(center_px, radius_px), window_px - radius_px - 1)))
+    cy = window_px // 2
+    values[cy - radius_px:cy + radius_px + 1,
+           cx - radius_px:cx + radius_px + 1] = stencil
+    return ContactMask(values, threshold_mm=0.3, px_per_mm=px_per_mm)
+
+
+def run_trial_reference(fruit, cfg, seed=0):
+    """``harvest.run_trial`` at its default settings, as a loop over painted
+    disc masks and the public ``object_velocity`` and ``marker_velocity``
+    over the last six frames."""
+    from gripsense import harvest
+    from gripsense.core import MarkerSet
+    from gripsense.force import predict_normal_force
+    from gripsense.sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET
+    from gripsense.slip import detect_slip, marker_velocity, object_velocity
+    rng = np.random.default_rng(seed)
+    model = harvest._default_force_model()
+    measured = fruit.diameter_mm + rng.normal(
+        0.0, harvest.DEFAULT_DIAMETER_NOISE_MM)
+    state = harvest.GraspState(
+        state="detect", opening_mm=harvest.START_OPENING_MM,
+        commanded_force_n=cfg.initial_force(fruit.fruit_type),
+        measured_diameter_mm=max(1.0, measured), fruit_type=fruit.fruit_type)
+    rest = np.stack(np.meshgrid([-20.0, 0.0, 20.0], [-20.0, 0.0, 20.0]),
+                    axis=-1).reshape(-1, 2) + 160.0
+    masks, tracks, trace = [], [], []
+    slip_mm = 0.0
+
+    def outcome(success, mode):
+        return harvest.TrialOutcome(success, mode, state.attempt,
+                                    state.peak_force_n, np.array(trace))
+
+    for _ in range(harvest.MAX_TICKS):
+        pull = 0.0
+        if state.state == "hold_pull":
+            pull = harvest.PULL_MAX_N * min(
+                1.0, (state.phase_ticks + 1) / harvest.PULL_RAMP_TICKS)
+        contact, slip_rate, detached, bruised = harvest.fruit_response(
+            fruit, state.opening_mm, pull)
+        if bruised:
+            return outcome(False, "bruise")
+        if detached:
+            return outcome(True, "none")
+        slip_mm += slip_rate * harvest.SLIP_TRAVEL_MM
+        if slip_mm > harvest._patch_radius_mm(fruit, state.opening_mm):
+            return outcome(False, "slip_drop")
+        current = (CURRENT_GAIN * contact + CURRENT_OFFSET
+                   + rng.normal(0.0, CURRENT_NOISE))
+        f_est = max(0.0, float(predict_normal_force(current, model)))
+        trace.append(f_est)
+        masks.append(paint_disc_mask(
+            32.0 + slip_mm * harvest.DEFAULT_PX_PER_MM))
+        tracks.append(MarkerSet(np.arange(9), rest + rng.normal(
+            0.0, harvest.DEFAULT_MARKER_JITTER_PX, rest.shape), 3, 3))
+        slip_flag = False
+        if len(masks) >= 2:
+            slip_flag = detect_slip(
+                object_velocity(masks[-6:])[-1],
+                marker_velocity(tracks[-6:], masks[-6:])[-1])
+        attempt_before = state.attempt
+        state = harvest.step_controller(state, (slip_flag, f_est), cfg)
+        if state.attempt != attempt_before:
+            slip_mm = 0.0
+        if state.state == "done":
+            return outcome(False, "max_retries")
+    return outcome(False, "max_retries")
+
+
+def slip_masks_reference(seq, sphere_radius_mm, depth_mm, rng,
+                         mask_noise_mm=0.02, marker_jitter_px=0.3):
+    """Whole-frame contact masks of a ``synth_slip_sequence`` result.
+
+    Every pixel gets cap height plus its noise draw, thresholded at 0.3 mm.
+    ``rng`` must be in the state the sequence's generator was in before it
+    was drawn; each frame draws its mask noise, then its marker jitter. The
+    object track is in pixels; ``px_per_mm`` must be a power of two so that
+    dividing it back to mm is exact.
+    """
+    ppm = seq.px_per_mm
+    size = seq.masks[0].values.shape[0]
+    xs = (np.arange(size) + 0.5) / ppm
+    xm, ym = np.meshgrid(xs, xs)
+    n_markers = len(seq.tracks[0])
+    out = []
+    for cx, cy in seq.object_track / ppm:
+        pen = cap_height(xm - cx, ym - cy, sphere_radius_mm, depth_mm)
+        noisy = pen + rng.normal(0.0, mask_noise_mm, pen.shape)
+        rng.normal(0.0, marker_jitter_px, (n_markers, 2))
+        out.append(noisy > 0.3)
+    return out

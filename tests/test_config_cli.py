@@ -129,6 +129,18 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 1" in err
 
+    @pytest.mark.parametrize("depth", ["0.2", "40"])
+    def test_sim_depth_outside_cap_writes_nothing(self, tmp_path, capsys,
+                                                  depth):
+        cfg = _write(tmp_path / "depth.cfg",
+                     f"sim.frames = 20\nsim.depth_mm = {depth}\n")
+        out = tmp_path / "d"
+        rc = cli.main(["sim", "--out", str(out), "--config", cfg])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "depth" in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):

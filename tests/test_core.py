@@ -142,6 +142,30 @@ class TestContactMask:
         assert not c1.flags.writeable
         assert not m.values.flags.writeable
 
+    @staticmethod
+    def _nonzero_centroid(values):
+        ys, xs = np.nonzero(values)
+        return np.array([xs.mean(), ys.mean()])
+
+    def test_centroid_bit_equal_to_nonzero_mean(self):
+        r = np.random.default_rng(8)
+        masks = [r.random((r.integers(1, 480), r.integers(1, 480)))
+                 < r.uniform(0.001, 1.0) for _ in range(60)]
+        masks += [r.random((480, 480)) < 0.5 for _ in range(10)]
+        for shape, (y, x) in (((7, 9), (3, 4)), ((1, 1), (0, 0)),
+                              ((480, 480), (479, 0)), ((5, 480), (4, 479))):
+            single = np.zeros(shape, dtype=bool)
+            single[y, x] = True
+            masks.append(single)
+        edges = np.zeros((300, 200), dtype=bool)
+        edges[0, :] = edges[-1, 5:] = edges[:, 0] = edges[17:, -1] = True
+        masks += [edges, np.ones((1024, 1024), dtype=bool)]
+        for values in masks:
+            if not values.any():
+                continue
+            got = ContactMask(values, 0.3).centroid()
+            assert np.array_equal(got, self._nonzero_centroid(values))
+
     def test_empty_centroid_raises(self):
         m = ContactMask(np.zeros((4, 4), dtype=bool), 0.3)
         assert m.area == 0

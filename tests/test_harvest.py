@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gripsense import harvest
+from gripsense import harvest, slip
+from oracles import paint_disc_mask, run_trial_reference
 
 TOMATO = harvest.FruitModel("cherry_tomato", diameter_mm=28.0,
                             stiffness_n_mm=1.3, detach_force_n=1.3,
@@ -230,6 +231,106 @@ class TestRunTrial:
         assert np.all(np.isfinite(out.force_trace))
         assert out.peak_force_n == pytest.approx(out.force_trace.max(),
                                                  abs=1e-9)
+
+
+class TestContactDisc:
+    """The analytic contact disc against the painted raster it replaces."""
+
+    @pytest.mark.parametrize("center_px", [-50.0, 0.0, 7.6, 8.0, 8.5, 9.5,
+                                           32.0, 100.25, 311.0, 311.4,
+                                           311.6, 400.0])
+    def test_centroid_is_the_clamped_centre(self, center_px):
+        centre = harvest._disc_centre(center_px)
+        raster = paint_disc_mask(center_px).centroid()
+        assert np.array_equal(np.array(centre, dtype=np.float64), raster)
+
+    def test_membership_matches_raster(self):
+        r = np.random.default_rng(5)
+        centres = np.concatenate([r.uniform(-20.0, 340.0, 40),
+                                  [8.0, 311.0, -1.0, 330.0]])
+        for center_px in centres:
+            centre = harvest._disc_centre(center_px)
+            # markers near the disc, on every pixel of its stencil square,
+            # and past the window border
+            yy, xx = np.mgrid[-9:10, -9:10]
+            xy = np.column_stack([
+                np.concatenate([r.normal(centre[0], 6.0, 200),
+                                xx.ravel() + centre[0],
+                                r.uniform(-30.0, 350.0, 50)]),
+                np.concatenate([r.normal(centre[1], 6.0, 200),
+                                yy.ravel() + centre[1],
+                                r.uniform(-30.0, 350.0, 50)])])
+            raster = paint_disc_mask(center_px).contains(xy)
+            got = harvest._disc_contains(centre, xy)
+            assert raster.any()
+            assert np.array_equal(got, raster)
+
+    def test_trial_builds_no_raster(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("harvest built a contact raster")
+        monkeypatch.setattr(slip.ContactMask, "__post_init__", refuse)
+        out = harvest.run_trial(TOMATO, harvest.StrategyConfig(strategy="slip"),
+                                seed=3)
+        assert len(out.force_trace) > 10
+
+
+def _criterion7_grid():
+    """Fruits and trial seeds of ``run_experiment(50, seed=0)``, its grid."""
+    for f_idx, fruit_type in enumerate(("cherry_tomato", "strawberry")):
+        for trial in range(50):
+            seq = np.random.SeedSequence((0, f_idx, trial))
+            fruit = harvest.sample_fruit(
+                fruit_type, np.random.default_rng(seq.spawn(1)[0]))
+            yield fruit, seq.spawn(1)[0]
+
+
+def _same_outcome(got, want):
+    return (got.success == want.success
+            and got.failure_mode == want.failure_mode
+            and got.attempts == want.attempts
+            and got.peak_force_n == want.peak_force_n
+            and got.force_trace.shape == want.force_trace.shape
+            and np.array_equal(got.force_trace, want.force_trace))
+
+
+class TestTrialAgainstRasterLoop:
+    @pytest.mark.parametrize("strategy", harvest.STRATEGIES)
+    def test_criterion7_grid_matches_reference(self, strategy):
+        cfg = harvest.StrategyConfig(strategy=strategy)
+        modes = set()
+        for fruit, seed in _criterion7_grid():
+            got = harvest.run_trial(fruit, cfg, seed=seed)
+            want = run_trial_reference(fruit, cfg, seed=seed)
+            assert _same_outcome(got, want), (fruit, seed)
+            modes.add(got.failure_mode)
+        assert len(modes) >= 2
+
+    def test_slip_rule_sees_reference_velocities(self, monkeypatch):
+        # the velocities reaching the threshold rule, bit for bit: a slip
+        # window other than the last six frames would shift their rounding
+        seen = []
+
+        def recording(obj_v, marker_v, threshold_px=10.0):
+            seen.append((np.array(obj_v), np.array(marker_v)))
+            return slip_rule(obj_v, marker_v, threshold_px)
+
+        slip_rule = slip.detect_slip
+        monkeypatch.setattr(harvest, "detect_slip", recording)
+        monkeypatch.setattr(slip, "detect_slip", recording)
+        for n, (fruit, seed) in enumerate(_criterion7_grid()):
+            if n % 10:
+                continue
+            for strategy in harvest.STRATEGIES:
+                cfg = harvest.StrategyConfig(strategy=strategy)
+                seen.clear()
+                harvest.run_trial(fruit, cfg, seed=seed)
+                got = list(seen)
+                seen.clear()
+                run_trial_reference(fruit, cfg, seed=seed)
+                assert len(got) == len(seen) > 6
+                for (ov, mv), (ov_ref, mv_ref) in zip(got, seen):
+                    assert np.array_equal(ov, ov_ref)
+                    assert np.array_equal(mv, mv_ref)
 
 
 class TestPopulation:

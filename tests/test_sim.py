@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gripsense import sim
 from gripsense.core import DiffFrame, HeightMap
 from gripsense.slip import ContactMask
-from oracles import cap_height, cap_normals_fd
+from oracles import cap_height, cap_normals_fd, slip_masks_reference
 
 GEL = sim.GelModel()
 rng = np.random.default_rng(11)
@@ -196,6 +196,44 @@ class TestSlipSequence:
         early = self._seq(load=50.0).phase3_start
         late = self._seq(load=10.0).phase3_start
         assert early < late
+
+    @pytest.mark.parametrize("pose, load, depth, noise", [
+        ("top", 0.0, 1.0, 0.02), ("top", 10.0, 1.0, 0.02),
+        ("top", 50.0, 1.0, 0.02), ("side", 0.0, 1.0, 0.02),
+        ("side", 10.0, 1.0, 0.02), ("side", 50.0, 1.0, 0.02),
+        # the cap covers the whole frame and its box is clipped on all sides
+        ("top", 20.0, 16.0, 0.02),
+        ("side", 50.0, 1.0, 0.0),
+        # noise wide enough to pass the threshold off the cap
+        ("top", 10.0, 2.0, 0.15),
+        # the burst drives the centre into the clamp at the gel edge
+        ("side", 2000.0, 1.0, 0.02),
+    ])
+    def test_masks_match_full_frame_formula(self, pose, load, depth, noise):
+        scene = sim.GraspScene(pose=pose, load_g=load)
+        seq = sim.synth_slip_sequence(scene, 24, GEL, np.random.default_rng(4),
+                                      depth_mm=depth, mask_noise_mm=noise)
+        want = slip_masks_reference(seq, 16.0, depth, np.random.default_rng(4),
+                                    mask_noise_mm=noise)
+        for mask, ref in zip(seq.masks, want):
+            assert np.array_equal(mask.values, ref)
+        if load == 2000.0:
+            track_mm = seq.object_track / seq.px_per_mm
+            assert np.ptp(track_mm[:, 0]) > 0
+            assert track_mm[-1, 0] == GEL.gel_size_mm - (
+                np.sqrt(2.0 * 16.0 * depth - depth ** 2) + 0.5)
+
+    @pytest.mark.parametrize("depth", [0.0, 0.2, 0.3, 16.5, 40.0, np.nan])
+    def test_depth_outside_cap_range_raises(self, depth):
+        with pytest.raises(ValueError, match="depth"):
+            sim.synth_slip_sequence(sim.GraspScene(), 20, GEL,
+                                    np.random.default_rng(0), depth_mm=depth)
+
+    def test_depth_at_sphere_radius_accepted(self):
+        fruit = _FakeFruit(1.0, 24.0, "smooth")
+        seq = sim.synth_slip_sequence(sim.GraspScene(fruit=fruit), 10, GEL,
+                                      np.random.default_rng(0), depth_mm=12.0)
+        assert all(m.area > 0 for m in seq.masks)
 
     def test_benchmark_grid_size(self):
         trials = sim.make_slip_benchmark(seed=1, loads=(10.0, 50.0),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gripsense import sim, slip
 from gripsense.core import HeightMap, MarkerSet
+from oracles import trailing_mean_reference
 
 rng = np.random.default_rng(23)
 
@@ -89,6 +90,14 @@ class TestObjectVelocity:
         want = np.zeros_like(cents)
         want[1:] = np.diff(cents, axis=0)
         assert np.array_equal(slip.object_velocity(masks), want)
+
+    @pytest.mark.parametrize("rows, cols, window", [
+        (1, 2, 3), (2, 2, 3), (6, 18, 3), (200, 162, 3), (7, 1, 7),
+        (9, 4, 12), (50, 2, 1), (40, 3, 5)])
+    def test_trailing_mean_matches_row_loop(self, rows, cols, window):
+        x = rng.normal(0.0, 100.0, (rows, cols)) + 160.0
+        assert np.array_equal(slip._trailing_mean(x, window),
+                              trailing_mean_reference(x, window))
 
     def test_no_contact_frame_splits_the_runs(self):
         centers = [(20.0 + 2.0 * t, 30.0 + 0.5 * t * t) for t in range(8)]

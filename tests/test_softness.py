@@ -306,6 +306,27 @@ class TestTrainingKernel:
         # round-off is left, so it is held to an absolute bound.
         assert abs(grads[-1] - want[-1]) <= 1e-15
 
+    def test_pair_scatter_adds_in_add_at_order(self, criterion6_set):
+        # one bincount over the flat (clip, column) bins must add every bin's
+        # terms in the order of np.add.at over idx_a, then over idx_b; terms
+        # spanning many magnitudes make any other order change the sums
+        _, (patches, _, idx_a, idx_b, _) = criterion6_set
+        r = np.random.default_rng(2)
+        shape = (len(idx_a), softness.EMBED_DIM)
+        rows_a, rows_b = (r.normal(size=shape) * 10.0 ** r.integers(-8, 8, shape)
+                          for _ in range(2))
+        want = np.zeros((len(patches), softness.EMBED_DIM))
+        np.add.at(want, idx_a, rows_a)
+        np.add.at(want, idx_b, rows_b)
+        scatter = softness._pair_scatter_index(idx_a, idx_b)
+        got = np.bincount(scatter, np.concatenate([rows_a, rows_b]).ravel(),
+                          minlength=want.size).reshape(want.shape)
+        assert np.array_equal(got, want)
+        swapped = softness._pair_scatter_index(idx_b, idx_a)
+        other = np.bincount(swapped, np.concatenate([rows_b, rows_a]).ravel(),
+                            minlength=want.size).reshape(want.shape)
+        assert not np.array_equal(other, want)
+
     def test_loss_history_matches_oracle(self, criterion6_set):
         pairs, tensors = criterion6_set
         model = softness.train_ranker(pairs, epochs=50, learning_rate=0.01,
