@@ -126,12 +126,16 @@ def _load_objects(path) -> list:
 def _load_labels(path) -> np.ndarray:
     labels = {}
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith(("#", "frame")):
                 continue
             parts = line.split(",")
-            labels[int(parts[0])] = bool(int(parts[1]))
+            try:
+                labels[int(parts[0])] = bool(int(parts[1]))
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}, line {lineno}: expected integer "
+                                 f"frame,label") from None
     if sorted(labels) != list(range(len(labels))):
         raise ValueError(f"{path}: frame indices must be 0..T-1 with no gaps")
     return np.array([labels[t] for t in range(len(labels))], dtype=bool)

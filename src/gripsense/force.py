@@ -12,7 +12,9 @@ onto discrete gradients and S as the projection onto discrete rotations,
 with both potentials pinned to zero on the one-node boundary ring. Central
 differences with zero extension make the two subspaces exactly orthogonal
 and make constants exactly harmonic, so the decomposition reproduces every
-closed-form case to machine precision.
+closed-form case to machine precision. They also link only nodes two apart,
+so on each axis the potentials' normal equations split into an even and an
+odd Dirichlet chain, which a sine basis per parity solves in closed form.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .core import DisplacementField, MarkerSet, ScalarField
 from .slip import ContactMask
@@ -52,7 +52,9 @@ def fit_normal_force(samples) -> NormalForceModel:
     ``samples`` is a sequence of (current, force) pairs. All-identical
     currents leave the slope unidentifiable and raise.
     """
-    arr = np.asarray(list(samples), dtype=np.float64)
+    if not isinstance(samples, np.ndarray):
+        samples = list(samples)
+    arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("samples must be (current, force) pairs")
     if arr.shape[0] < 2 or np.ptp(arr[:, 0]) == 0.0:
@@ -164,35 +166,31 @@ class HHDResult:
     psi: ScalarField
 
 
-_HHD_CACHE: dict = {}
+def _central_diff(f: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx (axis -1) or d/dy (axis -2) of (..., H, W) arrays, zero-extended."""
+    lead = (slice(None),) * (axis % f.ndim)
+    out = np.zeros_like(f)
+    out[lead + (slice(None, -1),)] = f[lead + (slice(1, None),)]
+    out[lead + (slice(1, None),)] -= f[lead + (slice(None, -1),)]
+    out *= 0.5
+    return out
 
 
-def _central_diff_ops(h: int, w: int):
-    """Sparse central-difference d/dx, d/dy with zero extension (row-major)."""
+def _parity_sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n,) and orthonormal eigenvectors (n, n) of -D^2 on n nodes.
 
-    def band(n):
-        d = sparse.diags([0.5, -0.5], [1, -1], (n, n))
-        return d
-
-    gx = sparse.kron(sparse.identity(h), band(w), format="csr")
-    gy = sparse.kron(band(h), sparse.identity(w), format="csr")
-    return gx, gy
-
-
-def _hhd_operators(h: int, w: int):
-    key = (h, w)
-    if key not in _HHD_CACHE:
-        gx, gy = _central_diff_ops(h, w)
-        interior = np.zeros((h, w), dtype=bool)
-        interior[1:-1, 1:-1] = True
-        idx = np.flatnonzero(interior.ravel())
-        e = sparse.csr_matrix(
-            (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(h * w, idx.size))
-        a = (gx @ e).tocsr()
-        b = (gy @ e).tocsr()
-        k = (a.T @ a + b.T @ b).tocsc()
-        _HHD_CACHE[key] = (a, b, splu(k))
-    return _HHD_CACHE[key]
+    -D^2 is 0.5 on the diagonal and -0.25 two nodes away. Each parity chain
+    is a Dirichlet [-1, 2, -1]/4 chain of length m, with eigenvectors
+    sqrt(2/(m+1)) sin(pi j k/(m+1)) and eigenvalues (1 - cos(pi k/(m+1)))/2.
+    """
+    lam, q = np.empty(n), np.zeros((n, n))
+    for first in (0, 1):
+        m, col = (n - first + 1) // 2, first * ((n + 1) // 2)
+        k = np.arange(1, m + 1)
+        q[first::2, col:col + m] = np.sqrt(2.0 / (m + 1)) * np.sin(
+            np.pi * np.outer(k, k) / (m + 1))
+        lam[col:col + m] = 0.5 - 0.5 * np.cos(np.pi * k / (m + 1))
+    return lam, q
 
 
 def hhd_decompose(v: DisplacementField) -> HHDResult:
@@ -201,45 +199,41 @@ def hhd_decompose(v: DisplacementField) -> HHDResult:
     Both potentials vanish on the frame edge (the gel is pinned there); the
     projections are exact least squares, so P + S + H always reconstructs the
     input and the remainder H is orthogonal to both model subspaces.
+
+    Central differences link only nodes two apart, so on each axis the normal
+    equations' operator is two Dirichlet chains, one per node parity, each
+    diagonalized exactly by sines (``_parity_sine_basis``). Both potentials
+    come from one fast diagonalization (Lynch, Rice & Thomas 1964).
     """
     vals = v.values
     h, w = vals.shape[:2]
     if h < 8 or w < 8:
         raise ValueError("field must be at least 8x8")
-    a, b, solver = _hhd_operators(h, w)
-    vx = vals[:, :, 0].ravel()
-    vy = vals[:, :, 1].ravel()
-    try:
-        phi_i = solver.solve(a.T @ vx + b.T @ vy)
-        psi_i = solver.solve(b.T @ vx - a.T @ vy)
-    except RuntimeError as exc:                    # pragma: no cover
-        raise ValueError(f"potential solve failed: {exc}") from exc
-    if not (np.all(np.isfinite(phi_i)) and np.all(np.isfinite(psi_i))):
+    rhs = np.stack([-divergence(v), curl(v)])
+    lx, qx = _parity_sine_basis(w - 2)
+    ly, qy = _parity_sine_basis(h - 2)
+    pots = np.zeros((2, h, w))
+    pots[:, 1:-1, 1:-1] = qy @ ((qy.T @ rhs[:, 1:-1, 1:-1] @ qx)
+                                / (ly[:, None] + lx)) @ qx.T
+    if not np.all(np.isfinite(pots)):
         raise ValueError("potential solve failed: non-finite solution")
-    p = np.dstack([(a @ phi_i).reshape(h, w), (b @ phi_i).reshape(h, w)])
-    s = np.dstack([(b @ psi_i).reshape(h, w), (-(a @ psi_i)).reshape(h, w)])
-    hh = vals - p - s
-    phi = np.zeros((h, w))
-    phi[1:-1, 1:-1] = phi_i.reshape(h - 2, w - 2)
-    psi = np.zeros((h, w))
-    psi[1:-1, 1:-1] = psi_i.reshape(h - 2, w - 2)
+    dx, dy = _central_diff(pots, -1), _central_diff(pots, -2)
+    p = np.dstack([dx[0], dy[0]])
+    s = np.dstack([dy[1], -dx[1]])
     mk = lambda f: DisplacementField(f, v.spacing_px, v.origin_px)
-    return HHDResult(mk(p), mk(s), mk(hh), ScalarField(phi), ScalarField(psi))
+    return HHDResult(mk(p), mk(s), mk(vals - p - s), ScalarField(pots[0]),
+                     ScalarField(pots[1]))
 
 
 def curl(field: DisplacementField) -> np.ndarray:
     """Discrete curl_z (central differences, zero extension), for diagnostics."""
-    gx, gy = _central_diff_ops(*field.values.shape[:2])
-    h, w = field.values.shape[:2]
-    return (gx @ field.values[:, :, 1].ravel()
-            - gy @ field.values[:, :, 0].ravel()).reshape(h, w)
+    f = field.values
+    return _central_diff(f[:, :, 1], -1) - _central_diff(f[:, :, 0], -2)
 
 
 def divergence(field: DisplacementField) -> np.ndarray:
-    gx, gy = _central_diff_ops(*field.values.shape[:2])
-    h, w = field.values.shape[:2]
-    return (gx @ field.values[:, :, 0].ravel()
-            + gy @ field.values[:, :, 1].ravel()).reshape(h, w)
+    f = field.values
+    return _central_diff(f[:, :, 0], -1) + _central_diff(f[:, :, 1], -2)
 
 
 # ---------------------------------------------------------------------------

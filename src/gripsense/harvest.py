@@ -283,15 +283,9 @@ def step_controller(state: GraspState, percepts, cfg: StrategyConfig) -> GraspSt
                  commanded_force_n=commanded, phase_ticks=0)
 
 
-_FORCE_MODEL_CACHE: dict = {}
-
-
-def _default_force_model() -> NormalForceModel:
-    if "model" not in _FORCE_MODEL_CACHE:
-        samples = np.column_stack(
-            make_force_samples(rng=np.random.default_rng(1234)))
-        _FORCE_MODEL_CACHE["model"] = fit_normal_force(samples)
-    return _FORCE_MODEL_CACHE["model"]
+# The controller's current-to-force decoder, fitted on a fixed draw.
+_DEFAULT_FORCE_MODEL = fit_normal_force(np.column_stack(
+    make_force_samples(rng=np.random.default_rng(1234))))
 
 
 def _disc_centre(center_px: float) -> tuple[int, int]:
@@ -349,16 +343,16 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
               marker_jitter_px: float = DEFAULT_MARKER_JITTER_PX,
               px_per_mm: float = DEFAULT_PX_PER_MM,
               threshold_px: float = DEFAULT_THRESHOLD_PX,
-              force_model: NormalForceModel | None = None) -> TrialOutcome:
+              force_model: NormalForceModel = _DEFAULT_FORCE_MODEL
+              ) -> TrialOutcome:
     """Run one seeded perception-control loop until the trial resolves.
 
     Success means detached without bruising and without the cumulative slip
     displacement exceeding the contact patch radius (the drop rule). The
     force trace holds the per-tick normal-force estimates the controller
-    actually saw.
+    actually saw, decoded from the motor current by ``force_model``.
     """
     rng = np.random.default_rng(seed)
-    model = _default_force_model() if force_model is None else force_model
     measured = fruit.diameter_mm + (
         rng.normal(0.0, diameter_noise_mm) if diameter_noise_mm > 0 else 0.0)
     state = GraspState(state="detect", opening_mm=START_OPENING_MM,
@@ -392,7 +386,7 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
 
         current = CURRENT_GAIN * contact + CURRENT_OFFSET + (
             rng.normal(0.0, sensor_noise) if sensor_noise > 0 else 0.0)
-        f_est = max(0.0, float(predict_normal_force(current, model)))
+        f_est = max(0.0, float(predict_normal_force(current, force_model)))
         trace.append(f_est)
 
         centres.append(_disc_centre(start_px + slip_mm * px_per_mm))

@@ -378,7 +378,7 @@ def run_trial_reference(fruit, cfg, seed=0):
     from gripsense.sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET
     from gripsense.slip import detect_slip, marker_velocity, object_velocity
     rng = np.random.default_rng(seed)
-    model = harvest._default_force_model()
+    model = harvest._DEFAULT_FORCE_MODEL
     measured = fruit.diameter_mm + rng.normal(
         0.0, harvest.DEFAULT_DIAMETER_NOISE_MM)
     state = harvest.GraspState(

@@ -222,6 +222,21 @@ class TestSimSlipRoundTrip:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("row", ["0", "0,yes,0.0"])
+    def test_malformed_label_line_is_one_error_line(self, sim_dir, tmp_path,
+                                                    capsys, row):
+        labels = _write(tmp_path / "labels.csv",
+                        f"frame,label,true_diff_px\n{row}\n")
+        capsys.readouterr()
+        rc = cli.main(["slip", "--tracks", str(sim_dir / "markers.csv"),
+                       "--objects", str(sim_dir / "objects.csv"),
+                       "--labels", labels])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "labels.csv, line 2" in err
+
 
 class TestGeometryCommands:
     def test_calibrate_saves_loadable_model(self, model_file):

@@ -1,5 +1,9 @@
 """Shared types, rectification, differencing and the text file formats."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -336,3 +340,16 @@ class TestFieldTypes:
 def test_package_reports_numba_absent():
     # perfbench/run.py records this constant in every benchmark result
     assert gripsense.USING_NUMBA is False
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    # every solver is closed form or dense; a sparse import would be dead weight
+    src = os.path.dirname(os.path.dirname(gripsense.__file__))
+    code = ("import importlib, pkgutil, sys, gripsense\n"
+            "for m in pkgutil.iter_modules(gripsense.__path__):\n"
+            "    importlib.import_module('gripsense.' + m.name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from gripsense import force, sim
 from gripsense.core import DisplacementField, MarkerSet
 from gripsense.slip import ContactMask
-from oracles import (curl_central, div_central, hhd_projection_reference,
-                     idw_reference, ols_reference, quadrature_abs_integral)
+from oracles import (curl_central, div_central, grad_matrices,
+                     hhd_projection_reference, idw_reference,
+                     interior_embedding, ols_reference, quadrature_abs_integral)
 
 rng = np.random.default_rng(19)
 
@@ -49,6 +50,16 @@ class TestNormalForce:
         with pytest.raises(ValueError):
             force.predict_normal_force(
                 1.0, force.NormalForceModel(2.0, 1.0, fitted=False))
+
+    def test_input_kinds_give_equal_models(self):
+        r = np.random.default_rng(7)
+        currents = r.uniform(0.5, 7.0, 50)
+        forces = 0.9 * currents + 0.1 + r.normal(0, 0.05, 50)
+        pairs = list(zip(currents.tolist(), forces.tolist()))
+        from_list = force.fit_normal_force(pairs)
+        from_array = force.fit_normal_force(np.column_stack([currents, forces]))
+        from_gen = force.fit_normal_force((c, f) for c, f in pairs)
+        assert from_list == from_array == from_gen
 
 
 class TestInterpolateMarkers:
@@ -181,6 +192,28 @@ class TestHHD:
         assert np.max(np.abs(out.S.values - s_ref[0])) < 1e-6
         assert np.max(np.abs(out.H.values - h_ref[0])) < 1e-6
 
+    @pytest.mark.parametrize("h,w", [(8, 8), (9, 11), (8, 31)])
+    def test_matches_dense_reference_to_round_off(self, h, w):
+        v = DisplacementField(np.random.default_rng(h * w).normal(0, 1, (h, w, 2)))
+        out = force.hhd_decompose(v)
+        p_ref, s_ref, h_ref = hhd_projection_reference(v.values)
+        assert np.max(np.abs(out.P.values - p_ref[0])) < 1e-12
+        assert np.max(np.abs(out.S.values - s_ref[0])) < 1e-12
+        assert np.max(np.abs(out.H.values - h_ref[0])) < 1e-12
+
+    @pytest.mark.parametrize("h,w", [(8, 8), (9, 11), (10, 13), (11, 8)])
+    def test_parity_sine_basis_diagonalizes_interior_operator(self, h, w):
+        gx, gy = grad_matrices(h, w)
+        e = interior_embedding(h, w)
+        a, b = gx @ e, gy @ e
+        k = a.T @ a + b.T @ b
+        lx, qx = force._parity_sine_basis(w - 2)
+        ly, qy = force._parity_sine_basis(h - 2)
+        q = np.kron(qy, qx)                         # row-major interior order
+        lam = np.add.outer(ly, lx).ravel()
+        assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) < 1e-12
+        assert np.max(np.abs(q.T @ k @ q - np.diag(lam))) < 1e-12
+
     def test_idempotent(self):
         out = force.hhd_decompose(self._field(3))
         again = force.hhd_decompose(out.P)
@@ -245,6 +278,14 @@ class TestVectorCalculus:
         assert np.allclose(force.divergence(fld)[1:-1, 1:-1], 2.0, atol=1e-12)
         assert np.allclose(force.curl(fld)[1:-1, 1:-1], 0.0, atol=1e-12)
         assert np.allclose(force.divergence(fld), div_central(v), atol=1e-12)
+
+    @pytest.mark.parametrize("h,w", [(9, 13), (24, 17)])
+    def test_random_non_square_fields_match_oracle(self, h, w):
+        v = np.random.default_rng(h + w).normal(0, 1, (h, w, 2))
+        fld = DisplacementField(v)
+        assert np.allclose(force.curl(fld), curl_central(v), rtol=0, atol=1e-12)
+        assert np.allclose(force.divergence(fld), div_central(v), rtol=0,
+                           atol=1e-12)
 
 
 class TestShearFeatures:
