@@ -9,7 +9,9 @@ Conventions used throughout the package:
 * marker positions are in frame pixels.
 
 ``rectify_frame`` resamples through the bilinear homography warp
-``_warp_bilinear``.
+``_warp_bilinear``. ``sine_block`` builds blocks of the orthonormal DST-I
+matrix, the sine basis that both the Poisson solve and the Helmholtz
+decomposition diagonalize their operators with.
 
 Everything here is immutable after construction: arrays are copied and marked
 read-only, so instances can be shared freely across threads.
@@ -28,6 +30,29 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _check_pitch(px_per_mm) -> None:
+    """Raise unless the pixel pitch is a finite positive number."""
+    if not (px_per_mm > 0 and np.isfinite(px_per_mm)):
+        raise ValueError(f"px_per_mm must be finite and positive, got {px_per_mm}")
+
+
+def sine_block(n: int, modes, nodes) -> np.ndarray:
+    """Rows ``modes`` and columns ``nodes`` (both 1-based) of the orthonormal
+    n-point DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)).
+
+    The matrix is symmetric and its own inverse. Its entries take only the
+    2(n+1) values of one sine table, indexed by (j k) mod 2(n+1), so no sine
+    of a large argument is evaluated.
+    """
+    period = 2 * (n + 1)
+    table = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(period) / (n + 1))
+    # int32 indices, where j k cannot overflow them, halve the bytes written
+    dtype = np.int32 if period * period < 2 ** 31 else np.int64
+    idx = np.multiply.outer(np.asarray(modes, dtype), np.asarray(nodes, dtype))
+    idx %= period
+    return table[idx]
 
 
 def _clip_owned(a: np.ndarray, lo: float, hi: float, what: str) -> None:
@@ -58,8 +83,7 @@ class TactileFrame:
         if px.shape[0] < 8 or px.shape[1] < 8:
             raise ValueError(f"frame must be at least 8x8, got {px.shape[:2]}")
         _clip_owned(px, 0.0, 1.0, "pixel intensities")
-        if not self.px_per_mm > 0:
-            raise ValueError("px_per_mm must be positive")
+        _check_pitch(self.px_per_mm)
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -84,8 +108,7 @@ class DiffFrame:
         if v.ndim != 3 or v.shape[2] != 3:
             raise ValueError(f"values must be (H, W, 3), got {v.shape}")
         _clip_owned(v, -1.0, 1.0, "diff values")
-        if not self.px_per_mm > 0:
-            raise ValueError("px_per_mm must be positive")
+        _check_pitch(self.px_per_mm)
         object.__setattr__(self, "values", v)
 
     @property
@@ -130,8 +153,7 @@ class HeightMap:
             raise ValueError(f"values must be 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("heightmap values must be finite")
-        if not self.px_per_mm > 0:
-            raise ValueError("px_per_mm must be positive")
+        _check_pitch(self.px_per_mm)
         object.__setattr__(self, "values", _readonly(v))
 
     @property

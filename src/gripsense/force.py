@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DisplacementField, MarkerSet, ScalarField
+from .core import DisplacementField, MarkerSet, ScalarField, sine_block
 from .slip import ContactMask
 
 FEATURE_NAMES = ("vx", "vy", "px", "px2", "py", "py2", "sx", "sx2", "sy", "sy2")
@@ -181,14 +181,15 @@ def _parity_sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     -D^2 is 0.5 on the diagonal and -0.25 two nodes away. Each parity chain
     is a Dirichlet [-1, 2, -1]/4 chain of length m, with eigenvectors
-    sqrt(2/(m+1)) sin(pi j k/(m+1)) and eigenvalues (1 - cos(pi k/(m+1)))/2.
+    sqrt(2/(m+1)) sin(pi j k/(m+1)) (the m-point sine matrix of
+    ``sine_block``, shared with the Poisson solve) and eigenvalues
+    (1 - cos(pi k/(m+1)))/2.
     """
     lam, q = np.empty(n), np.zeros((n, n))
     for first in (0, 1):
         m, col = (n - first + 1) // 2, first * ((n + 1) // 2)
         k = np.arange(1, m + 1)
-        q[first::2, col:col + m] = np.sqrt(2.0 / (m + 1)) * np.sin(
-            np.pi * np.outer(k, k) / (m + 1))
+        q[first::2, col:col + m] = sine_block(m, k, k)
         lam[col:col + m] = 0.5 - 0.5 * np.cos(np.pi * k / (m + 1))
     return lam, q
 

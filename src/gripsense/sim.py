@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .core import HeightMap, MarkerSet, TactileFrame, diff_image
 from .slip import ContactMask
@@ -252,13 +251,40 @@ def indent_heightmap(shape, center_mm: tuple[float, float], depth_mm: float,
     return HeightMap(pen, px_per_mm)
 
 
+def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur of a 2-D array with zero padding.
+
+    Bit-equal to ``scipy.ndimage.gaussian_filter(x, sigma, mode="constant")``:
+    the same normalized kernel exp(-t^2 / 2 sigma^2) of radius
+    int(4 sigma + 0.5), axis 0 before axis 1, and per output pixel the same
+    summation order, x[i] w0 and then (x[i - j] + x[i + j]) w_j added for j
+    from the radius down to 1.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    taps = taps / taps.sum()
+    for _ in range(2):      # axis 0, then axis 0 of the transpose: axis 1
+        n = x.shape[0]
+        # row-major whatever x's layout, so every pass runs on contiguous rows
+        padded = np.zeros((n + 2 * radius, x.shape[1]))
+        padded[radius:radius + n] = x
+        out = padded[radius:radius + n] * taps[radius]
+        pair = np.empty_like(out)
+        for j in range(radius, 0, -1):
+            np.add(padded[radius - j:radius - j + n],
+                   padded[radius + j:radius + j + n], out=pair)
+            pair *= taps[radius + j]
+            out += pair
+        x = out.T
+    return np.ascontiguousarray(x)
+
+
 def press(raw: HeightMap, gel: GelModel = GelModel()) -> HeightMap:
     """Membrane smoothing: Gaussian blur at the membrane scale."""
     sigma_px = gel.membrane_sigma_mm * raw.px_per_mm
     if sigma_px <= 0:
         return HeightMap(raw.values.copy(), raw.px_per_mm)
-    smoothed = gaussian_filter(raw.values, sigma_px, mode="constant")
-    return HeightMap(smoothed, raw.px_per_mm)
+    return HeightMap(_gaussian_blur(raw.values, sigma_px), raw.px_per_mm)
 
 
 def surface_normals(h: HeightMap) -> np.ndarray:

@@ -95,6 +95,17 @@ class TestNormalMap:
             NormalMap(n)
 
 
+@pytest.mark.parametrize("pitch", [np.inf, np.nan, -1.0, 0.0])
+@pytest.mark.parametrize("make", [
+    lambda p: TactileFrame(np.zeros((8, 8, 3)), p),
+    lambda p: DiffFrame(np.zeros((8, 8, 3)), p),
+    lambda p: HeightMap(np.zeros((4, 4)), p),
+], ids=["TactileFrame", "DiffFrame", "HeightMap"])
+def test_pixel_pitch_must_be_finite_and_positive(make, pitch):
+    with pytest.raises(ValueError, match="px_per_mm must be finite and positive"):
+        make(pitch)
+
+
 class TestHeightMap:
     def test_gauged_sets_min_to_zero(self):
         hm = HeightMap(rng.random((5, 5)) + 2.0, 4.0)
@@ -342,14 +353,44 @@ def test_package_reports_numba_absent():
     assert gripsense.USING_NUMBA is False
 
 
-def test_package_import_leaves_scipy_sparse_unloaded():
-    # every solver is closed form or dense; a sparse import would be dead weight
+def _run_isolated(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports from this ``src``."""
     src = os.path.dirname(os.path.dirname(gripsense.__file__))
-    code = ("import importlib, pkgutil, sys, gripsense\n"
-            "for m in pkgutil.iter_modules(gripsense.__path__):\n"
-            "    importlib.import_module('gripsense.' + m.name)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # the runtime is numpy only; scipy is a test dependency of the oracles
+    out = _run_isolated(
+        "import importlib, pkgutil, sys, gripsense\n"
+        "for m in pkgutil.iter_modules(gripsense.__path__):\n"
+        "    importlib.import_module('gripsense.' + m.name)\n"
+        "assert 'gripsense.cli' in sys.modules\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_pipeline_runs_with_scipy_blocked():
+    # a None entry makes every ``import scipy...`` raise ImportError
+    out = _run_isolated(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from types import SimpleNamespace\n"
+        "import numpy as np\n"
+        "from gripsense import core, force, geometry, sim\n"
+        "r = np.random.default_rng(0)\n"
+        "bg = core.TactileFrame(r.uniform(0.3, 0.6, (64, 64, 3)), 2.0)\n"
+        "fg = core.TactileFrame(r.uniform(0.3, 0.6, (64, 64, 3)), 2.0)\n"
+        "shapes = [(32, 5), (32,), (32, 32), (32,), (2, 32), (2,)]\n"
+        "model = geometry.Rgb2NormalModel(*[r.normal(0, 0.3, s) for s in shapes])\n"
+        "normals = geometry.predict_normals(core.diff_image(fg, bg), model)\n"
+        "hm = geometry.integrate_normals(normals, 2.0)\n"
+        "field = core.DisplacementField(normals.values[:, :, :2], 1.0, (0.0, 0.0))\n"
+        "parts = force.hhd_decompose(field)\n"
+        "fruit = SimpleNamespace(stiffness_n_mm=1.0, diameter_mm=18.0,\n"
+        "                        fruit_type='strawberry')\n"
+        "frames, currents = sim.synth_compression_clip(fruit, n_frames=4)\n"
+        "print(hm.values.min(), np.isfinite(parts.H.values).all(), len(frames))")
+    assert out.split() == ["0.0", "True", "4"]

@@ -444,13 +444,18 @@ class TestIntegration:
         n[:, :, 2] = 1.0
         with pytest.raises(ValueError):
             geometry.integrate_normals(NormalMap(n), 0.0)
+        # an infinite pitch would give all-zero slopes: a silent "no contact"
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                geometry.integrate_normals(NormalMap(n), bad)
 
-    # 3x3 has a 1x1 interior (no tridiagonal solve), 3-row frames give
-    # one-row blocks, 3-column frames one block; side - 1 is 127 and 239
-    # (prime) at 128 and 240, and 11 * 29 at 320.
+    # Interior sides n = shape - 2 cover both parities of the folded sine
+    # transform: odd n has a middle node of its own (1 at 3x3, 21 at 23),
+    # even n none; n = 2 at (4, 4) and (4, 5) leaves one node per half, and
+    # n = 1 one odd mode and no even ones.
     @pytest.mark.parametrize("shape", [(3, 3), (3, 9), (9, 3), (3, 240),
                                        (240, 3), (17, 23), (128, 128),
-                                       (240, 320)])
+                                       (240, 320), (4, 4), (4, 5), (8, 8)])
     def test_matches_sparse_poisson_oracle(self, shape):
         r = np.random.default_rng(sum(shape))
         n = np.dstack([r.normal(0.0, 0.3, shape + (2,)), np.ones(shape)])

@@ -79,6 +79,18 @@ class TestHeightmaps:
         assert smooth.values.max() < raw.values.max()
         assert np.isclose(smooth.values.sum(), raw.values.sum(), rtol=1e-6)
 
+    # odd and even sides; at sigma 2.5 px the kernel radius, 10, reaches
+    # past the 7- and 10-pixel sides, so every tap of those lands in padding
+    @pytest.mark.parametrize("shape, sigma_px", [
+        ((64, 64), 64 / 30.0), ((33, 48), 1.3), ((7, 10), 2.5), ((10, 7), 2.5),
+        ((1, 12), 0.6), ((21, 5), 4.7)])
+    def test_press_bit_equal_to_ndimage(self, shape, sigma_px):
+        from scipy.ndimage import gaussian_filter
+        raw = HeightMap(np.random.default_rng(sum(shape)).random(shape), 2.0)
+        gel = sim.GelModel(membrane_sigma_mm=sigma_px / raw.px_per_mm)
+        want = gaussian_filter(raw.values, sigma_px, mode="constant")
+        assert sim.press(raw, gel).values.tobytes() == want.tobytes()
+
 
 class TestNormalsAndRendering:
     def test_flat_surface_normals_up(self):

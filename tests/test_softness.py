@@ -1,5 +1,7 @@
 """Pairwise softness ranking: embedder, comparator, training, evaluation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,18 @@ class TestLibraryAndEval:
         assert np.array_equal(library[0].forces, again[0].forces)
         assert np.array_equal(library[0].frames[0].values,
                               again[0].frames[0].values)
+
+    def test_library_frames_match_pinned_digest(self):
+        # SHA-256 of every frame's float64 bytes at the default size, pinned
+        # when the membrane blur moved from scipy.ndimage to numpy; any change
+        # to the simulator's output bits, the blur's summation order included,
+        # moves it
+        digest = hashlib.sha256()
+        for clip in softness.build_clip_library(1, seed=0):
+            for frame in clip.frames:
+                digest.update(frame.values.tobytes())
+        assert digest.hexdigest() == ("5e0794eac8b53301c376e8516d8cd04f"
+                                      "4af9d152d51ffcf31fe322e60ccffc73")
 
     def test_ranking_pairs_balanced_within_type(self, library):
         pairs = softness.make_ranking_pairs(library)
