@@ -14,7 +14,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--train-trials", type=int, default=7)
     parser.add_argument("--test-trials", type=int, default=3)
-    parser.add_argument("--epochs", type=int, default=600)
+    parser.add_argument("--epochs", type=int, default=600,
+                        help="L-BFGS iteration cap; the fit stops earlier "
+                             "once converged (first step length 0.01)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -24,7 +26,8 @@ def main():
     model = softness.train_ranker(pairs, epochs=args.epochs,
                                   learning_rate=0.01, seed=args.seed)
     print(f"trained on {len(pairs)} ordered pairs from {len(library)} clips, "
-          f"final loss {model.final_loss:.4f}, "
+          f"{len(model.loss_history) - 1} iterations, "
+          f"final loss {model.final_loss:.6g}, "
           f"{time.perf_counter() - t0:.1f} s")
 
     held = softness.build_clip_library(args.test_trials, seed=args.seed + 1)

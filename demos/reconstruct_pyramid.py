@@ -17,7 +17,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--resolution", type=int, default=128)
     parser.add_argument("--presses", type=int, default=8)
-    parser.add_argument("--epochs", type=int, default=1000)
+    parser.add_argument("--epochs", type=int, default=1000,
+                        help="L-BFGS iteration cap; the fit stops earlier "
+                             "once converged (first step length 0.1)")
     parser.add_argument("--noise", type=float, default=0.01,
                         help="render noise sigma (0 for noiseless)")
     args = parser.parse_args()
@@ -31,6 +33,7 @@ def main():
                                     learning_rate=0.1, seed=0)
     print(f"calibrated on {args.presses} presses "
           f"({data.features.shape[0]} pixels), "
+          f"{len(model.loss_history) - 1} iterations, "
           f"final loss {model.final_loss:.5f}")
 
     gel = sim.GelModel()

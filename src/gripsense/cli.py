@@ -182,6 +182,7 @@ def _cmd_calibrate(args, cfg: Config) -> int:
                                     seed=args.seed)
     geometry.save_rgb2normal(model, args.out)
     print(f"presses={len(presses)} samples={data.features.shape[0]} "
+          f"iterations={len(model.loss_history) - 1} "
           f"final_loss={model.final_loss:.6g} model={args.out}")
     return 0
 
@@ -272,7 +273,8 @@ def _cmd_softness_train(args, cfg: Config) -> int:
                                   seed=args.seed)
     softness.save_ranker(model, args.out)
     print(f"clips={len(clips)} pairs={len(pairs)} "
-          f"final_loss={model.final_loss:.4f} model={args.out}")
+          f"iterations={len(model.loss_history) - 1} "
+          f"final_loss={model.final_loss:.6g} model={args.out}")
     return 0
 
 

@@ -53,8 +53,8 @@ CONFIG_SPEC: dict[str, tuple[object, object, str]] = {
     "sim.pose": ("top", _choice("top", "side"), "grasp pose"),
     "sim.depth_mm": (1.0, _float, "press depth for the slip sequence"),
     "sim.marker_jitter_px": (0.3, _float, "marker tracking noise, pixels"),
-    "geometry.epochs": (1000, _int, "pixel-to-normal model training epochs"),
-    "geometry.learning_rate": (0.1, _float, "pixel-to-normal model learning rate"),
+    "geometry.epochs": (1000, _int, "pixel-to-normal L-BFGS fit: iteration cap"),
+    "geometry.learning_rate": (0.1, _float, "pixel-to-normal L-BFGS fit: first step length"),
     "geometry.presses": (8, _int, "calibration sphere presses"),
     "geometry.sphere_radius_mm": (5.0, _float, "calibration sphere radius"),
     "geometry.resolution": (128, _int, "render resolution for calibrate/reconstruct"),
@@ -64,8 +64,8 @@ CONFIG_SPEC: dict[str, tuple[object, object, str]] = {
     "force.frames": (20, _int, "frames streamed by the force subcommand"),
     "slip.threshold_px": (10.0, _float, "slip threshold on the speed difference"),
     "slip.smooth_window": (3, _int, "trailing frames averaged before differencing"),
-    "softness.epochs": (600, _int, "ranker training epochs"),
-    "softness.learning_rate": (0.01, _float, "ranker training step size"),
+    "softness.epochs": (600, _int, "ranker L-BFGS fit: iteration cap"),
+    "softness.learning_rate": (0.01, _float, "ranker L-BFGS fit: first step length"),
     "softness.train_trials": (7, _int, "training clips per texture and hardness"),
     "softness.test_trials": (3, _int, "held-out clips per texture and hardness"),
     "softness.frames": (24, _int, "frames per squeeze clip"),

@@ -11,7 +11,8 @@ Conventions used throughout the package:
 ``rectify_frame`` resamples through the bilinear homography warp
 ``_warp_bilinear``. ``sine_block`` builds blocks of the orthonormal DST-I
 matrix, the sine basis that both the Poisson solve and the Helmholtz
-decomposition diagonalize their operators with.
+decomposition diagonalize their operators with. ``_lbfgs`` is the numpy
+L-BFGS that both calibration fits, geometry's and softness's, run.
 
 Everything here is immutable after construction: arrays are copied and marked
 read-only, so instances can be shared freely across threads.
@@ -53,6 +54,91 @@ def sine_block(n: int, modes, nodes) -> np.ndarray:
     idx = np.multiply.outer(np.asarray(modes, dtype), np.asarray(nodes, dtype))
     idx %= period
     return table[idx]
+
+
+# _lbfgs: curvature pairs kept, Armijo's sufficient-decrease constant, step
+# halvings before a line search gives up, and the two stopping thresholds,
+# scipy L-BFGS-B's defaults factr * eps and pgtol
+_LBFGS_MEMORY = 10
+_ARMIJO_C1 = 1e-4
+_MAX_HALVINGS = 20
+_LBFGS_FTOL = 2.2e-9
+_LBFGS_GTOL = 1e-5
+
+
+def _lbfgs(loss_and_grads, params, epochs: int, first_step: float):
+    """Minimize ``loss_and_grads(params) -> (loss, grads)`` by L-BFGS.
+
+    Limited-memory BFGS (Liu & Nocedal 1989): the two-loop recursion over
+    the last 10 curvature pairs (s, y) gives the direction, a pair with
+    s.y <= 0 being skipped, and Armijo backtracking halves a unit step until
+    the loss falls enough; a trial loss that is not finite counts as a step
+    too long. With an empty memory, at the start and after a line search
+    that fails clears it, the step is -g scaled to length ``first_step``;
+    if that one fails too the point is final. The run stops when the
+    relative loss reduction is at most 2.2e-9, when max |g| is at most 1e-5,
+    or after ``epochs`` iterations.
+
+    ``params`` (arrays or scalars) is copied into one flat vector, and
+    ``loss_and_grads`` is always called with the same views into it, so
+    every trial point is written in place. Returns (views, history): the
+    minimizer and the loss before each iteration plus the final loss,
+    non-increasing.
+    """
+    x = np.concatenate([np.ravel(p) for p in params], dtype=np.float64)
+    views, at = [], 0
+    for p in params:
+        size = int(np.size(p))
+        views.append(x[at:at + size].reshape(np.shape(p)))
+        at += size
+
+    def evaluate():
+        loss, grads = loss_and_grads(views)
+        return loss, np.concatenate([np.ravel(g) for g in grads])
+
+    loss, g = evaluate()
+    if not np.isfinite(loss):
+        raise ValueError(f"loss at the initial parameters is {loss}")
+    history = [loss]
+    memory = []                                 # (s, y, 1 / s.y), oldest first
+    while len(history) <= epochs and np.max(np.abs(g)) > _LBFGS_GTOL:
+        d = -g
+        if memory:
+            alphas = []
+            for s, y, rho in reversed(memory):
+                alphas.append(rho * (s @ d))
+                d -= alphas[-1] * y
+            s, y, rho = memory[-1]
+            d /= rho * (y @ y)
+            for (s, y, rho), a in zip(memory, reversed(alphas)):
+                d += (a - rho * (y @ d)) * s
+        if not memory or not g @ d < 0.0:
+            memory.clear()
+            d = g * (-first_step / np.linalg.norm(g))
+        slope = g @ d
+        start, step = x.copy(), 1.0
+        for _ in range(_MAX_HALVINGS):
+            np.add(start, step * d, out=x)
+            trial, g_trial = evaluate()
+            if np.isfinite(trial) and trial <= loss + _ARMIJO_C1 * step * slope:
+                break
+            step *= 0.5
+        else:
+            x[:] = start
+            if not memory:
+                break
+            memory.clear()
+            continue
+        s, y = x - start, g_trial - g
+        if s @ y > 0.0:
+            memory = memory[1 - _LBFGS_MEMORY:] + [(s, y, 1.0 / (s @ y))]
+        reduction = loss - trial
+        scale = max(abs(loss), abs(trial), 1.0)
+        loss, g = trial, g_trial
+        history.append(loss)
+        if reduction <= _LBFGS_FTOL * scale:
+            break
+    return views, history
 
 
 def _clip_owned(a: np.ndarray, lo: float, hi: float, what: str) -> None:

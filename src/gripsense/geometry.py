@@ -1,18 +1,20 @@
 """Contact-geometry reconstruction.
 
 Calibration maps background-subtracted RGB to surface normals with a small
-MLP trained by full-batch gradient descent; a Poisson solve turns the
-predicted normal field into a heightmap by fast diagonalization with type-I
-sine transforms along both axes. Each transform is two dense half-size
-products, the sine matrix folded by mode parity; every basis is built per
-call from one sine table, and numpy is the only dependency.
-Training is hand-rolled (forward, analytic backprop, plain GD) because the
-model is tiny and the package needs deterministic, dependency-free fitting.
-Its epochs are allocation-free: the (N, 32) and (N, 2) work arrays are
-allocated once per fit and filled in place. Fresh 1.6 MB temporaries are
-mapped from the OS anew each time, and their page faults were about half of
-an epoch (6408 samples on a 2-core host: 13-19 ms before, 6-8 ms after).
-The fitted weights are bit-identical either way.
+MLP fitted by full-batch L-BFGS; a Poisson solve turns the predicted normal
+field into a heightmap by fast diagonalization with type-I sine transforms
+along both axes. Each transform is two dense half-size products, the sine
+matrix folded by mode parity; every basis is built per call from one sine
+table, and numpy is the only dependency.
+Training is hand-rolled (forward, analytic backprop, the numpy L-BFGS
+``core._lbfgs``) because the model is tiny and the package needs
+deterministic, dependency-free fitting. ``epochs`` is the iteration cap and
+``learning_rate`` the first step length. Loss evaluations are
+allocation-free: the (N, 32) and (N, 2) work arrays are allocated once per
+fit and filled in place, and the parameters are views into the optimizer's
+one flat vector. Fresh 1.6 MB temporaries are mapped from the OS anew each
+time, and their page faults were about half of an evaluation (6408 samples
+on a 2-core host: 13-19 ms before, 6-8 ms after).
 Inference runs the MLP only where the contact changed the image: pixels
 whose largest channel |diff| exceeds a fixed tau run a separate float32
 forward pass, and every other pixel takes the model's first-order expansion
@@ -30,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiffFrame, HeightMap, NormalMap, _check_pitch, sine_block
+from .core import (DiffFrame, HeightMap, NormalMap, _check_pitch, _lbfgs,
+                   sine_block)
 
 LAYER_SIZES = (5, 32, 32, 2)
 DEFAULT_EPOCHS = 1000
@@ -44,9 +47,10 @@ _BAND_PX = 4096
 # Pixels whose largest channel |diff| is at most this take the first-order
 # expansion instead of the MLP. Fixed, not adapted to the frame, so the
 # error bound in ``predict_normals`` holds for every frame: the dropped
-# second-order term grows as tau^2 (up to 1.2e-3 per component at 0.025
-# with the more curved library-default model; 1e-3 would need tau = 0.02,
-# which sends 12-19% of a grasp's pixels to the MLP instead of 3.5-11%).
+# second-order term grows as tau^2 (up to 1.1e-3 per component at 0.025
+# with the converged criterion-8 model and 1.0e-3 with the library-default
+# one, on the tested grasps; 1e-3 would need tau = 0.02, which sends 12-19%
+# of a grasp's pixels to the MLP instead of 3.5-11%).
 # It is 2.5 sigma of the 0.01 sensor noise, so untouched gel stays on the
 # linear path.
 _LINEAR_TAU = 0.025
@@ -66,8 +70,8 @@ class Rgb2NormalModel:
     linear output 2 squashed radially so (nx, ny) always has norm < 1;
     nz = sqrt(1 - nx^2 - ny^2) then makes the normal unit by construction.
     ``final_loss`` is the training loss after the last step (None for models
-    loaded from disk); ``loss_history`` holds the loss before each step plus
-    the final value.
+    loaded from disk); ``loss_history`` holds the loss before each L-BFGS
+    iteration plus the final value.
     """
 
     w1: np.ndarray
@@ -224,7 +228,7 @@ def _forward(params, x):
 
 
 def _loss_and_grads(params, x, t, buf):
-    """Loss and gradients of one full-batch epoch, in preallocated arrays.
+    """Loss and gradients of one full-batch evaluation, in preallocated arrays.
 
     ``buf`` holds the three (N, 32) and two (N, 2) float64 work arrays of
     ``_training_buffers``, overwritten on every call; only the radial
@@ -276,12 +280,14 @@ def _training_buffers(n: int) -> tuple:
 def fit_rgb2normal(data: CalibrationDataset, epochs: int = DEFAULT_EPOCHS,
                    learning_rate: float = DEFAULT_LEARNING_RATE,
                    seed: int = 0) -> Rgb2NormalModel:
-    """Full-batch gradient descent on mean squared (nx, ny) error.
+    """Full-batch L-BFGS on mean squared (nx, ny) error.
 
-    Deterministic for a given seed. At the default learning rate the recorded
-    loss history is non-increasing; a diverging run (non-finite loss) raises
-    instead of returning garbage weights. The work arrays are allocated once
-    per call and reused by every epoch.
+    ``epochs`` is the iteration cap: the fit stops earlier once it has
+    converged (``core._lbfgs``). ``learning_rate`` is the first step
+    length, along -g. Deterministic for a given seed; ``loss_history``
+    holds one loss per iteration plus the final one and is non-increasing.
+    A non-finite loss at the initial weights raises. The work arrays are
+    allocated once per call and reused by every loss evaluation.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -297,19 +303,10 @@ def fit_rgb2normal(data: CalibrationDataset, epochs: int = DEFAULT_EPOCHS,
     x = data.features
     t = data.normals[:, :2]
     buf = _training_buffers(len(data))
-    history = []
-    loss = np.inf
-    for _ in range(epochs):
-        loss, grads = _loss_and_grads(params, x, t, buf)
-        if not np.isfinite(loss):
-            raise ValueError("diverged; reduce learning rate")
-        history.append(loss)
-        params = [p - learning_rate * dp for p, dp in zip(params, grads)]
-    final, _ = _loss_and_grads(params, x, t, buf)
-    if not np.isfinite(final):
-        raise ValueError("diverged; reduce learning rate")
-    history.append(final)
-    return Rgb2NormalModel(*params, final_loss=final, loss_history=tuple(history))
+    params, history = _lbfgs(lambda p: _loss_and_grads(p, x, t, buf), params,
+                             epochs, learning_rate)
+    return Rgb2NormalModel(*params, final_loss=history[-1],
+                           loss_history=tuple(history))
 
 
 def _mlp(model: Rgb2NormalModel, feats: np.ndarray, jacobian: bool = False):

@@ -3,11 +3,12 @@
 A light clip encoder turns one squeeze sequence (difference images plus the
 per-frame normal-force trace) into a fixed 40-dimensional embedding, and an
 antisymmetric bilinear comparator scores which of two fruits is harder.
-Training is plain full-batch gradient descent on the pairwise cross entropy,
-kept deterministic so runs reproduce bit for bit. The gradients are BLAS
-matrix products: the weight gradients, summed over clips and frames, are
-one (clips * 16, d)^T (clips * 16, d) product each, and the logits a
-row-wise dot of the two embeddings after one product with W.
+Training is full-batch L-BFGS (``core._lbfgs``) on the pairwise cross
+entropy, with ``epochs`` as the iteration cap and ``learning_rate`` as the
+first step length, kept deterministic so runs reproduce bit for bit. The
+gradients are BLAS matrix products: the weight gradients, summed over clips
+and frames, are one (clips * 16, d)^T (clips * 16, d) product each, and the
+logits a row-wise dot of the two embeddings after one product with W.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiffFrame
+from .core import DiffFrame, _lbfgs
 from .force import fit_normal_force, predict_normal_force
 from . import sim
 
@@ -330,13 +331,15 @@ def _index_pairs(pairs):
 def train_ranker(pairs, epochs: int = DEFAULT_EPOCHS,
                  learning_rate: float = DEFAULT_LEARNING_RATE,
                  seed: int = 0, fit_bias: bool = True) -> RankerModel:
-    """Full-batch gradient descent on the pairwise cross entropy.
+    """Full-batch L-BFGS on the pairwise cross entropy.
 
     ``pairs`` is a sequence of (clip_a, clip_b, label) with label 1 when the
-    first clip is the harder fruit. The embedder is shared between both sides
-    of every pair and all gradients are analytic, so training is deterministic
-    for a fixed seed. The recorded loss history has one entry per epoch plus
-    the final loss.
+    first clip is the harder fruit. ``epochs`` is the iteration cap, and the
+    fit stops earlier once it has converged; ``learning_rate`` is the first
+    step length, along -g. The embedder is shared between both sides of
+    every pair and all gradients are analytic, so training is deterministic
+    for a fixed seed. The recorded loss history has one entry per iteration
+    plus the final loss; a non-finite loss at the initial weights raises.
     """
     if len(pairs) == 0:
         raise ValueError("no training pairs")
@@ -351,21 +354,10 @@ def train_ranker(pairs, epochs: int = DEFAULT_EPOCHS,
     forces = np.stack([t[1] for t in tensors])
 
     scatter = _pair_scatter_index(idx_a, idx_b)
-    params = _init_params(seed)
-    history = []
-    for _ in range(epochs):
-        loss, grads = _loss_and_grads(tuple(params), patches, forces,
-                                      idx_a, idx_b, labels, fit_bias, scatter)
-        if not np.isfinite(loss):
-            raise ValueError("training diverged; reduce the learning rate")
-        history.append(loss)
-        for i, grad in enumerate(grads):
-            params[i] = params[i] - learning_rate * grad
-    loss, _ = _loss_and_grads(tuple(params), patches, forces,
-                              idx_a, idx_b, labels, fit_bias, scatter)
-    if not np.isfinite(loss):
-        raise ValueError("training diverged; reduce the learning rate")
-    history.append(loss)
+    params, history = _lbfgs(
+        lambda p: _loss_and_grads(tuple(p), patches, forces, idx_a, idx_b,
+                                  labels, fit_bias, scatter),
+        _init_params(seed), epochs, learning_rate)
     return RankerModel(embedder=ClipEmbedder(*params[:7]),
                        comparator=params[7], bias=float(params[8]),
                        final_loss=history[-1], loss_history=tuple(history))

@@ -233,7 +233,8 @@ def quadrature_abs_integral(field_2d, spacing=1.0):
 # ---------------------------------------------------------------------------
 # training losses and gradients as first written: fresh temporaries per
 # epoch and einsum contractions, the references for the package's
-# allocation-free and BLAS-product training kernels
+# allocation-free and BLAS-product training kernels, and the textbook
+# L-BFGS that fits with them
 # ---------------------------------------------------------------------------
 
 def rgb2normal_loss_and_grads(params, x, t):
@@ -256,23 +257,87 @@ def rgb2normal_loss_and_grads(params, x, t):
     return loss, (dw1, db1, dw2, db2, dw3, db3)
 
 
-def fit_rgb2normal_reference(data, epochs, learning_rate, seed=0):
-    """Full-batch GD over ``rgb2normal_loss_and_grads`` with the package's
-    Glorot initialisation; returns (params, loss history)."""
+def lbfgs_reference(fun, params, epochs, first_step, memory=10):
+    """Textbook L-BFGS (Nocedal & Wright, Algorithm 7.4 with Armijo
+    backtracking) over a list of arrays and scalars; returns (params, loss
+    history).
+
+    ``fun(params)`` gives (loss, grads). Every quantity is a fresh flat
+    vector. The first direction, and the first after a line search that
+    fails, is -g at length ``first_step``; every other one starts from a
+    unit step. Pairs with s.y <= 0 are dropped; the run stops at a relative
+    loss reduction of 2.2e-9, max |g| of 1e-5, or ``epochs`` iterations.
+    """
+    shapes = [np.shape(p) for p in params]
+    bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+
+    def unpack(v):
+        return [v[lo:hi].reshape(s) if s else float(v[lo])
+                for s, lo, hi in zip(shapes, bounds[:-1], bounds[1:])]
+
+    def f(v):
+        loss, grads = fun(unpack(v))
+        return loss, np.concatenate([np.ravel(gr) for gr in grads])
+
+    x = np.concatenate([np.ravel(p) for p in params])
+    fx, g = f(x)
+    history = [fx]
+    ss, ys = [], []
+    while len(history) <= epochs and np.abs(g).max() > 1e-5:
+        if ss:
+            q = g.copy()
+            alpha = [0.0] * len(ss)
+            for i in range(len(ss) - 1, -1, -1):
+                alpha[i] = (ss[i] @ q) / (ys[i] @ ss[i])
+                q = q - alpha[i] * ys[i]
+            r = q * (ss[-1] @ ys[-1]) / (ys[-1] @ ys[-1])
+            for i in range(len(ss)):
+                beta = (ys[i] @ r) / (ys[i] @ ss[i])
+                r = r + ss[i] * (alpha[i] - beta)
+            p = -r
+        if not ss or g @ p >= 0:
+            ss, ys = [], []
+            p = -first_step * g / np.sqrt(g @ g)
+        t = 1.0
+        for _ in range(20):
+            f_new, g_new = f(x + t * p)
+            if np.isfinite(f_new) and f_new <= fx + 1e-4 * t * (g @ p):
+                break
+            t = t / 2
+        else:
+            if not ss:
+                break
+            ss, ys = [], []
+            continue
+        x_new = x + t * p
+        s, y = x_new - x, g_new - g
+        if s @ y > 0:
+            ss, ys = (ss + [s])[-memory:], (ys + [y])[-memory:]
+        stalled = fx - f_new <= 2.2e-9 * max(abs(fx), abs(f_new), 1.0)
+        x, fx, g = x_new, f_new, g_new
+        history.append(fx)
+        if stalled:
+            break
+    return unpack(x), history
+
+
+def rgb2normal_init(seed=0):
+    """The package's Glorot initialisation of the RGB-to-normal MLP."""
     rng = np.random.default_rng(seed)
     params = []
     for fan_out, fan_in in ((32, 5), (32, 32), (2, 32)):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         params.append(rng.uniform(-limit, limit, (fan_out, fan_in)))
         params.append(np.zeros(fan_out))
+    return params
+
+
+def fit_rgb2normal_reference(data, epochs, learning_rate, seed=0):
+    """``lbfgs_reference`` over ``rgb2normal_loss_and_grads`` from
+    ``rgb2normal_init``; returns (params, loss history)."""
     x, t = data.features, data.normals[:, :2]
-    history = []
-    for _ in range(epochs):
-        loss, grads = rgb2normal_loss_and_grads(params, x, t)
-        history.append(loss)
-        params = [p - learning_rate * dp for p, dp in zip(params, grads)]
-    history.append(rgb2normal_loss_and_grads(params, x, t)[0])
-    return params, history
+    return lbfgs_reference(lambda p: rgb2normal_loss_and_grads(p, x, t),
+                           rgb2normal_init(seed), epochs, learning_rate)
 
 
 def ranker_loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
@@ -320,19 +385,13 @@ def ranker_loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
 
 def train_ranker_reference(patches, forces, idx_a, idx_b, labels, epochs,
                            learning_rate, seed=0):
-    """Full-batch GD over ``ranker_loss_and_grads`` from the package's
+    """``lbfgs_reference`` over ``ranker_loss_and_grads`` from the package's
     initialisation; returns (params, loss history)."""
     from gripsense import softness
-    params = softness._init_params(seed)
-    history = []
-    for _ in range(epochs):
-        loss, grads = ranker_loss_and_grads(tuple(params), patches, forces,
-                                            idx_a, idx_b, labels)
-        history.append(loss)
-        params = [p - learning_rate * g for p, g in zip(params, grads)]
-    history.append(ranker_loss_and_grads(tuple(params), patches, forces,
-                                         idx_a, idx_b, labels)[0])
-    return params, history
+    return lbfgs_reference(
+        lambda p: ranker_loss_and_grads(tuple(p), patches, forces, idx_a,
+                                        idx_b, labels),
+        softness._init_params(seed), epochs, learning_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -238,11 +238,26 @@ class TestSimSlipRoundTrip:
         assert "labels.csv, line 2" in err
 
 
+def _summary(out: str) -> dict:
+    """The key=value fields of a one-line command summary."""
+    return dict(field.split("=", 1) for field in out.split())
+
+
 class TestGeometryCommands:
     def test_calibrate_saves_loadable_model(self, model_file):
         from gripsense import geometry
         model = geometry.load_rgb2normal(model_file)
         assert model.final_loss is None or model.final_loss < 0.5
+
+    def test_calibrate_reports_iterations(self, geo_cfg_file, tmp_path,
+                                          capsys):
+        capsys.readouterr()
+        rc = cli.main(["calibrate", "--out", str(tmp_path / "m.txt"),
+                       "--config", geo_cfg_file])
+        assert rc == 0
+        fields = _summary(capsys.readouterr().out)
+        assert 1 <= int(fields["iterations"]) <= 60
+        assert 0.0 < float(fields["final_loss"]) < 0.5
 
     def test_reconstruct_reports_mse(self, model_file, geo_cfg_file, capsys):
         capsys.readouterr()
@@ -311,7 +326,10 @@ class TestSoftnessCommands:
         rc = cli.main(["softness-train", "--out", str(model),
                        "--config", cfg])
         assert rc == 0
-        assert "final_loss=" in capsys.readouterr().out
+        fields = _summary(capsys.readouterr().out)
+        assert 1 <= int(fields["iterations"]) <= 30
+        # six significant digits: a converged loss does not print as zero
+        assert float(fields["final_loss"]) > 0.0
         out = tmp_path / "groups.csv"
         rc = cli.main(["softness-eval", "--model", str(model),
                        "--config", cfg, "--out", str(out)])

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import gripsense
 from gripsense.core import (DiffFrame, DisplacementField, HeightMap,
-                            MarkerSet, NormalMap, TactileFrame, _warp_bilinear,
+                            MarkerSet, NormalMap, TactileFrame, _lbfgs,
+                            _warp_bilinear,
                             diff_image, load_frame, load_heightmap,
                             load_marker_tracks, rectify_frame, save_frame,
                             save_heightmap, save_marker_tracks)
@@ -346,6 +347,88 @@ class TestFieldTypes:
         r = np.random.default_rng(seed)
         f = TactileFrame(r.random((8, 8, 3)), 1.0)
         assert np.all(diff_image(f, f).values == 0.0)
+
+
+class TestLbfgs:
+    """The shared optimizer of the calibration fits, on small functions."""
+
+    @staticmethod
+    def _rosenbrock(params):
+        x, y = params[0][0], params[1]
+        loss = (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
+        dx = -2.0 * (1.0 - x) - 400.0 * x * (y - x * x)
+        return loss, (np.array([dx]), 200.0 * (y - x * x))
+
+    def test_rosenbrock_reaches_minimum(self):
+        # an array and a scalar parameter, the scalar coming back 0-d
+        (x, y), history = _lbfgs(self._rosenbrock, [np.array([-1.2]), 1.0],
+                                 500, 0.1)
+        assert x.shape == (1,) and y.shape == ()
+        assert abs(x[0] - 1.0) < 1e-4 and abs(y - 1.0) < 1e-4
+        assert len(history) < 501
+        assert np.all(np.diff(history) <= 0.0)
+        assert history[-1] == self._rosenbrock([x, y])[0]
+
+    def test_iteration_cap(self):
+        _, history = _lbfgs(self._rosenbrock, [np.array([-1.2]), 1.0], 3, 0.1)
+        assert len(history) == 4
+
+    def test_stops_on_small_gradient(self):
+        scale = np.array([1.0, 10.0, 100.0])
+
+        def quadratic(params):
+            return 0.5 * float(np.sum(scale * params[0] ** 2)), (scale * params[0],)
+
+        (x,), history = _lbfgs(quadratic, [np.ones(3)], 100, 1.0)
+        assert len(history) < 101
+        assert np.max(np.abs(scale * x)) <= 1e-5
+
+    def test_stops_on_small_reduction(self):
+        # the first step lowers the loss by 2e-9, under 2.2e-9 times
+        # max(|loss|, 1), although not relative to the loss itself (1e-5)
+        def flat(params):
+            return 1e-5 * float(params[0] @ params[0]), (2e-5 * params[0],)
+
+        _, history = _lbfgs(flat, [np.ones(1)], 50, 1e-4)
+        assert len(history) == 2
+        assert 0.0 < history[0] - history[1] <= 2.2e-9
+
+    def test_first_step_has_the_given_length(self):
+        points = []
+
+        def bowl(params):
+            points.append(params[0].copy())
+            return float(params[0] @ params[0]), (2.0 * params[0],)
+
+        _lbfgs(bowl, [np.array([3.0, 4.0])], 1, 0.5)
+        assert np.allclose(points[1], [2.7, 3.6], rtol=0, atol=1e-15)
+
+    def test_evaluates_in_place_and_leaves_input_alone(self):
+        start = [np.array([-1.2]), 1.0]
+        seen = []
+
+        def f(params):
+            seen.append((id(params), id(params[0])))
+            return self._rosenbrock(params)
+
+        params, _ = _lbfgs(f, start, 20, 0.1)
+        assert len(set(seen)) == 1 and seen[0] == (id(params), id(params[0]))
+        assert start[0][0] == -1.2
+
+    def test_non_finite_trial_backtracks(self):
+        # the loss is NaN past 3, where a first step of length 100 lands
+        def walled(params):
+            x = params[0][0]
+            loss = (x - 1.0) ** 2 if x < 3.0 else np.nan
+            return loss, (np.array([2.0 * (x - 1.0)]),)
+
+        (x,), history = _lbfgs(walled, [np.array([0.0])], 50, 100.0)
+        assert abs(x[0] - 1.0) < 1e-5
+        assert np.all(np.isfinite(history))
+
+    def test_non_finite_start_raises(self):
+        with pytest.raises(ValueError, match="initial"):
+            _lbfgs(lambda p: (np.inf, (np.ones(1),)), [np.zeros(1)], 10, 0.1)
 
 
 def test_package_reports_numba_absent():

@@ -9,7 +9,8 @@ from gripsense import geometry, sim
 from gripsense.core import (DiffFrame, HeightMap, NormalMap, TactileFrame,
                             diff_image)
 from oracles import (cap_normals_fd, fd_gradient_at, fit_rgb2normal_reference,
-                     poisson_reference, rgb2normal_loss_and_grads)
+                     poisson_reference, rgb2normal_init,
+                     rgb2normal_loss_and_grads)
 
 rng = np.random.default_rng(5)
 
@@ -82,6 +83,12 @@ def model(data):
     return geometry.fit_rgb2normal(data, epochs=200, seed=0)
 
 
+@pytest.fixture(scope="module")
+def oracle_fit(data):
+    """The reference L-BFGS's (params, loss history) on the fixture model's run."""
+    return fit_rgb2normal_reference(data, 200, 0.1, seed=0)
+
+
 class TestFit:
     def test_deterministic(self, data, model):
         again = geometry.fit_rgb2normal(data, epochs=200, seed=0)
@@ -92,9 +99,10 @@ class TestFit:
         other = geometry.fit_rgb2normal(data, epochs=200, seed=1)
         assert not np.array_equal(model.w1, other.w1)
 
-    def test_loss_history_non_increasing(self, model):
+    def test_loss_history_non_increasing(self, model, oracle_fit):
         hist = np.array(model.loss_history)
-        assert hist.shape == (201,)
+        # one loss per iteration run, plus the final one
+        assert hist.size == len(oracle_fit[1]) <= 201
         assert np.all(np.diff(hist) <= 1e-12)
         assert model.final_loss == hist[-1]
         assert model.final_loss < hist[0]
@@ -122,25 +130,35 @@ def _params(model):
     return (model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
 
 
-def _assert_fit_matches_oracle(data, epochs, model):
-    params, history = fit_rgb2normal_reference(data, epochs, 0.1, seed=0)
-    for got, want in zip(_params(model), params):
-        assert np.array_equal(got, want)
-    assert model.loss_history == tuple(history)
+# L-BFGS amplifies the round-off by which the kernel and the package's
+# optimizer differ from their references; over 60 iterations the histories
+# stay within 4e-12 of each other.
+ORACLE_ITERATIONS = 60
+
+
+def _assert_history_matches(got, want, iterations):
+    """The first ``iterations`` + 1 losses agree to 1e-9 relative."""
+    got, want = np.array(got[:iterations + 1]), np.array(want[:iterations + 1])
+    assert got.size == want.size == iterations + 1
+    assert np.max(np.abs(got - want) / want) <= 1e-9
 
 
 class TestTrainingKernel:
-    """The allocation-free epoch against the allocating reference in
-    ``oracles``, and against central differences of its own loss."""
+    """The allocation-free loss and the package's L-BFGS against the
+    allocating references in ``oracles``, and against central differences
+    of the loss."""
 
-    def test_fixture_fit_bit_equal_to_oracle(self, data, model):
-        _assert_fit_matches_oracle(data, 200, model)
+    def test_fixture_fit_matches_oracle(self, model, oracle_fit):
+        _assert_history_matches(model.loss_history, oracle_fit[1],
+                                ORACLE_ITERATIONS)
 
-    def test_criterion8_recipe_bit_equal_to_oracle(self, data):
+    def test_criterion8_recipe_matches_oracle(self, data):
         # the criterion-8 recipe's 3 presses at 64 px are the fixture's data
         model = geometry.fit_rgb2normal(data, epochs=120, learning_rate=0.1,
                                         seed=0)
-        _assert_fit_matches_oracle(data, 120, model)
+        _, history = fit_rgb2normal_reference(data, ORACLE_ITERATIONS, 0.1)
+        _assert_history_matches(model.loss_history, history,
+                                ORACLE_ITERATIONS)
 
     def test_fits_of_different_sizes_share_no_state(self, data):
         small = geometry.build_calibration_dataset(
@@ -148,8 +166,32 @@ class TestTrainingKernel:
                                          resolution=40))
         assert len(small) != len(data)
         for d in (small, data, small):
-            _assert_fit_matches_oracle(
-                d, 30, geometry.fit_rgb2normal(d, epochs=30, seed=0))
+            model = geometry.fit_rgb2normal(d, epochs=30, seed=0)
+            _, history = fit_rgb2normal_reference(d, 30, 0.1)
+            _assert_history_matches(model.loss_history, history, 30)
+
+    @pytest.mark.parametrize("recipe", ["criterion8_model", "library_model"])
+    def test_final_loss_near_scipy_lbfgsb(self, request, recipe):
+        # scipy's L-BFGS-B under the same iteration cap, from the same start
+        from scipy.optimize import minimize
+        model = request.getfixturevalue(recipe)
+        data = _recipe_data(recipe)
+        x, t = data.features, data.normals[:, :2]
+        buf = geometry._training_buffers(len(data))
+        start = rgb2normal_init(seed=0)
+        shapes = [p.shape for p in start]
+        bounds = np.cumsum([0] + [p.size for p in start])
+
+        def f(flat):
+            params = [flat[lo:hi].reshape(s)
+                      for s, lo, hi in zip(shapes, bounds[:-1], bounds[1:])]
+            loss, grads = geometry._loss_and_grads(params, x, t, buf)
+            return loss, np.concatenate([g.ravel() for g in grads])
+
+        result = minimize(f, np.concatenate([p.ravel() for p in start]),
+                          jac=True, method="L-BFGS-B",
+                          options={"maxiter": RECIPES[recipe][2]})
+        assert abs(model.final_loss / result.fun - 1.0) <= 0.05
 
     def test_stale_buffers_are_never_read(self, data, model):
         x, t = data.features, data.normals[:, :2]
@@ -191,21 +233,46 @@ class TestTrainingKernel:
             assert abs(fd[i] - flat_grad[i]) / denom < 1e-4
 
 
+# the calibration recipes the fixtures of the same names fit:
+# (presses, press raster side in px, epochs)
+RECIPES = {"criterion8_model": (3, 64, 120), "library_model": (8, 128, 1000)}
+
+
+def _recipe_data(recipe):
+    presses, px, _ = RECIPES[recipe]
+    return geometry.build_calibration_dataset(sim.make_calibration_presses(
+        presses, rng=np.random.default_rng(0), resolution=px))
+
+
+def _fit_recipe(recipe):
+    return geometry.fit_rgb2normal(_recipe_data(recipe),
+                                   epochs=RECIPES[recipe][2],
+                                   learning_rate=0.1, seed=0)
+
+
 @pytest.fixture(scope="module")
 def criterion8_model():
-    presses = sim.make_calibration_presses(3, rng=np.random.default_rng(0),
-                                           resolution=64)
-    return geometry.fit_rgb2normal(geometry.build_calibration_dataset(presses),
-                                   epochs=120, learning_rate=0.1, seed=0)
+    return _fit_recipe("criterion8_model")
 
 
 @pytest.fixture(scope="module")
 def library_model():
     """The library-default recipe (criteria 1, 4 and 6), more curved than criterion 8's."""
-    presses = sim.make_calibration_presses(8, rng=np.random.default_rng(0),
-                                           resolution=128)
-    return geometry.fit_rgb2normal(geometry.build_calibration_dataset(presses),
-                                   epochs=1000, learning_rate=0.1, seed=0)
+    return _fit_recipe("library_model")
+
+
+def test_flat_frame_reads_no_phantom_height(criterion8_model):
+    # A noisy flat frame on the tick raster must stay well under the 0.3 mm
+    # contact threshold; an under-converged model read 0.21 mm here.
+    gel, rig = sim.GelModel(), sim.default_rig()
+    shape = (240, 320)
+    ppm = shape[1] / gel.gel_size_mm
+    flat = HeightMap(np.zeros(shape), ppm)
+    background = sim.render_tactile(flat, rig, gel)
+    img = sim.render_tactile(flat, rig, gel, 0.01, np.random.default_rng(0))
+    normals = geometry.predict_normals(diff_image(img, background),
+                                       criterion8_model)
+    assert geometry.integrate_normals(normals, ppm).values.max() <= 0.1
 
 
 def _reference_normals(frame, model):
