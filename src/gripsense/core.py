@@ -15,7 +15,10 @@ decomposition diagonalize their operators with. ``_lbfgs`` is the numpy
 L-BFGS that both calibration fits, geometry's and softness's, run.
 
 Everything here is immutable after construction: arrays are copied and marked
-read-only, so instances can be shared freely across threads.
+read-only, so instances can be shared freely across threads. The package's
+own stages hand the raster they have just built to ``DiffFrame``,
+``NormalMap`` or ``HeightMap`` wrapped in ``_Adopt`` instead: the type checks
+that array once, in place, and keeps it, so no full-frame copy is made.
 """
 
 from __future__ import annotations
@@ -31,6 +34,30 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+class _Adopt:
+    """A float64 raster that a stage of this package has just built and
+    keeps no other reference to, handed to ``DiffFrame``, ``NormalMap`` or
+    ``HeightMap`` as its values: the type runs its checks on that array
+    once, in place, marks it read-only and keeps it instead of a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _owned(values) -> np.ndarray:
+    """The float64 raster a type keeps: an adopted one itself, else a copy."""
+    if isinstance(values, _Adopt):
+        return values.array
+    return np.array(values, dtype=np.float64)
+
+
+def _check_nonempty(v: np.ndarray, what: str) -> None:
+    if v.size == 0:
+        raise ValueError(f"{what} must be non-empty, got shape {v.shape}")
 
 
 def _check_pitch(px_per_mm) -> None:
@@ -190,9 +217,10 @@ class DiffFrame:
     timestamp: float = 0.0
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
+        v = _owned(self.values)
         if v.ndim != 3 or v.shape[2] != 3:
             raise ValueError(f"values must be (H, W, 3), got {v.shape}")
+        _check_nonempty(v, "diff frame")
         _clip_owned(v, -1.0, 1.0, "diff values")
         _check_pitch(self.px_per_mm)
         object.__setattr__(self, "values", v)
@@ -209,16 +237,23 @@ class NormalMap:
     values: np.ndarray          # (H, W, 3)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _owned(self.values)
         if v.ndim != 3 or v.shape[2] != 3:
             raise ValueError(f"values must be (H, W, 3), got {v.shape}")
-        norms = np.sqrt(v[:, :, 0] ** 2 + v[:, :, 1] ** 2 + v[:, :, 2] ** 2)
-        # written so that a NaN in any component fails it
-        if not np.all(np.abs(norms - 1.0) <= 1e-6):
+        _check_nonempty(v, "normal map")
+        # |n| - 1 accumulated in one (H, W) buffer; a NaN in any component
+        # makes the largest deviation NaN, which fails the test
+        dev = np.square(v[:, :, 0])
+        dev += np.square(v[:, :, 1])
+        dev += np.square(v[:, :, 2])
+        np.sqrt(dev, out=dev)
+        dev -= 1.0
+        if not np.abs(dev, out=dev).max() <= 1e-6:
             raise ValueError("normals must be unit length to 1e-6")
         if np.min(v[:, :, 2]) <= 0:
             raise ValueError("nz must be positive everywhere")
-        object.__setattr__(self, "values", _readonly(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -234,13 +269,16 @@ class HeightMap:
     px_per_mm: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _owned(self.values)
         if v.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        _check_nonempty(v, "heightmap")
+        lo, hi = v.min(), v.max()        # NaN and inf propagate into these
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("heightmap values must be finite")
         _check_pitch(self.px_per_mm)
-        object.__setattr__(self, "values", _readonly(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def shape(self) -> tuple:
@@ -248,7 +286,7 @@ class HeightMap:
 
     def gauged(self) -> "HeightMap":
         """Copy with the minimum shifted to exactly 0."""
-        return HeightMap(self.values - self.values.min(), self.px_per_mm)
+        return HeightMap(_Adopt(self.values - self.values.min()), self.px_per_mm)
 
 
 @dataclass(frozen=True)
@@ -301,6 +339,7 @@ class ScalarField:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError("scalar field must be 2-D")
+        _check_nonempty(v, "scalar field")
         if not np.all(np.isfinite(v)):
             raise ValueError("scalar field must be finite")
         object.__setattr__(self, "values", _readonly(v))
@@ -433,11 +472,11 @@ def rectify_frame(raw: np.ndarray, corners, out_size: tuple[int, int],
 
 
 def diff_image(contact: TactileFrame, background: TactileFrame) -> DiffFrame:
-    """Pixelwise contact minus background."""
+    """Pixelwise contact minus background, subtracted into the returned array."""
     if contact.pixels.shape != background.pixels.shape:
         raise ValueError(
             f"shape mismatch: {contact.pixels.shape} vs {background.pixels.shape}")
-    return DiffFrame(contact.pixels - background.pixels,
+    return DiffFrame(_Adopt(np.subtract(contact.pixels, background.pixels)),
                      contact.px_per_mm, contact.timestamp)
 
 

@@ -176,22 +176,45 @@ def _central_diff(f: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _parity_sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (n,) and orthonormal eigenvectors (n, n) of -D^2 on n nodes.
+def _parity_sine_basis(n: int) -> tuple[np.ndarray, tuple]:
+    """Eigenvalues (n,) of -D^2 on n nodes, and its orthonormal eigenvectors
+    as one block per node parity.
 
     -D^2 is 0.5 on the diagonal and -0.25 two nodes away. Each parity chain
     is a Dirichlet [-1, 2, -1]/4 chain of length m, with eigenvectors
     sqrt(2/(m+1)) sin(pi j k/(m+1)) (the m-point sine matrix of
     ``sine_block``, shared with the Poisson solve) and eigenvalues
-    (1 - cos(pi k/(m+1)))/2.
+    (1 - cos(pi k/(m+1)))/2. Block p, symmetric, takes the nodes p::2 to
+    their chain's modes; the even nodes' modes come first in the
+    eigenvalues, then the odd nodes'.
     """
-    lam, q = np.empty(n), np.zeros((n, n))
-    for first in (0, 1):
-        m, col = (n - first + 1) // 2, first * ((n + 1) // 2)
-        k = np.arange(1, m + 1)
-        q[first::2, col:col + m] = sine_block(m, k, k)
-        lam[col:col + m] = 0.5 - 0.5 * np.cos(np.pi * k / (m + 1))
-    return lam, q
+    even, odd = (n + 1) // 2, n // 2
+    lam_even, s_even = _chain_modes(even)
+    lam_odd, s_odd = (lam_even, s_even) if odd == even else _chain_modes(odd)
+    return np.concatenate([lam_even, lam_odd]), (s_even, s_odd)
+
+
+def _chain_modes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and the m-point sine matrix of one parity chain."""
+    k = np.arange(1, m + 1)
+    return 0.5 - 0.5 * np.cos(np.pi * k / (m + 1)), sine_block(m, k, k)
+
+
+def _to_modes(x: np.ndarray, blocks: tuple, out: np.ndarray) -> None:
+    """Write into ``out`` the sine modes of x along its last axis, each
+    parity's nodes through that parity's block."""
+    at = 0
+    for first, s in enumerate(blocks):
+        np.matmul(x[..., first::2], s, out=out[..., at:at + len(s)])
+        at += len(s)
+
+
+def _from_modes(c: np.ndarray, blocks: tuple, out: np.ndarray) -> None:
+    """The inverse of ``_to_modes``: node values from the modes of ``c``."""
+    at = 0
+    for first, s in enumerate(blocks):
+        np.matmul(c[..., at:at + len(s)], s, out=out[..., first::2])
+        at += len(s)
 
 
 def hhd_decompose(v: DisplacementField) -> HHDResult:
@@ -204,18 +227,24 @@ def hhd_decompose(v: DisplacementField) -> HHDResult:
     Central differences link only nodes two apart, so on each axis the normal
     equations' operator is two Dirichlet chains, one per node parity, each
     diagonalized exactly by sines (``_parity_sine_basis``). Both potentials
-    come from one fast diagonalization (Lynch, Rice & Thomas 1964).
+    come from one fast diagonalization (Lynch, Rice & Thomas 1964), whose
+    transforms are half-size products, one per parity.
     """
     vals = v.values
     h, w = vals.shape[:2]
     if h < 8 or w < 8:
         raise ValueError("field must be at least 8x8")
-    rhs = np.stack([-divergence(v), curl(v)])
-    lx, qx = _parity_sine_basis(w - 2)
-    ly, qy = _parity_sine_basis(h - 2)
+    rhs = np.stack([-divergence(v), curl(v)])[:, 1:-1, 1:-1]
+    lx, bx = _parity_sine_basis(w - 2)
+    ly, by = (lx, bx) if h == w else _parity_sine_basis(h - 2)
+    a, b = np.empty_like(rhs), np.empty_like(rhs)
+    # transposed views take the modes down the columns
+    _to_modes(rhs.swapaxes(1, 2), by, a.swapaxes(1, 2))
+    _to_modes(a, bx, b)
+    b /= ly[:, None] + lx
+    _from_modes(b.swapaxes(1, 2), by, a.swapaxes(1, 2))
     pots = np.zeros((2, h, w))
-    pots[:, 1:-1, 1:-1] = qy @ ((qy.T @ rhs[:, 1:-1, 1:-1] @ qx)
-                                / (ly[:, None] + lx)) @ qx.T
+    _from_modes(a, bx, pots[:, 1:-1, 1:-1])
     if not np.all(np.isfinite(pots)):
         raise ValueError("potential solve failed: non-finite solution")
     dx, dy = _central_diff(pots, -1), _central_diff(pots, -2)

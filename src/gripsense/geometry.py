@@ -24,6 +24,17 @@ per raster on a grid of nodes at most 4 px and 0.025 normalized units
 apart and interpolated bilinearly; expansion pixels stay within 2e-3 per
 normal component of the MLP. The float64 ``_forward`` is the training path
 and the reference the float32 pass is tested against.
+
+Both tick stages write their result once, into the array they return, and
+hand it to ``NormalMap`` or ``HeightMap`` wrapped in ``core._Adopt``, so the
+type checks it in place instead of copying it. ``predict_normals`` fills the
+(H*W, 3) output's columns directly, keeping |(nx, ny)|^2 in the nz column
+until nz replaces it; ``integrate_normals`` builds both slope fields, one
+after the other, in one buffer that then serves as the sine solve's work
+array. The reason is page faults: whether glibc serves a fresh full-frame
+array from pages it holds or from newly mapped ones depends on what the
+process allocated before, and at 240x320 copies and temporaries of about
+23 MB a tick cost up to about 1500 minor faults per tick.
 """
 
 from __future__ import annotations
@@ -32,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DiffFrame, HeightMap, NormalMap, _check_pitch, _lbfgs,
-                   sine_block)
+from .core import (DiffFrame, HeightMap, NormalMap, _Adopt, _check_pitch,
+                   _lbfgs, sine_block)
 
 LAYER_SIZES = (5, 32, 32, 2)
 DEFAULT_EPOCHS = 1000
@@ -434,34 +445,38 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     h, w, _ = frame.values.shape
     planes = _expansion(model, h, w).reshape(8, -1)
     rgb = frame.values.reshape(-1, 3).T.astype(np.float32)
-    # Full-frame temporaries are reused: fresh ones measured slower.
-    tmp = np.empty(h * w, np.float32)
-    lin = planes[:2].copy()
-    for c in range(3):
-        for k in range(2):
-            lin[k] += np.multiply(planes[2 + 3 * k + c], rgb[c], out=tmp)
-    mag = np.abs(rgb[0])
+    # Columns nx, ny and nz of the result; nz holds |(nx, ny)|^2 until last.
+    out = np.empty((h * w, 3))
+    n0, n1, t2 = out[:, 0], out[:, 1], out[:, 2]
+    # Two float32 work rows, reused, that later serve as one float64 row.
+    work = np.empty(2 * h * w, np.float32)
+    acc, tmp = work[:h * w], work[h * w:]
+    for k, col in enumerate((n0, n1)):
+        np.copyto(acc, planes[k])
+        for c in range(3):
+            acc += np.multiply(planes[2 + 3 * k + c], rgb[c], out=tmp)
+        col[:] = acc
+    mag = np.abs(rgb[0], out=acc)
     for c in (1, 2):
         np.maximum(mag, np.abs(rgb[c], out=tmp), out=mag)
     idx = np.flatnonzero(mag > _LINEAR_TAU)
-    n2 = lin.astype(np.float64)
-    t2 = n2[0] * n2[0]
-    t2 += n2[1] * n2[1]
+    np.multiply(n0, n0, out=t2)
+    t2 += np.multiply(n1, n1, out=work.view(np.float64))
     over = t2 > _NORM_CLAMP * _NORM_CLAMP
     if np.any(over):
-        n2[:, over] *= _NORM_CLAMP / np.sqrt(t2[over])
-        t2[over] = n2[0, over] * n2[0, over] + n2[1, over] * n2[1, over]
+        out[over, :2] *= (_NORM_CLAMP / np.sqrt(t2[over]))[:, None]
+        t2[over] = n0[over] * n0[over] + n1[over] * n1[over]
     xn, yn = _grid_coords(h, w)
     feats = np.empty((idx.size, 5), np.float32)
     feats[:, :3] = rgb[:, idx].T
     feats[:, 3] = xn[idx % w]
     feats[:, 4] = yn[idx // w]
     mlp = _mlp(model, feats)
-    n2[:, idx] = mlp.T
+    out[idx, :2] = mlp
     t2[idx] = mlp[:, 0] * mlp[:, 0] + mlp[:, 1] * mlp[:, 1]
-    nz = np.subtract(1.0, t2, out=t2)
-    np.sqrt(np.maximum(nz, 0.0, out=nz), out=nz)
-    return NormalMap(np.stack([n2[0], n2[1], nz], axis=1).reshape(h, w, 3))
+    np.subtract(1.0, t2, out=t2)
+    np.sqrt(np.maximum(t2, 0.0, out=t2), out=t2)
+    return NormalMap(_Adopt(out.reshape(h, w, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +520,10 @@ def _unfold(x: np.ndarray, out: np.ndarray) -> None:
     np.subtract(x[:p], x[q:], out=out[:-p - 1:-1])    # the last p rows
 
 
-def _sine_solve(rhs: np.ndarray, out: np.ndarray) -> None:
+def _sine_solve(rhs: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     """Solve -laplacian(u) = rhs with zero Dirichlet data around ``rhs``,
-    writing u into ``out``; ``rhs`` is overwritten.
+    writing u into ``out``; ``rhs`` and ``work``, a C-ordered array of its
+    shape, are overwritten.
 
     Fast diagonalization: u = Sy ((Sy rhs Sx) / (lam_y + lam_x)) Sx. Each
     sine transform is two half-size products, one per mode parity, on the
@@ -518,7 +534,7 @@ def _sine_solve(rhs: np.ndarray, out: np.ndarray) -> None:
     ay, by, ly = _folded_basis(rhs.shape[0])
     ax, bx, lx = _folded_basis(rhs.shape[1])
     hy, hx = ay.shape[0], ax.shape[0]
-    a, b = np.empty_like(rhs), rhs
+    a, b = work, rhs
     _fold(rhs, a)
     np.matmul(ay, a[:hy], out=b[:hy])           # sine modes down the rows
     np.matmul(by, a[hy:], out=b[hy:])
@@ -557,14 +573,24 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     h, w = v.shape[:2]
     if h < 3 or w < 3:
         raise ValueError("normal map too small to integrate")
-    # slopes of the opposite sign, so ``rhs`` is -div g on the interior
-    gx = v[1:-1, :, 0] / v[1:-1, :, 2] / px_per_mm
-    gy = v[:, 1:-1, 1] / v[:, 1:-1, 2] / px_per_mm
-    rhs = (gx[:, 2:] - gx[:, :-2] + gy[2:] - gy[:-2]) / 2.0
+    # Slopes of the opposite sign, so ``rhs`` is -div g on the interior.
+    # One buffer holds the x slopes, then the y slopes, then the solve's
+    # work array.
+    buf = np.empty(max((h - 2) * w, h * (w - 2)))
+    gx = np.divide(v[1:-1, :, 0], v[1:-1, :, 2],
+                   out=buf[:(h - 2) * w].reshape(h - 2, w))
+    gx /= px_per_mm
+    rhs = np.subtract(gx[:, 2:], gx[:, :-2])
+    gy = np.divide(v[:, 1:-1, 1], v[:, 1:-1, 2],
+                   out=buf[:h * (w - 2)].reshape(h, w - 2))
+    gy /= px_per_mm
+    rhs += gy[2:]
+    rhs -= gy[:-2]
+    rhs /= 2.0
     full = np.zeros((h, w))
-    _sine_solve(rhs, full[1:-1, 1:-1])
+    _sine_solve(rhs, full[1:-1, 1:-1], buf[:rhs.size].reshape(rhs.shape))
     full -= full.min()
-    return HeightMap(full, px_per_mm)
+    return HeightMap(_Adopt(full), px_per_mm)
 
 
 def reconstruction_error(predicted: HeightMap, truth: HeightMap) -> float:

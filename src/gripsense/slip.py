@@ -199,13 +199,6 @@ def detect_slip(obj_v: np.ndarray, marker_v: np.ndarray,
     return bool(np.linalg.norm(diff) > threshold_px)
 
 
-def detect_slip_series(obj_v: np.ndarray, marker_v: np.ndarray,
-                       threshold_px: float = DEFAULT_THRESHOLD_PX) -> np.ndarray:
-    """Vectorized threshold rule over (T, 2) velocity series."""
-    diff = np.linalg.norm(np.asarray(obj_v) - np.asarray(marker_v), axis=1)
-    return diff > threshold_px
-
-
 @dataclass(frozen=True)
 class SlipReport:
     """Per-frame detector outputs plus (when evaluated) summary metrics."""

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import gripsense
 from gripsense.core import (DiffFrame, DisplacementField, HeightMap,
-                            MarkerSet, NormalMap, TactileFrame, _lbfgs,
+                            MarkerSet, NormalMap, ScalarField, TactileFrame,
+                            _lbfgs,
                             _warp_bilinear,
                             diff_image, load_frame, load_heightmap,
                             load_marker_tracks, rectify_frame, save_frame,
@@ -117,10 +118,37 @@ class TestHeightMap:
         HeightMap(np.full((4, 4), 0.1), 1.0)
 
     def test_rejects_nonfinite(self):
-        bad = np.zeros((4, 4))
-        bad[1, 1] = np.inf
-        with pytest.raises(ValueError):
-            HeightMap(bad, 1.0)
+        for value in (np.inf, -np.inf, np.nan):
+            bad = np.zeros((4, 4))
+            bad[1, 1] = value
+            with pytest.raises(ValueError, match="finite"):
+                HeightMap(bad, 1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: DiffFrame(v[:, :, None].repeat(3, axis=2), 1.0),
+    lambda v: NormalMap(v[:, :, None].repeat(3, axis=2)),
+    lambda v: HeightMap(v, 1.0),
+    lambda v: ScalarField(v),
+], ids=["DiffFrame", "NormalMap", "HeightMap", "ScalarField"])
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_empty_raster_raises(make, shape):
+    with pytest.raises(ValueError, match="must be non-empty"):
+        make(np.zeros(shape))
+
+
+@pytest.mark.parametrize("make, get", [
+    (lambda v: NormalMap(v), lambda m: m.values),
+    (lambda v: HeightMap(v[:, :, 2], 1.0), lambda m: m.values),
+    (lambda v: HeightMap(v[:, :, 2], 1.0).gauged(), lambda m: m.values),
+    (lambda v: DiffFrame(v, 1.0), lambda m: m.values),
+], ids=["NormalMap", "HeightMap", "gauged", "DiffFrame"])
+def test_public_construction_copies(make, get):
+    v = np.zeros((4, 5, 3))
+    v[:, :, 2] = 1.0
+    got = get(make(v))
+    assert not got.flags.writeable and v.flags.writeable
+    assert not np.shares_memory(got, v)
 
 
 class TestMarkerSet:

@@ -167,6 +167,17 @@ class TestIdw:
         assert out.max() <= vals.max() + 1e-12
 
 
+def _dense_parity_basis(n):
+    """``force._parity_sine_basis`` as one dense (n, n) eigenvector matrix,
+    the parity blocks placed on their nodes' rows."""
+    lam, blocks = force._parity_sine_basis(n)
+    q, at = np.zeros((n, n)), 0
+    for first, s in enumerate(blocks):
+        q[first::2, at:at + len(s)] = s
+        at += len(s)
+    return lam, q
+
+
 class TestHHD:
     def _field(self, seed=0, n=16):
         r = np.random.default_rng(seed)
@@ -207,12 +218,24 @@ class TestHHD:
         e = interior_embedding(h, w)
         a, b = gx @ e, gy @ e
         k = a.T @ a + b.T @ b
-        lx, qx = force._parity_sine_basis(w - 2)
-        ly, qy = force._parity_sine_basis(h - 2)
+        lx, qx = _dense_parity_basis(w - 2)
+        ly, qy = _dense_parity_basis(h - 2)
         q = np.kron(qy, qx)                         # row-major interior order
         lam = np.add.outer(ly, lx).ravel()
         assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) < 1e-12
         assert np.max(np.abs(q.T @ k @ q - np.diag(lam))) < 1e-12
+
+    @pytest.mark.parametrize("h,w", [(8, 8), (9, 11), (24, 24), (25, 30)])
+    def test_half_size_products_match_dense_basis(self, h, w):
+        v = DisplacementField(np.random.default_rng(h + w).normal(0, 1, (h, w, 2)))
+        out = force.hhd_decompose(v)
+        lx, qx = _dense_parity_basis(w - 2)
+        ly, qy = _dense_parity_basis(h - 2)
+        rhs = np.stack([-force.divergence(v), force.curl(v)])[:, 1:-1, 1:-1]
+        want = qy @ ((qy.T @ rhs @ qx) / (ly[:, None] + lx)) @ qx.T
+        for got, ref in ((out.phi, want[0]), (out.psi, want[1])):
+            assert np.max(np.abs(got.values[1:-1, 1:-1] - ref)) \
+                <= 1e-13 * np.max(np.abs(ref))
 
     def test_idempotent(self):
         out = force.hhd_decompose(self._field(3))

@@ -163,6 +163,11 @@ class TestMarkerVelocity:
             slip.marker_velocity(tracks, _disc_masks([(40.0, 40.0)] * 2))
 
 
+def _flags(ov, mv, threshold):
+    """The threshold rule applied frame by frame."""
+    return np.array([slip.detect_slip(o, m, threshold) for o, m in zip(ov, mv)])
+
+
 class TestThresholdRule:
     def test_strictly_greater(self):
         assert not slip.detect_slip([10.0, 0.0], [0.0, 0.0], 10.0)
@@ -170,21 +175,14 @@ class TestThresholdRule:
         assert not slip.detect_slip([6.0, 8.0], [0.0, 0.0], 10.0)
         assert slip.detect_slip([6.1, 8.1], [0.0, 0.0], 10.0)
 
-    def test_series_matches_scalar_rule(self):
-        ov = rng.normal(0, 8, (50, 2))
-        mv = rng.normal(0, 8, (50, 2))
-        flags = slip.detect_slip_series(ov, mv, 10.0)
-        singles = [slip.detect_slip(o, m, 10.0) for o, m in zip(ov, mv)]
-        assert flags.tolist() == singles
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.1, 40.0), st.floats(0.0, 40.0))
     def test_monotone_in_threshold(self, seed, t_low, extra):
         r = np.random.default_rng(seed)
         ov = r.normal(0, 8, (30, 2))
         mv = r.normal(0, 8, (30, 2))
-        low = slip.detect_slip_series(ov, mv, t_low)
-        high = slip.detect_slip_series(ov, mv, t_low + extra)
+        low = _flags(ov, mv, t_low)
+        high = _flags(ov, mv, t_low + extra)
         assert np.all(high <= low)        # raising the threshold never adds flags
 
     @settings(max_examples=25, deadline=None)
@@ -192,13 +190,13 @@ class TestThresholdRule:
     def test_rigid_common_motion_is_never_slip(self, seed):
         r = np.random.default_rng(seed)
         v = r.normal(0, 30, (20, 2))
-        flags = slip.detect_slip_series(v, v, 1e-12)
+        flags = _flags(v, v, 1e-12)
         assert not flags.any()
 
     def test_huge_threshold_flags_nothing(self):
         ov = rng.normal(0, 50, (40, 2))
         mv = rng.normal(0, 50, (40, 2))
-        assert not slip.detect_slip_series(ov, mv, 1e9).any()
+        assert not _flags(ov, mv, 1e9).any()
 
 
 class TestAnalyzeSequence:
@@ -210,8 +208,7 @@ class TestAnalyzeSequence:
         mv = slip.marker_velocity(seq.tracks, seq.masks, 3)
         assert np.array_equal(report.object_v, ov)
         assert np.array_equal(report.marker_v, mv)
-        assert np.array_equal(report.flags,
-                              slip.detect_slip_series(ov, mv, 10.0))
+        assert np.array_equal(report.flags, _flags(ov, mv, 10.0))
         assert report.precision is None
 
     def test_report_invariant_enforced(self):
