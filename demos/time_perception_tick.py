@@ -1,5 +1,9 @@
 """Time one full perception tick (image diff, normals, heightmap, contact
-mask, slip check, normal and shear force) with per-stage breakdown.
+mask, slip check, normal and shear force) through gripsense.perception.
+
+For the time each stage takes, run the benchmark with its per-layer trace:
+python3 perfbench/run.py --workload tick_240x320 --seed 1 --seconds 15
+--trace 1.
 
 Run: python3 demos/time_perception_tick.py [--resolution 128]
 """
@@ -11,6 +15,7 @@ import numpy as np
 
 from gripsense import core, force, geometry, sim, slip
 from gripsense.core import HeightMap
+from gripsense.perception import Perception
 
 
 def main():
@@ -41,44 +46,17 @@ def main():
     sh_model = force.fit_shear_model(force.build_shear_features(pairs), labels)
     rest = sim.marker_grid(gel, ppm, (res, res))
     moved = rest.moved(np.full(rest.xy.shape, 0.4))
-    tracks = [rest] * 6
     current = sim.CURRENT_GAIN * 3.0 + sim.CURRENT_OFFSET
+    perception = Perception(geo_model, nf_model, sh_model, flat, rest)
 
-    stages = ("diff", "normals", "heightmap", "mask", "slip", "force")
-
-    def tick(acc):
-        t = time.perf_counter()
-        diff = core.diff_image(img, flat)
-        acc["diff"] += time.perf_counter() - t; t = time.perf_counter()
-        normals = geometry.predict_normals(diff, geo_model)
-        acc["normals"] += time.perf_counter() - t; t = time.perf_counter()
-        height = geometry.integrate_normals(normals, ppm)
-        acc["heightmap"] += time.perf_counter() - t; t = time.perf_counter()
-        mask = slip.segment_contact(height)
-        acc["mask"] += time.perf_counter() - t; t = time.perf_counter()
-        masks = [mask] * 6
-        v_obj = slip.object_velocity(masks)[-1]
-        v_mark = slip.marker_velocity(tracks, masks)[-1]
-        slip.detect_slip(v_obj, v_mark, 10.0)
-        acc["slip"] += time.perf_counter() - t; t = time.perf_counter()
-        force.predict_normal_force(current, nf_model)
-        field = force.interpolate_markers(rest, moved, (24, 24))
-        feat = force.shear_features(field, force.hhd_decompose(field), mask)
-        force.predict_shear(feat, sh_model)
-        acc["force"] += time.perf_counter() - t
-
-    warm = dict.fromkeys(stages, 0.0)
-    tick(warm)
-    tick(warm)
-    acc = dict.fromkeys(stages, 0.0)
+    for _ in range(slip.TICK_WINDOW):       # warm caches, fill the slip window
+        perception.tick(img, moved, current)
     totals = []
     for _ in range(args.ticks):
         t0 = time.perf_counter()
-        tick(acc)
+        perception.tick(img, moved, current)
         totals.append(time.perf_counter() - t0)
 
-    for stage in stages:
-        print(f"  {stage:<10} {1e3 * acc[stage] / args.ticks:7.2f} ms")
     diff = core.diff_image(img, flat)
     mlp_share = np.mean(np.abs(diff.values).max(axis=2) > geometry._LINEAR_TAU)
     print(f"MLP evaluated on {100 * mlp_share:.1f}% of pixels; the rest took "

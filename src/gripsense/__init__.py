@@ -7,6 +7,7 @@ sim       deterministic synthetic tactile sensor and grasp scenes
 geometry  RGB-to-normal calibration and Poisson heightmap integration
 force     normal force from motor current, shear force from field decomposition
 slip      contact segmentation and slip detection / evaluation
+perception the 15 Hz tick: models, sensor references and slip history
 softness  pairwise softness ranking (clip embedder + bilinear comparator)
 harvest   simulated harvesting ablation (open-loop / slip / slip+force)
 config    flat key=value configuration with schema validation

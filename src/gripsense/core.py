@@ -23,8 +23,7 @@ that array once, in place, and keeps it, so no full-frame copy is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -481,66 +480,8 @@ def diff_image(contact: TactileFrame, background: TactileFrame) -> DiffFrame:
 
 
 # ---------------------------------------------------------------------------
-# persistence: P6 pixmap for frames, CSV for heightmaps and marker tracks
+# persistence: CSV for heightmaps and marker tracks
 # ---------------------------------------------------------------------------
-
-def save_frame(path, frame: TactileFrame) -> None:
-    """Write an 8-bit binary portable pixmap with metadata comment lines."""
-    h, w = frame.pixels.shape[:2]
-    data = np.rint(frame.pixels * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(b"P6\n")
-        f.write(f"# px_per_mm {frame.px_per_mm:.9g}\n".encode())
-        f.write(f"# timestamp {frame.timestamp:.9g}\n".encode())
-        f.write(f"{w} {h}\n255\n".encode())
-        f.write(data.tobytes())
-
-
-def load_frame(path) -> TactileFrame:
-    with open(path, "rb") as f:
-        blob = f.read()
-    tokens: list[bytes] = []
-    meta = {}
-    pos = 0
-    line_no = 1
-    # header is whitespace/comment structured; consume until 4 tokens found
-    while len(tokens) < 4:
-        if pos >= len(blob):
-            raise ValueError(f"line {line_no}: truncated pixmap header")
-        nl = blob.find(b"\n", pos)
-        if nl < 0:
-            nl = len(blob)
-        line = blob[pos:nl]
-        if line.startswith(b"#"):
-            parts = line[1:].split()
-            if len(parts) == 2:
-                try:
-                    meta[parts[0].decode()] = float(parts[1])
-                except ValueError:
-                    pass
-        else:
-            for tok in line.split():
-                tokens.append(tok)
-                if len(tokens) == 4:
-                    # pixel data begins one byte after this header line's newline
-                    break
-        pos = nl + 1
-        line_no += 1
-    if tokens[0] != b"P6":
-        raise ValueError(f"line 1: expected P6 magic, got {tokens[0]!r}")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise ValueError(f"line {line_no - 1}: malformed pixmap dimensions") from exc
-    if maxval != 255:
-        raise ValueError(f"line {line_no - 1}: only maxval 255 supported")
-    need = w * h * 3
-    payload = blob[pos:pos + need]
-    if len(payload) < need:
-        raise ValueError(f"pixel data truncated: expected {need} bytes, got {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3) / 255.0
-    return TactileFrame(pixels, meta.get("px_per_mm", 1.0), meta.get("timestamp", 0.0))
-
 
 def save_heightmap(path, hm: HeightMap) -> None:
     """CSV of millimetre values, row-major, 6 decimal places."""

@@ -398,35 +398,3 @@ def build_shear_features(pairs, grid: tuple[int, int] = (24, 24)) -> list[ShearF
         out.append(shear_features(field, hhd_decompose(field), mask))
     return out
 
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-def save_normal_force(model: NormalForceModel, path) -> None:
-    with open(path, "w") as f:
-        f.write(f"normal_force {model.slope:.17g} {model.intercept:.17g}\n")
-
-
-def load_normal_force(path) -> NormalForceModel:
-    with open(path) as f:
-        tokens = f.read().split()
-    if len(tokens) != 3 or tokens[0] != "normal_force":
-        raise ValueError("not a normal-force model file")
-    return NormalForceModel(float(tokens[1]), float(tokens[2]))
-
-
-def save_shear(model: ShearModel, path) -> None:
-    with open(path, "w") as f:
-        f.write("shear\n")
-        f.write(" ".join(f"{v:.17g}" for v in model.w_x) + f" {model.b_x:.17g}\n")
-        f.write(" ".join(f"{v:.17g}" for v in model.w_y) + f" {model.b_y:.17g}\n")
-
-
-def load_shear(path) -> ShearModel:
-    with open(path) as f:
-        tokens = f.read().split()
-    if len(tokens) != 23 or tokens[0] != "shear":
-        raise ValueError("not a shear model file")
-    vals = np.array([float(t) for t in tokens[1:]])
-    return ShearModel(vals[:10], vals[11:21], float(vals[10]), float(vals[21]))

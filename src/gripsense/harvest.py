@@ -25,7 +25,7 @@ import numpy as np
 
 from .force import NormalForceModel, fit_normal_force, predict_normal_force
 from .sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET, make_force_samples
-from .slip import (DEFAULT_SMOOTH_WINDOW, DEFAULT_THRESHOLD_PX,
+from .slip import (DEFAULT_SMOOTH_WINDOW, DEFAULT_THRESHOLD_PX, TICK_WINDOW,
                    _centroid_velocity, _dragged_velocity, _trailing_mean,
                    detect_slip)
 # Unused here, but bound on purpose: perfbench's span tracer test takes
@@ -54,8 +54,6 @@ DEFAULT_DIAMETER_NOISE_MM = 1.0
 DEFAULT_MARKER_JITTER_PX = 0.3
 _TRACK_WINDOW_PX = 320
 _DISC_RADIUS_PX = 8
-#: Frames of contact and marker history the slip rule sees each tick.
-_SLIP_WINDOW = 6
 
 DEFAULT_INITIAL_FORCE_N = {"cherry_tomato": 1.2, "strawberry": 2.0}
 DEFAULT_FORCE_INCREMENT_N = {"cherry_tomato": 0.3, "strawberry": 1.0}
@@ -361,7 +359,7 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
                        fruit_type=fruit.fruit_type)
     marker_rest = np.stack(np.meshgrid([-20.0, 0.0, 20.0], [-20.0, 0.0, 20.0]),
                            axis=-1).reshape(-1, 2) + _TRACK_WINDOW_PX / 2.0
-    centres, positions = deque(maxlen=_SLIP_WINDOW), deque(maxlen=_SLIP_WINDOW)
+    centres, positions = deque(maxlen=TICK_WINDOW), deque(maxlen=TICK_WINDOW)
     trace = []
     slip_mm = 0.0
     start_px = 4.0 * _DISC_RADIUS_PX

@@ -11,7 +11,8 @@ jitter otherwise dominates the finite difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
 from typing import Sequence
 
@@ -22,6 +23,8 @@ from .core import HeightMap, MarkerSet
 DEFAULT_THRESHOLD_PX = 10.0
 DEFAULT_CONTACT_THRESHOLD_MM = 0.3
 DEFAULT_SMOOTH_WINDOW = 3
+#: Frames of contact and marker history the slip rule sees each tick.
+TICK_WINDOW = 6
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,9 @@ def marker_velocity(tracks: Sequence[MarkerSet],
     Membership is evaluated against the frame's own mask (or a single static
     mask). If noise momentarily leaves no marker inside the region, the four
     markers nearest the region centroid stand in, so the series stays defined.
-    A frame without contact has no region and gets zero velocity.
+    A frame without contact has no region and gets zero velocity. Markers
+    are matched by id: when a frame lost some, the series follows the ids
+    every frame holds, and only a window with no common id raises.
     """
     if len(tracks) < 2:
         raise ValueError("need at least 2 frames of marker tracks")
@@ -176,17 +181,21 @@ def marker_velocity(tracks: Sequence[MarkerSet],
         masks = [masks] * len(tracks)
     if len(masks) != len(tracks):
         raise ValueError("masks and tracks length mismatch")
-    ids0 = tracks[0].ids
-    if any(not np.array_equal(t.ids, ids0) for t in tracks[1:]):
-        raise ValueError("marker ids must match across frames")
-    pos = np.array([t.xy for t in tracks])        # (T, N, 2)
+    xys = [t.xy for t in tracks]
+    if any(not np.array_equal(t.ids, tracks[0].ids) for t in tracks[1:]):
+        ids = reduce(np.intersect1d, [t.ids for t in tracks])
+        if ids.size == 0:
+            raise ValueError("no marker id is common to every frame")
+        xys = [t.xy[np.intersect1d(t.ids, ids, return_indices=True)[1]]
+               for t in tracks]
+    pos = np.array(xys)                           # (T, N, 2)
     pos_s = _trailing_mean(pos.reshape(len(tracks), -1), smooth_window).reshape(pos.shape)
     steps = np.diff(pos_s, axis=0)
     v = np.zeros((len(tracks), 2))
     for t in range(1, len(tracks)):
         if masks[t].area == 0:
             continue
-        xy = tracks[t].xy
+        xy = xys[t]
         v[t] = _dragged_velocity(steps[t - 1], xy, masks[t].contains(xy),
                                  masks[t].centroid)
     return v

@@ -13,6 +13,7 @@ import pytest
 
 from gripsense import core, force, geometry, harvest, sim, slip, softness
 from gripsense.core import DisplacementField, HeightMap
+from gripsense.perception import Perception
 from oracles import fd_gradient_at, hhd_projection_reference
 
 
@@ -297,32 +298,17 @@ def test_criterion_8_perception_latency(capsys):
                                      sh_labels)
     rest = sim.marker_grid(gel, ppm, (resolution, resolution))
     moved = rest.moved(np.full(rest.xy.shape, 0.4))
-    track_hist = [rest] * 6
     current = 0.8 * 3.0 + 0.2
+    perception = Perception(geo_model, nf_model, sh_model, flat, rest)
 
-    def tick():
-        diff = core.diff_image(img, flat)
-        normals = geometry.predict_normals(diff, geo_model)
-        height = geometry.integrate_normals(normals, ppm)
-        mask = slip.segment_contact(height)
-        mask_hist = [mask] * 6
-        v_obj = slip.object_velocity(mask_hist)[-1]
-        v_mark = slip.marker_velocity(track_hist, mask_hist)[-1]
-        flag = slip.detect_slip(v_obj, v_mark, 10.0)
-        f_n = force.predict_normal_force(current, nf_model)
-        field = force.interpolate_markers(rest, moved, (24, 24))
-        feat = force.shear_features(field, force.hhd_decompose(field), mask)
-        f_x, f_y = force.predict_shear(feat, sh_model)
-        return height, flag, f_n, f_x, f_y
-
-    height, _, f_n, _, _ = tick()          # warm caches
-    assert height.values.shape == (resolution, resolution)
-    assert np.isfinite(f_n)
-    tick()
+    for _ in range(slip.TICK_WINDOW):   # warm caches, fill the slip window
+        p = perception.tick(img, moved, current)
+    assert p.height.values.shape == (resolution, resolution)
+    assert np.isfinite(p.normal_n)
     times = []
     for _ in range(10):
         t0 = time.perf_counter()
-        tick()
+        perception.tick(img, moved, current)
         times.append(time.perf_counter() - t0)
     median_ms = float(np.median(times)) * 1e3
 

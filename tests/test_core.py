@@ -14,9 +14,8 @@ from gripsense.core import (DiffFrame, DisplacementField, HeightMap,
                             MarkerSet, NormalMap, ScalarField, TactileFrame,
                             _lbfgs,
                             _warp_bilinear,
-                            diff_image, load_frame, load_heightmap,
-                            load_marker_tracks, rectify_frame, save_frame,
-                            save_heightmap, save_marker_tracks)
+                            diff_image, load_heightmap, load_marker_tracks,
+                            rectify_frame, save_heightmap, save_marker_tracks)
 from gripsense.slip import ContactMask
 from oracles import warp_reference
 
@@ -286,24 +285,6 @@ class TestDiffImage:
         b = TactileFrame(np.zeros((8, 9, 3)), 2.0)
         with pytest.raises(ValueError):
             diff_image(a, b)
-
-
-class TestFrameIO:
-    def test_roundtrip_quantized_to_8bit(self, tmp_path):
-        f = TactileFrame(rng.random((9, 11, 3)), 5.0, 2.25)
-        p = tmp_path / "frame.ppm"
-        save_frame(p, f)
-        g = load_frame(p)
-        assert g.pixels.shape == f.pixels.shape
-        assert g.px_per_mm == 5.0 and g.timestamp == 2.25
-        assert np.max(np.abs(g.pixels - f.pixels)) <= 0.5 / 255.0 + 1e-12
-
-    def test_exact_at_8bit_values(self, tmp_path):
-        vals = np.linspace(0, 1, 256)[:192].reshape(8, 8, 3)
-        vals = np.rint(vals * 255.0) / 255.0
-        f = TactileFrame(vals, 1.0)
-        save_frame(tmp_path / "f.ppm", f)
-        assert np.array_equal(load_frame(tmp_path / "f.ppm").pixels, f.pixels)
 
 
 class TestHeightmapIO:

@@ -410,31 +410,3 @@ class TestShearModel:
         resid = labels - pred
         assert np.mean(resid ** 2) < np.mean(labels ** 2)
 
-
-class TestPersistence:
-    def test_normal_force_roundtrip(self, tmp_path):
-        model = force.NormalForceModel(1.23456789012345, -0.9876543210987)
-        p = tmp_path / "nf.txt"
-        force.save_normal_force(model, p)
-        back = force.load_normal_force(p)
-        assert back.slope == model.slope
-        assert back.intercept == model.intercept
-
-    def test_shear_roundtrip(self, tmp_path):
-        model = force.ShearModel(rng.normal(0, 1, 10), rng.normal(0, 1, 10),
-                                 0.125, -2.5)
-        p = tmp_path / "sh.txt"
-        force.save_shear(model, p)
-        back = force.load_shear(p)
-        assert np.array_equal(back.w_x, model.w_x)
-        assert np.array_equal(back.w_y, model.w_y)
-        assert back.b_x == model.b_x and back.b_y == model.b_y
-
-    def test_corrupt_files_raise(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("normal_force 1.0\n")
-        with pytest.raises(ValueError):
-            force.load_normal_force(p)
-        p.write_text("shear 1.0 2.0\n")
-        with pytest.raises(ValueError):
-            force.load_shear(p)

@@ -153,9 +153,22 @@ class TestMarkerVelocity:
 
     def test_mismatched_ids_raise(self):
         a = MarkerSet(np.array([0, 1, 2]), rng.uniform(10, 80, (3, 2)))
-        b = MarkerSet(np.array([0, 1, 5]), rng.uniform(10, 80, (3, 2)))
-        with pytest.raises(ValueError):
+        b = MarkerSet(np.array([3, 4, 5]), rng.uniform(10, 80, (3, 2)))
+        with pytest.raises(ValueError, match="no marker id is common"):
             slip.marker_velocity([a, b], _disc_masks([(40.0, 40.0)] * 2))
+
+    def test_dropped_marker_matched_by_id(self):
+        base = np.array([[40.0 + i * 2, 40.0 + j * 2]
+                         for i in range(3) for j in range(3)])
+        xy = [base + [1.5 * t, 0.5 * t] for t in range(6)]
+        masks = _disc_masks([(44.0, 44.0)] * 6, r=20.0)
+        keep = np.arange(9) != 3
+        want = slip.marker_velocity(
+            [MarkerSet(np.arange(9)[keep], p[keep]) for p in xy], masks)
+        tracks = [MarkerSet(np.arange(9), p) for p in xy]
+        order = np.flatnonzero(keep)[::-1]     # marker 3 lost, rows reordered
+        tracks[2] = MarkerSet(order, xy[2][order])
+        assert np.array_equal(slip.marker_velocity(tracks, masks), want)
 
     def test_length_mismatch_raises(self):
         tracks = _static_tracks(3, rng.uniform(20, 70, (4, 2)))

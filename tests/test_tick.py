@@ -1,22 +1,26 @@
-"""The criterion-8 perception tick over windows that hold a no-contact frame.
+"""The perception tick, ``gripsense.perception.Perception``, on scripted grasps.
 
 A grasp sees no contact before the press. Every frame must get a finite
 heightmap, slip decision and forces, also while a frame without contact sits
 in its six-frame slip window. A frame whose contact is empty on the 24x24
 marker-field grid has no region to take shear features from, and its shear
-force is exactly zero.
+force is exactly zero. The library tick must also match the benchmark's own
+tick bit for bit, and a frame that lost markers must not stall the stream.
 """
 
-from collections import deque
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gripsense import core, force, geometry, sim, slip
-from gripsense.core import HeightMap
+from gripsense.core import HeightMap, MarkerSet
+from gripsense.perception import FIELD_GRID, Perception
 
-WINDOW = 6
-FIELD = (24, 24)
+ROOT = Path(__file__).resolve().parent.parent
 SHAPE = (240, 320)
 DEPTH_MM = 1.1
 PRESS = 6
@@ -24,6 +28,7 @@ PRESS = 6
 
 @pytest.fixture(scope="module")
 def stack():
+    """The models of acceptance criterion 8."""
     presses = sim.make_calibration_presses(3, rng=np.random.default_rng(0),
                                            resolution=64)
     geo = geometry.fit_rgb2normal(geometry.build_calibration_dataset(presses),
@@ -37,6 +42,15 @@ def stack():
 
 # A held press, the approach frame, then the press ramp.
 DEPTHS = [DEPTH_MM, 0.0] + [DEPTH_MM * (k + 1) / PRESS for k in range(PRESS)]
+
+
+def _sensor():
+    """(background, rest markers, px_per_mm) of the SHAPE raster."""
+    gel = sim.GelModel()
+    ppm = SHAPE[1] / gel.gel_size_mm
+    background = sim.render_tactile(HeightMap(np.zeros(SHAPE), ppm),
+                                    sim.default_rig(), gel)
+    return background, sim.marker_grid(gel, ppm, SHAPE), ppm
 
 
 def _grasp(rest, ppm):
@@ -55,49 +69,95 @@ def _grasp(rest, ppm):
     return frames
 
 
+def _same(p, q):
+    """Bit-equal heights, masks, slip flags and forces."""
+    return (np.array_equal(p.height.values, q.height.values)
+            and np.array_equal(p.mask.values, q.mask.values)
+            and p.slipping == q.slipping and p.normal_n == q.normal_n
+            and p.shear_n == q.shear_n)
+
+
 def test_contact_ticks_survive_a_no_contact_frame_in_the_window(stack):
-    geo, nf, sh = stack
-    gel = sim.GelModel()
-    ppm = SHAPE[1] / gel.gel_size_mm
-    background = sim.render_tactile(HeightMap(np.zeros(SHAPE), ppm),
-                                    sim.default_rig(), gel)
-    rest = sim.marker_grid(gel, ppm, SHAPE)
-    history = deque(maxlen=WINDOW)
-
-    def tick(img, markers, current):
-        diff = core.diff_image(img, background)
-        height = geometry.integrate_normals(geometry.predict_normals(diff, geo), ppm)
-        mask = slip.segment_contact(height)
-        history.append((mask, markers))
-        v_obj = v_mark = np.zeros(2)
-        if len(history) > 1:
-            masks = [m for m, _ in history]
-            v_obj = slip.object_velocity(masks)[-1]
-            v_mark = slip.marker_velocity([t for _, t in history], masks)[-1]
-        flag = slip.detect_slip(v_obj, v_mark, 10.0)
-        f_n = force.predict_normal_force(current, nf)
-        field = force.interpolate_markers(rest, markers, FIELD)
-        feat = force.shear_features(field, force.hhd_decompose(field), mask)
-        return height, v_obj, v_mark, flag, f_n, force.predict_shear(feat, sh)
-
+    background, rest, ppm = _sensor()
+    perception = Perception(*stack, background, rest)
     # The approach frame and the first press frame, 1.1/6 mm deep, are
     # shallower than the contact threshold.
     no_contact = [d <= slip.DEFAULT_CONTACT_THRESHOLD_MM for d in DEPTHS]
+    window = slip.TICK_WINDOW
+    masks = []
     gap_windows = no_shear = 0
-    for k, (img, markers, current) in enumerate(_grasp(rest, ppm)):
-        height, v_obj, v_mark, flag, f_n, shear = tick(img, markers, current)
-        mask = history[-1][0]
-        assert (mask.area == 0) == no_contact[k]
-        assert np.all(np.isfinite(height.values))
-        assert np.all(np.isfinite(v_obj)) and np.all(np.isfinite(v_mark))
-        assert isinstance(flag, bool)
-        assert np.isfinite(f_n) and np.all(np.isfinite(shear))
+    for k, frame in enumerate(_grasp(rest, ppm)):
+        p = perception.tick(*frame)
+        masks.append(p.mask)
+        assert (p.mask.area == 0) == no_contact[k]
+        assert np.all(np.isfinite(p.height.values))
+        assert np.isfinite(p.slip_speed_px)
+        assert isinstance(p.slipping, bool)
+        assert np.isfinite(p.normal_n) and np.all(np.isfinite(p.shear_n))
         # Shear features read the mask on the field grid, where a contact of
         # a few dozen pixels can vanish as well.
-        if mask.resampled(FIELD).area == 0:
-            assert shear == (0.0, 0.0)
+        if p.mask.resampled(FIELD_GRID).area == 0:
+            assert p.shear_n == (0.0, 0.0)
             no_shear += 1
-        gap_windows += any(m.area == 0 for m, _ in history)
+        gap_windows += any(m.area == 0 for m in masks[-window:])
     assert no_shear == 2                        # approach and first press frame
-    assert gap_windows == sum(any(no_contact[max(0, k - WINDOW + 1):k + 1])
+    assert gap_windows == sum(any(no_contact[max(0, k - window + 1):k + 1])
                               for k in range(len(DEPTHS)))
+
+
+def test_library_tick_matches_benchmark_tick(stack):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import tick as tk
+
+    sensor = tk.make_sensor(SHAPE)
+    models = tk.Models(*stack)
+    history = tk.new_history()
+    perception = Perception(*stack, sensor.background, sensor.rest)
+    script = tk.grasp_script(np.random.default_rng(5), SHAPE, 1, sensor)
+    assert len(script) == tk.GRASP_FRAMES
+    flags = []
+    for fr in script:
+        frame = core.TactileFrame(fr.pixels, sensor.px_per_mm)
+        want = tk.tick(frame, fr.markers, fr.current, models, sensor, history)
+        got = perception.tick(frame, fr.markers, fr.current)
+        assert _same(got, want)
+        flags.append(got.slipping)
+    assert 0 < sum(flags) < len(flags)
+
+
+def _drop(markers, keep):
+    return MarkerSet(markers.ids[keep], markers.xy[keep])
+
+
+def test_marker_dropout_does_not_stall_the_stream(stack):
+    background, rest, ppm = _sensor()
+    frames = _grasp(rest, ppm)
+    img, markers, current = frames[4]
+    frames[4] = (img, _drop(markers, slice(1, None)), current)
+    perception = Perception(*stack, background, rest)
+    for frame in frames:
+        assert np.isfinite(perception.tick(*frame).slip_speed_px)
+
+
+def test_failed_tick_leaves_the_history_untouched(stack):
+    background, rest, ppm = _sensor()
+    frames = _grasp(rest, ppm)
+    clean = Perception(*stack, background, rest)
+    seen_bad = Perception(*stack, background, rest)
+    for k, frame in enumerate(frames):
+        if k == 5:
+            img, markers, current = frame
+            with pytest.raises(ValueError, match="3 matched markers"):
+                seen_bad.tick(img, _drop(markers, slice(0, 2)), current)
+        p, q = seen_bad.tick(*frame), clean.tick(*frame)
+        assert _same(p, q) and p.slip_speed_px == q.slip_speed_px
+
+
+def test_timing_demo_runs():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "time_perception_tick.py"),
+         "--resolution", "32", "--ticks", "2"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.returncode == 0, out.stderr
+    assert "median tick" in out.stdout
