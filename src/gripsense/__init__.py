@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-core      shared types, rectification, differencing, file formats
+core      shared types, differencing, file formats
 sim       deterministic synthetic tactile sensor and grasp scenes
 geometry  RGB-to-normal calibration and Poisson heightmap integration
 force     normal force from motor current, shear force from field decomposition

@@ -76,7 +76,7 @@ def _cmd_sim(args, cfg: Config) -> int:
 def _load_objects(path) -> list:
     """Rebuild per-frame contact masks from an objects.csv written by sim."""
     size = None
-    threshold_mm = 0.3
+    threshold_mm = slip.DEFAULT_CONTACT_THRESHOLD_MM
     px_per_mm = 1.0
     rows = {}
     with open(path) as f:
@@ -147,8 +147,7 @@ def _cmd_slip(args, cfg: Config) -> int:
     if len(tracks) != len(masks):
         raise ValueError(f"{len(tracks)} marker frames but {len(masks)} "
                          f"object frames")
-    threshold = cfg["slip.threshold_px"] if args.threshold is None \
-        else args.threshold
+    threshold = cfg["slip.threshold_px"]
     report = slip.analyze_sequence(masks, tracks, threshold,
                                    cfg["slip.smooth_window"])
     with _out_stream(args.out) as f:
@@ -234,7 +233,8 @@ def _cmd_force(args, cfg: Config) -> int:
     xm, ym = np.meshgrid(xs, xs)
     mid = gel.gel_size_mm / 2.0
     pen = sim.Sphere(15.0).penetration(xm - mid, ym - mid, 1.2)
-    mask = slip.ContactMask(pen > 0.3, 0.3, ppm)
+    mask = slip.ContactMask(pen > slip.DEFAULT_CONTACT_THRESHOLD_MM,
+                            slip.DEFAULT_CONTACT_THRESHOLD_MM, ppm)
     rest = sim.marker_grid(gel, ppm, (mask_px, mask_px))
     angle = math.pi / 6.0
     n_frames = cfg["force.frames"]
@@ -390,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="objects.csv written by sim")
     p.add_argument("--labels", metavar="FILE",
                    help="labels.csv for scoring (optional)")
-    p.add_argument("--threshold", type=float, metavar="PX",
-                   help="override slip.threshold_px")
     p.add_argument("--out", metavar="FILE",
                    help="per-frame CSV (default stdout)")
 

@@ -9,6 +9,7 @@ silently ignoring a typo would make a run look configured when it is not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -33,8 +34,10 @@ _int.label = "int"
 
 def _float(text: str) -> float:
     value = float(text)
-    if value != value:       # reject NaN, it silently poisons every metric
-        raise ValueError("nan is not a usable value")
+    # NaN silently poisons every metric, and an infinite size, pitch or
+    # margin overflows or swallows whatever it feeds
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not a usable value")
     return value
 
 

@@ -1,4 +1,4 @@
-"""Shared domain types, frame rectification, differencing, and file formats.
+"""Shared domain types, differencing, and file formats.
 
 Conventions used throughout the package:
 
@@ -8,11 +8,10 @@ Conventions used throughout the package:
   giving the isotropic pixel pitch;
 * marker positions are in frame pixels.
 
-``rectify_frame`` resamples through the bilinear homography warp
-``_warp_bilinear``. ``sine_block`` builds blocks of the orthonormal DST-I
-matrix, the sine basis that both the Poisson solve and the Helmholtz
-decomposition diagonalize their operators with. ``_lbfgs`` is the numpy
-L-BFGS that both calibration fits, geometry's and softness's, run.
+``sine_block`` builds blocks of the orthonormal DST-I matrix, the sine basis
+that both the Poisson solve and the Helmholtz decomposition diagonalize their
+operators with. ``_lbfgs`` is the numpy L-BFGS that both calibration fits,
+geometry's and softness's, run.
 
 Everything here is immutable after construction: arrays are copied and marked
 read-only, so instances can be shared freely across threads. The package's
@@ -283,10 +282,6 @@ class HeightMap:
     def shape(self) -> tuple:
         return self.values.shape
 
-    def gauged(self) -> "HeightMap":
-        """Copy with the minimum shifted to exactly 0."""
-        return HeightMap(_Adopt(self.values - self.values.min()), self.px_per_mm)
-
 
 @dataclass(frozen=True)
 class MarkerSet:
@@ -317,10 +312,6 @@ class MarkerSet:
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    @classmethod
-    def empty(cls) -> "MarkerSet":
-        return cls(np.empty(0, dtype=np.int64), np.empty((0, 2)))
 
     def moved(self, delta_xy: np.ndarray) -> "MarkerSet":
         """Same markers displaced by ``delta_xy`` (N, 2) pixels."""
@@ -366,109 +357,8 @@ class DisplacementField:
 
 
 # ---------------------------------------------------------------------------
-# rectification and differencing
+# differencing
 # ---------------------------------------------------------------------------
-
-def _homography_from_rect(corners: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """DLT solve for the map from output-rectangle corners to ``corners``.
-
-    Corner order is top-left, top-right, bottom-right, bottom-left in
-    (x, y) = (col, row) coordinates.
-    """
-    dst = np.asarray(corners, dtype=np.float64).reshape(4, 2)
-    src = np.array([[0.0, 0.0], [out_w - 1.0, 0.0],
-                    [out_w - 1.0, out_h - 1.0], [0.0, out_h - 1.0]])
-    A = np.zeros((8, 8))
-    b = np.zeros(8)
-    for i, ((xo, yo), (xs, ys)) in enumerate(zip(src, dst)):
-        A[2 * i] = [xo, yo, 1, 0, 0, 0, -xs * xo, -xs * yo]
-        b[2 * i] = xs
-        A[2 * i + 1] = [0, 0, 0, xo, yo, 1, -ys * xo, -ys * yo]
-        b[2 * i + 1] = ys
-    try:
-        h = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("degenerate homography") from exc
-    return np.append(h, 1.0).reshape(3, 3)
-
-
-def _check_quad(corners: np.ndarray, width: int, height: int) -> None:
-    c = np.asarray(corners, dtype=np.float64).reshape(4, 2)
-    if c[:, 0].min() < 0 or c[:, 0].max() > width - 1 + 1e-9 \
-            or c[:, 1].min() < 0 or c[:, 1].max() > height - 1 + 1e-9:
-        raise ValueError("corners must lie inside the raw image")
-    crosses = []
-    for i in range(4):
-        a = c[(i + 1) % 4] - c[i]
-        bb = c[(i + 2) % 4] - c[(i + 1) % 4]
-        crosses.append(a[0] * bb[1] - a[1] * bb[0])
-    crosses = np.array(crosses)
-    scale = max(1.0, np.abs(c).max() ** 2)
-    if np.any(np.abs(crosses) < 1e-9 * scale):
-        raise ValueError("degenerate homography")
-    if not (np.all(crosses > 0) or np.all(crosses < 0)):
-        raise ValueError("corners must form a convex quadrilateral")
-
-
-# Sample coordinates this close to an integer are snapped onto it, so that
-# identity / pure-integer-scaling homographies reproduce source pixels exactly
-# instead of mixing in ~1e-12 of a neighbour.
-_SNAP = 1e-9
-
-
-def _warp_bilinear(img: np.ndarray, hmat: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resample ``img`` through homography ``hmat`` (output px -> source px).
-
-    ``hmat`` maps homogeneous output coordinates (x=col, y=row, 1) to source
-    coordinates. Samples are clamped to the source rectangle and blended
-    bilinearly.
-    """
-    h, w, c = img.shape
-    jj, ii = np.meshgrid(np.arange(out_w, dtype=np.float64),
-                         np.arange(out_h, dtype=np.float64))
-    denom = hmat[2, 0] * jj + hmat[2, 1] * ii + hmat[2, 2]
-    u = (hmat[0, 0] * jj + hmat[0, 1] * ii + hmat[0, 2]) / denom
-    v = (hmat[1, 0] * jj + hmat[1, 1] * ii + hmat[1, 2]) / denom
-
-    ur = np.rint(u)
-    u = np.where(np.abs(u - ur) < _SNAP, ur, u)
-    vr = np.rint(v)
-    v = np.where(np.abs(v - vr) < _SNAP, vr, v)
-
-    u = np.clip(u, 0.0, w - 1.0)
-    v = np.clip(v, 0.0, h - 1.0)
-    u0 = np.minimum(np.floor(u), w - 2.0).astype(np.int64) if w > 1 else np.zeros_like(u, np.int64)
-    v0 = np.minimum(np.floor(v), h - 2.0).astype(np.int64) if h > 1 else np.zeros_like(v, np.int64)
-    fu = (u - u0)[..., None]
-    fv = (v - v0)[..., None]
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-
-    p00 = img[v0, u0]
-    p01 = img[v0, u1]
-    p10 = img[v1, u0]
-    p11 = img[v1, u1]
-    return ((1.0 - fv) * ((1.0 - fu) * p00 + fu * p01)
-            + fv * ((1.0 - fu) * p10 + fu * p11))
-
-
-def rectify_frame(raw: np.ndarray, corners, out_size: tuple[int, int],
-                  px_per_mm: float = 1.0, timestamp: float = 0.0) -> TactileFrame:
-    """Unwarp the quadrilateral ``corners`` of ``raw`` onto a full rectangle.
-
-    ``out_size`` is (height, width). A four-point homography is fitted and the
-    output sampled bilinearly; corners given as the exact output rectangle make
-    this the identity on pixels.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim == 2:
-        raw = raw[:, :, None].repeat(3, axis=2)
-    out_h, out_w = int(out_size[0]), int(out_size[1])
-    _check_quad(corners, raw.shape[1], raw.shape[0])
-    hmat = _homography_from_rect(corners, out_h, out_w)
-    pixels = _warp_bilinear(raw, hmat, out_h, out_w)
-    return TactileFrame(np.clip(pixels, 0.0, 1.0), px_per_mm, timestamp)
-
 
 def diff_image(contact: TactileFrame, background: TactileFrame) -> DiffFrame:
     """Pixelwise contact minus background, subtracted into the returned array."""

@@ -26,8 +26,6 @@ import numpy as np
 from .core import DisplacementField, MarkerSet, ScalarField, sine_block
 from .slip import ContactMask
 
-FEATURE_NAMES = ("vx", "vy", "px", "px2", "py", "py2", "sx", "sx2", "sy", "sy2")
-
 
 # ---------------------------------------------------------------------------
 # normal force
@@ -39,7 +37,6 @@ class NormalForceModel:
 
     slope: float
     intercept: float
-    fitted: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.slope) and np.isfinite(self.intercept)):
@@ -66,8 +63,6 @@ def fit_normal_force(samples) -> NormalForceModel:
 
 def predict_normal_force(current, model: NormalForceModel):
     """slope * I + intercept, elementwise over array input."""
-    if not model.fitted:
-        raise ValueError("normal-force model is not fitted")
     out = model.slope * np.asarray(current, dtype=np.float64) + model.intercept
     return float(out) if out.ndim == 0 else out
 

@@ -49,7 +49,6 @@ from .core import (DiffFrame, HeightMap, NormalMap, _Adopt, _check_pitch,
 LAYER_SIZES = (5, 32, 32, 2)
 DEFAULT_EPOCHS = 1000
 DEFAULT_LEARNING_RATE = 0.1
-DEFAULT_SPHERE_RADIUS_MM = 5.0
 
 _NORM_CLAMP = 1.0 - 1e-9
 # Pixel rows per inference band: the two (band, 32) float32 hidden buffers
@@ -124,7 +123,6 @@ class CalibrationDataset:
 
     features: np.ndarray        # (N, 5)
     normals: np.ndarray         # (N, 3)
-    sphere_radius_mm: float = DEFAULT_SPHERE_RADIUS_MM
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
@@ -171,7 +169,6 @@ def build_calibration_dataset(presses) -> CalibrationDataset:
     if not presses:
         raise ValueError("need at least one calibration press")
     feats, norms = [], []
-    radius_mm = DEFAULT_SPHERE_RADIUS_MM
     for frame, center, contact_radius_px, sphere_radius_mm, px_per_mm in presses:
         cx, cy = float(center[0]), float(center[1])
         h, w, _ = frame.values.shape
@@ -179,7 +176,6 @@ def build_calibration_dataset(presses) -> CalibrationDataset:
             raise ValueError("sphere center outside the frame")
         if not contact_radius_px < sphere_radius_mm * px_per_mm:
             raise ValueError("contact radius must be below the sphere radius")
-        radius_mm = float(sphere_radius_mm)
         pix = _pixel_features(frame.values)
         xm, ym = np.meshgrid(np.arange(w), np.arange(h))
         dx_mm = (xm.ravel() - cx) / px_per_mm
@@ -198,7 +194,7 @@ def build_calibration_dataset(presses) -> CalibrationDataset:
             flat = np.zeros((len(sel), 3))
             flat[:, 2] = 1.0
             norms.append(flat)
-    return CalibrationDataset(np.vstack(feats), np.vstack(norms), radius_mm)
+    return CalibrationDataset(np.vstack(feats), np.vstack(norms))
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ itself runs the kernels of ``slip.object_velocity`` and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .force import NormalForceModel, fit_normal_force, predict_normal_force
+from .force import fit_normal_force, predict_normal_force
 from .sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET, make_force_samples
 from .slip import (DEFAULT_SMOOTH_WINDOW, DEFAULT_THRESHOLD_PX, TICK_WINDOW,
                    _centroid_velocity, _dragged_velocity, _trailing_mean,
@@ -55,8 +55,10 @@ DEFAULT_MARKER_JITTER_PX = 0.3
 _TRACK_WINDOW_PX = 320
 _DISC_RADIUS_PX = 8
 
-DEFAULT_INITIAL_FORCE_N = {"cherry_tomato": 1.2, "strawberry": 2.0}
-DEFAULT_FORCE_INCREMENT_N = {"cherry_tomato": 0.3, "strawberry": 1.0}
+#: ``slip_force``'s commanded force per fruit type: where it starts, and how
+#: much each retry raises it (N).
+INITIAL_FORCE_N = {"cherry_tomato": 1.2, "strawberry": 2.0}
+FORCE_INCREMENT_N = {"cherry_tomato": 0.3, "strawberry": 1.0}
 
 #: (mean, sd) draws for each fruit attribute; stem factor is deterministic.
 #: Tuned so the open-loop baseline fails at roughly field-trial rates while
@@ -124,10 +126,6 @@ class StrategyConfig:
     strategy: str
     close_margin_mm: float = 2.0
     retry_increment_mm: float = 2.0
-    initial_force_n: dict = field(
-        default_factory=lambda: dict(DEFAULT_INITIAL_FORCE_N))
-    force_increment_n: dict = field(
-        default_factory=lambda: dict(DEFAULT_FORCE_INCREMENT_N))
     max_retries: int = 3
 
     def __post_init__(self):
@@ -137,22 +135,18 @@ class StrategyConfig:
             raise ValueError("close_margin_mm must be non-negative")
         if self.retry_increment_mm <= 0:
             raise ValueError("retry_increment_mm must be positive")
-        if any(v <= 0 for v in self.force_increment_n.values()):
-            raise ValueError("force increments must be positive")
-        if any(v <= 0 for v in self.initial_force_n.values()):
-            raise ValueError("initial forces must be positive")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
 
     def initial_force(self, fruit_type: str) -> float:
-        if fruit_type not in self.initial_force_n:
+        if fruit_type not in INITIAL_FORCE_N:
             raise ValueError(f"no initial force for fruit type {fruit_type!r}")
-        return self.initial_force_n[fruit_type]
+        return INITIAL_FORCE_N[fruit_type]
 
     def force_increment(self, fruit_type: str) -> float:
-        if fruit_type not in self.force_increment_n:
+        if fruit_type not in FORCE_INCREMENT_N:
             raise ValueError(f"no force increment for fruit type {fruit_type!r}")
-        return self.force_increment_n[fruit_type]
+        return FORCE_INCREMENT_N[fruit_type]
 
 
 @dataclass(frozen=True)
@@ -282,7 +276,7 @@ def step_controller(state: GraspState, percepts, cfg: StrategyConfig) -> GraspSt
 
 
 # The controller's current-to-force decoder, fitted on a fixed draw.
-_DEFAULT_FORCE_MODEL = fit_normal_force(np.column_stack(
+_FORCE_MODEL = fit_normal_force(np.column_stack(
     make_force_samples(rng=np.random.default_rng(1234))))
 
 
@@ -337,18 +331,16 @@ def _patch_radius_mm(fruit: FruitModel, opening_mm: float) -> float:
 
 def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
               diameter_noise_mm: float = DEFAULT_DIAMETER_NOISE_MM,
-              sensor_noise: float = CURRENT_NOISE,
               marker_jitter_px: float = DEFAULT_MARKER_JITTER_PX,
               px_per_mm: float = DEFAULT_PX_PER_MM,
-              threshold_px: float = DEFAULT_THRESHOLD_PX,
-              force_model: NormalForceModel = _DEFAULT_FORCE_MODEL
-              ) -> TrialOutcome:
+              threshold_px: float = DEFAULT_THRESHOLD_PX) -> TrialOutcome:
     """Run one seeded perception-control loop until the trial resolves.
 
     Success means detached without bruising and without the cumulative slip
     displacement exceeding the contact patch radius (the drop rule). The
     force trace holds the per-tick normal-force estimates the controller
-    actually saw, decoded from the motor current by ``force_model``.
+    actually saw: the motor current, with ``sim.CURRENT_NOISE`` added,
+    decoded by the fixed ``_FORCE_MODEL``.
     """
     rng = np.random.default_rng(seed)
     measured = fruit.diameter_mm + (
@@ -382,9 +374,9 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
             return TrialOutcome(False, "slip_drop", state.attempt,
                                 state.peak_force_n, np.array(trace))
 
-        current = CURRENT_GAIN * contact + CURRENT_OFFSET + (
-            rng.normal(0.0, sensor_noise) if sensor_noise > 0 else 0.0)
-        f_est = max(0.0, float(predict_normal_force(current, force_model)))
+        current = (CURRENT_GAIN * contact + CURRENT_OFFSET
+                   + rng.normal(0.0, CURRENT_NOISE))
+        f_est = max(0.0, float(predict_normal_force(current, _FORCE_MODEL)))
         trace.append(f_est)
 
         centres.append(_disc_centre(start_px + slip_mm * px_per_mm))

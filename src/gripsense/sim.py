@@ -16,13 +16,13 @@ the box around the pressed cap: outside it the penetration is exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import HeightMap, MarkerSet, TactileFrame, diff_image
-from .slip import ContactMask
+from .slip import DEFAULT_CONTACT_THRESHOLD_MM, ContactMask
 
 # Combined gel + drive-train stiffness seen in series with the fruit during a
 # squeeze (N/mm). The split of commanded jaw travel between gel indentation
@@ -34,6 +34,18 @@ SERIES_STIFFNESS = 2.0
 CURRENT_GAIN = 0.8
 CURRENT_OFFSET = 0.2
 CURRENT_NOISE = 0.06
+# Range of the forces (N) that ``make_force_samples`` draws uniformly.
+_FORCE_RANGE_N = (0.5, 8.0)
+
+# ``make_shear_dataset``: marker tracking jitter (px) and shear force per mm
+# of drag (N/mm).
+_SHEAR_JITTER_PX = 0.3
+_SHEAR_FORCE_PER_MM = 0.8
+
+# ``default_rig``: LED elevation, per-channel intensity and azimuths (deg).
+_RIG_ELEVATION_DEG = 60.0
+_RIG_INTENSITY = 0.55
+_RIG_AZIMUTHS_DEG = (0.0, 120.0, 240.0)
 
 # Procedural surface texture parameters per fruit type tag:
 # (spatial frequency 1/mm, bump amplitude mm). "smooth" is the textureless
@@ -87,21 +99,21 @@ class LightRig:
         object.__setattr__(self, "intensities", i)
 
 
-def default_rig(elevation_deg: float = 60.0, intensity: float = 0.55,
-                azimuths_deg: Sequence[float] = (0.0, 120.0, 240.0)) -> LightRig:
-    """Three LEDs 120 degrees apart, one per colour channel.
+def default_rig() -> LightRig:
+    """Three LEDs 120 degrees apart at 60 degrees elevation, one per colour
+    channel.
 
     Channel-pure intensities make the RGB-to-normal mapping invertible:
     each channel is an independent Lambertian measurement of the normal.
     """
-    el = math.radians(elevation_deg)
+    el = math.radians(_RIG_ELEVATION_DEG)
     dirs, ints = [], []
-    for ch, az_deg in enumerate(azimuths_deg):
+    for ch, az_deg in enumerate(_RIG_AZIMUTHS_DEG):
         az = math.radians(az_deg)
         dirs.append([math.cos(az) * math.cos(el), math.sin(az) * math.cos(el),
                      math.sin(el)])
         rgb = [0.0, 0.0, 0.0]
-        rgb[ch % 3] = intensity
+        rgb[ch] = _RIG_INTENSITY
         ints.append(rgb)
     return LightRig(np.array(dirs), np.array(ints))
 
@@ -205,20 +217,14 @@ class GraspScene:
     """A grasp configuration for sequence synthesis."""
 
     fruit: object | None = None         # FruitModel from the harvest module
-    opening_mm: float = 25.0
     pose: str = "top"
     load_g: float = 0.0
-    friction: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.opening_mm <= 40.0:
-            raise ValueError("gripper opening must be within [0, 40] mm")
         if self.pose not in ("top", "side"):
             raise ValueError(f"unknown grasp pose {self.pose!r}")
         if self.load_g < 0:
             raise ValueError("external load must be non-negative")
-        if not self.friction > 0:
-            raise ValueError("friction coefficient must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +417,6 @@ class SlipSequence:
         return len(self.masks)
 
 
-#: Height (mm) a noisy slip-sequence pixel must exceed to count as contact.
-_SLIP_MASK_THRESHOLD_MM = 0.3
-
-
 def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
                         gel: GelModel = GelModel(),
                         rng: np.random.Generator | None = None,
@@ -441,9 +443,9 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
         raise ValueError("need at least 10 frames")
     sphere_r = (scene.fruit.diameter_mm / 2.0
                 if scene.fruit is not None else 16.0)
-    if not depth_mm > _SLIP_MASK_THRESHOLD_MM:
+    if not depth_mm > DEFAULT_CONTACT_THRESHOLD_MM:
         raise ValueError(f"depth {depth_mm} mm must exceed the "
-                         f"{_SLIP_MASK_THRESHOLD_MM} mm contact threshold")
+                         f"{DEFAULT_CONTACT_THRESHOLD_MM} mm contact threshold")
     if depth_mm > sphere_r:
         raise ValueError(
             f"depth {depth_mm} mm exceeds sphere radius {sphere_r} mm")
@@ -511,15 +513,15 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
         # itself; so the full-frame draw keeps the stream, and only the box
         # around the cap adds the penetration
         noise = rng.normal(0.0, mask_noise_mm, (size_px, size_px))
-        values = noise > _SLIP_MASK_THRESHOLD_MM
+        values = noise > DEFAULT_CONTACT_THRESHOLD_MM
         cx, cy = centers_mm[t] * px_per_mm - 0.5
         c0, c1 = max(int(cx - reach), 0), min(int(cx + reach) + 2, size_px)
         r0, r1 = max(int(cy - reach), 0), min(int(cy + reach) + 2, size_px)
         pen = sphere.penetration(xs[None, c0:c1] - centers_mm[t, 0],
                                  xs[r0:r1, None] - centers_mm[t, 1], depth_mm)
         values[r0:r1, c0:c1] = (pen + noise[r0:r1, c0:c1]
-                                > _SLIP_MASK_THRESHOLD_MM)
-        masks.append(ContactMask(values, _SLIP_MASK_THRESHOLD_MM, px_per_mm))
+                                > DEFAULT_CONTACT_THRESHOLD_MM)
+        masks.append(ContactMask(values, DEFAULT_CONTACT_THRESHOLD_MM, px_per_mm))
         if t > 0:
             marker_pos = marker_pos + v_mark[t] * direction
         jitter = rng.normal(0.0, marker_jitter_px, marker_pos.shape)
@@ -585,8 +587,7 @@ def make_calibration_presses(n: int = 8, sphere_radius_mm: float = 5.0,
 
 def make_shear_dataset(n: int = 300, gel: GelModel = GelModel(),
                        rng: np.random.Generator | None = None,
-                       mask_px: int = 240, jitter_px: float = 0.3,
-                       force_per_mm: float = 0.8):
+                       mask_px: int = 240):
     """Translation-shear samples with force labels for the shear regression.
 
     Each sample presses a random sphere into the gel, drags the contact by a
@@ -607,14 +608,15 @@ def make_shear_dataset(n: int = 300, gel: GelModel = GelModel(),
         depth = rng.uniform(0.8, 1.5)
         cx, cy = gel.gel_size_mm / 2.0 + rng.uniform(-2.0, 2.0, 2)
         pen = Sphere(radius).penetration(xm - cx, ym - cy, depth)
-        mask = ContactMask(pen > 0.3, 0.3, ppm)
+        mask = ContactMask(pen > DEFAULT_CONTACT_THRESHOLD_MM,
+                           DEFAULT_CONTACT_THRESHOLD_MM, ppm)
         mag = rng.uniform(0.5, 4.0)
         ang = rng.uniform(0.0, 2.0 * np.pi)
         shear = mag * np.array([np.cos(ang), np.sin(ang)])
         moved = deform_markers(rest, mask, shear, "translation", gel)
-        moved = moved.moved(rng.normal(0.0, jitter_px, moved.xy.shape))
+        moved = moved.moved(rng.normal(0.0, _SHEAR_JITTER_PX, moved.xy.shape))
         pairs.append((rest, moved, mask))
-        labels[i] = force_per_mm * shear * (1.0 + rng.normal(0.0, 0.08)) \
+        labels[i] = _SHEAR_FORCE_PER_MM * shear * (1.0 + rng.normal(0.0, 0.08)) \
             + rng.normal(0.0, 0.02, 2)
     return pairs, labels
 
@@ -659,11 +661,10 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
 
 
 def make_force_samples(n: int = 10000, rng: np.random.Generator | None = None,
-                       gain: float = CURRENT_GAIN, offset: float = CURRENT_OFFSET,
-                       noise: float = CURRENT_NOISE,
-                       force_range: tuple[float, float] = (0.5, 8.0)):
-    """(current, force) samples from the linear motor model with current noise."""
+                       noise: float = CURRENT_NOISE):
+    """(current, force) samples from the linear motor model with current
+    noise, forces uniform in [0.5, 8] N."""
     rng = np.random.default_rng(0) if rng is None else rng
-    forces = rng.uniform(force_range[0], force_range[1], n)
-    currents = gain * forces + offset + rng.normal(0.0, noise, n)
+    forces = rng.uniform(_FORCE_RANGE_N[0], _FORCE_RANGE_N[1], n)
+    currents = CURRENT_GAIN * forces + CURRENT_OFFSET + rng.normal(0.0, noise, n)
     return currents, forces

@@ -237,7 +237,7 @@ def _pair_scatter_index(idx_a, idx_b) -> np.ndarray:
 
 
 def _loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
-                    fit_bias: bool = True, scatter: np.ndarray | None = None):
+                    scatter: np.ndarray | None = None):
     """Mean pairwise cross entropy and its analytic parameter gradients.
 
     ``scatter`` is ``_pair_scatter_index(idx_a, idx_b)``; a fit builds it
@@ -260,7 +260,7 @@ def _loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
                        minlength=emb.size).reshape(emb.shape)
     dw = ea.T @ (dlogit[:, None] * eb)
     d_comp = dw - dw.T
-    d_bias = float(dlogit.sum()) if fit_bias else 0.0
+    d_bias = float(dlogit.sum())
 
     dz, dg = demb[:, :TOKEN_DIM], demb[:, TOKEN_DIM:]
     d_w_force = (dg * forces.mean(axis=1)[:, None]).sum(axis=0)
@@ -330,7 +330,7 @@ def _index_pairs(pairs):
 
 def train_ranker(pairs, epochs: int = DEFAULT_EPOCHS,
                  learning_rate: float = DEFAULT_LEARNING_RATE,
-                 seed: int = 0, fit_bias: bool = True) -> RankerModel:
+                 seed: int = 0) -> RankerModel:
     """Full-batch L-BFGS on the pairwise cross entropy.
 
     ``pairs`` is a sequence of (clip_a, clip_b, label) with label 1 when the
@@ -356,7 +356,7 @@ def train_ranker(pairs, epochs: int = DEFAULT_EPOCHS,
     scatter = _pair_scatter_index(idx_a, idx_b)
     params, history = _lbfgs(
         lambda p: _loss_and_grads(tuple(p), patches, forces, idx_a, idx_b,
-                                  labels, fit_bias, scatter),
+                                  labels, scatter),
         _init_params(seed), epochs, learning_rate)
     return RankerModel(embedder=ClipEmbedder(*params[:7]),
                        comparator=params[7], bias=float(params[8]),

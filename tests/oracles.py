@@ -11,7 +11,7 @@ from scipy.sparse.linalg import spsolve
 
 
 # ---------------------------------------------------------------------------
-# interpolation and warping
+# interpolation
 # ---------------------------------------------------------------------------
 
 def idw_reference(px, py, vals, node_x, node_y, k=4, power=2.0):
@@ -29,28 +29,6 @@ def idw_reference(px, py, vals, node_x, node_y, k=4, power=2.0):
                 continue
             w = d2[order] ** (-power / 2.0)
             out[i, j] = (w[:, None] * vals[order]).sum(axis=0) / w.sum()
-    return out
-
-
-def warp_reference(img, hmat, out_h, out_w):
-    """Per-pixel homography warp with bilinear blending and edge clamping."""
-    h, w, c = img.shape
-    out = np.empty((out_h, out_w, c))
-    for i in range(out_h):
-        for j in range(out_w):
-            x, y, z = hmat @ np.array([j, i, 1.0])
-            u, v = x / z, y / z
-            if abs(u - round(u)) < 1e-9:
-                u = round(u)
-            if abs(v - round(v)) < 1e-9:
-                v = round(v)
-            u = min(max(u, 0.0), w - 1.0)
-            v = min(max(v, 0.0), h - 1.0)
-            j0, i0 = int(np.floor(u)), int(np.floor(v))
-            j1, i1 = min(j0 + 1, w - 1), min(i0 + 1, h - 1)
-            fu, fv = u - j0, v - i0
-            out[i, j] = ((1 - fv) * ((1 - fu) * img[i0, j0] + fu * img[i0, j1])
-                         + fv * ((1 - fu) * img[i1, j0] + fu * img[i1, j1]))
     return out
 
 
@@ -340,8 +318,7 @@ def fit_rgb2normal_reference(data, epochs, learning_rate, seed=0):
                            rgb2normal_init(seed), epochs, learning_rate)
 
 
-def ranker_loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
-                          fit_bias=True):
+def ranker_loss_and_grads(params, patches, forces, idx_a, idx_b, labels):
     """Pairwise cross entropy of the softness ranker and its gradients."""
     from gripsense import softness
     w_query, w_key, w_value = params[2:5]
@@ -358,7 +335,7 @@ def ranker_loss_and_grads(params, patches, forces, idx_a, idx_b, labels,
     np.add.at(demb, idx_b, dlogit[:, None] * (ea @ w))
     dw = ea.T @ (dlogit[:, None] * eb)
     d_comp = dw - dw.T
-    d_bias = float(dlogit.sum()) if fit_bias else 0.0
+    d_bias = float(dlogit.sum())
 
     token = softness.TOKEN_DIM
     dz, dg = demb[:, :token], demb[:, token:]
@@ -437,7 +414,7 @@ def run_trial_reference(fruit, cfg, seed=0):
     from gripsense.sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET
     from gripsense.slip import detect_slip, marker_velocity, object_velocity
     rng = np.random.default_rng(seed)
-    model = harvest._DEFAULT_FORCE_MODEL
+    model = harvest._FORCE_MODEL
     measured = fruit.diameter_mm + rng.normal(
         0.0, harvest.DEFAULT_DIAMETER_NOISE_MM)
     state = harvest.GraspState(

@@ -9,12 +9,12 @@ ones; the per-module suites probe the same components much more finely.
 import time
 
 import numpy as np
-import pytest
 
 from gripsense import core, force, geometry, harvest, sim, slip, softness
 from gripsense.core import DisplacementField, HeightMap
 from gripsense.perception import Perception
 from oracles import fd_gradient_at, hhd_projection_reference
+from recipes import criterion8_models
 
 
 def _verdict(capsys, num, failures, detail):
@@ -285,21 +285,10 @@ def test_criterion_8_perception_latency(capsys):
     # real sensor instead of giving an exactly zero diff
     img = sim.render_tactile(raw, rig, gel, 0.01, np.random.default_rng(3))
 
-    presses = sim.make_calibration_presses(3, rng=np.random.default_rng(0),
-                                           resolution=64)
-    geo_model = geometry.fit_rgb2normal(
-        geometry.build_calibration_dataset(presses), epochs=120,
-        learning_rate=0.1, seed=0)
-    nf_model = force.fit_normal_force(np.column_stack(
-        sim.make_force_samples(2000, rng=np.random.default_rng(1))))
-    sh_pairs, sh_labels = sim.make_shear_dataset(
-        40, rng=np.random.default_rng(2))
-    sh_model = force.fit_shear_model(force.build_shear_features(sh_pairs),
-                                     sh_labels)
     rest = sim.marker_grid(gel, ppm, (resolution, resolution))
     moved = rest.moved(np.full(rest.xy.shape, 0.4))
     current = 0.8 * 3.0 + 0.2
-    perception = Perception(geo_model, nf_model, sh_model, flat, rest)
+    perception = Perception(*criterion8_models(), flat, rest)
 
     for _ in range(slip.TICK_WINDOW):   # warm caches, fill the slip window
         p = perception.tick(img, moved, current)

@@ -1,6 +1,5 @@
 """Settings file parsing and the command line front end."""
 
-import numpy as np
 import pytest
 
 from gripsense import cli, core
@@ -64,9 +63,10 @@ class TestConfig:
         path.write_text("sim.pose = diagonal\n")
         with pytest.raises(ValueError, match="diagonal"):
             parse_config(str(path))
-        path.write_text("slip.threshold_px = nan\n")
-        with pytest.raises(ValueError):
-            parse_config(str(path))
+        for value in ("nan", "inf", "-inf"):
+            path.write_text(f"slip.threshold_px = {value}\n")
+            with pytest.raises(ValueError, match="line 1"):
+                parse_config(str(path))
         path.write_text("sim.frames = 2.5\n")
         with pytest.raises(ValueError):
             parse_config(str(path))
@@ -123,11 +123,15 @@ class TestRuntimeErrors:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_config_reports_line(self, tmp_path, capsys):
-        cfg = _write(tmp_path / "bad.cfg", "slip.threshold = 3\n")
-        rc = cli.main(["sim", "--out", str(tmp_path / "d"), "--config", cfg])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "line 1" in err
+        # an unknown key, and a pitch the simulator would overflow on
+        for text in ("slip.threshold = 3", "sim.px_per_mm = inf"):
+            cfg = _write(tmp_path / "bad.cfg", text + "\n")
+            rc = cli.main(["sim", "--out", str(tmp_path / "d"),
+                           "--config", cfg])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "line 1" in err
+            assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("depth", ["0.2", "40"])
     def test_sim_depth_outside_cap_writes_nothing(self, tmp_path, capsys,
@@ -193,11 +197,12 @@ class TestSimSlipRoundTrip:
         assert "frames=80" in out
         assert "f1=" in out and "precision=" in out
 
-    def test_huge_threshold_silences_detector(self, sim_dir, capsys):
+    def test_huge_threshold_silences_detector(self, sim_dir, tmp_path, capsys):
+        cfg = _write(tmp_path / "huge.cfg", "slip.threshold_px = 1e9\n")
         capsys.readouterr()
         rc = cli.main(["slip", "--tracks", str(sim_dir / "markers.csv"),
                        "--objects", str(sim_dir / "objects.csv"),
-                       "--threshold", "1e9"])
+                       "--config", cfg])
         assert rc == 0
         assert "slip_frames=0" in capsys.readouterr().out
 

@@ -43,13 +43,10 @@ class TestNormalForce:
         with pytest.raises(ValueError):
             force.fit_normal_force(np.zeros((5, 3)))
 
-    def test_predict_elementwise_and_unfitted(self):
+    def test_predict_elementwise(self):
         model = force.NormalForceModel(2.0, 1.0)
         out = force.predict_normal_force(np.array([0.0, 1.0, 2.0]), model)
         assert np.allclose(out, [1.0, 3.0, 5.0])
-        with pytest.raises(ValueError):
-            force.predict_normal_force(
-                1.0, force.NormalForceModel(2.0, 1.0, fitted=False))
 
     def test_input_kinds_give_equal_models(self):
         r = np.random.default_rng(7)

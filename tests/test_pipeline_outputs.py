@@ -22,15 +22,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from gripsense import geometry, sim
 from gripsense.core import HeightMap, TactileFrame, diff_image
+from recipes import criterion8_geometry_model
 
 SHAPE = (240, 320)
-
-
-def _criterion8_model():
-    presses = sim.make_calibration_presses(3, rng=np.random.default_rng(0),
-                                           resolution=64)
-    return geometry.fit_rgb2normal(geometry.build_calibration_dataset(presses),
-                                   epochs=120, learning_rate=0.1, seed=0)
 
 
 def _grasp():
@@ -56,7 +50,7 @@ def _digests() -> list:
     def sha(a):
         return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
-    model = _criterion8_model()
+    model = criterion8_geometry_model()
     loud = geometry.Rgb2NormalModel(model.w1, model.b1, model.w2, model.b2,
                                     model.w3, model.b3 + [12.0, 0.0])
     background, frames = _grasp()
@@ -103,7 +97,7 @@ def test_outputs_match_pinned_digests():
 
 @pytest.fixture(scope="module")
 def model():
-    return _criterion8_model()
+    return criterion8_geometry_model()
 
 
 @pytest.fixture(scope="module")

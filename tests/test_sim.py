@@ -47,8 +47,6 @@ class TestShapes:
         with pytest.raises(ValueError):
             sim.HexPyramid(10.0, -1.0)
         with pytest.raises(ValueError):
-            sim.GraspScene(opening_mm=45.0)
-        with pytest.raises(ValueError):
             sim.GraspScene(pose="upside_down")
 
 

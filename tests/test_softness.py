@@ -210,13 +210,6 @@ class TestTraining:
                                       seed=1)
         assert abs(model.bias) < 1e-12
 
-    def test_fit_bias_false_pins_bias_exactly(self):
-        a = _clip(seed=6, shore00=60.0)
-        b = _clip(seed=7, shore00=40.0)
-        model = softness.train_ranker([(a, b, 1)], epochs=50, seed=1,
-                                      fit_bias=False)
-        assert model.bias == 0.0
-
     def test_deterministic_for_seed(self):
         a = _clip(seed=8, shore00=60.0)
         b = _clip(seed=9, shore00=40.0)
