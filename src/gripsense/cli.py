@@ -248,10 +248,11 @@ def _cmd_force(args, cfg: Config) -> int:
             f_n = force.predict_normal_force(current, normal_model)
             shear = 3.0 * frac * np.array([math.cos(angle), math.sin(angle)])
             moved = sim.deform_markers(rest, mask, shear, "translation", gel)
-            moved = moved.moved(rng.normal(0.0, 0.3, rest.xy.shape))
+            moved = moved.moved(rng.normal(0.0, sim._SHEAR_JITTER_PX,
+                                           rest.xy.shape))
             feat = force.build_shear_features([(rest, moved, mask)], grid)[0]
             f_x, f_y = force.predict_shear(feat, shear_model)
-            true_x, true_y = 0.8 * shear
+            true_x, true_y = sim._SHEAR_FORCE_PER_MM * shear
             f.write(f"{t},{f_n:.4f},{f_x:.4f},{f_y:.4f},"
                     f"{true_n:.4f},{true_x:.4f},{true_y:.4f}\n")
     print(f"frames={n_frames} slope={normal_model.slope:.4f} "

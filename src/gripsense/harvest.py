@@ -433,8 +433,7 @@ class StrategySummary:
 
 def run_experiment(trials_per_cell: int = 50, seed: int = 0,
                    fruit_types=("cherry_tomato", "strawberry"),
-                   strategies=STRATEGIES, max_retries: int = 3,
-                   **trial_kwargs) -> list:
+                   strategies=STRATEGIES) -> list:
     """Seeded three-strategy ablation over sampled fruit populations.
 
     The fruit drawn for trial ``i`` of a fruit type is identical across
@@ -452,8 +451,8 @@ def run_experiment(trials_per_cell: int = 50, seed: int = 0,
                                        np.random.default_rng(seq.spawn(1)[0])))
             seeds.append(seq.spawn(1)[0])
         for strategy in strategies:
-            cfg = StrategyConfig(strategy=strategy, max_retries=max_retries)
-            outcomes = [run_trial(fruit, cfg, seed=trial_seed, **trial_kwargs)
+            cfg = StrategyConfig(strategy=strategy)
+            outcomes = [run_trial(fruit, cfg, seed=trial_seed)
                         for fruit, trial_seed in zip(fruits, seeds)]
             peaks = np.array([o.peak_force_n for o in outcomes])
             failures = {}

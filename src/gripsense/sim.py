@@ -11,6 +11,12 @@ bit-identical outputs and scenes are safe to generate in parallel.
 Slip sequences draw their mask noise over the whole frame, which keeps the
 random stream of every frame the same, but evaluate the indenter only in
 the box around the pressed cap: outside it the penetration is exactly zero.
+
+A squeeze clip renders as one (T, H, W) stack: the fruit's dome and bump
+texture are evaluated once per clip, and the blur and the shading run over
+all frames at once, with each pixel's arithmetic unchanged. Its random draws
+stay per frame and in the same order, the current noise and then the pixel
+noise, so a clip is bit-identical to rendering its frames one by one.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HeightMap, MarkerSet, TactileFrame, diff_image
+from .core import (DiffFrame, HeightMap, MarkerSet, TactileFrame, _Adopt,
+                   _clip_owned, diff_image)
 from .slip import DEFAULT_CONTACT_THRESHOLD_MM, ContactMask
 
 # Combined gel + drive-train stiffness seen in series with the fruit during a
@@ -239,14 +246,19 @@ def _grid_mm(grid: tuple[int, int], gel: GelModel):
     return np.meshgrid(xs, ys), px_per_mm
 
 
-def indent_heightmap(shape, center_mm: tuple[float, float], depth_mm: float,
-                     grid: tuple[int, int], gel: GelModel = GelModel()) -> HeightMap:
-    """Analytic penetration of ``shape`` into a flat gel plane, clamped at 0."""
-    if depth_mm < 0:
-        raise ValueError("depth must be non-negative")
+def _check_depth(shape, depth_mm: float) -> None:
+    """Raise unless ``shape`` can indent ``depth_mm``: 0 <= depth <= height."""
+    if not depth_mm >= 0:           # NaN fails here too
+        raise ValueError(f"depth must be non-negative, got {depth_mm}")
     if depth_mm > shape.max_depth_mm:
         raise ValueError(
             f"depth {depth_mm} mm exceeds shape height {shape.max_depth_mm} mm")
+
+
+def indent_heightmap(shape, center_mm: tuple[float, float], depth_mm: float,
+                     grid: tuple[int, int], gel: GelModel = GelModel()) -> HeightMap:
+    """Analytic penetration of ``shape`` into a flat gel plane, clamped at 0."""
+    _check_depth(shape, depth_mm)
     (xm, ym), px_per_mm = _grid_mm(grid, gel)
     extent_y = grid[0] / px_per_mm
     if not (0.0 <= center_mm[0] <= gel.gel_size_mm and 0.0 <= center_mm[1] <= extent_y):
@@ -258,30 +270,32 @@ def indent_heightmap(shape, center_mm: tuple[float, float], depth_mm: float,
 
 
 def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of a 2-D array with zero padding.
+    """Separable Gaussian blur of the last two axes of ``x`` with zero
+    padding; leading axes index independent rasters.
 
-    Bit-equal to ``scipy.ndimage.gaussian_filter(x, sigma, mode="constant")``:
-    the same normalized kernel exp(-t^2 / 2 sigma^2) of radius
-    int(4 sigma + 0.5), axis 0 before axis 1, and per output pixel the same
-    summation order, x[i] w0 and then (x[i - j] + x[i + j]) w_j added for j
-    from the radius down to 1.
+    Each raster is bit-equal to
+    ``scipy.ndimage.gaussian_filter(raster, sigma, mode="constant")``: the
+    same normalized kernel exp(-t^2 / 2 sigma^2) of radius int(4 sigma + 0.5),
+    axis -2 before axis -1, and per output pixel the same summation order,
+    x[i] w0 and then (x[i - j] + x[i + j]) w_j added for j from the radius
+    down to 1.
     """
     radius = int(4.0 * sigma + 0.5)
     taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     taps = taps / taps.sum()
-    for _ in range(2):      # axis 0, then axis 0 of the transpose: axis 1
-        n = x.shape[0]
+    for _ in range(2):      # axis -2, then axis -2 of the transpose: axis -1
+        n = x.shape[-2]
         # row-major whatever x's layout, so every pass runs on contiguous rows
-        padded = np.zeros((n + 2 * radius, x.shape[1]))
-        padded[radius:radius + n] = x
-        out = padded[radius:radius + n] * taps[radius]
+        padded = np.zeros(x.shape[:-2] + (n + 2 * radius, x.shape[-1]))
+        padded[..., radius:radius + n, :] = x
+        out = padded[..., radius:radius + n, :] * taps[radius]
         pair = np.empty_like(out)
         for j in range(radius, 0, -1):
-            np.add(padded[radius - j:radius - j + n],
-                   padded[radius + j:radius + j + n], out=pair)
+            np.add(padded[..., radius - j:radius - j + n, :],
+                   padded[..., radius + j:radius + j + n, :], out=pair)
             pair *= taps[radius + j]
             out += pair
-        x = out.T
+        x = out.swapaxes(-1, -2)
     return np.ascontiguousarray(x)
 
 
@@ -293,14 +307,37 @@ def press(raw: HeightMap, gel: GelModel = GelModel()) -> HeightMap:
     return HeightMap(_gaussian_blur(raw.values, sigma_px), raw.px_per_mm)
 
 
+def _normals(values: np.ndarray, px_per_mm: float) -> np.ndarray:
+    """(..., H, W, 3) unit normals of heights (..., H, W) in mm."""
+    gy, gx = np.gradient(values, axis=(-2, -1))   # mm per px
+    gx = gx * px_per_mm                           # mm per mm
+    gy = gy * px_per_mm
+    n = np.stack([-gx, -gy, np.ones_like(gx)], axis=-1)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    return n
+
+
 def surface_normals(h: HeightMap) -> np.ndarray:
     """(H, W, 3) unit normals from heightmap gradients, z toward the camera."""
-    gy, gx = np.gradient(h.values)                # mm per px
-    gx = gx * h.px_per_mm                         # mm per mm
-    gy = gy * h.px_per_mm
-    n = np.dstack([-gx, -gy, np.ones_like(gx)])
-    n /= np.linalg.norm(n, axis=2, keepdims=True)
-    return n
+    return _normals(h.values, h.px_per_mm)
+
+
+def _shade(values: np.ndarray, px_per_mm: float, rig: LightRig,
+           gel: GelModel) -> np.ndarray:
+    """Noise-free, unclipped (..., H, W, 3) image of heights (..., H, W):
+    per channel, background + sum over lights of intensity * max(0, n . l).
+
+    Each light's n . l is one product over all pixels of all rasters, and
+    each channel is accumulated in place, light after light.
+    """
+    n = _normals(values, px_per_mm).reshape(-1, 3)
+    img = np.empty(values.shape + (3,))
+    img[:] = np.asarray(gel.background_color)
+    for ldir, lint in zip(rig.directions, rig.intensities):
+        shade = np.maximum(n @ ldir, 0.0).reshape(values.shape)
+        for c in range(3):
+            img[..., c] += shade * lint[c]
+    return img
 
 
 def render_tactile(h: HeightMap, rig: LightRig = default_rig(),
@@ -312,17 +349,12 @@ def render_tactile(h: HeightMap, rig: LightRig = default_rig(),
     Per channel: background + sum over lights of intensity * max(0, n . l).
     Deterministic for identical inputs; noise requires an explicit ``rng``.
     """
-    n = surface_normals(h)
-    img = np.empty(h.values.shape + (3,))
-    img[:] = np.asarray(gel.background_color)
-    for ldir, lint in zip(rig.directions, rig.intensities):
-        shade = np.maximum(n @ ldir, 0.0)
-        img += shade[:, :, None] * lint[None, None, :]
+    img = _shade(h.values, h.px_per_mm, rig, gel)
     if noise_sigma > 0.0:
         if rng is None:
             raise ValueError("pixel noise requires an explicit rng")
-        img = img + rng.normal(0.0, noise_sigma, img.shape)
-    return TactileFrame(np.clip(img, 0.0, 1.0), h.px_per_mm, timestamp)
+        img += rng.normal(0.0, noise_sigma, img.shape)
+    return TactileFrame(np.clip(img, 0.0, 1.0, out=img), h.px_per_mm, timestamp)
 
 
 def marker_grid(gel: GelModel, px_per_mm: float, frame: tuple[int, int]) -> MarkerSet:
@@ -633,6 +665,13 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
     series, so a stiffer fruit indents the gel faster (contact area grows
     faster) and raises the current faster. ``fruit`` needs ``stiffness_n_mm``,
     ``diameter_mm`` and ``fruit_type`` attributes.
+
+    The clip renders as one (n_frames, H, W) stack: every gel depth is
+    checked as ``indent_heightmap`` checks it, the fruit's dome and bumps are
+    evaluated once, and the blur and the shading run over the whole stack.
+    The random draws stay in a per-frame loop in the order of rendering the
+    frames one by one (frame t's current noise, then its pixel noise), so
+    the frames and currents are bit-identical to that.
     """
     if n_frames < 4:
         raise ValueError("need at least 4 frames")
@@ -644,19 +683,25 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
                          base_radius_mm=fruit.diameter_mm / 2.0,
                          phase_seed=int(rng.integers(1 << 31)))
     grid = (resolution, resolution)
-    center = (gel.gel_size_mm / 2.0, gel.gel_size_mm / 2.0)
-    flat = press(indent_heightmap(shape, center, 0.0, grid, gel), gel)
-    background = render_tactile(flat, rig, gel)
-    frames, currents = [], np.empty(n_frames)
+    (xm, ym), ppm = _grid_mm(grid, gel)
+    background = render_tactile(HeightMap(np.zeros(grid), ppm), rig, gel)
+    s = squeeze_mm * np.arange(1, n_frames + 1) / n_frames
+    x_gel = s * kf / (kg + kf)
+    for depth in x_gel:
+        _check_depth(shape, depth)
+    currents = CURRENT_GAIN * (kg * x_gel) + CURRENT_OFFSET
+    mid = gel.gel_size_mm / 2.0
+    pen = shape.penetration(xm - mid, ym - mid, x_gel[:, None, None])
+    img = _shade(_gaussian_blur(pen, gel.membrane_sigma_mm * ppm), ppm, rig, gel)
     for t in range(n_frames):
-        s = squeeze_mm * (t + 1) / n_frames
-        x_gel = s * kf / (kg + kf)
-        force = kg * x_gel
-        currents[t] = CURRENT_GAIN * force + CURRENT_OFFSET \
-            + (rng.normal(0.0, current_noise) if current_noise > 0 else 0.0)
-        hm = press(indent_heightmap(shape, center, x_gel, grid, gel), gel)
-        frame = render_tactile(hm, rig, gel, noise_sigma, rng if noise_sigma > 0 else None)
-        frames.append(diff_image(frame, background))
+        if current_noise > 0:
+            currents[t] += rng.normal(0.0, current_noise)
+        if noise_sigma > 0:
+            img[t] += rng.normal(0.0, noise_sigma, img.shape[1:])
+    # every frame's TactileFrame check, once over the stack
+    _clip_owned(np.clip(img, 0.0, 1.0, out=img), 0.0, 1.0, "pixel intensities")
+    diff = np.subtract(img, background.pixels)
+    frames = [DiffFrame(_Adopt(d), ppm) for d in diff]
     return frames, currents
 
 

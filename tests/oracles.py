@@ -488,3 +488,35 @@ def slip_masks_reference(seq, sphere_radius_mm, depth_mm, rng,
         rng.normal(0.0, marker_jitter_px, (n_markers, 2))
         out.append(noisy > 0.3)
     return out
+
+
+def compression_clip_reference(fruit, n_frames, gel, rig, rng, squeeze_mm,
+                               resolution, noise_sigma, current_noise):
+    """A ``synth_compression_clip`` result rendered one frame at a time.
+
+    Each frame is its own heightmap, blur, render and difference through the
+    package's single-frame functions; frame t draws its current noise, then
+    its pixel noise. ``rng`` must be in the state the clip's generator was in.
+    """
+    from gripsense import sim
+
+    kf, kg = fruit.stiffness_n_mm, sim.SERIES_STIFFNESS
+    density, amplitude = sim.TEXTURE_PARAMS.get(fruit.fruit_type, (0.0, 0.0))
+    shape = sim.FruitSurface(density, amplitude,
+                             base_radius_mm=fruit.diameter_mm / 2.0,
+                             phase_seed=int(rng.integers(1 << 31)))
+    grid = (resolution, resolution)
+    center = (gel.gel_size_mm / 2.0, gel.gel_size_mm / 2.0)
+    background = sim.render_tactile(
+        sim.press(sim.indent_heightmap(shape, center, 0.0, grid, gel), gel),
+        rig, gel)
+    frames, currents = [], np.empty(n_frames)
+    for t in range(n_frames):
+        x_gel = squeeze_mm * (t + 1) / n_frames * kf / (kg + kf)
+        currents[t] = sim.CURRENT_GAIN * (kg * x_gel) + sim.CURRENT_OFFSET \
+            + (rng.normal(0.0, current_noise) if current_noise > 0 else 0.0)
+        hm = sim.press(sim.indent_heightmap(shape, center, x_gel, grid, gel), gel)
+        frame = sim.render_tactile(hm, rig, gel, noise_sigma,
+                                   rng if noise_sigma > 0 else None)
+        frames.append(frame.pixels - background.pixels)
+    return frames, currents

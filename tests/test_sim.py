@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from gripsense import sim
 from gripsense.core import DiffFrame, HeightMap
 from gripsense.slip import ContactMask
-from oracles import cap_height, cap_normals_fd, slip_masks_reference
+from oracles import (cap_height, cap_normals_fd, compression_clip_reference,
+                     slip_masks_reference)
 
 GEL = sim.GelModel()
 rng = np.random.default_rng(11)
@@ -70,6 +71,9 @@ class TestHeightmaps:
             sim.indent_heightmap(sim.Sphere(5.0), (40.0, 15.0), 1.0, (32, 32))
         with pytest.raises(ValueError):
             sim.indent_heightmap(sim.Sphere(5.0), (15.0, 15.0), -0.1, (32, 32))
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.indent_heightmap(sim.Sphere(5.0), (15.0, 15.0), float("nan"),
+                                 (32, 32))
 
     def test_press_smooths_but_preserves_volume_roughly(self):
         raw = sim.indent_heightmap(sim.Sphere(5.0), (15.0, 15.0), 1.0, (64, 64))
@@ -81,13 +85,21 @@ class TestHeightmaps:
     # past the 7- and 10-pixel sides, so every tap of those lands in padding
     @pytest.mark.parametrize("shape, sigma_px", [
         ((64, 64), 64 / 30.0), ((33, 48), 1.3), ((7, 10), 2.5), ((10, 7), 2.5),
-        ((1, 12), 0.6), ((21, 5), 4.7)])
+        ((1, 12), 0.6), ((21, 5), 4.7), ((5, 33, 48), 1.3)])
     def test_press_bit_equal_to_ndimage(self, shape, sigma_px):
+        # each raster of a stacked input blurs as it would alone
         from scipy.ndimage import gaussian_filter
-        raw = HeightMap(np.random.default_rng(sum(shape)).random(shape), 2.0)
-        gel = sim.GelModel(membrane_sigma_mm=sigma_px / raw.px_per_mm)
-        want = gaussian_filter(raw.values, sigma_px, mode="constant")
-        assert sim.press(raw, gel).values.tobytes() == want.tobytes()
+        values = np.random.default_rng(sum(shape)).random(shape)
+        if values.ndim == 2:
+            raw = HeightMap(values, 2.0)
+            gel = sim.GelModel(membrane_sigma_mm=sigma_px / raw.px_per_mm)
+            got = sim.press(raw, gel).values[None]
+        else:
+            got = sim._gaussian_blur(values, sigma_px)
+        assert got.shape == values.reshape((-1,) + shape[-2:]).shape
+        for blurred, raster in zip(got, values.reshape(got.shape)):
+            want = gaussian_filter(raster, sigma_px, mode="constant")
+            assert blurred.tobytes() == want.tobytes()
 
 
 class TestNormalsAndRendering:
@@ -279,6 +291,38 @@ class TestDatasets:
         assert len(frames) == 8 and currents.shape == (8,)
         assert np.all(np.diff(currents) > 0)
         assert all(isinstance(f, DiffFrame) for f in frames)
+
+    @pytest.mark.parametrize("fruit_type, noise_sigma, current_noise", [
+        ("smooth", 0.0, 0.0), ("cherry_tomato", 0.01, sim.CURRENT_NOISE),
+        ("strawberry", 0.02, 0.0), ("strawberry", 0.0, sim.CURRENT_NOISE)])
+    def test_compression_clip_bit_equal_to_frame_loop(self, fruit_type,
+                                                       noise_sigma,
+                                                       current_noise):
+        fruit = _FakeFruit(0.9, 18.0, fruit_type)
+        kwargs = dict(n_frames=5, gel=GEL, rig=sim.default_rig(),
+                      squeeze_mm=3.0, resolution=40, noise_sigma=noise_sigma,
+                      current_noise=current_noise)
+        frames, currents = sim.synth_compression_clip(
+            fruit, rng=np.random.default_rng(6), **kwargs)
+        want_frames, want_currents = compression_clip_reference(
+            fruit, rng=np.random.default_rng(6), **kwargs)
+        assert currents.tobytes() == want_currents.tobytes()
+        assert len(frames) == len(want_frames)
+        for frame, want in zip(frames, want_frames):
+            assert frame.values.tobytes() == want.tobytes()
+            assert frame.px_per_mm == 40 / GEL.gel_size_mm
+
+    def test_compression_clip_checks_every_depth(self):
+        # the gel takes 1.2 / 3.2 of the squeeze: 15 mm of a 40 mm squeeze,
+        # deeper than the 10 mm fruit radius from the sixth of 8 frames on
+        fruit = _FakeFruit(1.2, 20.0, "smooth")
+        with pytest.raises(ValueError, match="exceeds shape height"):
+            sim.synth_compression_clip(fruit, n_frames=8, squeeze_mm=40.0,
+                                       resolution=32)
+        for squeeze in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="non-negative"):
+                sim.synth_compression_clip(fruit, n_frames=8,
+                                           squeeze_mm=squeeze, resolution=32)
 
     def test_stiffer_fruit_draws_more_current(self):
         soft = sim.synth_compression_clip(

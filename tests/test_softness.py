@@ -386,13 +386,17 @@ class TestLibraryAndEval:
         # SHA-256 of every frame's float64 bytes at the default size, pinned
         # when the membrane blur moved from scipy.ndimage to numpy; any change
         # to the simulator's output bits, the blur's summation order included,
-        # moves it
-        digest = hashlib.sha256()
+        # moves it. The force digest, of every clip's per-frame estimates,
+        # was pinned while clips were still rendered one frame at a time.
+        digest, forces = hashlib.sha256(), hashlib.sha256()
         for clip in softness.build_clip_library(1, seed=0):
             for frame in clip.frames:
                 digest.update(frame.values.tobytes())
+            forces.update(clip.forces.tobytes())
         assert digest.hexdigest() == ("5e0794eac8b53301c376e8516d8cd04f"
                                       "4af9d152d51ffcf31fe322e60ccffc73")
+        assert forces.hexdigest() == ("82778d43b71d44d09aa31d88a9d71325"
+                                      "3b7b635aeb52028644d1c7e8a4ec3ee4")
 
     def test_ranking_pairs_balanced_within_type(self, library):
         pairs = softness.make_ranking_pairs(library)
