@@ -58,6 +58,20 @@ def _check_nonempty(v: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be non-empty, got shape {v.shape}")
 
 
+def _check_support(box, shape) -> tuple:
+    """The window (r0, r1, c0, c1) as Python ints, or ValueError unless it is
+    four integers with 0 <= r0 <= r1 <= H and 0 <= c0 <= c1 <= W."""
+    box = tuple(box) if np.iterable(box) else (box,)
+    if len(box) != 4 or not all(isinstance(b, (int, np.integer))
+                                and not isinstance(b, (bool, np.bool_))
+                                for b in box):
+        raise ValueError(f"support must be four integers, got {box}")
+    r0, r1, c0, c1 = (int(b) for b in box)
+    if not (0 <= r0 <= r1 <= shape[0] and 0 <= c0 <= c1 <= shape[1]):
+        raise ValueError(f"support {box} is not a window of a {shape} raster")
+    return r0, r1, c0, c1
+
+
 def _check_pitch(px_per_mm) -> None:
     """Raise unless the pixel pitch is a finite positive number."""
     if not (px_per_mm > 0 and np.isfinite(px_per_mm)):
@@ -230,15 +244,24 @@ class DiffFrame:
 
 @dataclass(frozen=True)
 class NormalMap:
-    """Per-pixel unit surface normals (nx, ny, nz) with nz > 0."""
+    """Per-pixel unit surface normals (nx, ny, nz) with nz > 0.
+
+    ``support`` is the contact window (r0, r1, c0, c1), rows r0:r1 and
+    columns c0:c1, outside which the gel is taken to be undeformed; None is
+    the whole frame, and r0 == r1 or c0 == c1 an empty window (no contact).
+    """
 
     values: np.ndarray          # (H, W, 3)
+    support: tuple | None = None
 
     def __post_init__(self):
         v = _owned(self.values)
         if v.ndim != 3 or v.shape[2] != 3:
             raise ValueError(f"values must be (H, W, 3), got {v.shape}")
         _check_nonempty(v, "normal map")
+        if self.support is not None:
+            object.__setattr__(self, "support",
+                               _check_support(self.support, v.shape[:2]))
         # |n| - 1 accumulated in one (H, W) buffer; a NaN in any component
         # makes the largest deviation NaN, which fails the test
         dev = np.square(v[:, :, 0])

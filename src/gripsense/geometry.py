@@ -25,6 +25,15 @@ apart and interpolated bilinearly; expansion pixels stay within 2e-3 per
 normal component of the MLP. The float64 ``_forward`` is the training path
 and the reference the float32 pass is tested against.
 
+The Poisson solve runs only inside the contact window that
+``predict_normals`` reads off the same largest-channel |diff| and hands on
+as ``NormalMap.support``: the rows and columns with at least 8 pixels above
+0.06 (6 sigma of the sensor noise), plus an 8 px margin. Zero Dirichlet data
+on the window's edge is the assumption the whole-frame solve makes on the
+frame's edge, that the gel there is undeformed; outside the window the
+height is zero, and a frame without contact gets zero height without a
+solve. A gripper contact covers about a 100x100 box of a 240x320 frame.
+
 Both tick stages write their result once, into the array they return, and
 hand it to ``NormalMap`` or ``HeightMap`` wrapped in ``core._Adopt``, so the
 type checks it in place instead of copying it. ``predict_normals`` fills the
@@ -64,6 +73,17 @@ _BAND_PX = 4096
 # It is 2.5 sigma of the 0.01 sensor noise, so untouched gel stays on the
 # linear path.
 _LINEAR_TAU = 0.025
+# The contact window that ``predict_normals`` hands ``integrate_normals``.
+# A pixel is hot when its largest channel |diff| exceeds _HOT_TAU, 6 sigma of
+# the 0.01 sensor noise, so untouched gel is hot in about 2e-9 of its pixels.
+# A row or column joins the window only with at least _HOT_COUNT hot pixels,
+# so isolated noise spikes open none. The window then extends _WINDOW_MARGIN
+# px past those rows and columns, over the contact's rim, where |diff| is
+# under 6 sigma but the slopes are not yet zero (the pyramid and grasp
+# reconstructions erred about equally at margins of 4 to 16 px).
+_HOT_TAU = 0.06
+_HOT_COUNT = 8
+_WINDOW_MARGIN = 8
 # Largest expansion node spacing, in px and in normalized coordinates. The
 # second bound matters on small rasters, where a 4 px stride spans a large
 # part of the model's coordinate range (alone, it left J off by 2e-2 at
@@ -437,6 +457,12 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     about 1e-6. tau is a constant rather than fitted to each frame's noise,
     so that bound holds on every frame. The clamp below unit norm is applied
     again after the linear step, and nz is float64.
+
+    The result's ``support`` is the contact window, read off the same
+    largest-channel |diff|: the rows and columns with at least
+    ``_HOT_COUNT`` pixels above ``_HOT_TAU``, widened by ``_WINDOW_MARGIN``
+    px and clipped to the frame, or an empty window when no row or no column
+    has that many. The normals themselves cover the whole frame.
     """
     h, w, _ = frame.values.shape
     planes = _expansion(model, h, w).reshape(8, -1)
@@ -456,6 +482,11 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     for c in (1, 2):
         np.maximum(mag, np.abs(rgb[c], out=tmp), out=mag)
     idx = np.flatnonzero(mag > _LINEAR_TAU)
+    rows, cols = np.divmod(idx, w)
+    hot = mag[idx] > _HOT_TAU           # hot pixels are a subset of idx
+    r0, r1 = _span(np.bincount(rows[hot], minlength=h))
+    c0, c1 = _span(np.bincount(cols[hot], minlength=w))
+    support = (r0, r1, c0, c1) if r1 > r0 and c1 > c0 else (0, 0, 0, 0)
     np.multiply(n0, n0, out=t2)
     t2 += np.multiply(n1, n1, out=work.view(np.float64))
     over = t2 > _NORM_CLAMP * _NORM_CLAMP
@@ -465,14 +496,26 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     xn, yn = _grid_coords(h, w)
     feats = np.empty((idx.size, 5), np.float32)
     feats[:, :3] = rgb[:, idx].T
-    feats[:, 3] = xn[idx % w]
-    feats[:, 4] = yn[idx // w]
+    feats[:, 3] = xn[cols]
+    feats[:, 4] = yn[rows]
     mlp = _mlp(model, feats)
     out[idx, :2] = mlp
     t2[idx] = mlp[:, 0] * mlp[:, 0] + mlp[:, 1] * mlp[:, 1]
     np.subtract(1.0, t2, out=t2)
     np.sqrt(np.maximum(t2, 0.0, out=t2), out=t2)
-    return NormalMap(_Adopt(out.reshape(h, w, 3)))
+    return NormalMap(_Adopt(out.reshape(h, w, 3)), support)
+
+
+def _span(counts: np.ndarray) -> tuple[int, int]:
+    """The window along one axis from its hot-pixel counts per line: the
+    first to one past the last line with at least ``_HOT_COUNT``, widened by
+    ``_WINDOW_MARGIN`` and clipped to the axis; (0, 0) if no line has that
+    many."""
+    full = np.flatnonzero(counts >= _HOT_COUNT)
+    if full.size == 0:
+        return 0, 0
+    return (max(int(full[0]) - _WINDOW_MARGIN, 0),
+            min(int(full[-1]) + 1 + _WINDOW_MARGIN, counts.size))
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +593,15 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     """Poisson integration of the normal field into a heightmap.
 
     The slope field g = (-nx/nz, -ny/nz)/px_per_mm (mm per pixel) feeds
-    grad h = g; the equation laplacian(h) = div g is solved with zero height
-    on the frame edge (the gel is undeformed there) and the result is
-    gauge-fixed so its minimum is exactly 0.
+    grad h = g; the equation laplacian(h) = div g is solved inside the
+    normal map's ``support`` window, the whole frame when it has none, with
+    zero height on the window's edge: the gel is undeformed there, as it is
+    on the frame's edge. Outside the window the height is zero, and the
+    result is gauge-fixed so its minimum is exactly 0. An empty window, or
+    one under 3 px on a side, has no interior and gives zero height without
+    a solve. Solving only where the contact is also keeps the noise slopes
+    of untouched gel out of the solution, where the whole-frame solve
+    integrates them into a low-frequency offset.
 
     The interior 5-point system is solved exactly in float64 by fast
     diagonalization (Lynch, Rice & Thomas 1964): the orthonormal type-I sine
@@ -565,10 +614,14 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     with a sparse direct solve to 1e-13 relative up to 480x640.
     """
     _check_pitch(px_per_mm)
-    v = n.values
-    h, w = v.shape[:2]
-    if h < 3 or w < 3:
+    full = np.zeros(n.values.shape[:2])
+    if min(full.shape) < 3:
         raise ValueError("normal map too small to integrate")
+    r0, r1, c0, c1 = n.support or (0, full.shape[0], 0, full.shape[1])
+    v = n.values[r0:r1, c0:c1]
+    h, w = v.shape[:2]
+    if h < 3 or w < 3:                  # no interior, nothing to solve
+        return HeightMap(_Adopt(full), px_per_mm)
     # Slopes of the opposite sign, so ``rhs`` is -div g on the interior.
     # One buffer holds the x slopes, then the y slopes, then the solve's
     # work array.
@@ -583,8 +636,8 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     rhs += gy[2:]
     rhs -= gy[:-2]
     rhs /= 2.0
-    full = np.zeros((h, w))
-    _sine_solve(rhs, full[1:-1, 1:-1], buf[:rhs.size].reshape(rhs.shape))
+    _sine_solve(rhs, full[r0 + 1:r1 - 1, c0 + 1:c1 - 1],
+                buf[:rhs.size].reshape(rhs.shape))
     full -= full.min()
     return HeightMap(_Adopt(full), px_per_mm)
 

@@ -308,12 +308,32 @@ def press(raw: HeightMap, gel: GelModel = GelModel()) -> HeightMap:
 
 
 def _normals(values: np.ndarray, px_per_mm: float) -> np.ndarray:
-    """(..., H, W, 3) unit normals of heights (..., H, W) in mm."""
-    gy, gx = np.gradient(values, axis=(-2, -1))   # mm per px
-    gx = gx * px_per_mm                           # mm per mm
-    gy = gy * px_per_mm
-    n = np.stack([-gx, -gy, np.ones_like(gx)], axis=-1)
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    """(..., H, W, 3) unit normals of heights (..., H, W) in mm.
+
+    Per pixel (-gx, -gy, 1) / sqrt(gx^2 + gy^2 + 1), with the slopes in mm
+    per mm by central differences, one-sided on the edges, as
+    ``np.gradient`` takes them. Each slope is differenced straight into its
+    plane of the result, and the third plane holds gy^2 until it gets 1, so
+    the norm is the only other full-size array; the result is bit-identical
+    to normalizing ``np.stack`` of ``np.gradient``'s slopes by
+    ``np.linalg.norm``.
+    """
+    if min(values.shape[-2:]) < 2:
+        raise ValueError("need at least 2 heights along each axis for slopes")
+    n = np.empty(values.shape + (3,))
+    for k, axis in ((0, -1), (1, -2)):
+        f, g = np.moveaxis(values, axis, -1), np.moveaxis(n[..., k], axis, -1)
+        np.subtract(f[..., 2:], f[..., :-2], out=g[..., 1:-1])
+        g[..., 1:-1] /= 2.0
+        np.subtract(f[..., 1], f[..., 0], out=g[..., 0])
+        np.subtract(f[..., -1], f[..., -2], out=g[..., -1])
+        g *= -px_per_mm                           # mm per mm, and negated
+    norm = np.multiply(n[..., 0], n[..., 0])
+    norm += np.multiply(n[..., 1], n[..., 1], out=n[..., 2])
+    norm += 1.0
+    np.sqrt(norm, out=norm)
+    n[..., 2] = 1.0
+    n /= norm[..., None]
     return n
 
 
@@ -328,15 +348,18 @@ def _shade(values: np.ndarray, px_per_mm: float, rig: LightRig,
     per channel, background + sum over lights of intensity * max(0, n . l).
 
     Each light's n . l is one product over all pixels of all rasters, and
-    each channel is accumulated in place, light after light.
+    each channel is accumulated in place, light after light, through two
+    work arrays of the heights' shape.
     """
     n = _normals(values, px_per_mm).reshape(-1, 3)
     img = np.empty(values.shape + (3,))
     img[:] = np.asarray(gel.background_color)
+    shade, term = np.empty(values.shape), np.empty(values.shape)
     for ldir, lint in zip(rig.directions, rig.intensities):
-        shade = np.maximum(n @ ldir, 0.0).reshape(values.shape)
+        np.matmul(n, ldir, out=shade.reshape(-1))
+        np.maximum(shade, 0.0, out=shade)
         for c in range(3):
-            img[..., c] += shade * lint[c]
+            img[..., c] += np.multiply(shade, lint[c], out=term)
     return img
 
 
@@ -691,8 +714,11 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
         _check_depth(shape, depth)
     currents = CURRENT_GAIN * (kg * x_gel) + CURRENT_OFFSET
     mid = gel.gel_size_mm / 2.0
-    pen = shape.penetration(xm - mid, ym - mid, x_gel[:, None, None])
-    img = _shade(_gaussian_blur(pen, gel.membrane_sigma_mm * ppm), ppm, rig, gel)
+    # the penetration stack is freed once blurred, before the shading
+    pressed = _gaussian_blur(shape.penetration(xm - mid, ym - mid,
+                                               x_gel[:, None, None]),
+                             gel.membrane_sigma_mm * ppm)
+    img = _shade(pressed, ppm, rig, gel)
     for t in range(n_frames):
         if current_noise > 0:
             currents[t] += rng.normal(0.0, current_noise)

@@ -142,6 +142,39 @@ def poisson_reference(normals, px_per_mm):
     return full - full.min()
 
 
+def contact_window_reference(diff_values, tau=0.06, count=8, margin=8):
+    """The contact window (r0, r1, c0, c1) by its definition, line by line.
+
+    A pixel is hot when its largest float32 channel |diff| exceeds tau; the
+    window spans the rows and the columns holding at least ``count`` hot
+    pixels, widened by ``margin`` and clipped to the frame, and is
+    (0, 0, 0, 0) when no row or no column holds that many.
+    """
+    v = np.asarray(diff_values, np.float32)
+    h, w, _ = v.shape
+    hot = [[max(abs(float(c)) for c in v[i, j]) > np.float32(tau)
+            for j in range(w)] for i in range(h)]
+    rows = [i for i in range(h) if sum(hot[i]) >= count]
+    cols = [j for j in range(w) if sum(hot[i][j] for i in range(h)) >= count]
+    if not rows or not cols:
+        return 0, 0, 0, 0
+    return (max(rows[0] - margin, 0), min(rows[-1] + 1 + margin, h),
+            max(cols[0] - margin, 0), min(cols[-1] + 1 + margin, w))
+
+
+def windowed_poisson_reference(normals, support, px_per_mm):
+    """Heights solved only inside ``support`` = (r0, r1, c0, c1): the sparse
+    ``poisson_reference`` of the window's normals, zero outside, and the
+    whole frame gauged to min 0; all zero when the window has no interior."""
+    n = np.asarray(normals, float)
+    r0, r1, c0, c1 = support
+    full = np.zeros(n.shape[:2])
+    if r1 - r0 >= 3 and c1 - c0 >= 3:
+        inner = poisson_reference(n[r0:r1, c0:c1], px_per_mm)
+        full[r0:r1, c0:c1] = inner - inner[0, 0]     # zero on the window's edge
+    return full - full.min()
+
+
 # ---------------------------------------------------------------------------
 # analytic sphere cap
 # ---------------------------------------------------------------------------
@@ -488,6 +521,16 @@ def slip_masks_reference(seq, sphere_radius_mm, depth_mm, rng,
         rng.normal(0.0, marker_jitter_px, (n_markers, 2))
         out.append(noisy > 0.3)
     return out
+
+
+def gradient_normals_reference(values, px_per_mm):
+    """(..., H, W, 3) unit normals: ``np.gradient`` slopes in mm per mm,
+    stacked as (-gx, -gy, 1) and divided by their ``np.linalg.norm``."""
+    gy, gx = np.gradient(values, axis=(-2, -1))
+    gx = gx * px_per_mm
+    gy = gy * px_per_mm
+    n = np.stack([-gx, -gy, np.ones_like(gx)], axis=-1)
+    return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
 def compression_clip_reference(fruit, n_frames, gel, rig, rng, squeeze_mm,

@@ -85,6 +85,27 @@ class TestNormalMap:
         with pytest.raises(ValueError):
             NormalMap(down)
 
+    @pytest.mark.parametrize("support", [
+        (0, 4, 0, 5), (1, 3, 2, 2), (0, 0, 0, 0), [4, 4, 5, 5],
+        np.array([1, 2, 3, 4], dtype=np.int32)])
+    def test_support_window_kept_as_ints(self, support):
+        n = np.zeros((4, 5, 3))
+        n[:, :, 2] = 1.0
+        got = NormalMap(n, support).support
+        assert got == tuple(int(b) for b in support)
+        assert all(type(b) is int for b in got)
+        assert NormalMap(n).support is None
+
+    @pytest.mark.parametrize("support", [
+        (0, 4, 0), (0, 4, 0, 5, 0), 3, (0.0, 4, 0, 5), (0, 4.5, 0, 5),
+        (True, 4, 0, 5), ("0", 4, 0, 5), (-1, 4, 0, 5), (0, 5, 0, 5),
+        (0, 4, 0, 6), (3, 2, 0, 5), (0, 4, 4, 3)])
+    def test_bad_support_window_rejected(self, support):
+        n = np.zeros((4, 5, 3))
+        n[:, :, 2] = 1.0
+        with pytest.raises(ValueError, match="support"):
+            NormalMap(n, support)
+
     @pytest.mark.parametrize("component", [0, 2])
     def test_nan_component_rejected(self, component):
         n = np.zeros((4, 4, 3))

@@ -8,9 +8,10 @@ import pytest
 from gripsense import geometry, sim
 from gripsense.core import (DiffFrame, HeightMap, NormalMap, TactileFrame,
                             diff_image)
-from oracles import (cap_normals_fd, fd_gradient_at, fit_rgb2normal_reference,
-                     poisson_reference, rgb2normal_init,
-                     rgb2normal_loss_and_grads)
+from oracles import (cap_normals_fd, contact_window_reference, fd_gradient_at,
+                     fit_rgb2normal_reference, poisson_reference,
+                     rgb2normal_init, rgb2normal_loss_and_grads,
+                     windowed_poisson_reference)
 
 rng = np.random.default_rng(5)
 
@@ -530,6 +531,108 @@ class TestIntegration:
         got = geometry.integrate_normals(NormalMap(n), 2.5).values
         want = poisson_reference(n, 2.5)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("support, zero", [
+        ((2, 13, 3, 20), False), ((0, 17, 0, 23), False), ((5, 5, 0, 23), True),
+        ((4, 6, 2, 20), True), ((0, 17, 9, 11), True)])
+    def test_solves_only_inside_support(self, support, zero):
+        r = np.random.default_rng(4)
+        n = np.dstack([r.normal(0.0, 0.3, (17, 23, 2)), np.ones((17, 23))])
+        n /= np.linalg.norm(n, axis=2, keepdims=True)
+        got = geometry.integrate_normals(NormalMap(n, support), 2.5).values
+        if zero:                    # empty, or no interior: no solve
+            assert np.array_equal(got, np.zeros((17, 23)))
+            return
+        want = windowed_poisson_reference(n, support, 2.5)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+class TestContactWindow:
+    """The contact window ``predict_normals`` reads off the diff and the
+    heights ``integrate_normals`` solves inside it, on rendered 240x320
+    frames: the window matches its line-by-line definition and the heights
+    the sparse solve of the window, or are exactly 0 without a window."""
+
+    SHAPE = (240, 320)
+
+    @classmethod
+    def _render(cls, centres_mm, depth_mm=1.0, seed=0):
+        """The diff of presses of a 7 mm sphere at ``centres_mm``, with noise."""
+        gel, rig = sim.GelModel(), sim.default_rig()
+        ppm = cls.SHAPE[1] / gel.gel_size_mm
+        background = sim.render_tactile(HeightMap(np.zeros(cls.SHAPE), ppm),
+                                        rig, gel)
+        raw = np.zeros(cls.SHAPE)
+        for centre in centres_mm:
+            raw += sim.indent_heightmap(sim.Sphere(7.0), centre, depth_mm,
+                                        cls.SHAPE, gel).values
+        img = sim.render_tactile(HeightMap(raw, ppm), rig, gel, 0.01,
+                                 np.random.default_rng(seed))
+        return diff_image(img, background)
+
+    @staticmethod
+    def _check(diff, model):
+        """The normals' window and heights against their references."""
+        normals = geometry.predict_normals(diff, model)
+        assert normals.support == contact_window_reference(diff.values)
+        got = geometry.integrate_normals(normals, diff.px_per_mm).values
+        want = windowed_poisson_reference(normals.values, normals.support,
+                                          diff.px_per_mm)
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(np.max(want), 1e-300)
+        return normals.support, got
+
+    def test_no_contact_reads_exactly_zero(self, criterion8_model):
+        support, height = self._check(self._render([], 0.0), criterion8_model)
+        assert support == (0, 0, 0, 0)
+        assert np.array_equal(height, np.zeros(self.SHAPE))
+
+    def test_isolated_spikes_open_no_window(self, criterion8_model):
+        diff = self._render([], 0.0, seed=1)
+        values = diff.values.copy()
+        r = np.random.default_rng(2)
+        flat = r.choice(values.shape[0] * values.shape[1], 60, replace=False)
+        values.reshape(-1, 3)[flat, r.integers(0, 3, 60)] = 0.5
+        values[100, 40:47, 1] = -0.5            # 7 hot pixels in one row
+        support, height = self._check(DiffFrame(values, diff.px_per_mm),
+                                      criterion8_model)
+        assert support == (0, 0, 0, 0)
+        assert np.array_equal(height, np.zeros(self.SHAPE))
+
+    def test_contact_cut_by_the_frame_edge(self, criterion8_model):
+        support, height = self._check(self._render([(1.0, 11.0)]),
+                                      criterion8_model)
+        r0, r1, c0, c1 = support
+        assert c0 == 0 and 0 < r0 < r1 < self.SHAPE[0] and c1 < self.SHAPE[1]
+        assert height.max() > 0.5
+
+    def test_two_contacts_give_one_box_covering_both(self, criterion8_model):
+        centres = [(7.0, 6.0), (23.0, 16.0)]
+        support, _ = self._check(self._render(centres), criterion8_model)
+        for centre in centres:
+            alone = geometry.predict_normals(self._render([centre]),
+                                             criterion8_model).support
+            assert support[0] <= alone[0] and support[1] >= alone[1]
+            assert support[2] <= alone[2] and support[3] >= alone[3]
+
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 13), (240, 320)])
+    @pytest.mark.parametrize("kind", ["saturated", "black", "constant"])
+    def test_extreme_frames(self, criterion8_model, kind, shape):
+        """The frames of ``test_tick.py::test_tick_on_extreme_frames``; a
+        window over the whole frame is the solve without one, bit for bit."""
+        gel = sim.GelModel()
+        ppm = shape[1] / gel.gel_size_mm
+        background = sim.render_tactile(HeightMap(np.zeros(shape), ppm),
+                                        sim.default_rig(), gel)
+        level = {"saturated": 1.0, "black": 0.0, "constant": 0.5}[kind]
+        diff = diff_image(TactileFrame(np.full(shape + (3,), level), ppm),
+                          background)
+        support, height = self._check(diff, criterion8_model)
+        if kind != "constant":
+            assert support == (0, shape[0], 0, shape[1])
+        if support == (0, shape[0], 0, shape[1]):
+            normals = geometry.predict_normals(diff, criterion8_model)
+            whole = geometry.integrate_normals(NormalMap(normals.values), ppm)
+            assert np.array_equal(height, whole.values)
 
 
 class TestReconstructionError:

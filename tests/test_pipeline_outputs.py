@@ -4,13 +4,13 @@ the invariants of their typed outputs.
 ``core.diff_image``, ``geometry.predict_normals`` and
 ``geometry.integrate_normals`` each write their result once, into the array
 they return, and check it in place. The digests pin their output bits on
-scripted 240x320 grasp frames, the allocation budget bounds each stage's
-transient memory, and the property test holds the invariants of the typed
-outputs on saturated, black, constant and random frames.
+scripted 240x320 grasp frames under single-threaded BLAS, a two-thread run
+must reproduce them within a stated tolerance, the allocation budget bounds
+each stage's transient memory, and the property test holds the invariants of
+the typed outputs on saturated, black, constant and random frames.
 """
 
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gripsense import geometry, sim
-from gripsense.core import HeightMap, TactileFrame, diff_image
+from gripsense.core import HeightMap, NormalMap, TactileFrame, diff_image
 from recipes import criterion8_geometry_model
 
 SHAPE = (240, 320)
@@ -43,56 +43,120 @@ def _grasp():
     return background, frames
 
 
-def _digests() -> list:
-    """SHA-256 of the diff, normal and height rasters of every ``_grasp``
-    frame under the criterion-8 model, and of the full press under the same
-    model with an output bias of 12, which puts most pixels on the clamp."""
-    def sha(a):
-        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-
-    model = criterion8_geometry_model()
+def _cases(model, frames) -> list:
+    """(model, frame) for every ``_grasp`` frame under ``model``, then for
+    the full press under ``model`` with an output bias of 12, which puts
+    most pixels on the clamp."""
     loud = geometry.Rgb2NormalModel(model.w1, model.b1, model.w2, model.b2,
                                     model.w3, model.b3 + [12.0, 0.0])
+    return [(model, f) for f in frames] + [(loud, frames[2])]
+
+
+def _outputs() -> list:
+    """[diff, normals, heights] rasters of every case under the criterion-8
+    model."""
     background, frames = _grasp()
     ppm = background.px_per_mm
     out = []
-    for m, frame in [(model, f) for f in frames] + [(loud, frames[2])]:
+    for m, frame in _cases(criterion8_geometry_model(), frames):
         diff = diff_image(frame, background)
         normals = geometry.predict_normals(diff, m)
         height = geometry.integrate_normals(normals, ppm)
-        out.append([sha(diff.values), sha(normals.values), sha(height.values)])
+        out.append([diff.values, normals.values, height.values])
     return out
 
 
+def _run_outputs(path, threads: int) -> list:
+    """``_outputs`` computed in a subprocess with ``threads`` BLAS threads,
+    handed back through the .npz file ``path``."""
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    n = str(threads)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=n,
+               OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
+    subprocess.run([sys.executable, __file__, str(path)], env=env, check=True)
+    with np.load(path) as saved:
+        flat = [saved[f"arr_{k}"] for k in range(len(saved.files))]
+    return [flat[k:k + 3] for k in range(0, len(flat), 3)]
+
+
+@pytest.fixture(scope="module")
+def single_thread_outputs(tmp_path_factory):
+    return _run_outputs(tmp_path_factory.mktemp("blas") / "one.npz", 1)
+
+
+# SHA-256 of the diff, normal and height rasters of each of ``_cases``:
+# approach, half press, full press, saturated frame and the loud full press.
 # Computed with single-threaded BLAS (numpy 2.4, OpenBLAS 0.3.31 on x86-64
 # Haswell kernels); the thread count changes the summation order of the
-# Poisson solve's products, so the test pins it.
+# Poisson solve's products, so the test pins it. The heights are solved in
+# each frame's contact window (all zero on the approach frame, the whole
+# frame on the saturated one); ``test_windowed_heights_match_the_cropped_solve``
+# ties them to the solve of the window's own normal map.
 DIGESTS = [
     ["3e5e93efa35ffe8507a431138b4aa2691160b5417157e986eda922d0859b4edd",
      "c96cdbe6bcc5044f3029aa79c4cae6ea63aa66b458f06b6c654c05433a292d5d",
-     "aacd4c6d4bae00af5a988a5b375fe864936dce5a32e1371a233bae423b9560d8"],
+     "34c69899504b36f13e8b22120cf0fd894e61fcd6b046fb8535b79cc491fa3b3f"],
     ["24e86794aac04f6548d259490d9576217b93ab34b7d437478acc24ed64a5473c",
      "d0a8b7783b79e51afe3117b397ed79c99bce5380ff04ac5027e35c552f0420ff",
-     "1374cf106856870a6074f2374b937827cb0f4ce45708f931207ac62d0bd83660"],
+     "16d56eeef8337ac9f134c587440ff7f684bcbc3a905f77aa249ecec53d651d0e"],
     ["aee268aa42f68390d08727becd191906d97587104edc77a6b49d88463b62f78d",
      "8aef8f6dc58da19cf27268251337cfcf13d12d8aa9bcd53a8ed7567097431d81",
-     "1a42fc66ab179a92d8d7632460b5603dabe4c64fb45ba0451d8b80ed4b134b45"],
+     "d73a50883b27825dcb039b464bb4cfcec2a40ecab55c2a5aad2c13846768b394"],
     ["f75e1c910f3f4a07df903896c0ec0a51d4bdd6aa928eb59af90495dfb5e31cb3",
      "24bc830a700a79489c1e3f1c9f091d34611ca111f0d0a053d2ec2c595e187884",
      "fe548950c0e4dc09acfe6ee266907a7f92d4f9cd017c142a746e87e7107a4e16"],
     ["aee268aa42f68390d08727becd191906d97587104edc77a6b49d88463b62f78d",
      "7248aeb70100d09ab1138d2e8bab7ca4b9885ce4843fefa2fe20d9906fa1fa1e",
-     "c3d90ddb79495dc71d9cfb9376a8971bc6c46a0e880721b1ce1b220c255a60dd"],
+     "11b4895b9bf6f53eeef48731e61bb00a04bc0e54e7a4502ae8f7f2e71e585ae3"],
 ]
 
 
-def test_outputs_match_pinned_digests():
-    src = os.path.dirname(os.path.dirname(geometry.__file__))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, __file__], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert json.loads(out) == DIGESTS
+def test_outputs_match_pinned_digests(single_thread_outputs):
+    def sha(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    assert [[sha(a) for a in case] for case in single_thread_outputs] == DIGESTS
+
+
+# Under one and two BLAS threads, diff and normals agree bit for bit and the
+# heights to this tolerance relative to each frame's largest height: only the
+# Poisson solve's products change their summation order.
+CROSS_THREAD_RTOL = 1e-12
+
+
+def test_outputs_agree_across_blas_threads(single_thread_outputs, tmp_path):
+    two = _run_outputs(tmp_path / "two.npz", 2)
+    assert len(two) == len(single_thread_outputs)
+    for (d1, n1, h1), (d2, n2, h2) in zip(single_thread_outputs, two):
+        assert d1.tobytes() == d2.tobytes()
+        assert n1.tobytes() == n2.tobytes()
+        assert np.max(np.abs(h1 - h2)) <= CROSS_THREAD_RTOL * np.max(h1)
+
+
+def test_windowed_heights_match_the_cropped_solve(model, grasp):
+    """The heights of every digest case are ``integrate_normals`` of the
+    contact window's own ``NormalMap``, padded with its edge value. The
+    approach frame opens no window and reads exactly 0; the saturated
+    frame's window is the whole frame."""
+    background, frames = grasp
+    ppm = background.px_per_mm
+    h, w = SHAPE
+    supports = []
+    for m, frame in _cases(model, frames):
+        normals = geometry.predict_normals(diff_image(frame, background), m)
+        got = geometry.integrate_normals(normals, ppm).values
+        r0, r1, c0, c1 = normals.support
+        supports.append(normals.support)
+        if r1 - r0 < 3 or c1 - c0 < 3:
+            assert np.array_equal(got, np.zeros(SHAPE))
+            continue
+        crop = NormalMap(normals.values[r0:r1, c0:c1])
+        want = np.pad(geometry.integrate_normals(crop, ppm).values,
+                      ((r0, h - r1), (c0, w - c1)), mode="edge")
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    approach, half, full, saturated, loud = supports
+    assert approach == (0, 0, 0, 0) and saturated == (0, h, 0, w)
+    assert half != (0, h, 0, w) and loud == full
 
 
 @pytest.fixture(scope="module")
@@ -173,4 +237,4 @@ def test_pipeline_outputs_hold_their_invariants(model, kind, h, w, level, seed):
 
 
 if __name__ == "__main__":
-    print(json.dumps(_digests()))
+    np.savez(sys.argv[1], *[a for case in _outputs() for a in case])

@@ -9,7 +9,7 @@ from gripsense import sim
 from gripsense.core import DiffFrame, HeightMap
 from gripsense.slip import ContactMask
 from oracles import (cap_height, cap_normals_fd, compression_clip_reference,
-                     slip_masks_reference)
+                     gradient_normals_reference, slip_masks_reference)
 
 GEL = sim.GelModel()
 rng = np.random.default_rng(11)
@@ -121,6 +121,19 @@ class TestNormalsAndRendering:
         ring = np.abs(rho - np.sqrt(1.0 * (2 * 5.0 - 1.0))) < 2.0 / ppm
         ok = interior & ~ring
         assert np.max(np.abs(n[ok] - want[ok])) < 0.02
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 7), (8, 8), (64, 48),
+                                       (3, 40, 33)])
+    def test_normals_bit_equal_to_gradient_stack(self, shape):
+        values = np.random.default_rng(len(shape)).normal(0.0, 0.5, shape)
+        got = sim._normals(values, 2.5)
+        want = gradient_normals_reference(values, 2.5)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (4, 1, 6)])
+    def test_normals_need_two_heights_per_axis(self, shape):
+        with pytest.raises(ValueError, match="at least 2"):
+            sim._normals(np.zeros(shape), 2.5)
 
     def test_render_range_and_determinism(self):
         hm = sim.indent_heightmap(sim.Sphere(5.0), (15.0, 15.0), 1.0, (48, 48))

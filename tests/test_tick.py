@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gripsense import core, sim, slip
+from gripsense import core, geometry, sim, slip
 from gripsense.core import HeightMap, MarkerSet
 from gripsense.perception import FIELD_GRID, Percept, Perception
 from recipes import criterion8_models
@@ -179,3 +179,65 @@ def test_tick_on_extreme_frames(stack, kind, shape):
         assert np.all(np.isfinite(p.height.values))
         assert np.isfinite(p.normal_n) and np.all(np.isfinite(p.shear_n))
         assert np.isfinite(p.slip_speed_px)
+    # The Poisson solve's window: the whole frame is the solve without one,
+    # bit for bit, and no window gives exactly zero height.
+    normals = geometry.predict_normals(core.diff_image(frame, background),
+                                       stack[0])
+    if normals.support == (0, shape[0], 0, shape[1]):
+        whole = geometry.integrate_normals(core.NormalMap(normals.values), ppm)
+        assert np.array_equal(p.height.values, whole.values)
+    else:
+        assert normals.support == (0, 0, 0, 0)
+        assert np.array_equal(p.height.values, np.zeros(shape))
+    if kind != "constant":
+        assert normals.support == (0, shape[0], 0, shape[1])
+
+
+def _press_frame(centres_mm, ppm, rng):
+    """A noisy SHAPE frame of 7 mm sphere presses 1 mm deep at ``centres_mm``."""
+    gel = sim.GelModel()
+    raw = np.zeros(SHAPE)
+    for centre in centres_mm:
+        raw += sim.indent_heightmap(sim.Sphere(7.0), centre, 1.0, SHAPE,
+                                    gel).values
+    return sim.render_tactile(HeightMap(raw, ppm), sim.default_rig(), gel,
+                              0.01, rng)
+
+
+def test_tick_solves_heights_in_the_contact_window(stack):
+    """No contact reads exactly zero height; a contact cut by the frame edge
+    and two separate contacts get one window holding all their contact
+    pixels, with one constant height outside it, zero before the gauge; a
+    saturated frame is solved over the whole frame."""
+    background, rest, ppm = _sensor()
+    perception = Perception(*stack, background, rest)
+    rng = np.random.default_rng(8)
+    h, w = SHAPE
+    cases = {"approach": _press_frame([], ppm, rng),
+             "edge": _press_frame([(1.0, 11.0)], ppm, rng),
+             "two": _press_frame([(7.0, 6.0), (23.0, 16.0)], ppm, rng),
+             "saturated": core.TactileFrame(np.ones(SHAPE + (3,)), ppm)}
+    for name, frame in cases.items():
+        p = perception.tick(frame, rest.moved(rng.normal(0.0, 0.3,
+                                                         rest.xy.shape)), 2.6)
+        normals = geometry.predict_normals(
+            core.diff_image(frame, background), stack[0])
+        r0, r1, c0, c1 = normals.support
+        outside = np.ones(SHAPE, bool)
+        outside[r0:r1, c0:c1] = False
+        if name == "approach":
+            assert normals.support == (0, 0, 0, 0)
+            assert np.array_equal(p.height.values, np.zeros(SHAPE))
+        elif name == "saturated":
+            assert normals.support == (0, h, 0, w)
+            whole = geometry.integrate_normals(core.NormalMap(normals.values),
+                                               ppm)
+            assert np.array_equal(p.height.values, whole.values)
+        else:
+            assert p.mask.area > 0 and not p.mask.values[outside].any()
+            assert np.ptp(p.height.values[outside]) == 0.0
+            if name == "edge":
+                assert c0 == 0 and r0 > 0 and r1 < h and c1 < w
+            else:           # the mask has a blob in each far corner region
+                ys, xs = np.nonzero(p.mask.values)
+                assert xs.min() < w / 3 and xs.max() > 2 * w / 3
