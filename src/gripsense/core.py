@@ -249,6 +249,7 @@ class NormalMap:
     ``support`` is the contact window (r0, r1, c0, c1), rows r0:r1 and
     columns c0:c1, outside which the gel is taken to be undeformed; None is
     the whole frame, and r0 == r1 or c0 == c1 an empty window (no contact).
+    ``geometry.predict_normals`` writes exactly (0, 0, 1) outside its window.
     """
 
     values: np.ndarray          # (H, W, 3)

@@ -16,34 +16,39 @@ one flat vector. Fresh 1.6 MB temporaries are mapped from the OS anew each
 time, and their page faults were about half of an evaluation (6408 samples
 on a 2-core host: 13-19 ms before, 6-8 ms after).
 Inference runs the MLP only where the contact changed the image: pixels
-whose largest channel |diff| exceeds a fixed tau run a separate float32
-forward pass, and every other pixel takes the model's first-order expansion
-at zero diff, n0(x, y) + J(x, y) . rgb, the reference-frame idea of
-GelSight (Johnson & Adelson 2009) to first order. n0 and J are built once
-per raster on a grid of nodes at most 4 px and 0.025 normalized units
-apart and interpolated bilinearly; expansion pixels stay within 2e-3 per
-normal component of the MLP. The float64 ``_forward`` is the training path
-and the reference the float32 pass is tested against.
+of the contact window (below) whose largest channel |diff| exceeds a fixed
+tau run a separate float32 forward pass, and every other pixel of the
+window takes the model's first-order expansion at zero diff,
+n0(x, y) + J(x, y) . rgb, the reference-frame idea of GelSight (Johnson &
+Adelson 2009) to first order. n0 and J are built once per raster on a grid
+of nodes at most 4 px and 0.025 normalized units apart and interpolated
+bilinearly; expansion pixels stay within 2e-3 per normal component of the
+MLP. The float64 ``_forward`` is the training path and the reference the
+float32 pass is tested against.
 
-The Poisson solve runs only inside the contact window that
-``predict_normals`` reads off the same largest-channel |diff| and hands on
-as ``NormalMap.support``: the rows and columns with at least 8 pixels above
-0.06 (6 sigma of the sensor noise), plus an 8 px margin. Zero Dirichlet data
-on the window's edge is the assumption the whole-frame solve makes on the
-frame's edge, that the gel there is undeformed; outside the window the
-height is zero, and a frame without contact gets zero height without a
-solve. A gripper contact covers about a 100x100 box of a 240x320 frame.
+Both normal inference and the Poisson solve run only inside the contact
+window that ``predict_normals`` reads off the frame's largest-channel |diff|
+and hands on as ``NormalMap.support``: the rows and columns with at least 8
+pixels above 0.06 (6 sigma of the sensor noise), plus an 8 px margin.
+Outside the window the gel is taken to be undeformed: its normals are
+exactly (0, 0, 1) and its height is zero, and zero Dirichlet data on the
+window's edge is the assumption the whole-frame solve makes on the frame's
+edge. A frame without contact gets flat normals and zero height without an
+MLP call or a solve. A gripper contact covers about a 100x100 box of a
+240x320 frame, so besides writing the flat normal, the |diff| pass that
+finds the window is the only inference work done on every pixel.
 
 Both tick stages write their result once, into the array they return, and
 hand it to ``NormalMap`` or ``HeightMap`` wrapped in ``core._Adopt``, so the
 type checks it in place instead of copying it. ``predict_normals`` fills the
-(H*W, 3) output's columns directly, keeping |(nx, ny)|^2 in the nz column
-until nz replaces it; ``integrate_normals`` builds both slope fields, one
-after the other, in one buffer that then serves as the sine solve's work
-array. The reason is page faults: whether glibc serves a fresh full-frame
-array from pages it holds or from newly mapped ones depends on what the
-process allocated before, and at 240x320 copies and temporaries of about
-23 MB a tick cost up to about 1500 minor faults per tick.
+window of its (H, W, 3) output plane by plane, keeping |(nx, ny)|^2 in the
+nz plane until nz replaces it, and hands the MLP its pixels one band at a
+time; ``integrate_normals`` builds both slope fields, one after the other,
+in one buffer that then serves as the sine solve's work array. The reason
+is page faults: whether glibc serves a fresh full-frame array from pages it
+holds or from newly mapped ones depends on what the process allocated
+before, and at 240x320 copies and temporaries of about 23 MB a tick cost up
+to about 1500 minor faults per tick.
 """
 
 from __future__ import annotations
@@ -443,67 +448,103 @@ def _expansion(model: Rgb2NormalModel, h: int, w: int) -> np.ndarray:
 
 
 def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
-    """Per-pixel inference; output normals are unit length with nz > 0.
+    """Per-pixel inference inside the contact window; output normals are
+    unit length with nz > 0, and exactly (0, 0, 1) outside the window.
 
-    Only pixels whose largest channel |diff| exceeds ``_LINEAR_TAU`` run
-    the float32 MLP (``_mlp``). Every other pixel, on gel the contact left
-    untouched, gets the model's first-order expansion at zero diff,
-    n0(x, y) + J(x, y) . rgb, with n0 and J = d(nx, ny)/d(R, G, B) built once
-    per raster (``_expansion``) at nodes no farther apart than ``_NODE_PX``
-    px and ``_NODE_NORM`` in normalized coordinates, then interpolated
-    bilinearly. Those pixels are within 2e-3 per component of the MLP, and
-    the heights integrated from them within 5e-4 mm, on the tested
-    calibration recipes; MLP pixels agree with the float64 ``_forward`` to
-    about 1e-6. tau is a constant rather than fitted to each frame's noise,
-    so that bound holds on every frame. The clamp below unit norm is applied
-    again after the linear step, and nz is float64.
-
-    The result's ``support`` is the contact window, read off the same
-    largest-channel |diff|: the rows and columns with at least
+    The result's ``support`` is the contact window, read off the frame's
+    float32 largest-channel |diff|: the rows and columns with at least
     ``_HOT_COUNT`` pixels above ``_HOT_TAU``, widened by ``_WINDOW_MARGIN``
     px and clipped to the frame, or an empty window when no row or no column
-    has that many. The normals themselves cover the whole frame.
+    has that many. That one pass is all the work outside the window, where
+    the gel is taken to be undeformed and gets the flat normal; a frame
+    without contact runs no MLP and builds no expansion planes.
+
+    Inside the window, only pixels whose largest channel |diff| exceeds
+    ``_LINEAR_TAU`` run the float32 MLP (``_mlp``). Every other pixel, on gel
+    the contact left untouched, gets the model's first-order expansion at
+    zero diff, n0(x, y) + J(x, y) . rgb, with n0 and J = d(nx, ny)/d(R, G, B)
+    built once per raster (``_expansion``) at nodes no farther apart than
+    ``_NODE_PX`` px and ``_NODE_NORM`` in normalized coordinates, then
+    interpolated bilinearly. Those pixels are within 2e-3 per component of
+    the MLP, and the heights integrated from them within 5e-4 mm, on the
+    tested calibration recipes; MLP pixels agree with the float64
+    ``_forward`` to about 1e-6. tau is a constant rather than fitted to each
+    frame's noise, so that bound holds on every frame. The clamp below unit
+    norm is applied again after the linear step, and nz is float64. A window
+    over the whole frame (a saturated frame) gives the normals the
+    whole-frame computation gives, bit for bit.
     """
-    h, w, _ = frame.values.shape
-    planes = _expansion(model, h, w).reshape(8, -1)
-    rgb = frame.values.reshape(-1, 3).T.astype(np.float32)
-    # Columns nx, ny and nz of the result; nz holds |(nx, ny)|^2 until last.
-    out = np.empty((h * w, 3))
-    n0, n1, t2 = out[:, 0], out[:, 1], out[:, 2]
-    # Two float32 work rows, reused, that later serve as one float64 row.
+    v = frame.values
+    h, w, _ = v.shape
+    # Rounding to float32 commutes with abs and keeps the order, so this is
+    # the float32 frame's largest |diff| without a float32 copy of the frame.
+    mag = np.abs(v[:, :, 0], out=np.empty((h, w), np.float32))
+    tmp = np.empty_like(mag)
+    for c in (1, 2):
+        np.maximum(mag, np.abs(v[:, :, c], out=tmp), out=mag)
+    del tmp
+    hot = np.flatnonzero(mag > _HOT_TAU)
+    r0, r1 = _span(np.bincount(hot // w, minlength=h))
+    c0, c1 = _span(np.bincount(hot % w, minlength=w))
+    del hot
+    out = np.zeros((h, w, 3))
+    out[:, :, 2] = 1.0
+    if r1 <= r0 or c1 <= c0:
+        return NormalMap(_Adopt(out), (0, 0, 0, 0))
+    support = (r0, r1, c0, c1)
+    _window_normals(model, v, mag, support, out)
+    return NormalMap(_Adopt(out), support)
+
+
+def _window_normals(model: Rgb2NormalModel, values: np.ndarray,
+                    mag: np.ndarray, window: tuple, out: np.ndarray) -> None:
+    """Write the normals of ``predict_normals`` into ``out`` inside
+    ``window`` = (r0, r1, c0, c1), from the frame's diff ``values`` and its
+    float32 largest-channel |diff| ``mag``. The nz plane holds
+    |(nx, ny)|^2 until last.
+    """
+    r0, r1, c0, c1 = window
+    xn, yn = _grid_coords(*mag.shape)
+    xn, yn = xn[c0:c1], yn[r0:r1]
+    planes = _expansion(model, *mag.shape)[:, r0:r1, c0:c1]
+    values, mag, out = (a[r0:r1, c0:c1] for a in (values, mag, out))
+    h, w = mag.shape
+    rgb = np.empty((3, h, w), np.float32)
+    for c in range(3):
+        rgb[c] = values[:, :, c]
+    nx, ny, t2 = out[:, :, 0], out[:, :, 1], out[:, :, 2]
+    # Two float32 work planes, reused, that later serve as one float64 plane.
     work = np.empty(2 * h * w, np.float32)
-    acc, tmp = work[:h * w], work[h * w:]
-    for k, col in enumerate((n0, n1)):
+    acc, tmp = work[:h * w].reshape(h, w), work[h * w:].reshape(h, w)
+    for k, col in enumerate((nx, ny)):
         np.copyto(acc, planes[k])
         for c in range(3):
             acc += np.multiply(planes[2 + 3 * k + c], rgb[c], out=tmp)
         col[:] = acc
-    mag = np.abs(rgb[0], out=acc)
-    for c in (1, 2):
-        np.maximum(mag, np.abs(rgb[c], out=tmp), out=mag)
-    idx = np.flatnonzero(mag > _LINEAR_TAU)
-    rows, cols = np.divmod(idx, w)
-    hot = mag[idx] > _HOT_TAU           # hot pixels are a subset of idx
-    r0, r1 = _span(np.bincount(rows[hot], minlength=h))
-    c0, c1 = _span(np.bincount(cols[hot], minlength=w))
-    support = (r0, r1, c0, c1) if r1 > r0 and c1 > c0 else (0, 0, 0, 0)
-    np.multiply(n0, n0, out=t2)
-    t2 += np.multiply(n1, n1, out=work.view(np.float64))
+    np.multiply(nx, nx, out=t2)
+    t2 += np.multiply(ny, ny, out=work.view(np.float64).reshape(h, w))
+    del rgb, work, acc, tmp             # spent: freed before the MLP pass
     over = t2 > _NORM_CLAMP * _NORM_CLAMP
     if np.any(over):
         out[over, :2] *= (_NORM_CLAMP / np.sqrt(t2[over]))[:, None]
-        t2[over] = n0[over] * n0[over] + n1[over] * n1[over]
-    xn, yn = _grid_coords(h, w)
-    feats = np.empty((idx.size, 5), np.float32)
-    feats[:, :3] = rgb[:, idx].T
-    feats[:, 3] = xn[cols]
-    feats[:, 4] = yn[rows]
-    mlp = _mlp(model, feats)
-    out[idx, :2] = mlp
-    t2[idx] = mlp[:, 0] * mlp[:, 0] + mlp[:, 1] * mlp[:, 1]
+        t2[over] = nx[over] * nx[over] + ny[over] * ny[over]
+    idx = np.flatnonzero(mag > _LINEAR_TAU)
+    # The MLP pixels go to ``_mlp`` one band at a time, so no temporary
+    # grows with their count; each call runs the band one call over all of
+    # them would run.
+    for part in np.split(idx, range(_BAND_PX, idx.size, _BAND_PX)):
+        rows, cols = np.divmod(part, w)
+        feats = np.empty((part.size, 5), np.float32)
+        feats[:, :3] = values[rows, cols]
+        feats[:, 3] = xn[cols]
+        feats[:, 4] = yn[rows]
+        mlp = _mlp(model, feats)
+        nx[rows, cols] = mlp[:, 0]
+        ny[rows, cols] = mlp[:, 1]
+        np.square(mlp, out=mlp)
+        t2[rows, cols] = mlp[:, 0] + mlp[:, 1]
     np.subtract(1.0, t2, out=t2)
     np.sqrt(np.maximum(t2, 0.0, out=t2), out=t2)
-    return NormalMap(_Adopt(out.reshape(h, w, 3)), support)
 
 
 def _span(counts: np.ndarray) -> tuple[int, int]:

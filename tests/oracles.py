@@ -175,6 +175,53 @@ def windowed_poisson_reference(normals, support, px_per_mm):
     return full - full.min()
 
 
+# How far ``predict_normals`` may move from ``full_frame_normals_reference``
+# inside the contact window: per normal component, the float32 kernel's
+# stated agreement with the float64 forward pass (its results per row depend
+# on which rows it bands together), and in mm, the heights solved from them.
+# The height bound scales with the largest height where that exceeds 1 mm:
+# with most normals on the clamp, nz near 4e-5 turns a 6e-10 change of a
+# normal into heights of 2000 mm that move by 2e-7 mm.
+ORACLE_NORMAL_TOL = 1e-6
+ORACLE_HEIGHT_TOL_MM = 1e-8
+
+
+def height_tolerance_mm(heights):
+    """``ORACLE_HEIGHT_TOL_MM`` for heights up to 1 mm, relative above."""
+    return ORACLE_HEIGHT_TOL_MM * max(1.0, float(np.max(np.abs(heights))))
+
+
+def full_frame_normals_reference(diff_values, model):
+    """(H, W, 3) normals of ``geometry.predict_normals`` computed on every
+    pixel, as it was before the contact window: the first-order expansion
+    and the clamp everywhere, then the float32 MLP on every pixel whose
+    largest float32 channel |diff| exceeds ``_LINEAR_TAU``, then nz."""
+    from gripsense import geometry
+
+    h, w, _ = diff_values.shape
+    planes = geometry._expansion(model, h, w).reshape(8, -1)
+    rgb = diff_values.reshape(-1, 3).T.astype(np.float32)
+    out = np.empty((h * w, 3))
+    for k in range(2):
+        acc = planes[k].copy()
+        for c in range(3):
+            acc += planes[2 + 3 * k + c] * rgb[c]
+        out[:, k] = acc
+    t2 = out[:, 0] * out[:, 0] + out[:, 1] * out[:, 1]
+    over = t2 > geometry._NORM_CLAMP * geometry._NORM_CLAMP
+    out[over, :2] *= (geometry._NORM_CLAMP / np.sqrt(t2[over]))[:, None]
+    t2[over] = out[over, 0] * out[over, 0] + out[over, 1] * out[over, 1]
+    idx = np.flatnonzero(np.abs(rgb).max(axis=0) > geometry._LINEAR_TAU)
+    rows, cols = np.divmod(idx, w)
+    xn, yn = geometry._grid_coords(h, w)
+    feats = np.column_stack([rgb[:, idx].T, xn[cols], yn[rows]])
+    mlp = geometry._mlp(model, feats.astype(np.float32))
+    out[idx, :2] = mlp
+    t2[idx] = mlp[:, 0] * mlp[:, 0] + mlp[:, 1] * mlp[:, 1]
+    out[:, 2] = np.sqrt(np.maximum(1.0 - t2, 0.0))
+    return out.reshape(h, w, 3)
+
+
 # ---------------------------------------------------------------------------
 # analytic sphere cap
 # ---------------------------------------------------------------------------

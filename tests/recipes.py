@@ -20,10 +20,14 @@ def criterion8_geometry_model():
                                    epochs=120, learning_rate=0.1, seed=0)
 
 
+def criterion8_shear_model():
+    """The shear model of the recipe."""
+    pairs, labels = sim.make_shear_dataset(40, rng=np.random.default_rng(2))
+    return force.fit_shear_model(force.build_shear_features(pairs), labels)
+
+
 def criterion8_models():
     """(geometry, normal-force, shear) models, in ``Perception``'s order."""
     nf = force.fit_normal_force(np.column_stack(
         sim.make_force_samples(2000, rng=np.random.default_rng(1))))
-    pairs, labels = sim.make_shear_dataset(40, rng=np.random.default_rng(2))
-    sh = force.fit_shear_model(force.build_shear_features(pairs), labels)
-    return criterion8_geometry_model(), nf, sh
+    return criterion8_geometry_model(), nf, criterion8_shear_model()

@@ -9,9 +9,9 @@ from gripsense import geometry, sim
 from gripsense.core import (DiffFrame, HeightMap, NormalMap, TactileFrame,
                             diff_image)
 from oracles import (cap_normals_fd, contact_window_reference, fd_gradient_at,
-                     fit_rgb2normal_reference, poisson_reference,
-                     rgb2normal_init, rgb2normal_loss_and_grads,
-                     windowed_poisson_reference)
+                     fit_rgb2normal_reference, full_frame_normals_reference,
+                     poisson_reference, rgb2normal_init,
+                     rgb2normal_loss_and_grads, windowed_poisson_reference)
 
 rng = np.random.default_rng(5)
 
@@ -294,20 +294,34 @@ def _kernel_normals(frame, model):
 
 
 def _mlp_pixels(frame):
-    """The pixels ``predict_normals`` sends to the MLP: largest |diff| above tau."""
+    """The pixels whose largest |diff| is above tau, which ``predict_normals``
+    sends to the MLP when they lie in the contact window."""
     mag = np.abs(frame.values.astype(np.float32)).max(axis=2)
     return mag > geometry._LINEAR_TAU
 
 
+def _inside(normals):
+    """The (H, W) mask of the normal map's contact window."""
+    r0, r1, c0, c1 = normals.support
+    inside = np.zeros(normals.values.shape[:2], bool)
+    inside[r0:r1, c0:c1] = True
+    return inside
+
+
 def _check_prediction(frame, model):
-    """Unit normals with nz > 0, and MLP pixels exactly the kernel's output."""
-    got = geometry.predict_normals(frame, model).values
+    """Unit normals with nz > 0, exactly (0, 0, 1) outside the contact window,
+    and the window's MLP pixels exactly the kernel's output on them. Returns
+    the normal map and its MLP pixels."""
+    normals = geometry.predict_normals(frame, model)
+    got = normals.values
     assert np.max(np.abs(np.linalg.norm(got, axis=2) - 1.0)) < 1e-9
     assert got[:, :, 2].min() > 0
-    sel = _mlp_pixels(frame)
+    inside = _inside(normals)
+    assert np.all(got[~inside] == (0.0, 0.0, 1.0))
+    sel = _mlp_pixels(frame) & inside
     feats = geometry._pixel_features(frame.values)[sel.ravel()]
     assert np.array_equal(got[sel][:, :2], geometry._mlp(model, feats))
-    return got, sel
+    return normals, sel
 
 
 # The stated bound of the first-order expansion against the MLP.
@@ -315,15 +329,31 @@ EXPANSION_NORMAL_TOL = 2e-3
 EXPANSION_HEIGHT_TOL_MM = 5e-4
 
 
-def _check_expansion(frame, model):
-    got, sel = _check_prediction(frame, model)
-    dense = _kernel_normals(frame, model)
-    assert np.max(np.abs(got - dense)[~sel][:, :2],
+def _check_expansion_bound(got, dense, linear, support, ppm):
+    """Normals ``got`` within the bound of the MLP's ``dense`` on the
+    ``linear`` pixels, and their heights, solved in ``support``, within the
+    bound of the MLP's."""
+    assert np.max(np.abs(got - dense)[linear][:, :2],
                   initial=0.0) <= EXPANSION_NORMAL_TOL
-    ppm = frame.px_per_mm
-    h_got = geometry.integrate_normals(NormalMap(got), ppm).values
-    h_dense = geometry.integrate_normals(NormalMap(dense), ppm).values
+    h_got = geometry.integrate_normals(NormalMap(got, support), ppm).values
+    h_dense = geometry.integrate_normals(NormalMap(dense, support), ppm).values
     assert np.max(np.abs(h_got - h_dense)) <= EXPANSION_HEIGHT_TOL_MM
+
+
+def _check_expansion(frame, model):
+    """The window's expansion pixels and heights within the stated bound of
+    the MLP's. A frame that opens no window runs no expansion, so there the
+    bound is checked on the expansion planes themselves, through the
+    whole-frame computation of ``full_frame_normals_reference``."""
+    normals, sel = _check_prediction(frame, model)
+    dense = _kernel_normals(frame, model)
+    inside = _inside(normals)
+    _check_expansion_bound(normals.values, dense, inside & ~sel,
+                           normals.support, frame.px_per_mm)
+    if not inside.any():
+        whole = full_frame_normals_reference(frame.values, model)
+        _check_expansion_bound(whole, dense, ~_mlp_pixels(frame), None,
+                               frame.px_per_mm)
     return sel
 
 
@@ -359,22 +389,36 @@ class TestInference:
             self._check_kernel(frame, criterion8_model)
 
     def test_prediction_splits_into_mlp_and_expansion(self, criterion8_model):
-        frames = self._frames()
-        for frame in frames.values():
-            _check_expansion(frame, criterion8_model)
-        assert _mlp_pixels(frames["saturated"]).all()
-        assert 0 < _mlp_pixels(frames["noisy press"]).mean() < 0.5
+        sel = {name: _check_expansion(frame, criterion8_model)
+               for name, frame in self._frames().items()}
+        assert sel["saturated"].all()
+        assert 0 < sel["noisy press"].mean() < 0.5
 
     # The kernel runs over bands of _BAND_PX pixel rows: 13 x 317 pixels end
-    # in a short band, 3 x 5000 in three full ones and a short one.
-    @pytest.mark.parametrize("shape", [(13, 317), (3, 5000)])
+    # in a short band, 3 x 5000 and 8 x 1875 in three full ones and a short
+    # one. ``predict_normals`` hands the kernel one band at a time, which
+    # must give what one call over all the pixels gives. With 3 rows no
+    # column can hold _HOT_COUNT hot pixels, so that frame opens no window;
+    # the others open one over the whole frame.
+    @pytest.mark.parametrize("shape", [(13, 317), (3, 5000), (8, 1875)])
     def test_band_boundaries(self, criterion8_model, shape):
         n = shape[0] * shape[1]
-        assert n > geometry._BAND_PX and n % geometry._BAND_PX
+        band = geometry._BAND_PX
+        assert n > band and n % band
         values = np.random.default_rng(shape[1]).uniform(-0.3, 0.3, shape + (3,))
         frame = DiffFrame(values, 10.0)
         self._check_kernel(frame, criterion8_model)
-        _check_prediction(frame, criterion8_model)
+        feats = geometry._pixel_features(values)
+        banded = [geometry._mlp(criterion8_model, feats[s:s + band])
+                  for s in range(0, n, band)]
+        assert np.array_equal(geometry._mlp(criterion8_model, feats),
+                              np.concatenate(banded))
+        normals, sel = _check_prediction(frame, criterion8_model)
+        if shape[0] < geometry._HOT_COUNT:
+            assert normals.support == (0, 0, 0, 0)
+        else:
+            assert normals.support == (0, shape[0], 0, shape[1])
+            assert sel.sum() > band
 
     def test_clamp_branch(self, criterion8_model):
         # The criterion-8 model keeps |(nx, ny)| below 0.14 even on the
@@ -388,12 +432,12 @@ class TestInference:
         tangential = np.linalg.norm(dense[:, :, :2], axis=2)
         assert np.mean(np.isclose(tangential, geometry._NORM_CLAMP,
                                   rtol=0, atol=1e-12)) > 0.5
-        got, sel = _check_prediction(frame, loud)
+        normals, sel = _check_prediction(frame, loud)
         # expansion pixels past the clamp are pulled back onto it
-        tangential = np.linalg.norm(got[:, :, :2], axis=2)
+        tangential = np.linalg.norm(normals.values[:, :, :2], axis=2)
         assert np.max(tangential) <= geometry._NORM_CLAMP + 1e-12
         assert np.any(np.isclose(tangential, geometry._NORM_CLAMP,
-                                 rtol=0, atol=1e-12)[~sel])
+                                 rtol=0, atol=1e-12)[_inside(normals) & ~sel])
 
 
 class TestExpansion:
@@ -427,9 +471,11 @@ class TestExpansion:
     @pytest.mark.parametrize("recipe", ["criterion8_model", "library_model"])
     def test_small_rasters_within_bound(self, request, recipe, shape):
         model = request.getfixturevalue(recipe)
+        # noise alone, which opens no contact window
         values = np.random.default_rng(1).normal(0.0, 0.012, shape + (3,))
-        sel = _check_expansion(DiffFrame(values, 10.0), model)
-        assert not sel.all()
+        frame = DiffFrame(values, 10.0)
+        assert not _check_expansion(frame, model).any()
+        assert not _mlp_pixels(frame).all()
 
 
     # An output bias of 2 moves |u| to where the squash bends, so the
@@ -457,7 +503,9 @@ class TestRasterSlot:
 
     @staticmethod
     def _frame(shape, seed):
+        """Noise and a 9x9 block of contact, so the frame opens a window."""
         values = np.random.default_rng(seed).normal(0.0, 0.02, shape + (3,))
+        values[4:13, :9] += 0.2
         return DiffFrame(values, 10.0)
 
     def test_pickled_model_carries_no_expansion(self, criterion8_model):
@@ -471,12 +519,13 @@ class TestRasterSlot:
 
     def test_second_raster_replaces_slot(self, criterion8_model):
         a, b = self._frame((24, 32), 1), self._frame((17, 9), 2)
-        first = geometry.predict_normals(a, criterion8_model).values
+        first = geometry.predict_normals(a, criterion8_model)
+        assert first.support != (0, 0, 0, 0)
         assert criterion8_model._raster.shape == (8, 24, 32)
         geometry.predict_normals(b, criterion8_model)
         assert criterion8_model._raster.shape == (8, 17, 9)
         again = geometry.predict_normals(a, criterion8_model).values
-        assert np.array_equal(again, first)
+        assert np.array_equal(again, first.values)
 
 
 class TestIntegration:

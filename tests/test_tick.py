@@ -19,6 +19,7 @@ import pytest
 from gripsense import core, geometry, sim, slip
 from gripsense.core import HeightMap, MarkerSet
 from gripsense.perception import FIELD_GRID, Percept, Perception
+from oracles import full_frame_normals_reference, height_tolerance_mm
 from recipes import criterion8_models
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -241,3 +242,36 @@ def test_tick_solves_heights_in_the_contact_window(stack):
             else:           # the mask has a blob in each far corner region
                 ys, xs = np.nonzero(p.mask.values)
                 assert xs.min() < w / 3 and xs.max() > 2 * w / 3
+
+
+def test_tick_heights_match_the_full_frame_oracle(stack, monkeypatch):
+    """Every tick's heights against those solved, in the same window, from
+    the normals computed on the whole frame: within the oracle's tolerance
+    on the grasp, bit for bit on a saturated frame, and exactly zero with no
+    MLP call on the approach frame, which opens no window."""
+    background, rest, ppm = _sensor()
+    perception = Perception(*stack, background, rest)
+    calls, mlp = [], geometry._mlp
+    monkeypatch.setattr(geometry, "_mlp",
+                        lambda *a, **k: calls.append(a) or mlp(*a, **k))
+    saturated = core.TactileFrame(np.ones(SHAPE + (3,)), ppm)
+    frames = _grasp(rest, ppm) + [(saturated, rest, 2.6)]
+    empty = 0
+    for img, markers, current in frames:
+        del calls[:]
+        p = perception.tick(img, markers, current)
+        made = len(calls)
+        diff = core.diff_image(img, background)
+        support = geometry.predict_normals(diff, stack[0]).support
+        want = geometry.integrate_normals(core.NormalMap(
+            full_frame_normals_reference(diff.values, stack[0]), support),
+            ppm).values
+        err = np.max(np.abs(p.height.values - want))
+        assert err <= height_tolerance_mm(want)
+        if support == (0, SHAPE[0], 0, SHAPE[1]):
+            assert np.array_equal(p.height.values, want)
+        if support[0] == support[1] or support[2] == support[3]:
+            assert made == 0
+            assert np.array_equal(p.height.values, np.zeros(SHAPE))
+            empty += 1
+    assert empty == 1 and support == (0, SHAPE[0], 0, SHAPE[1])
