@@ -57,10 +57,11 @@ def main():
         perception.tick(img, moved, current)
         totals.append(time.perf_counter() - t0)
 
-    diff = core.diff_image(img, flat)
-    mlp_share = np.mean(np.abs(diff.values).max(axis=2) > geometry._LINEAR_TAU)
-    print(f"MLP evaluated on {100 * mlp_share:.1f}% of pixels; the rest took "
-          f"the first-order expansion")
+    r0, r1, c0, c1 = geometry.predict_normals(core.diff_image(img, flat),
+                                              geo_model).support
+    window_share = (r1 - r0) * (c1 - c0) / (res * res)
+    print(f"MLP evaluated on the contact window, {100 * window_share:.1f}% of "
+          f"pixels; the rest are flat")
     print(f"median tick {1e3 * float(np.median(totals)):.1f} ms at "
           f"{res}x{res} over {args.ticks} runs "
           f"(15 Hz budget: 66 ms)")

@@ -263,11 +263,14 @@ class NormalMap:
         if self.support is not None:
             object.__setattr__(self, "support",
                                _check_support(self.support, v.shape[:2]))
-        # |n| - 1 accumulated in one (H, W) buffer; a NaN in any component
-        # makes the largest deviation NaN, which fails the test
+        # |n| - 1 accumulated in one (H, W) buffer, each square taken in one
+        # reused scratch plane; a NaN in any component makes the largest
+        # deviation NaN, which fails the test
         dev = np.square(v[:, :, 0])
-        dev += np.square(v[:, :, 1])
-        dev += np.square(v[:, :, 2])
+        sq = np.empty_like(dev)
+        dev += np.square(v[:, :, 1], out=sq)
+        dev += np.square(v[:, :, 2], out=sq)
+        del sq
         np.sqrt(dev, out=dev)
         dev -= 1.0
         if not np.abs(dev, out=dev).max() <= 1e-6:

@@ -15,16 +15,9 @@ fit and filled in place, and the parameters are views into the optimizer's
 one flat vector. Fresh 1.6 MB temporaries are mapped from the OS anew each
 time, and their page faults were about half of an evaluation (6408 samples
 on a 2-core host: 13-19 ms before, 6-8 ms after).
-Inference runs the MLP only where the contact changed the image: pixels
-of the contact window (below) whose largest channel |diff| exceeds a fixed
-tau run a separate float32 forward pass, and every other pixel of the
-window takes the model's first-order expansion at zero diff,
-n0(x, y) + J(x, y) . rgb, the reference-frame idea of GelSight (Johnson &
-Adelson 2009) to first order. n0 and J are built once per raster on a grid
-of nodes at most 4 px and 0.025 normalized units apart and interpolated
-bilinearly; expansion pixels stay within 2e-3 per normal component of the
-MLP. The float64 ``_forward`` is the training path and the reference the
-float32 pass is tested against.
+Inference runs the float32 MLP on every window pixel (the contact window,
+below), a forward pass separate from the float64 ``_forward``, which is the
+training path and the reference the float32 pass is tested against.
 
 Both normal inference and the Poisson solve run only inside the contact
 window that ``predict_normals`` reads off the frame's largest-channel |diff|
@@ -40,20 +33,20 @@ finds the window is the only inference work done on every pixel.
 
 Both tick stages write their result once, into the array they return, and
 hand it to ``NormalMap`` or ``HeightMap`` wrapped in ``core._Adopt``, so the
-type checks it in place instead of copying it. ``predict_normals`` fills the
-window of its (H, W, 3) output plane by plane, keeping |(nx, ny)|^2 in the
-nz plane until nz replaces it, and hands the MLP its pixels one band at a
-time; ``integrate_normals`` builds both slope fields, one after the other,
-in one buffer that then serves as the sine solve's work array. The reason
-is page faults: whether glibc serves a fresh full-frame array from pages it
-holds or from newly mapped ones depends on what the process allocated
-before, and at 240x320 copies and temporaries of about 23 MB a tick cost up
-to about 1500 minor faults per tick.
+type checks it in place instead of copying it. ``predict_normals`` hands
+the MLP the window one band of whole rows at a time and writes each band's
+normals straight into its (H, W, 3) output; ``integrate_normals`` builds
+both slope fields, one after the other, in one buffer that then serves as
+the sine solve's work array. The reason is page faults: whether glibc
+serves a fresh full-frame array from pages it holds or from newly mapped
+ones depends on what the process allocated before, and at 240x320 copies
+and temporaries of about 23 MB a tick cost up to about 1500 minor faults
+per tick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +61,6 @@ _NORM_CLAMP = 1.0 - 1e-9
 # Pixel rows per inference band: the two (band, 32) float32 hidden buffers
 # take 1 MB together, so a band's activations stay in a core's L2 cache.
 _BAND_PX = 4096
-# Pixels whose largest channel |diff| is at most this take the first-order
-# expansion instead of the MLP. Fixed, not adapted to the frame, so the
-# error bound in ``predict_normals`` holds for every frame: the dropped
-# second-order term grows as tau^2 (up to 1.1e-3 per component at 0.025
-# with the converged criterion-8 model and 1.0e-3 with the library-default
-# one, on the tested grasps; 1e-3 would need tau = 0.02, which sends 12-19%
-# of a grasp's pixels to the MLP instead of 3.5-11%).
-# It is 2.5 sigma of the 0.01 sensor noise, so untouched gel stays on the
-# linear path.
-_LINEAR_TAU = 0.025
 # The contact window that ``predict_normals`` hands ``integrate_normals``.
 # A pixel is hot when its largest channel |diff| exceeds _HOT_TAU, 6 sigma of
 # the 0.01 sensor noise, so untouched gel is hot in about 2e-9 of its pixels.
@@ -89,12 +72,6 @@ _LINEAR_TAU = 0.025
 _HOT_TAU = 0.06
 _HOT_COUNT = 8
 _WINDOW_MARGIN = 8
-# Largest expansion node spacing, in px and in normalized coordinates. The
-# second bound matters on small rasters, where a 4 px stride spans a large
-# part of the model's coordinate range (alone, it left J off by 2e-2 at
-# 13x317 and 8e-2 at 8x8).
-_NODE_PX = 4.0
-_NODE_NORM = 0.025
 
 
 @dataclass(frozen=True)
@@ -117,16 +94,6 @@ class Rgb2NormalModel:
     b3: np.ndarray
     final_loss: float | None = None
     loss_history: tuple = ()
-    # per-raster slot: the last raster's first-order expansion planes
-    # (``_expansion``); not part of the model's value, so left out of
-    # comparison, repr, pickling and the saved file
-    _raster: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_raster", None)
-        return state
 
     def __post_init__(self):
         shapes = {"w1": (32, 5), "b1": (32,), "w2": (32, 32), "b2": (32,),
@@ -341,17 +308,16 @@ def fit_rgb2normal(data: CalibrationDataset, epochs: int = DEFAULT_EPOCHS,
                            loss_history=tuple(history))
 
 
-def _mlp(model: Rgb2NormalModel, feats: np.ndarray, jacobian: bool = False):
-    """The float32 inference pass over pixel rows.
+def _mlp(model: Rgb2NormalModel, feats: np.ndarray) -> np.ndarray:
+    """The float32 inference pass over pixel rows, which
+    ``predict_normals`` runs on every window pixel.
 
     ``feats`` is (N, 5): diff R, G, B and normalized x, y, as in training.
     Returns (N, 2) float64 (nx, ny), clamped below unit norm. The hidden
     layers run in float32 and agree with the float64 ``_forward`` to about
     1e-6 per component; the radial squash runs in float64. Everything runs
     over bands of ``_BAND_PX`` rows, reusing the hidden buffers, so no
-    temporary grows with N. With ``jacobian`` it also returns (N, 2, 3)
-    float32 d(nx, ny)/d(R, G, B) of the unclamped squash, by backprop
-    through both layers.
+    temporary grows with N.
     """
     f32 = np.float32
     n = feats.shape[0]
@@ -362,12 +328,6 @@ def _mlp(model: Rgb2NormalModel, feats: np.ndarray, jacobian: bool = False):
     z1 = np.empty((band, LAYER_SIZES[1]), f32)
     z2 = np.empty((band, LAYER_SIZES[2]), f32)
     out = np.empty((n, 2))
-    if jacobian:
-        # d(u_k)/d(z1) = (tanh'(layer 2) * w3[k]) @ W2; both k in one product
-        back2 = np.hstack([w3[:, k, None] * model.w2 for k in range(2)]).astype(f32)
-        back1 = np.ascontiguousarray(model.w1[:, :3], f32)
-        dz = np.empty((band, 2 * LAYER_SIZES[1]), f32)
-        jac = np.empty((n, 2, 3), f32)
     for s in range(0, n, band):
         e = min(s + band, n)
         a, b = z1[:e - s], z2[:e - s]
@@ -385,66 +345,7 @@ def _mlp(model: Rgb2NormalModel, feats: np.ndarray, jacobian: bool = False):
         if np.any(over):
             gain[over] = _NORM_CLAMP / r[over]
         np.multiply(u, gain[:, None], out=out[s:e])
-        if not jacobian:
-            continue
-        # tanh' = 1 - tanh^2, in place: the activations are spent
-        s1 = np.subtract(1.0, np.square(a, out=a), out=a)
-        s2 = np.subtract(1.0, np.square(b, out=b), out=b)
-        d = np.matmul(s2, back2, out=dz[:e - s])
-        d[:, :LAYER_SIZES[1]] *= s1
-        d[:, LAYER_SIZES[1]:] *= s1
-        du = (d.reshape(-1, LAYER_SIZES[1]) @ back1).reshape(e - s, 2, 3)
-        # the squash's Jacobian is g I + q u u^T, as in the training backward pass
-        _, g, q = _squash(u)
-        u = u.astype(f32)
-        udu = u[:, :1] * du[:, 0] + u[:, 1:] * du[:, 1]     # u . du per RGB channel
-        for k in range(2):
-            jac[s:e, k] = g[:, None] * du[:, k] + (q * u[:, k])[:, None] * udu
-    return (out, jac) if jacobian else out
-
-
-def _interpolation(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion nodes along one axis, in normalized coordinates, and the
-    (nodes, size) float32 weights that take node values to pixels bilinearly.
-
-    Nodes are evenly spaced from the first pixel to the last, no farther
-    apart than ``_NODE_PX`` px nor ``_NODE_NORM`` in normalized
-    coordinates; where that puts them under a pixel apart, every pixel is a
-    node and the weights are the identity.
-    """
-    step = min(_NODE_PX, _NODE_NORM * max(size - 1, 1) / 2.0)
-    count = int(np.ceil((size - 1) / step)) + 1
-    if count >= size:
-        return _grid_coords(1, size)[0], np.eye(size, dtype=np.float32)
-    t = np.arange(size) * ((count - 1) / (size - 1))
-    left = np.minimum(t.astype(np.intp), count - 2)
-    frac = t - left
-    weights = np.zeros((count, size), np.float32)
-    weights[left, np.arange(size)] = 1.0 - frac
-    weights[left + 1, np.arange(size)] = frac
-    return np.linspace(-1.0, 1.0, count), weights
-
-
-def _expansion(model: Rgb2NormalModel, h: int, w: int) -> np.ndarray:
-    """(8, H, W) float32 planes n0x, n0y, d(nx)/dRGB, d(ny)/dRGB at zero diff.
-
-    The MLP and its Jacobian are evaluated at the nodes of
-    ``_interpolation`` and interpolated bilinearly by two products. The
-    planes live in the model's per-raster slot, which holds only the last
-    raster's.
-    """
-    held = model._raster
-    if held is not None and held.shape[1:] == (h, w):
-        return held
-    (yn, wy), (xn, wx) = _interpolation(h), _interpolation(w)
-    feats = np.zeros((yn.size * xn.size, 5))
-    feats[:, 3] = np.tile(xn, yn.size)
-    feats[:, 4] = np.repeat(yn, xn.size)
-    n0, jac = _mlp(model, feats, jacobian=True)
-    nodes = np.column_stack([n0, jac.reshape(-1, 6)]).T.astype(np.float32)
-    planes = wy.T @ nodes.reshape(8, yn.size, xn.size) @ wx
-    object.__setattr__(model, "_raster", planes)
-    return planes
+    return out
 
 
 def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
@@ -457,22 +358,12 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     px and clipped to the frame, or an empty window when no row or no column
     has that many. That one pass is all the work outside the window, where
     the gel is taken to be undeformed and gets the flat normal; a frame
-    without contact runs no MLP and builds no expansion planes.
+    without contact makes no MLP call.
 
-    Inside the window, only pixels whose largest channel |diff| exceeds
-    ``_LINEAR_TAU`` run the float32 MLP (``_mlp``). Every other pixel, on gel
-    the contact left untouched, gets the model's first-order expansion at
-    zero diff, n0(x, y) + J(x, y) . rgb, with n0 and J = d(nx, ny)/d(R, G, B)
-    built once per raster (``_expansion``) at nodes no farther apart than
-    ``_NODE_PX`` px and ``_NODE_NORM`` in normalized coordinates, then
-    interpolated bilinearly. Those pixels are within 2e-3 per component of
-    the MLP, and the heights integrated from them within 5e-4 mm, on the
-    tested calibration recipes; MLP pixels agree with the float64
-    ``_forward`` to about 1e-6. tau is a constant rather than fitted to each
-    frame's noise, so that bound holds on every frame. The clamp below unit
-    norm is applied again after the linear step, and nz is float64. A window
-    over the whole frame (a saturated frame) gives the normals the
-    whole-frame computation gives, bit for bit.
+    It runs the float32 MLP on every window pixel (``_mlp``), which agrees
+    with the float64 ``_forward`` to about 1e-6 per component; its (nx, ny)
+    is clamped below unit norm and nz, in float64, completes the unit
+    vector.
     """
     v = frame.values
     h, w, _ = v.shape
@@ -484,6 +375,7 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
         np.maximum(mag, np.abs(v[:, :, c], out=tmp), out=mag)
     del tmp
     hot = np.flatnonzero(mag > _HOT_TAU)
+    del mag
     r0, r1 = _span(np.bincount(hot // w, minlength=h))
     c0, c1 = _span(np.bincount(hot % w, minlength=w))
     del hot
@@ -492,59 +384,40 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     if r1 <= r0 or c1 <= c0:
         return NormalMap(_Adopt(out), (0, 0, 0, 0))
     support = (r0, r1, c0, c1)
-    _window_normals(model, v, mag, support, out)
+    _window_normals(model, v, support, out)
     return NormalMap(_Adopt(out), support)
 
 
 def _window_normals(model: Rgb2NormalModel, values: np.ndarray,
-                    mag: np.ndarray, window: tuple, out: np.ndarray) -> None:
+                    window: tuple, out: np.ndarray) -> None:
     """Write the normals of ``predict_normals`` into ``out`` inside
-    ``window`` = (r0, r1, c0, c1), from the frame's diff ``values`` and its
-    float32 largest-channel |diff| ``mag``. The nz plane holds
-    |(nx, ny)|^2 until last.
+    ``window`` = (r0, r1, c0, c1), from the frame's diff ``values``.
+
+    The window goes to ``_mlp`` in bands of whole rows, about ``_BAND_PX``
+    pixels each, whose features are sliced into one reused (rows, w, 5)
+    float32 block, so no temporary grows with the window.
     """
     r0, r1, c0, c1 = window
-    xn, yn = _grid_coords(*mag.shape)
-    xn, yn = xn[c0:c1], yn[r0:r1]
-    planes = _expansion(model, *mag.shape)[:, r0:r1, c0:c1]
-    values, mag, out = (a[r0:r1, c0:c1] for a in (values, mag, out))
-    h, w = mag.shape
-    rgb = np.empty((3, h, w), np.float32)
-    for c in range(3):
-        rgb[c] = values[:, :, c]
-    nx, ny, t2 = out[:, :, 0], out[:, :, 1], out[:, :, 2]
-    # Two float32 work planes, reused, that later serve as one float64 plane.
-    work = np.empty(2 * h * w, np.float32)
-    acc, tmp = work[:h * w].reshape(h, w), work[h * w:].reshape(h, w)
-    for k, col in enumerate((nx, ny)):
-        np.copyto(acc, planes[k])
-        for c in range(3):
-            acc += np.multiply(planes[2 + 3 * k + c], rgb[c], out=tmp)
-        col[:] = acc
-    np.multiply(nx, nx, out=t2)
-    t2 += np.multiply(ny, ny, out=work.view(np.float64).reshape(h, w))
-    del rgb, work, acc, tmp             # spent: freed before the MLP pass
-    over = t2 > _NORM_CLAMP * _NORM_CLAMP
-    if np.any(over):
-        out[over, :2] *= (_NORM_CLAMP / np.sqrt(t2[over]))[:, None]
-        t2[over] = nx[over] * nx[over] + ny[over] * ny[over]
-    idx = np.flatnonzero(mag > _LINEAR_TAU)
-    # The MLP pixels go to ``_mlp`` one band at a time, so no temporary
-    # grows with their count; each call runs the band one call over all of
-    # them would run.
-    for part in np.split(idx, range(_BAND_PX, idx.size, _BAND_PX)):
-        rows, cols = np.divmod(part, w)
-        feats = np.empty((part.size, 5), np.float32)
-        feats[:, :3] = values[rows, cols]
-        feats[:, 3] = xn[cols]
-        feats[:, 4] = yn[rows]
-        mlp = _mlp(model, feats)
-        nx[rows, cols] = mlp[:, 0]
-        ny[rows, cols] = mlp[:, 1]
-        np.square(mlp, out=mlp)
-        t2[rows, cols] = mlp[:, 0] + mlp[:, 1]
-    np.subtract(1.0, t2, out=t2)
-    np.sqrt(np.maximum(t2, 0.0, out=t2), out=t2)
+    xn, yn = _grid_coords(*values.shape[:2])
+    yn = yn[r0:r1]
+    values, out = values[r0:r1, c0:c1], out[r0:r1, c0:c1]
+    h, w = out.shape[:2]
+    step = max(1, _BAND_PX // w)
+    feats = np.empty((min(step, h), w, 5), np.float32)
+    feats[:, :, 3] = xn[c0:c1]
+    for s in range(0, h, step):
+        e = min(s + step, h)
+        f = feats[:e - s]
+        f[:, :, :3] = values[s:e]
+        f[:, :, 4] = yn[s:e, None]
+        n2 = _mlp(model, f.reshape(-1, 5)).reshape(e - s, w, 2)
+        band = out[s:e]
+        band[:, :, :2] = n2
+        nz = band[:, :, 2]
+        np.square(n2, out=n2)
+        np.add(n2[:, :, 0], n2[:, :, 1], out=nz)
+        np.subtract(1.0, nz, out=nz)
+        np.sqrt(np.maximum(nz, 0.0, out=nz), out=nz)
 
 
 def _span(counts: np.ndarray) -> tuple[int, int]:

@@ -299,14 +299,6 @@ def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-def press(raw: HeightMap, gel: GelModel = GelModel()) -> HeightMap:
-    """Membrane smoothing: Gaussian blur at the membrane scale."""
-    sigma_px = gel.membrane_sigma_mm * raw.px_per_mm
-    if sigma_px <= 0:
-        return HeightMap(raw.values.copy(), raw.px_per_mm)
-    return HeightMap(_gaussian_blur(raw.values, sigma_px), raw.px_per_mm)
-
-
 def _normals(values: np.ndarray, px_per_mm: float) -> np.ndarray:
     """(..., H, W, 3) unit normals of heights (..., H, W) in mm.
 

@@ -192,34 +192,14 @@ def height_tolerance_mm(heights):
 
 
 def full_frame_normals_reference(diff_values, model):
-    """(H, W, 3) normals of ``geometry.predict_normals`` computed on every
-    pixel, as it was before the contact window: the first-order expansion
-    and the clamp everywhere, then the float32 MLP on every pixel whose
-    largest float32 channel |diff| exceeds ``_LINEAR_TAU``, then nz."""
+    """(H, W, 3) normals of ``geometry.predict_normals`` as if its contact
+    window were the whole frame: the float32 MLP on every pixel, then nz."""
     from gripsense import geometry
 
-    h, w, _ = diff_values.shape
-    planes = geometry._expansion(model, h, w).reshape(8, -1)
-    rgb = diff_values.reshape(-1, 3).T.astype(np.float32)
-    out = np.empty((h * w, 3))
-    for k in range(2):
-        acc = planes[k].copy()
-        for c in range(3):
-            acc += planes[2 + 3 * k + c] * rgb[c]
-        out[:, k] = acc
-    t2 = out[:, 0] * out[:, 0] + out[:, 1] * out[:, 1]
-    over = t2 > geometry._NORM_CLAMP * geometry._NORM_CLAMP
-    out[over, :2] *= (geometry._NORM_CLAMP / np.sqrt(t2[over]))[:, None]
-    t2[over] = out[over, 0] * out[over, 0] + out[over, 1] * out[over, 1]
-    idx = np.flatnonzero(np.abs(rgb).max(axis=0) > geometry._LINEAR_TAU)
-    rows, cols = np.divmod(idx, w)
-    xn, yn = geometry._grid_coords(h, w)
-    feats = np.column_stack([rgb[:, idx].T, xn[cols], yn[rows]])
-    mlp = geometry._mlp(model, feats.astype(np.float32))
-    out[idx, :2] = mlp
-    t2[idx] = mlp[:, 0] * mlp[:, 0] + mlp[:, 1] * mlp[:, 1]
-    out[:, 2] = np.sqrt(np.maximum(1.0 - t2, 0.0))
-    return out.reshape(h, w, 3)
+    n2 = geometry._mlp(model, geometry._pixel_features(diff_values))
+    nz = np.sqrt(np.maximum(1.0 - (n2[:, 0] * n2[:, 0] + n2[:, 1] * n2[:, 1]),
+                            0.0))
+    return np.column_stack([n2, nz]).reshape(diff_values.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +560,20 @@ def gradient_normals_reference(values, px_per_mm):
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
+def press(raw, gel=None):
+    """Membrane smoothing of a single heightmap: Gaussian blur at the
+    membrane scale, as the simulator blurs its stacked rasters."""
+    from gripsense import sim
+    from gripsense.core import HeightMap
+
+    if gel is None:
+        gel = sim.GelModel()
+    sigma_px = gel.membrane_sigma_mm * raw.px_per_mm
+    if sigma_px <= 0:
+        return HeightMap(raw.values.copy(), raw.px_per_mm)
+    return HeightMap(sim._gaussian_blur(raw.values, sigma_px), raw.px_per_mm)
+
+
 def compression_clip_reference(fruit, n_frames, gel, rig, rng, squeeze_mm,
                                resolution, noise_sigma, current_noise):
     """A ``synth_compression_clip`` result rendered one frame at a time.
@@ -598,14 +592,14 @@ def compression_clip_reference(fruit, n_frames, gel, rig, rng, squeeze_mm,
     grid = (resolution, resolution)
     center = (gel.gel_size_mm / 2.0, gel.gel_size_mm / 2.0)
     background = sim.render_tactile(
-        sim.press(sim.indent_heightmap(shape, center, 0.0, grid, gel), gel),
+        press(sim.indent_heightmap(shape, center, 0.0, grid, gel), gel),
         rig, gel)
     frames, currents = [], np.empty(n_frames)
     for t in range(n_frames):
         x_gel = squeeze_mm * (t + 1) / n_frames * kf / (kg + kf)
         currents[t] = sim.CURRENT_GAIN * (kg * x_gel) + sim.CURRENT_OFFSET \
             + (rng.normal(0.0, current_noise) if current_noise > 0 else 0.0)
-        hm = sim.press(sim.indent_heightmap(shape, center, x_gel, grid, gel), gel)
+        hm = press(sim.indent_heightmap(shape, center, x_gel, grid, gel), gel)
         frame = sim.render_tactile(hm, rig, gel, noise_sigma,
                                    rng if noise_sigma > 0 else None)
         frames.append(frame.pixels - background.pixels)

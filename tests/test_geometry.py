@@ -1,5 +1,6 @@
 """Normal calibration, inference and Poisson heightmap integration."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from gripsense import geometry, sim
 from gripsense.core import (DiffFrame, HeightMap, NormalMap, TactileFrame,
                             diff_image)
-from oracles import (cap_normals_fd, contact_window_reference, fd_gradient_at,
+from oracles import (ORACLE_NORMAL_TOL, cap_normals_fd,
+                     contact_window_reference, fd_gradient_at,
                      fit_rgb2normal_reference, full_frame_normals_reference,
                      poisson_reference, rgb2normal_init,
                      rgb2normal_loss_and_grads, windowed_poisson_reference)
@@ -286,20 +288,6 @@ def _reference_normals(frame, model):
     return np.column_stack([n2, nz]).reshape(frame.values.shape)
 
 
-def _kernel_normals(frame, model):
-    """The float32 kernel on every pixel, nz completing the unit vector."""
-    n2 = geometry._mlp(model, geometry._pixel_features(frame.values))
-    nz = np.sqrt(np.maximum(1.0 - np.sum(n2 * n2, axis=1), 0.0))
-    return np.column_stack([n2, nz]).reshape(frame.values.shape)
-
-
-def _mlp_pixels(frame):
-    """The pixels whose largest |diff| is above tau, which ``predict_normals``
-    sends to the MLP when they lie in the contact window."""
-    mag = np.abs(frame.values.astype(np.float32)).max(axis=2)
-    return mag > geometry._LINEAR_TAU
-
-
 def _inside(normals):
     """The (H, W) mask of the normal map's contact window."""
     r0, r1, c0, c1 = normals.support
@@ -310,51 +298,17 @@ def _inside(normals):
 
 def _check_prediction(frame, model):
     """Unit normals with nz > 0, exactly (0, 0, 1) outside the contact window,
-    and the window's MLP pixels exactly the kernel's output on them. Returns
-    the normal map and its MLP pixels."""
+    and within ``ORACLE_NORMAL_TOL`` of the float32 kernel on every pixel
+    inside it. Returns the normal map."""
     normals = geometry.predict_normals(frame, model)
     got = normals.values
     assert np.max(np.abs(np.linalg.norm(got, axis=2) - 1.0)) < 1e-9
     assert got[:, :, 2].min() > 0
     inside = _inside(normals)
     assert np.all(got[~inside] == (0.0, 0.0, 1.0))
-    sel = _mlp_pixels(frame) & inside
-    feats = geometry._pixel_features(frame.values)[sel.ravel()]
-    assert np.array_equal(got[sel][:, :2], geometry._mlp(model, feats))
-    return normals, sel
-
-
-# The stated bound of the first-order expansion against the MLP.
-EXPANSION_NORMAL_TOL = 2e-3
-EXPANSION_HEIGHT_TOL_MM = 5e-4
-
-
-def _check_expansion_bound(got, dense, linear, support, ppm):
-    """Normals ``got`` within the bound of the MLP's ``dense`` on the
-    ``linear`` pixels, and their heights, solved in ``support``, within the
-    bound of the MLP's."""
-    assert np.max(np.abs(got - dense)[linear][:, :2],
-                  initial=0.0) <= EXPANSION_NORMAL_TOL
-    h_got = geometry.integrate_normals(NormalMap(got, support), ppm).values
-    h_dense = geometry.integrate_normals(NormalMap(dense, support), ppm).values
-    assert np.max(np.abs(h_got - h_dense)) <= EXPANSION_HEIGHT_TOL_MM
-
-
-def _check_expansion(frame, model):
-    """The window's expansion pixels and heights within the stated bound of
-    the MLP's. A frame that opens no window runs no expansion, so there the
-    bound is checked on the expansion planes themselves, through the
-    whole-frame computation of ``full_frame_normals_reference``."""
-    normals, sel = _check_prediction(frame, model)
-    dense = _kernel_normals(frame, model)
-    inside = _inside(normals)
-    _check_expansion_bound(normals.values, dense, inside & ~sel,
-                           normals.support, frame.px_per_mm)
-    if not inside.any():
-        whole = full_frame_normals_reference(frame.values, model)
-        _check_expansion_bound(whole, dense, ~_mlp_pixels(frame), None,
-                               frame.px_per_mm)
-    return sel
+    want = full_frame_normals_reference(frame.values, model)
+    assert np.max(np.abs(got - want)[inside], initial=0.0) <= ORACLE_NORMAL_TOL
+    return normals
 
 
 class TestInference:
@@ -380,7 +334,7 @@ class TestInference:
 
     @staticmethod
     def _check_kernel(frame, model):
-        got = _kernel_normals(frame, model)
+        got = full_frame_normals_reference(frame.values, model)
         assert np.max(np.abs(got - _reference_normals(frame, model))) <= 1e-5
         return got
 
@@ -388,18 +342,14 @@ class TestInference:
         for frame in self._frames().values():
             self._check_kernel(frame, criterion8_model)
 
-    def test_prediction_splits_into_mlp_and_expansion(self, criterion8_model):
-        sel = {name: _check_expansion(frame, criterion8_model)
-               for name, frame in self._frames().items()}
-        assert sel["saturated"].all()
-        assert 0 < sel["noisy press"].mean() < 0.5
-
     # The kernel runs over bands of _BAND_PX pixel rows: 13 x 317 pixels end
     # in a short band, 3 x 5000 and 8 x 1875 in three full ones and a short
-    # one. ``predict_normals`` hands the kernel one band at a time, which
-    # must give what one call over all the pixels gives. With 3 rows no
-    # column can hold _HOT_COUNT hot pixels, so that frame opens no window;
-    # the others open one over the whole frame.
+    # one, which one call over all the pixels must give as separate calls
+    # do. ``predict_normals`` hands the kernel whole window rows, at most
+    # _BAND_PX pixels a call: bands of 12 rows and one of a row at 13 x 317,
+    # four of 2 rows at 8 x 1875. With 3 rows no column can hold _HOT_COUNT
+    # hot pixels, so that frame opens no window; the others open one over
+    # the whole frame.
     @pytest.mark.parametrize("shape", [(13, 317), (3, 5000), (8, 1875)])
     def test_band_boundaries(self, criterion8_model, shape):
         n = shape[0] * shape[1]
@@ -413,12 +363,11 @@ class TestInference:
                   for s in range(0, n, band)]
         assert np.array_equal(geometry._mlp(criterion8_model, feats),
                               np.concatenate(banded))
-        normals, sel = _check_prediction(frame, criterion8_model)
+        normals = _check_prediction(frame, criterion8_model)
         if shape[0] < geometry._HOT_COUNT:
             assert normals.support == (0, 0, 0, 0)
         else:
             assert normals.support == (0, shape[0], 0, shape[1])
-            assert sel.sum() > band
 
     def test_clamp_branch(self, criterion8_model):
         # The criterion-8 model keeps |(nx, ny)| below 0.14 even on the
@@ -432,100 +381,11 @@ class TestInference:
         tangential = np.linalg.norm(dense[:, :, :2], axis=2)
         assert np.mean(np.isclose(tangential, geometry._NORM_CLAMP,
                                   rtol=0, atol=1e-12)) > 0.5
-        normals, sel = _check_prediction(frame, loud)
-        # expansion pixels past the clamp are pulled back onto it
+        normals = _check_prediction(frame, loud)
         tangential = np.linalg.norm(normals.values[:, :, :2], axis=2)
         assert np.max(tangential) <= geometry._NORM_CLAMP + 1e-12
         assert np.any(np.isclose(tangential, geometry._NORM_CLAMP,
-                                 rtol=0, atol=1e-12)[_inside(normals) & ~sel])
-
-
-class TestExpansion:
-    """First-order expansion pixels against the MLP, on presses as a grasp
-    renders them and on rasters too small for a 4 px node stride."""
-
-    @staticmethod
-    def _grasp(shape, sigma):
-        """Approach, half press and full press of a 7 mm sphere, off centre."""
-        gel, rig = sim.GelModel(), sim.default_rig()
-        ppm = shape[1] / gel.gel_size_mm
-        background = sim.render_tactile(HeightMap(np.zeros(shape), ppm), rig, gel)
-        centre = np.array([shape[1], shape[0]]) / ppm / 2.0 + [1.0, -0.5]
-        noise = np.random.default_rng(3)
-        for depth in (0.0, 0.6, 1.2):
-            raw = sim.indent_heightmap(sim.Sphere(7.0), tuple(centre), depth,
-                                       shape, gel)
-            yield diff_image(sim.render_tactile(raw, rig, gel, sigma, noise),
-                             background)
-
-    @pytest.mark.parametrize("sigma", [0.01, 0.02])
-    @pytest.mark.parametrize("shape", [(128, 128), (240, 320)])
-    @pytest.mark.parametrize("recipe", ["criterion8_model", "library_model"])
-    def test_grasp_within_bound(self, request, recipe, shape, sigma):
-        model = request.getfixturevalue(recipe)
-        for frame in self._grasp(shape, sigma):
-            sel = _check_expansion(frame, model)
-            assert sel.mean() < 0.7
-
-    @pytest.mark.parametrize("shape", [(8, 8), (13, 317)])
-    @pytest.mark.parametrize("recipe", ["criterion8_model", "library_model"])
-    def test_small_rasters_within_bound(self, request, recipe, shape):
-        model = request.getfixturevalue(recipe)
-        # noise alone, which opens no contact window
-        values = np.random.default_rng(1).normal(0.0, 0.012, shape + (3,))
-        frame = DiffFrame(values, 10.0)
-        assert not _check_expansion(frame, model).any()
-        assert not _mlp_pixels(frame).all()
-
-
-    # An output bias of 2 moves |u| to where the squash bends, so the
-    # q u u^T term of its Jacobian matters as much as the g I term.
-    @pytest.mark.parametrize("shift", [0.0, 2.0])
-    def test_jacobian_matches_finite_differences(self, criterion8_model, shift):
-        m = criterion8_model
-        model = geometry.Rgb2NormalModel(m.w1, m.b1, m.w2, m.b2, m.w3,
-                                         m.b3 + [shift, 0.0])
-        params = (model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
-        r = np.random.default_rng(9)
-        feats = np.column_stack([r.normal(0.0, 0.05, (500, 3)),
-                                 r.uniform(-1.0, 1.0, (500, 2))])
-        _, jac = geometry._mlp(model, feats, jacobian=True)
-        for c in range(3):
-            step = np.zeros(5)
-            step[c] = 1e-5
-            fd = (geometry._forward(params, feats + step)[0]
-                  - geometry._forward(params, feats - step)[0]) / 2e-5
-            assert np.max(np.abs(jac[:, :, c] - fd)) <= 1e-5
-
-
-class TestRasterSlot:
-    """The per-raster expansion is a cache on the model, not part of it."""
-
-    @staticmethod
-    def _frame(shape, seed):
-        """Noise and a 9x9 block of contact, so the frame opens a window."""
-        values = np.random.default_rng(seed).normal(0.0, 0.02, shape + (3,))
-        values[4:13, :9] += 0.2
-        return DiffFrame(values, 10.0)
-
-    def test_pickled_model_carries_no_expansion(self, criterion8_model):
-        frame = self._frame((24, 32), 0)
-        want = geometry.predict_normals(frame, criterion8_model).values
-        assert criterion8_model._raster is not None
-        back = pickle.loads(pickle.dumps(criterion8_model))
-        assert back._raster is None
-        assert "_raster" not in repr(criterion8_model)
-        assert np.array_equal(geometry.predict_normals(frame, back).values, want)
-
-    def test_second_raster_replaces_slot(self, criterion8_model):
-        a, b = self._frame((24, 32), 1), self._frame((17, 9), 2)
-        first = geometry.predict_normals(a, criterion8_model)
-        assert first.support != (0, 0, 0, 0)
-        assert criterion8_model._raster.shape == (8, 24, 32)
-        geometry.predict_normals(b, criterion8_model)
-        assert criterion8_model._raster.shape == (8, 17, 9)
-        again = geometry.predict_normals(a, criterion8_model).values
-        assert np.array_equal(again, first.values)
+                                 rtol=0, atol=1e-12)[_inside(normals)])
 
 
 class TestIntegration:
@@ -719,6 +579,19 @@ class TestPersistence:
         b = geometry.predict_normals(frame, back)
         assert np.array_equal(a.values, b.values)
         assert back.final_loss is None
+
+    def test_pickle_round_trip(self, criterion8_model):
+        back = pickle.loads(pickle.dumps(criterion8_model))
+        for f in dataclasses.fields(back):
+            assert np.array_equal(getattr(back, f.name),
+                                  getattr(criterion8_model, f.name))
+        values = np.random.default_rng(0).normal(0.0, 0.02, (24, 32, 3))
+        values[4:13, :9] += 0.2             # a block of contact opens a window
+        frame = DiffFrame(values, 10.0)
+        got = geometry.predict_normals(frame, back)
+        assert got.support != (0, 0, 0, 0)
+        want = geometry.predict_normals(frame, criterion8_model)
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_corrupt_file_raises(self, tmp_path):
         p = tmp_path / "bad.txt"
