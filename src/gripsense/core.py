@@ -8,16 +8,21 @@ Conventions used throughout the package:
   giving the isotropic pixel pitch;
 * marker positions are in frame pixels.
 
-``sine_block`` builds blocks of the orthonormal DST-I matrix, the sine basis
-that both the Poisson solve and the Helmholtz decomposition diagonalize their
-operators with. ``_lbfgs`` is the numpy L-BFGS that both calibration fits,
-geometry's and softness's, run.
+Two numerical kernels are shared by the stages. ``_poisson_solve`` is the one
+fast-diagonalization solver of the 5-point Dirichlet Poisson problem: it
+integrates geometry's heightmap, and it gives the Helmholtz decomposition in
+``force`` both potentials, one stack of parity sub-grids at a time.
+``_lbfgs`` is the numpy L-BFGS that both calibration fits, geometry's and
+softness's, run.
 
 Everything here is immutable after construction: arrays are copied and marked
 read-only, so instances can be shared freely across threads. The package's
 own stages hand the raster they have just built to ``DiffFrame``,
 ``NormalMap`` or ``HeightMap`` wrapped in ``_Adopt`` instead: the type checks
-that array once, in place, and keeps it, so no full-frame copy is made.
+that array once, in place, and keeps it, so no full-frame copy is made. Like
+every frozen type of the package that holds an array, these compare by
+identity (``eq=False``): a field-wise ``==`` would ask an array for one truth
+value and raise.
 """
 
 from __future__ import annotations
@@ -76,23 +81,6 @@ def _check_pitch(px_per_mm) -> None:
     """Raise unless the pixel pitch is a finite positive number."""
     if not (px_per_mm > 0 and np.isfinite(px_per_mm)):
         raise ValueError(f"px_per_mm must be finite and positive, got {px_per_mm}")
-
-
-def sine_block(n: int, modes, nodes) -> np.ndarray:
-    """Rows ``modes`` and columns ``nodes`` (both 1-based) of the orthonormal
-    n-point DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)).
-
-    The matrix is symmetric and its own inverse. Its entries take only the
-    2(n+1) values of one sine table, indexed by (j k) mod 2(n+1), so no sine
-    of a large argument is evaluated.
-    """
-    period = 2 * (n + 1)
-    table = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(period) / (n + 1))
-    # int32 indices, where j k cannot overflow them, halve the bytes written
-    dtype = np.int32 if period * period < 2 ** 31 else np.int64
-    idx = np.multiply.outer(np.asarray(modes, dtype), np.asarray(nodes, dtype))
-    idx %= period
-    return table[idx]
 
 
 # _lbfgs: curvature pairs kept, Armijo's sufficient-decrease constant, step
@@ -180,6 +168,95 @@ def _lbfgs(loss_and_grads, params, epochs: int, first_step: float):
     return views, history
 
 
+def _sine_block(n: int, modes, nodes) -> np.ndarray:
+    """Rows ``modes`` and columns ``nodes`` (both 1-based) of the orthonormal
+    n-point DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)).
+
+    The matrix is symmetric and its own inverse. Its entries take only the
+    2(n+1) values of one sine table, indexed by (j k) mod 2(n+1), so no sine
+    of a large argument is evaluated.
+    """
+    period = 2 * (n + 1)
+    table = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(period) / (n + 1))
+    # int32 indices, where j k cannot overflow them, halve the bytes written
+    dtype = np.int32 if period * period < 2 ** 31 else np.int64
+    idx = np.multiply.outer(np.asarray(modes, dtype), np.asarray(nodes, dtype))
+    idx %= period
+    return table[idx]
+
+
+def _folded_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-point DST-I matrix S split by mode parity, and its eigenvalues.
+
+    In mode k, node n + 1 - j is (-1)^(k+1) times node j, so odd modes see
+    only the sum of mirrored nodes and even modes only their difference.
+    Returns the odd block (odd modes x nodes 1..ceil(n/2)), the even block
+    (even modes x nodes 1..n//2) and the eigenvalues 2 - 2 cos(pi k/(n+1))
+    of the Dirichlet [-1, 2, -1] chain, odd modes first, then even.
+    """
+    half = n - n // 2
+    modes = np.concatenate([np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)])
+    lam = 2.0 - 2.0 * np.cos(np.pi * modes / (n + 1))
+    s = _sine_block(n, modes, np.arange(1, half + 1))
+    return s[:half], s[half:, :n // 2], lam
+
+
+def _fold(x: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the sum of x's mirrored rows (axis -2), an odd
+    length's middle row alone after it, then the rows' difference."""
+    n = x.shape[-2]
+    p, q = n // 2, n - n // 2
+    mirror = x[..., :-p - 1:-1, :]              # the last p rows, last first
+    np.add(x[..., :p, :], mirror, out=out[..., :p, :])
+    out[..., p:q, :] = x[..., p:q, :]
+    np.subtract(x[..., :p, :], mirror, out=out[..., q:, :])
+
+
+def _unfold(x: np.ndarray, out: np.ndarray) -> None:
+    """The inverse of ``_fold``: x holds the mirrored sum, then difference."""
+    n = x.shape[-2]
+    p, q = n // 2, n - n // 2
+    np.add(x[..., :p, :], x[..., q:, :], out=out[..., :p, :])
+    out[..., p:q, :] = x[..., p:q, :]
+    np.subtract(x[..., :p, :], x[..., q:, :],
+                out=out[..., :-p - 1:-1, :])   # the last p rows
+
+
+def _poisson_solve(rhs: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """Solve -laplacian(u) = rhs with zero Dirichlet data around each (h, w)
+    grid of ``rhs`` (..., h, w), the 5-point Laplacian's [-1, 2, -1] chains
+    along both axes, writing u into ``out``, which may be ``rhs``; ``rhs``
+    and ``work``, a C-ordered array of its shape, are overwritten.
+
+    Fast diagonalization (Lynch, Rice & Thomas 1964):
+    u = Sy ((Sy rhs Sx) / (lam_y + lam_x)) Sx, with S the orthonormal
+    type-I sine matrix, its own inverse. Each sine transform is two
+    half-size products, one per mode parity, on the folded rows or, through
+    the swapped last two axes, columns (``_fold``), and the spectral
+    coefficients stay in that parity-blocked order, so nothing is
+    interleaved. A square grid builds its basis once for both axes. Leading
+    axes are a stack of independent grids, each solved as it would be alone.
+    """
+    ay, by, ly = _folded_basis(rhs.shape[-2])
+    ax, bx, lx = ((ay, by, ly) if rhs.shape[-1] == rhs.shape[-2]
+                  else _folded_basis(rhs.shape[-1]))
+    hy, hx = ay.shape[0], ax.shape[0]
+    a, b = work, rhs
+    _fold(rhs, a)
+    np.matmul(ay, a[..., :hy, :], out=b[..., :hy, :])   # modes down the rows
+    np.matmul(by, a[..., hy:, :], out=b[..., hy:, :])
+    _fold(b.swapaxes(-1, -2), a.swapaxes(-1, -2))
+    np.matmul(a[..., :hx], ax.T, out=b[..., :hx])       # and across the columns
+    np.matmul(a[..., hx:], bx.T, out=b[..., hx:])
+    b /= np.add(ly[:, None], lx, out=a)
+    np.matmul(b[..., :hx], ax, out=a[..., :hx])
+    np.matmul(b[..., hx:], bx, out=a[..., hx:])
+    _unfold(a.swapaxes(-1, -2), b.swapaxes(-1, -2))
+    np.matmul(ay.T, b[..., :hy, :], out=a[..., :hy, :])
+    np.matmul(by.T, b[..., hy:, :], out=a[..., hy:, :])
+    _unfold(a, out)
+
+
 def _clip_owned(a: np.ndarray, lo: float, hi: float, what: str) -> None:
     """Check that the caller's own copy ``a`` is finite and in [lo, hi] up to
     1e-9, clip the slack in place, and mark it read-only."""
@@ -193,7 +270,7 @@ def _clip_owned(a: np.ndarray, lo: float, hi: float, what: str) -> None:
     a.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TactileFrame:
     """One rectified RGB raster from a finger's sensing surface."""
 
@@ -220,7 +297,7 @@ class TactileFrame:
         return self.pixels.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffFrame:
     """Background-subtracted frame; values in [-1, 1] on the source grid."""
 
@@ -242,7 +319,7 @@ class DiffFrame:
         return self.values.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalMap:
     """Per-pixel unit surface normals (nx, ny, nz) with nz > 0.
 
@@ -281,7 +358,7 @@ class NormalMap:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeightMap:
     """Reconstructed or simulated contact geometry in millimetres.
 
@@ -310,7 +387,7 @@ class HeightMap:
         return self.values.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkerSet:
     """Snapshot of etched-marker centroids (id, x, y) for one frame."""
 
@@ -346,7 +423,7 @@ class MarkerSet:
                          self.grid_cols, self.frame_width, self.frame_height)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Grid scalar (potentials of the field decomposition)."""
 
@@ -362,7 +439,7 @@ class ScalarField:
         object.__setattr__(self, "values", _readonly(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisplacementField:
     """Dense 2-D vector field of marker motion on a regular grid (pixels)."""
 
@@ -397,8 +474,35 @@ def diff_image(contact: TactileFrame, background: TactileFrame) -> DiffFrame:
 
 
 # ---------------------------------------------------------------------------
-# persistence: CSV for heightmaps and marker tracks
+# persistence: model weights, CSV for heightmaps and marker tracks
 # ---------------------------------------------------------------------------
+
+def _save_arrays(path, header: str, arrays) -> None:
+    """A ``header`` line, then each array's values, flattened, on a line of
+    its own, whitespace-separated at full precision."""
+    lines = [header] + [" ".join(f"{v:.17g}" for v in np.ravel(a))
+                        for a in arrays]
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _load_arrays(path, header: str, shapes) -> list[np.ndarray]:
+    """The arrays of a ``_save_arrays`` file, reshaped to ``shapes``;
+    ValueError unless it starts with ``header`` and holds exactly the values
+    the shapes take."""
+    with open(path) as f:
+        tokens = f.read().split()
+    head = header.split()
+    if tokens[:len(head)] != head:
+        raise ValueError(f"expected header {header!r}, "
+                         f"found {' '.join(tokens[:len(head)])!r}")
+    values = np.array([float(t) for t in tokens[len(head):]])
+    sizes = [int(np.prod(s)) for s in shapes]
+    if values.size != sum(sizes):
+        raise ValueError(f"expected {sum(sizes)} values, found {values.size}")
+    return [part.reshape(s) for part, s in
+            zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
+
 
 def save_heightmap(path, hm: HeightMap) -> None:
     """CSV of millimetre values, row-major, 6 decimal places."""

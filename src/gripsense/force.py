@@ -13,8 +13,9 @@ with both potentials pinned to zero on the one-node boundary ring. Central
 differences with zero extension make the two subspaces exactly orthogonal
 and make constants exactly harmonic, so the decomposition reproduces every
 closed-form case to machine precision. They also link only nodes two apart,
-so on each axis the potentials' normal equations split into an even and an
-odd Dirichlet chain, which a sine basis per parity solves in closed form.
+so the potentials' normal equations split into four Dirichlet Poisson
+problems, one per parity sub-grid, which ``core._poisson_solve`` solves in
+closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DisplacementField, MarkerSet, ScalarField, sine_block
+from .core import DisplacementField, MarkerSet, ScalarField, _poisson_solve
 from .slip import ContactMask
 
 
@@ -78,12 +79,12 @@ _COINCIDENT_SQ = 1e-24
 
 def _idw_interpolate(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
                      node_x: np.ndarray, node_y: np.ndarray,
-                     k: int = 4, power: float = 2.0) -> np.ndarray:
+                     k: int = 4) -> np.ndarray:
     """Inverse-distance-weighted interpolation of scattered samples onto a grid.
 
     ``(px, py)`` are N sample positions with values ``vals`` (N, C); the output
     grid has node columns at ``node_x`` and rows at ``node_y``. For each node
-    the ``k`` nearest samples are blended with weights d^-power. Ties in
+    the ``k`` nearest samples are blended with weights 1/d^2. Ties in
     distance are broken by sample index (lowest first) so results are
     deterministic; a node coinciding with a sample copies that sample's value.
     """
@@ -104,7 +105,7 @@ def _idw_interpolate(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
         d2[rows, order[:, j]] = np.inf
     out = np.empty((gh * gw, vals.shape[1]))
     exact = dk[:, 0] < _COINCIDENT_SQ
-    wgt = 1.0 / np.maximum(dk, _COINCIDENT_SQ) ** (power / 2.0)
+    wgt = 1.0 / np.maximum(dk, _COINCIDENT_SQ)
     wgt /= wgt.sum(axis=1, keepdims=True)
     out[:] = np.einsum("nk,nkc->nc", wgt, vals[order])
     if np.any(exact):
@@ -150,7 +151,7 @@ def interpolate_markers(before: MarkerSet, after: MarkerSet,
 # Helmholtz decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HHDResult:
     """Curl-free P, divergence-free S, harmonic H, and their potentials."""
 
@@ -171,47 +172,6 @@ def _central_diff(f: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _parity_sine_basis(n: int) -> tuple[np.ndarray, tuple]:
-    """Eigenvalues (n,) of -D^2 on n nodes, and its orthonormal eigenvectors
-    as one block per node parity.
-
-    -D^2 is 0.5 on the diagonal and -0.25 two nodes away. Each parity chain
-    is a Dirichlet [-1, 2, -1]/4 chain of length m, with eigenvectors
-    sqrt(2/(m+1)) sin(pi j k/(m+1)) (the m-point sine matrix of
-    ``sine_block``, shared with the Poisson solve) and eigenvalues
-    (1 - cos(pi k/(m+1)))/2. Block p, symmetric, takes the nodes p::2 to
-    their chain's modes; the even nodes' modes come first in the
-    eigenvalues, then the odd nodes'.
-    """
-    even, odd = (n + 1) // 2, n // 2
-    lam_even, s_even = _chain_modes(even)
-    lam_odd, s_odd = (lam_even, s_even) if odd == even else _chain_modes(odd)
-    return np.concatenate([lam_even, lam_odd]), (s_even, s_odd)
-
-
-def _chain_modes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and the m-point sine matrix of one parity chain."""
-    k = np.arange(1, m + 1)
-    return 0.5 - 0.5 * np.cos(np.pi * k / (m + 1)), sine_block(m, k, k)
-
-
-def _to_modes(x: np.ndarray, blocks: tuple, out: np.ndarray) -> None:
-    """Write into ``out`` the sine modes of x along its last axis, each
-    parity's nodes through that parity's block."""
-    at = 0
-    for first, s in enumerate(blocks):
-        np.matmul(x[..., first::2], s, out=out[..., at:at + len(s)])
-        at += len(s)
-
-
-def _from_modes(c: np.ndarray, blocks: tuple, out: np.ndarray) -> None:
-    """The inverse of ``_to_modes``: node values from the modes of ``c``."""
-    at = 0
-    for first, s in enumerate(blocks):
-        np.matmul(c[..., at:at + len(s)], s, out=out[..., first::2])
-        at += len(s)
-
-
 def hhd_decompose(v: DisplacementField) -> HHDResult:
     """Split a displacement field into curl-free + divergence-free + harmonic.
 
@@ -219,27 +179,30 @@ def hhd_decompose(v: DisplacementField) -> HHDResult:
     projections are exact least squares, so P + S + H always reconstructs the
     input and the remainder H is orthogonal to both model subspaces.
 
-    Central differences link only nodes two apart, so on each axis the normal
-    equations' operator is two Dirichlet chains, one per node parity, each
-    diagonalized exactly by sines (``_parity_sine_basis``). Both potentials
-    come from one fast diagonalization (Lynch, Rice & Thomas 1964), whose
-    transforms are half-size products, one per parity.
+    Central differences link only nodes two apart, so on each parity
+    sub-grid of the interior, rows and columns each of one parity, the
+    normal equations' operator is exactly 1/4 of the 5-point Dirichlet
+    Laplacian, and the parities do not couple. Both potentials are
+    ``core._poisson_solve`` of 4 rhs on each sub-grid; the sub-grids of one
+    shape, all four on an even interior, go to the solver as one stack.
     """
     vals = v.values
     h, w = vals.shape[:2]
     if h < 8 or w < 8:
         raise ValueError("field must be at least 8x8")
-    rhs = np.stack([-divergence(v), curl(v)])[:, 1:-1, 1:-1]
-    lx, bx = _parity_sine_basis(w - 2)
-    ly, by = (lx, bx) if h == w else _parity_sine_basis(h - 2)
-    a, b = np.empty_like(rhs), np.empty_like(rhs)
-    # transposed views take the modes down the columns
-    _to_modes(rhs.swapaxes(1, 2), by, a.swapaxes(1, 2))
-    _to_modes(a, bx, b)
-    b /= ly[:, None] + lx
-    _from_modes(b.swapaxes(1, 2), by, a.swapaxes(1, 2))
-    pots = np.zeros((2, h, w))
-    _from_modes(a, bx, pots[:, 1:-1, 1:-1])
+    rhs = np.stack([-divergence(v), curl(v)])
+    rhs *= 4.0
+    pots = np.zeros_like(rhs)
+    grids = {}                  # interior parity sub-grids, by their shape
+    for py in (1, 2):
+        for px in (1, 2):
+            g = (Ellipsis, slice(py, -1, 2), slice(px, -1, 2))
+            grids.setdefault(pots[g].shape, []).append(g)
+    for shape, same in grids.items():
+        b = np.concatenate([rhs[g] for g in same])
+        _poisson_solve(b, b, np.empty_like(b))
+        for g, u in zip(same, b.reshape(len(same), *shape)):
+            pots[g] = u
     if not np.all(np.isfinite(pots)):
         raise ValueError("potential solve failed: non-finite solution")
     dx, dy = _central_diff(pots, -1), _central_diff(pots, -2)
@@ -265,7 +228,7 @@ def divergence(field: DisplacementField) -> np.ndarray:
 # shear features and regression
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShearFeature:
     """10-vector of in-contact means: v, then P and S with squared terms.
 
@@ -315,7 +278,7 @@ def shear_features(v: DisplacementField, hhd: HHDResult,
     ]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShearModel:
     """Per-axis linear readout: F_axis = w_axis . x + b_axis."""
 

@@ -2,10 +2,9 @@
 
 Calibration maps background-subtracted RGB to surface normals with a small
 MLP fitted by full-batch L-BFGS; a Poisson solve turns the predicted normal
-field into a heightmap by fast diagonalization with type-I sine transforms
-along both axes. Each transform is two dense half-size products, the sine
-matrix folded by mode parity; every basis is built per call from one sine
-table, and numpy is the only dependency.
+field into a heightmap with ``core._poisson_solve``, the fast
+diagonalization by type-I sine transforms that the Helmholtz decomposition
+in ``force`` also runs; numpy is the only dependency.
 Training is hand-rolled (forward, analytic backprop, the numpy L-BFGS
 ``core._lbfgs``) because the model is tiny and the package needs
 deterministic, dependency-free fitting. ``epochs`` is the iteration cap and
@@ -37,7 +36,7 @@ type checks it in place instead of copying it. ``predict_normals`` hands
 the MLP the window one band of whole rows at a time and writes each band's
 normals straight into its (H, W, 3) output; ``integrate_normals`` builds
 both slope fields, one after the other, in one buffer that then serves as
-the sine solve's work array. The reason is page faults: whether glibc
+the Poisson solve's work array. The reason is page faults: whether glibc
 serves a fresh full-frame array from pages it holds or from newly mapped
 ones depends on what the process allocated before, and at 240x320 copies
 and temporaries of about 23 MB a tick cost up to about 1500 minor faults
@@ -51,9 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DiffFrame, HeightMap, NormalMap, _Adopt, _check_pitch,
-                   _lbfgs, sine_block)
+                   _lbfgs, _load_arrays, _poisson_solve, _save_arrays)
 
 LAYER_SIZES = (5, 32, 32, 2)
+_WEIGHT_SHAPES = ((32, 5), (32,), (32, 32), (32,), (2, 32), (2,))
+_WEIGHTS_HEADER = " ".join(str(s) for s in LAYER_SIZES)
 DEFAULT_EPOCHS = 1000
 DEFAULT_LEARNING_RATE = 0.1
 
@@ -74,7 +75,7 @@ _HOT_COUNT = 8
 _WINDOW_MARGIN = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rgb2NormalModel:
     """MLP weights for the RGB-to-normal mapping.
 
@@ -96,9 +97,8 @@ class Rgb2NormalModel:
     loss_history: tuple = ()
 
     def __post_init__(self):
-        shapes = {"w1": (32, 5), "b1": (32,), "w2": (32, 32), "b2": (32,),
-                  "w3": (2, 32), "b3": (2,)}
-        for name, shape in shapes.items():
+        for name, shape in zip(("w1", "b1", "w2", "b2", "w3", "b3"),
+                               _WEIGHT_SHAPES):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -109,7 +109,7 @@ class Rgb2NormalModel:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationDataset:
     """(feature, unit normal) pairs sampled from sphere presses."""
 
@@ -436,73 +436,6 @@ def _span(counts: np.ndarray) -> tuple[int, int]:
 # Poisson integration
 # ---------------------------------------------------------------------------
 
-def _folded_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-point DST-I matrix S split by mode parity, and its eigenvalues.
-
-    In mode k, node n + 1 - j is (-1)^(k+1) times node j, so odd modes see
-    only the sum of mirrored nodes and even modes only their difference.
-    Returns the odd block (odd modes x nodes 1..ceil(n/2)), the even block
-    (even modes x nodes 1..n//2) and the eigenvalues 2 - 2 cos(pi k/(n+1))
-    of the Dirichlet [-1, 2, -1] chain, odd modes first, then even.
-    """
-    half = n - n // 2
-    nodes = np.arange(1, half + 1)
-    modes = np.concatenate([np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)])
-    lam = 2.0 - 2.0 * np.cos(np.pi * modes / (n + 1))
-    return (sine_block(n, modes[:half], nodes),
-            sine_block(n, modes[half:], nodes[:n // 2]), lam)
-
-
-def _fold(x: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the sum of x's mirrored rows, an odd length's
-    middle row alone after it, then the rows' difference."""
-    n = x.shape[0]
-    p, q = n // 2, n - n // 2
-    mirror = x[:-p - 1:-1]                      # the last p rows, last first
-    np.add(x[:p], mirror, out=out[:p])
-    out[p:q] = x[p:q]
-    np.subtract(x[:p], mirror, out=out[q:])
-
-
-def _unfold(x: np.ndarray, out: np.ndarray) -> None:
-    """The inverse of ``_fold``: x holds the mirrored sum, then difference."""
-    n = x.shape[0]
-    p, q = n // 2, n - n // 2
-    np.add(x[:p], x[q:], out=out[:p])
-    out[p:q] = x[p:q]
-    np.subtract(x[:p], x[q:], out=out[:-p - 1:-1])    # the last p rows
-
-
-def _sine_solve(rhs: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-    """Solve -laplacian(u) = rhs with zero Dirichlet data around ``rhs``,
-    writing u into ``out``; ``rhs`` and ``work``, a C-ordered array of its
-    shape, are overwritten.
-
-    Fast diagonalization: u = Sy ((Sy rhs Sx) / (lam_y + lam_x)) Sx. Each
-    sine transform is two half-size products, one per mode parity, on the
-    folded rows or, through the transpose, columns (``_fold``), and the
-    spectral coefficients stay in that parity-blocked order, so nothing is
-    interleaved.
-    """
-    ay, by, ly = _folded_basis(rhs.shape[0])
-    ax, bx, lx = _folded_basis(rhs.shape[1])
-    hy, hx = ay.shape[0], ax.shape[0]
-    a, b = work, rhs
-    _fold(rhs, a)
-    np.matmul(ay, a[:hy], out=b[:hy])           # sine modes down the rows
-    np.matmul(by, a[hy:], out=b[hy:])
-    _fold(b.T, a.T)
-    np.matmul(a[:, :hx], ax.T, out=b[:, :hx])   # and across the columns
-    np.matmul(a[:, hx:], bx.T, out=b[:, hx:])
-    b /= np.add(ly[:, None], lx, out=a)
-    np.matmul(b[:, :hx], ax, out=a[:, :hx])
-    np.matmul(b[:, hx:], bx, out=a[:, hx:])
-    _unfold(a.T, b.T)
-    np.matmul(ay.T, b[:hy], out=a[:hy])
-    np.matmul(by.T, b[hy:], out=a[hy:])
-    _unfold(a, out)
-
-
 def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     """Poisson integration of the normal field into a heightmap.
 
@@ -517,15 +450,10 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     of untouched gel out of the solution, where the whole-frame solve
     integrates them into a low-frequency offset.
 
-    The interior 5-point system is solved exactly in float64 by fast
-    diagonalization (Lynch, Rice & Thomas 1964): the orthonormal type-I sine
-    transform, its own inverse, diagonalizes the Dirichlet second difference
-    on each axis, so one transform of the right-hand side along both axes,
-    a division by the summed eigenvalues and the inverse transform give the
-    heights (``_sine_solve``). The transforms are dense products with the
-    sine matrix folded by parity, built on every call from one sine table,
-    and every interior size, 1x1 included, takes the same path. It agrees
-    with a sparse direct solve to 1e-13 relative up to 480x640.
+    The interior 5-point system is solved exactly in float64 by
+    ``core._poisson_solve``, fast diagonalization with the type-I sine
+    transform; every interior size, 1x1 included, takes the same path. It
+    agrees with a sparse direct solve to 1e-13 relative up to 480x640.
     """
     _check_pitch(px_per_mm)
     full = np.zeros(n.values.shape[:2])
@@ -550,8 +478,8 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     rhs += gy[2:]
     rhs -= gy[:-2]
     rhs /= 2.0
-    _sine_solve(rhs, full[r0 + 1:r1 - 1, c0 + 1:c1 - 1],
-                buf[:rhs.size].reshape(rhs.shape))
+    _poisson_solve(rhs, full[r0 + 1:r1 - 1, c0 + 1:c1 - 1],
+                   buf[:rhs.size].reshape(rhs.shape))
     full -= full.min()
     return HeightMap(_Adopt(full), px_per_mm)
 
@@ -571,27 +499,10 @@ def reconstruction_error(predicted: HeightMap, truth: HeightMap) -> float:
 
 def save_rgb2normal(model: Rgb2NormalModel, path) -> None:
     """Layer-size header plus whitespace-separated weights, full precision."""
-    parts = [" ".join(str(s) for s in LAYER_SIZES)]
-    for arr in (model.w1, model.b1, model.w2, model.b2, model.w3, model.b3):
-        parts.append(" ".join(f"{v:.17g}" for v in arr.ravel()))
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+    _save_arrays(path, _WEIGHTS_HEADER, (model.w1, model.b1, model.w2,
+                                         model.b2, model.w3, model.b3))
 
 
 def load_rgb2normal(path) -> Rgb2NormalModel:
-    with open(path) as f:
-        tokens = f.read().split()
-    sizes = tokens[:len(LAYER_SIZES)]
-    if [int(float(s)) for s in sizes] != list(LAYER_SIZES):
-        raise ValueError(f"unsupported layer sizes {sizes}")
-    vals = np.array([float(t) for t in tokens[len(LAYER_SIZES):]])
-    shapes = [(32, 5), (32,), (32, 32), (32,), (2, 32), (2,)]
-    need = sum(int(np.prod(s)) for s in shapes)
-    if vals.size != need:
-        raise ValueError(f"expected {need} weights, found {vals.size}")
-    arrs, at = [], 0
-    for s in shapes:
-        cnt = int(np.prod(s))
-        arrs.append(vals[at:at + cnt].reshape(s))
-        at += cnt
-    return Rgb2NormalModel(*arrs, final_loss=None)
+    return Rgb2NormalModel(*_load_arrays(path, _WEIGHTS_HEADER, _WEIGHT_SHAPES),
+                           final_loss=None)

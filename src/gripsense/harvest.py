@@ -36,7 +36,6 @@ STRATEGIES = ("open_loop", "slip", "slip_force")
 STATES = ("detect", "approach", "close", "hold_pull", "retry", "done")
 FAILURE_MODES = ("none", "slip_drop", "bruise", "max_retries")
 
-TICK_HZ = 15.0
 #: Jaw travel per tick while closing (mm); bounds force overshoot to
 #: stiffness * CLOSING_SPEED_MM for the force-targeted strategy.
 CLOSING_SPEED_MM = 0.25
@@ -176,7 +175,7 @@ class GraspState:
             raise ValueError("attempt count starts at 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialOutcome:
     """Result of one harvest trial."""
 
@@ -331,7 +330,6 @@ def _patch_radius_mm(fruit: FruitModel, opening_mm: float) -> float:
 
 def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
               diameter_noise_mm: float = DEFAULT_DIAMETER_NOISE_MM,
-              marker_jitter_px: float = DEFAULT_MARKER_JITTER_PX,
               px_per_mm: float = DEFAULT_PX_PER_MM,
               threshold_px: float = DEFAULT_THRESHOLD_PX) -> TrialOutcome:
     """Run one seeded perception-control loop until the trial resolves.
@@ -380,9 +378,8 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
         trace.append(f_est)
 
         centres.append(_disc_centre(start_px + slip_mm * px_per_mm))
-        jitter = (rng.normal(0.0, marker_jitter_px, marker_rest.shape)
-                  if marker_jitter_px > 0 else 0.0)
-        positions.append(marker_rest + jitter)
+        positions.append(marker_rest + rng.normal(
+            0.0, DEFAULT_MARKER_JITTER_PX, marker_rest.shape))
         slip_flag = len(centres) >= 2 and detect_slip(
             *_newest_velocities(centres, positions), threshold_px)
 

@@ -21,7 +21,7 @@ from . import core, force, geometry, slip
 FIELD_GRID = (24, 24)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Percept:
     """What one tick reports.
 

@@ -83,7 +83,7 @@ class GelModel:
             raise ValueError("marker grid must be at least 1x1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LightRig:
     """Directional lights: unit directions toward the light, RGB intensities."""
 
@@ -438,7 +438,7 @@ def deform_markers(rest: MarkerSet, contact: ContactMask, shear_mm: np.ndarray,
 # sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlipSequence:
     """One simulated grasp trial: detector inputs plus exact ground truth.
 

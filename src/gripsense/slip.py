@@ -27,7 +27,7 @@ DEFAULT_SMOOTH_WINDOW = 3
 TICK_WINDOW = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactMask:
     """Boolean contact region, h > threshold_mm on the heightmap grid."""
 
@@ -208,7 +208,7 @@ def detect_slip(obj_v: np.ndarray, marker_v: np.ndarray,
     return bool(np.linalg.norm(diff) > threshold_px)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlipReport:
     """Per-frame detector outputs plus (when evaluated) summary metrics."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiffFrame, _lbfgs
+from .core import DiffFrame, _lbfgs, _load_arrays, _save_arrays
 from .force import fit_normal_force, predict_normal_force
 from . import sim
 
@@ -42,6 +42,8 @@ _EMBEDDER_SHAPES = {
     "w_force": (FORCE_DIM,),
     "b_force": (FORCE_DIM,),
 }
+_RANKER_HEADER = "ranker " + " ".join(
+    str(d) for d in (CLIP_FRAMES, PATCH_SIZE, TOKEN_DIM, FORCE_DIM, EMBED_DIM))
 
 
 def shore00_stiffness(shore00: float) -> float:
@@ -69,7 +71,7 @@ def _positional_table(n_frames: int = CLIP_FRAMES, dim: int = TOKEN_DIM) -> np.n
 _POSITIONS = _positional_table()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressionClip:
     """One squeeze of one fruit: difference frames plus the force trace.
 
@@ -98,7 +100,7 @@ class CompressionClip:
         object.__setattr__(self, "forces", forces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClipEmbedder:
     """Frame tokens, one self-attention pass, and a parallel force branch.
 
@@ -127,7 +129,7 @@ class ClipEmbedder:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankerModel:
     """Shared clip embedder plus the antisymmetric pair comparator.
 
@@ -462,30 +464,11 @@ def save_ranker(model: RankerModel, path) -> None:
     """Dimension header plus whitespace-separated weights, full precision."""
     if model.embedder is None:
         raise ValueError("model carries no embedder weights")
-    dims = (CLIP_FRAMES, PATCH_SIZE, TOKEN_DIM, FORCE_DIM, EMBED_DIM)
-    parts = ["ranker " + " ".join(str(d) for d in dims)]
-    for arr in _params_of(model)[:8]:
-        parts.append(" ".join(f"{v:.17g}" for v in np.ravel(arr)))
-    parts.append(f"{model.bias:.17g}")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+    _save_arrays(path, _RANKER_HEADER, _params_of(model))
 
 
 def load_ranker(path) -> RankerModel:
-    with open(path) as f:
-        tokens = f.read().split()
-    dims = (CLIP_FRAMES, PATCH_SIZE, TOKEN_DIM, FORCE_DIM, EMBED_DIM)
-    if tokens[:1] != ["ranker"] or tokens[1:6] != [str(d) for d in dims]:
-        raise ValueError(f"unsupported ranker layout {tokens[:6]}")
-    values = np.array([float(t) for t in tokens[6:]])
-    shapes = list(_EMBEDDER_SHAPES.values()) + [(EMBED_DIM, EMBED_DIM)]
-    expected = sum(int(np.prod(s)) for s in shapes) + 1
-    if values.size != expected:
-        raise ValueError(f"expected {expected} values, got {values.size}")
-    arrays, start = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(values[start:start + size].reshape(shape))
-        start += size
+    shapes = list(_EMBEDDER_SHAPES.values()) + [(EMBED_DIM, EMBED_DIM), ()]
+    arrays = _load_arrays(path, _RANKER_HEADER, shapes)
     return RankerModel(embedder=ClipEmbedder(*arrays[:7]),
-                       comparator=arrays[7], bias=float(values[start]))
+                       comparator=arrays[7], bias=float(arrays[8]))

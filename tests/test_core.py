@@ -1,6 +1,7 @@
 """Shared types, differencing and the text file formats."""
 
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gripsense
+from gripsense import force, geometry, harvest, perception, sim, slip, softness
 from gripsense.core import (DiffFrame, DisplacementField, HeightMap,
                             MarkerSet, NormalMap, ScalarField, TactileFrame,
-                            _lbfgs, diff_image, load_heightmap,
+                            _lbfgs, _poisson_solve, diff_image,
+                            load_heightmap,
                             load_marker_tracks, save_heightmap,
                             save_marker_tracks)
 from gripsense.slip import ContactMask
@@ -317,6 +320,66 @@ class TestFieldTypes:
         assert np.all(diff_image(f, f).values == 0.0)
 
 
+def _flat(h, w):
+    n = np.zeros((h, w, 3))
+    n[:, :, 2] = 1.0
+    return n
+
+
+def _zeros(shapes):
+    return [np.zeros(shape) for shape in shapes]
+
+
+_MASK = ContactMask(np.zeros((4, 4), bool), 0.3)
+_HEIGHT = HeightMap(np.zeros((4, 4)), 4.0)
+_EMBEDDER = softness.ClipEmbedder(*_zeros(softness._EMBEDDER_SHAPES.values()))
+# One instance of every frozen type of the package that holds an ndarray,
+# directly or through a nested one.
+_ARRAY_TYPES = {
+    "TactileFrame": lambda: TactileFrame(np.zeros((8, 8, 3)), 4.0),
+    "DiffFrame": lambda: DiffFrame(np.zeros((8, 8, 3)), 4.0),
+    "NormalMap": lambda: NormalMap(_flat(4, 4)),
+    "HeightMap": lambda: _HEIGHT,
+    "MarkerSet": lambda: MarkerSet([0, 1], [[1.0, 2.0], [3.0, 4.0]]),
+    "ScalarField": lambda: ScalarField(np.zeros((3, 3))),
+    "DisplacementField": lambda: DisplacementField(np.zeros((3, 3, 2))),
+    "Rgb2NormalModel": lambda: geometry.Rgb2NormalModel(*_zeros(
+        [(32, 5), (32,), (32, 32), (32,), (2, 32), (2,)])),
+    "CalibrationDataset": lambda: geometry.CalibrationDataset(
+        np.zeros((2, 5)), _flat(1, 2)[0]),
+    "HHDResult": lambda: force.hhd_decompose(
+        DisplacementField(np.zeros((8, 8, 2)))),
+    "ShearFeature": lambda: force.ShearFeature(np.zeros(10)),
+    "ShearModel": lambda: force.ShearModel(np.zeros(10), np.zeros(10), 0.0, 0.0),
+    "ContactMask": lambda: _MASK,
+    "SlipReport": lambda: slip.SlipReport(*_zeros([(2, 2), (2, 2), (2,)]),
+                                          np.zeros(2, bool)),
+    "LightRig": sim.default_rig,
+    "SlipSequence": lambda: sim.SlipSequence(
+        [_MASK], [MarkerSet([0], [[1.0, 1.0]])], *_zeros([(1, 2), (1,)]),
+        np.zeros(1, bool), np.zeros(1), 0, None, 4.0, 100.0, "top"),
+    "CompressionClip": lambda: softness.CompressionClip(
+        (DiffFrame(np.zeros((8, 8, 3)), 4.0),) * 4, np.zeros(4), "tomato", 10.0),
+    "ClipEmbedder": lambda: _EMBEDDER,
+    "RankerModel": lambda: softness.RankerModel(
+        _EMBEDDER, np.zeros((softness.EMBED_DIM,) * 2)),
+    "TrialOutcome": lambda: harvest.TrialOutcome(True, "none", 1, 1.0,
+                                                 np.zeros(3)),
+    "Percept": lambda: perception.Percept(_HEIGHT, _MASK, False, 0.0,
+                                          (0.0, 0.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_TYPES))
+def test_array_types_compare_by_identity(name):
+    """A field-wise ``==`` would ask an ndarray for one truth value and
+    raise; these types compare by identity instead."""
+    x = _ARRAY_TYPES[name]()
+    assert type(x).__name__ == name
+    assert x == x
+    assert isinstance(x == pickle.loads(pickle.dumps(x)), bool)
+
+
 class TestLbfgs:
     """The shared optimizer of the calibration fits, on small functions."""
 
@@ -397,6 +460,26 @@ class TestLbfgs:
     def test_non_finite_start_raises(self):
         with pytest.raises(ValueError, match="initial"):
             _lbfgs(lambda p: (np.inf, (np.ones(1),)), [np.zeros(1)], 10, 0.1)
+
+
+@pytest.mark.parametrize("shape", [(3, 11, 11), (4, 5, 8), (2, 1, 7)])
+def test_poisson_stack_solves_each_grid_as_alone(shape):
+    """A (k, h, w) stack is k independent Dirichlet problems, each solved
+    bit for bit as its own 2-D call, and each satisfies the 5-point system."""
+    k, h, w = shape
+    rhs = np.random.default_rng(h * w).normal(size=shape)
+    got = np.empty(shape)
+    _poisson_solve(rhs.copy(), got, np.empty(shape))
+    for grid, u in zip(rhs, got):
+        alone = np.empty((h, w))
+        _poisson_solve(grid.copy(), alone, np.empty((h, w)))
+        assert alone.tobytes() == u.tobytes()
+        lap = 4.0 * u
+        lap[1:] -= u[:-1]
+        lap[:-1] -= u[1:]
+        lap[:, 1:] -= u[:, :-1]
+        lap[:, :-1] -= u[:, 1:]
+        assert np.max(np.abs(lap - grid)) < 1e-12 * np.max(np.abs(grid))
 
 
 def test_package_reports_numba_absent():

@@ -164,15 +164,21 @@ class TestIdw:
         assert out.max() <= vals.max() + 1e-12
 
 
-def _dense_parity_basis(n):
-    """``force._parity_sine_basis`` as one dense (n, n) eigenvector matrix,
-    the parity blocks placed on their nodes' rows."""
-    lam, blocks = force._parity_sine_basis(n)
-    q, at = np.zeros((n, n)), 0
-    for first, s in enumerate(blocks):
-        q[first::2, at:at + len(s)] = s
-        at += len(s)
-    return lam, q
+def _quarter_laplacian(m, n):
+    """1/4 of the 5-point Dirichlet Laplacian on an m x n grid, row-major:
+    the [-1, 2, -1] chain along each axis, summed."""
+    def chain(k):
+        return 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+    return 0.25 * (np.kron(chain(m), np.eye(n)) + np.kron(np.eye(m), chain(n)))
+
+
+def _normal_equations(h, w):
+    """The potentials' normal-equation operator K = A^T A + B^T B on the
+    interior nodes, A and B the dense central differences."""
+    gx, gy = grad_matrices(h, w)
+    e = interior_embedding(h, w)
+    a, b = gx @ e, gy @ e
+    return a, b, a.T @ a + b.T @ b
 
 
 class TestHHD:
@@ -210,26 +216,25 @@ class TestHHD:
         assert np.max(np.abs(out.H.values - h_ref[0])) < 1e-12
 
     @pytest.mark.parametrize("h,w", [(8, 8), (9, 11), (10, 13), (11, 8)])
-    def test_parity_sine_basis_diagonalizes_interior_operator(self, h, w):
-        gx, gy = grad_matrices(h, w)
-        e = interior_embedding(h, w)
-        a, b = gx @ e, gy @ e
-        k = a.T @ a + b.T @ b
-        lx, qx = _dense_parity_basis(w - 2)
-        ly, qy = _dense_parity_basis(h - 2)
-        q = np.kron(qy, qx)                         # row-major interior order
-        lam = np.add.outer(ly, lx).ravel()
-        assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) < 1e-12
-        assert np.max(np.abs(q.T @ k @ q - np.diag(lam))) < 1e-12
+    def test_parity_blocks_are_quarter_dirichlet_laplacians(self, h, w):
+        _, _, k = _normal_equations(h, w)
+        nodes = np.arange((h - 2) * (w - 2)).reshape(h - 2, w - 2)
+        for py in (0, 1):
+            for px in (0, 1):
+                block = nodes[py::2, px::2]
+                inside = np.isin(nodes, block).ravel()
+                sub = k[np.ix_(block.ravel(), block.ravel())]
+                assert np.array_equal(sub, _quarter_laplacian(*block.shape))
+                assert np.all(k[block.ravel()][:, ~inside] == 0.0)
 
     @pytest.mark.parametrize("h,w", [(8, 8), (9, 11), (24, 24), (25, 30)])
-    def test_half_size_products_match_dense_basis(self, h, w):
+    def test_potentials_match_dense_normal_equations(self, h, w):
         v = DisplacementField(np.random.default_rng(h + w).normal(0, 1, (h, w, 2)))
         out = force.hhd_decompose(v)
-        lx, qx = _dense_parity_basis(w - 2)
-        ly, qy = _dense_parity_basis(h - 2)
-        rhs = np.stack([-force.divergence(v), force.curl(v)])[:, 1:-1, 1:-1]
-        want = qy @ ((qy.T @ rhs @ qx) / (ly[:, None] + lx)) @ qx.T
+        a, b, k = _normal_equations(h, w)
+        vx, vy = v.values[:, :, 0].ravel(), v.values[:, :, 1].ravel()
+        rhs = np.column_stack([a.T @ vx + b.T @ vy, b.T @ vx - a.T @ vy])
+        want = np.linalg.solve(k, rhs).T.reshape(2, h - 2, w - 2)
         for got, ref in ((out.phi, want[0]), (out.psi, want[1])):
             assert np.max(np.abs(got.values[1:-1, 1:-1] - ref)) \
                 <= 1e-13 * np.max(np.abs(ref))

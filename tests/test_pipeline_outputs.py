@@ -160,8 +160,9 @@ def test_outputs_match_pinned_digests(single_thread_outputs):
 # heights to this tolerance relative to each frame's largest height: only the
 # Poisson solve's products change their summation order. Of the marker-field
 # outputs, the IDW field calls no BLAS routine and agrees bit for bit; the
-# HHD's potentials and fields come from sine-basis products and the shear
-# from a least-squares fit and a dot product, so each is held to the same
+# HHD's potentials and fields come from the same Poisson solver's products,
+# on a stack of parity sub-grids, and the shear from a least-squares fit and
+# a dot product, so each is held to the same
 # tolerance relative to its own largest magnitude (all were byte-equal on a
 # 2-core x86-64 host with OpenBLAS 0.3.31).
 CROSS_THREAD_RTOL = 1e-12

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gripsense import core, geometry, sim, slip
 from gripsense.core import HeightMap, MarkerSet
@@ -144,6 +146,47 @@ def test_failed_tick_leaves_the_history_untouched(stack):
             with pytest.raises(ValueError, match="3 matched markers"):
                 seen_bad.tick(img, _drop(markers, slice(0, 2)), current)
         p, q = seen_bad.tick(*frame), clean.tick(*frame)
+        assert _same(p, q) and p.slip_speed_px == q.slip_speed_px
+
+
+@pytest.fixture(scope="module")
+def sensor_grasp():
+    """(background, rest markers, the frames of ``_grasp``)."""
+    background, rest, ppm = _sensor()
+    return background, rest, _grasp(rest, ppm)
+
+
+# Per frame: all markers (None), too few to match (0-2), or a partial set.
+_KEEP = st.one_of(st.none(), st.integers(0, 2), st.integers(3, 81))
+
+
+@settings(max_examples=12, deadline=None)
+@given(keep=st.lists(_KEEP, min_size=len(DEPTHS), max_size=len(DEPTHS)),
+       seed=st.integers(0, 2 ** 16))
+def test_marker_dropout_property(stack, sensor_grasp, keep, seed):
+    """Over generated per-frame dropout: every tick gives a finite percept
+    or raises ``ValueError`` with the history as it was, fewer than 3
+    markers always raise, and every percept equals that of a stream that
+    never saw the failed ticks: with only full and too-few frames, the clean
+    stream of the full frames."""
+    background, rest, frames = sensor_grasp
+    rng = np.random.default_rng(seed)
+    perception = Perception(*stack, background, rest)
+    reference = Perception(*stack, background, rest)
+    for (img, markers, current), n in zip(frames, keep):
+        if n is not None:
+            markers = _drop(markers, np.sort(rng.permutation(len(markers))[:n]))
+        before = list(perception._history)
+        try:
+            p = perception.tick(img, markers, current)
+        except ValueError:
+            assert len(before) == len(perception._history)
+            assert all(a is b for a, b in zip(before, perception._history))
+            continue
+        assert n is None or n >= 3
+        assert np.isfinite(p.normal_n) and np.all(np.isfinite(p.shear_n))
+        assert np.isfinite(p.slip_speed_px)
+        q = reference.tick(img, markers, current)
         assert _same(p, q) and p.slip_speed_px == q.slip_speed_px
 
 
