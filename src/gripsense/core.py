@@ -17,9 +17,10 @@ softness's, run.
 
 Everything here is immutable after construction: arrays are copied and marked
 read-only, so instances can be shared freely across threads. The package's
-own stages hand the raster they have just built to ``DiffFrame``,
-``NormalMap`` or ``HeightMap`` wrapped in ``_Adopt`` instead: the type checks
-that array once, in place, and keeps it, so no full-frame copy is made. Like
+own stages hand the array they have just built to ``DiffFrame``,
+``NormalMap``, ``HeightMap``, ``DisplacementField`` or ``ScalarField``
+wrapped in ``_Adopt`` instead: the type checks that array once, in place,
+and keeps it, so no copy is made. Like
 every frozen type of the package that holds an array, these compare by
 identity (``eq=False``): a field-wise ``==`` would ask an array for one truth
 value and raise.
@@ -40,10 +41,11 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 
 class _Adopt:
-    """A float64 raster that a stage of this package has just built and
-    keeps no other reference to, handed to ``DiffFrame``, ``NormalMap`` or
-    ``HeightMap`` as its values: the type runs its checks on that array
-    once, in place, marks it read-only and keeps it instead of a copy."""
+    """A float64 array that a stage of this package has just built and
+    keeps no other reference to, handed to ``DiffFrame``, ``NormalMap``,
+    ``HeightMap``, ``DisplacementField`` or ``ScalarField`` as its values:
+    the type runs its checks on that array once, in place, marks it
+    read-only and keeps it instead of a copy."""
 
     __slots__ = ("array",)
 
@@ -52,7 +54,7 @@ class _Adopt:
 
 
 def _owned(values) -> np.ndarray:
-    """The float64 raster a type keeps: an adopted one itself, else a copy."""
+    """The float64 array a type keeps: an adopted one itself, else a copy."""
     if isinstance(values, _Adopt):
         return values.array
     return np.array(values, dtype=np.float64)
@@ -414,6 +416,13 @@ class MarkerSet:
         object.__setattr__(self, "ids", _readonly(ids, np.int64))
         object.__setattr__(self, "xy", _readonly(xy))
 
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writeable; the neighbour tables that
+        # force.interpolate_markers keeps here need them read-only
+        self.__dict__.update(state)
+        self.ids.setflags(write=False)
+        self.xy.setflags(write=False)
+
     def __len__(self) -> int:
         return self.ids.shape[0]
 
@@ -430,13 +439,14 @@ class ScalarField:
     values: np.ndarray          # (H, W)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _owned(self.values)
         if v.ndim != 2:
             raise ValueError("scalar field must be 2-D")
         _check_nonempty(v, "scalar field")
         if not np.all(np.isfinite(v)):
             raise ValueError("scalar field must be finite")
-        object.__setattr__(self, "values", _readonly(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,12 +458,13 @@ class DisplacementField:
     origin_px: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _owned(self.values)
         if v.ndim != 3 or v.shape[2] != 2:
             raise ValueError(f"values must be (H, W, 2), got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("displacement values must be finite")
-        object.__setattr__(self, "values", _readonly(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def shape(self) -> tuple:

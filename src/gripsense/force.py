@@ -5,7 +5,11 @@ marker displacement field: dense interpolation, Helmholtz decomposition into
 a curl-free part P, a divergence-free part S, and a harmonic remainder H,
 then a 10-entry polynomial feature of the in-contact means feeding per-axis
 least squares. The marker displacements reach the grid by inverse-distance
-weighting, ``_idw_interpolate``.
+weighting (Shepard 1968). The rest markers and the grid nodes do not move,
+so each node's four nearest rest markers and their weights, the neighbour
+table of ``_idw_table``, are fixed: ``interpolate_markers`` keeps it on the
+rest ``MarkerSet``, one per grid, and a tick is one gather of the
+displacements (``_idw_gather``).
 
 The decomposition computes P as the least-squares projection of the field
 onto discrete gradients and S as the projection onto discrete rotations,
@@ -24,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DisplacementField, MarkerSet, ScalarField, _poisson_solve
+from .core import (DisplacementField, MarkerSet, ScalarField, _Adopt,
+                   _poisson_solve)
 from .slip import ContactMask
 
 
@@ -77,23 +82,17 @@ def predict_normal_force(current, model: NormalForceModel):
 _COINCIDENT_SQ = 1e-24
 
 
-def _idw_interpolate(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
-                     node_x: np.ndarray, node_y: np.ndarray,
-                     k: int = 4) -> np.ndarray:
-    """Inverse-distance-weighted interpolation of scattered samples onto a grid.
-
-    ``(px, py)`` are N sample positions with values ``vals`` (N, C); the output
-    grid has node columns at ``node_x`` and rows at ``node_y``. For each node
-    the ``k`` nearest samples are blended with weights 1/d^2. Ties in
-    distance are broken by sample index (lowest first) so results are
-    deterministic; a node coinciding with a sample copies that sample's value.
-    """
-    n = px.shape[0]
-    k = min(k, n)
-    gh, gw = node_y.shape[0], node_x.shape[0]
+def _idw_table(xy: np.ndarray, node_x: np.ndarray, node_y: np.ndarray,
+               k: int = 4) -> tuple:
+    """(order, weights, exact) for each node of the grid with columns at
+    ``node_x`` and rows at ``node_y``, row-major: the indices of its k
+    nearest samples at ``xy`` (N, 2), distance ties going to the lowest
+    index, their normalised 1/d^2 weights, and whether it coincides with
+    the nearest."""
+    k = min(k, xy.shape[0])
     gx, gy = np.meshgrid(node_x, node_y)
-    d2 = ((gx.ravel()[:, None] - px[None, :]) ** 2
-          + (gy.ravel()[:, None] - py[None, :]) ** 2)
+    d2 = ((gx.ravel()[:, None] - xy[None, :, 0]) ** 2
+          + (gy.ravel()[:, None] - xy[None, :, 1]) ** 2)
     # k passes of argmin, which returns the first minimum, so exact distance
     # ties go to the lowest sample index, as a stable sort would order them
     rows = np.arange(d2.shape[0])
@@ -103,14 +102,34 @@ def _idw_interpolate(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
         order[:, j] = np.argmin(d2, axis=1)
         dk[:, j] = d2[rows, order[:, j]]
         d2[rows, order[:, j]] = np.inf
-    out = np.empty((gh * gw, vals.shape[1]))
     exact = dk[:, 0] < _COINCIDENT_SQ
     wgt = 1.0 / np.maximum(dk, _COINCIDENT_SQ)
     wgt /= wgt.sum(axis=1, keepdims=True)
-    out[:] = np.einsum("nk,nkc->nc", wgt, vals[order])
+    return order, wgt, exact
+
+
+def _idw_gather(table: tuple, vals: np.ndarray) -> np.ndarray:
+    """The (nodes, C) blend of the sample values ``vals`` (N, C) that an
+    ``_idw_table`` prescribes; a coinciding node copies its sample."""
+    order, wgt, exact = table
+    out = np.einsum("nk,nkc->nc", wgt, vals[order])
     if np.any(exact):
         out[exact] = vals[order[exact, 0]]
-    return out.reshape(gh, gw, vals.shape[1])
+    return out
+
+
+def _idw_interpolate(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
+                     node_x: np.ndarray, node_y: np.ndarray,
+                     k: int = 4) -> np.ndarray:
+    """Inverse-distance-weighted interpolation of scattered samples onto a grid.
+
+    ``(px, py)`` are N sample positions with values ``vals`` (N, C); the output
+    grid has node columns at ``node_x`` and rows at ``node_y``. For each node
+    the ``k`` nearest samples are blended with weights 1/d^2 (``_idw_table``).
+    """
+    table = _idw_table(np.column_stack([px, py]), node_x, node_y, k)
+    return _idw_gather(table, vals).reshape(node_y.shape[0], node_x.shape[0],
+                                            vals.shape[1])
 
 
 def interpolate_markers(before: MarkerSet, after: MarkerSet,
@@ -120,31 +139,46 @@ def interpolate_markers(before: MarkerSet, after: MarkerSet,
     Matching is by marker id; at least 3 shared markers are required. The
     grid spans the frame bounds when ``before`` has them, otherwise the
     bounding box of the matched rest positions.
+
+    The rest positions and the grid fix each node's neighbours and weights
+    (``_idw_table``); only the displacements change from call to call. When
+    ``after`` holds ``before``'s ids in the same order, the table is kept on
+    ``before``, one per grid, so later calls with that rest set are one
+    gather; ``before``'s arrays are read-only, so it cannot go stale. Any
+    other id set builds a table for the shared markers, in ``after``'s
+    order, and does not keep it.
     """
     gh, gw = int(grid[0]), int(grid[1])
     if gh < 2 or gw < 2:
         raise ValueError("grid must be at least 2x2")
-    ib = {int(m): k for k, m in enumerate(before.ids)}
-    shared = [int(m) for m in after.ids if int(m) in ib]
-    if len(shared) < 3:
-        raise ValueError("need at least 3 matched markers")
-    ia = {int(m): k for k, m in enumerate(after.ids)}
-    bsel = np.array([ib[m] for m in shared])
-    asel = np.array([ia[m] for m in shared])
-    rest = before.xy[bsel]
-    disp = after.xy[asel] - rest
-    if before.frame_width is not None:
-        x0, x1 = 0.0, float(before.frame_width)
-        y0, y1 = 0.0, float(before.frame_height)
+    keep = np.array_equal(before.ids, after.ids)
+    if keep:
+        rest, disp = before.xy, after.xy - before.xy
     else:
-        x0, x1 = float(rest[:, 0].min()), float(rest[:, 0].max())
-        y0, y1 = float(rest[:, 1].min()), float(rest[:, 1].max())
-    if x1 <= x0 or y1 <= y0:
-        raise ValueError("degenerate marker extent")
-    node_x = np.linspace(x0, x1, gw)
-    node_y = np.linspace(y0, y1, gh)
-    vals = _idw_interpolate(rest[:, 0], rest[:, 1], disp, node_x, node_y)
-    return DisplacementField(vals, float(node_x[1] - node_x[0]), (x0, y0))
+        asel = np.flatnonzero(np.isin(after.ids, before.ids))
+        by_id = np.argsort(before.ids)
+        rest = before.xy[by_id[np.searchsorted(before.ids, after.ids[asel],
+                                               sorter=by_id)]]
+        disp = after.xy[asel] - rest
+    if len(rest) < 3:
+        raise ValueError("need at least 3 matched markers")
+    tables = before.__dict__.setdefault("_idw_tables", {}) if keep else {}
+    if (gh, gw) not in tables:
+        if before.frame_width is not None:
+            x0, x1 = 0.0, float(before.frame_width)
+            y0, y1 = 0.0, float(before.frame_height)
+        else:
+            x0, x1 = float(rest[:, 0].min()), float(rest[:, 0].max())
+            y0, y1 = float(rest[:, 1].min()), float(rest[:, 1].max())
+        if x1 <= x0 or y1 <= y0:
+            raise ValueError("degenerate marker extent")
+        node_x = np.linspace(x0, x1, gw)
+        node_y = np.linspace(y0, y1, gh)
+        tables[gh, gw] = (_idw_table(rest, node_x, node_y),
+                          float(node_x[1] - node_x[0]), (x0, y0))
+    table, spacing, origin = tables[gh, gw]
+    return DisplacementField(_Adopt(_idw_gather(table, disp).reshape(gh, gw, 2)),
+                             spacing, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +196,14 @@ class HHDResult:
     psi: ScalarField
 
 
-def _central_diff(f: np.ndarray, axis: int) -> np.ndarray:
-    """d/dx (axis -1) or d/dy (axis -2) of (..., H, W) arrays, zero-extended."""
+def _central_diff(f: np.ndarray, axis: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """d/dx (axis -1) or d/dy (axis -2) of (..., H, W) arrays, zero-extended,
+    written into ``out`` when given."""
     lead = (slice(None),) * (axis % f.ndim)
-    out = np.zeros_like(f)
+    out = np.empty_like(f) if out is None else out
     out[lead + (slice(None, -1),)] = f[lead + (slice(1, None),)]
+    out[lead + (-1,)] = 0.0
     out[lead + (slice(1, None),)] -= f[lead + (slice(None, -1),)]
     out *= 0.5
     return out
@@ -184,33 +221,42 @@ def hhd_decompose(v: DisplacementField) -> HHDResult:
     normal equations' operator is exactly 1/4 of the 5-point Dirichlet
     Laplacian, and the parities do not couple. Both potentials are
     ``core._poisson_solve`` of 4 rhs on each sub-grid; the sub-grids of one
-    shape, all four on an even interior, go to the solver as one stack.
+    shape, all four on an even interior, go to the solver as one stack. The
+    rhs, -4 div v and 4 curl v, is differenced on the interior alone, and
+    the fields keep the arrays built here (``core._Adopt``).
     """
     vals = v.values
     h, w = vals.shape[:2]
     if h < 8 or w < 8:
         raise ValueError("field must be at least 8x8")
-    rhs = np.stack([-divergence(v), curl(v)])
-    rhs *= 4.0
-    pots = np.zeros_like(rhs)
+    ddx = vals[1:-1, 2:] - vals[1:-1, :-2]      # both components, interior
+    ddx *= 0.5
+    ddy = vals[2:, 1:-1] - vals[:-2, 1:-1]
+    ddy *= 0.5
+    rhs = np.stack([ddx[:, :, 0] + ddy[:, :, 1], ddx[:, :, 1] - ddy[:, :, 0]])
+    rhs[0] *= -4.0
+    rhs[1] *= 4.0
+    pots = np.zeros((2, h, w))
+    inner = pots[:, 1:-1, 1:-1]
     grids = {}                  # interior parity sub-grids, by their shape
-    for py in (1, 2):
-        for px in (1, 2):
-            g = (Ellipsis, slice(py, -1, 2), slice(px, -1, 2))
-            grids.setdefault(pots[g].shape, []).append(g)
+    for oy in (0, 1):
+        for ox in (0, 1):
+            g = (Ellipsis, slice(oy, None, 2), slice(ox, None, 2))
+            grids.setdefault(rhs[g].shape, []).append(g)
     for shape, same in grids.items():
         b = np.concatenate([rhs[g] for g in same])
         _poisson_solve(b, b, np.empty_like(b))
         for g, u in zip(same, b.reshape(len(same), *shape)):
-            pots[g] = u
+            inner[g] = u
     if not np.all(np.isfinite(pots)):
         raise ValueError("potential solve failed: non-finite solution")
-    dx, dy = _central_diff(pots, -1), _central_diff(pots, -2)
-    p = np.dstack([dx[0], dy[0]])
-    s = np.dstack([dy[1], -dx[1]])
-    mk = lambda f: DisplacementField(f, v.spacing_px, v.origin_px)
-    return HHDResult(mk(p), mk(s), mk(vals - p - s), ScalarField(pots[0]),
-                     ScalarField(pots[1]))
+    grad = np.empty((2, h, w, 2))               # d/dx, d/dy of phi and psi
+    _central_diff(pots, -1, grad[..., 0])
+    _central_diff(pots, -2, grad[..., 1])
+    p, s = grad[0], grad[1, :, :, ::-1] * [1.0, -1.0]
+    mk = lambda f: DisplacementField(_Adopt(f), v.spacing_px, v.origin_px)
+    return HHDResult(mk(p), mk(s), mk(vals - p - s),
+                     ScalarField(_Adopt(pots[0])), ScalarField(_Adopt(pots[1])))
 
 
 def curl(field: DisplacementField) -> np.ndarray:

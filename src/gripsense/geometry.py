@@ -308,7 +308,19 @@ def fit_rgb2normal(data: CalibrationDataset, epochs: int = DEFAULT_EPOCHS,
                            loss_history=tuple(history))
 
 
-def _mlp(model: Rgb2NormalModel, feats: np.ndarray) -> np.ndarray:
+def _mlp_kernel(model: Rgb2NormalModel, band: int) -> tuple:
+    """The float32 weights and biases ``_mlp`` multiplies by, and its two
+    (band, 32) float32 hidden buffers."""
+    f32 = np.float32
+    return (np.ascontiguousarray(model.w1.T, f32), model.b1.astype(f32),
+            np.ascontiguousarray(model.w2.T, f32), model.b2.astype(f32),
+            np.ascontiguousarray(model.w3.T, f32),
+            np.empty((band, LAYER_SIZES[1]), f32),
+            np.empty((band, LAYER_SIZES[2]), f32))
+
+
+def _mlp(model: Rgb2NormalModel, feats: np.ndarray,
+         kernel: tuple | None = None) -> np.ndarray:
     """The float32 inference pass over pixel rows, which
     ``predict_normals`` runs on every window pixel.
 
@@ -316,22 +328,21 @@ def _mlp(model: Rgb2NormalModel, feats: np.ndarray) -> np.ndarray:
     Returns (N, 2) float64 (nx, ny), clamped below unit norm. The hidden
     layers run in float32 and agree with the float64 ``_forward`` to about
     1e-6 per component; the radial squash runs in float64. Everything runs
-    over bands of ``_BAND_PX`` rows, reusing the hidden buffers, so no
-    temporary grows with N.
+    over bands of at most ``_BAND_PX`` rows, reusing the hidden buffers, so
+    no temporary grows with N. ``kernel``, an ``_mlp_kernel`` of ``model``,
+    lets calls share one conversion of the weights and one pair of buffers,
+    whose rows set the band; without it the call builds its own.
     """
-    f32 = np.float32
     n = feats.shape[0]
-    w1, b1 = np.ascontiguousarray(model.w1.T, f32), model.b1.astype(f32)
-    w2, b2 = np.ascontiguousarray(model.w2.T, f32), model.b2.astype(f32)
-    w3 = np.ascontiguousarray(model.w3.T, f32)
-    band = max(1, min(n, _BAND_PX))
-    z1 = np.empty((band, LAYER_SIZES[1]), f32)
-    z2 = np.empty((band, LAYER_SIZES[2]), f32)
+    if kernel is None:
+        kernel = _mlp_kernel(model, max(1, min(n, _BAND_PX)))
+    w1, b1, w2, b2, w3, z1, z2 = kernel
+    band = z1.shape[0]
     out = np.empty((n, 2))
     for s in range(0, n, band):
         e = min(s + band, n)
         a, b = z1[:e - s], z2[:e - s]
-        np.matmul(feats[s:e].astype(f32, copy=False), w1, out=a)
+        np.matmul(feats[s:e].astype(np.float32, copy=False), w1, out=a)
         a += b1
         np.tanh(a, out=a)
         np.matmul(a, w2, out=b)
@@ -405,12 +416,13 @@ def _window_normals(model: Rgb2NormalModel, values: np.ndarray,
     step = max(1, _BAND_PX // w)
     feats = np.empty((min(step, h), w, 5), np.float32)
     feats[:, :, 3] = xn[c0:c1]
+    kernel = _mlp_kernel(model, min(feats.shape[0] * w, _BAND_PX))
     for s in range(0, h, step):
         e = min(s + step, h)
         f = feats[:e - s]
         f[:, :, :3] = values[s:e]
         f[:, :, 4] = yn[s:e, None]
-        n2 = _mlp(model, f.reshape(-1, 5)).reshape(e - s, w, 2)
+        n2 = _mlp(model, f.reshape(-1, 5), kernel).reshape(e - s, w, 2)
         band = out[s:e]
         band[:, :, :2] = n2
         nz = band[:, :, 2]

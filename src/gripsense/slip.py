@@ -127,18 +127,24 @@ def _centroid_velocity(cents: np.ndarray, smooth_window: int) -> np.ndarray:
     return v
 
 
+def _nearest_four(xy: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Indices of the four of the (N, 2) markers ``xy`` nearest a region's
+    centroid, ties to the lower index: they stand in for the markers the
+    region drags when noise leaves none inside it."""
+    return np.argsort(np.linalg.norm(xy - centroid, axis=1), kind="stable")[:4]
+
+
 def _dragged_velocity(step: np.ndarray, xy: np.ndarray, inside: np.ndarray,
                       centroid) -> np.ndarray:
     """Mean (2,) of the per-marker steps (N, 2) over the markers a region drags.
 
-    Those are the markers ``inside`` it; if noise leaves none inside, the
-    four nearest the region centroid stand in. ``centroid`` is a zero-argument
-    callable, evaluated only for that fallback.
+    Those are the markers ``inside`` it, or ``_nearest_four`` when none is.
+    ``centroid`` is a zero-argument callable, evaluated only for that
+    fallback.
     """
     if not inside.any():
-        d = np.linalg.norm(xy - centroid(), axis=1)
-        inside = np.zeros(len(d), dtype=bool)
-        inside[np.argsort(d, kind="stable")[:4]] = True
+        inside = np.zeros(len(xy), dtype=bool)
+        inside[_nearest_four(xy, centroid())] = True
     return step[inside].mean(axis=0)
 
 
@@ -190,14 +196,25 @@ def marker_velocity(tracks: Sequence[MarkerSet],
                for t in tracks]
     pos = np.array(xys)                           # (T, N, 2)
     pos_s = _trailing_mean(pos.reshape(len(tracks), -1), smooth_window).reshape(pos.shape)
-    steps = np.diff(pos_s, axis=0)
     v = np.zeros((len(tracks), 2))
-    for t in range(1, len(tracks)):
-        if masks[t].area == 0:
-            continue
-        xy = xys[t]
-        v[t] = _dragged_velocity(steps[t - 1], xy, masks[t].contains(xy),
-                                 masks[t].centroid)
+    live = 1 + np.flatnonzero([m.area > 0 for m in masks[1:]])
+    if not live.size:
+        return v
+    # ContactMask.contains of every live frame at once: snap to the nearest
+    # pixel, clip to each mask's raster, then one gather per mask
+    cells = np.rint(pos[live]).astype(int)
+    top = np.array([masks[t].values.shape[::-1] for t in live]) - 1
+    np.clip(cells, 0, top[:, None, :], out=cells)
+    inside = np.array([masks[t].values[c[:, 1], c[:, 0]]
+                       for t, c in zip(live, cells)])
+    for row in np.flatnonzero(~inside.any(axis=1)):
+        t = live[row]
+        inside[row, _nearest_four(pos[t], masks[t].centroid())] = True
+    # each frame's members' steps summed in marker order, the others as
+    # zeros: the bits of _dragged_velocity's mean over the members alone
+    steps = pos_s[live] - pos_s[live - 1]
+    v[live] = (np.add.reduce(steps * inside[:, :, None], axis=1)
+               / inside.sum(axis=1)[:, None])
     return v
 
 

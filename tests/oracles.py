@@ -449,6 +449,37 @@ def trailing_mean_reference(x, window):
     return out
 
 
+def marker_velocity_reference(tracks, masks, smooth_window=3):
+    """``slip.marker_velocity`` as first written: one frame at a time, the
+    markers ``ContactMask.contains`` finds inside the frame's mask, or the
+    four nearest its centroid when none is, averaged with a boolean-index
+    mean; ids matched by intersection when a frame lost some."""
+    from functools import reduce
+    from gripsense.slip import ContactMask
+    if isinstance(masks, ContactMask):
+        masks = [masks] * len(tracks)
+    xys = [t.xy for t in tracks]
+    if any(not np.array_equal(t.ids, tracks[0].ids) for t in tracks[1:]):
+        ids = reduce(np.intersect1d, [t.ids for t in tracks])
+        xys = [t.xy[np.intersect1d(t.ids, ids, return_indices=True)[1]]
+               for t in tracks]
+    pos = np.array(xys)
+    pos_s = trailing_mean_reference(pos.reshape(len(tracks), -1),
+                                    smooth_window).reshape(pos.shape)
+    steps = np.diff(pos_s, axis=0)
+    v = np.zeros((len(tracks), 2))
+    for t in range(1, len(tracks)):
+        if masks[t].area == 0:
+            continue
+        inside = masks[t].contains(xys[t])
+        if not inside.any():
+            d = np.linalg.norm(xys[t] - masks[t].centroid(), axis=1)
+            inside = np.zeros(len(d), dtype=bool)
+            inside[np.argsort(d, kind="stable")[:4]] = True
+        v[t] = steps[t - 1][inside].mean(axis=0)
+    return v
+
+
 def paint_disc_mask(center_px, window_px=320, radius_px=8, px_per_mm=24.0):
     """The harvest contact as a raster: a disc stencil painted into a
     ``window_px`` square at the clamped, rounded position, on row

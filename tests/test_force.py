@@ -1,5 +1,8 @@
 """Force estimation: current regression, field decomposition, shear model."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +99,123 @@ class TestInterpolateMarkers:
         tiny = MarkerSet(moved.ids[:2], moved.xy[:2])
         with pytest.raises(ValueError):
             force.interpolate_markers(rest, tiny, (8, 8))
+
+
+def _jittered(rest, sigma, r=rng):
+    """``rest``'s markers moved by N(0, sigma) px, without frame bounds."""
+    return MarkerSet(rest.ids, rest.xy + r.normal(0.0, sigma, rest.xy.shape))
+
+
+def _dict_matched(before, after):
+    """(rest positions, displacements) of the shared markers in ``after``'s
+    order, matched through dicts of id to row."""
+    ib = {int(m): k for k, m in enumerate(before.ids)}
+    shared = [int(m) for m in after.ids if int(m) in ib]
+    ia = {int(m): k for k, m in enumerate(after.ids)}
+    bsel = np.array([ib[m] for m in shared])
+    asel = np.array([ia[m] for m in shared])
+    return before.xy[bsel], after.xy[asel] - before.xy[bsel]
+
+
+class TestIdwTable:
+    """``interpolate_markers`` keeps one neighbour table per grid on the rest
+    set; every call, the first and those that reuse it, matches
+    ``_idw_interpolate`` bit for bit and the loop oracle to 1e-9."""
+
+    @staticmethod
+    def _nodes(rest, grid):
+        if rest.frame_width is not None:
+            x0, x1, y0, y1 = 0.0, rest.frame_width, 0.0, rest.frame_height
+        else:
+            (x0, y0), (x1, y1) = rest.xy.min(axis=0), rest.xy.max(axis=0)
+        return np.linspace(x0, x1, grid[1]), np.linspace(y0, y1, grid[0])
+
+    def _check(self, rest, moved, grid, calls=2):
+        node_x, node_y = self._nodes(rest, grid)
+        px, py = rest.xy[:, 0], rest.xy[:, 1]
+        disp = moved.xy - rest.xy
+        want = force._idw_interpolate(px, py, disp, node_x, node_y)
+        for _ in range(calls):
+            got = force.interpolate_markers(rest, moved, grid)
+            assert got.values.tobytes() == want.tobytes()
+            assert got.spacing_px == node_x[1] - node_x[0]
+            assert got.origin_px == (node_x[0], node_y[0])
+        assert tuple(grid) in rest._idw_tables
+        assert np.max(np.abs(want - idw_reference(px, py, disp, node_x,
+                                                  node_y))) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(128, 128), (240, 320)])
+    def test_sensor_marker_grid(self, shape):
+        """The rest grid is a lattice: at 128 x 128, 24 nodes see a distance
+        tie among their five nearest markers, 5 of them between the fourth
+        and the fifth, so the index tie-break decides."""
+        gel = sim.GelModel()
+        rest = sim.marker_grid(gel, shape[1] / gel.gel_size_mm, shape)
+        assert len(rest) == 81
+        r = np.random.default_rng(shape[0])
+        for jitter in (0.3, 2.0, 0.0):
+            self._check(rest, _jittered(rest, jitter, r), (24, 24))
+
+    @pytest.mark.parametrize("grid", [(9, 9), (17, 9)])
+    def test_nodes_on_markers(self, grid):
+        gx, gy = np.meshgrid(np.arange(9.0), np.arange(9.0))
+        rest = MarkerSet(np.arange(81), np.column_stack([gx.ravel(), gy.ravel()]),
+                         frame_width=8.0, frame_height=8.0)
+        self._check(rest, _jittered(rest, 0.5), grid)
+
+    def test_rest_without_frame_bounds(self):
+        rest = MarkerSet(np.arange(30), rng.uniform(5, 95, (30, 2)))
+        self._check(rest, _jittered(rest, 2.0), (8, 11))
+
+    def test_two_grids_on_one_rest(self):
+        gel = sim.GelModel()
+        rest = sim.marker_grid(gel, 128 / gel.gel_size_mm, (128, 128))
+        moved = _jittered(rest, 1.0)
+        for grid in ((24, 24), (9, 13), (24, 24), (9, 13)):
+            self._check(rest, moved, grid, calls=1)
+        assert set(rest._idw_tables) == {(24, 24), (9, 13)}
+
+    def test_pickled_rest_carries_its_table(self):
+        gel = sim.GelModel()
+        rest = sim.marker_grid(gel, 128 / gel.gel_size_mm, (128, 128))
+        moved = _jittered(rest, 1.0)
+        force.interpolate_markers(rest, moved, (24, 24))
+        copy = pickle.loads(pickle.dumps(rest))
+        assert (24, 24) in copy._idw_tables
+        assert not (copy.xy.flags.writeable or copy.ids.flags.writeable)
+        self._check(copy, moved, (24, 24))
+
+    def test_second_call_allocates_little(self):
+        """The gather holds no (nodes, markers) distance matrix, which at
+        24 x 24 nodes and 81 markers alone is 373 KB."""
+        gel = sim.GelModel()
+        rest = sim.marker_grid(gel, 128 / gel.gel_size_mm, (128, 128))
+        moved = _jittered(rest, 1.0)
+        force.interpolate_markers(rest, moved, (24, 24))
+        tracemalloc.start()
+        try:
+            force.interpolate_markers(rest, moved, (24, 24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("case", ["shuffled", "dropout"])
+    def test_id_matching_equals_the_dict_version(self, case):
+        gel = sim.GelModel()
+        rest = sim.marker_grid(gel, 128 / gel.gel_size_mm, (128, 128))
+        moved = _jittered(rest, 1.0)
+        perm = np.random.default_rng(8).permutation(81)
+        if case == "dropout":
+            perm = perm[:60]
+        after = MarkerSet(moved.ids[perm], moved.xy[perm])
+        rest_xy, disp = _dict_matched(rest, after)
+        node_x, node_y = self._nodes(rest, (24, 24))
+        want = force._idw_interpolate(rest_xy[:, 0], rest_xy[:, 1], disp,
+                                      node_x, node_y)
+        got = force.interpolate_markers(rest, after, (24, 24))
+        assert got.values.tobytes() == want.tobytes()
+        assert "_idw_tables" not in rest.__dict__       # not kept
 
 
 class TestIdw:

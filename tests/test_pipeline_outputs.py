@@ -4,9 +4,9 @@ the invariants of their typed outputs.
 ``core.diff_image``, ``geometry.predict_normals`` and
 ``geometry.integrate_normals`` each write their result once, into the array
 they return, and check it in place. The digests pin their output bits on
-scripted 240x320 grasp frames under single-threaded BLAS, a two-thread run
-must reproduce them, and the marker-field outputs of one dragged marker set,
-within stated tolerances, the normals agree with their whole-frame
+scripted 240x320 grasp frames, and those of the marker-field outputs of one
+dragged marker set, under single-threaded BLAS; a two-thread run must
+reproduce them within stated tolerances, the normals agree with their whole-frame
 computation inside the contact window and are flat outside it, the
 allocation budget bounds each stage's transient memory, and the property
 test holds the invariants of the typed outputs on saturated, black, constant
@@ -148,12 +148,27 @@ DIGESTS = [
 ]
 
 
-def test_outputs_match_pinned_digests(single_thread_outputs):
-    def sha(a):
-        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+# SHA-256 of each of ``_force_outputs``: the IDW field, the HHD's P, S, H,
+# phi and psi, and the predicted shear, under single-threaded BLAS as above.
+FORCE_DIGESTS = [
+    "a31d2d1a66859b0cb3327387eb2ad65fc418c70b2553a1a9ccbadd31ba008bca",
+    "caf5836a09c5dd25ebff54080ed70ec7a6d037b0fe05e8d2ba5c5a8b01867120",
+    "3392b0dea6f97de32a08659c825dd8512fdbf01ff3b68e5ee5a328c3b44e4c72",
+    "11bfd19ad89196c333a569d460f51f3feae09af078a231c4e3306c01e4dd90a8",
+    "22a3d265101ed92bbf585455bc12db34c3227a05b6ab77785f460183c036c557",
+    "d6b037e44b42f2789718ca85a00d905dfce40d1a7b60168569b334df4e187617",
+    "2d4255dc3aae20996e936c81562e03f7436dc6bfc249673ceea464719cc366c0",
+]
 
-    cases, _ = single_thread_outputs
-    assert [[sha(a) for a in case] for case in cases] == DIGESTS
+
+def _sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_outputs_match_pinned_digests(single_thread_outputs):
+    cases, forces = single_thread_outputs
+    assert [[_sha(a) for a in case] for case in cases] == DIGESTS
+    assert [_sha(a) for a in forces] == FORCE_DIGESTS
 
 
 # Under one and two BLAS threads, diff and normals agree bit for bit and the

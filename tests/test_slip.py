@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gripsense import sim, slip
 from gripsense.core import HeightMap, MarkerSet
-from oracles import trailing_mean_reference
+from oracles import marker_velocity_reference, trailing_mean_reference
 
 rng = np.random.default_rng(23)
 
@@ -174,6 +174,73 @@ class TestMarkerVelocity:
         tracks = _static_tracks(3, rng.uniform(20, 70, (4, 2)))
         with pytest.raises(ValueError):
             slip.marker_velocity(tracks, _disc_masks([(40.0, 40.0)] * 2))
+
+
+class TestMarkerVelocityOracle:
+    """The one-pass series, membership of every frame at once and a masked
+    mean, byte-equal to ``marker_velocity_reference``'s frame loop."""
+
+    @pytest.fixture(scope="class")
+    def seqs(self):
+        return sim.make_slip_benchmark(seed=4, repeats=1, n_frames=40)
+
+    @staticmethod
+    def _same(tracks, masks, smooth_window=3):
+        got = slip.marker_velocity(tracks, masks, smooth_window)
+        want = marker_velocity_reference(tracks, masks, smooth_window)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("smooth_window", [1, 3])
+    def test_slip_benchmark_series_and_windows(self, seqs, smooth_window):
+        for seq in seqs:
+            self._same(seq.tracks, seq.masks, smooth_window)
+            for t in range(0, len(seq.masks) - 6, 5):
+                self._same(seq.tracks[t:t + 6], seq.masks[t:t + 6],
+                           smooth_window)
+
+    @pytest.mark.parametrize("smooth_window", [1, 3])
+    def test_many_markers_inside(self, smooth_window):
+        """Dozens of members a frame, each with its own step, so the sum's
+        order shows in the bits."""
+        r = np.random.default_rng(smooth_window)
+        gx, gy = np.meshgrid(np.arange(9.0), np.arange(9.0))
+        base = 20.0 + 7.0 * np.column_stack([gx.ravel(), gy.ravel()])
+        tracks = [MarkerSet(np.arange(81), base + r.normal(0.0, 2.0, (81, 2)))
+                  for _ in range(8)]
+        masks = _disc_masks([(48.0 + t, 46.0) for t in range(8)], r=30.0)
+        assert min(m.contains(k.xy).sum() for m, k in zip(masks, tracks)) > 40
+        self._same(tracks, masks, smooth_window)
+
+    def test_window_with_a_no_contact_frame(self, seqs):
+        seq = seqs[0]
+        empty = slip.ContactMask(np.zeros_like(seq.masks[0].values), 0.3)
+        masks = list(seq.masks[10:16])
+        masks[2] = masks[5] = empty
+        v = self._same(seq.tracks[10:16], masks)
+        assert not v[2].any() and not v[5].any() and v[3].any()
+
+    def test_frames_where_no_marker_is_inside(self):
+        xy = np.array([[5.0, 5.0], [90.0, 5.0], [5.0, 90.0],
+                       [90.0, 90.0], [50.0, 5.0], [48.0, 49.0]])
+        tracks = [MarkerSet(np.arange(6), xy + [0.7 * t, -0.3 * t * t])
+                  for t in range(6)]
+        # a disc around marker 5 on even frames, a tiny far one on odd ones
+        masks = _disc_masks([(48.0 + t, 49.0) if t % 2 == 0 else (70.0, 70.0)
+                             for t in range(6)], r=4.0)
+        for t in range(1, 6, 2):
+            assert not masks[t].contains(tracks[t].xy).any()
+        self._same(tracks, masks)
+        self._same(tracks, masks, 1)
+
+    def test_dropout_window(self, seqs):
+        seq = seqs[1]
+        tracks = list(seq.tracks[20:26])
+        ids = tracks[0].ids
+        for t, lost in ((1, [3, 40]), (4, [3, 7, 80])):
+            keep = np.flatnonzero(~np.isin(ids, lost))[::-1]
+            tracks[t] = MarkerSet(ids[keep], tracks[t].xy[keep])
+        self._same(tracks, seq.masks[20:26])
 
 
 def _flags(ov, mv, threshold):
