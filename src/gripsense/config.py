@@ -46,7 +46,10 @@ _float.label = "float"
 
 # key -> (default, parser, help). The defaults mirror the keyword defaults of
 # the library functions each subcommand calls, so running the CLI with no
-# config file behaves exactly like calling the library with no arguments.
+# config file behaves like calling the library with no arguments, but for
+# two deliberate CLI choices: sim.load_g is 20 g (GraspScene's is 0.0), one
+# of the slip benchmark's loads, and softness.train_trials is 7 of
+# build_clip_library's 10 trials per cell, softness.test_trials the other 3.
 CONFIG_SPEC: dict[str, tuple[object, object, str]] = {
     "sim.px_per_mm": (16.0, _float, "sensor resolution of synthetic slip sequences"),
     "sim.gel_size_mm": (30.0, _float, "square gelpad side length"),

@@ -15,37 +15,32 @@ integrates geometry's heightmap, and it gives the Helmholtz decomposition in
 ``_lbfgs`` is the numpy L-BFGS that both calibration fits, geometry's and
 softness's, run.
 
-Everything here is immutable after construction: arrays are copied and marked
-read-only, so instances can be shared freely across threads. The package's
-own stages hand the array they have just built to ``DiffFrame``,
-``NormalMap``, ``HeightMap``, ``DisplacementField`` or ``ScalarField``
-wrapped in ``_Adopt`` instead: the type checks that array once, in place,
-and keeps it, so no copy is made. Like
-every frozen type of the package that holds an array, these compare by
-identity (``eq=False``): a field-wise ``==`` would ask an array for one truth
-value and raise.
+Immutability has one owner, ``_Frozen``, the base of every frozen type of
+the package with an array field. Its ``_keep`` sets each such field: it
+copies the caller's array, or keeps an ``_Adopt``-wrapped one that a stage
+has just built, runs the checks the type asks for and marks it read-only.
+Unpickling marks the restored arrays read-only again, and values computed
+once and kept (``functools.cached_property``) are frozen and pickle along,
+so instances can be shared freely across threads, ticks and processes.
+These types compare by identity (``eq=False``): a field-wise ``==`` would
+ask an array for one truth value and raise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 
-def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 class _Adopt:
-    """A float64 array that a stage of this package has just built and
-    keeps no other reference to, handed to ``DiffFrame``, ``NormalMap``,
-    ``HeightMap``, ``DisplacementField`` or ``ScalarField`` as its values:
-    the type runs its checks on that array once, in place, marks it
-    read-only and keeps it instead of a copy."""
+    """An array that a stage of this package has just built, of the dtype
+    its type keeps, and keeps no other reference to: the type runs its
+    checks on that array once, in place, marks it read-only and keeps it
+    instead of a copy."""
 
     __slots__ = ("array",)
 
@@ -53,11 +48,44 @@ class _Adopt:
         self.array = array
 
 
-def _owned(values) -> np.ndarray:
-    """The float64 array a type keeps: an adopted one itself, else a copy."""
+def _owned(values, dtype=np.float64) -> np.ndarray:
+    """The array a type keeps: an adopted one itself, else a copy."""
     if isinstance(values, _Adopt):
         return values.array
-    return np.array(values, dtype=np.float64)
+    return np.array(values, dtype=dtype)
+
+
+def _freeze(x):
+    """Mark every ndarray in ``x``, an array or a tuple, list or dict of
+    them, nested to any depth, read-only; return ``x``."""
+    if isinstance(x, np.ndarray):
+        x.setflags(write=False)
+    elif isinstance(x, (tuple, list, dict)):
+        for item in x.values() if isinstance(x, dict) else x:
+            _freeze(item)
+    return x
+
+
+class _Frozen:
+    """Base of every frozen dataclass of the package that holds an array."""
+
+    def _keep(self, name: str, values, dtype=np.float64, shape=None,
+              finite: bool = False) -> np.ndarray:
+        """Set field ``name`` to ``values``: an ``_Adopt`` array itself, else
+        a ``dtype`` copy, checked to have ``shape`` and to be finite when
+        asked, and marked read-only. Returns the kept array."""
+        a = _owned(values, dtype)
+        if shape is not None and a.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+        if finite and not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, name, _freeze(a))
+        return a
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writeable; nested frozen instances
+        # restore their own
+        self.__dict__.update(_freeze(state))
 
 
 def _check_nonempty(v: np.ndarray, what: str) -> None:
@@ -79,10 +107,10 @@ def _check_support(box, shape) -> tuple:
     return r0, r1, c0, c1
 
 
-def _check_pitch(px_per_mm) -> None:
-    """Raise unless the pixel pitch is a finite positive number."""
-    if not (px_per_mm > 0 and np.isfinite(px_per_mm)):
-        raise ValueError(f"px_per_mm must be finite and positive, got {px_per_mm}")
+def _check_positive(value, what: str) -> None:
+    """Raise unless ``value`` is a finite positive number."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be finite and positive, got {value}")
 
 
 # _lbfgs: curvature pairs kept, Armijo's sufficient-decrease constant, step
@@ -261,7 +289,7 @@ def _poisson_solve(rhs: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
 
 def _clip_owned(a: np.ndarray, lo: float, hi: float, what: str) -> None:
     """Check that the caller's own copy ``a`` is finite and in [lo, hi] up to
-    1e-9, clip the slack in place, and mark it read-only."""
+    1e-9, and clip the slack in place."""
     amin, amax = a.min(), a.max()        # NaN and inf propagate into these
     if not (np.isfinite(amin) and np.isfinite(amax)):
         raise ValueError(f"{what} must be finite")
@@ -269,11 +297,10 @@ def _clip_owned(a: np.ndarray, lo: float, hi: float, what: str) -> None:
         raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}]")
     if amin < lo or amax > hi:
         np.clip(a, lo, hi, out=a)
-    a.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
-class TactileFrame:
+class TactileFrame(_Frozen):
     """One rectified RGB raster from a finger's sensing surface."""
 
     pixels: np.ndarray          # (H, W, 3), values in [0, 1]
@@ -281,14 +308,14 @@ class TactileFrame:
     timestamp: float = 0.0
 
     def __post_init__(self):
-        px = np.array(self.pixels, dtype=np.float64)
+        px = _owned(self.pixels)
         if px.ndim != 3 or px.shape[2] != 3:
             raise ValueError(f"pixels must be (H, W, 3), got {px.shape}")
         if px.shape[0] < 8 or px.shape[1] < 8:
             raise ValueError(f"frame must be at least 8x8, got {px.shape[:2]}")
         _clip_owned(px, 0.0, 1.0, "pixel intensities")
-        _check_pitch(self.px_per_mm)
-        object.__setattr__(self, "pixels", px)
+        _check_positive(self.px_per_mm, "px_per_mm")
+        self._keep("pixels", _Adopt(px))
 
     @property
     def height(self) -> int:
@@ -300,7 +327,7 @@ class TactileFrame:
 
 
 @dataclass(frozen=True, eq=False)
-class DiffFrame:
+class DiffFrame(_Frozen):
     """Background-subtracted frame; values in [-1, 1] on the source grid."""
 
     values: np.ndarray          # (H, W, 3)
@@ -313,8 +340,8 @@ class DiffFrame:
             raise ValueError(f"values must be (H, W, 3), got {v.shape}")
         _check_nonempty(v, "diff frame")
         _clip_owned(v, -1.0, 1.0, "diff values")
-        _check_pitch(self.px_per_mm)
-        object.__setattr__(self, "values", v)
+        _check_positive(self.px_per_mm, "px_per_mm")
+        self._keep("values", _Adopt(v))
 
     @property
     def shape(self) -> tuple:
@@ -322,7 +349,7 @@ class DiffFrame:
 
 
 @dataclass(frozen=True, eq=False)
-class NormalMap:
+class NormalMap(_Frozen):
     """Per-pixel unit surface normals (nx, ny, nz) with nz > 0.
 
     ``support`` is the contact window (r0, r1, c0, c1), rows r0:r1 and
@@ -335,7 +362,7 @@ class NormalMap:
     support: tuple | None = None
 
     def __post_init__(self):
-        v = _owned(self.values)
+        v = self._keep("values", self.values)
         if v.ndim != 3 or v.shape[2] != 3:
             raise ValueError(f"values must be (H, W, 3), got {v.shape}")
         _check_nonempty(v, "normal map")
@@ -356,12 +383,10 @@ class NormalMap:
             raise ValueError("normals must be unit length to 1e-6")
         if np.min(v[:, :, 2]) <= 0:
             raise ValueError("nz must be positive everywhere")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True, eq=False)
-class HeightMap:
+class HeightMap(_Frozen):
     """Reconstructed or simulated contact geometry in millimetres.
 
     After gauge fixing (done by the producers: normal integration and the
@@ -373,16 +398,14 @@ class HeightMap:
     px_per_mm: float
 
     def __post_init__(self):
-        v = _owned(self.values)
+        v = self._keep("values", self.values)
         if v.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {v.shape}")
         _check_nonempty(v, "heightmap")
         lo, hi = v.min(), v.max()        # NaN and inf propagate into these
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("heightmap values must be finite")
-        _check_pitch(self.px_per_mm)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _check_positive(self.px_per_mm, "px_per_mm")
 
     @property
     def shape(self) -> tuple:
@@ -390,7 +413,7 @@ class HeightMap:
 
 
 @dataclass(frozen=True, eq=False)
-class MarkerSet:
+class MarkerSet(_Frozen):
     """Snapshot of etched-marker centroids (id, x, y) for one frame."""
 
     ids: np.ndarray             # (N,) int64, unique
@@ -401,30 +424,30 @@ class MarkerSet:
     frame_height: float | None = None
 
     def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int64)
-        xy = np.asarray(self.xy, dtype=np.float64).reshape(-1, 2)
+        ids = self._keep("ids", self.ids, np.int64)
+        xy = self._keep("xy", np.reshape(self.xy, (-1, 2)))
         if ids.shape[0] != xy.shape[0]:
             raise ValueError("ids and xy length mismatch")
         if len(np.unique(ids)) != len(ids):
             raise ValueError("marker ids must be unique")
         if xy.size and not np.all(np.isfinite(xy)):
             raise ValueError("marker positions must be finite")
-        if self.frame_width is not None and xy.size:
-            if (xy[:, 0].min() < 0 or xy[:, 0].max() > self.frame_width
-                    or xy[:, 1].min() < 0 or xy[:, 1].max() > self.frame_height):
+        bounds = (self.frame_width, self.frame_height)
+        if bounds != (None, None):
+            if None in bounds:
+                raise ValueError(f"frame bounds must be given together, got {bounds}")
+            _check_positive(self.frame_width, "frame_width")
+            _check_positive(self.frame_height, "frame_height")
+            if xy.size and (xy.min() < 0 or np.any(xy.max(axis=0) > bounds)):
                 raise ValueError("marker positions outside frame bounds")
-        object.__setattr__(self, "ids", _readonly(ids, np.int64))
-        object.__setattr__(self, "xy", _readonly(xy))
-
-    def __setstate__(self, state: dict) -> None:
-        # unpickled arrays come back writeable; the neighbour tables that
-        # force.interpolate_markers keeps here need them read-only
-        self.__dict__.update(state)
-        self.ids.setflags(write=False)
-        self.xy.setflags(write=False)
 
     def __len__(self) -> int:
         return self.ids.shape[0]
+
+    @cached_property
+    def _idw_tables(self) -> dict:
+        """``force.interpolate_markers``'s tables from these rest positions."""
+        return {}
 
     def moved(self, delta_xy: np.ndarray) -> "MarkerSet":
         """Same markers displaced by ``delta_xy`` (N, 2) pixels."""
@@ -433,24 +456,20 @@ class MarkerSet:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarField:
+class ScalarField(_Frozen):
     """Grid scalar (potentials of the field decomposition)."""
 
     values: np.ndarray          # (H, W)
 
     def __post_init__(self):
-        v = _owned(self.values)
+        v = self._keep("values", self.values, finite=True)
         if v.ndim != 2:
             raise ValueError("scalar field must be 2-D")
         _check_nonempty(v, "scalar field")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("scalar field must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True, eq=False)
-class DisplacementField:
+class DisplacementField(_Frozen):
     """Dense 2-D vector field of marker motion on a regular grid (pixels)."""
 
     values: np.ndarray          # (H, W, 2)
@@ -458,13 +477,11 @@ class DisplacementField:
     origin_px: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        v = _owned(self.values)
+        v = self._keep("values", self.values, finite=True)
         if v.ndim != 3 or v.shape[2] != 2:
             raise ValueError(f"values must be (H, W, 2), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("displacement values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _check_nonempty(v, "displacement field")
+        _check_positive(self.spacing_px, "spacing_px")
 
     @property
     def shape(self) -> tuple:

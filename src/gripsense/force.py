@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DisplacementField, MarkerSet, ScalarField, _Adopt,
-                   _poisson_solve)
+                   _freeze, _Frozen, _poisson_solve)
 from .slip import ContactMask
 
 
@@ -162,7 +162,7 @@ def interpolate_markers(before: MarkerSet, after: MarkerSet,
         disp = after.xy[asel] - rest
     if len(rest) < 3:
         raise ValueError("need at least 3 matched markers")
-    tables = before.__dict__.setdefault("_idw_tables", {}) if keep else {}
+    tables = before._idw_tables if keep else {}
     if (gh, gw) not in tables:
         if before.frame_width is not None:
             x0, x1 = 0.0, float(before.frame_width)
@@ -174,7 +174,7 @@ def interpolate_markers(before: MarkerSet, after: MarkerSet,
             raise ValueError("degenerate marker extent")
         node_x = np.linspace(x0, x1, gw)
         node_y = np.linspace(y0, y1, gh)
-        tables[gh, gw] = (_idw_table(rest, node_x, node_y),
+        tables[gh, gw] = (_freeze(_idw_table(rest, node_x, node_y)),
                           float(node_x[1] - node_x[0]), (x0, y0))
     table, spacing, origin = tables[gh, gw]
     return DisplacementField(_Adopt(_idw_gather(table, disp).reshape(gh, gw, 2)),
@@ -275,7 +275,7 @@ def divergence(field: DisplacementField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class ShearFeature:
+class ShearFeature(_Frozen):
     """10-vector of in-contact means: v, then P and S with squared terms.
 
     ``contact=False`` marks a frame with no contact on the field grid; its
@@ -286,14 +286,7 @@ class ShearFeature:
     contact: bool = True
 
     def __post_init__(self):
-        val = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if val.shape != (10,):
-            raise ValueError("shear feature must have 10 entries")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("shear feature must be finite")
-        val = val.copy()
-        val.setflags(write=False)
-        object.__setattr__(self, "values", val)
+        self._keep("values", np.ravel(self.values), shape=(10,), finite=True)
 
 
 def shear_features(v: DisplacementField, hhd: HHDResult,
@@ -325,7 +318,7 @@ def shear_features(v: DisplacementField, hhd: HHDResult,
 
 
 @dataclass(frozen=True, eq=False)
-class ShearModel:
+class ShearModel(_Frozen):
     """Per-axis linear readout: F_axis = w_axis . x + b_axis."""
 
     w_x: np.ndarray             # (10,)
@@ -335,14 +328,8 @@ class ShearModel:
 
     def __post_init__(self):
         for name in ("w_x", "w_y"):
-            w = np.asarray(getattr(self, name), dtype=np.float64).reshape(-1)
-            if w.shape != (10,):
-                raise ValueError(f"{name} must have 10 entries")
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"{name} must be finite")
-            w = w.copy()
-            w.setflags(write=False)
-            object.__setattr__(self, name, w)
+            self._keep(name, np.ravel(getattr(self, name)), shape=(10,),
+                       finite=True)
         if not (np.isfinite(self.b_x) and np.isfinite(self.b_y)):
             raise ValueError("biases must be finite")
 

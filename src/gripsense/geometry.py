@@ -49,8 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DiffFrame, HeightMap, NormalMap, _Adopt, _check_pitch,
-                   _lbfgs, _load_arrays, _poisson_solve, _save_arrays)
+from .core import (DiffFrame, HeightMap, NormalMap, _Adopt, _check_positive,
+                   _Frozen, _lbfgs, _load_arrays, _poisson_solve,
+                   _save_arrays)
 
 LAYER_SIZES = (5, 32, 32, 2)
 _WEIGHT_SHAPES = ((32, 5), (32,), (32, 32), (32,), (2, 32), (2,))
@@ -76,7 +77,7 @@ _WINDOW_MARGIN = 8
 
 
 @dataclass(frozen=True, eq=False)
-class Rgb2NormalModel:
+class Rgb2NormalModel(_Frozen):
     """MLP weights for the RGB-to-normal mapping.
 
     Input 5 (diff R, G, B, normalized x, y), two tanh hidden layers of 32,
@@ -99,26 +100,19 @@ class Rgb2NormalModel:
     def __post_init__(self):
         for name, shape in zip(("w1", "b1", "w2", "b2", "w3", "b3"),
                                _WEIGHT_SHAPES):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite weights")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            self._keep(name, getattr(self, name), shape=shape, finite=True)
 
 
 @dataclass(frozen=True, eq=False)
-class CalibrationDataset:
+class CalibrationDataset(_Frozen):
     """(feature, unit normal) pairs sampled from sphere presses."""
 
     features: np.ndarray        # (N, 5)
     normals: np.ndarray         # (N, 3)
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        n = np.asarray(self.normals, dtype=np.float64)
+        f = self._keep("features", self.features)
+        n = self._keep("normals", self.normals)
         if f.ndim != 2 or f.shape[1] != 5:
             raise ValueError("features must be (N, 5)")
         if n.shape != (f.shape[0], 3):
@@ -127,10 +121,6 @@ class CalibrationDataset:
             raise ValueError("calibration dataset must be non-empty")
         if np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) > 1e-6:
             raise ValueError("ground-truth normals must be unit length")
-        f = f.copy(); f.setflags(write=False)
-        n = n.copy(); n.setflags(write=False)
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "normals", n)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -467,7 +457,7 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     transform; every interior size, 1x1 included, takes the same path. It
     agrees with a sparse direct solve to 1e-13 relative up to 480x640.
     """
-    _check_pitch(px_per_mm)
+    _check_positive(px_per_mm, "px_per_mm")
     full = np.zeros(n.values.shape[:2])
     if min(full.shape) < 3:
         raise ValueError("normal map too small to integrate")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _Frozen
 from .force import fit_normal_force, predict_normal_force
 from .sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET, make_force_samples
 from .slip import (DEFAULT_SMOOTH_WINDOW, DEFAULT_THRESHOLD_PX, TICK_WINDOW,
@@ -176,7 +177,7 @@ class GraspState:
 
 
 @dataclass(frozen=True, eq=False)
-class TrialOutcome:
+class TrialOutcome(_Frozen):
     """Result of one harvest trial."""
 
     success: bool
@@ -192,8 +193,7 @@ class TrialOutcome:
             raise ValueError("successful trials cannot carry a failure mode")
         if not self.success and self.failure_mode == "none":
             raise ValueError("failed trials need a failure mode")
-        object.__setattr__(self, "force_trace",
-                           np.asarray(self.force_trace, dtype=np.float64))
+        self._keep("force_trace", self.force_trace)
 
 
 def fruit_response(fruit: FruitModel, opening_mm: float, pull_n: float):

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (DiffFrame, HeightMap, MarkerSet, TactileFrame, _Adopt,
-                   _clip_owned, diff_image)
+                   _clip_owned, _Frozen, diff_image)
 from .slip import DEFAULT_CONTACT_THRESHOLD_MM, ContactMask
 
 # Combined gel + drive-train stiffness seen in series with the fruit during a
@@ -84,15 +84,15 @@ class GelModel:
 
 
 @dataclass(frozen=True, eq=False)
-class LightRig:
+class LightRig(_Frozen):
     """Directional lights: unit directions toward the light, RGB intensities."""
 
     directions: np.ndarray      # (L, 3)
     intensities: np.ndarray     # (L, 3)
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=np.float64).reshape(-1, 3)
-        i = np.asarray(self.intensities, dtype=np.float64).reshape(-1, 3)
+        d = self._keep("directions", np.reshape(self.directions, (-1, 3)))
+        i = self._keep("intensities", np.reshape(self.intensities, (-1, 3)))
         if d.shape[0] != i.shape[0]:
             raise ValueError("directions and intensities count mismatch")
         norms = np.linalg.norm(d, axis=1)
@@ -100,10 +100,6 @@ class LightRig:
             raise ValueError("light directions must be unit vectors")
         if np.min(d[:, 2]) <= 0:
             raise ValueError("light directions must have positive z")
-        d = d.copy(); d.setflags(write=False)
-        i = i.copy(); i.setflags(write=False)
-        object.__setattr__(self, "directions", d)
-        object.__setattr__(self, "intensities", i)
 
 
 def default_rig() -> LightRig:
@@ -439,7 +435,7 @@ def deform_markers(rest: MarkerSet, contact: ContactMask, shear_mm: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class SlipSequence:
+class SlipSequence(_Frozen):
     """One simulated grasp trial: detector inputs plus exact ground truth.
 
     ``masks`` and ``tracks`` are what the detector sees (noisy); the object
@@ -459,6 +455,11 @@ class SlipSequence:
     px_per_mm: float
     load_g: float
     pose: str
+
+    def __post_init__(self):
+        for name in ("object_track", "marker_speed", "true_diff"):
+            self._keep(name, getattr(self, name))
+        self._keep("labels", self.labels, bool)
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -12,13 +12,13 @@ jitter otherwise dominates the finite difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
-from .core import HeightMap, MarkerSet
+from .core import HeightMap, MarkerSet, _Adopt, _freeze, _Frozen
 
 DEFAULT_THRESHOLD_PX = 10.0
 DEFAULT_CONTACT_THRESHOLD_MM = 0.3
@@ -28,7 +28,7 @@ TICK_WINDOW = 6
 
 
 @dataclass(frozen=True, eq=False)
-class ContactMask:
+class ContactMask(_Frozen):
     """Boolean contact region, h > threshold_mm on the heightmap grid."""
 
     values: np.ndarray          # (H, W) bool
@@ -36,20 +36,13 @@ class ContactMask:
     px_per_mm: float = 1.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=bool)
+        v = self._keep("values", self.values, bool)
         if v.ndim != 2:
             raise ValueError("mask must be 2-D")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
-    @property
+    @cached_property
     def area(self) -> int:
-        cached = self.__dict__.get("_area")
-        if cached is None:
-            cached = int(np.count_nonzero(self.values))
-            object.__setattr__(self, "_area", cached)
-        return cached
+        return int(np.count_nonzero(self.values))
 
     def centroid(self) -> np.ndarray:
         """Mask centroid as (x, y) pixels; requires a non-empty mask.
@@ -60,17 +53,16 @@ class ContactMask:
         per-row pixel counts, so the one float division gives the same bits
         as the mean of the ``np.nonzero`` coordinates, without listing them.
         """
-        cached = self.__dict__.get("_centroid")
-        if cached is None:
-            if self.area == 0:
-                raise ValueError("centroid of an empty contact mask")
-            h, w = self.values.shape
-            sx = np.arange(w) @ np.count_nonzero(self.values, axis=0)
-            sy = np.arange(h) @ np.count_nonzero(self.values, axis=1)
-            cached = np.array([sx / self.area, sy / self.area])
-            cached.setflags(write=False)
-            object.__setattr__(self, "_centroid", cached)
-        return cached
+        return self._centroid
+
+    @cached_property
+    def _centroid(self) -> np.ndarray:
+        if self.area == 0:
+            raise ValueError("centroid of an empty contact mask")
+        h, w = self.values.shape
+        sx = np.arange(w) @ np.count_nonzero(self.values, axis=0)
+        sy = np.arange(h) @ np.count_nonzero(self.values, axis=1)
+        return _freeze(np.array([sx / self.area, sy / self.area]))
 
     def equivalent_radius_px(self) -> float:
         return float(np.sqrt(self.area / np.pi))
@@ -97,7 +89,8 @@ def segment_contact(h: HeightMap, threshold_mm: float = DEFAULT_CONTACT_THRESHOL
     """Threshold the heightmap into a contact mask (strictly greater than)."""
     if not threshold_mm > 0:
         raise ValueError("contact threshold must be positive")
-    return ContactMask(h.values > threshold_mm, threshold_mm, h.px_per_mm)
+    return ContactMask(_Adopt(h.values > threshold_mm), threshold_mm,
+                       h.px_per_mm)
 
 
 def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
@@ -226,7 +219,7 @@ def detect_slip(obj_v: np.ndarray, marker_v: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class SlipReport:
+class SlipReport(_Frozen):
     """Per-frame detector outputs plus (when evaluated) summary metrics."""
 
     object_v: np.ndarray        # (T, 2)
@@ -240,8 +233,10 @@ class SlipReport:
     mean_lead_s: float | None = None
 
     def __post_init__(self):
-        flags = np.asarray(self.flags, dtype=bool)
-        diff = np.asarray(self.speed_diff, dtype=np.float64)
+        self._keep("object_v", self.object_v)
+        self._keep("marker_v", self.marker_v)
+        flags = self._keep("flags", self.flags, bool)
+        diff = self._keep("speed_diff", self.speed_diff)
         if flags.shape != diff.shape:
             raise ValueError("flags and speed_diff shape mismatch")
         if not np.array_equal(flags, diff > self.threshold_px):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiffFrame, _lbfgs, _load_arrays, _save_arrays
+from .core import DiffFrame, _Frozen, _lbfgs, _load_arrays, _save_arrays
 from .force import fit_normal_force, predict_normal_force
 from . import sim
 
@@ -72,7 +72,7 @@ _POSITIONS = _positional_table()
 
 
 @dataclass(frozen=True, eq=False)
-class CompressionClip:
+class CompressionClip(_Frozen):
     """One squeeze of one fruit: difference frames plus the force trace.
 
     ``forces`` holds the per-frame normal-force estimates in newtons and must
@@ -91,17 +91,16 @@ class CompressionClip:
             raise ValueError("clip needs at least 4 frames")
         if not all(isinstance(f, DiffFrame) for f in frames):
             raise TypeError("frames must be DiffFrame instances")
-        forces = np.asarray(self.forces, dtype=np.float64)
+        forces = self._keep("forces", self.forces)
         if forces.shape != (len(frames),):
             raise ValueError("need exactly one force reading per frame")
         if not np.all(np.isfinite(forces)) or np.any(forces < 0.0):
             raise ValueError("force series must be finite and non-negative")
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "forces", forces)
 
 
 @dataclass(frozen=True, eq=False)
-class ClipEmbedder:
+class ClipEmbedder(_Frozen):
     """Frame tokens, one self-attention pass, and a parallel force branch.
 
     Each frame is mean-pooled to a 16x16 grayscale patch and mapped linearly
@@ -121,16 +120,11 @@ class ClipEmbedder:
 
     def __post_init__(self):
         for name, shape in _EMBEDDER_SHAPES.items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-            object.__setattr__(self, name, arr)
+            self._keep(name, getattr(self, name), shape=shape, finite=True)
 
 
 @dataclass(frozen=True, eq=False)
-class RankerModel:
+class RankerModel(_Frozen):
     """Shared clip embedder plus the antisymmetric pair comparator.
 
     The comparator stores a free square matrix A; the bilinear form always
@@ -146,17 +140,14 @@ class RankerModel:
     loss_history: tuple = ()
 
     def __post_init__(self):
-        comp = np.asarray(self.comparator, dtype=np.float64)
+        comp = self._keep("comparator", self.comparator, finite=True)
         if comp.ndim != 2 or comp.shape[0] != comp.shape[1]:
             raise ValueError("comparator must be a square matrix")
-        if not np.all(np.isfinite(comp)):
-            raise ValueError("comparator contains non-finite values")
         if self.embedder is not None and comp.shape != (EMBED_DIM, EMBED_DIM):
             raise ValueError(f"comparator must be {EMBED_DIM}x{EMBED_DIM} "
                              f"to match the embedder, got {comp.shape}")
         if not np.isfinite(self.bias):
             raise ValueError("bias must be finite")
-        object.__setattr__(self, "comparator", comp)
         object.__setattr__(self, "bias", float(self.bias))
 
     @property

@@ -1,8 +1,10 @@
 """Settings file parsing and the command line front end."""
 
+import inspect
+
 import pytest
 
-from gripsense import cli, core
+from gripsense import cli, core, force, geometry, harvest, sim, slip, softness
 from gripsense.config import (CONFIG_SPEC, Config, default_config,
                               describe_config, parse_config)
 
@@ -70,6 +72,58 @@ class TestConfig:
         path.write_text("sim.frames = 2.5\n")
         with pytest.raises(ValueError):
             parse_config(str(path))
+
+    # key -> the library callable and keyword its value feeds in the CLI
+    _FEEDS = {
+        "sim.px_per_mm": (sim.synth_slip_sequence, "px_per_mm"),
+        "sim.gel_size_mm": (sim.GelModel, "gel_size_mm"),
+        "sim.membrane_sigma_mm": (sim.GelModel, "membrane_sigma_mm"),
+        "sim.frames": (sim.synth_slip_sequence, "n_frames"),
+        "sim.pose": (sim.GraspScene, "pose"),
+        "sim.depth_mm": (sim.synth_slip_sequence, "depth_mm"),
+        "sim.marker_jitter_px": (sim.synth_slip_sequence, "marker_jitter_px"),
+        "geometry.epochs": (geometry.fit_rgb2normal, "epochs"),
+        "geometry.learning_rate": (geometry.fit_rgb2normal, "learning_rate"),
+        "geometry.presses": (sim.make_calibration_presses, "n"),
+        "geometry.sphere_radius_mm": (sim.make_calibration_presses,
+                                      "sphere_radius_mm"),
+        "geometry.resolution": (sim.make_calibration_presses, "resolution"),
+        "force.samples": (sim.make_force_samples, "n"),
+        "force.shear_samples": (sim.make_shear_dataset, "n"),
+        "force.grid": (force.build_shear_features, "grid"),
+        "slip.threshold_px": (slip.analyze_sequence, "threshold_px"),
+        "slip.smooth_window": (slip.analyze_sequence, "smooth_window"),
+        "softness.epochs": (softness.train_ranker, "epochs"),
+        "softness.learning_rate": (softness.train_ranker, "learning_rate"),
+        "softness.frames": (softness.build_clip_library, "n_frames"),
+        "softness.resolution": (softness.build_clip_library, "resolution"),
+        "harvest.trials": (harvest.run_experiment, "trials_per_cell"),
+        "harvest.max_retries": (harvest.StrategyConfig, "max_retries"),
+        "harvest.close_margin_mm": (harvest.StrategyConfig, "close_margin_mm"),
+        "harvest.retry_increment_mm": (harvest.StrategyConfig,
+                                       "retry_increment_mm"),
+        "harvest.diameter_noise_mm": (harvest.run_trial, "diameter_noise_mm"),
+        "harvest.px_per_mm": (harvest.run_trial, "px_per_mm"),
+    }
+    # defaults the CLI chooses on purpose, named in config.py's comment
+    _CLI_CHOICES = {
+        "sim.load_g": (sim.GraspScene, "load_g"),
+        "softness.train_trials": (softness.build_clip_library,
+                                  "trials_per_cell"),
+    }
+
+    def test_defaults_mirror_library_keywords(self):
+        assert (set(self._FEEDS) | set(self._CLI_CHOICES)
+                | {"force.frames", "softness.test_trials"}) == set(CONFIG_SPEC)
+        for table, mirrors in ((self._FEEDS, True), (self._CLI_CHOICES, False)):
+            for key, (fn, keyword) in table.items():
+                default = CONFIG_SPEC[key][0]
+                if key == "force.grid":
+                    default = (default, default)
+                want = inspect.signature(fn).parameters[keyword].default
+                assert (default == want) is mirrors, (key, default, want)
+                if mirrors:
+                    assert type(default) is type(want), key
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,7 +1,10 @@
 """Shared types, differencing and the text file formats."""
 
+import dataclasses
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 
@@ -14,7 +17,7 @@ import gripsense
 from gripsense import force, geometry, harvest, perception, sim, slip, softness
 from gripsense.core import (DiffFrame, DisplacementField, HeightMap,
                             MarkerSet, NormalMap, ScalarField, TactileFrame,
-                            _lbfgs, _poisson_solve, diff_image,
+                            _Frozen, _lbfgs, _poisson_solve, diff_image,
                             load_heightmap,
                             load_marker_tracks, save_heightmap,
                             save_marker_tracks)
@@ -147,7 +150,9 @@ class TestHeightMap:
     lambda v: NormalMap(v[:, :, None].repeat(3, axis=2)),
     lambda v: HeightMap(v, 1.0),
     lambda v: ScalarField(v),
-], ids=["DiffFrame", "NormalMap", "HeightMap", "ScalarField"])
+    lambda v: DisplacementField(v[:, :, None].repeat(2, axis=2)),
+], ids=["DiffFrame", "NormalMap", "HeightMap", "ScalarField",
+        "DisplacementField"])
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 def test_empty_raster_raises(make, shape):
     with pytest.raises(ValueError, match="must be non-empty"):
@@ -176,6 +181,19 @@ class TestMarkerSet:
         with pytest.raises(ValueError):
             MarkerSet(np.array([0]), np.array([[5.0, 1.0]]),
                       frame_width=4.0, frame_height=4.0)
+
+    @pytest.mark.parametrize("bounds", [
+        {"frame_width": 4.0}, {"frame_height": 4.0}])
+    def test_bounds_come_in_pairs(self, bounds):
+        with pytest.raises(ValueError, match="given together"):
+            MarkerSet([0], [[1.0, 1.0]], **bounds)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -4.0])
+    @pytest.mark.parametrize("side", ["frame_width", "frame_height"])
+    def test_bounds_must_be_finite_and_positive(self, side, bad):
+        bounds = {"frame_width": 4.0, "frame_height": 4.0, side: bad}
+        with pytest.raises(ValueError, match=f"{side} must be finite and positive"):
+            MarkerSet([0], [[1.0, 1.0]], **bounds)
 
     def test_empty_and_moved(self):
         assert len(MarkerSet(np.empty(0, np.int64), np.empty((0, 2)))) == 0
@@ -312,6 +330,12 @@ class TestFieldTypes:
         with pytest.raises(ValueError):
             DisplacementField(np.zeros((4, 4, 3)))
 
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf, 0.0, -1.0])
+    def test_displacement_spacing_must_be_finite_and_positive(self, spacing):
+        with pytest.raises(ValueError,
+                           match="spacing_px must be finite and positive"):
+            DisplacementField(np.zeros((4, 4, 2)), spacing)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_diff_of_frame_with_itself_is_zero(self, seed):
@@ -378,6 +402,67 @@ def test_array_types_compare_by_identity(name):
     assert type(x).__name__ == name
     assert x == x
     assert isinstance(x == pickle.loads(pickle.dumps(x)), bool)
+
+
+def _with_caches():
+    """Instances whose values kept on first use are filled: a mask's area
+    and centroid, and a rest marker set's IDW neighbour table."""
+    mask = ContactMask(np.eye(5, dtype=bool), 0.3)
+    mask.centroid()
+    rest = MarkerSet([0, 1, 2], [[1.0, 1.0], [6.0, 1.0], [1.0, 6.0]],
+                     frame_width=8.0, frame_height=8.0)
+    force.interpolate_markers(rest, rest, (4, 4))
+    return {"ContactMask": mask, "MarkerSet": rest}
+
+
+def _arrays(x, seen=None):
+    """Every ndarray reachable from ``x`` through the attributes of the
+    package's objects and through tuples, lists and dicts."""
+    seen = set() if seen is None else seen
+    if id(x) in seen:
+        return
+    seen.add(id(x))
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (tuple, list, dict)):
+        for item in x.values() if isinstance(x, dict) else x:
+            yield from _arrays(item, seen)
+    elif type(x).__module__.startswith("gripsense."):
+        yield from _arrays(vars(x), seen)
+
+
+_CACHED = _with_caches()
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_TYPES) + [
+    f"{name} with caches" for name in sorted(_CACHED)])
+def test_arrays_read_only_when_built_and_unpickled(name):
+    x = (_CACHED[name.split()[0]] if name.endswith(" with caches")
+         else _ARRAY_TYPES[name]())
+    copies = [x] + [pickle.loads(pickle.dumps(x, protocol))
+                    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    copies.append(pickle.loads(pickle.dumps(copies[-1])))
+    for copy in copies:
+        arrays = list(_arrays(copy))
+        assert arrays
+        assert not any(a.flags.writeable for a in arrays)
+        assert len(arrays) == len(list(_arrays(x)))     # caches pickle along
+
+
+def test_every_array_type_is_registered():
+    """A frozen type with an ndarray field holds the read-only invariant
+    only through ``_Frozen`` and is tested only through ``_ARRAY_TYPES``."""
+    found = set()
+    for info in pkgutil.iter_modules(gripsense.__path__):
+        module = importlib.import_module("gripsense." + info.name)
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and any("ndarray" in str(f.type)
+                            for f in dataclasses.fields(obj))):
+                found.add(obj)
+    assert len(found) >= 19
+    assert {cls.__name__ for cls in found} <= set(_ARRAY_TYPES)
+    assert all(issubclass(cls, _Frozen) for cls in found)
 
 
 class TestLbfgs:
