@@ -69,7 +69,6 @@ CONFIG_SPEC: dict[str, tuple[object, object, str]] = {
     "force.grid": (24, _int, "displacement-field grid size per side"),
     "force.frames": (20, _int, "frames streamed by the force subcommand"),
     "slip.threshold_px": (10.0, _float, "slip threshold on the speed difference"),
-    "slip.smooth_window": (3, _int, "trailing frames averaged before differencing"),
     "softness.epochs": (600, _int, "ranker L-BFGS fit: iteration cap"),
     "softness.learning_rate": (0.01, _float, "ranker L-BFGS fit: first step length"),
     "softness.train_trials": (7, _int, "training clips per texture and hardness"),

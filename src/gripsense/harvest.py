@@ -8,27 +8,27 @@ simulated motor current and a slip flag from the marker-versus-object
 velocity rule, so the three strategies differ exactly in how they use those
 two percepts.
 
-The contact seen by the slip rule is a small disc in a square tracking
-window whose centre follows the slid object. It is held as its whole-pixel
-centre, which is exactly its centroid, and marker membership is a distance
-test on the markers' pixels, so a tick does no per-pixel work. The rule
-itself runs the kernels of ``slip.object_velocity`` and
-``slip.marker_velocity`` on the newest frame of a six-frame window.
+The contact seen by the slip rule is a small disc, ``ContactDisc``, in a
+square tracking window whose centre follows the slid object. It is held as
+its whole-pixel centre, which is exactly its centroid, and marker membership
+is a distance test on the markers' pixels, so a tick does no per-pixel work.
+The rule is ``slip.newest_velocity``, as in ``Perception.tick``, over a
+six-frame window with slip's fixed smoothing window of 3 frames.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _Frozen
+from .core import _freeze, _Frozen
 from .force import fit_normal_force, predict_normal_force
 from .sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET, make_force_samples
-from .slip import (DEFAULT_SMOOTH_WINDOW, DEFAULT_THRESHOLD_PX, TICK_WINDOW,
-                   _centroid_velocity, _dragged_velocity, _trailing_mean,
-                   detect_slip)
+from .slip import (DEFAULT_THRESHOLD_PX, TICK_WINDOW, detect_slip,
+                   newest_velocity)
 # Unused here, but bound on purpose: perfbench's span tracer test takes
 # ``harvest.object_velocity`` as its example of a name re-bound across layers.
 from .slip import object_velocity  # noqa: F401
@@ -279,47 +279,30 @@ _FORCE_MODEL = fit_normal_force(np.column_stack(
     make_force_samples(rng=np.random.default_rng(1234))))
 
 
-def _disc_centre(center_px: float) -> tuple[int, int]:
-    """Pixel (column, row) of the contact disc whose centroid tracks the object.
+class ContactDisc:
+    """The trial's contact: a disc of radius ``_DISC_RADIUS_PX`` on the
+    middle row of the tracking window, centred on the whole pixel nearest
+    ``center_px`` and clamped inside the window, so that pixel is exactly
+    its centroid. Its ``area``, ``centroid()`` and ``contains(xy)`` are the
+    painted raster's, without painting it."""
 
-    The disc has radius ``_DISC_RADIUS_PX`` and is clamped to lie inside the
-    ``_TRACK_WINDOW_PX`` square tracking window. It is symmetric about its
-    whole-pixel centre, so that centre is exactly its centroid.
-    """
-    cx = int(round(min(max(center_px, _DISC_RADIUS_PX),
-                       _TRACK_WINDOW_PX - _DISC_RADIUS_PX - 1)))
-    return cx, _TRACK_WINDOW_PX // 2
+    #: the stencil's pixels (dx, dy), dx * dx + dy * dy <= radius ** 2
+    area = sum(2 * math.isqrt(_DISC_RADIUS_PX ** 2 - dy * dy) + 1
+               for dy in range(-_DISC_RADIUS_PX, _DISC_RADIUS_PX + 1))
 
+    def __init__(self, center_px: float):
+        cx = round(min(max(center_px, _DISC_RADIUS_PX),
+                       _TRACK_WINDOW_PX - _DISC_RADIUS_PX - 1))
+        self._centroid = _freeze(np.array([cx, _TRACK_WINDOW_PX // 2], float))
 
-def _disc_contains(centre: tuple[int, int], xy: np.ndarray) -> np.ndarray:
-    """Which of the (N, 2) positions fall on a pixel of the contact disc.
+    def centroid(self) -> np.ndarray:
+        return self._centroid
 
-    Positions snap to the nearest pixel of the tracking window, clipped at
-    its border, as ``ContactMask.contains`` does on a raster.
-    """
-    cols = np.clip(np.rint(xy[:, 0]).astype(int), 0, _TRACK_WINDOW_PX - 1)
-    rows = np.clip(np.rint(xy[:, 1]).astype(int), 0, _TRACK_WINDOW_PX - 1)
-    dc, dr = cols - centre[0], rows - centre[1]
-    return dc * dc + dr * dr <= _DISC_RADIUS_PX * _DISC_RADIUS_PX
-
-
-def _newest_velocities(centres, positions):
-    """Object and marker velocity of the newest frame in the slip window.
-
-    ``centres`` holds the disc centre and ``positions`` the (N, 2) marker
-    positions of each frame in the window, oldest first. The values are the
-    last rows of ``object_velocity`` and ``marker_velocity`` over the same
-    frames' disc masks: the same kernels, smoothed from the window's start.
-    """
-    cents = np.array(centres, dtype=np.float64)
-    v_obj = _centroid_velocity(cents, DEFAULT_SMOOTH_WINDOW)[-1]
-    pos = np.array(positions)
-    pos_s = _trailing_mean(pos.reshape(len(pos), -1), DEFAULT_SMOOTH_WINDOW)
-    step = (pos_s[-1] - pos_s[-2]).reshape(-1, 2)
-    v_mark = _dragged_velocity(step, positions[-1],
-                               _disc_contains(centres[-1], positions[-1]),
-                               lambda: cents[-1])
-    return v_obj, v_mark
+    def contains(self, xy: np.ndarray) -> np.ndarray:
+        """Which of the (N, 2) positions, snapped to the nearest pixel of
+        the window as ``ContactMask.contains`` snaps them, are on the disc."""
+        d = np.clip(np.rint(xy), 0, _TRACK_WINDOW_PX - 1) - self._centroid
+        return (d * d).sum(axis=1) <= _DISC_RADIUS_PX ** 2
 
 
 def _patch_radius_mm(fruit: FruitModel, opening_mm: float) -> float:
@@ -349,7 +332,7 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
                        fruit_type=fruit.fruit_type)
     marker_rest = np.stack(np.meshgrid([-20.0, 0.0, 20.0], [-20.0, 0.0, 20.0]),
                            axis=-1).reshape(-1, 2) + _TRACK_WINDOW_PX / 2.0
-    centres, positions = deque(maxlen=TICK_WINDOW), deque(maxlen=TICK_WINDOW)
+    contacts, positions = deque(maxlen=TICK_WINDOW), deque(maxlen=TICK_WINDOW)
     trace = []
     slip_mm = 0.0
     start_px = 4.0 * _DISC_RADIUS_PX
@@ -377,11 +360,11 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
         f_est = max(0.0, float(predict_normal_force(current, _FORCE_MODEL)))
         trace.append(f_est)
 
-        centres.append(_disc_centre(start_px + slip_mm * px_per_mm))
+        contacts.append(ContactDisc(start_px + slip_mm * px_per_mm))
         positions.append(marker_rest + rng.normal(
             0.0, DEFAULT_MARKER_JITTER_PX, marker_rest.shape))
-        slip_flag = len(centres) >= 2 and detect_slip(
-            *_newest_velocities(centres, positions), threshold_px)
+        slip_flag = len(contacts) >= 2 and detect_slip(
+            *newest_velocity(contacts, positions), threshold_px)
 
         attempt_before = state.attempt
         state = step_controller(state, (slip_flag, f_est), cfg)

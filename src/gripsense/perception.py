@@ -2,10 +2,11 @@
 
 One tick: image diff, RGB-to-normal MLP, Poisson heightmap, contact mask,
 normal force from motor current, shear force from the marker field, and the
-slip rule over the trailing ``slip.TICK_WINDOW`` frames. ``Perception``
-holds the calibrated models, the sensor's flat background and rest marker
-grid, and the slip history the rule reads between ticks. Library calls go
-through their module attribute, so a tracer that re-binds them sees each.
+slip rule over the trailing ``slip.TICK_WINDOW`` frames, run by
+``slip.newest_velocity`` as in harvest trials. ``Perception`` holds the
+calibrated models, the sensor's flat background and rest marker grid, and
+the slip history the rule reads between ticks. Library calls go through
+their module attribute, so a tracer that re-binds them sees each.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ class Perception:
         window = [*self._history, (mask, markers)][-slip.TICK_WINDOW:]
         slipping, speed = False, 0.0
         if len(window) >= 2:
-            masks = [m for m, _ in window]
-            v_obj = slip.object_velocity(masks)[-1]
-            v_mark = slip.marker_velocity([t for _, t in window], masks)[-1]
+            masks, tracks = zip(*window)
+            v_obj, v_mark = slip.newest_velocity(
+                masks, slip.matched_positions(tracks))
             slipping = slip.detect_slip(v_obj, v_mark)
             speed = float(np.linalg.norm(v_obj - v_mark))
         self._history.append((mask, markers))

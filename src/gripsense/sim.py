@@ -46,8 +46,8 @@ _FORCE_RANGE_N = (0.5, 8.0)
 
 # ``make_shear_dataset``: marker tracking jitter (px) and shear force per mm
 # of drag (N/mm).
-_SHEAR_JITTER_PX = 0.3
-_SHEAR_FORCE_PER_MM = 0.8
+SHEAR_JITTER_PX = 0.3
+SHEAR_FORCE_PER_MM = 0.8
 
 # ``default_rig``: LED elevation, per-channel intensity and azimuths (deg).
 _RIG_ELEVATION_DEG = 60.0
@@ -444,8 +444,8 @@ class SlipSequence(_Frozen):
     scores measure perception noise and smoothing lag, nothing else.
     """
 
-    masks: list
-    tracks: list
+    masks: tuple
+    tracks: tuple
     object_track: np.ndarray    # (T, 2) exact centre, px
     marker_speed: np.ndarray    # (T,) exact jitter-free marker speed, px/frame
     labels: np.ndarray          # (T,) bool
@@ -460,6 +460,10 @@ class SlipSequence(_Frozen):
         for name in ("object_track", "marker_speed", "true_diff"):
             self._keep(name, getattr(self, name))
         self._keep("labels", self.labels, bool)
+        for name in ("masks", "tracks"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not len(self.masks) == len(self.tracks) == len(self.labels):
+            raise ValueError("masks, tracks and labels differ in length")
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -662,9 +666,9 @@ def make_shear_dataset(n: int = 300, gel: GelModel = GelModel(),
         ang = rng.uniform(0.0, 2.0 * np.pi)
         shear = mag * np.array([np.cos(ang), np.sin(ang)])
         moved = deform_markers(rest, mask, shear, "translation", gel)
-        moved = moved.moved(rng.normal(0.0, _SHEAR_JITTER_PX, moved.xy.shape))
+        moved = moved.moved(rng.normal(0.0, SHEAR_JITTER_PX, moved.xy.shape))
         pairs.append((rest, moved, mask))
-        labels[i] = _SHEAR_FORCE_PER_MM * shear * (1.0 + rng.normal(0.0, 0.08)) \
+        labels[i] = SHEAR_FORCE_PER_MM * shear * (1.0 + rng.normal(0.0, 0.08)) \
             + rng.normal(0.0, 0.02, 2)
     return pairs, labels
 

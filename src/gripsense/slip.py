@@ -4,9 +4,11 @@ threshold rule, and the frame-level evaluation harness.
 The rule is deliberately simple: a frame is a slip frame when the contact
 region's centroid moves strictly more than ``threshold_px`` pixels per frame
 relative to the mean motion of the markers inside that region. Centroids and
-marker trajectories are smoothed with a short trailing moving average first
-(window 3 by default, window 1 disables it) because single-pixel centroid
-jitter otherwise dominates the finite difference.
+marker trajectories are smoothed with a trailing moving average over a fixed
+window of 3 frames first, because single-pixel centroid jitter otherwise
+dominates the finite difference. ``object_velocity`` and ``marker_velocity``
+give whole series; ``newest_velocity``, the one entry of the perception tick
+and of harvest trials, gives the newest frame of a window alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .core import HeightMap, MarkerSet, _Adopt, _freeze, _Frozen
 
 DEFAULT_THRESHOLD_PX = 10.0
 DEFAULT_CONTACT_THRESHOLD_MM = 0.3
-DEFAULT_SMOOTH_WINDOW = 3
+#: Frames of the trailing moving average of centroids and marker positions.
+_SMOOTH_WINDOW = 3
 #: Frames of contact and marker history the slip rule sees each tick.
 TICK_WINDOW = 6
 
@@ -78,11 +81,9 @@ class ContactMask(_Frozen):
 
     def contains(self, xy: np.ndarray) -> np.ndarray:
         """Membership test for (N, 2) pixel positions (x, y)."""
-        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-        h, w = self.values.shape
-        cols = np.clip(np.rint(xy[:, 0]).astype(int), 0, w - 1)
-        rows = np.clip(np.rint(xy[:, 1]).astype(int), 0, h - 1)
-        return self.values[rows, cols]
+        cells = np.rint(np.reshape(xy, (-1, 2))).astype(int)
+        np.clip(cells, 0, np.array(self.values.shape[::-1]) - 1, out=cells)
+        return self.values[cells[:, 1], cells[:, 0]]
 
 
 def segment_contact(h: HeightMap, threshold_mm: float = DEFAULT_CONTACT_THRESHOLD_MM) -> ContactMask:
@@ -109,40 +110,29 @@ def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
     return total / count.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
-def _centroid_velocity(cents: np.ndarray, smooth_window: int) -> np.ndarray:
-    """Velocity (T, 2) over one run of contact frames from their centroids.
-
-    The centroids are smoothed over the run, so the run's first row is its
-    start; that row gets zero velocity.
-    """
+def _centroid_velocity(cents: np.ndarray) -> np.ndarray:
+    """Velocity (T, 2) over one run of contact frames from their centroids,
+    smoothed over the run, so its first row, the run's start, gets zero."""
     v = np.zeros((cents.shape[0], 2))
-    v[1:] = np.diff(_trailing_mean(cents, smooth_window), axis=0)
+    v[1:] = np.diff(_trailing_mean(cents, _SMOOTH_WINDOW), axis=0)
     return v
 
 
-def _nearest_four(xy: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    """Indices of the four of the (N, 2) markers ``xy`` nearest a region's
-    centroid, ties to the lower index: they stand in for the markers the
-    region drags when noise leaves none inside it."""
-    return np.argsort(np.linalg.norm(xy - centroid, axis=1), kind="stable")[:4]
+def _member_velocity(steps: np.ndarray, inside: np.ndarray, xy: np.ndarray,
+                     contacts) -> np.ndarray:
+    """Mean (L, 2) of the (L, N, 2) marker steps over the markers each of L
+    contacts drags: those ``inside`` it (L, N, filled in place), else the
+    four of its positions ``xy`` (L, N, 2) nearest its centroid, ties to the
+    lower index. Zeros stand in for the others in the sum, which keeps the
+    bits of a mean over the members alone."""
+    for row in np.flatnonzero(~inside.any(axis=1)):
+        d = np.linalg.norm(xy[row] - contacts[row].centroid(), axis=1)
+        inside[row, np.argsort(d, kind="stable")[:4]] = True
+    return (np.add.reduce(steps * inside[:, :, None], axis=1)
+            / inside.sum(axis=1)[:, None])
 
 
-def _dragged_velocity(step: np.ndarray, xy: np.ndarray, inside: np.ndarray,
-                      centroid) -> np.ndarray:
-    """Mean (2,) of the per-marker steps (N, 2) over the markers a region drags.
-
-    Those are the markers ``inside`` it, or ``_nearest_four`` when none is.
-    ``centroid`` is a zero-argument callable, evaluated only for that
-    fallback.
-    """
-    if not inside.any():
-        inside = np.zeros(len(xy), dtype=bool)
-        inside[_nearest_four(xy, centroid())] = True
-    return step[inside].mean(axis=0)
-
-
-def object_velocity(masks: Sequence[ContactMask],
-                    smooth_window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
+def object_velocity(masks: Sequence[ContactMask]) -> np.ndarray:
     """Per-frame centroid velocity (T, 2) px/frame.
 
     Each maximal run of frames with contact is smoothed on its own, so a
@@ -157,29 +147,15 @@ def object_velocity(masks: Sequence[ContactMask],
         run = list(run)
         if contact:
             v[at:at + len(run)] = _centroid_velocity(
-                np.array([m.centroid() for m in run]), smooth_window)
+                np.array([m.centroid() for m in run]))
         at += len(run)
     return v
 
 
-def marker_velocity(tracks: Sequence[MarkerSet],
-                    masks: ContactMask | Sequence[ContactMask],
-                    smooth_window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
-    """Mean velocity (T, 2) of the markers inside the contact region.
-
-    Membership is evaluated against the frame's own mask (or a single static
-    mask). If noise momentarily leaves no marker inside the region, the four
-    markers nearest the region centroid stand in, so the series stays defined.
-    A frame without contact has no region and gets zero velocity. Markers
-    are matched by id: when a frame lost some, the series follows the ids
-    every frame holds, and only a window with no common id raises.
-    """
-    if len(tracks) < 2:
-        raise ValueError("need at least 2 frames of marker tracks")
-    if isinstance(masks, ContactMask):
-        masks = [masks] * len(tracks)
-    if len(masks) != len(tracks):
-        raise ValueError("masks and tracks length mismatch")
+def matched_positions(tracks: Sequence[MarkerSet]) -> np.ndarray:
+    """Positions (T, N, 2) of the marker ids every frame holds: the frames'
+    own rows, or the shared ids in id order when a frame lost some. A window
+    with no common id raises ``ValueError``."""
     xys = [t.xy for t in tracks]
     if any(not np.array_equal(t.ids, tracks[0].ids) for t in tracks[1:]):
         ids = reduce(np.intersect1d, [t.ids for t in tracks])
@@ -187,28 +163,62 @@ def marker_velocity(tracks: Sequence[MarkerSet],
             raise ValueError("no marker id is common to every frame")
         xys = [t.xy[np.intersect1d(t.ids, ids, return_indices=True)[1]]
                for t in tracks]
-    pos = np.array(xys)                           # (T, N, 2)
-    pos_s = _trailing_mean(pos.reshape(len(tracks), -1), smooth_window).reshape(pos.shape)
+    return np.array(xys)
+
+
+def marker_velocity(tracks: Sequence[MarkerSet],
+                    masks: ContactMask | Sequence[ContactMask]) -> np.ndarray:
+    """Mean velocity (T, 2) of the markers inside the contact region.
+
+    Membership is evaluated against the frame's own mask (or a single static
+    mask). If noise momentarily leaves no marker inside the region, the four
+    markers nearest the region centroid stand in, so the series stays defined.
+    A frame without contact has no region and gets zero velocity. Markers
+    are matched by id (``matched_positions``).
+    """
+    if len(tracks) < 2:
+        raise ValueError("need at least 2 frames of marker tracks")
+    if isinstance(masks, ContactMask):
+        masks = [masks] * len(tracks)
+    if len(masks) != len(tracks):
+        raise ValueError("masks and tracks length mismatch")
+    pos = matched_positions(tracks)
     v = np.zeros((len(tracks), 2))
     live = 1 + np.flatnonzero([m.area > 0 for m in masks[1:]])
     if not live.size:
         return v
     # ContactMask.contains of every live frame at once: snap to the nearest
     # pixel, clip to each mask's raster, then one gather per mask
-    cells = np.rint(pos[live]).astype(int)
+    live_xy = pos[live]
+    cells = np.rint(live_xy).astype(int)
     top = np.array([masks[t].values.shape[::-1] for t in live]) - 1
     np.clip(cells, 0, top[:, None, :], out=cells)
     inside = np.array([masks[t].values[c[:, 1], c[:, 0]]
                        for t, c in zip(live, cells)])
-    for row in np.flatnonzero(~inside.any(axis=1)):
-        t = live[row]
-        inside[row, _nearest_four(pos[t], masks[t].centroid())] = True
-    # each frame's members' steps summed in marker order, the others as
-    # zeros: the bits of _dragged_velocity's mean over the members alone
-    steps = pos_s[live] - pos_s[live - 1]
-    v[live] = (np.add.reduce(steps * inside[:, :, None], axis=1)
-               / inside.sum(axis=1)[:, None])
+    pos_s = _trailing_mean(pos, _SMOOTH_WINDOW)
+    v[live] = _member_velocity(pos_s[live] - pos_s[live - 1], inside, live_xy,
+                               [masks[t] for t in live])
     return v
+
+
+def newest_velocity(contacts: Sequence, xy) -> tuple[np.ndarray, np.ndarray]:
+    """Object and marker velocity (2,) of the newest frame of a window: the
+    last rows of ``object_velocity(contacts)`` and ``marker_velocity`` over
+    the same frames, bit for bit, with marker membership and the member
+    mean found for that frame alone. Of each contact, oldest first, the rule
+    reads only ``area``, ``centroid()`` and ``contains(xy)``; ``xy`` holds
+    the (T, N, 2) marker positions, matched as ``matched_positions`` does."""
+    xy = np.asarray(xy, dtype=np.float64)
+    if len(contacts) < 2 or len(xy) != len(contacts):
+        raise ValueError("need at least 2 frames, each with a contact and "
+                         "marker positions")
+    last = contacts[-1]
+    if last.area == 0:
+        return np.zeros(2), np.zeros(2)
+    pos_s = _trailing_mean(xy, _SMOOTH_WINDOW)
+    return object_velocity(contacts)[-1], _member_velocity(
+        (pos_s[-1] - pos_s[-2])[None], last.contains(xy[-1])[None], xy[-1:],
+        [last])[0]
 
 
 def detect_slip(obj_v: np.ndarray, marker_v: np.ndarray,
@@ -244,11 +254,10 @@ class SlipReport(_Frozen):
 
 
 def analyze_sequence(masks: Sequence[ContactMask], tracks: Sequence[MarkerSet],
-                     threshold_px: float = DEFAULT_THRESHOLD_PX,
-                     smooth_window: int = DEFAULT_SMOOTH_WINDOW) -> SlipReport:
+                     threshold_px: float = DEFAULT_THRESHOLD_PX) -> SlipReport:
     """Run the full per-frame detector over one trial."""
-    ov = object_velocity(masks, smooth_window)
-    mv = marker_velocity(tracks, masks, smooth_window)
+    ov = object_velocity(masks)
+    mv = marker_velocity(tracks, masks)
     diff = np.linalg.norm(ov - mv, axis=1)
     return SlipReport(ov, mv, diff, diff > threshold_px, threshold_px)
 

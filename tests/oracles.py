@@ -449,11 +449,12 @@ def trailing_mean_reference(x, window):
     return out
 
 
-def marker_velocity_reference(tracks, masks, smooth_window=3):
+def marker_velocity_reference(tracks, masks):
     """``slip.marker_velocity`` as first written: one frame at a time, the
     markers ``ContactMask.contains`` finds inside the frame's mask, or the
     four nearest its centroid when none is, averaged with a boolean-index
-    mean; ids matched by intersection when a frame lost some."""
+    mean; ids matched by intersection when a frame lost some; positions
+    smoothed over slip's fixed window of 3 frames."""
     from functools import reduce
     from gripsense.slip import ContactMask
     if isinstance(masks, ContactMask):
@@ -465,7 +466,7 @@ def marker_velocity_reference(tracks, masks, smooth_window=3):
                for t in tracks]
     pos = np.array(xys)
     pos_s = trailing_mean_reference(pos.reshape(len(tracks), -1),
-                                    smooth_window).reshape(pos.shape)
+                                    3).reshape(pos.shape)
     steps = np.diff(pos_s, axis=0)
     v = np.zeros((len(tracks), 2))
     for t in range(1, len(tracks)):

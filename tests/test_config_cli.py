@@ -92,7 +92,6 @@ class TestConfig:
         "force.shear_samples": (sim.make_shear_dataset, "n"),
         "force.grid": (force.build_shear_features, "grid"),
         "slip.threshold_px": (slip.analyze_sequence, "threshold_px"),
-        "slip.smooth_window": (slip.analyze_sequence, "smooth_window"),
         "softness.epochs": (softness.train_ranker, "epochs"),
         "softness.learning_rate": (softness.train_ranker, "learning_rate"),
         "softness.frames": (softness.build_clip_library, "n_frames"),

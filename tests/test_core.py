@@ -1,5 +1,6 @@
 """Shared types, differencing and the text file formats."""
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -463,6 +464,34 @@ def test_every_array_type_is_registered():
     assert len(found) >= 19
     assert {cls.__name__ for cls in found} <= set(_ARRAY_TYPES)
     assert all(issubclass(cls, _Frozen) for cls in found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    """Each rule has one owner: outside ``core``, whose docstring declares
+    the kernels it shares, no module of the package imports an underscore
+    name of another or reads one through the other module's name."""
+    root = os.path.dirname(gripsense.__file__)
+    offences = []
+    for info in pkgutil.iter_modules(gripsense.__path__):
+        with open(os.path.join(root, info.name + ".py")) as f:
+            tree = ast.parse(f.read())
+        modules = {}                              # local name -> module
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif node.module != "core" and alias.name.startswith("_"):
+                    offences.append(f"{info.name}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and modules.get(node.value.id, "core") != "core"
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                offences.append(f"{info.name}: {node.value.id}.{node.attr}")
+    assert not offences
 
 
 class TestLbfgs:

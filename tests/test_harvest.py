@@ -234,34 +234,34 @@ class TestRunTrial:
 
 
 class TestContactDisc:
-    """The analytic contact disc against the painted raster it replaces."""
+    """The contact disc against the painted raster it replaces."""
 
     @pytest.mark.parametrize("center_px", [-50.0, 0.0, 7.6, 8.0, 8.5, 9.5,
                                            32.0, 100.25, 311.0, 311.4,
                                            311.6, 400.0])
     def test_centroid_is_the_clamped_centre(self, center_px):
-        centre = harvest._disc_centre(center_px)
-        raster = paint_disc_mask(center_px).centroid()
-        assert np.array_equal(np.array(centre, dtype=np.float64), raster)
+        disc = harvest.ContactDisc(center_px)
+        raster = paint_disc_mask(center_px)
+        assert disc.centroid().tobytes() == raster.centroid().tobytes()
+        assert disc.area == raster.area == 197
 
     def test_membership_matches_raster(self):
         r = np.random.default_rng(5)
         centres = np.concatenate([r.uniform(-20.0, 340.0, 40),
                                   [8.0, 311.0, -1.0, 330.0]])
         for center_px in centres:
-            centre = harvest._disc_centre(center_px)
+            disc = harvest.ContactDisc(center_px)
+            cx, cy = disc.centroid()
             # markers near the disc, on every pixel of its stencil square,
             # and past the window border
             yy, xx = np.mgrid[-9:10, -9:10]
             xy = np.column_stack([
-                np.concatenate([r.normal(centre[0], 6.0, 200),
-                                xx.ravel() + centre[0],
+                np.concatenate([r.normal(cx, 6.0, 200), xx.ravel() + cx,
                                 r.uniform(-30.0, 350.0, 50)]),
-                np.concatenate([r.normal(centre[1], 6.0, 200),
-                                yy.ravel() + centre[1],
+                np.concatenate([r.normal(cy, 6.0, 200), yy.ravel() + cy,
                                 r.uniform(-30.0, 350.0, 50)])])
             raster = paint_disc_mask(center_px).contains(xy)
-            got = harvest._disc_contains(centre, xy)
+            got = disc.contains(xy)
             assert raster.any()
             assert np.array_equal(got, raster)
 

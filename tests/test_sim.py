@@ -1,5 +1,7 @@
 """Synthetic sensor: shapes, rendering, marker motion, sequence generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,18 @@ class TestSlipSequence:
         assert len(a.tracks) == 120 and a.labels.shape == (120,)
         assert np.array_equal(a.object_track, b.object_track)
         assert np.allclose(a.tracks[50].xy, b.tracks[50].xy)
+
+    def test_frames_are_its_own_and_one_per_label(self):
+        seq = self._seq(n=20)
+        masks, tracks = list(seq.masks), list(seq.tracks)
+        kept = dataclasses.replace(seq, masks=masks, tracks=tracks)
+        masks.append(masks[0])
+        tracks.pop()
+        assert len(kept) == len(kept.tracks) == 20
+        assert kept.masks == seq.masks and kept.tracks == seq.tracks
+        for bad in ({"masks": masks}, {"tracks": tracks}):
+            with pytest.raises(ValueError, match="differ in length"):
+                dataclasses.replace(seq, **bad)
 
     def test_labels_consistent_with_true_diff(self):
         seq = self._seq(load=50.0)

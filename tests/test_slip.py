@@ -62,7 +62,7 @@ class TestSegmentation:
 class TestObjectVelocity:
     def test_constant_motion_after_warmup(self):
         centers = [(20.0 + 2.0 * t, 30.0) for t in range(10)]
-        v = slip.object_velocity(_disc_masks(centers), smooth_window=1)
+        v = slip.object_velocity(_disc_masks(centers))
         assert v.shape == (10, 2)
         assert np.allclose(v[0], 0.0)
         assert np.allclose(v[3:, 0], 2.0, atol=0.1)
@@ -74,9 +74,10 @@ class TestObjectVelocity:
 
     def test_smoothing_reduces_jitter(self):
         centers = [(30.0 + rng.normal(0, 1.5), 30.0) for _ in range(40)]
-        raw = slip.object_velocity(_disc_masks(centers), smooth_window=1)
-        smooth = slip.object_velocity(_disc_masks(centers), smooth_window=3)
-        assert np.std(smooth[5:, 0]) < np.std(raw[5:, 0])
+        masks = _disc_masks(centers)
+        raw = np.diff([m.centroid() for m in masks], axis=0)
+        smooth = slip.object_velocity(masks)
+        assert np.std(smooth[5:, 0]) < np.std(raw[4:, 0])
 
     def test_needs_two_frames(self):
         with pytest.raises(ValueError):
@@ -118,8 +119,8 @@ class TestMarkerVelocity:
         tracks = [MarkerSet(np.arange(9), base + [1.5 * t, 0.0])
                   for t in range(n)]
         masks = _disc_masks([(44.0, 44.0)] * n, r=20.0)
-        v = slip.marker_velocity(tracks, masks, smooth_window=1)
-        assert np.allclose(v[2:, 0], 1.5, atol=0.2)
+        v = slip.marker_velocity(tracks, masks)
+        assert np.allclose(v[3:, 0], 1.5, atol=0.2)
 
     def test_single_static_mask_accepted(self):
         tracks = _static_tracks(5, rng.uniform(20, 70, (6, 2)))
@@ -134,9 +135,9 @@ class TestMarkerVelocity:
         tracks = [MarkerSet(np.arange(5), xy + [0.5 * t, 0.0])
                   for t in range(6)]
         masks = _disc_masks([(48.0, 48.0)] * 6, r=3.0)
-        v = slip.marker_velocity(tracks, masks, smooth_window=1)
+        v = slip.marker_velocity(tracks, masks)
         assert np.all(np.isfinite(v))
-        assert np.allclose(v[2:, 0], 0.5, atol=0.2)
+        assert np.allclose(v[3:, 0], 0.5, atol=0.2)
 
     def test_no_contact_frame_gets_zero(self):
         base = np.array([[40.0 + i * 2, 40.0 + j * 2]
@@ -185,32 +186,29 @@ class TestMarkerVelocityOracle:
         return sim.make_slip_benchmark(seed=4, repeats=1, n_frames=40)
 
     @staticmethod
-    def _same(tracks, masks, smooth_window=3):
-        got = slip.marker_velocity(tracks, masks, smooth_window)
-        want = marker_velocity_reference(tracks, masks, smooth_window)
+    def _same(tracks, masks):
+        got = slip.marker_velocity(tracks, masks)
+        want = marker_velocity_reference(tracks, masks)
         assert got.tobytes() == want.tobytes()
         return got
 
-    @pytest.mark.parametrize("smooth_window", [1, 3])
-    def test_slip_benchmark_series_and_windows(self, seqs, smooth_window):
+    def test_slip_benchmark_series_and_windows(self, seqs):
         for seq in seqs:
-            self._same(seq.tracks, seq.masks, smooth_window)
+            self._same(seq.tracks, seq.masks)
             for t in range(0, len(seq.masks) - 6, 5):
-                self._same(seq.tracks[t:t + 6], seq.masks[t:t + 6],
-                           smooth_window)
+                self._same(seq.tracks[t:t + 6], seq.masks[t:t + 6])
 
-    @pytest.mark.parametrize("smooth_window", [1, 3])
-    def test_many_markers_inside(self, smooth_window):
+    def test_many_markers_inside(self):
         """Dozens of members a frame, each with its own step, so the sum's
         order shows in the bits."""
-        r = np.random.default_rng(smooth_window)
+        r = np.random.default_rng(3)
         gx, gy = np.meshgrid(np.arange(9.0), np.arange(9.0))
         base = 20.0 + 7.0 * np.column_stack([gx.ravel(), gy.ravel()])
         tracks = [MarkerSet(np.arange(81), base + r.normal(0.0, 2.0, (81, 2)))
                   for _ in range(8)]
         masks = _disc_masks([(48.0 + t, 46.0) for t in range(8)], r=30.0)
         assert min(m.contains(k.xy).sum() for m, k in zip(masks, tracks)) > 40
-        self._same(tracks, masks, smooth_window)
+        self._same(tracks, masks)
 
     def test_window_with_a_no_contact_frame(self, seqs):
         seq = seqs[0]
@@ -231,7 +229,6 @@ class TestMarkerVelocityOracle:
         for t in range(1, 6, 2):
             assert not masks[t].contains(tracks[t].xy).any()
         self._same(tracks, masks)
-        self._same(tracks, masks, 1)
 
     def test_dropout_window(self, seqs):
         seq = seqs[1]
@@ -241,6 +238,67 @@ class TestMarkerVelocityOracle:
             keep = np.flatnonzero(~np.isin(ids, lost))[::-1]
             tracks[t] = MarkerSet(ids[keep], tracks[t].xy[keep])
         self._same(tracks, seq.masks[20:26])
+
+
+_FRAME = st.tuples(
+    st.sampled_from(("none", "far", "disc")),   # the frame's contact
+    st.sets(st.integers(0, 5), max_size=3),      # marker ids it lost
+    st.floats(38.0, 58.0), st.floats(38.0, 58.0), st.floats(4.0, 30.0))
+
+
+class TestNewestVelocity:
+    """The newest-frame entry against the last rows of the two series."""
+
+    @staticmethod
+    def _window(frames, seed):
+        """Masks and tracks of one window: contacts that are missing, far
+        from every marker (the nearest-four fallback) or a disc among the
+        markers, and frames that lost some of markers 0-5 in shuffled rows."""
+        r = np.random.default_rng(seed)
+        gx, gy = np.meshgrid(np.arange(4.0), np.arange(3.0))
+        base = 30.0 + 12.0 * np.column_stack([gx.ravel(), gy.ravel()])
+        drift = r.normal(0.0, 2.0, 2)
+        masks, tracks = [], []
+        for t, (kind, lost, cx, cy, radius) in enumerate(frames):
+            masks.append(_EMPTY if kind == "none" else _disc_masks(
+                [(cx, cy) if kind == "disc" else (92.0, 3.0)],
+                r=radius if kind == "disc" else 2.0)[0])
+            xy = base + t * drift + r.normal(0.0, 1.5, base.shape)
+            keep = r.permutation(np.setdiff1d(np.arange(12), list(lost)))
+            tracks.append(MarkerSet(keep, xy[keep]))
+        return masks, tracks
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_FRAME, min_size=2, max_size=6), st.integers(0, 2**32 - 1))
+    def test_bits_of_the_series_last_rows(self, frames, seed):
+        masks, tracks = self._window(frames, seed)
+        v_obj, v_mark = slip.newest_velocity(masks,
+                                             slip.matched_positions(tracks))
+        want_obj = slip.object_velocity(masks)[-1]
+        want_mark = slip.marker_velocity(tracks, masks)[-1]
+        assert v_obj.tobytes() == want_obj.tobytes()
+        assert v_mark.tobytes() == want_mark.tobytes()
+
+    def test_window_cases_occur(self):
+        """The window above reaches the fallback, a broken run and dropout."""
+        frames = [("disc", set(), 48.0, 48.0, 20.0), ("none", {1}, 0, 0, 4.0),
+                  ("disc", {2, 4}, 50.0, 47.0, 20.0), ("far", set(), 0, 0, 4.0)]
+        masks, tracks = self._window(frames, 7)
+        assert not masks[3].contains(tracks[3].xy).any()
+        assert len(slip.matched_positions(tracks)[0]) == 9
+        v_obj, v_mark = slip.newest_velocity(
+            masks[:3], slip.matched_positions(tracks[:3]))
+        assert not v_obj.any() and v_mark.any()     # a run starts anew
+        v_obj, v_mark = slip.newest_velocity(masks,
+                                             slip.matched_positions(tracks))
+        assert v_obj.any() and v_mark.any()
+
+    def test_checks_the_window(self):
+        masks = _disc_masks([(40.0, 40.0)] * 3)
+        xy = np.zeros((3, 4, 2))
+        for contacts, positions in ((masks[:1], xy[:1]), (masks, xy[:2])):
+            with pytest.raises(ValueError, match="at least 2 frames, each"):
+                slip.newest_velocity(contacts, positions)
 
 
 def _flags(ov, mv, threshold):
@@ -283,9 +341,9 @@ class TestAnalyzeSequence:
     def test_consistent_with_components(self):
         scene = sim.GraspScene(load_g=50.0)
         seq = sim.synth_slip_sequence(scene, 80, rng=np.random.default_rng(1))
-        report = slip.analyze_sequence(seq.masks, seq.tracks, 10.0, 3)
-        ov = slip.object_velocity(seq.masks, 3)
-        mv = slip.marker_velocity(seq.tracks, seq.masks, 3)
+        report = slip.analyze_sequence(seq.masks, seq.tracks, 10.0)
+        ov = slip.object_velocity(seq.masks)
+        mv = slip.marker_velocity(seq.tracks, seq.masks)
         assert np.array_equal(report.object_v, ov)
         assert np.array_equal(report.marker_v, mv)
         assert np.array_equal(report.flags, _flags(ov, mv, 10.0))
