@@ -93,18 +93,33 @@ def _check_nonempty(v: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be non-empty, got shape {v.shape}")
 
 
+def _ints(values, n: int, what: str) -> tuple:
+    """``values`` as n Python ints, or ValueError unless it is n integers
+    (bools excluded)."""
+    values = tuple(values) if np.iterable(values) else (values,)
+    if len(values) != n or not all(isinstance(b, (int, np.integer))
+                                   and not isinstance(b, (bool, np.bool_))
+                                   for b in values):
+        raise ValueError(f"{what} must be {n} integers, got {values}")
+    return tuple(int(b) for b in values)
+
+
 def _check_support(box, shape) -> tuple:
     """The window (r0, r1, c0, c1) as Python ints, or ValueError unless it is
     four integers with 0 <= r0 <= r1 <= H and 0 <= c0 <= c1 <= W."""
-    box = tuple(box) if np.iterable(box) else (box,)
-    if len(box) != 4 or not all(isinstance(b, (int, np.integer))
-                                and not isinstance(b, (bool, np.bool_))
-                                for b in box):
-        raise ValueError(f"support must be four integers, got {box}")
-    r0, r1, c0, c1 = (int(b) for b in box)
+    r0, r1, c0, c1 = _ints(box, 4, "support")
     if not (0 <= r0 <= r1 <= shape[0] and 0 <= c0 <= c1 <= shape[1]):
         raise ValueError(f"support {box} is not a window of a {shape} raster")
     return r0, r1, c0, c1
+
+
+def _check_frame_shape(shape) -> tuple:
+    """``shape`` as (H, W) Python ints, or ValueError unless it is two
+    positive integers."""
+    h, w = _ints(shape, 2, "frame_shape")
+    if h < 1 or w < 1:
+        raise ValueError(f"frame_shape must be positive, got {shape}")
+    return h, w
 
 
 def _check_positive(value, what: str) -> None:
@@ -350,26 +365,44 @@ class DiffFrame(_Frozen):
 
 @dataclass(frozen=True, eq=False)
 class NormalMap(_Frozen):
-    """Per-pixel unit surface normals (nx, ny, nz) with nz > 0.
+    """Unit surface normals (nx, ny, nz) with nz > 0 of an (H, W) frame,
+    held for its contact window only.
 
     ``support`` is the contact window (r0, r1, c0, c1), rows r0:r1 and
-    columns c0:c1, outside which the gel is taken to be undeformed; None is
-    the whole frame, and r0 == r1 or c0 == c1 an empty window (no contact).
-    ``geometry.predict_normals`` writes exactly (0, 0, 1) outside its window.
+    columns c0:c1, outside which the gel is taken to be undeformed and the
+    normal is (0, 0, 1) by definition; r0 == r1 or c0 == c1 is an empty
+    window (no contact). ``values`` holds the window's normals, of shape
+    (r1 - r0, c1 - c0, 3), and ``frame_shape`` the frame's (H, W), which a
+    window needs. None is the whole frame: ``values`` is then the (H, W, 3)
+    raster, and ``frame_shape`` defaults to its (H, W). ``raster()`` gives
+    the whole frame's normals.
     """
 
-    values: np.ndarray          # (H, W, 3)
+    values: np.ndarray          # (r1 - r0, c1 - c0, 3)
     support: tuple | None = None
+    frame_shape: tuple | None = None
 
     def __post_init__(self):
         v = self._keep("values", self.values)
         if v.ndim != 3 or v.shape[2] != 3:
-            raise ValueError(f"values must be (H, W, 3), got {v.shape}")
-        _check_nonempty(v, "normal map")
-        if self.support is not None:
-            object.__setattr__(self, "support",
-                               _check_support(self.support, v.shape[:2]))
-        # |n| - 1 accumulated in one (H, W) buffer, each square taken in one
+            raise ValueError(f"values must be (h, w, 3), got {v.shape}")
+        if self.support is None:
+            _check_nonempty(v, "normal map")
+            shape = (v.shape[:2] if self.frame_shape is None
+                     else _check_frame_shape(self.frame_shape))
+            window = (0, shape[0], 0, shape[1])
+        else:
+            shape = _check_frame_shape(self.frame_shape)
+            window = _check_support(self.support, shape)
+            object.__setattr__(self, "support", window)
+        r0, r1, c0, c1 = window
+        if v.shape[:2] != (r1 - r0, c1 - c0):
+            raise ValueError(f"values of shape {v.shape} do not fill the "
+                             f"window {window}")
+        object.__setattr__(self, "frame_shape", shape)
+        if v.size == 0:
+            return
+        # |n| - 1 accumulated in one (h, w) buffer, each square taken in one
         # reused scratch plane; a NaN in any component makes the largest
         # deviation NaN, which fails the test
         dev = np.square(v[:, :, 0])
@@ -383,6 +416,17 @@ class NormalMap(_Frozen):
             raise ValueError("normals must be unit length to 1e-6")
         if np.min(v[:, :, 2]) <= 0:
             raise ValueError("nz must be positive everywhere")
+
+    def raster(self) -> np.ndarray:
+        """A fresh, writeable (H, W, 3) array of the whole frame's normals:
+        ``values`` inside the window, (0, 0, 1) outside it."""
+        if self.support is None:
+            return self.values.copy()
+        out = np.zeros(self.frame_shape + (3,))
+        out[:, :, 2] = 1.0
+        r0, r1, c0, c1 = self.support
+        out[r0:r1, c0:c1] = self.values
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,18 +23,19 @@ window that ``predict_normals`` reads off the frame's largest-channel |diff|
 and hands on as ``NormalMap.support``: the rows and columns with at least 8
 pixels above 0.06 (6 sigma of the sensor noise), plus an 8 px margin.
 Outside the window the gel is taken to be undeformed: its normals are
-exactly (0, 0, 1) and its height is zero, and zero Dirichlet data on the
-window's edge is the assumption the whole-frame solve makes on the frame's
-edge. A frame without contact gets flat normals and zero height without an
-MLP call or a solve. A gripper contact covers about a 100x100 box of a
-240x320 frame, so besides writing the flat normal, the |diff| pass that
-finds the window is the only inference work done on every pixel.
+(0, 0, 1) by definition, so a ``NormalMap`` holds only the window's, and
+its height is zero. Zero Dirichlet data on the window's edge is the
+assumption the whole-frame solve makes on the frame's edge. A frame
+without contact gets an empty window and zero height without an MLP call
+or a solve. A gripper contact covers about a 100x100 box of a 240x320
+frame, so the |diff| pass that finds the window is the only inference work
+done on every pixel.
 
 Both tick stages write their result once, into the array they return, and
 hand it to ``NormalMap`` or ``HeightMap`` wrapped in ``core._Adopt``, so the
 type checks it in place instead of copying it. ``predict_normals`` hands
 the MLP the window one band of whole rows at a time and writes each band's
-normals straight into its (H, W, 3) output; ``integrate_normals`` builds
+normals straight into its window-sized output; ``integrate_normals`` builds
 both slope fields, one after the other, in one buffer that then serves as
 the Poisson solve's work array. The reason is page faults: whether glibc
 serves a fresh full-frame array from pages it holds or from newly mapped
@@ -351,15 +352,16 @@ def _mlp(model: Rgb2NormalModel, feats: np.ndarray,
 
 def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     """Per-pixel inference inside the contact window; output normals are
-    unit length with nz > 0, and exactly (0, 0, 1) outside the window.
+    unit length with nz > 0, held for the window only: outside it they are
+    (0, 0, 1) by definition.
 
     The result's ``support`` is the contact window, read off the frame's
     float32 largest-channel |diff|: the rows and columns with at least
     ``_HOT_COUNT`` pixels above ``_HOT_TAU``, widened by ``_WINDOW_MARGIN``
-    px and clipped to the frame, or an empty window when no row or no column
-    has that many. That one pass is all the work outside the window, where
-    the gel is taken to be undeformed and gets the flat normal; a frame
-    without contact makes no MLP call.
+    px and clipped to the frame, or the empty window (0, 0, 0, 0) when no
+    row or no column has that many. That one pass is all the work outside
+    the window, where the gel is taken to be undeformed; a frame without
+    contact makes no MLP call and holds a (0, 0, 3) array.
 
     It runs the float32 MLP on every window pixel (``_mlp``), which agrees
     with the float64 ``_forward`` to about 1e-6 per component; its (nx, ny)
@@ -380,19 +382,19 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     r0, r1 = _span(np.bincount(hot // w, minlength=h))
     c0, c1 = _span(np.bincount(hot % w, minlength=w))
     del hot
-    out = np.zeros((h, w, 3))
-    out[:, :, 2] = 1.0
     if r1 <= r0 or c1 <= c0:
-        return NormalMap(_Adopt(out), (0, 0, 0, 0))
+        return NormalMap(_Adopt(np.empty((0, 0, 3))), (0, 0, 0, 0), (h, w))
     support = (r0, r1, c0, c1)
+    out = np.empty((r1 - r0, c1 - c0, 3))
     _window_normals(model, v, support, out)
-    return NormalMap(_Adopt(out), support)
+    return NormalMap(_Adopt(out), support, (h, w))
 
 
 def _window_normals(model: Rgb2NormalModel, values: np.ndarray,
                     window: tuple, out: np.ndarray) -> None:
-    """Write the normals of ``predict_normals`` into ``out`` inside
-    ``window`` = (r0, r1, c0, c1), from the frame's diff ``values``.
+    """Write the normals of ``predict_normals`` inside ``window`` =
+    (r0, r1, c0, c1) of the frame's diff ``values`` into ``out``, an
+    (r1 - r0, c1 - c0, 3) array.
 
     The window goes to ``_mlp`` in bands of whole rows, about ``_BAND_PX``
     pixels each, whose features are sliced into one reused (rows, w, 5)
@@ -401,7 +403,7 @@ def _window_normals(model: Rgb2NormalModel, values: np.ndarray,
     r0, r1, c0, c1 = window
     xn, yn = _grid_coords(*values.shape[:2])
     yn = yn[r0:r1]
-    values, out = values[r0:r1, c0:c1], out[r0:r1, c0:c1]
+    values = values[r0:r1, c0:c1]
     h, w = out.shape[:2]
     step = max(1, _BAND_PX // w)
     feats = np.empty((min(step, h), w, 5), np.float32)
@@ -458,11 +460,11 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     agrees with a sparse direct solve to 1e-13 relative up to 480x640.
     """
     _check_positive(px_per_mm, "px_per_mm")
-    full = np.zeros(n.values.shape[:2])
+    full = np.zeros(n.frame_shape)
     if min(full.shape) < 3:
         raise ValueError("normal map too small to integrate")
     r0, r1, c0, c1 = n.support or (0, full.shape[0], 0, full.shape[1])
-    v = n.values[r0:r1, c0:c1]
+    v = n.values
     h, w = v.shape[:2]
     if h < 3 or w < 3:                  # no interior, nothing to solve
         return HeightMap(_Adopt(full), px_per_mm)
@@ -480,9 +482,13 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     rhs += gy[2:]
     rhs -= gy[:-2]
     rhs /= 2.0
-    _poisson_solve(rhs, full[r0 + 1:r1 - 1, c0 + 1:c1 - 1],
-                   buf[:rhs.size].reshape(rhs.shape))
-    full -= full.min()
+    interior = full[r0 + 1:r1 - 1, c0 + 1:c1 - 1]
+    _poisson_solve(rhs, interior, buf[:rhs.size].reshape(rhs.shape))
+    # The frame's minimum is min(0, interior's minimum), for the height is 0
+    # off the interior; a minimum of 0 leaves the gauge as it is.
+    low = interior.min()
+    if low < 0.0:
+        full -= low
     return HeightMap(_Adopt(full), px_per_mm)
 
 

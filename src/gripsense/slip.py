@@ -167,19 +167,17 @@ def matched_positions(tracks: Sequence[MarkerSet]) -> np.ndarray:
 
 
 def marker_velocity(tracks: Sequence[MarkerSet],
-                    masks: ContactMask | Sequence[ContactMask]) -> np.ndarray:
+                    masks: Sequence[ContactMask]) -> np.ndarray:
     """Mean velocity (T, 2) of the markers inside the contact region.
 
-    Membership is evaluated against the frame's own mask (or a single static
-    mask). If noise momentarily leaves no marker inside the region, the four
-    markers nearest the region centroid stand in, so the series stays defined.
+    Membership is evaluated against the frame's own mask. If noise
+    momentarily leaves no marker inside the region, the four markers nearest
+    the region centroid stand in, so the series stays defined.
     A frame without contact has no region and gets zero velocity. Markers
     are matched by id (``matched_positions``).
     """
     if len(tracks) < 2:
         raise ValueError("need at least 2 frames of marker tracks")
-    if isinstance(masks, ContactMask):
-        masks = [masks] * len(tracks)
     if len(masks) != len(tracks):
         raise ValueError("masks and tracks length mismatch")
     pos = matched_positions(tracks)

@@ -456,9 +456,6 @@ def marker_velocity_reference(tracks, masks):
     mean; ids matched by intersection when a frame lost some; positions
     smoothed over slip's fixed window of 3 frames."""
     from functools import reduce
-    from gripsense.slip import ContactMask
-    if isinstance(masks, ContactMask):
-        masks = [masks] * len(tracks)
     xys = [t.xy for t in tracks]
     if any(not np.array_equal(t.ids, tracks[0].ids) for t in tracks[1:]):
         ids = reduce(np.intersect1d, [t.ids for t in tracks])

@@ -98,7 +98,8 @@ class TestNormalMap:
     def test_support_window_kept_as_ints(self, support):
         n = np.zeros((4, 5, 3))
         n[:, :, 2] = 1.0
-        got = NormalMap(n, support).support
+        r0, r1, c0, c1 = support
+        got = NormalMap(n[r0:r1, c0:c1], support, (4, 5)).support
         assert got == tuple(int(b) for b in support)
         assert all(type(b) is int for b in got)
         assert NormalMap(n).support is None
@@ -111,7 +112,66 @@ class TestNormalMap:
         n = np.zeros((4, 5, 3))
         n[:, :, 2] = 1.0
         with pytest.raises(ValueError, match="support"):
-            NormalMap(n, support)
+            NormalMap(n, support, (4, 5))
+
+    @pytest.mark.parametrize("values_shape, support, frame_shape", [
+        ((4, 5, 3), (0, 4, 0, 4), (4, 5)), ((2, 3, 3), (1, 3, 0, 2), (4, 5)),
+        ((3, 2, 3), (1, 3, 0, 2), (4, 5)), ((1, 1, 3), (0, 0, 0, 0), (4, 5)),
+        ((0, 0, 3), (1, 1, 2, 4), (4, 5)), ((4, 5, 3), None, (4, 6))])
+    def test_window_shape_must_fill_its_support(self, values_shape, support,
+                                                frame_shape):
+        n = np.zeros(values_shape)
+        n[:, :, 2] = 1.0
+        with pytest.raises(ValueError, match="do not fill the window"):
+            NormalMap(n, support, frame_shape)
+
+    @pytest.mark.parametrize("frame_shape", [
+        None, (4,), (4, 5, 3), (0, 5), (4, -1), (4.0, 5), (True, 5), "45"])
+    def test_window_needs_a_frame_shape(self, frame_shape):
+        with pytest.raises(ValueError, match="frame_shape"):
+            NormalMap(np.zeros((0, 0, 3)), (0, 0, 0, 0), frame_shape)
+
+    def test_raster_is_fresh_and_flat_outside_the_window(self):
+        r = np.random.default_rng(5)
+        window = np.dstack([r.normal(0.0, 0.2, (3, 4, 2)), np.ones((3, 4))])
+        window /= np.linalg.norm(window, axis=2, keepdims=True)
+        nm = NormalMap(window, (1, 4, 2, 6), (6, 7))
+        assert nm.frame_shape == (6, 7) and nm.values.shape == (3, 4, 3)
+        got = nm.raster()
+        assert got.shape == (6, 7, 3) and got.flags.writeable
+        assert not np.shares_memory(got, nm.values)
+        assert not nm.values.flags.writeable
+        assert np.array_equal(got[1:4, 2:6], window)
+        got[1:4, 2:6] = (0.0, 0.0, 1.0)
+        assert np.all(got == (0.0, 0.0, 1.0))
+        assert np.array_equal(nm.values, window)            # unchanged
+        whole = NormalMap(nm.raster())
+        assert whole.frame_shape == (6, 7) and whole.support is None
+        again = whole.raster()
+        assert again.flags.writeable and not np.shares_memory(again,
+                                                              whole.values)
+        assert np.array_equal(again, whole.values)
+
+    def test_empty_window_is_flat_and_integrates_to_zero(self):
+        nm = NormalMap(np.zeros((0, 0, 3)), (0, 0, 0, 0), (6, 7))
+        assert nm.values.shape == (0, 0, 3) and nm.frame_shape == (6, 7)
+        want = np.zeros((6, 7, 3))
+        want[:, :, 2] = 1.0
+        assert np.array_equal(nm.raster(), want)
+        hm = geometry.integrate_normals(nm, 4.0)
+        assert hm.values.shape == (6, 7)
+        assert hm.values.tobytes() == np.zeros((6, 7)).tobytes()
+
+    @pytest.mark.parametrize("component", [0, 2])
+    def test_window_checked_for_unit_length(self, component):
+        n = np.zeros((2, 3, 3))
+        n[:, :, 2] = 1.0
+        n[1, 2, component] = 0.5
+        with pytest.raises(ValueError, match="unit length"):
+            NormalMap(n, (1, 3, 0, 3), (4, 4))
+        n[1, 2] = (0.0, 0.0, -1.0)
+        with pytest.raises(ValueError, match="nz must be positive"):
+            NormalMap(n, (1, 3, 0, 3), (4, 4))
 
     @pytest.mark.parametrize("component", [0, 2])
     def test_nan_component_rejected(self, component):
@@ -364,6 +424,7 @@ _ARRAY_TYPES = {
     "TactileFrame": lambda: TactileFrame(np.zeros((8, 8, 3)), 4.0),
     "DiffFrame": lambda: DiffFrame(np.zeros((8, 8, 3)), 4.0),
     "NormalMap": lambda: NormalMap(_flat(4, 4)),
+    "NormalMap window": lambda: NormalMap(_flat(2, 3), (1, 3, 0, 3), (4, 4)),
     "HeightMap": lambda: _HEIGHT,
     "MarkerSet": lambda: MarkerSet([0, 1], [[1.0, 2.0], [3.0, 4.0]]),
     "ScalarField": lambda: ScalarField(np.zeros((3, 3))),
@@ -400,7 +461,7 @@ def test_array_types_compare_by_identity(name):
     """A field-wise ``==`` would ask an ndarray for one truth value and
     raise; these types compare by identity instead."""
     x = _ARRAY_TYPES[name]()
-    assert type(x).__name__ == name
+    assert type(x).__name__ == name.split()[0]
     assert x == x
     assert isinstance(x == pickle.loads(pickle.dumps(x)), bool)
 
@@ -635,7 +696,7 @@ def test_pipeline_runs_with_scipy_blocked():
         "model = geometry.Rgb2NormalModel(*[r.normal(0, 0.3, s) for s in shapes])\n"
         "normals = geometry.predict_normals(core.diff_image(fg, bg), model)\n"
         "hm = geometry.integrate_normals(normals, 2.0)\n"
-        "field = core.DisplacementField(normals.values[:, :, :2], 1.0, (0.0, 0.0))\n"
+        "field = core.DisplacementField(normals.raster()[:, :, :2], 1.0, (0.0, 0.0))\n"
         "parts = force.hhd_decompose(field)\n"
         "fruit = SimpleNamespace(stiffness_n_mm=1.0, diameter_mm=18.0,\n"
         "                        fruit_type='strawberry')\n"

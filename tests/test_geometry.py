@@ -123,10 +123,11 @@ class TestFit:
         frame = _press_fixture(n=1, seed=3)[0][0]
         nm = geometry.predict_normals(frame, model)
         assert isinstance(nm, NormalMap)
-        assert nm.values.shape == frame.values.shape
-        norms = np.linalg.norm(nm.values, axis=2)
+        n = nm.raster()
+        assert n.shape == frame.values.shape
+        norms = np.linalg.norm(n, axis=2)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
-        assert nm.values[:, :, 2].min() > 0
+        assert n[:, :, 2].min() > 0
 
 
 def _params(model):
@@ -291,7 +292,7 @@ def _reference_normals(frame, model):
 def _inside(normals):
     """The (H, W) mask of the normal map's contact window."""
     r0, r1, c0, c1 = normals.support
-    inside = np.zeros(normals.values.shape[:2], bool)
+    inside = np.zeros(normals.frame_shape, bool)
     inside[r0:r1, c0:c1] = True
     return inside
 
@@ -301,7 +302,7 @@ def _check_prediction(frame, model):
     and within ``ORACLE_NORMAL_TOL`` of the float32 kernel on every pixel
     inside it. Returns the normal map."""
     normals = geometry.predict_normals(frame, model)
-    got = normals.values
+    got = normals.raster()
     assert np.max(np.abs(np.linalg.norm(got, axis=2) - 1.0)) < 1e-9
     assert got[:, :, 2].min() > 0
     inside = _inside(normals)
@@ -382,7 +383,7 @@ class TestInference:
         assert np.mean(np.isclose(tangential, geometry._NORM_CLAMP,
                                   rtol=0, atol=1e-12)) > 0.5
         normals = _check_prediction(frame, loud)
-        tangential = np.linalg.norm(normals.values[:, :, :2], axis=2)
+        tangential = np.linalg.norm(normals.raster()[:, :, :2], axis=2)
         assert np.max(tangential) <= geometry._NORM_CLAMP + 1e-12
         assert np.any(np.isclose(tangential, geometry._NORM_CLAMP,
                                  rtol=0, atol=1e-12)[_inside(normals)])
@@ -448,7 +449,9 @@ class TestIntegration:
         r = np.random.default_rng(4)
         n = np.dstack([r.normal(0.0, 0.3, (17, 23, 2)), np.ones((17, 23))])
         n /= np.linalg.norm(n, axis=2, keepdims=True)
-        got = geometry.integrate_normals(NormalMap(n, support), 2.5).values
+        r0, r1, c0, c1 = support
+        got = geometry.integrate_normals(
+            NormalMap(n[r0:r1, c0:c1], support, (17, 23)), 2.5).values
         if zero:                    # empty, or no interior: no solve
             assert np.array_equal(got, np.zeros((17, 23)))
             return
@@ -485,7 +488,7 @@ class TestContactWindow:
         normals = geometry.predict_normals(diff, model)
         assert normals.support == contact_window_reference(diff.values)
         got = geometry.integrate_normals(normals, diff.px_per_mm).values
-        want = windowed_poisson_reference(normals.values, normals.support,
+        want = windowed_poisson_reference(normals.raster(), normals.support,
                                           diff.px_per_mm)
         assert np.max(np.abs(got - want)) <= 1e-10 * max(np.max(want), 1e-300)
         return normals.support, got

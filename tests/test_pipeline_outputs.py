@@ -25,10 +25,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from gripsense import force, geometry, sim, slip
 from gripsense.core import HeightMap, NormalMap, TactileFrame, diff_image
-from gripsense.perception import FIELD_GRID
+from gripsense.perception import FIELD_GRID, Perception
 from oracles import (ORACLE_NORMAL_TOL, full_frame_normals_reference,
                      height_tolerance_mm)
-from recipes import criterion8_geometry_model, criterion8_shear_model
+from recipes import (criterion8_geometry_model, criterion8_models,
+                     criterion8_shear_model)
 
 SHAPE = (240, 320)
 
@@ -60,7 +61,7 @@ def _cases(model, frames) -> list:
 
 def _outputs() -> list:
     """[diff, normals, heights] rasters of every case under the criterion-8
-    model."""
+    model, the normals as ``NormalMap.raster`` gives the whole frame."""
     background, frames = _grasp()
     ppm = background.px_per_mm
     out = []
@@ -68,7 +69,7 @@ def _outputs() -> list:
         diff = diff_image(frame, background)
         normals = geometry.predict_normals(diff, m)
         height = geometry.integrate_normals(normals, ppm)
-        out.append([diff.values, normals.values, height.values])
+        out.append([diff.values, normals.raster(), height.values])
     return out
 
 
@@ -219,19 +220,22 @@ def test_normals_match_the_full_frame_oracle(model, grasp, monkeypatch):
         made = len(calls)
         heights = geometry.integrate_normals(normals, ppm).values
         want = full_frame_normals_reference(diff.values, m)
-        want_heights = geometry.integrate_normals(
-            NormalMap(want, normals.support), ppm).values
         r0, r1, c0, c1 = normals.support
+        want_heights = geometry.integrate_normals(
+            NormalMap(want[r0:r1, c0:c1], normals.support, SHAPE), ppm).values
         supports.append(normals.support)
         inside = np.zeros(SHAPE, bool)
         inside[r0:r1, c0:c1] = True
-        assert np.all(normals.values[~inside] == (0.0, 0.0, 1.0))
-        assert np.max(np.abs(normals.values - want)[inside],
+        got = normals.raster()
+        assert np.array_equal(got[inside].reshape(normals.values.shape),
+                              normals.values)
+        assert np.all(got[~inside] == (0.0, 0.0, 1.0))
+        assert np.max(np.abs(got - want)[inside],
                       initial=0.0) <= ORACLE_NORMAL_TOL
         assert (np.max(np.abs(heights - want_heights))
                 <= height_tolerance_mm(want_heights))
         if normals.support == (0, h, 0, w):
-            assert np.array_equal(normals.values, want)
+            assert np.array_equal(got, want)
             assert np.array_equal(heights, want_heights)
         if not inside.any():
             assert made == 0 and not heights.any()
@@ -255,7 +259,7 @@ def test_windowed_heights_match_the_cropped_solve(model, grasp):
         if r1 - r0 < 3 or c1 - c0 < 3:
             assert np.array_equal(got, np.zeros(SHAPE))
             continue
-        crop = NormalMap(normals.values[r0:r1, c0:c1])
+        crop = NormalMap(normals.values)
         want = np.pad(geometry.integrate_normals(crop, ppm).values,
                       ((r0, h - r1), (c0, w - c1)), mode="edge")
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
@@ -274,28 +278,28 @@ def grasp():
     return _grasp()
 
 
-# The most a stage may hold at once while it runs, its output included, as a
-# multiple of the output's bytes. numpy reports its array allocations to
-# tracemalloc, so the figure is the same on every run.
-ALLOCATION_BUDGET = {"diff_image": 1.1, "predict_normals": 2.0,
-                     "integrate_normals": 5.5}
+# The most a stage may hold at once while it runs, its output included, in
+# bytes per frame pixel. numpy reports its array allocations to tracemalloc,
+# so the figure is the same on every run. The diff is 24 B a pixel and the
+# heights 8; the normals are 24 B a window pixel, so their stage holds the
+# most on the saturated frame, whose window is the whole frame.
+ALLOCATION_BUDGET = {"diff_image": 26.4, "predict_normals": 48.0,
+                     "integrate_normals": 44.0}
 
 
-def _peak_ratio(run) -> float:
-    """The most ``run()`` holds at once, its output included, in multiples
-    of the output's bytes."""
+def _peak_bytes(run) -> int:
+    """The most ``run()`` holds at once, its result included, in bytes."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        out = run()
-        peak = tracemalloc.get_traced_memory()[1] - base
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    return peak / out.values.nbytes
 
 
 @pytest.mark.parametrize("stage", sorted(ALLOCATION_BUDGET))
@@ -304,6 +308,7 @@ def test_stage_allocation_within_budget(model, grasp, stage):
     press one each, and the saturated frame's is the whole frame."""
     background, frames = grasp
     ppm = background.px_per_mm
+    h, w = SHAPE
     for frame in frames:
         diff = diff_image(frame, background)
         normals = geometry.predict_normals(diff, model)
@@ -312,7 +317,33 @@ def test_stage_allocation_within_budget(model, grasp, stage):
                "integrate_normals":
                    lambda: geometry.integrate_normals(normals, ppm),
                }[stage]
-        assert _peak_ratio(run) <= ALLOCATION_BUDGET[stage]
+        assert _peak_bytes(run) <= ALLOCATION_BUDGET[stage] * h * w
+
+
+# The most one ``Perception.tick`` may hold at once at 240x320: bytes per
+# frame pixel for the whole-frame rasters (diff, largest |diff|, heights,
+# mask) plus bytes per pixel of the contact window for its normals and
+# Poisson buffers. At 48 B a pixel, the grasp ticks fit only when the
+# normals are held for the window alone.
+TICK_BUDGET_PER_PX = 48.0
+TICK_BUDGET_PER_WINDOW_PX = 40.0
+
+
+def test_tick_allocation_within_budget(grasp):
+    """Two passes over the grasp, the first tick filling the rest markers'
+    IDW table: each tick's peak within its frame and window budget."""
+    background, frames = grasp
+    rest = sim.marker_grid(sim.GelModel(), background.px_per_mm, SHAPE)
+    perception = Perception(*criterion8_models(), background, rest)
+    r = np.random.default_rng(3)
+    for frame in frames * 2:
+        markers = rest.moved(r.normal(0.0, 0.3, rest.xy.shape))
+        r0, r1, c0, c1 = geometry.predict_normals(
+            diff_image(frame, background), perception.geometry_model).support
+        budget = (TICK_BUDGET_PER_PX * SHAPE[0] * SHAPE[1]
+                  + TICK_BUDGET_PER_WINDOW_PX * (r1 - r0) * (c1 - c0))
+        peak = _peak_bytes(lambda: perception.tick(frame, markers, 2.6))
+        assert peak <= budget
 
 
 def _frame(kind, shape, level, seed):
@@ -342,7 +373,7 @@ def test_pipeline_outputs_hold_their_invariants(model, kind, h, w, level, seed):
                         (height.values, (normals.values,))):
         assert not out.flags.writeable
         assert not any(np.shares_memory(out, a) for a in inputs)
-    n = normals.values
+    n = normals.raster()
     assert np.max(np.abs(np.linalg.norm(n, axis=2) - 1.0)) <= 1e-6
     assert n[:, :, 2].min() > 0
     assert np.all(np.isfinite(height.values))

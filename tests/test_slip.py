@@ -122,12 +122,6 @@ class TestMarkerVelocity:
         v = slip.marker_velocity(tracks, masks)
         assert np.allclose(v[3:, 0], 1.5, atol=0.2)
 
-    def test_single_static_mask_accepted(self):
-        tracks = _static_tracks(5, rng.uniform(20, 70, (6, 2)))
-        mask = slip.ContactMask(_disc(96, 45, 45, 30), 0.3)
-        v = slip.marker_velocity(tracks, mask)
-        assert np.allclose(v, 0.0, atol=1e-12)
-
     def test_nearest_marker_fallback_when_none_inside(self):
         # markers all sit far outside a tiny contact disc
         xy = np.array([[5.0, 5.0], [90.0, 5.0], [5.0, 90.0],
