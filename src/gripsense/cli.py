@@ -309,20 +309,21 @@ def _cmd_harvest(args, cfg: Config) -> int:
     f_idx = _FRUIT_TYPES.index(args.fruit)
     n = cfg["harvest.trials"]
     outcomes = []
+    for trial in range(n):
+        # seeded exactly like the paired experiment loop, so runs with a
+        # different strategy but the same seed see identical fruits
+        seq = np.random.SeedSequence((args.seed, f_idx, trial))
+        fruit = harvest.sample_fruit(args.fruit,
+                                     np.random.default_rng(seq.spawn(1)[0]))
+        outcomes.append(harvest.run_trial(
+            fruit, strategy_cfg, seed=seq.spawn(1)[0],
+            diameter_noise_mm=cfg["harvest.diameter_noise_mm"],
+            px_per_mm=cfg["harvest.px_per_mm"],
+            threshold_px=cfg["slip.threshold_px"]))
+    # written once every trial has run, so a bad setting writes nothing
     with _out_stream(args.out) as f:
         f.write("trial,success,attempts,peak_force_n,failure_mode\n")
-        for trial in range(n):
-            # seeded exactly like the paired experiment loop, so runs with a
-            # different strategy but the same seed see identical fruits
-            seq = np.random.SeedSequence((args.seed, f_idx, trial))
-            fruit = harvest.sample_fruit(args.fruit,
-                                         np.random.default_rng(seq.spawn(1)[0]))
-            outcome = harvest.run_trial(
-                fruit, strategy_cfg, seed=seq.spawn(1)[0],
-                diameter_noise_mm=cfg["harvest.diameter_noise_mm"],
-                px_per_mm=cfg["harvest.px_per_mm"],
-                threshold_px=cfg["slip.threshold_px"])
-            outcomes.append(outcome)
+        for trial, outcome in enumerate(outcomes):
             f.write(f"{trial},{int(outcome.success)},{outcome.attempts},"
                     f"{outcome.peak_force_n:.4f},{outcome.failure_mode}\n")
     peaks = np.array([o.peak_force_n for o in outcomes])

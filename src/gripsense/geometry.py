@@ -23,13 +23,15 @@ window that ``predict_normals`` reads off the frame's largest-channel |diff|
 and hands on as ``NormalMap.support``: the rows and columns with at least 8
 pixels above 0.06 (6 sigma of the sensor noise), plus an 8 px margin.
 Outside the window the gel is taken to be undeformed: its normals are
-(0, 0, 1) by definition, so a ``NormalMap`` holds only the window's, and
-its height is zero. Zero Dirichlet data on the window's edge is the
-assumption the whole-frame solve makes on the frame's edge. A frame
-without contact gets an empty window and zero height without an MLP call
-or a solve. A gripper contact covers about a 100x100 box of a 240x320
-frame, so the |diff| pass that finds the window is the only inference work
-done on every pixel.
+(0, 0, 1) by definition, so a ``NormalMap`` holds only the window's.
+The solve takes zero height on the window's edge, the assumption the
+whole-frame solve makes on the frame's edge; the min-0 gauge then lifts
+the frame by minus the interior's minimum, so outside the window the
+height is one constant c >= 0, not zero. A frame without contact gets an
+empty window and exactly zero height without an MLP call or a solve. A
+gripper contact covers about a 100x100 box of a 240x320 frame, so the
+|diff| pass that finds the window is the only inference work done on
+every pixel.
 
 Both tick stages write their result once, into the array they return, and
 hand it to ``NormalMap`` or ``HeightMap`` wrapped in ``core._Adopt``, so the
@@ -447,12 +449,14 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     grad h = g; the equation laplacian(h) = div g is solved inside the
     normal map's ``support`` window, the whole frame when it has none, with
     zero height on the window's edge: the gel is undeformed there, as it is
-    on the frame's edge. Outside the window the height is zero, and the
-    result is gauge-fixed so its minimum is exactly 0. An empty window, or
-    one under 3 px on a side, has no interior and gives zero height without
-    a solve. Solving only where the contact is also keeps the noise slopes
-    of untouched gel out of the solution, where the whole-frame solve
-    integrates them into a low-frequency offset.
+    on the frame's edge. The result is gauge-fixed so its minimum is
+    exactly 0, which lifts the frame by minus the interior's minimum when
+    that is negative: outside the window the height is that one constant
+    c >= 0, not zero. An empty window, or one under 3 px on a side, has no
+    interior and gives zero height without a solve. Solving only where the
+    contact is also keeps the noise slopes of untouched gel out of the
+    solution, where the whole-frame solve integrates them into a
+    low-frequency offset.
 
     The interior 5-point system is solved exactly in float64 by
     ``core._poisson_solve``, fast diagonalization with the type-I sine

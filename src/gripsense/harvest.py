@@ -13,7 +13,11 @@ square tracking window whose centre follows the slid object. It is held as
 its whole-pixel centre, which is exactly its centroid, and marker membership
 is a distance test on the markers' pixels, so a tick does no per-pixel work.
 The rule is ``slip.newest_velocity``, as in ``Perception.tick``, over a
-six-frame window with slip's fixed smoothing window of 3 frames.
+six-frame window with slip's fixed smoothing window of 3 frames. The
+controller reads the slip flag only while pulling under a closed-loop
+strategy (``_reads_slip``), so a trial computes the flag on those ticks
+alone; every tick still draws its noise and extends the window, so the
+flag on a reading tick is the one an every-tick rule would give.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze, _Frozen
+from .core import _check_positive, _freeze, _Frozen
 from .force import fit_normal_force, predict_normal_force
 from .sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET, make_force_samples
 from .slip import (DEFAULT_THRESHOLD_PX, TICK_WINDOW, detect_slip,
@@ -223,6 +227,12 @@ def _close_target(state: GraspState, cfg: StrategyConfig) -> float:
     return max(0.0, state.measured_diameter_mm - squeeze)
 
 
+def _reads_slip(state: GraspState, cfg: StrategyConfig) -> bool:
+    """Whether ``step_controller`` reads the slip flag in ``state``: only
+    while pulling, and only under a closed-loop strategy."""
+    return state.state == "hold_pull" and cfg.strategy != "open_loop"
+
+
 def step_controller(state: GraspState, percepts, cfg: StrategyConfig) -> GraspState:
     """One tick of the grasp state machine.
 
@@ -256,7 +266,7 @@ def step_controller(state: GraspState, percepts, cfg: StrategyConfig) -> GraspSt
             return moved(state="hold_pull", phase_ticks=0)
         return moved(opening_mm=max(target, state.opening_mm - CLOSING_SPEED_MM))
     if state.state == "hold_pull":
-        if slip_flag and cfg.strategy != "open_loop":
+        if slip_flag and _reads_slip(state, cfg):
             if state.attempt >= cfg.max_retries:
                 return moved(state="done")
             return moved(state="retry", phase_ticks=0)
@@ -321,8 +331,19 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
     displacement exceeding the contact patch radius (the drop rule). The
     force trace holds the per-tick normal-force estimates the controller
     actually saw: the motor current, with ``sim.CURRENT_NOISE`` added,
-    decoded by the fixed ``_FORCE_MODEL``.
+    decoded by the fixed ``_FORCE_MODEL``. The slip flag is computed only
+    on the ticks where the controller reads it (``_reads_slip``); the
+    others hand it False, which it ignores.
+
+    Raises ``ValueError`` unless ``diameter_noise_mm`` is finite and
+    non-negative and ``px_per_mm`` and ``threshold_px`` are finite and
+    positive.
     """
+    if not (diameter_noise_mm >= 0 and math.isfinite(diameter_noise_mm)):
+        raise ValueError("diameter_noise_mm must be finite and non-negative, "
+                         f"got {diameter_noise_mm}")
+    _check_positive(px_per_mm, "px_per_mm")
+    _check_positive(threshold_px, "threshold_px")
     rng = np.random.default_rng(seed)
     measured = fruit.diameter_mm + (
         rng.normal(0.0, diameter_noise_mm) if diameter_noise_mm > 0 else 0.0)
@@ -363,7 +384,9 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
         contacts.append(ContactDisc(start_px + slip_mm * px_per_mm))
         positions.append(marker_rest + rng.normal(
             0.0, DEFAULT_MARKER_JITTER_PX, marker_rest.shape))
-        slip_flag = len(contacts) >= 2 and detect_slip(
+        # A trial pulls only after detect, approach and close, so a reading
+        # tick has at least 4 frames in the window.
+        slip_flag = _reads_slip(state, cfg) and detect_slip(
             *newest_velocity(contacts, positions), threshold_px)
 
         attempt_before = state.attempt

@@ -416,6 +416,20 @@ class TestHarvestCommand:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("setting", ["harvest.diameter_noise_mm = -1.0",
+                                         "harvest.px_per_mm = 0.0",
+                                         "slip.threshold_px = -1.0"])
+    def test_bad_trial_setting_is_an_error(self, tmp_path, capsys, setting):
+        cfg = _write(tmp_path / "bad.cfg", f"harvest.trials = 8\n{setting}\n")
+        out = tmp_path / "trials.csv"
+        rc = cli.main(["harvest-sim", "--strategy", "open_loop", "--fruit",
+                       "strawberry", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        key = setting.split("=")[0].split(".")[1].strip()
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
     def test_fruits_paired_across_strategies(self, tmp_path, capsys):
         # the same seed and fruit draws feed every strategy, so outcomes
         # differ only through control behaviour

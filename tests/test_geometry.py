@@ -498,6 +498,24 @@ class TestContactWindow:
         assert support == (0, 0, 0, 0)
         assert np.array_equal(height, np.zeros(self.SHAPE))
 
+    @pytest.mark.parametrize("centres", [[(15.0, 10.0)], [(1.0, 11.0)],
+                                         [(7.0, 6.0), (23.0, 16.0)]])
+    def test_height_outside_window_is_the_gauge_constant(self, centres,
+                                                          criterion8_model):
+        # The solve is 0 on the window's edge and off it; the min-0 gauge
+        # then lifts the whole frame by minus the interior's minimum, so
+        # the height outside the window is one constant c >= 0, not zero
+        # (about 7 um for the first contact here).
+        support, height = self._check(self._render(centres), criterion8_model)
+        r0, r1, c0, c1 = support
+        outside = np.ones(self.SHAPE, bool)
+        outside[r0:r1, c0:c1] = False
+        c = height[outside]
+        assert c.size and np.all(c == c[0]) and c[0] >= 0.0
+        assert height.min() == 0.0
+        _, flat = self._check(self._render([], 0.0), criterion8_model)
+        assert np.array_equal(flat, np.zeros(self.SHAPE))
+
     def test_isolated_spikes_open_no_window(self, criterion8_model):
         diff = self._render([], 0.0, seed=1)
         values = diff.values.copy()

@@ -179,6 +179,47 @@ class TestController:
         assert s.peak_force_n == pytest.approx(2.5)
 
 
+class TestReadsSlip:
+    """``_reads_slip`` against ``step_controller``: the slip flag changes a
+    step only where the predicate says the controller reads it, so a trial
+    that computes the flag only there hands the controller the same
+    decisions."""
+
+    @staticmethod
+    def _inputs():
+        """Every state, with phase ticks and attempts on both sides of
+        ``HOLD_TICKS`` and the default ``max_retries`` of 3, forces on both
+        sides of the commanded force, and openings above and below the
+        close target."""
+        hold = harvest.HOLD_TICKS
+        for name in harvest.STATES:
+            for phase in (0, 1, hold - 1, hold, hold + 1):
+                for attempt in (1, 2, 3, 4):
+                    for opening in (20.0, 30.0):
+                        s = _state(state=name, phase_ticks=phase,
+                                   attempt=attempt, opening_mm=opening,
+                                   commanded_force_n=1.2)
+                        for f_n in (0.0, 1.0, 2.5):
+                            yield s, f_n
+
+    @pytest.mark.parametrize("strategy", harvest.STRATEGIES)
+    def test_flag_matters_only_where_read(self, strategy):
+        cfg = harvest.StrategyConfig(strategy=strategy)
+        read, changed = 0, 0
+        for s, f_n in self._inputs():
+            flagged = harvest.step_controller(s, (True, f_n), cfg)
+            clear = harvest.step_controller(s, (False, f_n), cfg)
+            if harvest._reads_slip(s, cfg):
+                read += 1
+                changed += flagged != clear
+            else:
+                assert flagged == clear, (s, f_n)
+        if strategy == "open_loop":
+            assert read == 0
+        else:
+            assert changed > 0
+
+
 class TestTrialOutcome:
     def test_success_requires_mode_none(self):
         with pytest.raises(ValueError):
@@ -222,6 +263,22 @@ class TestRunTrial:
         assert blind.failure_mode == "bruise"
         assert careful.success
         assert careful.peak_force_n < blind.peak_force_n
+
+    @pytest.mark.parametrize("kw", [
+        {"diameter_noise_mm": -1.0}, {"diameter_noise_mm": np.nan},
+        {"diameter_noise_mm": np.inf}, {"px_per_mm": 0.0},
+        {"px_per_mm": -24.0}, {"px_per_mm": np.nan}, {"px_per_mm": np.inf},
+        {"threshold_px": 0.0}, {"threshold_px": -1.0},
+        {"threshold_px": np.nan}, {"threshold_px": np.inf}])
+    @pytest.mark.parametrize("strategy", harvest.STRATEGIES)
+    def test_rejects_bad_settings(self, kw, strategy):
+        # unchecked, a negative or NaN noise reads as no noise and a bad
+        # pitch or threshold as a slip drop or a bruise; the threshold is
+        # checked up front, for an open-loop trial never reads it
+        berry = harvest.sample_fruit("strawberry", np.random.default_rng(0))
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            harvest.run_trial(berry, harvest.StrategyConfig(strategy=strategy),
+                              seed=1, **kw)
 
     def test_force_trace_covers_trial(self):
         out = harvest.run_trial(TOMATO,
@@ -306,31 +363,50 @@ class TestTrialAgainstRasterLoop:
         assert len(modes) >= 2
 
     def test_slip_rule_sees_reference_velocities(self, monkeypatch):
-        # the velocities reaching the threshold rule, bit for bit: a slip
-        # window other than the last six frames would shift their rounding
-        seen = []
+        # The velocities reaching the threshold rule, bit for bit: a slip
+        # window other than the last six frames would shift their rounding.
+        # The reference runs the rule on every tick; harvest must run it on
+        # exactly the ticks whose flag the controller reads, those in
+        # hold_pull under a closed-loop strategy, and on no other.
+        pending, ticks = [], []
 
         def recording(obj_v, marker_v, threshold_px=10.0):
-            seen.append((np.array(obj_v), np.array(marker_v)))
+            pending.append((np.array(obj_v), np.array(marker_v)))
             return slip_rule(obj_v, marker_v, threshold_px)
 
-        slip_rule = slip.detect_slip
+        def stepping(state, percepts, cfg):
+            assert len(pending) <= 1
+            ticks.append((state.state, pending.pop() if pending else None))
+            return step(state, percepts, cfg)
+
+        def run(trial, fruit, cfg, seed):
+            ticks.clear()
+            trial(fruit, cfg, seed=seed)
+            assert not pending
+            return list(ticks)
+
+        slip_rule, step = slip.detect_slip, harvest.step_controller
         monkeypatch.setattr(harvest, "detect_slip", recording)
         monkeypatch.setattr(slip, "detect_slip", recording)
+        monkeypatch.setattr(harvest, "step_controller", stepping)
+        calls = dict.fromkeys(harvest.STRATEGIES, 0)
         for n, (fruit, seed) in enumerate(_criterion7_grid()):
             if n % 10:
                 continue
             for strategy in harvest.STRATEGIES:
                 cfg = harvest.StrategyConfig(strategy=strategy)
-                seen.clear()
-                harvest.run_trial(fruit, cfg, seed=seed)
-                got = list(seen)
-                seen.clear()
-                run_trial_reference(fruit, cfg, seed=seed)
-                assert len(got) == len(seen) > 6
-                for (ov, mv), (ov_ref, mv_ref) in zip(got, seen):
+                got = [v for _, v in run(harvest.run_trial, fruit, cfg, seed)
+                       if v is not None]
+                want = [v for state, v in
+                        run(run_trial_reference, fruit, cfg, seed)
+                        if state == "hold_pull" and strategy != "open_loop"]
+                assert len(got) == len(want)
+                for (ov, mv), (ov_ref, mv_ref) in zip(got, want):
                     assert np.array_equal(ov, ov_ref)
                     assert np.array_equal(mv, mv_ref)
+                calls[strategy] += len(got)
+        assert calls["open_loop"] == 0
+        assert calls["slip"] > 6 and calls["slip_force"] > 6
 
 
 class TestPopulation:
