@@ -50,7 +50,7 @@ def _cmd_sim(args, cfg: Config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     core.save_marker_tracks(out / "markers.csv", seq.tracks)
     first = seq.masks[0]
-    h, w = first.values.shape
+    h, w = first.frame_shape
     with open(out / "objects.csv", "w") as f:
         f.write(f"# size {h} {w} threshold_mm {first.threshold_mm:g} "
                 f"px_per_mm {first.px_per_mm:g}\n")

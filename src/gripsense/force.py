@@ -298,14 +298,14 @@ def shear_features(v: DisplacementField, hhd: HHDResult,
     empty on the field grid gives the all-zero no-contact feature.
     """
     h, w = v.values.shape[:2]
-    if mask.values.shape != (h, w):
+    if mask.frame_shape != (h, w):
         mask = mask.resampled((h, w))
-    m = mask.values
-    if not m.any():
+    if mask.area == 0:
         return ShearFeature(np.zeros(10), contact=False)
+    r0, r1, c0, c1 = mask.support
 
     def mean2(f):
-        return f.values[m].mean(axis=0)
+        return f.values[r0:r1, c0:c1][mask.values].mean(axis=0)
 
     vb = mean2(v)
     pb = mean2(hhd.P)

@@ -486,10 +486,12 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     the contact patch inside the gel. Zero load never enters phase 3.
 
     Each frame's mask is cap height plus N(0, ``mask_noise_mm``) noise,
-    above 0.3 mm. The noise is drawn over the whole frame, but the cap is
-    evaluated only in the box around its support, where it is not zero;
-    ``depth_mm`` must lie in (0.3, sphere radius] so that the cap reaches
-    the threshold and that support is a true spherical cap.
+    above 0.3 mm. The noise is drawn over the whole frame, which fixes the
+    random stream, but the cap is evaluated only in the box around its
+    support, where it is not zero; ``depth_mm`` must lie in (0.3, sphere
+    radius] so that the cap reaches the threshold and that support is a true
+    spherical cap. Each ``ContactMask`` keeps only the bounding box of its
+    pixels above the threshold, the cap's unless the noise alone crosses it.
     """
     if n_frames < 10:
         raise ValueError("need at least 10 frames")

@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HeightMap, MarkerSet, _Adopt, _freeze, _Frozen
+from .core import (HeightMap, MarkerSet, _check_frame_shape, _check_positive,
+                   _check_support, _freeze, _Frozen)
 
 DEFAULT_THRESHOLD_PX = 10.0
 DEFAULT_CONTACT_THRESHOLD_MM = 0.3
@@ -32,16 +33,55 @@ TICK_WINDOW = 6
 
 @dataclass(frozen=True, eq=False)
 class ContactMask(_Frozen):
-    """Boolean contact region, h > threshold_mm on the heightmap grid."""
+    """Boolean contact region, h > threshold_mm on an (H, W) heightmap grid,
+    held for the bounding box of its contact pixels only.
 
-    values: np.ndarray          # (H, W) bool
+    ``support`` is that box (r0, r1, c0, c1), rows r0:r1 and columns c0:c1,
+    outside which the mask is False by definition; ``values`` holds the box,
+    of shape (r1 - r0, c1 - c0), and ``frame_shape`` the grid's (H, W). A
+    mask without contact has the empty box (0, 0, 0, 0). ``values`` given
+    without ``support`` is the whole (H, W) raster, and ``frame_shape``
+    defaults to its shape; given with a window of the frame, it fills that
+    window. Either way the mask keeps the tight box, so every mask has one
+    stored form, and ``raster()`` gives the whole frame.
+    """
+
+    values: np.ndarray          # (r1 - r0, c1 - c0) bool
     threshold_mm: float
     px_per_mm: float = 1.0
+    support: tuple | None = None
+    frame_shape: tuple | None = None
 
     def __post_init__(self):
-        v = self._keep("values", self.values, bool)
+        _check_positive(self.threshold_mm, "threshold_mm")
+        _check_positive(self.px_per_mm, "px_per_mm")
+        v = np.asarray(self.values, dtype=bool)
         if v.ndim != 2:
             raise ValueError("mask must be 2-D")
+        if self.support is None:
+            shape = _check_frame_shape(v.shape if self.frame_shape is None
+                                       else self.frame_shape)
+            window = (0, shape[0], 0, shape[1])
+        else:
+            shape = _check_frame_shape(self.frame_shape)
+            window = _check_support(self.support, shape)
+        r0, r1, c0, c1 = window
+        if v.shape != (r1 - r0, c1 - c0):
+            raise ValueError(f"values of shape {v.shape} do not fill the "
+                             f"window {window} of a {shape} frame")
+        # the box's first and last rows, then columns, with any contact
+        rows = v.any(axis=1)
+        if rows.any():
+            top, bottom = int(rows.argmax()), rows.size - int(rows[::-1].argmax())
+            cols = v[top:bottom].any(axis=0)
+            left, right = int(cols.argmax()), cols.size - int(cols[::-1].argmax())
+            v = v[top:bottom, left:right]
+            box = (r0 + top, r0 + bottom, c0 + left, c0 + right)
+        else:
+            v, box = v[:0, :0], (0, 0, 0, 0)
+        self._keep("values", v, bool)             # a copy of the box alone
+        object.__setattr__(self, "support", box)
+        object.__setattr__(self, "frame_shape", shape)
 
     @cached_property
     def area(self) -> int:
@@ -52,9 +92,10 @@ class ContactMask(_Frozen):
 
         The mask array is immutable, so the centroid is computed once and
         cached; callers that poll sliding windows pay for it only once. The
-        coordinate sums are exact int64 dot products with the per-column and
-        per-row pixel counts, so the one float division gives the same bits
-        as the mean of the ``np.nonzero`` coordinates, without listing them.
+        coordinate sums are exact int64 dot products of the box's frame
+        coordinates with its per-column and per-row pixel counts, so the one
+        float division gives the same bits as the mean of the whole raster's
+        ``np.nonzero`` coordinates, without listing them.
         """
         return self._centroid
 
@@ -62,36 +103,72 @@ class ContactMask(_Frozen):
     def _centroid(self) -> np.ndarray:
         if self.area == 0:
             raise ValueError("centroid of an empty contact mask")
-        h, w = self.values.shape
-        sx = np.arange(w) @ np.count_nonzero(self.values, axis=0)
-        sy = np.arange(h) @ np.count_nonzero(self.values, axis=1)
+        r0, r1, c0, c1 = self.support
+        sx = np.arange(c0, c1) @ np.count_nonzero(self.values, axis=0)
+        sy = np.arange(r0, r1) @ np.count_nonzero(self.values, axis=1)
         return _freeze(np.array([sx / self.area, sy / self.area]))
 
     def equivalent_radius_px(self) -> float:
         return float(np.sqrt(self.area / np.pi))
 
+    def raster(self) -> np.ndarray:
+        """A fresh, writeable (H, W) bool array of the whole frame's mask."""
+        out = np.zeros(self.frame_shape, dtype=bool)
+        r0, r1, c0, c1 = self.support
+        out[r0:r1, c0:c1] = self.values
+        return out
+
     def resampled(self, shape: tuple[int, int]) -> "ContactMask":
-        """Nearest-neighbour resample onto a different grid resolution."""
-        h, w = self.values.shape
-        oh, ow = shape
+        """Nearest-neighbour resample onto a different grid resolution.
+
+        Row i of the oh output rows reads frame row
+        min(floor((i + 0.5) h / oh), h - 1) of h, and columns likewise; the
+        output rows and columns that read the box are one contiguous run
+        each, so only the box is read."""
+        oh, ow = _check_frame_shape(shape)
+        h, w = self.frame_shape
+        r0, r1, c0, c1 = self.support
         ri = np.minimum((np.arange(oh) + 0.5) * h / oh, h - 1).astype(int)
         ci = np.minimum((np.arange(ow) + 0.5) * w / ow, w - 1).astype(int)
-        scale = self.px_per_mm * ow / w
-        return ContactMask(self.values[np.ix_(ri, ci)], self.threshold_mm, scale)
+        i0, i1 = np.searchsorted(ri, (r0, r1))
+        j0, j1 = np.searchsorted(ci, (c0, c1))
+        return ContactMask(self.values[np.ix_(ri[i0:i1] - r0, ci[j0:j1] - c0)],
+                           self.threshold_mm, self.px_per_mm * ow / w,
+                           (i0, i1, j0, j1), (oh, ow))
 
     def contains(self, xy: np.ndarray) -> np.ndarray:
-        """Membership test for (N, 2) pixel positions (x, y)."""
-        cells = np.rint(np.reshape(xy, (-1, 2))).astype(int)
-        np.clip(cells, 0, np.array(self.values.shape[::-1]) - 1, out=cells)
-        return self.values[cells[:, 1], cells[:, 0]]
+        """Membership test for (N, 2) pixel positions (x, y), each snapped
+        to the nearest pixel and clipped to the frame."""
+        xy = np.reshape(xy, (-1, 2))
+        if self.area == 0:
+            return np.zeros(len(xy), dtype=bool)
+        return _members([self], xy[None])[0]
+
+
+def _members(masks: Sequence[ContactMask], xy: np.ndarray) -> np.ndarray:
+    """(L, N) membership of positions ``xy`` (L, N, 2) in each of L masks
+    with contact, as ``ContactMask.contains`` tests them: a position,
+    snapped to the nearest pixel and clipped to the frame, is in a mask when
+    clipping it to the mask's box leaves it where it is and the box holds
+    True there. One pass over all masks, then one gather a mask."""
+    # frame width and height, then the box's columns and rows, each (L, 1)
+    w, h, c0, c1, r0, r1 = np.array(
+        [m.frame_shape[::-1] + m.support[2:] + m.support[:2] for m in masks]
+    ).T[:, :, None]
+    cells = np.rint(xy).astype(int)
+    x = np.clip(cells[..., 0], 0, w - 1)
+    y = np.clip(cells[..., 1], 0, h - 1)
+    bx = np.clip(x, c0, c1 - 1)
+    by = np.clip(y, r0, r1 - 1)
+    inside = (bx == x) & (by == y)
+    bx -= c0
+    by -= r0
+    return inside & np.array([m.values[r, c] for m, r, c in zip(masks, by, bx)])
 
 
 def segment_contact(h: HeightMap, threshold_mm: float = DEFAULT_CONTACT_THRESHOLD_MM) -> ContactMask:
     """Threshold the heightmap into a contact mask (strictly greater than)."""
-    if not threshold_mm > 0:
-        raise ValueError("contact threshold must be positive")
-    return ContactMask(_Adopt(h.values > threshold_mm), threshold_mm,
-                       h.px_per_mm)
+    return ContactMask(h.values > threshold_mm, threshold_mm, h.px_per_mm)
 
 
 def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
@@ -185,17 +262,12 @@ def marker_velocity(tracks: Sequence[MarkerSet],
     live = 1 + np.flatnonzero([m.area > 0 for m in masks[1:]])
     if not live.size:
         return v
-    # ContactMask.contains of every live frame at once: snap to the nearest
-    # pixel, clip to each mask's raster, then one gather per mask
+    live_masks = [masks[t] for t in live]
     live_xy = pos[live]
-    cells = np.rint(live_xy).astype(int)
-    top = np.array([masks[t].values.shape[::-1] for t in live]) - 1
-    np.clip(cells, 0, top[:, None, :], out=cells)
-    inside = np.array([masks[t].values[c[:, 1], c[:, 0]]
-                       for t, c in zip(live, cells)])
     pos_s = _trailing_mean(pos, _SMOOTH_WINDOW)
-    v[live] = _member_velocity(pos_s[live] - pos_s[live - 1], inside, live_xy,
-                               [masks[t] for t in live])
+    v[live] = _member_velocity(pos_s[live] - pos_s[live - 1],
+                               _members(live_masks, live_xy), live_xy,
+                               live_masks)
     return v
 
 
@@ -272,8 +344,10 @@ def evaluate_slip_detector(predictions, ground_truth, fps: float = 15.0) -> Slip
 
     Lead time for a trial is (ground-truth onset time - first predicted slip
     time); positive means the detector fired early. It is averaged over trials
-    that contain at least one correctly detected slip frame.
+    that contain at least one correctly detected slip frame. ``fps`` must be
+    finite and positive.
     """
+    _check_positive(fps, "fps")
     preds = _as_trials(predictions)
     truths = _as_trials(ground_truth)
     if len(preds) != len(truths):

@@ -1,7 +1,8 @@
 """Pairwise softness ranking from squeeze clips.
 
-A light clip encoder turns one squeeze sequence (difference images plus the
-per-frame normal-force trace) into a fixed 40-dimensional embedding, and an
+A light clip encoder turns one squeeze sequence (difference images, kept
+as the 16x16 patches they pool to, plus the per-frame normal-force trace)
+into a fixed 40-dimensional embedding, and an
 antisymmetric bilinear comparator scores which of two fruits is harder.
 Training is full-batch L-BFGS (``core._lbfgs``) on the pairwise cross
 entropy, with ``epochs`` as the iteration cap and ``learning_rate`` as the
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiffFrame, _Frozen, _lbfgs, _load_arrays, _save_arrays
+from .core import (_check_positive, _Frozen, _lbfgs, _load_arrays,
+                   _save_arrays)
 from .force import fit_normal_force, predict_normal_force
 from . import sim
 
@@ -52,8 +54,7 @@ def shore00_stiffness(shore00: float) -> float:
     Quadratic map calibrated so the four default levels span roughly
     0.9 to 2.3 N/mm, soft-fruit territory.
     """
-    if shore00 <= 0.0:
-        raise ValueError("shore00 must be positive")
+    _check_positive(shore00, "shore00")
     return 5e-4 * float(shore00) ** 2
 
 
@@ -73,30 +74,35 @@ _POSITIONS = _positional_table()
 
 @dataclass(frozen=True, eq=False)
 class CompressionClip(_Frozen):
-    """One squeeze of one fruit: difference frames plus the force trace.
+    """One squeeze of one fruit: its pooled difference frames plus the force
+    trace.
 
+    ``patches`` (T, 256) holds each of the T >= 4 difference frames
+    mean-pooled to a flat 16x16 grayscale patch (``_patch16``), the only
+    view of a frame the ranker reads, so a clip keeps no frame raster.
     ``forces`` holds the per-frame normal-force estimates in newtons and must
-    be non-negative; ``shore00`` is the generator hardness tag used as ranking
-    ground truth.
+    be non-negative; ``shore00``, finite and positive, is the generator
+    hardness tag used as ranking ground truth.
     """
 
-    frames: tuple
+    patches: np.ndarray
     forces: np.ndarray
     fruit_type: str
     shore00: float
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if len(frames) < 4:
+        patches = self._keep("patches", self.patches, finite=True)
+        if patches.ndim != 2 or patches.shape[1] != PATCH_SIZE * PATCH_SIZE:
+            raise ValueError(f"patches must be (T, {PATCH_SIZE * PATCH_SIZE}), "
+                             f"got {patches.shape}")
+        if len(patches) < 4:
             raise ValueError("clip needs at least 4 frames")
-        if not all(isinstance(f, DiffFrame) for f in frames):
-            raise TypeError("frames must be DiffFrame instances")
         forces = self._keep("forces", self.forces)
-        if forces.shape != (len(frames),):
+        if forces.shape != (len(patches),):
             raise ValueError("need exactly one force reading per frame")
         if not np.all(np.isfinite(forces)) or np.any(forces < 0.0):
             raise ValueError("force series must be finite and non-negative")
-        object.__setattr__(self, "frames", frames)
+        _check_positive(self.shore00, "shore00")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,26 +162,33 @@ class RankerModel(_Frozen):
         return self.comparator - self.comparator.T
 
 
-def _patch16(frame: DiffFrame) -> np.ndarray:
-    """Mean-pool a difference frame to a flat 16x16 grayscale patch."""
-    gray = frame.values.mean(axis=2)
-    h, w = gray.shape
+def _patch16(values: np.ndarray) -> np.ndarray:
+    """Mean-pool difference frames (..., H, W, 3) to flat 16x16 grayscale
+    patches (..., 256), a whole stack of frames in one pass.
+
+    The channel mean is summed as ``mean(axis=-1)`` sums it, from +0.0 in
+    channel order, then divided by 3: its bits, signed zeros included, at a
+    fraction of its cost on so short an axis."""
+    gray = 0.0 + values[..., 0]
+    gray += values[..., 1]
+    gray += values[..., 2]
+    gray /= 3
+    h, w = gray.shape[-2:]
     if h < PATCH_SIZE or w < PATCH_SIZE:
         raise ValueError("frame smaller than the 16x16 pooling patch")
     rows = np.arange(PATCH_SIZE) * h // PATCH_SIZE
     cols = np.arange(PATCH_SIZE) * w // PATCH_SIZE
-    pooled = np.add.reduceat(gray, rows, axis=0)
+    pooled = np.add.reduceat(gray, rows, axis=-2)
     pooled /= np.diff(np.append(rows, h))[:, None]
-    pooled = np.add.reduceat(pooled, cols, axis=1)
-    pooled /= np.diff(np.append(cols, w))[None, :]
-    return pooled.ravel()
+    pooled = np.add.reduceat(pooled, cols, axis=-1)
+    pooled /= np.diff(np.append(cols, w))
+    return pooled.reshape(gray.shape[:-2] + (PATCH_SIZE * PATCH_SIZE,))
 
 
 def _clip_tensors(clip: CompressionClip) -> tuple[np.ndarray, np.ndarray]:
     """Resample a clip to 16 frames; return (patches (16, 256), forces (16,))."""
-    idx = np.rint(np.linspace(0, len(clip.frames) - 1, CLIP_FRAMES)).astype(int)
-    patches = np.stack([_patch16(clip.frames[i]) for i in idx])
-    return patches, clip.forces[idx]
+    idx = np.rint(np.linspace(0, len(clip.patches) - 1, CLIP_FRAMES)).astype(int)
+    return clip.patches[idx], clip.forces[idx]
 
 
 def _params_of(model: RankerModel) -> tuple:
@@ -428,9 +441,9 @@ def build_clip_library(trials_per_cell: int = 10, seed: int = 0,
                     squeeze_mm=squeeze_mm, resolution=resolution,
                     noise_sigma=noise_sigma)
                 est = predict_normal_force(currents, calibration)
-                clips.append(CompressionClip(tuple(frames),
-                                             np.maximum(est, 0.0),
-                                             texture, shore))
+                clips.append(CompressionClip(
+                    _patch16(np.array([f.values for f in frames])),
+                    np.maximum(est, 0.0), texture, shore))
     return clips
 
 

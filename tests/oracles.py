@@ -420,6 +420,20 @@ def ranker_loss_and_grads(params, patches, forces, idx_a, idx_b, labels):
                   d_w_force, d_b_force, d_comp, d_bias)
 
 
+def patch16_reference(values):
+    """One (H, W, 3) difference frame mean-pooled to a flat 16x16 grayscale
+    patch, one frame at a time, as ``softness._patch16`` was first written."""
+    gray = values.mean(axis=2)
+    h, w = gray.shape
+    rows = np.arange(16) * h // 16
+    cols = np.arange(16) * w // 16
+    pooled = np.add.reduceat(gray, rows, axis=0)
+    pooled /= np.diff(np.append(rows, h))[:, None]
+    pooled = np.add.reduceat(pooled, cols, axis=1)
+    pooled /= np.diff(np.append(cols, w))[None, :]
+    return pooled.ravel()
+
+
 def train_ranker_reference(patches, forces, idx_a, idx_b, labels, epochs,
                            learning_rate, seed=0):
     """``lbfgs_reference`` over ``ranker_loss_and_grads`` from the package's
@@ -566,7 +580,7 @@ def slip_masks_reference(seq, sphere_radius_mm, depth_mm, rng,
     dividing it back to mm is exact.
     """
     ppm = seq.px_per_mm
-    size = seq.masks[0].values.shape[0]
+    size = seq.masks[0].frame_shape[0]
     xs = (np.arange(size) + 0.5) / ppm
     xm, ym = np.meshgrid(xs, xs)
     n_markers = len(seq.tracks[0])

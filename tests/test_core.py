@@ -311,6 +311,101 @@ class TestContactMask:
         with pytest.raises(ValueError):
             m.centroid()
 
+    @staticmethod
+    def _resampled_raster(values, shape):
+        """The nearest-neighbour resample of a whole raster."""
+        (h, w), (oh, ow) = values.shape, shape
+        ri = np.minimum((np.arange(oh) + 0.5) * h / oh, h - 1).astype(int)
+        ci = np.minimum((np.arange(ow) + 0.5) * w / ow, w - 1).astype(int)
+        return values[np.ix_(ri, ci)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40),
+           st.sampled_from(["empty", "full", "pixel", "blob"]),
+           st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=3),
+           st.tuples(st.integers(1, 50), st.integers(1, 50)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_box_matches_whole_raster_formulas(self, h, w, kind, strays,
+                                               shape, seed):
+        """A mask built from a whole raster keeps the tight box of its
+        pixels, and its area, centroid, membership, resample and raster
+        equal the whole-raster formulas bit for bit: empty, full,
+        single-pixel and blob masks, blobs touching or cut by the frame
+        edge, with stray pixels anywhere."""
+        r = np.random.default_rng(seed)
+        values = np.full((h, w), kind == "full")
+        if kind == "pixel":
+            values[r.integers(h), r.integers(w)] = True
+        elif kind == "blob":
+            yy, xx = np.ogrid[:h, :w]
+            cy, cx = r.uniform(-0.2, 1.2, 2) * (h, w)
+            values = (yy - cy) ** 2 + (xx - cx) ** 2 <= r.uniform(0, 12) ** 2
+        for fy, fx in strays:
+            values[min(int(fy * h), h - 1), min(int(fx * w), w - 1)] = True
+        m = ContactMask(values, 0.3, 2.0)
+        assert m.frame_shape == (h, w)
+        assert m.raster().tobytes() == values.tobytes()
+        assert m.area == np.count_nonzero(values)
+        r0, r1, c0, c1 = m.support
+        assert m.values.shape == (r1 - r0, c1 - c0)
+        if m.area:
+            assert m.values[[0, -1]].any(axis=1).all()
+            assert m.values[:, [0, -1]].any(axis=0).all()
+            assert m.centroid().tobytes() == \
+                self._nonzero_centroid(values).tobytes()
+        else:
+            assert m.support == (0, 0, 0, 0)
+        xy = r.uniform(-3.0, max(h, w) + 3.0, (20, 2))
+        cells = np.rint(xy).astype(int)
+        np.clip(cells, 0, np.array([w, h]) - 1, out=cells)
+        assert np.array_equal(m.contains(xy), values[cells[:, 1], cells[:, 0]])
+        small = m.resampled(shape)
+        assert small.frame_shape == shape
+        assert small.px_per_mm == 2.0 * shape[1] / w
+        assert small.raster().tobytes() == \
+            self._resampled_raster(values, shape).tobytes()
+        again = ContactMask(small.raster(), 0.3, small.px_per_mm)
+        assert again.support == small.support
+        assert again.values.tobytes() == small.values.tobytes()
+
+    def test_window_input_keeps_the_tight_box(self):
+        window = np.zeros((4, 5), dtype=bool)
+        window[1:3, 2] = True
+        m = ContactMask(window, 0.3, 1.0, (2, 6, 1, 6), (8, 9))
+        assert m.support == (3, 5, 3, 4) and m.frame_shape == (8, 9)
+        assert m.values.tolist() == [[True], [True]]
+        assert np.array_equal(m.raster()[2:6, 1:6], window)
+        assert m.raster().sum() == 2
+        assert ContactMask(np.zeros_like(window), 0.3, 1.0, (2, 6, 1, 6),
+                           (8, 9)).support == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("args, match", [
+        ((np.zeros((3, 4)), 0.3, 1.0, (0, 3, 0, 4)), "frame_shape"),
+        ((np.zeros((3, 4)), 0.3, 1.0, (0, 3, 0, 5), (6, 6)), "fill"),
+        ((np.zeros((3, 4)), 0.3, 1.0, (4, 7, 0, 4), (6, 6)), "window"),
+        ((np.zeros((3, 4)), 0.3, 1.0, None, (3, 5)), "fill"),
+        ((np.zeros((0, 4)), 0.3), "frame_shape"),
+        ((np.zeros(4), 0.3), "2-D"),
+    ])
+    def test_rejects_bad_window(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            ContactMask(*args)
+
+    @pytest.mark.parametrize("threshold_mm, px_per_mm", [
+        (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+        (0.3, 0.0), (0.3, -16.0), (0.3, np.nan), (0.3, np.inf)])
+    def test_rejects_bad_scalars(self, threshold_mm, px_per_mm):
+        name = "threshold_mm" if px_per_mm == 1.0 else "px_per_mm"
+        with pytest.raises(ValueError, match=f"{name} must be finite and "
+                                             "positive"):
+            ContactMask(np.eye(3, dtype=bool), threshold_mm, px_per_mm)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (-2, 4), (4, 0), (2.0, 4),
+                                       (4,)])
+    def test_resampled_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match="frame_shape"):
+            ContactMask(np.eye(3, dtype=bool), 0.3).resampled(shape)
+
 
 class TestDiffImage:
     def test_subtracts_and_preserves_metadata(self):
@@ -415,7 +510,7 @@ def _zeros(shapes):
     return [np.zeros(shape) for shape in shapes]
 
 
-_MASK = ContactMask(np.zeros((4, 4), bool), 0.3)
+_MASK = ContactMask(np.eye(4, dtype=bool), 0.3)
 _HEIGHT = HeightMap(np.zeros((4, 4)), 4.0)
 _EMBEDDER = softness.ClipEmbedder(*_zeros(softness._EMBEDDER_SHAPES.values()))
 # One instance of every frozen type of the package that holds an ndarray,
@@ -445,7 +540,7 @@ _ARRAY_TYPES = {
         [_MASK], [MarkerSet([0], [[1.0, 1.0]])], *_zeros([(1, 2), (1,)]),
         np.zeros(1, bool), np.zeros(1), 0, None, 4.0, 100.0, "top"),
     "CompressionClip": lambda: softness.CompressionClip(
-        (DiffFrame(np.zeros((8, 8, 3)), 4.0),) * 4, np.zeros(4), "tomato", 10.0),
+        np.zeros((4, 256)), np.zeros(4), "tomato", 10.0),
     "ClipEmbedder": lambda: _EMBEDDER,
     "RankerModel": lambda: softness.RankerModel(
         _EMBEDDER, np.zeros((softness.EMBED_DIM,) * 2)),

@@ -446,7 +446,7 @@ class TestShearFeatures:
         assert feat.values.shape == (10,)
         assert feat.values[0] == pytest.approx(0.5)
         assert feat.values[1] == pytest.approx(-0.25)
-        pb = out.P.values[mask.values].mean(axis=0)
+        pb = out.P.values[mask.raster()].mean(axis=0)
         assert feat.values[3] == pytest.approx(pb[0] ** 2)
         assert feat.values[5] == pytest.approx(pb[1] ** 2)
 

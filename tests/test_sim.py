@@ -174,8 +174,8 @@ class TestMarkers:
         disc = _disc_mask(240, 8.0, (15.0, 15.0), 6.0)
         shear = np.array([2.0, -1.0])
         moved = sim.deform_markers(rest, disc, shear, "translation")
-        inside = disc.values[np.clip(rest.xy[:, 1].astype(int), 0, 239),
-                             np.clip(rest.xy[:, 0].astype(int), 0, 239)]
+        inside = disc.raster()[np.clip(rest.xy[:, 1].astype(int), 0, 239),
+                               np.clip(rest.xy[:, 0].astype(int), 0, 239)]
         assert inside.sum() >= 4
         delta = moved.xy - rest.xy
         assert np.allclose(delta[inside], shear * 8.0, atol=1e-9)
@@ -227,6 +227,14 @@ class TestSlipSequence:
             with pytest.raises(ValueError, match="differ in length"):
                 dataclasses.replace(seq, **bad)
 
+    def test_masks_hold_their_contact_box(self):
+        """At 480x480 every mask keeps the box of its cap, not the frame:
+        together at most a fifth of their whole rasters' bytes."""
+        seq = self._seq(load=50.0, n=24)
+        assert all(m.frame_shape == (480, 480) for m in seq.masks)
+        held = sum(m.values.nbytes for m in seq.masks)
+        assert 0 < held <= len(seq.masks) * 480 * 480 / 5
+
     def test_labels_consistent_with_true_diff(self):
         seq = self._seq(load=50.0)
         assert np.array_equal(seq.labels, seq.true_diff > 10.0)
@@ -265,7 +273,7 @@ class TestSlipSequence:
         want = slip_masks_reference(seq, 16.0, depth, np.random.default_rng(4),
                                     mask_noise_mm=noise)
         for mask, ref in zip(seq.masks, want):
-            assert np.array_equal(mask.values, ref)
+            assert np.array_equal(mask.raster(), ref)
         if load == 2000.0:
             track_mm = seq.object_track / seq.px_per_mm
             assert np.ptp(track_mm[:, 0]) > 0

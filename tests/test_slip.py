@@ -206,7 +206,7 @@ class TestMarkerVelocityOracle:
 
     def test_window_with_a_no_contact_frame(self, seqs):
         seq = seqs[0]
-        empty = slip.ContactMask(np.zeros_like(seq.masks[0].values), 0.3)
+        empty = slip.ContactMask(np.zeros(seq.masks[0].frame_shape, bool), 0.3)
         masks = list(seq.masks[10:16])
         masks[2] = masks[5] = empty
         v = self._same(seq.tracks[10:16], masks)
@@ -366,6 +366,14 @@ class TestEvaluation:
         truth = np.array([0, 0, 0, 1], dtype=bool)   # onset at frame 3
         out = slip.evaluate_slip_detector(pred, truth, fps=15.0)
         assert out.mean_lead_s == pytest.approx(2 / 15.0)
+
+    @pytest.mark.parametrize("fps", [0.0, -15.0, np.nan, np.inf])
+    def test_rejects_bad_fps(self, fps):
+        """Before, 0 divided by zero on a trial with a hit and a negative
+        rate flipped the lead's sign."""
+        hit = np.array([0, 1, 1], dtype=bool)
+        with pytest.raises(ValueError, match="fps must be finite and positive"):
+            slip.evaluate_slip_detector(hit, hit, fps=fps)
 
     def test_multiple_trials_pooled(self):
         p1 = np.array([1, 0], dtype=bool)

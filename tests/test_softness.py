@@ -1,31 +1,29 @@
 """Pairwise softness ranking: embedder, comparator, training, evaluation."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gripsense import softness
-from gripsense.core import DiffFrame
-from oracles import (fd_gradient_at, ranker_loss_and_grads,
+from gripsense import sim, softness
+from oracles import (fd_gradient_at, patch16_reference, ranker_loss_and_grads,
                      train_ranker_reference)
 
 rng = np.random.default_rng(31)
 
 
-def _frame(values=None, size=32, seed=None):
-    if values is None:
-        r = np.random.default_rng(seed)
-        values = r.uniform(-0.5, 0.5, (size, size, 3))
-    return DiffFrame(values, 16.0)
+def _frames(n_frames, seed=0, size=32):
+    """``n_frames`` random difference frames (n_frames, size, size, 3)."""
+    return np.array([np.random.default_rng(seed * 100 + i).uniform(
+        -0.5, 0.5, (size, size, 3)) for i in range(n_frames)])
 
 
 def _clip(n_frames=6, fruit_type="smooth", shore00=50.0, seed=0, zero=False):
-    frames = tuple(
-        _frame(np.zeros((32, 32, 3))) if zero else _frame(seed=seed * 100 + i)
-        for i in range(n_frames))
+    frames = np.zeros((n_frames, 32, 32, 3)) if zero else _frames(n_frames, seed)
     forces = np.linspace(0.0, 2.0, n_frames)
-    return softness.CompressionClip(frames, forces, fruit_type, shore00)
+    return softness.CompressionClip(softness._patch16(frames), forces,
+                                    fruit_type, shore00)
 
 
 def _toy_model(seed=0):
@@ -41,26 +39,57 @@ class TestBasics:
         stiff = np.array([softness.shore00_stiffness(s) for s in levels])
         assert np.all(np.diff(stiff[np.argsort(levels)]) > 0)
 
+    @pytest.mark.parametrize("shore00", [0.0, -5.0, np.nan, np.inf])
+    def test_shore00_must_be_finite_and_positive(self, shore00):
+        with pytest.raises(ValueError, match="shore00"):
+            softness.shore00_stiffness(shore00)
+        with pytest.raises(ValueError, match="shore00"):
+            _clip(shore00=shore00)
+
     def test_clip_validation(self):
+        patches = _clip().patches[:4]
         with pytest.raises(ValueError):
             _clip(n_frames=3)
         with pytest.raises(ValueError):
-            softness.CompressionClip((_frame(),) * 4, np.array([0, 1, -1, 2.0]),
+            softness.CompressionClip(patches, np.array([0, 1, -1, 2.0]),
                                      "smooth", 50.0)
         with pytest.raises(ValueError):
-            softness.CompressionClip((_frame(),) * 4, np.zeros(5), "smooth", 50.0)
+            softness.CompressionClip(patches, np.zeros(5), "smooth", 50.0)
+        for bad in (patches[:, :255], patches[None], np.full((4, 256), np.nan)):
+            with pytest.raises(ValueError, match="patches"):
+                softness.CompressionClip(bad, np.zeros(len(bad)), "smooth",
+                                         50.0)
 
     def test_patch16_matches_blockwise_means(self):
         vals = rng.uniform(-0.9, 0.9, (32, 32, 3))
-        patch = softness._patch16(_frame(vals))
+        patch = softness._patch16(vals)
         gray = vals.mean(axis=2)
         want = gray.reshape(16, 2, 16, 2).mean(axis=(1, 3)).ravel()
         assert np.allclose(patch, want, atol=1e-12)
 
+    @pytest.mark.parametrize("size", [32, 40, 64, 128])
+    def test_stacked_patches_match_per_frame_pooling(self, size):
+        """A whole stack pooled in one pass equals each frame pooled on its
+        own, byte for byte: random frames, a rendered squeeze, and frames
+        of signed zeros."""
+        r = np.random.default_rng(size)
+        frames, _ = sim.synth_compression_clip(
+            SimpleNamespace(stiffness_n_mm=1.5, diameter_mm=18.0,
+                                fruit_type="strawberry"),
+            n_frames=6, rng=r, resolution=size, noise_sigma=0.01)
+        stack = np.concatenate([
+            r.uniform(-1.0, 1.0, (5, size, size, 3)),
+            np.array([f.values for f in frames]),
+            np.zeros((1, size, size, 3)), np.full((1, size, size, 3), -0.0),
+            np.where(r.random((1, size, size, 3)) < 0.5, -0.0, 0.0)])
+        got = softness._patch16(stack)
+        assert got.shape == (len(stack), 256)
+        want = np.array([patch16_reference(frame) for frame in stack])
+        assert got.tobytes() == want.tobytes()
+
     def test_patch16_rejects_small_frames(self):
-        small = DiffFrame(np.zeros((12, 12, 3)), 16.0)
         with pytest.raises(ValueError):
-            softness._patch16(small)
+            softness._patch16(np.zeros((12, 12, 3)))
 
     def test_positional_table(self):
         table = softness._positional_table()
@@ -90,7 +119,7 @@ class TestEmbedding:
     def test_frame_order_reversal_changes_embedding(self):
         model = _toy_model()
         clip = _clip(seed=2, n_frames=16)
-        rev = softness.CompressionClip(clip.frames[::-1], clip.forces[::-1],
+        rev = softness.CompressionClip(clip.patches[::-1], clip.forces[::-1],
                                        clip.fruit_type, clip.shore00)
         a = softness.encode_clip(clip, model)
         b = softness.encode_clip(rev, model)
@@ -373,30 +402,51 @@ class TestLibraryAndEval:
         assert types == {"smooth", "cherry_tomato", "strawberry"}
         for clip in library:
             assert np.all(clip.forces >= 0.0)
-            assert len(clip.frames) == 6
+            assert clip.patches.shape == (6, 256)
 
     def test_library_deterministic(self, library):
         again = softness.build_clip_library(trials_per_cell=1, seed=0,
                                             n_frames=6, resolution=32)
-        assert np.array_equal(library[0].forces, again[0].forces)
-        assert np.array_equal(library[0].frames[0].values,
-                              again[0].frames[0].values)
+        for clip, same in zip(library, again, strict=True):
+            assert clip.forces.tobytes() == same.forces.tobytes()
+            assert clip.patches.tobytes() == same.patches.tobytes()
 
-    def test_library_frames_match_pinned_digest(self):
-        # SHA-256 of every frame's float64 bytes at the default size, pinned
-        # when the membrane blur moved from scipy.ndimage to numpy; any change
-        # to the simulator's output bits, the blur's summation order included,
+    def test_library_frames_match_pinned_digest(self, monkeypatch):
+        # SHA-256 of the float64 bytes of every frame the simulator renders
+        # for the library at the default size, in library order, pinned when
+        # the membrane blur moved from scipy.ndimage to numpy; any change to
+        # the simulator's output bits, the blur's summation order included,
         # moves it. The force digest, of every clip's per-frame estimates,
-        # was pinned while clips were still rendered one frame at a time.
-        digest, forces = hashlib.sha256(), hashlib.sha256()
-        for clip in softness.build_clip_library(1, seed=0):
-            for frame in clip.frames:
+        # was pinned while clips were still rendered one frame at a time,
+        # and the patch digest, of every clip's pooled frames, when clips
+        # stopped keeping their frames.
+        digest, forces, patches = (hashlib.sha256() for _ in range(3))
+        render = sim.synth_compression_clip
+
+        def recorded(*args, **kwargs):
+            frames, currents = render(*args, **kwargs)
+            for frame in frames:
                 digest.update(frame.values.tobytes())
+            return frames, currents
+
+        monkeypatch.setattr(sim, "synth_compression_clip", recorded)
+        for clip in softness.build_clip_library(1, seed=0):
             forces.update(clip.forces.tobytes())
+            patches.update(clip.patches.tobytes())
         assert digest.hexdigest() == ("5e0794eac8b53301c376e8516d8cd04f"
                                       "4af9d152d51ffcf31fe322e60ccffc73")
         assert forces.hexdigest() == ("82778d43b71d44d09aa31d88a9d71325"
                                       "3b7b635aeb52028644d1c7e8a4ec3ee4")
+        assert patches.hexdigest() == ("5b7f91ec743c40a7a706d6597873197d"
+                                       "e323fd12d93350522fd745c74d338cb9")
+
+    def test_default_clip_holds_its_patches_alone(self):
+        """A default 24-frame 64x64 clip keeps 24 pooled patches, at most
+        64 KB, where its frames would take 2.36 MB."""
+        clip = softness.build_clip_library(1, seed=0, textures=("smooth",),
+                                           shore00_levels=(50.0,))[0]
+        assert clip.patches.shape == (24, 256)
+        assert sum(a.nbytes for a in (clip.patches, clip.forces)) <= 64 * 1024
 
     def test_ranking_pairs_balanced_within_type(self, library):
         pairs = softness.make_ranking_pairs(library)

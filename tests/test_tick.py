@@ -68,7 +68,7 @@ def _grasp(rest, ppm):
 def _same(p, q):
     """Bit-equal heights, masks, slip flags and forces."""
     return (np.array_equal(p.height.values, q.height.values)
-            and np.array_equal(p.mask.values, q.mask.values)
+            and np.array_equal(p.mask.raster(), q.mask.raster())
             and p.slipping == q.slipping and p.normal_n == q.normal_n
             and p.shear_n == q.shear_n)
 
@@ -219,7 +219,7 @@ def test_tick_on_extreme_frames(stack, kind, shape):
         markers = rest.moved(rng.normal(0.0, 0.3, rest.xy.shape))
         p = perception.tick(frame, markers, 2.6)
         assert isinstance(p, Percept) and isinstance(p.slipping, bool)
-        assert p.height.shape == p.mask.values.shape == shape
+        assert p.height.shape == p.mask.frame_shape == shape
         assert np.all(np.isfinite(p.height.values))
         assert np.isfinite(p.normal_n) and np.all(np.isfinite(p.shear_n))
         assert np.isfinite(p.slip_speed_px)
@@ -278,12 +278,12 @@ def test_tick_solves_heights_in_the_contact_window(stack):
                                                ppm)
             assert np.array_equal(p.height.values, whole.values)
         else:
-            assert p.mask.area > 0 and not p.mask.values[outside].any()
+            assert p.mask.area > 0 and not p.mask.raster()[outside].any()
             assert np.ptp(p.height.values[outside]) == 0.0
             if name == "edge":
                 assert c0 == 0 and r0 > 0 and r1 < h and c1 < w
             else:           # the mask has a blob in each far corner region
-                ys, xs = np.nonzero(p.mask.values)
+                ys, xs = np.nonzero(p.mask.raster())
                 assert xs.min() < w / 3 and xs.max() > 2 * w / 3
 
 
