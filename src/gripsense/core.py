@@ -24,6 +24,12 @@ once and kept (``functools.cached_property``) are frozen and pickle along,
 so instances can be shared freely across threads, ticks and processes.
 These types compare by identity (``eq=False``): a field-wise ``==`` would
 ask an array for one truth value and raise.
+
+A raster held for one window of its frame has one owner, ``_Windowed``,
+the base of ``NormalMap`` and ``slip.ContactMask``: it resolves and checks
+``support`` and ``frame_shape``, crops a frame-shaped array to the window,
+fills the frame around it in ``raster()``, and maps the window onto another
+grid of the same frame by nearest neighbour (``on_grid``).
 """
 
 from __future__ import annotations
@@ -126,6 +132,65 @@ def _check_positive(value, what: str) -> None:
     """Raise unless ``value`` is a finite positive number."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{what} must be finite and positive, got {value}")
+
+
+class _Windowed(_Frozen):
+    """Base of the frozen types that hold an (H, W) frame's raster for one
+    window (r0, r1, c0, c1) of it only, rows r0:r1 and columns c0:c1:
+    ``values`` is the window's raster, ``support`` the window (empty when
+    r0 == r1 or c0 == c1) and ``frame_shape`` (H, W), both Python ints.
+    Outside the window the raster is the type's ``_OUTSIDE`` by definition.
+    ``values`` given without a ``support`` is the whole frame, and
+    ``frame_shape`` defaults to its (H, W); given with one, it fills that
+    window and ``frame_shape`` is required.
+    """
+
+    def _resolve_window(self, values: np.ndarray) -> tuple:
+        """Check ``support`` and ``frame_shape`` against ``values``, store
+        them, and return the window."""
+        if self.support is None:
+            shape = _check_frame_shape(values.shape[:2] if self.frame_shape
+                                       is None else self.frame_shape)
+            window = (0, shape[0], 0, shape[1])
+        else:
+            shape = _check_frame_shape(self.frame_shape)
+            window = _check_support(self.support, shape)
+        r0, r1, c0, c1 = window
+        if values.shape[:2] != (r1 - r0, c1 - c0):
+            raise ValueError(f"values of shape {values.shape} do not fill the "
+                             f"window {window} of a {shape} frame")
+        object.__setattr__(self, "support", window)
+        object.__setattr__(self, "frame_shape", shape)
+        return window
+
+    def crop(self, a: np.ndarray) -> np.ndarray:
+        """The window of a frame-shaped array ``a``, a view."""
+        r0, r1, c0, c1 = self.support
+        return a[r0:r1, c0:c1]
+
+    def raster(self) -> np.ndarray:
+        """A fresh, writeable array of the whole frame: ``values`` inside the
+        window, ``_OUTSIDE`` outside it."""
+        out = np.full(self.frame_shape + self.values.shape[2:], self._OUTSIDE,
+                      self.values.dtype)
+        self.crop(out)[...] = self.values
+        return out
+
+    def on_grid(self, shape) -> tuple:
+        """The nearest-neighbour map of the window onto the grid of ``shape``
+        = (oh, ow) over the same frame: (values, box, (oh, ow)). Grid row i
+        reads frame row min(floor((i + 0.5) H / oh), H - 1), and columns
+        likewise; the grid box (i0, i1, j0, j1) reads the window, whose
+        entries it reads are ``values``, and only the window is read."""
+        oh, ow = _check_frame_shape(shape)
+        h, w = self.frame_shape
+        r0, r1, c0, c1 = self.support
+        ri = np.minimum((np.arange(oh) + 0.5) * h / oh, h - 1).astype(int)
+        ci = np.minimum((np.arange(ow) + 0.5) * w / ow, w - 1).astype(int)
+        i0, i1 = np.searchsorted(ri, (r0, r1))
+        j0, j1 = np.searchsorted(ci, (c0, c1))
+        return (self.values[np.ix_(ri[i0:i1] - r0, ci[j0:j1] - c0)],
+                (i0, i1, j0, j1), (oh, ow))
 
 
 # _lbfgs: curvature pairs kept, Armijo's sufficient-decrease constant, step
@@ -364,23 +429,18 @@ class DiffFrame(_Frozen):
 
 
 @dataclass(frozen=True, eq=False)
-class NormalMap(_Frozen):
+class NormalMap(_Windowed):
     """Unit surface normals (nx, ny, nz) with nz > 0 of an (H, W) frame,
-    held for its contact window only.
-
-    ``support`` is the contact window (r0, r1, c0, c1), rows r0:r1 and
-    columns c0:c1, outside which the gel is taken to be undeformed and the
-    normal is (0, 0, 1) by definition; r0 == r1 or c0 == c1 is an empty
-    window (no contact). ``values`` holds the window's normals, of shape
-    (r1 - r0, c1 - c0, 3), and ``frame_shape`` the frame's (H, W), which a
-    window needs. None is the whole frame: ``values`` is then the (H, W, 3)
-    raster, and ``frame_shape`` defaults to its (H, W). ``raster()`` gives
-    the whole frame's normals.
+    held for its contact window only (``_Windowed``): outside the window the
+    gel is taken to be undeformed and the normal is (0, 0, 1) by definition.
+    An empty window (no contact) holds a (0, 0, 3) array.
     """
 
     values: np.ndarray          # (r1 - r0, c1 - c0, 3)
     support: tuple | None = None
     frame_shape: tuple | None = None
+
+    _OUTSIDE = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         v = self._keep("values", self.values)
@@ -388,18 +448,7 @@ class NormalMap(_Frozen):
             raise ValueError(f"values must be (h, w, 3), got {v.shape}")
         if self.support is None:
             _check_nonempty(v, "normal map")
-            shape = (v.shape[:2] if self.frame_shape is None
-                     else _check_frame_shape(self.frame_shape))
-            window = (0, shape[0], 0, shape[1])
-        else:
-            shape = _check_frame_shape(self.frame_shape)
-            window = _check_support(self.support, shape)
-            object.__setattr__(self, "support", window)
-        r0, r1, c0, c1 = window
-        if v.shape[:2] != (r1 - r0, c1 - c0):
-            raise ValueError(f"values of shape {v.shape} do not fill the "
-                             f"window {window}")
-        object.__setattr__(self, "frame_shape", shape)
+        self._resolve_window(v)
         if v.size == 0:
             return
         # |n| - 1 accumulated in one (h, w) buffer, each square taken in one
@@ -416,17 +465,6 @@ class NormalMap(_Frozen):
             raise ValueError("normals must be unit length to 1e-6")
         if np.min(v[:, :, 2]) <= 0:
             raise ValueError("nz must be positive everywhere")
-
-    def raster(self) -> np.ndarray:
-        """A fresh, writeable (H, W, 3) array of the whole frame's normals:
-        ``values`` inside the window, (0, 0, 1) outside it."""
-        if self.support is None:
-            return self.values.copy()
-        out = np.zeros(self.frame_shape + (3,))
-        out[:, :, 2] = 1.0
-        r0, r1, c0, c1 = self.support
-        out[r0:r1, c0:c1] = self.values
-        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -293,19 +293,17 @@ def shear_features(v: DisplacementField, hhd: HHDResult,
                    mask: ContactMask) -> ShearFeature:
     """[vx, vy, px, px^2, py, py^2, sx, sx^2, sy, sy^2] averaged over contact.
 
-    The mask is resampled to the field grid if resolutions differ; squared
-    entries are squares of the means, not means of squares. A mask that is
-    empty on the field grid gives the all-zero no-contact feature.
+    The mask is read on the field grid by its nearest-neighbour map,
+    ``on_grid``; squared entries are squares of the means, not means of
+    squares. A mask that is empty on the field grid gives the all-zero
+    no-contact feature.
     """
-    h, w = v.values.shape[:2]
-    if mask.frame_shape != (h, w):
-        mask = mask.resampled((h, w))
-    if mask.area == 0:
+    inside, (r0, r1, c0, c1), _ = mask.on_grid(v.values.shape[:2])
+    if not inside.any():
         return ShearFeature(np.zeros(10), contact=False)
-    r0, r1, c0, c1 = mask.support
 
     def mean2(f):
-        return f.values[r0:r1, c0:c1][mask.values].mean(axis=0)
+        return f.values[r0:r1, c0:c1][inside].mean(axis=0)
 
     vb = mean2(v)
     pb = mean2(hhd.P)

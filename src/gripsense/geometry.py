@@ -447,16 +447,15 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
 
     The slope field g = (-nx/nz, -ny/nz)/px_per_mm (mm per pixel) feeds
     grad h = g; the equation laplacian(h) = div g is solved inside the
-    normal map's ``support`` window, the whole frame when it has none, with
-    zero height on the window's edge: the gel is undeformed there, as it is
-    on the frame's edge. The result is gauge-fixed so its minimum is
-    exactly 0, which lifts the frame by minus the interior's minimum when
-    that is negative: outside the window the height is that one constant
-    c >= 0, not zero. An empty window, or one under 3 px on a side, has no
-    interior and gives zero height without a solve. Solving only where the
-    contact is also keeps the noise slopes of untouched gel out of the
-    solution, where the whole-frame solve integrates them into a
-    low-frequency offset.
+    normal map's ``support`` window, with zero height on the window's edge:
+    the gel is undeformed there, as it is on the frame's edge. The result is
+    gauge-fixed so its minimum is exactly 0, which lifts the frame by minus
+    the interior's minimum when that is negative: outside the window the
+    height is that one constant c >= 0, not zero. An empty window, or one
+    under 3 px on a side, has no interior and gives zero height without a
+    solve. Solving only where the contact is also keeps the noise slopes of
+    untouched gel out of the solution, where the whole-frame solve
+    integrates them into a low-frequency offset.
 
     The interior 5-point system is solved exactly in float64 by
     ``core._poisson_solve``, fast diagonalization with the type-I sine
@@ -467,7 +466,6 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     full = np.zeros(n.frame_shape)
     if min(full.shape) < 3:
         raise ValueError("normal map too small to integrate")
-    r0, r1, c0, c1 = n.support or (0, full.shape[0], 0, full.shape[1])
     v = n.values
     h, w = v.shape[:2]
     if h < 3 or w < 3:                  # no interior, nothing to solve
@@ -486,7 +484,7 @@ def integrate_normals(n: NormalMap, px_per_mm: float) -> HeightMap:
     rhs += gy[2:]
     rhs -= gy[:-2]
     rhs /= 2.0
-    interior = full[r0 + 1:r1 - 1, c0 + 1:c1 - 1]
+    interior = n.crop(full)[1:-1, 1:-1]
     _poisson_solve(rhs, interior, buf[:rhs.size].reshape(rhs.shape))
     # The frame's minimum is min(0, interior's minimum), for the height is 0
     # off the interior; a minimum of 0 leaves the gauge as it is.

@@ -325,11 +325,6 @@ def _normals(values: np.ndarray, px_per_mm: float) -> np.ndarray:
     return n
 
 
-def surface_normals(h: HeightMap) -> np.ndarray:
-    """(H, W, 3) unit normals from heightmap gradients, z toward the camera."""
-    return _normals(h.values, h.px_per_mm)
-
-
 def _shade(values: np.ndarray, px_per_mm: float, rig: LightRig,
            gel: GelModel) -> np.ndarray:
     """Noise-free, unclipped (..., H, W, 3) image of heights (..., H, W):

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (HeightMap, MarkerSet, _check_frame_shape, _check_positive,
-                   _check_support, _freeze, _Frozen)
+from .core import (HeightMap, MarkerSet, _check_positive, _freeze, _Frozen,
+                   _Windowed)
 
 DEFAULT_THRESHOLD_PX = 10.0
 DEFAULT_CONTACT_THRESHOLD_MM = 0.3
@@ -32,18 +32,14 @@ TICK_WINDOW = 6
 
 
 @dataclass(frozen=True, eq=False)
-class ContactMask(_Frozen):
+class ContactMask(_Windowed):
     """Boolean contact region, h > threshold_mm on an (H, W) heightmap grid,
-    held for the bounding box of its contact pixels only.
+    held for the bounding box of its contact pixels only (``core._Windowed``):
+    outside the box the mask is False by definition.
 
-    ``support`` is that box (r0, r1, c0, c1), rows r0:r1 and columns c0:c1,
-    outside which the mask is False by definition; ``values`` holds the box,
-    of shape (r1 - r0, c1 - c0), and ``frame_shape`` the grid's (H, W). A
-    mask without contact has the empty box (0, 0, 0, 0). ``values`` given
-    without ``support`` is the whole (H, W) raster, and ``frame_shape``
-    defaults to its shape; given with a window of the frame, it fills that
-    window. Either way the mask keeps the tight box, so every mask has one
-    stored form, and ``raster()`` gives the whole frame.
+    Whether ``values`` is the whole raster or a window of the frame, the
+    mask keeps the tight box of its True pixels, so every mask has one
+    stored form; a mask without contact has the empty box (0, 0, 0, 0).
     """
 
     values: np.ndarray          # (r1 - r0, c1 - c0) bool
@@ -52,23 +48,15 @@ class ContactMask(_Frozen):
     support: tuple | None = None
     frame_shape: tuple | None = None
 
+    _OUTSIDE = False
+
     def __post_init__(self):
         _check_positive(self.threshold_mm, "threshold_mm")
         _check_positive(self.px_per_mm, "px_per_mm")
         v = np.asarray(self.values, dtype=bool)
         if v.ndim != 2:
             raise ValueError("mask must be 2-D")
-        if self.support is None:
-            shape = _check_frame_shape(v.shape if self.frame_shape is None
-                                       else self.frame_shape)
-            window = (0, shape[0], 0, shape[1])
-        else:
-            shape = _check_frame_shape(self.frame_shape)
-            window = _check_support(self.support, shape)
-        r0, r1, c0, c1 = window
-        if v.shape != (r1 - r0, c1 - c0):
-            raise ValueError(f"values of shape {v.shape} do not fill the "
-                             f"window {window} of a {shape} frame")
+        r0, _, c0, _ = self._resolve_window(v)
         # the box's first and last rows, then columns, with any contact
         rows = v.any(axis=1)
         if rows.any():
@@ -81,7 +69,6 @@ class ContactMask(_Frozen):
             v, box = v[:0, :0], (0, 0, 0, 0)
         self._keep("values", v, bool)             # a copy of the box alone
         object.__setattr__(self, "support", box)
-        object.__setattr__(self, "frame_shape", shape)
 
     @cached_property
     def area(self) -> int:
@@ -111,30 +98,13 @@ class ContactMask(_Frozen):
     def equivalent_radius_px(self) -> float:
         return float(np.sqrt(self.area / np.pi))
 
-    def raster(self) -> np.ndarray:
-        """A fresh, writeable (H, W) bool array of the whole frame's mask."""
-        out = np.zeros(self.frame_shape, dtype=bool)
-        r0, r1, c0, c1 = self.support
-        out[r0:r1, c0:c1] = self.values
-        return out
-
     def resampled(self, shape: tuple[int, int]) -> "ContactMask":
-        """Nearest-neighbour resample onto a different grid resolution.
-
-        Row i of the oh output rows reads frame row
-        min(floor((i + 0.5) h / oh), h - 1) of h, and columns likewise; the
-        output rows and columns that read the box are one contiguous run
-        each, so only the box is read."""
-        oh, ow = _check_frame_shape(shape)
-        h, w = self.frame_shape
-        r0, r1, c0, c1 = self.support
-        ri = np.minimum((np.arange(oh) + 0.5) * h / oh, h - 1).astype(int)
-        ci = np.minimum((np.arange(ow) + 0.5) * w / ow, w - 1).astype(int)
-        i0, i1 = np.searchsorted(ri, (r0, r1))
-        j0, j1 = np.searchsorted(ci, (c0, c1))
-        return ContactMask(self.values[np.ix_(ri[i0:i1] - r0, ci[j0:j1] - c0)],
-                           self.threshold_mm, self.px_per_mm * ow / w,
-                           (i0, i1, j0, j1), (oh, ow))
+        """Nearest-neighbour resample onto a different grid resolution of
+        the same frame, the map of ``on_grid``."""
+        values, box, shape = self.on_grid(shape)
+        return ContactMask(values, self.threshold_mm,
+                           self.px_per_mm * shape[1] / self.frame_shape[1],
+                           box, shape)
 
     def contains(self, xy: np.ndarray) -> np.ndarray:
         """Membership test for (N, 2) pixel positions (x, y), each snapped

@@ -80,7 +80,85 @@ def test_frame_clips_slack_on_its_own_copy(cls, lo, hi):
         cls(v, 4.0)
 
 
-class TestNormalMap:
+class _WindowContract:
+    """The window contract of ``core._Windowed``, one body a test, run on
+    each windowed type by its ``Test`` class: ``support`` and
+    ``frame_shape``, their checks and messages, and ``raster()``. A class
+    builds its type from a 2-D boolean ``pattern`` (``make``) and gives the
+    values that pattern stands for (``values``): False is the type's value
+    outside the window."""
+
+    @pytest.mark.parametrize("support", [
+        (0, 4, 0), (0, 4, 0, 5, 0), 3, (0.0, 4, 0, 5), (0, 4.5, 0, 5),
+        (True, 4, 0, 5), ("0", 4, 0, 5), (-1, 4, 0, 5), (0, 5, 0, 5),
+        (0, 4, 0, 6), (3, 2, 0, 5), (0, 4, 4, 3)])
+    def test_bad_support_window_rejected(self, support):
+        with pytest.raises(ValueError, match="support"):
+            self.make(np.zeros((4, 5)), support, (4, 5))
+
+    @pytest.mark.parametrize("values_shape, support, frame_shape", [
+        ((4, 5), (0, 4, 0, 4), (4, 5)), ((2, 3), (1, 3, 0, 2), (4, 5)),
+        ((3, 2), (1, 3, 0, 2), (4, 5)), ((1, 1), (0, 0, 0, 0), (4, 5)),
+        ((0, 0), (1, 1, 2, 4), (4, 5)), ((4, 5), None, (4, 6))])
+    def test_window_shape_must_fill_its_support(self, values_shape, support,
+                                                frame_shape):
+        with pytest.raises(ValueError, match="do not fill the window"):
+            self.make(np.zeros(values_shape), support, frame_shape)
+
+    @pytest.mark.parametrize("frame_shape", [
+        None, (4,), (4, 5, 3), (0, 5), (4, -1), (4.0, 5), (True, 5), "45"])
+    def test_window_needs_a_frame_shape(self, frame_shape):
+        with pytest.raises(ValueError, match="frame_shape"):
+            self.make(np.zeros((0, 0)), (0, 0, 0, 0), frame_shape)
+
+    @pytest.mark.parametrize("args, match", [
+        (((3, 4), (0, 3, 0, 4)), "frame_shape"),
+        (((3, 4), (0, 3, 0, 5), (6, 6)), "fill"),
+        (((3, 4), (4, 7, 0, 4), (6, 6)), "window"),
+        (((3, 4), None, (3, 5)), "fill"),
+        pytest.param(((0, 4),), {"NormalMap": "must be non-empty",
+                                 "ContactMask": "frame_shape"},
+                     id="args4-frame_shape"),
+        pytest.param(((4,),), {"NormalMap": r"must be \(h, w, 3\)",
+                               "ContactMask": "2-D"}, id="args5-2-D"),
+    ])
+    def test_rejects_bad_window(self, args, match):
+        if isinstance(match, dict):             # a whole raster's own check
+            match = match[type(self).__name__.removeprefix("Test")]
+        with pytest.raises(ValueError, match=match):
+            self.make(np.zeros(args[0]), *args[1:])
+
+    def test_raster_is_fresh_and_flat_outside_the_window(self):
+        pattern = np.random.default_rng(5).random((3, 4)) < 0.5
+        pattern[0, 0] = pattern[-1, -1] = True
+        m = self.make(pattern, (1, 4, 2, 6), (6, 7))
+        assert m.frame_shape == (6, 7)
+        kept = m.values.copy()
+        got = m.raster()
+        assert got.flags.writeable and not np.shares_memory(got, m.values)
+        assert not m.values.flags.writeable
+        frame = np.zeros((6, 7), dtype=bool)
+        frame[1:4, 2:6] = pattern
+        want = self.values(frame)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(m.crop(got), m.values)
+        got[1:4, 2:6] = self.values(np.zeros((3, 4), dtype=bool))
+        assert np.all(got == self.values(np.zeros((1, 1), dtype=bool)))
+        assert np.array_equal(m.values, kept)               # unchanged
+
+
+class TestNormalMap(_WindowContract):
+    @staticmethod
+    def values(pattern):
+        """Unit normals tilted toward +x where ``pattern`` holds, flat
+        elsewhere."""
+        return np.where(np.asarray(pattern, dtype=bool)[..., None],
+                        (0.6, 0.0, 0.8), (0.0, 0.0, 1.0))
+
+    def make(self, pattern, *window):
+        return NormalMap(self.values(pattern), *window)
+
     def test_requires_unit_length_and_positive_nz(self):
         n = np.zeros((4, 4, 3))
         n[:, :, 2] = 1.0
@@ -102,55 +180,16 @@ class TestNormalMap:
         got = NormalMap(n[r0:r1, c0:c1], support, (4, 5)).support
         assert got == tuple(int(b) for b in support)
         assert all(type(b) is int for b in got)
-        assert NormalMap(n).support is None
+        assert NormalMap(n).support == (0, 4, 0, 5)
 
-    @pytest.mark.parametrize("support", [
-        (0, 4, 0), (0, 4, 0, 5, 0), 3, (0.0, 4, 0, 5), (0, 4.5, 0, 5),
-        (True, 4, 0, 5), ("0", 4, 0, 5), (-1, 4, 0, 5), (0, 5, 0, 5),
-        (0, 4, 0, 6), (3, 2, 0, 5), (0, 4, 4, 3)])
-    def test_bad_support_window_rejected(self, support):
-        n = np.zeros((4, 5, 3))
-        n[:, :, 2] = 1.0
-        with pytest.raises(ValueError, match="support"):
-            NormalMap(n, support, (4, 5))
-
-    @pytest.mark.parametrize("values_shape, support, frame_shape", [
-        ((4, 5, 3), (0, 4, 0, 4), (4, 5)), ((2, 3, 3), (1, 3, 0, 2), (4, 5)),
-        ((3, 2, 3), (1, 3, 0, 2), (4, 5)), ((1, 1, 3), (0, 0, 0, 0), (4, 5)),
-        ((0, 0, 3), (1, 1, 2, 4), (4, 5)), ((4, 5, 3), None, (4, 6))])
-    def test_window_shape_must_fill_its_support(self, values_shape, support,
-                                                frame_shape):
-        n = np.zeros(values_shape)
-        n[:, :, 2] = 1.0
-        with pytest.raises(ValueError, match="do not fill the window"):
-            NormalMap(n, support, frame_shape)
-
-    @pytest.mark.parametrize("frame_shape", [
-        None, (4,), (4, 5, 3), (0, 5), (4, -1), (4.0, 5), (True, 5), "45"])
-    def test_window_needs_a_frame_shape(self, frame_shape):
-        with pytest.raises(ValueError, match="frame_shape"):
-            NormalMap(np.zeros((0, 0, 3)), (0, 0, 0, 0), frame_shape)
-
-    def test_raster_is_fresh_and_flat_outside_the_window(self):
-        r = np.random.default_rng(5)
-        window = np.dstack([r.normal(0.0, 0.2, (3, 4, 2)), np.ones((3, 4))])
-        window /= np.linalg.norm(window, axis=2, keepdims=True)
-        nm = NormalMap(window, (1, 4, 2, 6), (6, 7))
-        assert nm.frame_shape == (6, 7) and nm.values.shape == (3, 4, 3)
-        got = nm.raster()
-        assert got.shape == (6, 7, 3) and got.flags.writeable
-        assert not np.shares_memory(got, nm.values)
-        assert not nm.values.flags.writeable
-        assert np.array_equal(got[1:4, 2:6], window)
-        got[1:4, 2:6] = (0.0, 0.0, 1.0)
-        assert np.all(got == (0.0, 0.0, 1.0))
-        assert np.array_equal(nm.values, window)            # unchanged
-        whole = NormalMap(nm.raster())
-        assert whole.frame_shape == (6, 7) and whole.support is None
+    def test_whole_raster_is_one_full_window(self):
+        n = self.values(np.random.default_rng(5).random((6, 7)) < 0.5)
+        whole = NormalMap(n)
+        assert whole.frame_shape == (6, 7) and whole.support == (0, 6, 0, 7)
         again = whole.raster()
         assert again.flags.writeable and not np.shares_memory(again,
                                                               whole.values)
-        assert np.array_equal(again, whole.values)
+        assert again.tobytes() == n.tobytes()
 
     def test_empty_window_is_flat_and_integrates_to_zero(self):
         nm = NormalMap(np.zeros((0, 0, 3)), (0, 0, 0, 0), (6, 7))
@@ -264,7 +303,14 @@ class TestMarkerSet:
         assert np.array_equal(m2.ids, m.ids)
 
 
-class TestContactMask:
+class TestContactMask(_WindowContract):
+    @staticmethod
+    def values(pattern):
+        return np.asarray(pattern, dtype=bool)
+
+    def make(self, pattern, *window):
+        return ContactMask(self.values(pattern), 0.3, 1.0, *window)
+
     def test_area_and_centroid(self):
         v = np.zeros((6, 6), dtype=bool)
         v[2:4, 3:5] = True
@@ -378,18 +424,6 @@ class TestContactMask:
         assert m.raster().sum() == 2
         assert ContactMask(np.zeros_like(window), 0.3, 1.0, (2, 6, 1, 6),
                            (8, 9)).support == (0, 0, 0, 0)
-
-    @pytest.mark.parametrize("args, match", [
-        ((np.zeros((3, 4)), 0.3, 1.0, (0, 3, 0, 4)), "frame_shape"),
-        ((np.zeros((3, 4)), 0.3, 1.0, (0, 3, 0, 5), (6, 6)), "fill"),
-        ((np.zeros((3, 4)), 0.3, 1.0, (4, 7, 0, 4), (6, 6)), "window"),
-        ((np.zeros((3, 4)), 0.3, 1.0, None, (3, 5)), "fill"),
-        ((np.zeros((0, 4)), 0.3), "frame_shape"),
-        ((np.zeros(4), 0.3), "2-D"),
-    ])
-    def test_rejects_bad_window(self, args, match):
-        with pytest.raises(ValueError, match=match):
-            ContactMask(*args)
 
     @pytest.mark.parametrize("threshold_mm, px_per_mm", [
         (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
@@ -520,6 +554,8 @@ _ARRAY_TYPES = {
     "DiffFrame": lambda: DiffFrame(np.zeros((8, 8, 3)), 4.0),
     "NormalMap": lambda: NormalMap(_flat(4, 4)),
     "NormalMap window": lambda: NormalMap(_flat(2, 3), (1, 3, 0, 3), (4, 4)),
+    "ContactMask window": lambda: ContactMask(np.eye(2, 3, dtype=bool), 0.3,
+                                              1.0, (1, 3, 0, 3), (4, 4)),
     "HeightMap": lambda: _HEIGHT,
     "MarkerSet": lambda: MarkerSet([0, 1], [[1.0, 2.0], [3.0, 4.0]]),
     "ScalarField": lambda: ScalarField(np.zeros((3, 3))),
@@ -648,6 +684,31 @@ def test_no_module_reads_another_modules_private_names():
                     and not node.attr.startswith("__")):
                 offences.append(f"{info.name}: {node.value.id}.{node.attr}")
     assert not offences
+
+
+def test_windowed_rasters_have_one_owner():
+    """``core._Windowed`` alone resolves and checks a window and fills the
+    frame around it: outside ``core`` no module calls ``_check_support`` or
+    ``_check_frame_shape``, and no class defines ``raster``."""
+    root = os.path.dirname(gripsense.__file__)
+    offences = []
+    for info in pkgutil.iter_modules(gripsense.__path__):
+        if info.name == "core":
+            continue
+        with open(os.path.join(root, info.name + ".py")) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if name in ("_check_support", "_check_frame_shape"):
+                    offences.append(f"{info.name}: calls {name}")
+            elif isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "raster"
+                    for item in node.body):
+                offences.append(f"{info.name}: {node.name}.raster")
+    assert not offences
+    assert all(issubclass(cls, gripsense.core._Windowed)
+               for cls in (NormalMap, ContactMask))
 
 
 class TestLbfgs:

@@ -458,6 +458,28 @@ class TestShearFeatures:
         feat = force.shear_features(v, out, ContactMask(big, 0.3))
         assert np.all(np.isfinite(feat.values))
 
+    @pytest.mark.parametrize("shape, box", [
+        ((40, 40), (8, 32, 8, 32)), ((37, 53), (0, 5, 40, 53)),
+        ((10, 10), (2, 7, 3, 9)), ((40, 40), (1, 2, 1, 2))])
+    def test_features_read_the_resampled_mask(self, shape, box):
+        """The means over the mask resampled to the field grid, bit for bit;
+        a mask that no grid cell reads gives the no-contact feature."""
+        v = DisplacementField(rng.normal(0, 1, (10, 10, 2)))
+        out = force.hhd_decompose(v)
+        raw = np.zeros(shape, dtype=bool)
+        r0, r1, c0, c1 = box
+        raw[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0)) < 0.7
+        raw[r0, c0] = True
+        feat = force.shear_features(v, out, ContactMask(raw, 0.3))
+        grid = ContactMask(raw, 0.3).resampled((10, 10)).raster()
+        if not grid.any():
+            assert feat.contact is False and not feat.values.any()
+            return
+        (vx, vy), (px, py), (sx, sy) = (f.values[grid].mean(axis=0)
+                                        for f in (v, out.P, out.S))
+        want = [vx, vy, px, px ** 2, py, py ** 2, sx, sx ** 2, sy, sy ** 2]
+        assert feat.values.tobytes() == np.array(want).tobytes()
+
     def test_empty_mask_gives_zero_no_contact_feature(self):
         v = DisplacementField(rng.normal(0, 1, (10, 10, 2)))
         out = force.hhd_decompose(v)

@@ -106,14 +106,14 @@ class TestHeightmaps:
 
 class TestNormalsAndRendering:
     def test_flat_surface_normals_up(self):
-        n = sim.surface_normals(HeightMap(np.zeros((16, 16)), 4.0))
+        n = sim._normals(np.zeros((16, 16)), 4.0)
         assert np.allclose(n[:, :, 2], 1.0)
 
     def test_normals_match_finite_difference_oracle(self):
         res, ppm = 64, 64 / 30.0
         hm = sim.indent_heightmap(sim.Sphere(5.0), (15.0, 15.0), 1.0,
                                   (res, res))
-        n = sim.surface_normals(hm)
+        n = sim._normals(hm.values, hm.px_per_mm)
         xs = (np.arange(res) + 0.5) / ppm - 15.0
         want = cap_normals_fd(xs, xs, 5.0, 1.0)
         interior = np.ones((res, res), dtype=bool)
