@@ -12,11 +12,22 @@ Slip sequences draw their mask noise over the whole frame, which keeps the
 random stream of every frame the same, but evaluate the indenter only in
 the box around the pressed cap: outside it the penetration is exactly zero.
 
+Rendering works on the box the contact reaches. ``_shade`` takes normals,
+light products and channel sums only in the box of the non-zero heights,
+grown by 2 px; every other pixel gets the flat gel's colour, the background
+plus intensity * l_z summed in light order, which is what the same
+arithmetic gives for the normal (0, 0, 1). The membrane blur runs
+on the box of its non-zero input grown by the kernel radius, and shear
+samples evaluate their sphere only around its contact (``_cap_box``). Each
+output pixel keeps its arithmetic, so every frame, mask and label is
+bit-identical to computing the whole frame.
+
 A squeeze clip renders as one (T, H, W) stack: the fruit's dome and bump
-texture are evaluated once per clip, and the blur and the shading run over
-all frames at once, with each pixel's arithmetic unchanged. Its random draws
-stay per frame and in the same order, the current noise and then the pixel
-noise, so a clip is bit-identical to rendering its frames one by one.
+texture are evaluated once per clip, on the deepest frame's cap box, and the
+blur and the shading run over all frames at once. Its random draws stay per
+frame and in the same order, the current noise and then the pixel noise, so
+a clip is bit-identical to rendering its frames one by one. The clip comes
+back as a ``SqueezeFrames``, the difference stack with its frames as views.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (DiffFrame, HeightMap, MarkerSet, TactileFrame, _Adopt,
-                   _clip_owned, _Frozen, diff_image)
+                   _check_positive, _clip_owned, _Frozen, _owned, diff_image)
 from .slip import DEFAULT_CONTACT_THRESHOLD_MM, ContactMask
 
 # Combined gel + drive-train stiffness seen in series with the fruit during a
@@ -265,6 +276,21 @@ def indent_heightmap(shape, center_mm: tuple[float, float], depth_mm: float,
     return HeightMap(pen, px_per_mm)
 
 
+def _box(occupied: np.ndarray, margin: int):
+    """(r0, r1, c0, c1): the bounding box of the True pixels of
+    ``occupied`` (..., H, W) over all its leading axes, grown by ``margin``
+    and clipped to the frame; None when no pixel is True."""
+    if occupied.ndim > 2:
+        occupied = occupied.any(axis=tuple(range(occupied.ndim - 2)))
+    rows = np.flatnonzero(occupied.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(occupied.any(axis=0))
+    h, w = occupied.shape
+    return (max(int(rows[0]) - margin, 0), min(int(rows[-1]) + 1 + margin, h),
+            max(int(cols[0]) - margin, 0), min(int(cols[-1]) + 1 + margin, w))
+
+
 def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur of the last two axes of ``x`` with zero
     padding; leading axes index independent rasters.
@@ -275,8 +301,18 @@ def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
     axis -2 before axis -1, and per output pixel the same summation order,
     x[i] w0 and then (x[i - j] + x[i + j]) w_j added for j from the radius
     down to 1.
+
+    Only the box of the elements other than +0.0, over all rasters, grown by
+    the radius, is blurred: every output pixel outside it sums nothing but
+    +0.0 and is +0.0, and inside it the zeros beyond the box are the padding's.
     """
     radius = int(4.0 * sigma + 0.5)
+    out = np.zeros(x.shape)
+    box = _box((x != 0) | np.signbit(x), radius)
+    if box is None:
+        return out
+    r0, r1, c0, c1 = box
+    x = x[..., r0:r1, c0:c1]
     taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     taps = taps / taps.sum()
     for _ in range(2):      # axis -2, then axis -2 of the transpose: axis -1
@@ -284,15 +320,16 @@ def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
         # row-major whatever x's layout, so every pass runs on contiguous rows
         padded = np.zeros(x.shape[:-2] + (n + 2 * radius, x.shape[-1]))
         padded[..., radius:radius + n, :] = x
-        out = padded[..., radius:radius + n, :] * taps[radius]
-        pair = np.empty_like(out)
+        acc = padded[..., radius:radius + n, :] * taps[radius]
+        pair = np.empty_like(acc)
         for j in range(radius, 0, -1):
             np.add(padded[..., radius - j:radius - j + n, :],
                    padded[..., radius + j:radius + j + n, :], out=pair)
             pair *= taps[radius + j]
-            out += pair
-        x = out.swapaxes(-1, -2)
-    return np.ascontiguousarray(x)
+            acc += pair
+        x = acc.swapaxes(-1, -2)
+    out[..., r0:r1, c0:c1] = x
+    return out
 
 
 def _normals(values: np.ndarray, px_per_mm: float) -> np.ndarray:
@@ -330,20 +367,40 @@ def _shade(values: np.ndarray, px_per_mm: float, rig: LightRig,
     """Noise-free, unclipped (..., H, W, 3) image of heights (..., H, W):
     per channel, background + sum over lights of intensity * max(0, n . l).
 
-    Each light's n . l is one product over all pixels of all rasters, and
-    each channel is accumulated in place, light after light, through two
-    work arrays of the heights' shape.
+    Only the box of the non-zero heights over all rasters, grown by 2 px, is
+    shaded; every pixel outside it gets the flat gel's colour, the same sum
+    for the normal (0, 0, 1), whose n . l is exactly l_z. With the 2 px
+    margin the slopes at the box edge, one-sided in the box and central in
+    the frame, are both zero, so each shaded pixel's normal is the frame's.
+    In the box each light's n . l is one product over all pixels of all
+    rasters, and each channel with a non-zero intensity is accumulated in
+    place, light after light; the skipped +0.0 products would change no sum.
     """
-    n = _normals(values, px_per_mm).reshape(-1, 3)
-    img = np.empty(values.shape + (3,))
-    img[:] = np.asarray(gel.background_color)
-    shade, term = np.empty(values.shape), np.empty(values.shape)
+    flat = np.array(gel.background_color, dtype=np.float64)
     for ldir, lint in zip(rig.directions, rig.intensities):
-        np.matmul(n, ldir, out=shade.reshape(-1))
+        flat += ldir[2] * lint
+    img = np.empty(values.shape + (3,))
+    img[:] = flat
+    box = _box(values != 0, 2)
+    if box is None:
+        return img
+    r0, r1, c0, c1 = box
+    n = _normals(values[..., r0:r1, c0:c1], px_per_mm)
+    inside = img[..., r0:r1, c0:c1, :]
+    inside[:] = gel.background_color
+    shade, term = np.empty(n.shape[:-1]), np.empty(n.shape[:-1])
+    for ldir, lint in zip(rig.directions, rig.intensities):
+        np.matmul(n.reshape(-1, 3), ldir, out=shade.reshape(-1))
         np.maximum(shade, 0.0, out=shade)
-        for c in range(3):
-            img[..., c] += np.multiply(shade, lint[c], out=term)
+        for c in np.flatnonzero(lint):
+            inside[..., c] += np.multiply(shade, lint[c], out=term)
     return img
+
+
+def _check_noise(sigma: float, what: str) -> None:
+    """Raise unless the noise level ``sigma`` is finite and non-negative."""
+    if not (sigma >= 0 and math.isfinite(sigma)):
+        raise ValueError(f"{what} must be finite and non-negative, got {sigma}")
 
 
 def render_tactile(h: HeightMap, rig: LightRig = default_rig(),
@@ -352,9 +409,12 @@ def render_tactile(h: HeightMap, rig: LightRig = default_rig(),
                    timestamp: float = 0.0) -> TactileFrame:
     """Lambertian shading of the heightmap under the rig, plus pixel noise.
 
-    Per channel: background + sum over lights of intensity * max(0, n . l).
-    Deterministic for identical inputs; noise requires an explicit ``rng``.
+    Per channel: background + sum over lights of intensity * max(0, n . l),
+    shaded only around the contact and the flat gel's colour elsewhere
+    (``_shade``). Deterministic for identical inputs; noise requires an
+    explicit ``rng``, and a ``noise_sigma`` of 0 draws nothing.
     """
+    _check_noise(noise_sigma, "noise_sigma")
     img = _shade(h.values, h.px_per_mm, rig, gel)
     if noise_sigma > 0.0:
         if rng is None:
@@ -423,6 +483,19 @@ def deform_markers(rest: MarkerSet, contact: ContactMask, shear_mm: np.ndarray,
         tangent = np.column_stack([-rel[:, 1], rel[:, 0]])
         delta = theta * w[:, None] * tangent
     return unbounded.moved(delta)
+
+
+def _cap_box(center_mm, radius_mm: float, depth_mm: float, px_per_mm: float,
+             size: int) -> tuple[int, int, int, int]:
+    """(r0, r1, c0, c1): the pixels of a (size, size) frame that a sphere of
+    ``radius_mm`` pressed ``depth_mm`` <= radius deep at ``center_mm``
+    reaches, its cap of radius sqrt(depth (2 radius - depth)) plus a 2 px
+    guard far wider than the rounding of the pixel-centre coordinates; the
+    penetration is +0.0 everywhere outside it."""
+    reach = math.sqrt(depth_mm * (2.0 * radius_mm - depth_mm)) * px_per_mm + 2.0
+    cx, cy = np.asarray(center_mm) * px_per_mm - 0.5
+    return (max(int(cy - reach), 0), min(int(cy + reach) + 2, size),
+            max(int(cx - reach), 0), min(int(cx + reach) + 2, size))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +576,6 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     size_px = int(round(gel.gel_size_mm * px_per_mm))
     # radius of the pressed cap: the sphere penetrates the gel exactly there
     cap_r_mm = math.sqrt(2.0 * sphere_r * depth_mm - depth_mm ** 2)
-    a_px = cap_r_mm * px_per_mm
 
     t2 = int(round(0.30 * n_frames))
     has_slip = load > 0
@@ -551,9 +623,6 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     rest = marker_grid(gel, px_per_mm, (size_px, size_px))
     xs = (np.arange(size_px) + 0.5) / px_per_mm
     sphere = Sphere(sphere_r)
-    # pixel-index reach of the cap around its centre, plus a guard margin
-    # far wider than the rounding of the pixel-centre coordinates
-    reach = a_px + 2.0
 
     masks, tracks = [], []
     marker_pos = rest.xy.copy()
@@ -563,9 +632,8 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
         # around the cap adds the penetration
         noise = rng.normal(0.0, mask_noise_mm, (size_px, size_px))
         values = noise > DEFAULT_CONTACT_THRESHOLD_MM
-        cx, cy = centers_mm[t] * px_per_mm - 0.5
-        c0, c1 = max(int(cx - reach), 0), min(int(cx + reach) + 2, size_px)
-        r0, r1 = max(int(cy - reach), 0), min(int(cy + reach) + 2, size_px)
+        r0, r1, c0, c1 = _cap_box(centers_mm[t], sphere_r, depth_mm,
+                                  px_per_mm, size_px)
         pen = sphere.penetration(xs[None, c0:c1] - centers_mm[t, 0],
                                  xs[r0:r1, None] - centers_mm[t, 1], depth_mm)
         values[r0:r1, c0:c1] = (pen + noise[r0:r1, c0:c1]
@@ -614,6 +682,7 @@ def make_calibration_presses(n: int = 8, sphere_radius_mm: float = 5.0,
         raise ValueError("need at least one press")
     if not 0.0 < depth_range[0] <= depth_range[1] < sphere_radius_mm:
         raise ValueError("depth range must lie strictly inside (0, radius)")
+    _check_noise(noise_sigma, "noise_sigma")
     rng = np.random.default_rng(0) if rng is None else rng
     grid = (resolution, resolution)
     ppm = resolution / gel.gel_size_mm
@@ -643,22 +712,34 @@ def make_shear_dataset(n: int = 300, gel: GelModel = GelModel(),
     random shear, and labels it with a force proportional to the shear plus
     multiplicative (8%) and small additive noise; marker positions carry
     tracking jitter. Returns (list of (rest, moved, mask), labels (n, 2) N).
+
+    The sphere is evaluated only in the box its contact can reach
+    (``_cap_box``), and each ``ContactMask`` is built from that window of the
+    (mask_px, mask_px) frame: outside it the penetration is +0.0, so the
+    mask, and with it every marker and label, is the whole frame's.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if not (mask_px >= 1 and math.isfinite(mask_px)
+            and mask_px == int(mask_px)):
+        raise ValueError(f"mask_px must be a positive whole number of "
+                         f"pixels, got {mask_px}")
+    size = int(mask_px)
     rng = np.random.default_rng(0) if rng is None else rng
-    ppm = mask_px / gel.gel_size_mm
-    xs = (np.arange(mask_px) + 0.5) / ppm
-    xm, ym = np.meshgrid(xs, xs)
-    rest = marker_grid(gel, ppm, (mask_px, mask_px))
+    ppm = size / gel.gel_size_mm
+    xs = (np.arange(size) + 0.5) / ppm
+    rest = marker_grid(gel, ppm, (size, size))
     pairs, labels = [], np.empty((n, 2))
     for i in range(n):
         radius = rng.uniform(10.0, 20.0)
         depth = rng.uniform(0.8, 1.5)
         cx, cy = gel.gel_size_mm / 2.0 + rng.uniform(-2.0, 2.0, 2)
-        pen = Sphere(radius).penetration(xm - cx, ym - cy, depth)
+        r0, r1, c0, c1 = _cap_box((cx, cy), radius, depth, ppm, size)
+        pen = Sphere(radius).penetration(xs[None, c0:c1] - cx,
+                                         xs[r0:r1, None] - cy, depth)
         mask = ContactMask(pen > DEFAULT_CONTACT_THRESHOLD_MM,
-                           DEFAULT_CONTACT_THRESHOLD_MM, ppm)
+                           DEFAULT_CONTACT_THRESHOLD_MM, ppm,
+                           support=(r0, r1, c0, c1), frame_shape=(size, size))
         mag = rng.uniform(0.5, 4.0)
         ang = rng.uniform(0.0, 2.0 * np.pi)
         shear = mag * np.array([np.cos(ang), np.sin(ang)])
@@ -670,13 +751,38 @@ def make_shear_dataset(n: int = 300, gel: GelModel = GelModel(),
     return pairs, labels
 
 
+@dataclass(frozen=True, eq=False)
+class SqueezeFrames(_Frozen):
+    """The difference frames of one squeeze clip, held as one (T, H, W, 3)
+    stack: a sequence of T ``DiffFrame`` views of it, so a consumer of the
+    whole clip reads ``values`` without stacking the frames again."""
+
+    values: np.ndarray          # (T, H, W, 3), values in [-1, 1]
+    px_per_mm: float
+
+    def __post_init__(self):
+        v = _owned(self.values)
+        if v.ndim != 4 or v.shape[-1] != 3:
+            raise ValueError(f"values must be (T, H, W, 3), got {v.shape}")
+        # every frame's DiffFrame check, once over the stack
+        _clip_owned(v, -1.0, 1.0, "diff values")
+        _check_positive(self.px_per_mm, "px_per_mm")
+        self._keep("values", _Adopt(v))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, t: int) -> DiffFrame:
+        return DiffFrame(_Adopt(self.values[t]), self.px_per_mm)
+
+
 def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel(),
                            rig: LightRig = default_rig(),
                            rng: np.random.Generator | None = None,
                            squeeze_mm: float = 3.0, resolution: int = 64,
                            noise_sigma: float = 0.0,
                            current_noise: float = CURRENT_NOISE):
-    """Squeeze a fruit; return (DiffFrames, motor-current trace).
+    """Squeeze a fruit; return (``SqueezeFrames``, motor-current trace).
 
     The jaws command ``squeeze_mm`` of travel split between gel and fruit in
     series, so a stiffer fruit indents the gel faster (contact area grows
@@ -685,13 +791,17 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
 
     The clip renders as one (n_frames, H, W) stack: every gel depth is
     checked as ``indent_heightmap`` checks it, the fruit's dome and bumps are
-    evaluated once, and the blur and the shading run over the whole stack.
+    evaluated once, and the blur and the shading run over the whole stack,
+    each only in the box the fruit reaches (``_gaussian_blur``, ``_shade``).
     The random draws stay in a per-frame loop in the order of rendering the
     frames one by one (frame t's current noise, then its pixel noise), so
-    the frames and currents are bit-identical to that.
+    the frames and currents are bit-identical to that. Noise levels of 0
+    draw nothing; negative or non-finite ones raise.
     """
     if n_frames < 4:
         raise ValueError("need at least 4 frames")
+    _check_noise(noise_sigma, "noise_sigma")
+    _check_noise(current_noise, "current_noise")
     rng = np.random.default_rng(0) if rng is None else rng
     kf = fruit.stiffness_n_mm
     kg = SERIES_STIFFNESS
@@ -708,10 +818,15 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
         _check_depth(shape, depth)
     currents = CURRENT_GAIN * (kg * x_gel) + CURRENT_OFFSET
     mid = gel.gel_size_mm / 2.0
-    # the penetration stack is freed once blurred, before the shading
-    pressed = _gaussian_blur(shape.penetration(xm - mid, ym - mid,
-                                               x_gel[:, None, None]),
-                             gel.membrane_sigma_mm * ppm)
+    # the dome and its bumps are +0.0 off the cap of the deepest frame
+    r0, r1, c0, c1 = _cap_box((mid, mid), shape.base_radius_mm, x_gel.max(),
+                              ppm, resolution)
+    pressed = np.zeros((n_frames,) + grid)
+    pressed[:, r0:r1, c0:c1] = shape.penetration(xm[r0:r1, c0:c1] - mid,
+                                                 ym[r0:r1, c0:c1] - mid,
+                                                 x_gel[:, None, None])
+    # the penetration stack is freed once blurred
+    pressed = _gaussian_blur(pressed, gel.membrane_sigma_mm * ppm)
     img = _shade(pressed, ppm, rig, gel)
     for t in range(n_frames):
         if current_noise > 0:
@@ -720,9 +835,8 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
             img[t] += rng.normal(0.0, noise_sigma, img.shape[1:])
     # every frame's TactileFrame check, once over the stack
     _clip_owned(np.clip(img, 0.0, 1.0, out=img), 0.0, 1.0, "pixel intensities")
-    diff = np.subtract(img, background.pixels)
-    frames = [DiffFrame(_Adopt(d), ppm) for d in diff]
-    return frames, currents
+    img -= background.pixels          # the difference stack, in place
+    return SqueezeFrames(_Adopt(img), ppm), currents
 
 
 def make_force_samples(n: int = 10000, rng: np.random.Generator | None = None,

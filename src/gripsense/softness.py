@@ -442,7 +442,7 @@ def build_clip_library(trials_per_cell: int = 10, seed: int = 0,
                     noise_sigma=noise_sigma)
                 est = predict_normal_force(currents, calibration)
                 clips.append(CompressionClip(
-                    _patch16(np.array([f.values for f in frames])),
+                    _patch16(frames.values),
                     np.maximum(est, 0.0), texture, shore))
     return clips
 

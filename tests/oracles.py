@@ -603,27 +603,54 @@ def gradient_normals_reference(values, px_per_mm):
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
+def shade_reference(values, px_per_mm, rig, gel):
+    """(..., H, W, 3) noise-free, unclipped image of heights (..., H, W),
+    shaded over the whole frame: ``gradient_normals_reference`` normals,
+    each light's n . l clamped at 0, and per channel the background plus
+    every light's intensity times it, all three channels, light after
+    light."""
+    n = gradient_normals_reference(values, px_per_mm)
+    img = np.empty(values.shape + (3,))
+    img[:] = gel.background_color
+    for ldir, lint in zip(rig.directions, rig.intensities):
+        shade = np.maximum(n.reshape(-1, 3) @ ldir, 0.0).reshape(values.shape)
+        for c in range(3):
+            img[..., c] += shade * lint[c]
+    return img
+
+
+def render_reference(values, px_per_mm, rig, gel, noise_sigma=0.0, rng=None):
+    """``shade_reference`` plus N(0, noise_sigma) pixel noise when
+    ``noise_sigma`` > 0, clipped to [0, 1]."""
+    img = shade_reference(values, px_per_mm, rig, gel)
+    if noise_sigma > 0:
+        img += rng.normal(0.0, noise_sigma, img.shape)
+    return np.clip(img, 0.0, 1.0)
+
+
 def press(raw, gel=None):
     """Membrane smoothing of a single heightmap: Gaussian blur at the
-    membrane scale, as the simulator blurs its stacked rasters."""
+    membrane scale by ``scipy.ndimage.gaussian_filter`` with zero padding."""
+    from scipy.ndimage import gaussian_filter
+
     from gripsense import sim
     from gripsense.core import HeightMap
 
     if gel is None:
         gel = sim.GelModel()
     sigma_px = gel.membrane_sigma_mm * raw.px_per_mm
-    if sigma_px <= 0:
-        return HeightMap(raw.values.copy(), raw.px_per_mm)
-    return HeightMap(sim._gaussian_blur(raw.values, sigma_px), raw.px_per_mm)
+    return HeightMap(gaussian_filter(raw.values, sigma_px, mode="constant"),
+                     raw.px_per_mm)
 
 
 def compression_clip_reference(fruit, n_frames, gel, rig, rng, squeeze_mm,
                                resolution, noise_sigma, current_noise):
-    """A ``synth_compression_clip`` result rendered one frame at a time.
+    """A ``synth_compression_clip`` result rendered one whole frame at a time.
 
-    Each frame is its own heightmap, blur, render and difference through the
-    package's single-frame functions; frame t draws its current noise, then
-    its pixel noise. ``rng`` must be in the state the clip's generator was in.
+    Each frame is its own full-frame heightmap, ``press`` blur,
+    ``render_reference`` and difference; frame t draws its current noise,
+    then its pixel noise. ``rng`` must be in the state the clip's generator
+    was in.
     """
     from gripsense import sim
 
@@ -633,17 +660,47 @@ def compression_clip_reference(fruit, n_frames, gel, rig, rng, squeeze_mm,
                              base_radius_mm=fruit.diameter_mm / 2.0,
                              phase_seed=int(rng.integers(1 << 31)))
     grid = (resolution, resolution)
+    ppm = resolution / gel.gel_size_mm
     center = (gel.gel_size_mm / 2.0, gel.gel_size_mm / 2.0)
-    background = sim.render_tactile(
-        press(sim.indent_heightmap(shape, center, 0.0, grid, gel), gel),
-        rig, gel)
+    background = render_reference(
+        press(sim.indent_heightmap(shape, center, 0.0, grid, gel), gel).values,
+        ppm, rig, gel)
     frames, currents = [], np.empty(n_frames)
     for t in range(n_frames):
         x_gel = squeeze_mm * (t + 1) / n_frames * kf / (kg + kf)
         currents[t] = sim.CURRENT_GAIN * (kg * x_gel) + sim.CURRENT_OFFSET \
             + (rng.normal(0.0, current_noise) if current_noise > 0 else 0.0)
         hm = press(sim.indent_heightmap(shape, center, x_gel, grid, gel), gel)
-        frame = sim.render_tactile(hm, rig, gel, noise_sigma,
-                                   rng if noise_sigma > 0 else None)
-        frames.append(frame.pixels - background.pixels)
+        frames.append(render_reference(hm.values, ppm, rig, gel, noise_sigma,
+                                       rng) - background)
     return frames, currents
+
+
+def shear_dataset_reference(n, gel, rng, mask_px):
+    """``make_shear_dataset`` evaluated over the whole frame: every pixel's
+    sphere penetration, thresholded at 0.3 mm into a whole-raster
+    ``ContactMask``; the same draws in the same order."""
+    from gripsense import sim
+    from gripsense.slip import ContactMask
+
+    ppm = mask_px / gel.gel_size_mm
+    xs = (np.arange(mask_px) + 0.5) / ppm
+    xm, ym = np.meshgrid(xs, xs)
+    rest = sim.marker_grid(gel, ppm, (mask_px, mask_px))
+    pairs, labels = [], np.empty((n, 2))
+    for i in range(n):
+        radius = rng.uniform(10.0, 20.0)
+        depth = rng.uniform(0.8, 1.5)
+        cx, cy = gel.gel_size_mm / 2.0 + rng.uniform(-2.0, 2.0, 2)
+        pen = sim.Sphere(radius).penetration(xm - cx, ym - cy, depth)
+        mask = ContactMask(pen > 0.3, 0.3, ppm)
+        mag = rng.uniform(0.5, 4.0)
+        ang = rng.uniform(0.0, 2.0 * np.pi)
+        shear = mag * np.array([np.cos(ang), np.sin(ang)])
+        moved = sim.deform_markers(rest, mask, shear, "translation", gel)
+        moved = moved.moved(rng.normal(0.0, sim.SHEAR_JITTER_PX,
+                                       moved.xy.shape))
+        pairs.append((rest, moved, mask))
+        labels[i] = sim.SHEAR_FORCE_PER_MM * shear \
+            * (1.0 + rng.normal(0.0, 0.08)) + rng.normal(0.0, 0.02, 2)
+    return pairs, labels

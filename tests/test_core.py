@@ -572,6 +572,7 @@ _ARRAY_TYPES = {
     "SlipReport": lambda: slip.SlipReport(*_zeros([(2, 2), (2, 2), (2,)]),
                                           np.zeros(2, bool)),
     "LightRig": sim.default_rig,
+    "SqueezeFrames": lambda: sim.SqueezeFrames(np.zeros((2, 8, 8, 3)), 4.0),
     "SlipSequence": lambda: sim.SlipSequence(
         [_MASK], [MarkerSet([0], [[1.0, 1.0]])], *_zeros([(1, 2), (1,)]),
         np.zeros(1, bool), np.zeros(1), 0, None, 4.0, 100.0, "top"),

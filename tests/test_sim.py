@@ -1,20 +1,73 @@
 """Synthetic sensor: shapes, rendering, marker motion, sequence generators."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gripsense import sim
+from gripsense import sim, softness
 from gripsense.core import DiffFrame, HeightMap
 from gripsense.slip import ContactMask
 from oracles import (cap_height, cap_normals_fd, compression_clip_reference,
-                     gradient_normals_reference, press, slip_masks_reference)
+                     gradient_normals_reference, press, render_reference,
+                     shade_reference, shear_dataset_reference,
+                     slip_masks_reference)
 
 GEL = sim.GelModel()
 rng = np.random.default_rng(11)
+
+# (rows, columns) of a patch of random heights on a 20 x 27 frame, or a
+# whole-frame pattern: each case puts the heights' box somewhere else
+HEIGHT_CASES = {
+    "top edge": (slice(0, 4), slice(9, 16)),
+    "bottom edge": (slice(16, 20), slice(9, 16)),
+    "left edge": (slice(7, 12), slice(0, 3)),
+    "right edge": (slice(7, 12), slice(24, 27)),
+    "top-left corner": (slice(0, 2), slice(0, 2)),
+    "top-right corner": (slice(0, 3), slice(25, 27)),
+    "bottom-left corner": (slice(18, 20), slice(0, 3)),
+    "bottom-right corner": (slice(19, 20), slice(26, 27)),
+    "one pixel": (slice(9, 10), slice(13, 14)),
+    "two pixels apart": None,
+    "flat": None,
+    "signed zeros": None,
+    "everywhere": None,
+    "negative": None,
+}
+
+
+def _heights(case):
+    """The (20, 27) heights, in mm, of one of ``HEIGHT_CASES``."""
+    r = np.random.default_rng(len(case))
+    values = np.zeros((20, 27))
+    if HEIGHT_CASES[case] is not None:
+        patch = values[HEIGHT_CASES[case]]
+        patch[:] = r.uniform(0.05, 0.8, patch.shape)
+    elif case == "two pixels apart":
+        values[4, 5], values[15, 21] = 0.3, 0.6
+    elif case == "signed zeros":
+        # a block of -0.0 wide enough that some blurred pixels sum only -0.0
+        values[:] = np.where(r.random(values.shape) < 0.5, -0.0, 0.0)
+        values[3:18, 3:24] = -0.0
+    elif case == "everywhere":
+        values[:] = r.uniform(0.05, 0.8, values.shape)
+    elif case == "negative":
+        values[5:14, 8:20] = -r.uniform(0.05, 0.8, (9, 12))
+    return values
+
+
+# the default rig, and one with zero and non-zero intensities in every
+# light and every channel over a background with a zero channel
+_MIXED = np.array([[0.35, 0.0, 0.2], [0.0, 0.0, 0.5], [0.3, 0.25, 0.0]])
+_DIRS = np.array([[0.5, 0.0, math.sqrt(0.75)], [-0.3, 0.4, math.sqrt(0.75)],
+                  [0.0, -0.6, 0.8]])
+RIGS = {"default": (sim.default_rig(), GEL),
+        "mixed": (sim.LightRig(_DIRS, _MIXED),
+                  sim.GelModel(background_color=(0.0, 0.25, 0.4)))}
 
 
 class TestShapes:
@@ -79,9 +132,9 @@ class TestHeightmaps:
 
     def test_press_smooths_but_preserves_volume_roughly(self):
         raw = sim.indent_heightmap(sim.Sphere(5.0), (15.0, 15.0), 1.0, (64, 64))
-        smooth = press(raw)
-        assert smooth.values.max() < raw.values.max()
-        assert np.isclose(smooth.values.sum(), raw.values.sum(), rtol=1e-6)
+        smooth = sim._gaussian_blur(raw.values, raw.px_per_mm)
+        assert smooth.max() < raw.values.max()
+        assert np.isclose(smooth.sum(), raw.values.sum(), rtol=1e-6)
 
     # odd and even sides; at sigma 2.5 px the kernel radius, 10, reaches
     # past the 7- and 10-pixel sides, so every tap of those lands in padding
@@ -89,19 +142,31 @@ class TestHeightmaps:
         ((64, 64), 64 / 30.0), ((33, 48), 1.3), ((7, 10), 2.5), ((10, 7), 2.5),
         ((1, 12), 0.6), ((21, 5), 4.7), ((5, 33, 48), 1.3)])
     def test_press_bit_equal_to_ndimage(self, shape, sigma_px):
-        # each raster of a stacked input blurs as it would alone
-        from scipy.ndimage import gaussian_filter
+        # each raster of a stacked input blurs as it would alone; ``press``
+        # is the single-raster ndimage oracle
         values = np.random.default_rng(sum(shape)).random(shape)
-        if values.ndim == 2:
-            raw = HeightMap(values, 2.0)
-            gel = sim.GelModel(membrane_sigma_mm=sigma_px / raw.px_per_mm)
-            got = press(raw, gel).values[None]
-        else:
-            got = sim._gaussian_blur(values, sigma_px)
-        assert got.shape == values.reshape((-1,) + shape[-2:]).shape
-        for blurred, raster in zip(got, values.reshape(got.shape)):
-            want = gaussian_filter(raster, sigma_px, mode="constant")
+        got = sim._gaussian_blur(values, sigma_px)
+        assert got.shape == values.shape
+        for blurred, raster in zip(got.reshape((-1,) + shape[-2:]),
+                                   values.reshape((-1,) + shape[-2:])):
+            want = press(HeightMap(raster, 1.0),
+                         sim.GelModel(membrane_sigma_mm=sigma_px)).values
             assert blurred.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(HEIGHT_CASES) + ["stacked"])
+    def test_blur_of_a_contact_box_bit_equal_to_ndimage(self, case):
+        """Heights that touch each edge and corner, a one-pixel bump, flat
+        and signed-zero rasters, and all of them stacked, whose box is their
+        union: the blur of the box around the heights is ndimage's blur of
+        each whole raster."""
+        values = (np.array([_heights(name) for name in sorted(HEIGHT_CASES)])
+                  if case == "stacked" else _heights(case))
+        for sigma_px in (0.8, 1.3, 64 / 30.0):
+            got = sim._gaussian_blur(values, sigma_px)
+            want = [press(HeightMap(raster, 1.0),
+                          sim.GelModel(membrane_sigma_mm=sigma_px)).values
+                    for raster in values.reshape((-1, 20, 27))]
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestNormalsAndRendering:
@@ -136,6 +201,61 @@ class TestNormalsAndRendering:
     def test_normals_need_two_heights_per_axis(self, shape):
         with pytest.raises(ValueError, match="at least 2"):
             sim._normals(np.zeros(shape), 2.5)
+
+    @pytest.mark.parametrize("rig", ["default", "mixed"])
+    @pytest.mark.parametrize("case", sorted(HEIGHT_CASES))
+    def test_render_bit_equal_to_full_frame_oracle(self, case, rig):
+        """``render_tactile`` shades only around the heights; its frame is
+        the whole-frame oracle's, byte for byte, with and without noise."""
+        values, (lights, gel) = _heights(case), RIGS[rig]
+        hm = HeightMap(values, 2.5)
+        got = sim.render_tactile(hm, lights, gel).pixels
+        want = render_reference(values, 2.5, lights, gel)
+        assert got.tobytes() == want.tobytes()
+        got = sim.render_tactile(hm, lights, gel, 0.02,
+                                 np.random.default_rng(1)).pixels
+        want = render_reference(values, 2.5, lights, gel, 0.02,
+                                np.random.default_rng(1))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rig", ["default", "mixed"])
+    def test_stacked_shade_bit_equal_to_full_frame_oracle(self, rig):
+        """Every height case in one stack, whose box is their union: each
+        raster's unclipped image is the whole-frame oracle's."""
+        lights, gel = RIGS[rig]
+        stack = np.array([_heights(name) for name in sorted(HEIGHT_CASES)])
+        got = sim._shade(stack, 2.5, lights, gel)
+        want = shade_reference(stack, 2.5, lights, gel)
+        assert got.shape == stack.shape + (3,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_flat_heights_take_no_normals(self, monkeypatch):
+        """A flat frame is the flat gel's colour, found without a single
+        normal."""
+        calls = []
+        normals = sim._normals
+        monkeypatch.setattr(sim, "_normals",
+                            lambda v, ppm: calls.append(v.shape) or normals(v, ppm))
+        for lights, gel in RIGS.values():
+            for flat in (np.zeros((3, 20, 27)), np.full((20, 27), -0.0)):
+                got = sim._shade(flat, 2.5, lights, gel)
+                want = shade_reference(flat, 2.5, lights, gel)
+                assert got.tobytes() == want.tobytes()
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_render_rejects_bad_noise(self, bad):
+        hm = sim.indent_heightmap(sim.Sphere(5.0), (15.0, 15.0), 1.0, (32, 32))
+        with pytest.raises(ValueError, match="noise_sigma"):
+            sim.render_tactile(hm, noise_sigma=bad, rng=np.random.default_rng(0))
+
+    def test_zero_noise_draws_nothing(self):
+        hm = sim.indent_heightmap(sim.Sphere(5.0), (15.0, 15.0), 1.0, (32, 32))
+        r = np.random.default_rng(0)
+        state = r.bit_generator.state
+        frame = sim.render_tactile(hm, noise_sigma=0.0, rng=r)
+        assert r.bit_generator.state == state
+        assert frame.pixels.tobytes() == sim.render_tactile(hm).pixels.tobytes()
 
     def test_render_range_and_determinism(self):
         hm = sim.indent_heightmap(sim.Sphere(5.0), (15.0, 15.0), 1.0, (48, 48))
@@ -310,6 +430,29 @@ class TestDatasets:
         assert len(rest) == len(moved)
         assert mask.area > 0
 
+    @pytest.mark.parametrize("mask_px", [128, 240, 320])
+    def test_shear_dataset_bit_equal_to_full_frame_oracle(self, mask_px):
+        """The sphere evaluated in its contact box gives the whole frame's
+        masks, moved markers and labels, byte for byte."""
+        pairs, labels = sim.make_shear_dataset(
+            12, rng=np.random.default_rng(mask_px), mask_px=mask_px)
+        want_pairs, want_labels = shear_dataset_reference(
+            12, GEL, np.random.default_rng(mask_px), mask_px)
+        assert labels.tobytes() == want_labels.tobytes()
+        for (rest, moved, mask), (want_rest, want_moved, want_mask) in zip(
+                pairs, want_pairs, strict=True):
+            assert rest.xy.tobytes() == want_rest.xy.tobytes()
+            assert moved.xy.tobytes() == want_moved.xy.tobytes()
+            assert mask.support == want_mask.support
+            assert mask.frame_shape == want_mask.frame_shape
+            assert mask.values.tobytes() == want_mask.values.tobytes()
+
+    @pytest.mark.parametrize("mask_px", [0, -3, 2.5, float("nan"),
+                                         float("inf")])
+    def test_shear_dataset_rejects_bad_mask_px(self, mask_px):
+        with pytest.raises(ValueError, match="mask_px"):
+            sim.make_shear_dataset(2, mask_px=mask_px)
+
     def test_force_samples_follow_linear_model(self):
         currents, forces = sim.make_force_samples(
             4000, np.random.default_rng(0), noise=0.0)
@@ -346,6 +489,64 @@ class TestDatasets:
         for frame, want in zip(frames, want_frames):
             assert frame.values.tobytes() == want.tobytes()
             assert frame.px_per_mm == 40 / GEL.gel_size_mm
+
+    def test_compression_clip_reaching_the_frame_edges_matches_oracle(self):
+        """A fruit whose deepest cap, blurred, covers the whole gel: every
+        box is clipped to the frame on all four sides."""
+        fruit = _FakeFruit(3.0, 60.0, "strawberry")
+        kwargs = dict(n_frames=4, gel=GEL, rig=sim.default_rig(),
+                      squeeze_mm=8.0, resolution=32, noise_sigma=0.0,
+                      current_noise=sim.CURRENT_NOISE)
+        frames, currents = sim.synth_compression_clip(
+            fruit, rng=np.random.default_rng(2), **kwargs)
+        want_frames, want_currents = compression_clip_reference(
+            fruit, rng=np.random.default_rng(2), **kwargs)
+        assert currents.tobytes() == want_currents.tobytes()
+        assert frames.values.tobytes() == np.array(want_frames).tobytes()
+        edges = frames.values[-1]
+        for edge in (edges[0], edges[-1], edges[:, 0], edges[:, -1]):
+            assert np.all(edge.any(axis=-1))
+
+    def test_compression_clip_is_one_stack_of_frame_views(self):
+        fruit = _FakeFruit(1.2, 20.0, "cherry_tomato")
+        frames, _ = sim.synth_compression_clip(
+            fruit, n_frames=5, rng=np.random.default_rng(0), resolution=32,
+            noise_sigma=0.01)
+        assert isinstance(frames, sim.SqueezeFrames)
+        assert frames.values.shape == (5, 32, 32, 3)
+        assert not frames.values.flags.writeable
+        assert len(frames) == 5 and len(list(frames)) == 5
+        for t in (0, 4, -1):
+            frame = frames[t]
+            assert isinstance(frame, DiffFrame)
+            assert frame.px_per_mm == frames.px_per_mm == 32 / GEL.gel_size_mm
+            assert np.shares_memory(frame.values, frames.values)
+            assert frame.values.tobytes() == frames.values[t].tobytes()
+        with pytest.raises(IndexError):
+            frames[5]
+
+    @pytest.mark.parametrize("values, match", [
+        (np.zeros((8, 8, 3)), "T, H, W, 3"), (np.zeros((2, 8, 8, 2)), "T, H, W, 3"),
+        (np.full((2, 8, 8, 3), 1.5), r"\[-1, 1\]"),
+        (np.full((2, 8, 8, 3), np.nan), "finite")])
+    def test_squeeze_frames_validation(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            sim.SqueezeFrames(values, 2.0)
+        with pytest.raises(ValueError, match="px_per_mm"):
+            sim.SqueezeFrames(np.zeros((2, 8, 8, 3)), 0.0)
+
+    @pytest.mark.parametrize("name", ["noise_sigma", "current_noise"])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_compression_clip_rejects_bad_noise(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            sim.synth_compression_clip(_FakeFruit(1.2, 20.0, "smooth"),
+                                       n_frames=4, resolution=32,
+                                       **{name: bad})
+
+    def test_calibration_presses_reject_bad_noise(self):
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="noise_sigma"):
+                sim.make_calibration_presses(2, noise_sigma=bad)
 
     def test_compression_clip_checks_every_depth(self):
         # the gel takes 1.2 / 3.2 of the squeeze: 15 mm of a 40 mm squeeze,
@@ -392,6 +593,50 @@ class TestDatasets:
         seq = sim.synth_slip_sequence(scene, 30, GEL,
                                       np.random.default_rng(seed))
         assert all(m.area > 0 for m in seq.masks)
+
+
+class TestBoxRendering:
+    """A default squeeze clip, 24 frames of 64 x 64 for the library's
+    hardest strawberry, renders only the box its contact reaches."""
+
+    @staticmethod
+    def _clip():
+        fruit = _FakeFruit(
+            softness.shore00_stiffness(max(softness.SHORE00_LEVELS)), 18.0,
+            "strawberry")
+        return sim.synth_compression_clip(fruit, rng=np.random.default_rng(0),
+                                          noise_sigma=0.01)
+
+    def test_default_clip_peak_memory(self):
+        """The clip's traced peak stays under 2.5 times its 2.25 MB
+        difference stack; shading the whole frame took 3.07 times."""
+        self._clip()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            frames, _ = self._clip()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert frames.values.nbytes == 24 * 64 * 64 * 3 * 8
+        assert peak <= 2.5 * frames.values.nbytes
+
+    def test_default_clip_takes_normals_of_at_most_half_its_pixels(
+            self, monkeypatch):
+        sizes = []
+        normals = sim._normals
+        monkeypatch.setattr(
+            sim, "_normals",
+            lambda v, ppm: sizes.append(v.size) or normals(v, ppm))
+        frames, _ = self._clip()
+        assert 0 < sum(sizes) <= 0.5 * 24 * 64 * 64
+        sizes.clear()
+        sim.render_tactile(HeightMap(np.zeros((64, 64)), 64 / 30.0))
+        assert sizes == []
 
 
 class _FakeFruit:

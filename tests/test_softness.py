@@ -448,6 +448,26 @@ class TestLibraryAndEval:
         assert clip.patches.shape == (24, 256)
         assert sum(a.nbytes for a in (clip.patches, clip.forces)) <= 64 * 1024
 
+    def test_library_pools_each_clip_stack_without_a_copy(self, monkeypatch):
+        """Each clip's patches are pooled straight from the difference stack
+        its ``SqueezeFrames`` holds, not from the frames stacked again."""
+        stacks, pooled = [], []
+        render, pool = sim.synth_compression_clip, softness._patch16
+
+        def rendered(*args, **kwargs):
+            frames, currents = render(*args, **kwargs)
+            stacks.append(frames.values)
+            return frames, currents
+
+        monkeypatch.setattr(sim, "synth_compression_clip", rendered)
+        monkeypatch.setattr(softness, "_patch16",
+                            lambda values: pooled.append(values) or pool(values))
+        softness.build_clip_library(2, seed=0, textures=("smooth",),
+                                    shore00_levels=(50.0,), n_frames=6,
+                                    resolution=32)
+        assert len(stacks) == len(pooled) == 2
+        assert all(a is b for a, b in zip(stacks, pooled))
+
     def test_ranking_pairs_balanced_within_type(self, library):
         pairs = softness.make_ranking_pairs(library)
         assert len(pairs) == 3 * (4 * 3)           # ordered pairs per texture
