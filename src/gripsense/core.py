@@ -99,13 +99,16 @@ def _check_nonempty(v: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be non-empty, got shape {v.shape}")
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _ints(values, n: int, what: str) -> tuple:
     """``values`` as n Python ints, or ValueError unless it is n integers
     (bools excluded)."""
     values = tuple(values) if np.iterable(values) else (values,)
-    if len(values) != n or not all(isinstance(b, (int, np.integer))
-                                   and not isinstance(b, (bool, np.bool_))
-                                   for b in values):
+    if len(values) != n or not all(_is_int(b) for b in values):
         raise ValueError(f"{what} must be {n} integers, got {values}")
     return tuple(int(b) for b in values)
 
@@ -132,6 +135,12 @@ def _check_positive(value, what: str) -> None:
     """Raise unless ``value`` is a finite positive number."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{what} must be finite and positive, got {value}")
+
+
+def _check_non_negative(value, what: str) -> None:
+    """Raise unless ``value`` is a finite non-negative number."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be finite and non-negative, got {value}")
 
 
 class _Windowed(_Frozen):

@@ -68,7 +68,10 @@ def fit_normal_force(samples) -> NormalForceModel:
 
 
 def predict_normal_force(current, model: NormalForceModel):
-    """slope * I + intercept, elementwise over array input."""
+    """slope * I + intercept: a float for a Python int or float, with the
+    same IEEE operations as the array path, elementwise over array input."""
+    if isinstance(current, (int, float)):
+        return float(model.slope * current + model.intercept)
     out = model.slope * np.asarray(current, dtype=np.float64) + model.intercept
     return float(out) if out.ndim == 0 else out
 

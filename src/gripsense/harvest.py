@@ -18,6 +18,11 @@ controller reads the slip flag only while pulling under a closed-loop
 strategy (``_reads_slip``), so a trial computes the flag on those ticks
 alone; every tick still draws its noise and extends the window, so the
 flag on a reading tick is the one an every-tick rule would give.
+
+A tick is otherwise scalar work in Python floats and ints: the plant, the
+controller and the force decoder take and give numbers, the contact disc
+builds its centroid array only when the slip rule asks for it, and the
+trial draws its noise in blocks of whole ticks (``run_trial``).
 """
 
 from __future__ import annotations
@@ -25,10 +30,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import _check_positive, _freeze, _Frozen
+from .core import (_check_non_negative, _check_positive, _freeze, _Frozen,
+                   _is_int)
 from .force import fit_normal_force, predict_normal_force
 from .sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET, make_force_samples
 from .slip import (DEFAULT_THRESHOLD_PX, TICK_WINDOW, detect_slip,
@@ -58,6 +65,8 @@ DEFAULT_DIAMETER_NOISE_MM = 1.0
 DEFAULT_MARKER_JITTER_PX = 0.3
 _TRACK_WINDOW_PX = 320
 _DISC_RADIUS_PX = 8
+#: Ticks of noise a trial draws at once (``run_trial``).
+_NOISE_BLOCK_TICKS = 32
 
 #: ``slip_force``'s commanded force per fruit type: where it starts, and how
 #: much each retry raises it (N).
@@ -95,6 +104,8 @@ class FruitModel:
     stem transmits less of the applied pull into the abscission zone.
     Configurations with bruise force at or below detachment force are legal
     to construct (they model unharvestable fruit) but fail every strategy.
+    Every number must be finite, and positive but for the detachment force,
+    which may be zero; ``ValueError`` names the field that is not.
     """
 
     fruit_type: str
@@ -108,12 +119,10 @@ class FruitModel:
     def __post_init__(self):
         if self.fruit_type not in DEFAULT_POPULATIONS:
             raise ValueError(f"unknown fruit type {self.fruit_type!r}")
-        if self.diameter_mm <= 0 or self.stiffness_n_mm <= 0:
-            raise ValueError("diameter and stiffness must be positive")
-        if self.detach_force_n < 0 or self.bruise_force_n <= 0:
-            raise ValueError("force thresholds must be non-negative")
-        if self.friction <= 0 or self.stem_stiffness_factor <= 0:
-            raise ValueError("friction and stem factor must be positive")
+        for name in ("diameter_mm", "stiffness_n_mm", "bruise_force_n",
+                     "friction", "stem_stiffness_factor"):
+            _check_positive(getattr(self, name), name)
+        _check_non_negative(self.detach_force_n, "detach_force_n")
 
 
 @dataclass(frozen=True)
@@ -125,6 +134,8 @@ class StrategyConfig:
     whenever slip is flagged while pulling. ``slip_force`` closes until the
     estimated normal force reaches a commanded value that starts at the
     per-fruit initial force and rises by the per-fruit increment on slip.
+    The margin must be finite and non-negative, the increment finite and
+    positive, and ``max_retries`` an integer of at least 1.
     """
 
     strategy: str
@@ -135,12 +146,11 @@ class StrategyConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.close_margin_mm < 0:
-            raise ValueError("close_margin_mm must be non-negative")
-        if self.retry_increment_mm <= 0:
-            raise ValueError("retry_increment_mm must be positive")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
+        _check_non_negative(self.close_margin_mm, "close_margin_mm")
+        _check_positive(self.retry_increment_mm, "retry_increment_mm")
+        if not (_is_int(self.max_retries) and self.max_retries >= 1):
+            raise ValueError("max_retries must be an integer >= 1, "
+                             f"got {self.max_retries!r}")
 
     def initial_force(self, fruit_type: str) -> float:
         if fruit_type not in INITIAL_FORCE_N:
@@ -159,7 +169,10 @@ class GraspState:
 
     ``measured_diameter_mm`` and ``fruit_type`` are the detection results
     (ground truth plus measurement noise) injected when the trial starts;
-    ``phase_ticks`` counts ticks spent in the current state.
+    ``phase_ticks`` counts ticks spent in the current state. The opening,
+    the forces and the diameter must be finite and non-negative, and the
+    counts integers, ``attempt`` from 1 and ``phase_ticks`` from 0. A trial
+    builds one state a tick, so the checks are scalar comparisons.
     """
 
     state: str
@@ -174,10 +187,20 @@ class GraspState:
     def __post_init__(self):
         if self.state not in STATES:
             raise ValueError(f"unknown state {self.state!r}")
-        if self.opening_mm < 0 or not np.isfinite(self.opening_mm):
-            raise ValueError("opening_mm must be finite and non-negative")
-        if self.attempt < 1:
-            raise ValueError("attempt count starts at 1")
+        if self.fruit_type not in DEFAULT_POPULATIONS:
+            raise ValueError(f"unknown fruit type {self.fruit_type!r}")
+        # NaN, negatives and infinities all fail the chained comparison
+        for name in ("opening_mm", "commanded_force_n", "peak_force_n",
+                     "measured_diameter_mm"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
+        if not (_is_int(self.attempt) and self.attempt >= 1):
+            raise ValueError("attempt must be an integer >= 1, "
+                             f"got {self.attempt!r}")
+        if not (_is_int(self.phase_ticks) and self.phase_ticks >= 0):
+            raise ValueError("phase_ticks must be an integer >= 0, "
+                             f"got {self.phase_ticks!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,10 +230,14 @@ def fruit_response(fruit: FruitModel, opening_mm: float, pull_n: float):
     The pull transmitted to the stem is capped by the friction cone
     ``friction * contact_force``; the slip rate is the fraction of the pull
     the cone cannot carry, so it decreases monotonically with grip force
-    and is 1 when the jaws are not touching the fruit.
+    and is 1 when the jaws are not touching the fruit. The opening and the
+    pull must be finite and non-negative.
     """
-    if opening_mm < 0:
-        raise ValueError("opening_mm must be non-negative")
+    if not 0.0 <= opening_mm < math.inf:
+        raise ValueError(f"opening_mm must be finite and non-negative, "
+                         f"got {opening_mm}")
+    if not 0.0 <= pull_n < math.inf:
+        raise ValueError(f"pull_n must be finite and non-negative, got {pull_n}")
     contact = fruit.stiffness_n_mm * max(0.0, fruit.diameter_mm - opening_mm)
     grip_limit = fruit.friction * contact
     transmitted = min(pull_n, grip_limit)
@@ -240,48 +267,48 @@ def step_controller(state: GraspState, percepts, cfg: StrategyConfig) -> GraspSt
     absorbing and the attempt counter never exceeds ``cfg.max_retries``.
     """
     slip_flag, f_n = percepts
-    peak = max(state.peak_force_n, float(f_n))
-    step = {"peak_force_n": peak, "phase_ticks": state.phase_ticks + 1}
-
-    def moved(**kw):
-        merged = {**state.__dict__, **step, **kw}
-        return GraspState(**merged)
-
-    if state.state == "done":
-        return moved(phase_ticks=state.phase_ticks)
-    if state.state == "detect":
-        return moved(state="approach", phase_ticks=0)
-    if state.state == "approach":
+    name, opening, attempt = state.state, state.opening_mm, state.attempt
+    commanded, phase = state.commanded_force_n, state.phase_ticks + 1
+    if name == "done":
+        phase = state.phase_ticks
+    elif name == "detect":
+        name, phase = "approach", 0
+    elif name == "approach":
         # The arm move also pre-opens the jaws to just over the fruit.
-        pre = min(state.opening_mm,
-                  state.measured_diameter_mm + APPROACH_CLEARANCE_MM)
-        return moved(state="close", opening_mm=pre, phase_ticks=0)
-    if state.state == "close":
+        opening = min(opening, state.measured_diameter_mm + APPROACH_CLEARANCE_MM)
+        name, phase = "close", 0
+    elif name == "close":
         if cfg.strategy == "slip_force":
-            if f_n >= state.commanded_force_n:
-                return moved(state="hold_pull", phase_ticks=0)
-            return moved(opening_mm=max(0.0, state.opening_mm - CLOSING_SPEED_MM))
-        target = _close_target(state, cfg)
-        if state.opening_mm <= target:
-            return moved(state="hold_pull", phase_ticks=0)
-        return moved(opening_mm=max(target, state.opening_mm - CLOSING_SPEED_MM))
-    if state.state == "hold_pull":
+            if f_n >= commanded:
+                name, phase = "hold_pull", 0
+            else:
+                opening = max(0.0, opening - CLOSING_SPEED_MM)
+        else:
+            target = _close_target(state, cfg)
+            if opening <= target:
+                name, phase = "hold_pull", 0
+            else:
+                opening = max(target, opening - CLOSING_SPEED_MM)
+    elif name == "hold_pull":
         if slip_flag and _reads_slip(state, cfg):
-            if state.attempt >= cfg.max_retries:
-                return moved(state="done")
-            return moved(state="retry", phase_ticks=0)
-        if state.phase_ticks >= HOLD_TICKS:
-            if cfg.strategy == "open_loop" or state.attempt >= cfg.max_retries:
-                return moved(state="done")
-            return moved(state="retry", phase_ticks=0)
-        return moved()
-    # retry: bump the attempt, raise the commanded force for slip_force,
-    # and re-enter the closing phase.
-    commanded = state.commanded_force_n
-    if cfg.strategy == "slip_force":
-        commanded += cfg.force_increment(state.fruit_type)
-    return moved(state="close", attempt=state.attempt + 1,
-                 commanded_force_n=commanded, phase_ticks=0)
+            if attempt >= cfg.max_retries:
+                name = "done"
+            else:
+                name, phase = "retry", 0
+        elif state.phase_ticks >= HOLD_TICKS:
+            if cfg.strategy == "open_loop" or attempt >= cfg.max_retries:
+                name = "done"
+            else:
+                name, phase = "retry", 0
+    else:
+        # retry: bump the attempt, raise the commanded force for slip_force,
+        # and re-enter the closing phase.
+        if cfg.strategy == "slip_force":
+            commanded += cfg.force_increment(state.fruit_type)
+        name, attempt, phase = "close", attempt + 1, 0
+    return GraspState(name, opening, commanded, attempt,
+                      max(state.peak_force_n, float(f_n)),
+                      state.measured_diameter_mm, state.fruit_type, phase)
 
 
 # The controller's current-to-force decoder, fitted on a fixed draw.
@@ -294,19 +321,25 @@ class ContactDisc:
     middle row of the tracking window, centred on the whole pixel nearest
     ``center_px`` and clamped inside the window, so that pixel is exactly
     its centroid. Its ``area``, ``centroid()`` and ``contains(xy)`` are the
-    painted raster's, without painting it."""
+    painted raster's, without painting it. The centre is kept as an int;
+    the centroid array is built on the first ``centroid()`` or
+    ``contains`` call, which a trial makes only on the ticks that read the
+    slip flag."""
 
     #: the stencil's pixels (dx, dy), dx * dx + dy * dy <= radius ** 2
     area = sum(2 * math.isqrt(_DISC_RADIUS_PX ** 2 - dy * dy) + 1
                for dy in range(-_DISC_RADIUS_PX, _DISC_RADIUS_PX + 1))
 
     def __init__(self, center_px: float):
-        cx = round(min(max(center_px, _DISC_RADIUS_PX),
-                       _TRACK_WINDOW_PX - _DISC_RADIUS_PX - 1))
-        self._centroid = _freeze(np.array([cx, _TRACK_WINDOW_PX // 2], float))
+        self._cx = int(round(min(max(center_px, _DISC_RADIUS_PX),
+                                 _TRACK_WINDOW_PX - _DISC_RADIUS_PX - 1)))
 
     def centroid(self) -> np.ndarray:
         return self._centroid
+
+    @cached_property
+    def _centroid(self) -> np.ndarray:
+        return _freeze(np.array([self._cx, _TRACK_WINDOW_PX // 2], float))
 
     def contains(self, xy: np.ndarray) -> np.ndarray:
         """Which of the (N, 2) positions, snapped to the nearest pixel of
@@ -318,7 +351,7 @@ class ContactDisc:
 def _patch_radius_mm(fruit: FruitModel, opening_mm: float) -> float:
     """Contact patch radius from spherical-cap geometry of the jaw squeeze."""
     depth = max(0.0, fruit.diameter_mm - opening_mm) / 2.0
-    return float(np.sqrt(max(0.0, depth * (fruit.diameter_mm - depth))))
+    return math.sqrt(max(0.0, depth * (fruit.diameter_mm - depth)))
 
 
 def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
@@ -335,13 +368,21 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
     on the ticks where the controller reads it (``_reads_slip``); the
     others hand it False, which it ignores.
 
+    After the measured diameter's draw, the trial draws its noise as
+    blocks of standard normals z, ``_NOISE_BLOCK_TICKS`` ticks at a time and
+    19 a tick, the current's and then the nine markers' (x, y), and uses
+    sigma * z. That is the stream and the bits of one ``normal(0.0, sigma)``
+    call a tick for the current and one for the markers: numpy's ``normal``
+    is 0.0 + sigma * z from the same standard normals, which differs from
+    sigma * z only in the sign of a zero, and that is added to a positive
+    current or marker coordinate. Draws a trial does not reach are never
+    read.
+
     Raises ``ValueError`` unless ``diameter_noise_mm`` is finite and
     non-negative and ``px_per_mm`` and ``threshold_px`` are finite and
     positive.
     """
-    if not (diameter_noise_mm >= 0 and math.isfinite(diameter_noise_mm)):
-        raise ValueError("diameter_noise_mm must be finite and non-negative, "
-                         f"got {diameter_noise_mm}")
+    _check_non_negative(diameter_noise_mm, "diameter_noise_mm")
     _check_positive(px_per_mm, "px_per_mm")
     _check_positive(threshold_px, "threshold_px")
     rng = np.random.default_rng(seed)
@@ -358,7 +399,13 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
     slip_mm = 0.0
     start_px = 4.0 * _DISC_RADIUS_PX
 
-    for _ in range(MAX_TICKS):
+    for tick in range(MAX_TICKS):
+        at = tick % _NOISE_BLOCK_TICKS
+        if at == 0:
+            z = rng.standard_normal((_NOISE_BLOCK_TICKS, 1 + marker_rest.size))
+            current_noise = (CURRENT_NOISE * z[:, 0]).tolist()
+            jittered = marker_rest + DEFAULT_MARKER_JITTER_PX * z[:, 1:].reshape(
+                (-1,) + marker_rest.shape)
         pull = 0.0
         if state.state == "hold_pull":
             pull = PULL_MAX_N * min(1.0, (state.phase_ticks + 1) / PULL_RAMP_TICKS)
@@ -376,14 +423,12 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
             return TrialOutcome(False, "slip_drop", state.attempt,
                                 state.peak_force_n, np.array(trace))
 
-        current = (CURRENT_GAIN * contact + CURRENT_OFFSET
-                   + rng.normal(0.0, CURRENT_NOISE))
-        f_est = max(0.0, float(predict_normal_force(current, _FORCE_MODEL)))
+        current = CURRENT_GAIN * contact + CURRENT_OFFSET + current_noise[at]
+        f_est = max(0.0, predict_normal_force(current, _FORCE_MODEL))
         trace.append(f_est)
 
         contacts.append(ContactDisc(start_px + slip_mm * px_per_mm))
-        positions.append(marker_rest + rng.normal(
-            0.0, DEFAULT_MARKER_JITTER_PX, marker_rest.shape))
+        positions.append(jittered[at])
         # A trial pulls only after detect, approach and close, so a reading
         # tick has at least 4 frames in the window.
         slip_flag = _reads_slip(state, cfg) and detect_slip(

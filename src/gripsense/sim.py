@@ -39,7 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (DiffFrame, HeightMap, MarkerSet, TactileFrame, _Adopt,
-                   _check_positive, _clip_owned, _Frozen, _owned, diff_image)
+                   _check_non_negative, _check_positive, _clip_owned, _Frozen,
+                   _owned, diff_image)
 from .slip import DEFAULT_CONTACT_THRESHOLD_MM, ContactMask
 
 # Combined gel + drive-train stiffness seen in series with the fruit during a
@@ -397,12 +398,6 @@ def _shade(values: np.ndarray, px_per_mm: float, rig: LightRig,
     return img
 
 
-def _check_noise(sigma: float, what: str) -> None:
-    """Raise unless the noise level ``sigma`` is finite and non-negative."""
-    if not (sigma >= 0 and math.isfinite(sigma)):
-        raise ValueError(f"{what} must be finite and non-negative, got {sigma}")
-
-
 def render_tactile(h: HeightMap, rig: LightRig = default_rig(),
                    gel: GelModel = GelModel(), noise_sigma: float = 0.0,
                    rng: np.random.Generator | None = None,
@@ -414,7 +409,7 @@ def render_tactile(h: HeightMap, rig: LightRig = default_rig(),
     (``_shade``). Deterministic for identical inputs; noise requires an
     explicit ``rng``, and a ``noise_sigma`` of 0 draws nothing.
     """
-    _check_noise(noise_sigma, "noise_sigma")
+    _check_non_negative(noise_sigma, "noise_sigma")
     img = _shade(h.values, h.px_per_mm, rig, gel)
     if noise_sigma > 0.0:
         if rng is None:
@@ -554,15 +549,26 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     the contact patch inside the gel. Zero load never enters phase 3.
 
     Each frame's mask is cap height plus N(0, ``mask_noise_mm``) noise,
-    above 0.3 mm. The noise is drawn over the whole frame, which fixes the
-    random stream, but the cap is evaluated only in the box around its
-    support, where it is not zero; ``depth_mm`` must lie in (0.3, sphere
-    radius] so that the cap reaches the threshold and that support is a true
-    spherical cap. Each ``ContactMask`` keeps only the bounding box of its
-    pixels above the threshold, the cap's unless the noise alone crosses it.
+    above 0.3 mm. A frame draws its noise, the whole frame's and then its
+    markers' N(0, ``marker_jitter_px``) jitter, as one block of standard
+    normals into one reused buffer, and scales it: the same stream and, as
+    numpy's ``normal`` is 0.0 + sigma * z, the same sums, but for the sign of
+    a zero that is added to a non-negative cap or a positive marker
+    coordinate. The cap is evaluated only in the box around its support,
+    where it is not zero; ``depth_mm`` must lie in (0.3, sphere radius] so
+    that the cap reaches the threshold and that support is a true spherical
+    cap. Off the box the mask is the noise alone above 0.3 mm, which no
+    pixel reaches when ``mask_noise_mm`` times the frame's largest draw does
+    not (rounding sigma * z is monotone in z); then the mask is built from
+    the box alone, else from the whole frame. Each ``ContactMask`` keeps
+    only the bounding box of its pixels above the threshold, the cap's
+    unless the noise alone crosses it. Negative or non-finite noise levels
+    raise.
     """
     if n_frames < 10:
         raise ValueError("need at least 10 frames")
+    _check_non_negative(mask_noise_mm, "mask_noise_mm")
+    _check_non_negative(marker_jitter_px, "marker_jitter_px")
     sphere_r = (scene.fruit.diameter_mm / 2.0
                 if scene.fruit is not None else 16.0)
     if not depth_mm > DEFAULT_CONTACT_THRESHOLD_MM:
@@ -624,24 +630,34 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     xs = (np.arange(size_px) + 0.5) / px_per_mm
     sphere = Sphere(sphere_r)
 
+    # one frame's standard normals: its mask noise, then its marker jitter
+    z = np.empty(size_px * size_px + rest.xy.size)
+    z_mask = z[:size_px * size_px].reshape(size_px, size_px)
+    z_jitter = z[size_px * size_px:].reshape(rest.xy.shape)
     masks, tracks = [], []
     marker_pos = rest.xy.copy()
     for t in range(n_frames):
+        rng.standard_normal(out=z)
         # the penetration is +0.0 off the cap, where pen + noise is the noise
-        # itself; so the full-frame draw keeps the stream, and only the box
-        # around the cap adds the penetration
-        noise = rng.normal(0.0, mask_noise_mm, (size_px, size_px))
-        values = noise > DEFAULT_CONTACT_THRESHOLD_MM
+        # itself; so only the box around the cap adds the penetration
         r0, r1, c0, c1 = _cap_box(centers_mm[t], sphere_r, depth_mm,
                                   px_per_mm, size_px)
         pen = sphere.penetration(xs[None, c0:c1] - centers_mm[t, 0],
                                  xs[r0:r1, None] - centers_mm[t, 1], depth_mm)
-        values[r0:r1, c0:c1] = (pen + noise[r0:r1, c0:c1]
-                                > DEFAULT_CONTACT_THRESHOLD_MM)
-        masks.append(ContactMask(values, DEFAULT_CONTACT_THRESHOLD_MM, px_per_mm))
+        box = (pen + mask_noise_mm * z_mask[r0:r1, c0:c1]
+               > DEFAULT_CONTACT_THRESHOLD_MM)
+        if mask_noise_mm * z_mask.max() > DEFAULT_CONTACT_THRESHOLD_MM:
+            values = mask_noise_mm * z_mask > DEFAULT_CONTACT_THRESHOLD_MM
+            values[r0:r1, c0:c1] = box
+            masks.append(ContactMask(values, DEFAULT_CONTACT_THRESHOLD_MM,
+                                     px_per_mm))
+        else:
+            masks.append(ContactMask(box, DEFAULT_CONTACT_THRESHOLD_MM,
+                                     px_per_mm, (r0, r1, c0, c1),
+                                     (size_px, size_px)))
         if t > 0:
             marker_pos = marker_pos + v_mark[t] * direction
-        jitter = rng.normal(0.0, marker_jitter_px, marker_pos.shape)
+        jitter = marker_jitter_px * z_jitter
         tracks.append(MarkerSet(rest.ids, np.clip(marker_pos + jitter, 0, size_px - 1),
                                 rest.grid_rows, rest.grid_cols,
                                 float(size_px - 1), float(size_px - 1)))
@@ -682,7 +698,7 @@ def make_calibration_presses(n: int = 8, sphere_radius_mm: float = 5.0,
         raise ValueError("need at least one press")
     if not 0.0 < depth_range[0] <= depth_range[1] < sphere_radius_mm:
         raise ValueError("depth range must lie strictly inside (0, radius)")
-    _check_noise(noise_sigma, "noise_sigma")
+    _check_non_negative(noise_sigma, "noise_sigma")
     rng = np.random.default_rng(0) if rng is None else rng
     grid = (resolution, resolution)
     ppm = resolution / gel.gel_size_mm
@@ -800,8 +816,8 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
     """
     if n_frames < 4:
         raise ValueError("need at least 4 frames")
-    _check_noise(noise_sigma, "noise_sigma")
-    _check_noise(current_noise, "current_noise")
+    _check_non_negative(noise_sigma, "noise_sigma")
+    _check_non_negative(current_noise, "current_noise")
     rng = np.random.default_rng(0) if rng is None else rng
     kf = fruit.stiffness_n_mm
     kg = SERIES_STIFFNESS

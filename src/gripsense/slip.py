@@ -165,16 +165,38 @@ def _centroid_velocity(cents: np.ndarray) -> np.ndarray:
     return v
 
 
+def _newest_step(x: np.ndarray) -> np.ndarray:
+    """The last row of ``np.diff(_trailing_mean(x, _SMOOTH_WINDOW), axis=0)``
+    for T >= 2 rows ``x``, bit for bit, from the two rows of the moving
+    average it needs: each the same difference of rows of the one
+    cumulative sum, over the same count."""
+    csum = np.cumsum(x, axis=0, dtype=np.float64)
+
+    def mean(t):
+        if t < _SMOOTH_WINDOW:
+            return csum[t] / (t + 1)
+        return (csum[t] - csum[t - _SMOOTH_WINDOW]) / _SMOOTH_WINDOW
+
+    return mean(len(x) - 1) - mean(len(x) - 2)
+
+
+def _nearest_four(xy: np.ndarray, contact) -> np.ndarray:
+    """Indices of the four positions ``xy`` (N, 2) nearest the contact's
+    centroid, ties to the lower index: the markers a contact drags when
+    none is inside it."""
+    d = np.linalg.norm(xy - contact.centroid(), axis=1)
+    return np.argsort(d, kind="stable")[:4]
+
+
 def _member_velocity(steps: np.ndarray, inside: np.ndarray, xy: np.ndarray,
                      contacts) -> np.ndarray:
     """Mean (L, 2) of the (L, N, 2) marker steps over the markers each of L
-    contacts drags: those ``inside`` it (L, N, filled in place), else the
-    four of its positions ``xy`` (L, N, 2) nearest its centroid, ties to the
-    lower index. Zeros stand in for the others in the sum, which keeps the
-    bits of a mean over the members alone."""
+    contacts drags: those ``inside`` it (L, N, filled in place), else
+    ``_nearest_four`` of its positions ``xy`` (L, N, 2). Zeros stand in for
+    the others in the sum, which keeps the bits of a mean over the members
+    alone."""
     for row in np.flatnonzero(~inside.any(axis=1)):
-        d = np.linalg.norm(xy[row] - contacts[row].centroid(), axis=1)
-        inside[row, np.argsort(d, kind="stable")[:4]] = True
+        inside[row, _nearest_four(xy[row], contacts[row])] = True
     return (np.add.reduce(steps * inside[:, :, None], axis=1)
             / inside.sum(axis=1)[:, None])
 
@@ -244,10 +266,19 @@ def marker_velocity(tracks: Sequence[MarkerSet],
 def newest_velocity(contacts: Sequence, xy) -> tuple[np.ndarray, np.ndarray]:
     """Object and marker velocity (2,) of the newest frame of a window: the
     last rows of ``object_velocity(contacts)`` and ``marker_velocity`` over
-    the same frames, bit for bit, with marker membership and the member
-    mean found for that frame alone. Of each contact, oldest first, the rule
-    reads only ``area``, ``centroid()`` and ``contains(xy)``; ``xy`` holds
-    the (T, N, 2) marker positions, matched as ``matched_positions`` does."""
+    the same frames, bit for bit, computed for that frame alone. Of each
+    contact, oldest first, the rule reads only ``area``, ``centroid()`` and
+    ``contains(xy)``; ``xy`` holds the (T, N, 2) marker positions, matched
+    as ``matched_positions`` does.
+
+    The object velocity is the newest smoothed step (``_newest_step``) of
+    the centroids of the trailing run of frames with contact alone, the run
+    ``object_velocity`` smooths on its own, and zero when that run is the
+    newest frame. The marker velocity is the member mean of the newest
+    smoothed step of the positions, summed in the series' order; that
+    smoothing runs over the whole window, for its rounding depends on where
+    the window starts.
+    """
     xy = np.asarray(xy, dtype=np.float64)
     if len(contacts) < 2 or len(xy) != len(contacts):
         raise ValueError("need at least 2 frames, each with a contact and "
@@ -255,10 +286,20 @@ def newest_velocity(contacts: Sequence, xy) -> tuple[np.ndarray, np.ndarray]:
     last = contacts[-1]
     if last.area == 0:
         return np.zeros(2), np.zeros(2)
-    pos_s = _trailing_mean(xy, _SMOOTH_WINDOW)
-    return object_velocity(contacts)[-1], _member_velocity(
-        (pos_s[-1] - pos_s[-2])[None], last.contains(xy[-1])[None], xy[-1:],
-        [last])[0]
+    start = len(contacts) - 1
+    while start and contacts[start - 1].area > 0:
+        start -= 1
+    v_obj = np.zeros(2)
+    if start < len(contacts) - 1:
+        v_obj = _newest_step(np.array(
+            [contacts[t].centroid() for t in range(start, len(contacts))]))
+    inside = last.contains(xy[-1])
+    if not inside.any():
+        inside = np.zeros(inside.shape, dtype=bool)
+        inside[_nearest_four(xy[-1], last)] = True
+    v_mark = (np.add.reduce(_newest_step(xy) * inside[:, None], axis=0)
+              / inside.sum())
+    return v_obj, v_mark
 
 
 def detect_slip(obj_v: np.ndarray, marker_v: np.ndarray,

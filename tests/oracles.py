@@ -593,6 +593,26 @@ def slip_masks_reference(seq, sphere_radius_mm, depth_mm, rng,
     return out
 
 
+def slip_tracks_reference(seq, gel, rng, mask_noise_mm=0.02,
+                          marker_jitter_px=0.3):
+    """Marker tracks (T, N, 2) of a ``synth_slip_sequence`` result: the rest
+    grid moved by the jitter-free marker speed along the pose's direction,
+    plus one ``normal`` draw a frame, clipped to the frame. ``rng`` as for
+    ``slip_masks_reference``."""
+    from gripsense import sim
+    size = seq.masks[0].frame_shape[0]
+    pos = sim.marker_grid(gel, seq.px_per_mm, (size, size)).xy
+    direction = np.array([0.0, 1.0] if seq.pose == "top" else [1.0, 0.0])
+    out = []
+    for t, speed in enumerate(seq.marker_speed):
+        rng.normal(0.0, mask_noise_mm, (size, size))
+        if t > 0:
+            pos = pos + speed * direction
+        jitter = rng.normal(0.0, marker_jitter_px, pos.shape)
+        out.append(np.clip(pos + jitter, 0, size - 1))
+    return np.array(out)
+
+
 def gradient_normals_reference(values, px_per_mm):
     """(..., H, W, 3) unit normals: ``np.gradient`` slopes in mm per mm,
     stacked as (-gx, -gy, 1) and divided by their ``np.linalg.norm``."""

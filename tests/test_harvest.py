@@ -1,11 +1,14 @@
 """Harvest ablation: fruit mechanics, grasp controller, seeded trials."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gripsense import harvest, slip
+from gripsense.sim import CURRENT_NOISE
 from oracles import paint_disc_mask, run_trial_reference
 
 TOMATO = harvest.FruitModel("cherry_tomato", diameter_mm=28.0,
@@ -28,6 +31,15 @@ class TestFruitModel:
             harvest.FruitModel("cherry_tomato", 28.0, 1.0, 1.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             harvest.FruitModel("durian", 28.0, 1.0, 1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("field", [
+        "diameter_mm", "stiffness_n_mm", "detach_force_n", "bruise_force_n",
+        "friction", "stem_stiffness_factor"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_and_negative_fields(self, field, bad):
+        # unchecked, a NaN diameter ran 400 ticks and ended as max_retries
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(TOMATO, **{field: bad})
 
     def test_fragile_configuration_constructible(self):
         fragile = harvest.FruitModel("strawberry", 30.0, 0.9,
@@ -77,6 +89,15 @@ class TestFruitResponse:
         with pytest.raises(ValueError):
             harvest.fruit_response(TOMATO, -1.0, 0.0)
 
+    @pytest.mark.parametrize("opening, pull, name", [
+        (np.nan, 0.0, "opening_mm"), (np.inf, 0.0, "opening_mm"),
+        (27.0, np.nan, "pull_n"), (27.0, -1.0, "pull_n"),
+        (27.0, np.inf, "pull_n")])
+    def test_rejects_garbage_inputs(self, opening, pull, name):
+        # unchecked, a NaN or negative pull read as zero slip
+        with pytest.raises(ValueError, match=name):
+            harvest.fruit_response(TOMATO, opening, pull)
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 40.0), st.floats(0.0, 8.0))
     def test_slip_rate_always_a_fraction(self, opening, pull):
@@ -100,6 +121,39 @@ class TestStrategyConfig:
         cfg = harvest.StrategyConfig(strategy="slip")
         with pytest.raises(ValueError):
             cfg.initial_force("durian")
+
+    @pytest.mark.parametrize("kw", [
+        {"close_margin_mm": np.nan}, {"close_margin_mm": np.inf},
+        {"close_margin_mm": -0.5}, {"retry_increment_mm": np.nan},
+        {"retry_increment_mm": np.inf}, {"retry_increment_mm": 0.0},
+        {"max_retries": 2.5}, {"max_retries": 3.0}, {"max_retries": True},
+        {"max_retries": 0}])
+    def test_rejects_non_finite_and_fractional_settings(self, kw):
+        # unchecked, a NaN margin turned a slip trial into a bruise
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            harvest.StrategyConfig(strategy="slip", **kw)
+
+    def test_accepts_numpy_integer_retries(self):
+        cfg = harvest.StrategyConfig(strategy="slip", max_retries=np.int64(2))
+        assert cfg.max_retries == 2
+
+
+class TestGraspState:
+    @pytest.mark.parametrize("kw, name", [
+        ({"commanded_force_n": np.nan}, "commanded_force_n"),
+        ({"measured_diameter_mm": np.nan}, "measured_diameter_mm"),
+        ({"peak_force_n": np.nan}, "peak_force_n"),
+        ({"peak_force_n": -1.0}, "peak_force_n"),
+        ({"opening_mm": np.inf}, "opening_mm"),
+        ({"phase_ticks": -1}, "phase_ticks"),
+        ({"phase_ticks": 2.0}, "phase_ticks"),
+        ({"attempt": 1.5}, "attempt"),
+        ({"attempt": 0}, "attempt"),
+        ({"fruit_type": "banana"}, "fruit type"),
+        ({"state": "dance"}, "state")])
+    def test_rejects_garbage(self, kw, name):
+        with pytest.raises(ValueError, match=name):
+            _state(**kw)
 
 
 class TestController:
@@ -290,6 +344,26 @@ class TestRunTrial:
                                                  abs=1e-9)
 
 
+class TestNoiseBlocks:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 99991])
+    def test_block_draw_equals_normal_calls(self, seed):
+        """``run_trial``'s noise: a block of standard normals scaled by
+        sigma is, byte for byte, one ``normal(0.0, sigma)`` call a tick for
+        the current and one for the (9, 2) markers. A numpy release that
+        changed ``Generator.normal`` would fail here."""
+        ticks, calls = 40, np.random.default_rng(seed)
+        current = np.empty(ticks)
+        markers = np.empty((ticks, 9, 2))
+        for t in range(ticks):
+            current[t] = calls.normal(0.0, CURRENT_NOISE)
+            markers[t] = calls.normal(0.0, harvest.DEFAULT_MARKER_JITTER_PX,
+                                      (9, 2))
+        z = np.random.default_rng(seed).standard_normal((ticks, 19))
+        assert (CURRENT_NOISE * z[:, 0]).tobytes() == current.tobytes()
+        assert (harvest.DEFAULT_MARKER_JITTER_PX
+                * z[:, 1:].reshape(ticks, 9, 2)).tobytes() == markers.tobytes()
+
+
 class TestContactDisc:
     """The contact disc against the painted raster it replaces."""
 
@@ -457,3 +531,38 @@ class TestExperiment:
                                        strategies=("open_loop",))[0]
         assert again.success_rate == out[0].success_rate
         assert again.force_mean == out[0].force_mean
+
+    def test_criterion7_summaries_pinned(self, monkeypatch):
+        """``run_experiment(50, seed=0)``, the criterion-7 grid, exactly; and
+        the traffic of its trials: the plant is stepped 13,399 times, and
+        the slip rule runs on the 1,482 ticks that read its flag."""
+        calls = {"fruit_response": 0, "newest_velocity": 0}
+
+        def counted(name):
+            fn = getattr(harvest, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(harvest, name, call)
+
+        counted("fruit_response")
+        counted("newest_velocity")
+        got = [(s.fruit_type, s.strategy, s.success_rate, s.mean_attempts,
+                s.force_mean, s.force_var, s.failure_counts)
+               for s in harvest.run_experiment(50, seed=0)]
+        assert got == [
+            ("cherry_tomato", "open_loop", 0.76, 1.0, 2.7164629102872033,
+             1.896445898849458, {"slip_drop": 11, "bruise": 1}),
+            ("cherry_tomato", "slip", 0.96, 1.2, 3.200630697469984,
+             1.2112223441696164, {"slip_drop": 1, "bruise": 1}),
+            ("cherry_tomato", "slip_force", 1.0, 1.84, 1.7349600035384631,
+             0.08551105208636703, {}),
+            ("strawberry", "open_loop", 0.32, 1.0, 1.7950322557985074,
+             0.8258357491227375, {"slip_drop": 33, "bruise": 1}),
+            ("strawberry", "slip", 0.8, 1.68, 2.84601617567514,
+             0.6248546853821255, {"bruise": 8, "slip_drop": 2}),
+            ("strawberry", "slip_force", 0.96, 1.54, 2.738540425782126,
+             0.306729495953995, {"bruise": 2}),
+        ]
+        assert calls == {"fruit_response": 13399, "newest_velocity": 1482}

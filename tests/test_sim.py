@@ -15,7 +15,7 @@ from gripsense.slip import ContactMask
 from oracles import (cap_height, cap_normals_fd, compression_clip_reference,
                      gradient_normals_reference, press, render_reference,
                      shade_reference, shear_dataset_reference,
-                     slip_masks_reference)
+                     slip_masks_reference, slip_tracks_reference)
 
 GEL = sim.GelModel()
 rng = np.random.default_rng(11)
@@ -399,6 +399,39 @@ class TestSlipSequence:
             assert np.ptp(track_mm[:, 0]) > 0
             assert track_mm[-1, 0] == GEL.gel_size_mm - (
                 np.sqrt(2.0 * 16.0 * depth - depth ** 2) + 0.5)
+
+    @pytest.mark.parametrize("pose, noise, jitter", [
+        ("top", 0.02, 0.3), ("side", 0.0, 0.0), ("side", 0.5, 2.0)])
+    def test_tracks_match_per_frame_draws(self, pose, noise, jitter):
+        seq = sim.synth_slip_sequence(
+            sim.GraspScene(pose=pose, load_g=50.0), 24, GEL,
+            np.random.default_rng(6), mask_noise_mm=noise,
+            marker_jitter_px=jitter)
+        want = slip_tracks_reference(seq, GEL, np.random.default_rng(6),
+                                     noise, jitter)
+        got = np.array([t.xy for t in seq.tracks])
+        assert got.tobytes() == want.tobytes()
+
+    def test_noise_crossing_off_the_cap_keeps_the_whole_frame_formula(self):
+        """Noise so wide that it alone crosses the threshold far from the
+        cap: every mask is the whole frame's formula, and reaches past the
+        cap's box."""
+        seq = sim.synth_slip_sequence(sim.GraspScene(load_g=10.0), 12, GEL,
+                                      np.random.default_rng(8),
+                                      mask_noise_mm=0.5)
+        want = slip_masks_reference(seq, 16.0, 1.0, np.random.default_rng(8),
+                                    mask_noise_mm=0.5)
+        for mask, ref in zip(seq.masks, want):
+            assert np.array_equal(mask.raster(), ref)
+            assert mask.support[1] - mask.support[0] > 400
+
+    @pytest.mark.parametrize("name", ["mask_noise_mm", "marker_jitter_px"])
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_rejects_bad_noise(self, name, bad):
+        # unchecked, a NaN mask noise reads as no contact anywhere
+        with pytest.raises(ValueError, match=name):
+            sim.synth_slip_sequence(sim.GraspScene(), 20, GEL,
+                                    np.random.default_rng(0), **{name: bad})
 
     @pytest.mark.parametrize("depth", [0.0, 0.2, 0.3, 16.5, 40.0, np.nan])
     def test_depth_outside_cap_range_raises(self, depth):
