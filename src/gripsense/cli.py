@@ -226,15 +226,10 @@ def _cmd_force(args, cfg: Config) -> int:
                                         labels)
 
     gel = sim.GelModel()
-    mask_px = 240
-    ppm = mask_px / gel.gel_size_mm
-    xs = (np.arange(mask_px) + 0.5) / ppm
-    xm, ym = np.meshgrid(xs, xs)
     mid = gel.gel_size_mm / 2.0
-    pen = sim.Sphere(15.0).penetration(xm - mid, ym - mid, 1.2)
-    mask = slip.ContactMask(pen > slip.DEFAULT_CONTACT_THRESHOLD_MM,
-                            slip.DEFAULT_CONTACT_THRESHOLD_MM, ppm)
-    rest = sim.marker_grid(gel, ppm, (mask_px, mask_px))
+    mask = slip.segment_contact(sim.indent_heightmap(
+        sim.Sphere(15.0), (mid, mid), 1.2, (240, 240), gel))
+    rest = sim.marker_grid(gel, mask.px_per_mm, mask.frame_shape)
     angle = math.pi / 6.0
     n_frames = cfg["force.frames"]
     with _out_stream(args.out) as f:

@@ -104,6 +104,12 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_int(value, what: str, least: int = 1) -> None:
+    """Raise unless ``value`` is an integer (``_is_int``) >= ``least``."""
+    if not (_is_int(value) and value >= least):
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def _ints(values, n: int, what: str) -> tuple:
     """``values`` as n Python ints, or ValueError unless it is n integers
     (bools excluded)."""
@@ -212,7 +218,7 @@ _LBFGS_FTOL = 2.2e-9
 _LBFGS_GTOL = 1e-5
 
 
-def _lbfgs(loss_and_grads, params, epochs: int, first_step: float):
+def _lbfgs(loss_and_grads, params, epochs: int, learning_rate: float):
     """Minimize ``loss_and_grads(params) -> (loss, grads)`` by L-BFGS.
 
     Limited-memory BFGS (Liu & Nocedal 1989): the two-loop recursion over
@@ -220,10 +226,11 @@ def _lbfgs(loss_and_grads, params, epochs: int, first_step: float):
     s.y <= 0 being skipped, and Armijo backtracking halves a unit step until
     the loss falls enough; a trial loss that is not finite counts as a step
     too long. With an empty memory, at the start and after a line search
-    that fails clears it, the step is -g scaled to length ``first_step``;
+    that fails clears it, the step is -g scaled to length ``learning_rate``;
     if that one fails too the point is final. The run stops when the
     relative loss reduction is at most 2.2e-9, when max |g| is at most 1e-5,
-    or after ``epochs`` iterations.
+    or after ``epochs`` iterations. ``epochs`` must be an integer >= 1 and
+    ``learning_rate`` finite and positive.
 
     ``params`` (arrays or scalars) is copied into one flat vector, and
     ``loss_and_grads`` is always called with the same views into it, so
@@ -231,6 +238,8 @@ def _lbfgs(loss_and_grads, params, epochs: int, first_step: float):
     minimizer and the loss before each iteration plus the final loss,
     non-increasing.
     """
+    _check_int(epochs, "epochs")
+    _check_positive(learning_rate, "learning_rate")
     x = np.concatenate([np.ravel(p) for p in params], dtype=np.float64)
     views, at = [], 0
     for p in params:
@@ -260,7 +269,7 @@ def _lbfgs(loss_and_grads, params, epochs: int, first_step: float):
                 d += (a - rho * (y @ d)) * s
         if not memory or not g @ d < 0.0:
             memory.clear()
-            d = g * (-first_step / np.linalg.norm(g))
+            d = g * (-learning_rate / np.linalg.norm(g))
         slope = g @ d
         start, step = x.copy(), 1.0
         for _ in range(_MAX_HALVINGS):
@@ -394,7 +403,6 @@ class TactileFrame(_Frozen):
 
     pixels: np.ndarray          # (H, W, 3), values in [0, 1]
     px_per_mm: float
-    timestamp: float = 0.0
 
     def __post_init__(self):
         px = _owned(self.pixels)
@@ -406,14 +414,6 @@ class TactileFrame(_Frozen):
         _check_positive(self.px_per_mm, "px_per_mm")
         self._keep("pixels", _Adopt(px))
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class DiffFrame(_Frozen):
@@ -421,7 +421,6 @@ class DiffFrame(_Frozen):
 
     values: np.ndarray          # (H, W, 3)
     px_per_mm: float
-    timestamp: float = 0.0
 
     def __post_init__(self):
         v = _owned(self.values)
@@ -509,8 +508,6 @@ class MarkerSet(_Frozen):
 
     ids: np.ndarray             # (N,) int64, unique
     xy: np.ndarray              # (N, 2) float, pixels
-    grid_rows: int = 0
-    grid_cols: int = 0
     frame_width: float | None = None
     frame_height: float | None = None
 
@@ -542,8 +539,8 @@ class MarkerSet(_Frozen):
 
     def moved(self, delta_xy: np.ndarray) -> "MarkerSet":
         """Same markers displaced by ``delta_xy`` (N, 2) pixels."""
-        return MarkerSet(self.ids, self.xy + delta_xy, self.grid_rows,
-                         self.grid_cols, self.frame_width, self.frame_height)
+        return MarkerSet(self.ids, self.xy + delta_xy, self.frame_width,
+                         self.frame_height)
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,15 +561,12 @@ class DisplacementField(_Frozen):
     """Dense 2-D vector field of marker motion on a regular grid (pixels)."""
 
     values: np.ndarray          # (H, W, 2)
-    spacing_px: float = 1.0     # frame pixels between adjacent grid nodes
-    origin_px: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         v = self._keep("values", self.values, finite=True)
         if v.ndim != 3 or v.shape[2] != 2:
             raise ValueError(f"values must be (H, W, 2), got {v.shape}")
         _check_nonempty(v, "displacement field")
-        _check_positive(self.spacing_px, "spacing_px")
 
     @property
     def shape(self) -> tuple:
@@ -589,7 +583,7 @@ def diff_image(contact: TactileFrame, background: TactileFrame) -> DiffFrame:
         raise ValueError(
             f"shape mismatch: {contact.pixels.shape} vs {background.pixels.shape}")
     return DiffFrame(_Adopt(np.subtract(contact.pixels, background.pixels)),
-                     contact.px_per_mm, contact.timestamp)
+                     contact.px_per_mm)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +664,9 @@ def save_marker_tracks(path, tracks: Sequence[MarkerSet] | MarkerSet) -> None:
     if isinstance(tracks, MarkerSet):
         tracks = [tracks]
     with open(path, "w") as f:
-        if tracks:
+        if tracks and tracks[0].frame_width is not None:
             first = tracks[0]
-            f.write(f"# grid {first.grid_rows} {first.grid_cols}\n")
-            if first.frame_width is not None:
-                f.write(f"# bounds {first.frame_width:.9g} {first.frame_height:.9g}\n")
+            f.write(f"# bounds {first.frame_width:.9g} {first.frame_height:.9g}\n")
         f.write(_MARKER_HEADER + "\n")
         for t, ms in enumerate(tracks):
             for mid, (x, y) in zip(ms.ids, ms.xy):
@@ -682,8 +674,8 @@ def save_marker_tracks(path, tracks: Sequence[MarkerSet] | MarkerSet) -> None:
 
 
 def load_marker_tracks(path) -> list[MarkerSet]:
-    """Read marker tracks; an empty or header-only file gives an empty list."""
-    grid = (0, 0)
+    """Read marker tracks; an empty or header-only file gives an empty list.
+    Comment lines but ``# bounds`` (older files' ``# grid``) are skipped."""
     bounds = (None, None)
     per_frame: dict[int, list] = {}
     header_seen = False
@@ -694,9 +686,7 @@ def load_marker_tracks(path) -> list[MarkerSet]:
                 continue
             if line.startswith("#"):
                 parts = line[1:].split()
-                if len(parts) == 3 and parts[0] == "grid":
-                    grid = (int(parts[1]), int(parts[2]))
-                elif len(parts) == 3 and parts[0] == "bounds":
+                if len(parts) == 3 and parts[0] == "bounds":
                     bounds = (float(parts[1]), float(parts[2]))
                 continue
             if not header_seen:
@@ -719,5 +709,5 @@ def load_marker_tracks(path) -> list[MarkerSet]:
         rows = per_frame[frame]
         ids = np.array([r[0] for r in rows], dtype=np.int64)
         xy = np.array([[r[1], r[2]] for r in rows])
-        out.append(MarkerSet(ids, xy, grid[0], grid[1], bounds[0], bounds[1]))
+        out.append(MarkerSet(ids, xy, bounds[0], bounds[1]))
     return out

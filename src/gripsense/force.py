@@ -85,14 +85,13 @@ def predict_normal_force(current, model: NormalForceModel):
 _COINCIDENT_SQ = 1e-24
 
 
-def _idw_table(xy: np.ndarray, node_x: np.ndarray, node_y: np.ndarray,
-               k: int = 4) -> tuple:
+def _idw_table(xy: np.ndarray, node_x: np.ndarray, node_y: np.ndarray) -> tuple:
     """(order, weights, exact) for each node of the grid with columns at
-    ``node_x`` and rows at ``node_y``, row-major: the indices of its k
-    nearest samples at ``xy`` (N, 2), distance ties going to the lowest
-    index, their normalised 1/d^2 weights, and whether it coincides with
-    the nearest."""
-    k = min(k, xy.shape[0])
+    ``node_x`` and rows at ``node_y``, row-major: the indices of its k = 4
+    nearest samples at ``xy`` (N, 2), or all N when fewer, distance ties
+    going to the lowest index, their normalised 1/d^2 weights, and whether
+    it coincides with the nearest."""
+    k = min(4, xy.shape[0])
     gx, gy = np.meshgrid(node_x, node_y)
     d2 = ((gx.ravel()[:, None] - xy[None, :, 0]) ** 2
           + (gy.ravel()[:, None] - xy[None, :, 1]) ** 2)
@@ -119,20 +118,6 @@ def _idw_gather(table: tuple, vals: np.ndarray) -> np.ndarray:
     if np.any(exact):
         out[exact] = vals[order[exact, 0]]
     return out
-
-
-def _idw_interpolate(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
-                     node_x: np.ndarray, node_y: np.ndarray,
-                     k: int = 4) -> np.ndarray:
-    """Inverse-distance-weighted interpolation of scattered samples onto a grid.
-
-    ``(px, py)`` are N sample positions with values ``vals`` (N, C); the output
-    grid has node columns at ``node_x`` and rows at ``node_y``. For each node
-    the ``k`` nearest samples are blended with weights 1/d^2 (``_idw_table``).
-    """
-    table = _idw_table(np.column_stack([px, py]), node_x, node_y, k)
-    return _idw_gather(table, vals).reshape(node_y.shape[0], node_x.shape[0],
-                                            vals.shape[1])
 
 
 def interpolate_markers(before: MarkerSet, after: MarkerSet,
@@ -177,11 +162,9 @@ def interpolate_markers(before: MarkerSet, after: MarkerSet,
             raise ValueError("degenerate marker extent")
         node_x = np.linspace(x0, x1, gw)
         node_y = np.linspace(y0, y1, gh)
-        tables[gh, gw] = (_freeze(_idw_table(rest, node_x, node_y)),
-                          float(node_x[1] - node_x[0]), (x0, y0))
-    table, spacing, origin = tables[gh, gw]
-    return DisplacementField(_Adopt(_idw_gather(table, disp).reshape(gh, gw, 2)),
-                             spacing, origin)
+        tables[gh, gw] = _freeze(_idw_table(rest, node_x, node_y))
+    return DisplacementField(
+        _Adopt(_idw_gather(tables[gh, gw], disp).reshape(gh, gw, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +240,7 @@ def hhd_decompose(v: DisplacementField) -> HHDResult:
     _central_diff(pots, -1, grad[..., 0])
     _central_diff(pots, -2, grad[..., 1])
     p, s = grad[0], grad[1, :, :, ::-1] * [1.0, -1.0]
-    mk = lambda f: DisplacementField(_Adopt(f), v.spacing_px, v.origin_px)
+    mk = lambda f: DisplacementField(_Adopt(f))
     return HHDResult(mk(p), mk(s), mk(vals - p - s),
                      ScalarField(_Adopt(pots[0])), ScalarField(_Adopt(pots[1])))
 

@@ -281,11 +281,6 @@ def fit_rgb2normal(data: CalibrationDataset, epochs: int = DEFAULT_EPOCHS,
     A non-finite loss at the initial weights raises. The work arrays are
     allocated once per call and reused by every loss evaluation.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
-    if not (np.isfinite(learning_rate) and learning_rate > 0.0):
-        raise ValueError("learning_rate must be finite and positive, "
-                         f"got {learning_rate}")
     rng = np.random.default_rng(seed)
     params = []
     for fan_out, fan_in in ((32, 5), (32, 32), (2, 32)):

@@ -34,8 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (_check_non_negative, _check_positive, _freeze, _Frozen,
-                   _is_int)
+from .core import (_check_int, _check_non_negative, _check_positive, _freeze,
+                   _Frozen)
 from .force import fit_normal_force, predict_normal_force
 from .sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET, make_force_samples
 from .slip import (DEFAULT_THRESHOLD_PX, TICK_WINDOW, detect_slip,
@@ -148,9 +148,7 @@ class StrategyConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         _check_non_negative(self.close_margin_mm, "close_margin_mm")
         _check_positive(self.retry_increment_mm, "retry_increment_mm")
-        if not (_is_int(self.max_retries) and self.max_retries >= 1):
-            raise ValueError("max_retries must be an integer >= 1, "
-                             f"got {self.max_retries!r}")
+        _check_int(self.max_retries, "max_retries")
 
     def initial_force(self, fruit_type: str) -> float:
         if fruit_type not in INITIAL_FORCE_N:
@@ -195,12 +193,8 @@ class GraspState:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, "
                                  f"got {getattr(self, name)}")
-        if not (_is_int(self.attempt) and self.attempt >= 1):
-            raise ValueError("attempt must be an integer >= 1, "
-                             f"got {self.attempt!r}")
-        if not (_is_int(self.phase_ticks) and self.phase_ticks >= 0):
-            raise ValueError("phase_ticks must be an integer >= 0, "
-                             f"got {self.phase_ticks!r}")
+        _check_int(self.attempt, "attempt")
+        _check_int(self.phase_ticks, "phase_ticks", 0)
 
 
 @dataclass(frozen=True, eq=False)

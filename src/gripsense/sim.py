@@ -39,8 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (DiffFrame, HeightMap, MarkerSet, TactileFrame, _Adopt,
-                   _check_non_negative, _check_positive, _clip_owned, _Frozen,
-                   _owned, diff_image)
+                   _check_int, _check_non_negative, _check_positive,
+                   _clip_owned, _Frozen, _owned, diff_image)
 from .slip import DEFAULT_CONTACT_THRESHOLD_MM, ContactMask
 
 # Combined gel + drive-train stiffness seen in series with the fruit during a
@@ -87,12 +87,10 @@ class GelModel:
     background_color: tuple = (0.30, 0.30, 0.30)
 
     def __post_init__(self):
-        if not self.membrane_sigma_mm > 0:
-            raise ValueError("membrane_sigma_mm must be positive")
-        if not self.gel_size_mm > 0:
-            raise ValueError("gel_size_mm must be positive")
-        if self.marker_rows < 1 or self.marker_cols < 1:
-            raise ValueError("marker grid must be at least 1x1")
+        _check_positive(self.gel_size_mm, "gel_size_mm")
+        _check_positive(self.membrane_sigma_mm, "membrane_sigma_mm")
+        _check_int(self.marker_rows, "marker_rows")
+        _check_int(self.marker_cols, "marker_cols")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +140,7 @@ class Sphere:
     radius_mm: float
 
     def __post_init__(self):
-        if not self.radius_mm > 0:
-            raise ValueError("sphere radius must be positive")
+        _check_positive(self.radius_mm, "radius_mm")
 
     @property
     def max_depth_mm(self) -> float:
@@ -164,8 +161,8 @@ class HexPyramid:
     height_mm: float
 
     def __post_init__(self):
-        if self.base_diameter_mm <= 0 or self.height_mm <= 0:
-            raise ValueError("pyramid dimensions must be positive")
+        _check_positive(self.base_diameter_mm, "base_diameter_mm")
+        _check_positive(self.height_mm, "height_mm")
 
     @property
     def max_depth_mm(self) -> float:
@@ -196,10 +193,9 @@ class FruitSurface:
     phase_seed: int = 0
 
     def __post_init__(self):
-        if self.base_radius_mm <= 0:
-            raise ValueError("base radius must be positive")
-        if self.bump_density < 0 or self.bump_amplitude_mm < 0:
-            raise ValueError("bump parameters must be non-negative")
+        _check_positive(self.base_radius_mm, "base_radius_mm")
+        _check_non_negative(self.bump_density, "bump_density")
+        _check_non_negative(self.bump_amplitude_mm, "bump_amplitude_mm")
 
     @property
     def max_depth_mm(self) -> float:
@@ -238,8 +234,7 @@ class GraspScene:
     def __post_init__(self):
         if self.pose not in ("top", "side"):
             raise ValueError(f"unknown grasp pose {self.pose!r}")
-        if self.load_g < 0:
-            raise ValueError("external load must be non-negative")
+        _check_non_negative(self.load_g, "load_g")
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +395,7 @@ def _shade(values: np.ndarray, px_per_mm: float, rig: LightRig,
 
 def render_tactile(h: HeightMap, rig: LightRig = default_rig(),
                    gel: GelModel = GelModel(), noise_sigma: float = 0.0,
-                   rng: np.random.Generator | None = None,
-                   timestamp: float = 0.0) -> TactileFrame:
+                   rng: np.random.Generator | None = None) -> TactileFrame:
     """Lambertian shading of the heightmap under the rig, plus pixel noise.
 
     Per channel: background + sum over lights of intensity * max(0, n . l),
@@ -415,7 +409,7 @@ def render_tactile(h: HeightMap, rig: LightRig = default_rig(),
         if rng is None:
             raise ValueError("pixel noise requires an explicit rng")
         img += rng.normal(0.0, noise_sigma, img.shape)
-    return TactileFrame(np.clip(img, 0.0, 1.0, out=img), h.px_per_mm, timestamp)
+    return TactileFrame(np.clip(img, 0.0, 1.0, out=img), h.px_per_mm)
 
 
 def marker_grid(gel: GelModel, px_per_mm: float, frame: tuple[int, int]) -> MarkerSet:
@@ -426,8 +420,7 @@ def marker_grid(gel: GelModel, px_per_mm: float, frame: tuple[int, int]) -> Mark
     gx, gy = np.meshgrid(xs, ys)
     xy = np.column_stack([gx.ravel(), gy.ravel()])
     ids = np.arange(xy.shape[0], dtype=np.int64)
-    return MarkerSet(ids, xy, gel.marker_rows, gel.marker_cols,
-                     float(w - 1), float(h - 1))
+    return MarkerSet(ids, xy, float(w - 1), float(h - 1))
 
 
 def deform_markers(rest: MarkerSet, contact: ContactMask, shear_mm: np.ndarray,
@@ -452,7 +445,7 @@ def deform_markers(rest: MarkerSet, contact: ContactMask, shear_mm: np.ndarray,
         raise ValueError(f"unknown deformation mode {mode!r}")
     # sheared markers may legitimately leave the camera rectangle, so the
     # result carries no frame bounds
-    unbounded = MarkerSet(rest.ids, rest.xy, rest.grid_rows, rest.grid_cols)
+    unbounded = MarkerSet(rest.ids, rest.xy)
     if mag == 0.0 or contact.area == 0:
         return unbounded
     ppm = contact.px_per_mm
@@ -659,7 +652,6 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
             marker_pos = marker_pos + v_mark[t] * direction
         jitter = marker_jitter_px * z_jitter
         tracks.append(MarkerSet(rest.ids, np.clip(marker_pos + jitter, 0, size_px - 1),
-                                rest.grid_rows, rest.grid_cols,
                                 float(size_px - 1), float(size_px - 1)))
     return SlipSequence(masks, tracks, centers_mm * px_per_mm, v_mark, labels,
                         true_diff, t2, t3, px_per_mm, load, scene.pose)

@@ -98,14 +98,6 @@ class ContactMask(_Windowed):
     def equivalent_radius_px(self) -> float:
         return float(np.sqrt(self.area / np.pi))
 
-    def resampled(self, shape: tuple[int, int]) -> "ContactMask":
-        """Nearest-neighbour resample onto a different grid resolution of
-        the same frame, the map of ``on_grid``."""
-        values, box, shape = self.on_grid(shape)
-        return ContactMask(values, self.threshold_mm,
-                           self.px_per_mm * shape[1] / self.frame_shape[1],
-                           box, shape)
-
     def contains(self, xy: np.ndarray) -> np.ndarray:
         """Membership test for (N, 2) pixel positions (x, y), each snapped
         to the nearest pixel and clipped to the frame."""

@@ -135,23 +135,21 @@ class RankerModel(_Frozen):
 
     The comparator stores a free square matrix A; the bilinear form always
     uses W = A - A^T, so W is antisymmetric by construction and the logit of
-    a clip against itself is exactly the bias. ``embedder`` may be None for
-    a bare comparator operating on externally supplied embeddings.
+    a clip against itself is exactly the bias.
     """
 
-    embedder: ClipEmbedder | None
+    embedder: ClipEmbedder
     comparator: np.ndarray
     bias: float = 0.0
     final_loss: float | None = None
     loss_history: tuple = ()
 
     def __post_init__(self):
-        comp = self._keep("comparator", self.comparator, finite=True)
-        if comp.ndim != 2 or comp.shape[0] != comp.shape[1]:
-            raise ValueError("comparator must be a square matrix")
-        if self.embedder is not None and comp.shape != (EMBED_DIM, EMBED_DIM):
-            raise ValueError(f"comparator must be {EMBED_DIM}x{EMBED_DIM} "
-                             f"to match the embedder, got {comp.shape}")
+        if not isinstance(self.embedder, ClipEmbedder):
+            raise ValueError("embedder must be a ClipEmbedder, "
+                             f"got {type(self.embedder).__name__}")
+        self._keep("comparator", self.comparator,
+                   shape=(EMBED_DIM, EMBED_DIM), finite=True)
         if not np.isfinite(self.bias):
             raise ValueError("bias must be finite")
         object.__setattr__(self, "bias", float(self.bias))
@@ -215,8 +213,6 @@ def _forward(params, patches, forces):
 
 def encode_clip(clip: CompressionClip, model: RankerModel) -> np.ndarray:
     """Deterministic 40-dimensional embedding of a squeeze clip."""
-    if model.embedder is None:
-        raise ValueError("model carries no embedder weights")
     patches, forces = _clip_tensors(clip)
     emb, _ = _forward(_params_of(model), patches[None], forces[None])
     return emb[0]
@@ -226,9 +222,8 @@ def compare_pair(e_a: np.ndarray, e_b: np.ndarray, model: RankerModel) -> float:
     """Logit of "A is harder than B": e_A^T W e_B + b, decided by f >= 0."""
     e_a = np.asarray(e_a, dtype=np.float64)
     e_b = np.asarray(e_b, dtype=np.float64)
-    d = model.comparator.shape[0]
-    if e_a.shape != (d,) or e_b.shape != (d,):
-        raise ValueError(f"embeddings must be {d}-vectors")
+    if e_a.shape != (EMBED_DIM,) or e_b.shape != (EMBED_DIM,):
+        raise ValueError(f"embeddings must be {EMBED_DIM}-vectors")
     return float(e_a @ model.skew_matrix @ e_b + model.bias)
 
 
@@ -349,11 +344,6 @@ def train_ranker(pairs, epochs: int = DEFAULT_EPOCHS,
     """
     if len(pairs) == 0:
         raise ValueError("no training pairs")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if not (np.isfinite(learning_rate) and learning_rate > 0.0):
-        raise ValueError("learning_rate must be finite and positive, "
-                         f"got {learning_rate}")
     clips, idx_a, idx_b, labels = _index_pairs(pairs)
     tensors = [_clip_tensors(c) for c in clips]
     patches = np.stack([t[0] for t in tensors])
@@ -466,8 +456,6 @@ def make_ranking_pairs(clips) -> list:
 
 def save_ranker(model: RankerModel, path) -> None:
     """Dimension header plus whitespace-separated weights, full precision."""
-    if model.embedder is None:
-        raise ValueError("model carries no embedder weights")
     _save_arrays(path, _RANKER_HEADER, _params_of(model))
 
 

@@ -554,7 +554,7 @@ def run_trial_reference(fruit, cfg, seed=0):
         masks.append(paint_disc_mask(
             32.0 + slip_mm * harvest.DEFAULT_PX_PER_MM))
         tracks.append(MarkerSet(np.arange(9), rest + rng.normal(
-            0.0, harvest.DEFAULT_MARKER_JITTER_PX, rest.shape), 3, 3))
+            0.0, harvest.DEFAULT_MARKER_JITTER_PX, rest.shape)))
         slip_flag = False
         if len(masks) >= 2:
             slip_flag = detect_slip(

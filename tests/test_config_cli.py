@@ -1,5 +1,6 @@
 """Settings file parsing and the command line front end."""
 
+import hashlib
 import inspect
 
 import pytest
@@ -270,6 +271,26 @@ class TestSimSlipRoundTrip:
         assert lines[0] == "frame,object_vx,object_vy,marker_vx,marker_vy,diff_px,slip"
         assert len(lines) == 81
         assert lines[1].split(",")[-1] in ("0", "1")
+
+    def test_per_frame_csv_is_pinned_and_reads_older_marker_files(
+            self, sim_dir, tmp_path, capsys):
+        """The per-frame CSV of the sim -> slip round trip is pinned, and a
+        markers.csv with the ``# grid 9 9`` line older versions wrote
+        gives the same bytes."""
+        old = tmp_path / "markers.csv"
+        old.write_text("# grid 9 9\n" + (sim_dir / "markers.csv").read_text())
+        csvs = []
+        for tracks in (sim_dir / "markers.csv", old):
+            out = tmp_path / f"slip{len(csvs)}.csv"
+            rc = cli.main(["slip", "--tracks", str(tracks),
+                           "--objects", str(sim_dir / "objects.csv"),
+                           "--out", str(out)])
+            assert rc == 0
+            csvs.append(out.read_bytes())
+        capsys.readouterr()
+        assert csvs[0] == csvs[1]
+        assert hashlib.sha256(csvs[0]).hexdigest() == (
+            "b4336a8ced2ae5423c12c85e54250cc26fa8a7d728cc5ebd745f917e20de743b")
 
     def test_label_length_mismatch(self, sim_dir, tmp_path, capsys):
         labels = _write(tmp_path / "labels.csv", "frame,label,true_diff_px\n"

@@ -29,8 +29,9 @@ rng = np.random.default_rng(7)
 
 class TestTactileFrame:
     def test_valid_roundtrip_properties(self):
-        f = TactileFrame(rng.random((8, 10, 3)), 4.0, 1.5)
-        assert (f.height, f.width) == (8, 10)
+        pixels = rng.random((8, 10, 3))
+        f = TactileFrame(pixels, 4.0)
+        assert f.pixels.tobytes() == pixels.tobytes() and f.px_per_mm == 4.0
         assert not f.pixels.flags.writeable
 
     def test_rejects_bad_shape(self):
@@ -375,7 +376,8 @@ class TestContactMask(_WindowContract):
                                                shape, seed):
         """A mask built from a whole raster keeps the tight box of its
         pixels, and its area, centroid, membership, resample and raster
-        equal the whole-raster formulas bit for bit: empty, full,
+        equal the whole-raster formulas bit for bit, and so does a mask
+        built from its nearest-neighbour map to another grid: empty, full,
         single-pixel and blob masks, blobs touching or cut by the frame
         edge, with stray pixels anywhere."""
         r = np.random.default_rng(seed)
@@ -405,12 +407,12 @@ class TestContactMask(_WindowContract):
         cells = np.rint(xy).astype(int)
         np.clip(cells, 0, np.array([w, h]) - 1, out=cells)
         assert np.array_equal(m.contains(xy), values[cells[:, 1], cells[:, 0]])
-        small = m.resampled(shape)
+        on_grid, box, grid = m.on_grid(shape)
+        small = ContactMask(on_grid, 0.3, 2.0, box, grid)
         assert small.frame_shape == shape
-        assert small.px_per_mm == 2.0 * shape[1] / w
         assert small.raster().tobytes() == \
             self._resampled_raster(values, shape).tobytes()
-        again = ContactMask(small.raster(), 0.3, small.px_per_mm)
+        again = ContactMask(small.raster(), 0.3, 2.0)
         assert again.support == small.support
         assert again.values.tobytes() == small.values.tobytes()
 
@@ -437,18 +439,20 @@ class TestContactMask(_WindowContract):
     @pytest.mark.parametrize("shape", [(0, 4), (-2, 4), (4, 0), (2.0, 4),
                                        (4,)])
     def test_resampled_rejects_bad_shape(self, shape):
+        """The nearest-neighbour resample, ``on_grid``, takes a grid shape
+        of two positive integers only."""
         with pytest.raises(ValueError, match="frame_shape"):
-            ContactMask(np.eye(3, dtype=bool), 0.3).resampled(shape)
+            ContactMask(np.eye(3, dtype=bool), 0.3).on_grid(shape)
 
 
 class TestDiffImage:
     def test_subtracts_and_preserves_metadata(self):
-        a = TactileFrame(np.full((8, 8, 3), 0.75), 2.0, 9.0)
+        a = TactileFrame(np.full((8, 8, 3), 0.75), 2.0)
         b = TactileFrame(np.full((8, 8, 3), 0.25), 2.0)
         d = diff_image(a, b)
         assert isinstance(d, DiffFrame)
         assert np.allclose(d.values, 0.5)
-        assert d.px_per_mm == 2.0 and d.timestamp == 9.0
+        assert d.px_per_mm == 2.0
 
     def test_shape_mismatch_raises(self):
         a = TactileFrame(np.zeros((8, 8, 3)), 2.0)
@@ -489,7 +493,7 @@ class TestMarkerTrackIO:
     def _tracks(self, n_frames=3, n=6):
         ids = np.arange(n)
         base = rng.uniform(5, 90, (n, 2))
-        return [MarkerSet(ids, base + t, 2, 3, 100.0, 100.0)
+        return [MarkerSet(ids, base + t, 100.0, 100.0)
                 for t in range(n_frames)]
 
     def test_roundtrip(self, tmp_path):
@@ -501,7 +505,22 @@ class TestMarkerTrackIO:
         for a, b in zip(tracks, back):
             assert np.array_equal(a.ids, b.ids)
             assert np.allclose(a.xy, b.xy, atol=1e-6)
-            assert (b.grid_rows, b.grid_cols) == (2, 3)
+            assert (b.frame_width, b.frame_height) == (100.0, 100.0)
+
+    def test_grid_line_of_older_files_is_skipped(self, tmp_path):
+        """Files written with a ``# grid rows cols`` comment load to the
+        same ids, positions and bounds as without it."""
+        tracks = self._tracks()
+        p = tmp_path / "m.csv"
+        save_marker_tracks(p, tracks)
+        old = tmp_path / "old.csv"
+        old.write_text("# grid 9 9\n" + p.read_text())
+        for a, b in zip(load_marker_tracks(p), load_marker_tracks(old),
+                        strict=True):
+            assert a.ids.tobytes() == b.ids.tobytes()
+            assert a.xy.tobytes() == b.xy.tobytes()
+            assert (a.frame_width, a.frame_height) == \
+                (b.frame_width, b.frame_height) == (100.0, 100.0)
 
     def test_single_markerset_accepted(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -516,15 +535,9 @@ class TestMarkerTrackIO:
 
 class TestFieldTypes:
     def test_displacement_field_validation(self):
-        DisplacementField(np.zeros((4, 4, 2)), 2.0, (1.0, 1.0))
+        DisplacementField(np.zeros((4, 4, 2)))
         with pytest.raises(ValueError):
             DisplacementField(np.zeros((4, 4, 3)))
-
-    @pytest.mark.parametrize("spacing", [np.nan, np.inf, 0.0, -1.0])
-    def test_displacement_spacing_must_be_finite_and_positive(self, spacing):
-        with pytest.raises(ValueError,
-                           match="spacing_px must be finite and positive"):
-            DisplacementField(np.zeros((4, 4, 2)), spacing)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -853,7 +866,7 @@ def test_pipeline_runs_with_scipy_blocked():
         "model = geometry.Rgb2NormalModel(*[r.normal(0, 0.3, s) for s in shapes])\n"
         "normals = geometry.predict_normals(core.diff_image(fg, bg), model)\n"
         "hm = geometry.integrate_normals(normals, 2.0)\n"
-        "field = core.DisplacementField(normals.raster()[:, :, :2], 1.0, (0.0, 0.0))\n"
+        "field = core.DisplacementField(normals.raster()[:, :, :2])\n"
         "parts = force.hhd_decompose(field)\n"
         "fruit = SimpleNamespace(stiffness_n_mm=1.0, diameter_mm=18.0,\n"
         "                        fruit_type='strawberry')\n"

@@ -18,6 +18,14 @@ from oracles import (curl_central, div_central, grad_matrices,
 rng = np.random.default_rng(19)
 
 
+def _idw(px, py, vals, node_x, node_y):
+    """The (rows, cols, C) grid that ``_idw_table`` and ``_idw_gather``
+    give the samples ``vals`` (N, C) at (``px``, ``py``)."""
+    table = force._idw_table(np.column_stack([px, py]), node_x, node_y)
+    return force._idw_gather(table, vals).reshape(
+        node_y.shape[0], node_x.shape[0], vals.shape[1])
+
+
 class TestNormalForce:
     def test_exact_line_recovered(self):
         currents = np.linspace(0.5, 6.0, 40)
@@ -119,8 +127,8 @@ def _dict_matched(before, after):
 
 class TestIdwTable:
     """``interpolate_markers`` keeps one neighbour table per grid on the rest
-    set; every call, the first and those that reuse it, matches
-    ``_idw_interpolate`` bit for bit and the loop oracle to 1e-9."""
+    set; every call, the first and those that reuse it, matches a fresh
+    table and gather bit for bit and the loop oracle to 1e-9."""
 
     @staticmethod
     def _nodes(rest, grid):
@@ -134,12 +142,10 @@ class TestIdwTable:
         node_x, node_y = self._nodes(rest, grid)
         px, py = rest.xy[:, 0], rest.xy[:, 1]
         disp = moved.xy - rest.xy
-        want = force._idw_interpolate(px, py, disp, node_x, node_y)
+        want = _idw(px, py, disp, node_x, node_y)
         for _ in range(calls):
             got = force.interpolate_markers(rest, moved, grid)
             assert got.values.tobytes() == want.tobytes()
-            assert got.spacing_px == node_x[1] - node_x[0]
-            assert got.origin_px == (node_x[0], node_y[0])
         assert tuple(grid) in rest._idw_tables
         assert np.max(np.abs(want - idw_reference(px, py, disp, node_x,
                                                   node_y))) <= 1e-9
@@ -211,8 +217,7 @@ class TestIdwTable:
         after = MarkerSet(moved.ids[perm], moved.xy[perm])
         rest_xy, disp = _dict_matched(rest, after)
         node_x, node_y = self._nodes(rest, (24, 24))
-        want = force._idw_interpolate(rest_xy[:, 0], rest_xy[:, 1], disp,
-                                      node_x, node_y)
+        want = _idw(rest_xy[:, 0], rest_xy[:, 1], disp, node_x, node_y)
         got = force.interpolate_markers(rest, after, (24, 24))
         assert got.values.tobytes() == want.tobytes()
         assert "_idw_tables" not in rest.__dict__       # not kept
@@ -231,7 +236,7 @@ class TestIdw:
 
     def test_matches_oracle(self):
         case = self._case(self.rng)
-        got = force._idw_interpolate(*case)
+        got = _idw(*case)
         want = idw_reference(*case)
         assert np.allclose(got, want, atol=1e-10)
 
@@ -244,12 +249,12 @@ class TestIdw:
         px, py = gx.ravel()[perm], gy.ravel()[perm]
         node_x, node_y = np.arange(0.0, 5.5, 0.5), np.arange(0.0, 4.5, 0.5)
         vals = self.rng.normal(0, 1, (px.size, 2))
-        got = force._idw_interpolate(px, py, vals, node_x, node_y)
+        got = _idw(px, py, vals, node_x, node_y)
         assert np.allclose(got, idw_reference(px, py, vals, node_x, node_y),
                            atol=1e-10)
         # one-hot values: channel i of a node is sample i's weight there
-        weights = force._idw_interpolate(
-            px, py, np.eye(px.size), node_x, node_y).reshape(-1, px.size)
+        weights = _idw(px, py, np.eye(px.size), node_x,
+                       node_y).reshape(-1, px.size)
         nx, ny = np.meshgrid(node_x, node_y)
         d2 = (nx.ravel()[:, None] - px) ** 2 + (ny.ravel()[:, None] - py) ** 2
         want = np.argsort(d2, axis=1, kind="stable")[:, :4]
@@ -263,14 +268,13 @@ class TestIdw:
         px = np.array([2.0, 8.0, 5.0])
         py = np.array([2.0, 8.0, 1.0])
         vals = np.array([[1.0, -1.0], [2.0, 0.5], [3.0, 0.0]])
-        out = force._idw_interpolate(px, py, vals, np.array([2.0]),
-                                     np.array([2.0]), k=3)
+        out = _idw(px, py, vals, np.array([2.0]), np.array([2.0]))
         assert np.allclose(out[0, 0], vals[0], atol=1e-12)
 
     def test_constant_field_reproduced(self):
         px, py, vals, nx, ny = self._case(self.rng)
         vals = np.full_like(vals, 3.25)
-        out = force._idw_interpolate(px, py, vals, nx, ny)
+        out = _idw(px, py, vals, nx, ny)
         assert np.allclose(out, 3.25, atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
@@ -278,7 +282,7 @@ class TestIdw:
     def test_within_convex_value_range(self, seed):
         r = np.random.default_rng(seed)
         case = self._case(r, n=12, grid=5)
-        out = force._idw_interpolate(*case)
+        out = _idw(*case)
         vals = case[2]
         assert out.min() >= vals.min() - 1e-12
         assert out.max() <= vals.max() + 1e-12
@@ -471,7 +475,8 @@ class TestShearFeatures:
         raw[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0)) < 0.7
         raw[r0, c0] = True
         feat = force.shear_features(v, out, ContactMask(raw, 0.3))
-        grid = ContactMask(raw, 0.3).resampled((10, 10)).raster()
+        cells, box, shape = ContactMask(raw, 0.3).on_grid((10, 10))
+        grid = ContactMask(cells, 0.3, 1.0, box, shape).raster()
         if not grid.any():
             assert feat.contact is False and not feat.values.any()
             return

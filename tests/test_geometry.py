@@ -114,6 +114,11 @@ class TestFit:
         with pytest.raises(ValueError):
             geometry.fit_rgb2normal(data, epochs=0)
 
+    @pytest.mark.parametrize("epochs", [np.nan, np.inf, 0, 2.5, True])
+    def test_epochs_must_be_an_integer_at_least_one(self, data, epochs):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            geometry.fit_rgb2normal(data, epochs=epochs)
+
     @pytest.mark.parametrize("rate", [0.0, -0.1, np.nan, np.inf])
     def test_learning_rate_validation(self, data, rate):
         with pytest.raises(ValueError, match="learning_rate"):

@@ -352,7 +352,7 @@ def _frame(kind, shape, level, seed):
               "black": np.zeros(shape + (3,)),
               "constant": np.full(shape + (3,), level),
               "random": r.random(shape + (3,))}[kind]
-    return TactileFrame(pixels, 4.0, 0.5)
+    return TactileFrame(pixels, 4.0)
 
 
 @settings(max_examples=30, deadline=None)

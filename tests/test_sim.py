@@ -105,6 +105,26 @@ class TestShapes:
         with pytest.raises(ValueError):
             sim.GraspScene(pose="upside_down")
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: sim.GraspScene(load_g=np.nan), "load_g"),
+        (lambda: sim.GraspScene(load_g=-1.0), "load_g"),
+        (lambda: sim.Sphere(np.inf), "radius_mm"),
+        (lambda: sim.Sphere(np.nan), "radius_mm"),
+        (lambda: sim.HexPyramid(np.nan, 2.0), "base_diameter_mm"),
+        (lambda: sim.HexPyramid(10.0, np.inf), "height_mm"),
+        (lambda: sim.FruitSurface(np.nan, 0.1), "bump_density"),
+        (lambda: sim.FruitSurface(0.5, np.inf), "bump_amplitude_mm"),
+        (lambda: sim.FruitSurface(0.5, 0.1, np.nan), "base_radius_mm"),
+        (lambda: sim.GelModel(gel_size_mm=np.inf), "gel_size_mm"),
+        (lambda: sim.GelModel(membrane_sigma_mm=np.inf), "membrane_sigma_mm"),
+        (lambda: sim.GelModel(membrane_sigma_mm=0.0), "membrane_sigma_mm"),
+        (lambda: sim.GelModel(marker_rows=2.5), "marker_rows"),
+        (lambda: sim.GelModel(marker_cols=0), "marker_cols"),
+        (lambda: sim.GelModel(marker_cols=True), "marker_cols")])
+    def test_scene_types_reject_non_finite_and_fractional(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
 
 class TestHeightmaps:
     def test_indent_matches_analytic_cap(self):

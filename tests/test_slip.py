@@ -43,11 +43,10 @@ class TestSegmentation:
 
     def test_resample_preserves_coverage_fraction(self):
         m = slip.ContactMask(_disc(64, 32, 32, 20), 0.3, 2.0)
-        small = m.resampled((32, 32))
+        cells, _, _ = m.on_grid((32, 32))
         frac_a = m.area / 64 ** 2
-        frac_b = small.area / 32 ** 2
+        frac_b = np.count_nonzero(cells) / 32 ** 2
         assert abs(frac_a - frac_b) < 0.02
-        assert small.px_per_mm == pytest.approx(1.0)
 
     def test_equivalent_radius(self):
         m = slip.ContactMask(_disc(64, 32, 32, 12), 0.3)

@@ -32,6 +32,16 @@ def _toy_model(seed=0):
                                 comparator=params[7], bias=float(params[8]))
 
 
+_DIM = softness.EMBED_DIM
+
+
+def _with_comparator(comparator, bias=0.0):
+    """A 40x40 model: seed 0's initial embedder with ``comparator``."""
+    params = softness._init_params(0)
+    return softness.RankerModel(softness.ClipEmbedder(*params[:7]),
+                                comparator, bias=bias)
+
+
 class TestBasics:
     def test_shore00_stiffness_quadratic_monotone(self):
         assert softness.shore00_stiffness(40.0) == pytest.approx(5e-4 * 1600)
@@ -150,51 +160,51 @@ class TestEmbedding:
                                softness.encode_clip(zero, m2), atol=1e-9)
 
     def test_missing_embedder_raises(self):
-        bare = softness.RankerModel(None, np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            softness.encode_clip(_clip(), bare)
+        with pytest.raises(ValueError, match="embedder"):
+            softness.RankerModel(None, np.zeros((_DIM, _DIM)))
 
 
 class TestComparator:
     def test_antisymmetry_over_random_pairs(self):
-        model = softness.RankerModel(None, rng.normal(0, 1, (7, 7)), bias=0.25)
+        model = _with_comparator(rng.normal(0, 1, (_DIM, _DIM)), bias=0.25)
         worst = 0.0
         for _ in range(1000):
-            a = rng.normal(0, 2, 7)
-            b = rng.normal(0, 2, 7)
+            a = rng.normal(0, 2, _DIM)
+            b = rng.normal(0, 2, _DIM)
             s = softness.compare_pair(a, b, model) \
                 + softness.compare_pair(b, a, model)
             worst = max(worst, abs(s - 2 * model.bias))
         assert worst < 1e-9
 
     def test_skew_matrix_exactly_antisymmetric(self):
-        model = softness.RankerModel(None, rng.normal(0, 1, (9, 9)))
+        model = _with_comparator(rng.normal(0, 1, (_DIM, _DIM)))
         w = model.skew_matrix
         assert np.array_equal(w, -w.T)
 
     def test_hand_example(self):
-        model = softness.RankerModel(None, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert softness.compare_pair([1.0, 0.0], [0.0, 1.0], model) == 1.0
-        assert softness.compare_pair([0.0, 1.0], [1.0, 0.0], model) == -1.0
+        comparator = np.zeros((_DIM, _DIM))
+        comparator[0, 1] = 1.0
+        model = _with_comparator(comparator)
+        e0, e1 = np.eye(_DIM)[:2]
+        assert softness.compare_pair(e0, e1, model) == 1.0
+        assert softness.compare_pair(e1, e0, model) == -1.0
 
     def test_self_comparison_is_bias(self):
-        model = softness.RankerModel(None, rng.normal(0, 1, (5, 5)), bias=-0.5)
-        e = rng.normal(0, 3, 5)
+        model = _with_comparator(rng.normal(0, 1, (_DIM, _DIM)), bias=-0.5)
+        e = rng.normal(0, 3, _DIM)
         assert softness.compare_pair(e, e, model) == pytest.approx(-0.5,
                                                                    abs=1e-12)
 
     def test_dimension_mismatch_raises(self):
-        model = softness.RankerModel(None, np.zeros((3, 3)))
+        model = _with_comparator(np.zeros((_DIM, _DIM)))
         with pytest.raises(ValueError):
-            softness.compare_pair(np.zeros(4), np.zeros(3), model)
+            softness.compare_pair(np.zeros(_DIM + 1), np.zeros(_DIM), model)
 
     def test_comparator_validation(self):
-        with pytest.raises(ValueError):
-            softness.RankerModel(None, np.zeros((3, 4)))
-        params = softness._init_params(0)
-        with pytest.raises(ValueError):
-            softness.RankerModel(softness.ClipEmbedder(*params[:7]),
-                                 np.zeros((3, 3)))
+        for bad in (np.zeros((3, 3)), np.zeros((_DIM, _DIM + 1)),
+                    np.full((_DIM, _DIM), np.nan)):
+            with pytest.raises(ValueError, match="comparator"):
+                _with_comparator(bad)
 
 
 class TestTraining:
@@ -256,6 +266,13 @@ class TestTraining:
             softness.train_ranker([(a, b, 1)], epochs=0)
         with pytest.raises(ValueError):
             softness.train_ranker([(a, b, 1)], learning_rate=0.0)
+
+    @pytest.mark.parametrize("epochs", [np.nan, np.inf, 0, 2.5, True])
+    def test_epochs_must_be_an_integer_at_least_one(self, epochs):
+        a = _clip(seed=1, shore00=60.0)
+        b = _clip(seed=2, shore00=40.0)
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            softness.train_ranker([(a, b, 1)], epochs=epochs)
 
     @pytest.mark.parametrize("rate", [0.0, -0.1, np.nan, np.inf])
     def test_learning_rate_validation(self, rate):
