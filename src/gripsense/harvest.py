@@ -12,8 +12,8 @@ The contact seen by the slip rule is a small disc, ``ContactDisc``, in a
 square tracking window whose centre follows the slid object. It is held as
 its whole-pixel centre, which is exactly its centroid, and marker membership
 is a distance test on the markers' pixels, so a tick does no per-pixel work.
-The rule is ``slip.newest_velocity``, as in ``Perception.tick``, over a
-six-frame window with slip's fixed smoothing window of 3 frames. The
+The rule is ``slip.newest_velocity``, as in ``Perception.tick``: the raw
+step of the disc and the markers from the previous tick to this one. The
 controller reads the slip flag only while pulling under a closed-loop
 strategy (``_reads_slip``), so a trial computes the flag on those ticks
 alone; every tick still draws its noise and extends the window, so the
@@ -424,7 +424,7 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
         contacts.append(ContactDisc(start_px + slip_mm * px_per_mm))
         positions.append(jittered[at])
         # A trial pulls only after detect, approach and close, so a reading
-        # tick has at least 4 frames in the window.
+        # tick has both frames of the window.
         slip_flag = _reads_slip(state, cfg) and detect_slip(
             *newest_velocity(contacts, positions), threshold_px)
 

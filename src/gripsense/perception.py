@@ -2,11 +2,12 @@
 
 One tick: image diff, RGB-to-normal MLP, Poisson heightmap, contact mask,
 normal force from motor current, shear force from the marker field, and the
-slip rule over the trailing ``slip.TICK_WINDOW`` frames, run by
+slip rule's raw two-frame step from the previous frame to this one, run by
 ``slip.newest_velocity`` as in harvest trials. ``Perception`` holds the
 calibrated models, the sensor's flat background and rest marker grid, and
-the slip history the rule reads between ticks. Library calls go through
-their module attribute, so a tracer that re-binds them sees each.
+the slip history the rule reads: the previous frame's contact and markers.
+Library calls go through their module attribute, so a tracer that re-binds
+them sees each.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class Perception:
         self.shear_model = shear_model
         self.background = background
         self.rest = rest
-        self._history = deque(maxlen=slip.TICK_WINDOW)   # (mask, markers)
+        # (mask, markers) of the frames before the newest that the rule reads
+        self._history = deque(maxlen=slip.TICK_WINDOW - 1)
 
     def tick(self, frame: core.TactileFrame, markers: core.MarkerSet,
              current: float) -> Percept:
@@ -70,7 +72,7 @@ class Perception:
         feature = force.build_shear_features([(self.rest, markers, mask)],
                                              FIELD_GRID)[0]
         shear_n = force.predict_shear(feature, self.shear_model)
-        window = [*self._history, (mask, markers)][-slip.TICK_WINDOW:]
+        window = [*self._history, (mask, markers)]
         slipping, speed = False, 0.0
         if len(window) >= 2:
             masks, tracks = zip(*window)

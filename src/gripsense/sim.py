@@ -497,7 +497,7 @@ class SlipSequence(_Frozen):
     ``masks`` and ``tracks`` are what the detector sees (noisy); the object
     track and labels are exact. Labels are True exactly on frames where the
     true object-minus-marker speed exceeds the slip threshold, so detector
-    scores measure perception noise and smoothing lag, nothing else.
+    scores measure perception noise and the lag a rule adds, nothing else.
     """
 
     masks: tuple
@@ -556,10 +556,11 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     the box alone, else from the whole frame. Each ``ContactMask`` keeps
     only the bounding box of its pixels above the threshold, the cap's
     unless the noise alone crosses it. Negative or non-finite noise levels
-    raise.
+    raise, and so does a ``threshold_px`` that is not finite and positive.
     """
     if n_frames < 10:
         raise ValueError("need at least 10 frames")
+    _check_positive(threshold_px, "threshold_px")
     _check_non_negative(mask_noise_mm, "mask_noise_mm")
     _check_non_negative(marker_jitter_px, "marker_jitter_px")
     sphere_r = (scene.fruit.diameter_mm / 2.0
@@ -657,8 +658,7 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
                         true_diff, t2, t3, px_per_mm, load, scene.pose)
 
 
-def make_slip_benchmark(gel: GelModel = GelModel(), seed: int = 0,
-                        poses: Sequence[str] = ("top", "side"),
+def make_slip_benchmark(seed: int = 0, poses: Sequence[str] = ("top", "side"),
                         loads: Sequence[float] = (10.0, 20.0, 50.0),
                         repeats: int = 2, n_frames: int = 200,
                         **kwargs) -> list[SlipSequence]:
@@ -669,13 +669,12 @@ def make_slip_benchmark(gel: GelModel = GelModel(), seed: int = 0,
         for load in loads:
             for _ in range(repeats):
                 scene = GraspScene(pose=pose, load_g=load)
-                out.append(synth_slip_sequence(scene, n_frames, gel, rng, **kwargs))
+                out.append(synth_slip_sequence(scene, n_frames, rng=rng,
+                                               **kwargs))
     return out
 
 
 def make_calibration_presses(n: int = 8, sphere_radius_mm: float = 5.0,
-                             gel: GelModel = GelModel(),
-                             rig: LightRig = default_rig(),
                              rng: np.random.Generator | None = None,
                              resolution: int = 128,
                              depth_range: tuple[float, float] = (0.4, 1.2),
@@ -692,6 +691,7 @@ def make_calibration_presses(n: int = 8, sphere_radius_mm: float = 5.0,
         raise ValueError("depth range must lie strictly inside (0, radius)")
     _check_non_negative(noise_sigma, "noise_sigma")
     rng = np.random.default_rng(0) if rng is None else rng
+    gel, rig = GelModel(), default_rig()
     grid = (resolution, resolution)
     ppm = resolution / gel.gel_size_mm
     flat = render_tactile(HeightMap(np.zeros(grid), ppm), rig, gel)
@@ -711,8 +711,7 @@ def make_calibration_presses(n: int = 8, sphere_radius_mm: float = 5.0,
     return presses
 
 
-def make_shear_dataset(n: int = 300, gel: GelModel = GelModel(),
-                       rng: np.random.Generator | None = None,
+def make_shear_dataset(n: int = 300, rng: np.random.Generator | None = None,
                        mask_px: int = 240):
     """Translation-shear samples with force labels for the shear regression.
 
@@ -734,6 +733,7 @@ def make_shear_dataset(n: int = 300, gel: GelModel = GelModel(),
                          f"pixels, got {mask_px}")
     size = int(mask_px)
     rng = np.random.default_rng(0) if rng is None else rng
+    gel = GelModel()
     ppm = size / gel.gel_size_mm
     xs = (np.arange(size) + 0.5) / ppm
     rest = marker_grid(gel, ppm, (size, size))

@@ -3,19 +3,18 @@ threshold rule, and the frame-level evaluation harness.
 
 The rule is deliberately simple: a frame is a slip frame when the contact
 region's centroid moves strictly more than ``threshold_px`` pixels per frame
-relative to the mean motion of the markers inside that region. Centroids and
-marker trajectories are smoothed with a trailing moving average over a fixed
-window of 3 frames first, because single-pixel centroid jitter otherwise
-dominates the finite difference. ``object_velocity`` and ``marker_velocity``
+relative to the mean motion of the markers inside that region. Both motions
+are the raw step from the frame before, with no smoothing, so a burst is
+flagged on the frame it starts. ``object_velocity`` and ``marker_velocity``
 give whole series; ``newest_velocity``, the one entry of the perception tick
-and of harvest trials, gives the newest frame of a window alone.
+and of harvest trials, gives the newest frame alone from the two frames the
+rule reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +24,8 @@ from .core import (HeightMap, MarkerSet, _check_positive, _freeze, _Frozen,
 
 DEFAULT_THRESHOLD_PX = 10.0
 DEFAULT_CONTACT_THRESHOLD_MM = 0.3
-#: Frames of the trailing moving average of centroids and marker positions.
-_SMOOTH_WINDOW = 3
-#: Frames of contact and marker history the slip rule sees each tick.
-TICK_WINDOW = 6
+#: Frames of contact and marker history the slip rule reads each tick.
+TICK_WINDOW = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,83 +130,36 @@ def segment_contact(h: HeightMap, threshold_mm: float = DEFAULT_CONTACT_THRESHOL
     return ContactMask(h.values > threshold_mm, threshold_mm, h.px_per_mm)
 
 
-def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
-    """Causal moving average; row t averages rows max(0, t-window+1)..t.
-
-    Every row is a difference of two rows of one cumulative sum taken from
-    row 0, so the rounding depends on where ``x`` starts, not only on the
-    rows inside the window.
-    """
-    if window <= 1:
-        return x.copy()
-    csum = np.cumsum(x, axis=0, dtype=np.float64)
-    total = csum.copy()
-    total[window:] -= csum[:-window]
-    count = np.minimum(np.arange(1, x.shape[0] + 1), window)
-    return total / count.reshape((-1,) + (1,) * (x.ndim - 1))
-
-
-def _centroid_velocity(cents: np.ndarray) -> np.ndarray:
-    """Velocity (T, 2) over one run of contact frames from their centroids,
-    smoothed over the run, so its first row, the run's start, gets zero."""
-    v = np.zeros((cents.shape[0], 2))
-    v[1:] = np.diff(_trailing_mean(cents, _SMOOTH_WINDOW), axis=0)
-    return v
-
-
-def _newest_step(x: np.ndarray) -> np.ndarray:
-    """The last row of ``np.diff(_trailing_mean(x, _SMOOTH_WINDOW), axis=0)``
-    for T >= 2 rows ``x``, bit for bit, from the two rows of the moving
-    average it needs: each the same difference of rows of the one
-    cumulative sum, over the same count."""
-    csum = np.cumsum(x, axis=0, dtype=np.float64)
-
-    def mean(t):
-        if t < _SMOOTH_WINDOW:
-            return csum[t] / (t + 1)
-        return (csum[t] - csum[t - _SMOOTH_WINDOW]) / _SMOOTH_WINDOW
-
-    return mean(len(x) - 1) - mean(len(x) - 2)
-
-
-def _nearest_four(xy: np.ndarray, contact) -> np.ndarray:
-    """Indices of the four positions ``xy`` (N, 2) nearest the contact's
-    centroid, ties to the lower index: the markers a contact drags when
-    none is inside it."""
-    d = np.linalg.norm(xy - contact.centroid(), axis=1)
-    return np.argsort(d, kind="stable")[:4]
+def _object_step(prev, cur) -> np.ndarray:
+    """Centroid step (2,) from contact ``prev`` to ``cur``; zero unless both
+    have contact."""
+    if prev.area and cur.area:
+        return cur.centroid() - prev.centroid()
+    return np.zeros(2)
 
 
 def _member_velocity(steps: np.ndarray, inside: np.ndarray, xy: np.ndarray,
                      contacts) -> np.ndarray:
     """Mean (L, 2) of the (L, N, 2) marker steps over the markers each of L
-    contacts drags: those ``inside`` it (L, N, filled in place), else
-    ``_nearest_four`` of its positions ``xy`` (L, N, 2). Zeros stand in for
-    the others in the sum, which keeps the bits of a mean over the members
-    alone."""
+    contacts drags: those ``inside`` it (L, N, filled in place), else the
+    four of its positions ``xy`` (L, N, 2) nearest its centroid, ties to the
+    lower index. Zeros stand in for the others in the sum, which keeps the
+    bits of a mean over the members alone."""
     for row in np.flatnonzero(~inside.any(axis=1)):
-        inside[row, _nearest_four(xy[row], contacts[row])] = True
+        d = np.linalg.norm(xy[row] - contacts[row].centroid(), axis=1)
+        inside[row, np.argsort(d, kind="stable")[:4]] = True
     return (np.add.reduce(steps * inside[:, :, None], axis=1)
             / inside.sum(axis=1)[:, None])
 
 
 def object_velocity(masks: Sequence[ContactMask]) -> np.ndarray:
-    """Per-frame centroid velocity (T, 2) px/frame.
-
-    Each maximal run of frames with contact is smoothed on its own, so a
-    frame without contact never feeds a centroid into its neighbours. Frames
-    without contact, and the first frame of each run, get zero velocity.
-    """
+    """Per-frame centroid velocity (T, 2) px/frame: frame t's centroid minus
+    frame t-1's when both frames have contact, else zero (so the first
+    frame, and the first of each run of contact frames, get zero)."""
     if len(masks) < 2:
         raise ValueError("need at least 2 frames of contact masks")
     v = np.zeros((len(masks), 2))
-    at = 0
-    for contact, run in groupby(masks, key=lambda m: m.area > 0):
-        run = list(run)
-        if contact:
-            v[at:at + len(run)] = _centroid_velocity(
-                np.array([m.centroid() for m in run]))
-        at += len(run)
+    v[1:] = [_object_step(prev, cur) for prev, cur in zip(masks, masks[1:])]
     return v
 
 
@@ -229,7 +179,8 @@ def matched_positions(tracks: Sequence[MarkerSet]) -> np.ndarray:
 
 def marker_velocity(tracks: Sequence[MarkerSet],
                     masks: Sequence[ContactMask]) -> np.ndarray:
-    """Mean velocity (T, 2) of the markers inside the contact region.
+    """Mean velocity (T, 2) of the markers inside the contact region: the
+    member mean of each marker's step from the frame before.
 
     Membership is evaluated against the frame's own mask. If noise
     momentarily leaves no marker inside the region, the four markers nearest
@@ -248,8 +199,7 @@ def marker_velocity(tracks: Sequence[MarkerSet],
         return v
     live_masks = [masks[t] for t in live]
     live_xy = pos[live]
-    pos_s = _trailing_mean(pos, _SMOOTH_WINDOW)
-    v[live] = _member_velocity(pos_s[live] - pos_s[live - 1],
+    v[live] = _member_velocity(live_xy - pos[live - 1],
                                _members(live_masks, live_xy), live_xy,
                                live_masks)
     return v
@@ -258,18 +208,11 @@ def marker_velocity(tracks: Sequence[MarkerSet],
 def newest_velocity(contacts: Sequence, xy) -> tuple[np.ndarray, np.ndarray]:
     """Object and marker velocity (2,) of the newest frame of a window: the
     last rows of ``object_velocity(contacts)`` and ``marker_velocity`` over
-    the same frames, bit for bit, computed for that frame alone. Of each
-    contact, oldest first, the rule reads only ``area``, ``centroid()`` and
-    ``contains(xy)``; ``xy`` holds the (T, N, 2) marker positions, matched
-    as ``matched_positions`` does.
-
-    The object velocity is the newest smoothed step (``_newest_step``) of
-    the centroids of the trailing run of frames with contact alone, the run
-    ``object_velocity`` smooths on its own, and zero when that run is the
-    newest frame. The marker velocity is the member mean of the newest
-    smoothed step of the positions, summed in the series' order; that
-    smoothing runs over the whole window, for its rounding depends on where
-    the window starts.
+    the same frames, bit for bit, from the last two frames alone through the
+    same two steps (``_object_step`` and ``_member_velocity``). Of each
+    contact the rule reads only ``area``, ``centroid()`` and
+    ``contains(xy)``; ``xy`` holds the (T, N, 2) marker positions, oldest
+    first, matched as ``matched_positions`` does.
     """
     xy = np.asarray(xy, dtype=np.float64)
     if len(contacts) < 2 or len(xy) != len(contacts):
@@ -278,25 +221,16 @@ def newest_velocity(contacts: Sequence, xy) -> tuple[np.ndarray, np.ndarray]:
     last = contacts[-1]
     if last.area == 0:
         return np.zeros(2), np.zeros(2)
-    start = len(contacts) - 1
-    while start and contacts[start - 1].area > 0:
-        start -= 1
-    v_obj = np.zeros(2)
-    if start < len(contacts) - 1:
-        v_obj = _newest_step(np.array(
-            [contacts[t].centroid() for t in range(start, len(contacts))]))
-    inside = last.contains(xy[-1])
-    if not inside.any():
-        inside = np.zeros(inside.shape, dtype=bool)
-        inside[_nearest_four(xy[-1], last)] = True
-    v_mark = (np.add.reduce(_newest_step(xy) * inside[:, None], axis=0)
-              / inside.sum())
-    return v_obj, v_mark
+    v_mark = _member_velocity((xy[-1] - xy[-2])[None],
+                              last.contains(xy[-1])[None], xy[-1:], [last])[0]
+    return _object_step(contacts[-2], last), v_mark
 
 
 def detect_slip(obj_v: np.ndarray, marker_v: np.ndarray,
                 threshold_px: float = DEFAULT_THRESHOLD_PX) -> bool:
-    """Slip iff the velocity difference magnitude strictly exceeds the threshold."""
+    """Slip iff the velocity difference magnitude strictly exceeds the
+    threshold, which must be finite and positive."""
+    _check_positive(threshold_px, "threshold_px")
     diff = np.asarray(obj_v, dtype=np.float64) - np.asarray(marker_v, dtype=np.float64)
     return bool(np.linalg.norm(diff) > threshold_px)
 
@@ -328,7 +262,9 @@ class SlipReport(_Frozen):
 
 def analyze_sequence(masks: Sequence[ContactMask], tracks: Sequence[MarkerSet],
                      threshold_px: float = DEFAULT_THRESHOLD_PX) -> SlipReport:
-    """Run the full per-frame detector over one trial."""
+    """Run the full per-frame detector over one trial; ``threshold_px`` must
+    be finite and positive."""
+    _check_positive(threshold_px, "threshold_px")
     ov = object_velocity(masks)
     mv = marker_velocity(tracks, masks)
     diff = np.linalg.norm(ov - mv, axis=1)

@@ -34,6 +34,9 @@ DEFAULT_LEARNING_RATE = 1e-2
 
 #: Shore 00 hardness levels used as generator parameters for the ranking set.
 SHORE00_LEVELS = (68.4, 64.8, 51.4, 42.2)
+#: Fruit diameter (mm) and pixel noise sigma of every clip in the library.
+_CLIP_DIAMETER_MM = 18.0
+_CLIP_NOISE_SIGMA = 0.01
 
 _EMBEDDER_SHAPES = {
     "w_patch": (PATCH_SIZE * PATCH_SIZE, TOKEN_DIM),
@@ -58,12 +61,13 @@ def shore00_stiffness(shore00: float) -> float:
     return 5e-4 * float(shore00) ** 2
 
 
-def _positional_table(n_frames: int = CLIP_FRAMES, dim: int = TOKEN_DIM) -> np.ndarray:
-    """Fixed sinusoidal frame-position codes added to the tokens."""
-    t = np.arange(n_frames, dtype=np.float64)[:, None]
-    k = np.arange(dim // 2, dtype=np.float64)[None, :]
-    angle = t / 10000.0 ** (2.0 * k / dim)
-    table = np.empty((n_frames, dim))
+def _positional_table() -> np.ndarray:
+    """Fixed sinusoidal frame-position codes (CLIP_FRAMES, TOKEN_DIM) added
+    to the tokens."""
+    t = np.arange(CLIP_FRAMES, dtype=np.float64)[:, None]
+    k = np.arange(TOKEN_DIM // 2, dtype=np.float64)[None, :]
+    angle = t / 10000.0 ** (2.0 * k / TOKEN_DIM)
+    table = np.empty((CLIP_FRAMES, TOKEN_DIM))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
     return table
@@ -402,13 +406,12 @@ class _SyntheticFruit:
 
 
 def build_clip_library(trials_per_cell: int = 10, seed: int = 0,
-                       gel: sim.GelModel | None = None,
                        textures=("smooth", "cherry_tomato", "strawberry"),
-                       shore00_levels=SHORE00_LEVELS, diameter_mm: float = 18.0,
-                       n_frames: int = 24, resolution: int = 64,
-                       squeeze_mm: float = 3.0,
-                       noise_sigma: float = 0.01) -> list:
-    """Simulate squeeze clips for every texture and hardness level.
+                       shore00_levels=SHORE00_LEVELS, n_frames: int = 24,
+                       resolution: int = 64) -> list:
+    """Simulate squeeze clips for every texture and hardness level: fruit of
+    ``_CLIP_DIAMETER_MM`` squeezed by ``sim.synth_compression_clip`` at its
+    default gel, rig and travel, rendered with ``_CLIP_NOISE_SIGMA`` noise.
 
     Per-frame forces come from a motor-current calibration fitted on the
     spot, mirroring how a real pipeline would label clips; small negative
@@ -416,20 +419,18 @@ def build_clip_library(trials_per_cell: int = 10, seed: int = 0,
     """
     if trials_per_cell < 1:
         raise ValueError("trials_per_cell must be >= 1")
-    gel = sim.GelModel() if gel is None else gel
-    rig = sim.default_rig()
     rng = np.random.default_rng(seed)
     calibration = fit_normal_force(
         np.column_stack(sim.make_force_samples(rng=np.random.default_rng(seed + 1))))
     clips = []
     for texture in textures:
         for shore in shore00_levels:
-            fruit = _SyntheticFruit(shore00_stiffness(shore), diameter_mm, texture)
+            fruit = _SyntheticFruit(shore00_stiffness(shore),
+                                    _CLIP_DIAMETER_MM, texture)
             for _ in range(trials_per_cell):
                 frames, currents = sim.synth_compression_clip(
-                    fruit, n_frames=n_frames, gel=gel, rig=rig, rng=rng,
-                    squeeze_mm=squeeze_mm, resolution=resolution,
-                    noise_sigma=noise_sigma)
+                    fruit, n_frames=n_frames, rng=rng, resolution=resolution,
+                    noise_sigma=_CLIP_NOISE_SIGMA)
                 est = predict_normal_force(currents, calibration)
                 clips.append(CompressionClip(
                     _patch16(frames.values),

@@ -450,35 +450,18 @@ def train_ranker_reference(patches, forces, idx_a, idx_b, labels, epochs,
 # contact-sized simulation must reproduce bit for bit
 # ---------------------------------------------------------------------------
 
-def trailing_mean_reference(x, window):
-    """Causal moving average, one row at a time from one cumulative sum."""
-    if window <= 1:
-        return x.copy()
-    out = np.empty_like(x, dtype=np.float64)
-    csum = np.cumsum(x, axis=0, dtype=np.float64)
-    for t in range(x.shape[0]):
-        lo = max(0, t - window + 1)
-        total = csum[t] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[t] = total / (t - lo + 1)
-    return out
-
-
 def marker_velocity_reference(tracks, masks):
     """``slip.marker_velocity`` as first written: one frame at a time, the
     markers ``ContactMask.contains`` finds inside the frame's mask, or the
     four nearest its centroid when none is, averaged with a boolean-index
-    mean; ids matched by intersection when a frame lost some; positions
-    smoothed over slip's fixed window of 3 frames."""
+    mean of each marker's raw step from the frame before; ids matched by
+    intersection when a frame lost some."""
     from functools import reduce
     xys = [t.xy for t in tracks]
     if any(not np.array_equal(t.ids, tracks[0].ids) for t in tracks[1:]):
         ids = reduce(np.intersect1d, [t.ids for t in tracks])
         xys = [t.xy[np.intersect1d(t.ids, ids, return_indices=True)[1]]
                for t in tracks]
-    pos = np.array(xys)
-    pos_s = trailing_mean_reference(pos.reshape(len(tracks), -1),
-                                    3).reshape(pos.shape)
-    steps = np.diff(pos_s, axis=0)
     v = np.zeros((len(tracks), 2))
     for t in range(1, len(tracks)):
         if masks[t].area == 0:
@@ -488,7 +471,7 @@ def marker_velocity_reference(tracks, masks):
             d = np.linalg.norm(xys[t] - masks[t].centroid(), axis=1)
             inside = np.zeros(len(d), dtype=bool)
             inside[np.argsort(d, kind="stable")[:4]] = True
-        v[t] = steps[t - 1][inside].mean(axis=0)
+        v[t] = (xys[t] - xys[t - 1])[inside].mean(axis=0)
     return v
 
 

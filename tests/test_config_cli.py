@@ -260,6 +260,24 @@ class TestSimSlipRoundTrip:
         assert rc == 0
         assert "slip_frames=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("threshold", ["-1", "0"])
+    def test_unusable_threshold_is_one_error_line(self, sim_dir, tmp_path,
+                                                  capsys, threshold):
+        """``slip`` and ``sim`` (whose labels use the same threshold) exit
+        1; the config file itself refuses NaN and infinities."""
+        cfg = _write(tmp_path / "bad.cfg", f"slip.threshold_px = {threshold}\n")
+        capsys.readouterr()
+        for argv in (["slip", "--tracks", str(sim_dir / "markers.csv"),
+                      "--objects", str(sim_dir / "objects.csv")],
+                     ["sim", "--out", str(tmp_path / "d")]):
+            rc = cli.main(argv + ["--config", cfg])
+            assert rc == 1
+            out, err = capsys.readouterr()
+            assert not out and len(err.strip().splitlines()) == 1
+            assert err.startswith("error: threshold_px must be finite and "
+                                  "positive")
+        assert not (tmp_path / "d").exists()
+
     def test_per_frame_csv(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "slip.csv"
         rc = cli.main(["slip", "--tracks", str(sim_dir / "markers.csv"),
@@ -276,7 +294,7 @@ class TestSimSlipRoundTrip:
             self, sim_dir, tmp_path, capsys):
         """The per-frame CSV of the sim -> slip round trip is pinned, and a
         markers.csv with the ``# grid 9 9`` line older versions wrote
-        gives the same bytes."""
+        gives the same bytes. The pin holds the raw two-frame velocities."""
         old = tmp_path / "markers.csv"
         old.write_text("# grid 9 9\n" + (sim_dir / "markers.csv").read_text())
         csvs = []
@@ -290,7 +308,7 @@ class TestSimSlipRoundTrip:
         capsys.readouterr()
         assert csvs[0] == csvs[1]
         assert hashlib.sha256(csvs[0]).hexdigest() == (
-            "b4336a8ced2ae5423c12c85e54250cc26fa8a7d728cc5ebd745f917e20de743b")
+            "b2f6d855d9626ab72140cbf1edb6f3263638db5f31d4ca2d9cf3a5c7c30ff729")
 
     def test_label_length_mismatch(self, sim_dir, tmp_path, capsys):
         labels = _write(tmp_path / "labels.csv", "frame,label,true_diff_px\n"

@@ -437,8 +437,9 @@ class TestTrialAgainstRasterLoop:
         assert len(modes) >= 2
 
     def test_slip_rule_sees_reference_velocities(self, monkeypatch):
-        # The velocities reaching the threshold rule, bit for bit: a slip
-        # window other than the last six frames would shift their rounding.
+        # The velocities reaching the threshold rule, bit for bit: harvest
+        # reads a two-frame window, the reference the series of the last six
+        # frames, and the raw step makes their newest rows equal.
         # The reference runs the rule on every tick; harvest must run it on
         # exactly the ticks whose flag the controller reads, those in
         # hold_pull under a closed-loop strategy, and on no other.
@@ -534,8 +535,8 @@ class TestExperiment:
 
     def test_criterion7_summaries_pinned(self, monkeypatch):
         """``run_experiment(50, seed=0)``, the criterion-7 grid, exactly; and
-        the traffic of its trials: the plant is stepped 13,399 times, and
-        the slip rule runs on the 1,482 ticks that read its flag."""
+        the traffic of its trials: the plant is stepped 13,329 times, and
+        the slip rule runs on the 1,415 ticks that read its flag."""
         calls = {"fruit_response": 0, "newest_velocity": 0}
 
         def counted(name):
@@ -554,15 +555,15 @@ class TestExperiment:
         assert got == [
             ("cherry_tomato", "open_loop", 0.76, 1.0, 2.7164629102872033,
              1.896445898849458, {"slip_drop": 11, "bruise": 1}),
-            ("cherry_tomato", "slip", 0.96, 1.2, 3.200630697469984,
-             1.2112223441696164, {"slip_drop": 1, "bruise": 1}),
-            ("cherry_tomato", "slip_force", 1.0, 1.84, 1.7349600035384631,
-             0.08551105208636703, {}),
+            ("cherry_tomato", "slip", 0.98, 1.22, 3.252547661449912,
+             1.0395431039331442, {"bruise": 1}),
+            ("cherry_tomato", "slip_force", 1.0, 1.68, 1.6565082182566568,
+             0.06135206864493045, {}),
             ("strawberry", "open_loop", 0.32, 1.0, 1.7950322557985074,
              0.8258357491227375, {"slip_drop": 33, "bruise": 1}),
-            ("strawberry", "slip", 0.8, 1.68, 2.84601617567514,
-             0.6248546853821255, {"bruise": 8, "slip_drop": 2}),
-            ("strawberry", "slip_force", 0.96, 1.54, 2.738540425782126,
-             0.306729495953995, {"bruise": 2}),
+            ("strawberry", "slip", 0.8, 1.72, 2.9020893868601836,
+             0.4742903143316509, {"bruise": 9, "slip_drop": 1}),
+            ("strawberry", "slip_force", 0.98, 1.52, 2.72081674729663,
+             0.27485910785723716, {"bruise": 1}),
         ]
-        assert calls == {"fruit_response": 13399, "newest_velocity": 1482}
+        assert calls == {"fruit_response": 13329, "newest_velocity": 1415}

@@ -2,7 +2,7 @@
 
 A grasp sees no contact before the press. Every frame must get a finite
 heightmap, slip decision and forces, also while a frame without contact sits
-in its six-frame slip window. A frame whose contact is empty on the 24x24
+in its slip window. A frame whose contact is empty on the 24x24
 marker-field grid has no region to take shear features from, and its shear
 force is exactly zero. The library tick must also match the benchmark's own
 tick bit for bit, and a frame that lost markers must not stall the stream.
