@@ -37,6 +37,10 @@ def _out_stream(path):
 # sim: synthesize one slip trial as three CSV files
 # ---------------------------------------------------------------------------
 
+_OBJECTS_HEADER = "frame,cx_px,cy_px,radius_px"
+_LABELS_HEADER = "frame,label,true_diff_px"
+
+
 def _cmd_sim(args, cfg: Config) -> int:
     gel = sim.GelModel(gel_size_mm=cfg["sim.gel_size_mm"],
                        membrane_sigma_mm=cfg["sim.membrane_sigma_mm"])
@@ -54,13 +58,13 @@ def _cmd_sim(args, cfg: Config) -> int:
     with open(out / "objects.csv", "w") as f:
         f.write(f"# size {h} {w} threshold_mm {first.threshold_mm:g} "
                 f"px_per_mm {first.px_per_mm:g}\n")
-        f.write("frame,cx_px,cy_px,radius_px\n")
+        f.write(_OBJECTS_HEADER + "\n")
         for t, mask in enumerate(seq.masks):
             cx, cy = mask.centroid()
             radius = math.sqrt(mask.area / math.pi)
             f.write(f"{t},{cx:.4f},{cy:.4f},{radius:.4f}\n")
     with open(out / "labels.csv", "w") as f:
-        f.write("frame,label,true_diff_px\n")
+        f.write(_LABELS_HEADER + "\n")
         for t, (label, diff) in enumerate(zip(seq.labels, seq.true_diff)):
             f.write(f"{t},{int(label)},{diff:.4f}\n")
     print(f"frames={len(seq)} slip_frames={int(seq.labels.sum())} "
@@ -73,72 +77,47 @@ def _cmd_sim(args, cfg: Config) -> int:
 # slip: detector over saved tracks
 # ---------------------------------------------------------------------------
 
+def _object_row(cells: list) -> tuple:
+    row = (int(cells[0]), core._finite(cells[1]), core._finite(cells[2]),
+           float(cells[3]))
+    core._check_non_negative(row[3], "radius_px")
+    return row
+
+
+def _label_row(cells: list) -> tuple:
+    if cells[1] not in ("0", "1"):
+        raise ValueError(f"label must be 0 or 1, got {cells[1]!r}")
+    return int(cells[0]), cells[1] == "1"
+
+
+def _by_frame(path, rows: list) -> list:
+    """``rows`` in frame order, each without its leading frame index;
+    ValueError unless the indices are 0..T-1, each once."""
+    rows = sorted(rows)
+    if [row[0] for row in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: frame indices must be 0..T-1, each once")
+    return [row[1:] for row in rows]
+
+
 def _load_objects(path) -> list:
     """Rebuild per-frame contact masks from an objects.csv written by sim."""
-    size = None
-    threshold_mm = slip.DEFAULT_CONTACT_THRESHOLD_MM
-    px_per_mm = 1.0
-    rows = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                tokens = line[1:].split()
-                for key, n_vals in (("size", 2), ("threshold_mm", 1),
-                                    ("px_per_mm", 1)):
-                    if key in tokens:
-                        i = tokens.index(key)
-                        vals = [float(v) for v in tokens[i + 1:i + 1 + n_vals]]
-                        if key == "size":
-                            size = (int(vals[0]), int(vals[1]))
-                        elif key == "threshold_mm":
-                            threshold_mm = vals[0]
-                        else:
-                            px_per_mm = vals[0]
-                continue
-            if line.startswith("frame"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}, line {lineno}: expected "
-                                 f"frame,cx_px,cy_px,radius_px")
-            rows[int(parts[0])] = (float(parts[1]), float(parts[2]),
-                                   float(parts[3]))
-    if not rows:
-        raise ValueError(f"{path}: no object rows")
-    if sorted(rows) != list(range(len(rows))):
-        raise ValueError(f"{path}: frame indices must be 0..T-1 with no gaps")
-    if size is None:
-        extent = max(cx + r for cx, cy, r in rows.values())
-        extent = max(extent, max(cy + r for cx, cy, r in rows.values()))
-        size = (int(math.ceil(extent)) + 2,) * 2
-    ys, xs = np.ogrid[:size[0], :size[1]]
-    masks = []
-    for t in range(len(rows)):
-        cx, cy, radius = rows[t]
-        disc = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2
-        masks.append(slip.ContactMask(disc, threshold_mm, px_per_mm))
-    return masks
+    meta, rows = core._read_table(
+        path, _object_row, _OBJECTS_HEADER,
+        {"size": (int, int), "threshold_mm": (float,), "px_per_mm": (float,)})
+    if "size" not in meta:
+        raise ValueError(f"{path}: no '# size H W' line")
+    (threshold_mm,) = meta.get("threshold_mm",
+                               (slip.DEFAULT_CONTACT_THRESHOLD_MM,))
+    (px_per_mm,) = meta.get("px_per_mm", (1.0,))
+    ys, xs = np.ogrid[:meta["size"][0], :meta["size"][1]]
+    return [slip.ContactMask((xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2,
+                             threshold_mm, px_per_mm)
+            for cx, cy, radius in _by_frame(path, rows)]
 
 
 def _load_labels(path) -> np.ndarray:
-    labels = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith(("#", "frame")):
-                continue
-            parts = line.split(",")
-            try:
-                labels[int(parts[0])] = bool(int(parts[1]))
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}, line {lineno}: expected integer "
-                                 f"frame,label") from None
-    if sorted(labels) != list(range(len(labels))):
-        raise ValueError(f"{path}: frame indices must be 0..T-1 with no gaps")
-    return np.array([labels[t] for t in range(len(labels))], dtype=bool)
+    _, rows = core._read_table(path, _label_row, _LABELS_HEADER)
+    return np.array([label for (label,) in _by_frame(path, rows)], dtype=bool)
 
 
 def _cmd_slip(args, cfg: Config) -> int:
@@ -292,41 +271,32 @@ def _cmd_softness_eval(args, cfg: Config) -> int:
 # harvest-sim: one strategy x fruit cell of the ablation
 # ---------------------------------------------------------------------------
 
-_FRUIT_TYPES = ("cherry_tomato", "strawberry")
-
-
 def _cmd_harvest(args, cfg: Config) -> int:
     strategy_cfg = harvest.StrategyConfig(
         strategy=args.strategy,
         close_margin_mm=cfg["harvest.close_margin_mm"],
         retry_increment_mm=cfg["harvest.retry_increment_mm"],
         max_retries=cfg["harvest.max_retries"])
-    f_idx = _FRUIT_TYPES.index(args.fruit)
-    n = cfg["harvest.trials"]
-    outcomes = []
-    for trial in range(n):
-        # seeded exactly like the paired experiment loop, so runs with a
-        # different strategy but the same seed see identical fruits
-        seq = np.random.SeedSequence((args.seed, f_idx, trial))
-        fruit = harvest.sample_fruit(args.fruit,
-                                     np.random.default_rng(seq.spawn(1)[0]))
-        outcomes.append(harvest.run_trial(
-            fruit, strategy_cfg, seed=seq.spawn(1)[0],
-            diameter_noise_mm=cfg["harvest.diameter_noise_mm"],
-            px_per_mm=cfg["harvest.px_per_mm"],
-            threshold_px=cfg["slip.threshold_px"]))
+    # the cell of the paired experiment grid, so runs with a different
+    # strategy but the same seed see identical fruits
+    cell = harvest.paired_trials(args.fruit, cfg["harvest.trials"], args.seed,
+                                 harvest.FRUIT_TYPES.index(args.fruit))
+    outcomes = [harvest.run_trial(
+        fruit, strategy_cfg, seed=trial_seed,
+        diameter_noise_mm=cfg["harvest.diameter_noise_mm"],
+        px_per_mm=cfg["harvest.px_per_mm"],
+        threshold_px=cfg["slip.threshold_px"]) for fruit, trial_seed in cell]
     # written once every trial has run, so a bad setting writes nothing
     with _out_stream(args.out) as f:
         f.write("trial,success,attempts,peak_force_n,failure_mode\n")
         for trial, outcome in enumerate(outcomes):
             f.write(f"{trial},{int(outcome.success)},{outcome.attempts},"
                     f"{outcome.peak_force_n:.4f},{outcome.failure_mode}\n")
-    peaks = np.array([o.peak_force_n for o in outcomes])
-    success = np.mean([o.success for o in outcomes])
-    attempts = np.mean([o.attempts for o in outcomes])
-    print(f"fruit={args.fruit} strategy={args.strategy} trials={n} "
-          f"success_rate={success:.3f} mean_attempts={attempts:.3f} "
-          f"force_mean={peaks.mean():.3f} force_var={peaks.var():.4f}")
+    s = harvest.StrategySummary.of(args.fruit, args.strategy, outcomes)
+    print(f"fruit={args.fruit} strategy={args.strategy} trials={s.n_trials} "
+          f"success_rate={s.success_rate:.3f} "
+          f"mean_attempts={s.mean_attempts:.3f} "
+          f"force_mean={s.force_mean:.3f} force_var={s.force_var:.4f}")
     return 0
 
 
@@ -405,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run grasp trials for one strategy and fruit; summarize outcomes")
     p.add_argument("--strategy", required=True, choices=harvest.STRATEGIES,
                    help="control strategy to run")
-    p.add_argument("--fruit", default="cherry_tomato", choices=_FRUIT_TYPES,
+    p.add_argument("--fruit", default="cherry_tomato", choices=harvest.FRUIT_TYPES,
                    help="fruit population (default cherry_tomato)")
     p.add_argument("--out", metavar="FILE",
                    help="per-trial CSV (default stdout)")

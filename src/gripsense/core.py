@@ -617,10 +617,73 @@ def _load_arrays(path, header: str, shapes) -> list[np.ndarray]:
             zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
 
 
+def _finite(text: str) -> float:
+    """The finite number a table cell holds, or ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _read_meta(words: list, spec: dict) -> dict:
+    """A comment line's ``key v…`` groups as ``{key: values}`` when its first
+    word is a key of ``spec``, else nothing. Every key on such a line must be
+    in ``spec``, which holds one cast per value; values must be finite and
+    positive."""
+    found = {}
+    while words and words[0] in spec:
+        key, casts = words[0], spec[words[0]]
+        texts, words = words[1:1 + len(casts)], words[1 + len(casts):]
+        try:
+            found[key] = tuple(c(t) for c, t in zip(casts, texts, strict=True))
+            ok = all(v > 0 and math.isfinite(v) for v in found[key])
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"# {key} needs {len(casts)} positive value(s), "
+                             f"got {' '.join(texts)!r}")
+    if found and words:
+        raise ValueError(f"unknown metadata key {words[0]!r}")
+    return found
+
+
+def _read_table(path, parse_row, header: str | None = None,
+                meta: dict | None = None, empty_ok: bool = False):
+    """``(metadata, rows)`` of the CSV table at ``path``: blank lines are
+    skipped, comment lines read by ``_read_meta``, the ``header`` line, if
+    given, must come first, and each row, with as many cells as the header
+    (or the first row), is ``parse_row(cells)``. Every ValueError, the row
+    parser's too, is raised as ``"<path>, line N: …"``, as is a table
+    without rows unless ``empty_ok``."""
+    found, rows, lineno = {}, [], 0
+    width = header and len(header.split(","))
+    with open(path) as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            try:
+                if line.startswith("#"):
+                    found.update(_read_meta(line[1:].split(), meta or {}))
+                elif line and header:           # the header, still to come
+                    if line != header:
+                        raise ValueError(f"expected header {header!r}")
+                    header = None
+                elif line:
+                    cells = [c.strip() for c in line.split(",")]
+                    width = width or len(cells)
+                    if len(cells) != width:
+                        raise ValueError(
+                            f"expected {width} values, got {len(cells)}")
+                    rows.append(parse_row(cells))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    if not (rows or empty_ok):
+        raise ValueError(f"{path}, line {lineno + 1}: expected a row, "
+                         f"found the end of the file")
+    return found, rows
+
+
 def save_heightmap(path, hm: HeightMap) -> None:
     """CSV of millimetre values, row-major, 6 decimal places."""
-    if not np.all(np.isfinite(hm.values)):          # unreachable via HeightMap,
-        raise ValueError("refusing to save non-finite heightmap")  # kept for raw arrays
     with open(path, "w") as f:
         f.write(f"# px_per_mm {hm.px_per_mm:.9g}\n")
         for row in hm.values:
@@ -628,32 +691,10 @@ def save_heightmap(path, hm: HeightMap) -> None:
 
 
 def load_heightmap(path) -> HeightMap:
-    px_per_mm = 1.0
-    rows = []
-    width = None
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "px_per_mm":
-                    px_per_mm = float(parts[1])
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ValueError(
-                    f"line {line_no}: expected {width} values, got {len(cells)}")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: unparsable value") from exc
-    if not rows:
-        raise ValueError("line 1: empty heightmap file")
-    return HeightMap(np.array(rows), px_per_mm)
+    """Read a ``save_heightmap`` file; ``px_per_mm`` is 1 without its line."""
+    meta, rows = _read_table(path, lambda cells: [_finite(c) for c in cells],
+                             meta={"px_per_mm": (float,)})
+    return HeightMap(np.array(rows), meta.get("px_per_mm", (1.0,))[0])
 
 
 _MARKER_HEADER = "frame,id,x,y"
@@ -676,38 +717,19 @@ def save_marker_tracks(path, tracks: Sequence[MarkerSet] | MarkerSet) -> None:
 def load_marker_tracks(path) -> list[MarkerSet]:
     """Read marker tracks; an empty or header-only file gives an empty list.
     Comment lines but ``# bounds`` (older files' ``# grid``) are skipped."""
-    bounds = (None, None)
+    meta, rows = _read_table(
+        path, lambda c: (int(c[0]), int(c[1]), _finite(c[2]), _finite(c[3])),
+        _MARKER_HEADER, {"bounds": (float, float)}, empty_ok=True)
+    bounds = meta.get("bounds", (None, None))
     per_frame: dict[int, list] = {}
-    header_seen = False
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 3 and parts[0] == "bounds":
-                    bounds = (float(parts[1]), float(parts[2]))
-                continue
-            if not header_seen:
-                if line != _MARKER_HEADER:
-                    raise ValueError(
-                        f"line {line_no}: expected header '{_MARKER_HEADER}'")
-                header_seen = True
-                continue
-            cells = line.split(",")
-            if len(cells) != 4:
-                raise ValueError(f"line {line_no}: expected 4 columns, got {len(cells)}")
-            try:
-                frame, mid = int(cells[0]), int(cells[1])
-                x, y = float(cells[2]), float(cells[3])
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: unparsable row") from exc
-            per_frame.setdefault(frame, []).append((mid, x, y))
+    for frame, mid, x, y in rows:
+        per_frame.setdefault(frame, []).append((mid, x, y))
     out = []
     for frame in sorted(per_frame):
-        rows = per_frame[frame]
-        ids = np.array([r[0] for r in rows], dtype=np.int64)
-        xy = np.array([[r[1], r[2]] for r in rows])
-        out.append(MarkerSet(ids, xy, bounds[0], bounds[1]))
+        ids, xs, ys = zip(*per_frame[frame])
+        try:
+            out.append(MarkerSet(np.array(ids, dtype=np.int64),
+                                 np.column_stack([xs, ys]), *bounds))
+        except ValueError as exc:
+            raise ValueError(f"{path}, frame {frame}: {exc}") from None
     return out

@@ -80,6 +80,9 @@ def predict_normal_force(current, model: NormalForceModel):
 # marker-field interpolation
 # ---------------------------------------------------------------------------
 
+#: Marker-field interpolation grid (rows, columns) of the shear features.
+FIELD_GRID = (24, 24)
+
 # Squared-distance threshold under which an IDW query point is considered
 # coincident with a data point and copies its value exactly.
 _COINCIDENT_SQ = 1e-24
@@ -360,7 +363,7 @@ def predict_shear(feature, model: ShearModel) -> tuple[float, float]:
     return (float(x @ model.w_x + model.b_x), float(x @ model.w_y + model.b_y))
 
 
-def build_shear_features(pairs, grid: tuple[int, int] = (24, 24)) -> list[ShearFeature]:
+def build_shear_features(pairs, grid: tuple[int, int] = FIELD_GRID) -> list[ShearFeature]:
     """Marker pairs to regression features: interpolate, decompose, average.
 
     ``pairs`` is a sequence of (rest markers, moved markers, contact mask)

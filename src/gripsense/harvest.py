@@ -28,7 +28,7 @@ trial draws its noise in blocks of whole ticks (``run_trial``).
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,6 +47,8 @@ from .slip import object_velocity  # noqa: F401
 STRATEGIES = ("open_loop", "slip", "slip_force")
 STATES = ("detect", "approach", "close", "hold_pull", "retry", "done")
 FAILURE_MODES = ("none", "slip_drop", "bruise", "max_retries")
+#: The fruit types of the ablation grid, in its seeding order.
+FRUIT_TYPES = ("cherry_tomato", "strawberry")
 
 #: Jaw travel per tick while closing (mm); bounds force overshoot to
 #: stiffness * CLOSING_SPEED_MM for the force-targeted strategy.
@@ -459,6 +461,17 @@ def sample_fruit(fruit_type: str, rng: np.random.Generator) -> FruitModel:
                       friction, pop["stem_stiffness_factor"])
 
 
+def paired_trials(fruit_type: str, n: int, seed: int, f_idx: int) -> list:
+    """(fruit, trial seed) for each of ``n`` trials of the ``f_idx``-th fruit
+    type of a seeded grid: trial t's first spawn of ``SeedSequence((seed,
+    f_idx, t))`` draws its fruit and the second seeds it, so every strategy
+    run on these sees the same fruits. ValueError unless ``n`` >= 1."""
+    _check_int(n, "trials")
+    seqs = [np.random.SeedSequence((seed, f_idx, t)) for t in range(n)]
+    return [(sample_fruit(fruit_type, np.random.default_rng(s.spawn(1)[0])),
+             s.spawn(1)[0]) for s in seqs]
+
+
 @dataclass(frozen=True)
 class StrategySummary:
     """Aggregate over one (fruit type, strategy) cell of the ablation."""
@@ -472,38 +485,33 @@ class StrategySummary:
     force_var: float
     failure_counts: dict
 
+    @classmethod
+    def of(cls, fruit_type: str, strategy: str, outcomes) -> "StrategySummary":
+        """A cell's summary; force statistics are over the trials' peaks."""
+        peaks = np.array([o.peak_force_n for o in outcomes])
+        return cls(fruit_type, strategy, len(outcomes),
+                   float(np.mean([o.success for o in outcomes])),
+                   float(np.mean([o.attempts for o in outcomes])),
+                   float(peaks.mean()), float(peaks.var()),
+                   dict(Counter(o.failure_mode for o in outcomes
+                                if not o.success)))
+
 
 def run_experiment(trials_per_cell: int = 50, seed: int = 0,
-                   fruit_types=("cherry_tomato", "strawberry"),
-                   strategies=STRATEGIES) -> list:
+                   fruit_types=FRUIT_TYPES, strategies=STRATEGIES) -> list:
     """Seeded three-strategy ablation over sampled fruit populations.
 
     The fruit drawn for trial ``i`` of a fruit type is identical across
-    strategies, so strategy comparisons are paired. Force statistics are
-    over the per-trial peak normal-force estimates.
+    strategies (``paired_trials``), so strategy comparisons are paired.
     """
     if trials_per_cell < 8:
         raise ValueError("need at least 8 trials per cell")
     summaries = []
     for f_idx, fruit_type in enumerate(fruit_types):
-        fruits, seeds = [], []
-        for trial in range(trials_per_cell):
-            seq = np.random.SeedSequence((seed, f_idx, trial))
-            fruits.append(sample_fruit(fruit_type,
-                                       np.random.default_rng(seq.spawn(1)[0])))
-            seeds.append(seq.spawn(1)[0])
+        cell = paired_trials(fruit_type, trials_per_cell, seed, f_idx)
         for strategy in strategies:
             cfg = StrategyConfig(strategy=strategy)
-            outcomes = [run_trial(fruit, cfg, seed=trial_seed)
-                        for fruit, trial_seed in zip(fruits, seeds)]
-            peaks = np.array([o.peak_force_n for o in outcomes])
-            failures = {}
-            for o in outcomes:
-                if not o.success:
-                    failures[o.failure_mode] = failures.get(o.failure_mode, 0) + 1
-            summaries.append(StrategySummary(
-                fruit_type, strategy, trials_per_cell,
-                float(np.mean([o.success for o in outcomes])),
-                float(np.mean([o.attempts for o in outcomes])),
-                float(peaks.mean()), float(peaks.var()), failures))
+            summaries.append(StrategySummary.of(fruit_type, strategy, [
+                run_trial(fruit, cfg, seed=trial_seed)
+                for fruit, trial_seed in cell]))
     return summaries

@@ -19,10 +19,6 @@ import numpy as np
 
 from . import core, force, geometry, slip
 
-#: Marker-field interpolation grid of the shear features.
-FIELD_GRID = (24, 24)
-
-
 @dataclass(frozen=True, eq=False)
 class Percept:
     """What one tick reports.
@@ -70,7 +66,7 @@ class Perception:
         mask = slip.segment_contact(height)
         normal_n = force.predict_normal_force(current, self.normal_force_model)
         feature = force.build_shear_features([(self.rest, markers, mask)],
-                                             FIELD_GRID)[0]
+                                             force.FIELD_GRID)[0]
         shear_n = force.predict_shear(feature, self.shear_model)
         window = [*self._history, (mask, markers)]
         slipping, speed = False, 0.0

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import re
 
 import pytest
 
@@ -319,7 +320,7 @@ class TestSimSlipRoundTrip:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("row", ["0", "0,yes,0.0"])
+    @pytest.mark.parametrize("row", ["0", "0,yes,0.0", "0,7,0.0"])
     def test_malformed_label_line_is_one_error_line(self, sim_dir, tmp_path,
                                                     capsys, row):
         labels = _write(tmp_path / "labels.csv",
@@ -333,6 +334,69 @@ class TestSimSlipRoundTrip:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert "labels.csv, line 2" in err
+
+
+# Each table format: its loader, a valid file, and malformed lines k -> text
+# (a non-numeric cell, and for the three formats with metadata a
+# non-numeric metadata value).
+_TABLES = {
+    "heightmap": (core.load_heightmap, "# px_per_mm 4\n1.0,2.0\n3.0,4.0\n",
+                  {3: "3.0,abc", 1: "# px_per_mm abc"}),
+    "markers": (core.load_marker_tracks,
+                "# bounds 640 480\nframe,id,x,y\n0,0,1.0,2.0\n1,0,3.0,4.0\n",
+                {4: "1,0,abc,4.0", 1: "# bounds abc 479"}),
+    "objects": (cli._load_objects,
+                "# size 480 640 threshold_mm 0.3 px_per_mm 16\n"
+                "frame,cx_px,cy_px,radius_px\n0,10,10,5\n1,11,10,5\n",
+                {4: "1,abc,1,1", 1: "# size abc 480"}),
+    "labels": (cli._load_labels, "frame,label,true_diff_px\n0,0,0.0\n1,1,12.0\n",
+               {3: "abc,1,12.0"}),
+}
+
+
+class TestTableFiles:
+    """The one table reader behind the four CSV formats: a malformed value
+    is one ValueError naming the file and its line."""
+
+    @pytest.mark.parametrize("fmt,k,bad", [
+        (fmt, k, bad) for fmt, (_, _, cases) in _TABLES.items()
+        for k, bad in cases.items()])
+    def test_malformed_value_names_file_and_line(self, tmp_path, fmt, k, bad):
+        load, text, _ = _TABLES[fmt]
+        good = tmp_path / f"{fmt}.csv"
+        good.write_text(text)
+        load(good)
+        lines = text.splitlines()
+        lines[k - 1] = bad
+        path = tmp_path / f"bad_{fmt}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"{path}, line {k}: ")):
+            load(path)
+
+    @pytest.mark.parametrize("edit", [(5, "2,nan,nan,nan"), (5, "2,10,10,-5"),
+                                      (5, "2,10,inf,5"), (1, None)],
+                             ids=["nan", "negative_radius", "inf_centre",
+                                  "no_size"])
+    def test_malformed_object_file_is_one_error_line(self, sim_dir, tmp_path,
+                                                     capsys, edit):
+        """A non-finite centre or radius, a negative radius (line 5 holds
+        frame 2) and a file without its ``# size`` line each exit 1."""
+        k, row = edit
+        lines = (sim_dir / "objects.csv").read_text().splitlines()
+        if row is None:
+            del lines[k - 1]
+        else:
+            lines[k - 1] = row
+        objects = _write(tmp_path / "objects.csv", "\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = cli.main(["slip", "--tracks", str(sim_dir / "markers.csv"),
+                       "--objects", objects])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert not out and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {objects}")
+        assert (f"line {k}:" in err) is (row is not None)
 
 
 def _summary(out: str) -> dict:
@@ -457,7 +521,8 @@ class TestHarvestCommand:
 
     @pytest.mark.parametrize("setting", ["harvest.diameter_noise_mm = -1.0",
                                          "harvest.px_per_mm = 0.0",
-                                         "slip.threshold_px = -1.0"])
+                                         "slip.threshold_px = -1.0",
+                                         "harvest.trials = 0"])
     def test_bad_trial_setting_is_an_error(self, tmp_path, capsys, setting):
         cfg = _write(tmp_path / "bad.cfg", f"harvest.trials = 8\n{setting}\n")
         out = tmp_path / "trials.csv"
@@ -468,6 +533,22 @@ class TestHarvestCommand:
         key = setting.split("=")[0].split(".")[1].strip()
         assert err.startswith("error:") and key in err
         assert not out.exists()
+
+    def test_cell_is_run_experiments_cell(self, tmp_path, capsys):
+        """At the library defaults a run is the matching cell of
+        ``run_experiment``: the same fruits, seeds and summary."""
+        cfg = _write(tmp_path / "tiny.cfg", "harvest.trials = 8\n")
+        rc = cli.main(["harvest-sim", "--strategy", "slip", "--fruit",
+                       "strawberry", "--seed", "5", "--config", cfg])
+        assert rc == 0
+        got = _summary(capsys.readouterr().out.splitlines()[-1])
+        s = harvest.run_experiment(8, seed=5, strategies=("slip",))[1]
+        assert s.fruit_type == "strawberry"
+        assert got == _summary(
+            f"fruit=strawberry strategy=slip trials=8 "
+            f"success_rate={s.success_rate:.3f} "
+            f"mean_attempts={s.mean_attempts:.3f} "
+            f"force_mean={s.force_mean:.3f} force_var={s.force_var:.4f}")
 
     def test_fruits_paired_across_strategies(self, tmp_path, capsys):
         # the same seed and fruit draws feed every strategy, so outcomes

@@ -25,7 +25,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from gripsense import force, geometry, sim, slip
 from gripsense.core import HeightMap, NormalMap, TactileFrame, diff_image
-from gripsense.perception import FIELD_GRID, Perception
+from gripsense.force import FIELD_GRID
+from gripsense.perception import Perception
 from oracles import (ORACLE_NORMAL_TOL, full_frame_normals_reference,
                      height_tolerance_mm)
 from recipes import (criterion8_geometry_model, criterion8_models,

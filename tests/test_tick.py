@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from gripsense import core, geometry, sim, slip
 from gripsense.core import HeightMap, MarkerSet
-from gripsense.perception import FIELD_GRID, Percept, Perception
+from gripsense.force import FIELD_GRID
+from gripsense.perception import Percept, Perception
 from oracles import full_frame_normals_reference, height_tolerance_mm
 from recipes import criterion8_models
 
