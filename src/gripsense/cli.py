@@ -42,8 +42,7 @@ _LABELS_HEADER = "frame,label,true_diff_px"
 
 
 def _cmd_sim(args, cfg: Config) -> int:
-    gel = sim.GelModel(gel_size_mm=cfg["sim.gel_size_mm"],
-                       membrane_sigma_mm=cfg["sim.membrane_sigma_mm"])
+    gel = sim.GelModel(gel_size_mm=cfg["sim.gel_size_mm"])
     scene = sim.GraspScene(pose=cfg["sim.pose"], load_g=cfg["sim.load_g"])
     seq = sim.synth_slip_sequence(
         scene, cfg["sim.frames"], gel, np.random.default_rng(args.seed),
@@ -92,11 +91,11 @@ def _label_row(cells: list) -> tuple:
 
 def _by_frame(path, rows: list) -> list:
     """``rows`` in frame order, each without its leading frame index;
-    ValueError unless the indices are 0..T-1, each once."""
-    rows = sorted(rows)
-    if [row[0] for row in rows] != list(range(len(rows))):
+    ValueError unless the frames are 0..T-1 (``core._by_frame``), each once."""
+    frames = core._by_frame(path, rows)
+    if any(len(found) != 1 for found in frames):
         raise ValueError(f"{path}: frame indices must be 0..T-1, each once")
-    return [row[1:] for row in rows]
+    return [found[0] for found in frames]
 
 
 def _load_objects(path) -> list:
@@ -200,8 +199,7 @@ def _cmd_force(args, cfg: Config) -> int:
     currents, forces = sim.make_force_samples(cfg["force.samples"], rng)
     normal_model = force.fit_normal_force(np.column_stack([currents, forces]))
     pairs, labels = sim.make_shear_dataset(cfg["force.shear_samples"], rng=rng)
-    grid = (cfg["force.grid"], cfg["force.grid"])
-    shear_model = force.fit_shear_model(force.build_shear_features(pairs, grid),
+    shear_model = force.fit_shear_model(force.build_shear_features(pairs),
                                         labels)
 
     gel = sim.GelModel()
@@ -223,7 +221,7 @@ def _cmd_force(args, cfg: Config) -> int:
             moved = sim.deform_markers(rest, mask, shear, "translation", gel)
             moved = moved.moved(rng.normal(0.0, sim.SHEAR_JITTER_PX,
                                            rest.xy.shape))
-            feat = force.build_shear_features([(rest, moved, mask)], grid)[0]
+            feat = force.build_shear_features([(rest, moved, mask)])[0]
             f_x, f_y = force.predict_shear(feat, shear_model)
             true_x, true_y = sim.SHEAR_FORCE_PER_MM * shear
             f.write(f"{t},{f_n:.4f},{f_x:.4f},{f_y:.4f},"
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("slip", _cmd_slip,
             "run the slip detector over saved marker and object tracks")
     p.add_argument("--tracks", required=True, metavar="FILE",
-                   help="markers.csv written by sim")
+                   help="markers.csv written by sim (frames 0..T-1)")
     p.add_argument("--objects", required=True, metavar="FILE",
                    help="objects.csv written by sim")
     p.add_argument("--labels", metavar="FILE",

@@ -53,7 +53,6 @@ _float.label = "float"
 CONFIG_SPEC: dict[str, tuple[object, object, str]] = {
     "sim.px_per_mm": (16.0, _float, "sensor resolution of synthetic slip sequences"),
     "sim.gel_size_mm": (30.0, _float, "square gelpad side length"),
-    "sim.membrane_sigma_mm": (1.0, _float, "membrane smoothing radius"),
     "sim.frames": (200, _int, "frames per synthetic slip sequence"),
     "sim.load_g": (20.0, _float, "external load on the grasped object, grams"),
     "sim.pose": ("top", _choice("top", "side"), "grasp pose"),
@@ -66,7 +65,6 @@ CONFIG_SPEC: dict[str, tuple[object, object, str]] = {
     "geometry.resolution": (128, _int, "render resolution for calibrate/reconstruct"),
     "force.samples": (10000, _int, "motor-current samples for the normal-force fit"),
     "force.shear_samples": (300, _int, "sheared presses for the shear-force fit"),
-    "force.grid": (24, _int, "displacement-field grid size per side"),
     "force.frames": (20, _int, "frames streamed by the force subcommand"),
     "slip.threshold_px": (10.0, _float, "slip threshold on the speed difference"),
     "softness.epochs": (600, _int, "ranker L-BFGS fit: iteration cap"),

@@ -544,19 +544,6 @@ class MarkerSet(_Frozen):
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarField(_Frozen):
-    """Grid scalar (potentials of the field decomposition)."""
-
-    values: np.ndarray          # (H, W)
-
-    def __post_init__(self):
-        v = self._keep("values", self.values, finite=True)
-        if v.ndim != 2:
-            raise ValueError("scalar field must be 2-D")
-        _check_nonempty(v, "scalar field")
-
-
-@dataclass(frozen=True, eq=False)
 class DisplacementField(_Frozen):
     """Dense 2-D vector field of marker motion on a regular grid (pixels)."""
 
@@ -697,17 +684,37 @@ def load_heightmap(path) -> HeightMap:
     return HeightMap(np.array(rows), meta.get("px_per_mm", (1.0,))[0])
 
 
+def _by_frame(path, rows: list, n_frames: int | None = None) -> list:
+    """Rows of frames 0..T-1 without their frame index, a list a frame, in
+    file order; T is ``n_frames`` if given, else one past the largest index,
+    and then each frame needs a row. ValueError naming ``path`` otherwise."""
+    n = n_frames or max((row[0] for row in rows), default=-1) + 1
+    frames = [[] for _ in range(n)]
+    for frame, *rest in rows:
+        if not 0 <= frame < n:
+            raise ValueError(f"{path}: frame {frame} outside 0..{n - 1}")
+        frames[frame].append(rest)
+    if n_frames is None and [] in frames:
+        raise ValueError(f"{path}: frame {frames.index([])} of 0..{n - 1} "
+                         f"has no row")
+    return frames
+
+
 _MARKER_HEADER = "frame,id,x,y"
 
 
 def save_marker_tracks(path, tracks: Sequence[MarkerSet] | MarkerSet) -> None:
-    """Write marker tracks as CSV; the frame column indexes into the sequence."""
+    """Write marker tracks as CSV; the frame column indexes into the
+    sequence, and ``# frames T`` keeps frames whose markers all dropped
+    out."""
     if isinstance(tracks, MarkerSet):
         tracks = [tracks]
     with open(path, "w") as f:
         if tracks and tracks[0].frame_width is not None:
             first = tracks[0]
             f.write(f"# bounds {first.frame_width:.9g} {first.frame_height:.9g}\n")
+        if tracks:
+            f.write(f"# frames {len(tracks)}\n")
         f.write(_MARKER_HEADER + "\n")
         for t, ms in enumerate(tracks):
             for mid, (x, y) in zip(ms.ids, ms.xy):
@@ -715,18 +722,19 @@ def save_marker_tracks(path, tracks: Sequence[MarkerSet] | MarkerSet) -> None:
 
 
 def load_marker_tracks(path) -> list[MarkerSet]:
-    """Read marker tracks; an empty or header-only file gives an empty list.
-    Comment lines but ``# bounds`` (older files' ``# grid``) are skipped."""
+    """Read marker tracks: a ``MarkerSet`` for each frame 0..T-1
+    (``_by_frame``), empty for a frame without rows. T is ``# frames T``,
+    or in older files one past the largest index; a header-only file gives
+    []. Other comment lines (older files' ``# grid``) are skipped."""
     meta, rows = _read_table(
         path, lambda c: (int(c[0]), int(c[1]), _finite(c[2]), _finite(c[3])),
-        _MARKER_HEADER, {"bounds": (float, float)}, empty_ok=True)
+        _MARKER_HEADER, {"bounds": (float, float), "frames": (int,)},
+        empty_ok=True)
     bounds = meta.get("bounds", (None, None))
-    per_frame: dict[int, list] = {}
-    for frame, mid, x, y in rows:
-        per_frame.setdefault(frame, []).append((mid, x, y))
     out = []
-    for frame in sorted(per_frame):
-        ids, xs, ys = zip(*per_frame[frame])
+    for frame, markers in enumerate(
+            _by_frame(path, rows, meta.get("frames", (None,))[0])):
+        ids, xs, ys = zip(*markers) if markers else ((), (), ())
         try:
             out.append(MarkerSet(np.array(ids, dtype=np.int64),
                                  np.column_stack([xs, ys]), *bounds))

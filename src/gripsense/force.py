@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DisplacementField, MarkerSet, ScalarField, _Adopt,
-                   _freeze, _Frozen, _poisson_solve)
+from .core import (DisplacementField, MarkerSet, _Adopt, _freeze, _Frozen,
+                   _poisson_solve)
 from .slip import ContactMask
 
 
@@ -176,13 +176,11 @@ def interpolate_markers(before: MarkerSet, after: MarkerSet,
 
 @dataclass(frozen=True, eq=False)
 class HHDResult:
-    """Curl-free P, divergence-free S, harmonic H, and their potentials."""
+    """Curl-free P, divergence-free S and harmonic H."""
 
     P: DisplacementField
     S: DisplacementField
     H: DisplacementField
-    phi: ScalarField
-    psi: ScalarField
 
 
 def _central_diff(f: np.ndarray, axis: int,
@@ -201,9 +199,11 @@ def _central_diff(f: np.ndarray, axis: int,
 def hhd_decompose(v: DisplacementField) -> HHDResult:
     """Split a displacement field into curl-free + divergence-free + harmonic.
 
-    Both potentials vanish on the frame edge (the gel is pinned there); the
-    projections are exact least squares, so P + S + H always reconstructs the
-    input and the remainder H is orthogonal to both model subspaces.
+    P is the gradient of a potential phi, S the rotated gradient of a
+    potential psi, both zero on the frame edge (the gel is pinned there) and
+    neither returned; the projections are exact least squares, so P + S + H
+    always reconstructs the input and the remainder H is orthogonal to both
+    model subspaces.
 
     Central differences link only nodes two apart, so on each parity
     sub-grid of the interior, rows and columns each of one parity, the
@@ -244,8 +244,7 @@ def hhd_decompose(v: DisplacementField) -> HHDResult:
     _central_diff(pots, -2, grad[..., 1])
     p, s = grad[0], grad[1, :, :, ::-1] * [1.0, -1.0]
     mk = lambda f: DisplacementField(_Adopt(f))
-    return HHDResult(mk(p), mk(s), mk(vals - p - s),
-                     ScalarField(_Adopt(pots[0])), ScalarField(_Adopt(pots[1])))
+    return HHDResult(mk(p), mk(s), mk(vals - p - s))
 
 
 def curl(field: DisplacementField) -> np.ndarray:
@@ -321,30 +320,23 @@ class ShearModel(_Frozen):
             raise ValueError("biases must be finite")
 
 
-def _as_feature_matrix(features) -> np.ndarray:
-    rows = [f.values if isinstance(f, ShearFeature) else np.asarray(f, float)
-            for f in features]
-    x = np.asarray(rows, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != 10:
-        raise ValueError("features must be (N, 10)")
-    return x
-
-
 def fit_shear_model(features, labels) -> ShearModel:
-    """Per-axis ordinary least squares with a shared bias column.
-
-    No-contact features carry no shear signal and are refused.
+    """Per-axis ordinary least squares with a shared bias column over
+    ``ShearFeature``s. No-contact features carry no shear signal and are
+    refused.
     """
     features = list(features)
-    if any(isinstance(f, ShearFeature) and not f.contact for f in features):
+    if not all(isinstance(f, ShearFeature) for f in features):
+        raise ValueError("features must be ShearFeatures")
+    if not all(f.contact for f in features):
         raise ValueError("cannot fit shear on a no-contact feature")
-    x = _as_feature_matrix(features)
     y = np.asarray(labels, dtype=np.float64)
-    if y.shape != (x.shape[0], 2):
+    if y.shape != (len(features), 2):
         raise ValueError("labels must be (N, 2) shear forces")
-    if x.shape[0] < 11:
+    if len(features) < 11:
         raise ValueError("need at least 11 samples (10 features + bias)")
-    design = np.column_stack([x, np.ones(x.shape[0])])
+    design = np.column_stack([[f.values for f in features],
+                              np.ones(len(features))])
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise ValueError("rank deficient shear design matrix")
@@ -352,27 +344,27 @@ def fit_shear_model(features, labels) -> ShearModel:
                       float(coef[10, 1]))
 
 
-def predict_shear(feature, model: ShearModel) -> tuple[float, float]:
-    """(F_x, F_y) from a feature; exactly (0.0, 0.0) for a no-contact one."""
-    if isinstance(feature, ShearFeature) and not feature.contact:
+def predict_shear(feature: ShearFeature, model: ShearModel) -> tuple[float, float]:
+    """(F_x, F_y) from a ``ShearFeature``; exactly (0.0, 0.0) for a
+    no-contact one."""
+    if not isinstance(feature, ShearFeature):
+        raise ValueError("feature must be a ShearFeature")
+    if not feature.contact:
         return (0.0, 0.0)
-    x = feature.values if isinstance(feature, ShearFeature) \
-        else np.asarray(feature, dtype=np.float64).reshape(-1)
-    if x.shape != (10,):
-        raise ValueError("feature must have 10 entries")
+    x = feature.values
     return (float(x @ model.w_x + model.b_x), float(x @ model.w_y + model.b_y))
 
 
-def build_shear_features(pairs, grid: tuple[int, int] = FIELD_GRID) -> list[ShearFeature]:
+def build_shear_features(pairs) -> list[ShearFeature]:
     """Marker pairs to regression features: interpolate, decompose, average.
 
     ``pairs`` is a sequence of (rest markers, moved markers, contact mask)
     triples as produced by the shear dataset generator. Each triple runs the
-    full field pipeline on the given grid.
+    full field pipeline on ``FIELD_GRID``.
     """
     out = []
     for rest, moved, mask in pairs:
-        field = interpolate_markers(rest, moved, grid)
+        field = interpolate_markers(rest, moved, FIELD_GRID)
         out.append(shear_features(field, hhd_decompose(field), mask))
     return out
 

@@ -65,8 +65,7 @@ class Perception:
         height = geometry.integrate_normals(normals, self.background.px_per_mm)
         mask = slip.segment_contact(height)
         normal_n = force.predict_normal_force(current, self.normal_force_model)
-        feature = force.build_shear_features([(self.rest, markers, mask)],
-                                             force.FIELD_GRID)[0]
+        feature = force.build_shear_features([(self.rest, markers, mask)])[0]
         shear_n = force.predict_shear(feature, self.shear_model)
         window = [*self._history, (mask, markers)]
         slipping, speed = False, 0.0

@@ -60,6 +60,8 @@ _FORCE_RANGE_N = (0.5, 8.0)
 # of drag (N/mm).
 SHEAR_JITTER_PX = 0.3
 SHEAR_FORCE_PER_MM = 0.8
+# Radius (mm) of the sphere that ``synth_slip_sequence`` presses and drags.
+SLIP_SPHERE_RADIUS_MM = 16.0
 
 # ``default_rig``: LED elevation, per-channel intensity and azimuths (deg).
 _RIG_ELEVATION_DEG = 60.0
@@ -227,7 +229,6 @@ class FruitSurface:
 class GraspScene:
     """A grasp configuration for sequence synthesis."""
 
-    fruit: object | None = None         # FruitModel from the harvest module
     pose: str = "top"
     load_g: float = 0.0
 
@@ -563,8 +564,7 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     _check_positive(threshold_px, "threshold_px")
     _check_non_negative(mask_noise_mm, "mask_noise_mm")
     _check_non_negative(marker_jitter_px, "marker_jitter_px")
-    sphere_r = (scene.fruit.diameter_mm / 2.0
-                if scene.fruit is not None else 16.0)
+    sphere_r = SLIP_SPHERE_RADIUS_MM
     if not depth_mm > DEFAULT_CONTACT_THRESHOLD_MM:
         raise ValueError(f"depth {depth_mm} mm must exceed the "
                          f"{DEFAULT_CONTACT_THRESHOLD_MM} mm contact threshold")

@@ -237,17 +237,13 @@ def detect_slip(obj_v: np.ndarray, marker_v: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class SlipReport(_Frozen):
-    """Per-frame detector outputs plus (when evaluated) summary metrics."""
+    """Per-frame detector outputs of one trial."""
 
     object_v: np.ndarray        # (T, 2)
     marker_v: np.ndarray        # (T, 2)
     speed_diff: np.ndarray      # (T,)
     flags: np.ndarray           # (T,) bool
     threshold_px: float = DEFAULT_THRESHOLD_PX
-    precision: float | None = None
-    recall: float | None = None
-    f1: float | None = None
-    mean_lead_s: float | None = None
 
     def __post_init__(self):
         self._keep("object_v", self.object_v)
@@ -278,7 +274,17 @@ def _as_trials(x) -> list[np.ndarray]:
     return [np.asarray(t, dtype=bool) for t in x]
 
 
-def evaluate_slip_detector(predictions, ground_truth, fps: float = 15.0) -> SlipReport:
+@dataclass(frozen=True)
+class SlipScore:
+    """Pooled frame-level precision, recall and F1, and mean lead time (s)."""
+
+    precision: float
+    recall: float
+    f1: float
+    mean_lead_s: float
+
+
+def evaluate_slip_detector(predictions, ground_truth, fps: float = 15.0) -> SlipScore:
     """Frame-level precision/recall/F1 pooled over trials, plus mean lead time.
 
     Lead time for a trial is (ground-truth onset time - first predicted slip
@@ -307,7 +313,4 @@ def evaluate_slip_detector(predictions, ground_truth, fps: float = 15.0) -> Slip
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     lead = float(np.mean(leads)) if leads else 0.0
-    empty = np.zeros((0,))
-    return SlipReport(np.zeros((0, 2)), np.zeros((0, 2)), empty,
-                      empty.astype(bool), DEFAULT_THRESHOLD_PX,
-                      precision, recall, f1, lead)
+    return SlipScore(precision, recall, f1, lead)

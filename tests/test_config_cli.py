@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from gripsense import cli, core, force, geometry, harvest, sim, slip, softness
+from gripsense import cli, core, geometry, harvest, sim, slip, softness
 from gripsense.config import (CONFIG_SPEC, Config, default_config,
                               describe_config, parse_config)
 
@@ -79,7 +79,6 @@ class TestConfig:
     _FEEDS = {
         "sim.px_per_mm": (sim.synth_slip_sequence, "px_per_mm"),
         "sim.gel_size_mm": (sim.GelModel, "gel_size_mm"),
-        "sim.membrane_sigma_mm": (sim.GelModel, "membrane_sigma_mm"),
         "sim.frames": (sim.synth_slip_sequence, "n_frames"),
         "sim.pose": (sim.GraspScene, "pose"),
         "sim.depth_mm": (sim.synth_slip_sequence, "depth_mm"),
@@ -92,7 +91,6 @@ class TestConfig:
         "geometry.resolution": (sim.make_calibration_presses, "resolution"),
         "force.samples": (sim.make_force_samples, "n"),
         "force.shear_samples": (sim.make_shear_dataset, "n"),
-        "force.grid": (force.build_shear_features, "grid"),
         "slip.threshold_px": (slip.analyze_sequence, "threshold_px"),
         "softness.epochs": (softness.train_ranker, "epochs"),
         "softness.learning_rate": (softness.train_ranker, "learning_rate"),
@@ -119,8 +117,6 @@ class TestConfig:
         for table, mirrors in ((self._FEEDS, True), (self._CLI_CHOICES, False)):
             for key, (fn, keyword) in table.items():
                 default = CONFIG_SPEC[key][0]
-                if key == "force.grid":
-                    default = (default, default)
                 want = inspect.signature(fn).parameters[keyword].default
                 assert (default == want) is mirrors, (key, default, want)
                 if mirrors:
@@ -168,6 +164,7 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         assert "slip.threshold_px" in out
         assert "harvest.trials" in out
+        assert "force.grid" not in out and "membrane" not in out
 
 
 class TestRuntimeErrors:
@@ -225,6 +222,47 @@ def model_file(geo_cfg_file, tmp_path_factory):
     rc = cli.main(["calibrate", "--out", str(out), "--config", geo_cfg_file])
     assert rc == 0
     return str(out)
+
+
+# A valid value of each ``sim.*`` key that differs from the base run's: the
+# default, or for ``sim.frames`` the base's 20 frames.
+_SIM_VALUES = {"sim.px_per_mm": "12", "sim.gel_size_mm": "28",
+               "sim.frames": "21", "sim.load_g": "50", "sim.pose": "side",
+               "sim.depth_mm": "1.5", "sim.marker_jitter_px": "0.5"}
+
+
+def _sim_csvs(out, settings: dict) -> list:
+    """The three CSVs ``gripsense sim`` writes to ``out`` under
+    ``settings``, on top of ``sim.frames = 20``."""
+    out.mkdir()
+    lines = {"sim.frames": "20", **settings}
+    cfg = _write(out / "sim.cfg",
+                 "".join(f"{k} = {v}\n" for k, v in lines.items()))
+    assert cli.main(["sim", "--out", str(out), "--config", cfg]) == 0
+    return [(out / name).read_bytes()
+            for name in ("markers.csv", "objects.csv", "labels.csv")]
+
+
+@pytest.fixture(scope="module")
+def sim_base(tmp_path_factory):
+    return _sim_csvs(tmp_path_factory.mktemp("simbase") / "base", {})
+
+
+class TestSimKeysApplied:
+    """No ``sim.*`` key is accepted and then ignored: each changes what
+    ``gripsense sim`` writes."""
+
+    def test_every_sim_key_has_a_value(self):
+        assert set(_SIM_VALUES) == {k for k in CONFIG_SPEC
+                                    if k.startswith("sim.")}
+        for key, value in _SIM_VALUES.items():
+            assert CONFIG_SPEC[key][1](value) != (
+                20 if key == "sim.frames" else CONFIG_SPEC[key][0]), key
+
+    @pytest.mark.parametrize("key", sorted(_SIM_VALUES))
+    def test_key_changes_an_output(self, sim_base, tmp_path, capsys, key):
+        assert _sim_csvs(tmp_path / "changed", {key: _SIM_VALUES[key]}) \
+            != sim_base
 
 
 class TestSimSlipRoundTrip:
@@ -374,6 +412,24 @@ class TestTableFiles:
                            match="^" + re.escape(f"{path}, line {k}: ")):
             load(path)
 
+    @pytest.mark.parametrize("fmt", ["markers", "objects", "labels"])
+    @pytest.mark.parametrize("last, what", [
+        ("2", ": frame 1 of 0..2 has no row"),
+        ("-1", ": frame -1 outside 0..0"),
+        ("0", ": frame indices must be 0..T-1, each once")])
+    def test_frames_are_0_to_T(self, tmp_path, fmt, last, what):
+        """``core._by_frame`` owns the frame rule of all three per-frame
+        tables; objects and labels hold one row a frame, markers one a
+        marker (here two rows of marker 0 in frame 0)."""
+        load, text, _ = _TABLES[fmt]
+        lines = text.splitlines()
+        lines[-1] = last + lines[-1][1:]        # the last row holds frame 1
+        path = _write(tmp_path / f"{fmt}.csv", "\n".join(lines) + "\n")
+        if fmt == "markers" and last == "0":
+            what = ", frame 0: marker ids must be unique"
+        with pytest.raises(ValueError, match="^" + re.escape(path + what)):
+            load(path)
+
     @pytest.mark.parametrize("edit", [(5, "2,nan,nan,nan"), (5, "2,10,10,-5"),
                                       (5, "2,10,inf,5"), (1, None)],
                              ids=["nan", "negative_radius", "inf_centre",
@@ -463,7 +519,7 @@ class TestForceCommand:
     def test_per_frame_csv_and_summary(self, tmp_path, capsys):
         cfg = _write(tmp_path / "tiny.cfg",
                      "force.samples = 2000\nforce.shear_samples = 60\n"
-                     "force.grid = 12\nforce.frames = 6\n")
+                     "force.frames = 6\n")
         out = tmp_path / "force.csv"
         rc = cli.main(["force", "--config", cfg, "--out", str(out)])
         assert rc == 0

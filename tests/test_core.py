@@ -6,6 +6,7 @@ import importlib
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import gripsense
 from gripsense import force, geometry, harvest, perception, sim, slip, softness
 from gripsense.core import (DiffFrame, DisplacementField, HeightMap,
-                            MarkerSet, NormalMap, ScalarField, TactileFrame,
+                            MarkerSet, NormalMap, TactileFrame,
                             _Frozen, _lbfgs, _poisson_solve, diff_image,
                             load_heightmap,
                             load_marker_tracks, save_heightmap,
@@ -250,10 +251,8 @@ class TestHeightMap:
     lambda v: DiffFrame(v[:, :, None].repeat(3, axis=2), 1.0),
     lambda v: NormalMap(v[:, :, None].repeat(3, axis=2)),
     lambda v: HeightMap(v, 1.0),
-    lambda v: ScalarField(v),
     lambda v: DisplacementField(v[:, :, None].repeat(2, axis=2)),
-], ids=["DiffFrame", "NormalMap", "HeightMap", "ScalarField",
-        "DisplacementField"])
+], ids=["DiffFrame", "NormalMap", "HeightMap", "DisplacementField"])
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 def test_empty_raster_raises(make, shape):
     with pytest.raises(ValueError, match="must be non-empty"):
@@ -532,6 +531,34 @@ class TestMarkerTrackIO:
         p.write_text("frame,id,x,y\n")
         assert load_marker_tracks(p) == []
 
+    def test_frame_without_markers_round_trips(self, tmp_path):
+        """A frame whose markers all dropped out writes no row; the
+        ``# frames`` line keeps it, as an empty ``MarkerSet``, in place."""
+        first, _, last = self._tracks()
+        empty = MarkerSet(np.zeros(0, np.int64), np.zeros((0, 2)), 100.0, 100.0)
+        p = tmp_path / "m.csv"
+        save_marker_tracks(p, [first, empty, last])
+        back = load_marker_tracks(p)
+        assert [len(m) for m in back] == [6, 0, 6]
+        for got, want in ((back[0], first), (back[2], last)):
+            assert np.array_equal(got.ids, want.ids)
+            assert np.allclose(got.xy, want.xy, atol=1e-6)
+        assert (back[1].frame_width, back[1].frame_height) == (100.0, 100.0)
+
+    @pytest.mark.parametrize("meta, frames, what", [
+        ("", (0, 0, 2, 2), "frame 1 of 0..2 has no row"),
+        ("", (0, -1), "frame -1 outside 0..0"),
+        ("# frames 2\n", (0, 2), "frame 2 outside 0..1"),
+    ], ids=["gap", "negative", "past_frames"])
+    def test_frames_outside_0_to_T_raise(self, tmp_path, meta, frames, what):
+        """Frames are 0..T-1, T from ``# frames`` or, in older files without
+        it, one past the largest index; a gap is never renumbered away."""
+        p = tmp_path / "m.csv"
+        p.write_text(meta + "frame,id,x,y\n" + "".join(
+            f"{t},{k},{k + 1.0},2.0\n" for k, t in enumerate(frames)))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{p}: {what}")):
+            load_marker_tracks(p)
+
 
 class TestFieldTypes:
     def test_displacement_field_validation(self):
@@ -571,7 +598,6 @@ _ARRAY_TYPES = {
                                               1.0, (1, 3, 0, 3), (4, 4)),
     "HeightMap": lambda: _HEIGHT,
     "MarkerSet": lambda: MarkerSet([0, 1], [[1.0, 2.0], [3.0, 4.0]]),
-    "ScalarField": lambda: ScalarField(np.zeros((3, 3))),
     "DisplacementField": lambda: DisplacementField(np.zeros((3, 3, 2))),
     "Rgb2NormalModel": lambda: geometry.Rgb2NormalModel(*_zeros(
         [(32, 5), (32,), (32, 32), (32,), (2, 32), (2,)])),

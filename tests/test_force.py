@@ -353,15 +353,21 @@ class TestHHD:
 
     @pytest.mark.parametrize("h,w", [(8, 8), (9, 11), (24, 24), (25, 30)])
     def test_potentials_match_dense_normal_equations(self, h, w):
+        """P and S are the gradient and the rotated gradient of the dense
+        normal equations' potentials phi and psi; a central difference of
+        two potential errors is no larger than the larger of them, so the
+        bound is the potentials' own."""
         v = DisplacementField(np.random.default_rng(h + w).normal(0, 1, (h, w, 2)))
         out = force.hhd_decompose(v)
         a, b, k = _normal_equations(h, w)
         vx, vy = v.values[:, :, 0].ravel(), v.values[:, :, 1].ravel()
         rhs = np.column_stack([a.T @ vx + b.T @ vy, b.T @ vx - a.T @ vy])
-        want = np.linalg.solve(k, rhs).T.reshape(2, h - 2, w - 2)
-        for got, ref in ((out.phi, want[0]), (out.psi, want[1])):
-            assert np.max(np.abs(got.values[1:-1, 1:-1] - ref)) \
-                <= 1e-13 * np.max(np.abs(ref))
+        phi, psi = np.linalg.solve(k, rhs).T
+        want_p = np.dstack([(a @ phi).reshape(h, w), (b @ phi).reshape(h, w)])
+        want_s = np.dstack([(b @ psi).reshape(h, w), -(a @ psi).reshape(h, w)])
+        tol = 1e-13 * max(np.max(np.abs(phi)), np.max(np.abs(psi)))
+        for got, ref in ((out.P, want_p), (out.S, want_s)):
+            assert np.max(np.abs(got.values - ref)) <= tol
 
     def test_idempotent(self):
         out = force.hhd_decompose(self._field(3))
@@ -389,10 +395,16 @@ class TestHHD:
         assert np.max(np.abs(pab - pa - pb)) < 1e-8
 
     def test_potentials_vanish_on_edge(self):
+        """Potentials pinned to zero on the edge ring have zero derivative
+        along it: P has no tangential part there and S no normal part."""
         out = force.hhd_decompose(self._field(6))
-        for pot in (out.phi.values, out.psi.values):
-            assert np.all(pot[0] == 0) and np.all(pot[-1] == 0)
-            assert np.all(pot[:, 0] == 0) and np.all(pot[:, -1] == 0)
+        (px, py), (sx, sy) = (np.moveaxis(f.values, -1, 0)
+                              for f in (out.P, out.S))
+        for along_rows in (px, sy):
+            assert np.all(along_rows[[0, -1]] == 0)
+        for along_cols in (py, sx):
+            assert np.all(along_cols[:, [0, -1]] == 0)
+        assert np.abs(px[1:-1]).max() > 0.1 and np.abs(sx[:, 1:-1]).max() > 0.1
 
     def test_small_grid_raises(self):
         with pytest.raises(ValueError):
@@ -508,21 +520,25 @@ class TestShearModel:
         y = np.column_stack([x @ wx + 0.5, x @ wy - 0.25])
         return x, y, wx, wy
 
+    @staticmethod
+    def _feats(x):
+        return [force.ShearFeature(row) for row in x]
+
     def test_exact_recovery_on_linear_data(self):
         x, y, wx, wy = self._linear_data()
-        model = force.fit_shear_model(x, y)
+        model = force.fit_shear_model(self._feats(x), y)
         assert np.allclose(model.w_x, wx, atol=1e-9)
         assert np.allclose(model.w_y, wy, atol=1e-9)
         assert model.b_x == pytest.approx(0.5, abs=1e-9)
         assert model.b_y == pytest.approx(-0.25, abs=1e-9)
-        fx, fy = force.predict_shear(x[0], model)
+        fx, fy = force.predict_shear(force.ShearFeature(x[0]), model)
         assert fx == pytest.approx(y[0, 0], abs=1e-8)
         assert fy == pytest.approx(y[0, 1], abs=1e-8)
 
     def test_matches_ols_oracle(self):
         x, y, *_ = self._linear_data()
         y = y + rng.normal(0, 0.1, y.shape)
-        model = force.fit_shear_model(x, y)
+        model = force.fit_shear_model(self._feats(x), y)
         design = np.column_stack([x, np.ones(len(x))])
         coef = ols_reference(design, y)
         assert np.allclose(model.w_x, coef[:10, 0], atol=1e-8)
@@ -531,14 +547,27 @@ class TestShearModel:
     def test_too_few_samples_and_bad_labels(self):
         x, y, *_ = self._linear_data(10)
         with pytest.raises(ValueError):
-            force.fit_shear_model(x, y)
+            force.fit_shear_model(self._feats(x), y)
         x, y, *_ = self._linear_data(20)
         with pytest.raises(ValueError):
-            force.fit_shear_model(x, y[:, :1])
+            force.fit_shear_model(self._feats(x), y[:, :1])
+
+    def test_raw_arrays_refused(self):
+        """Only a ``ShearFeature`` carries the no-contact flag, so the fit
+        and the readout take nothing else: an all-zero raw row would read
+        as the model's biases, not as no contact."""
+        x, y, *_ = self._linear_data(20)
+        model = force.fit_shear_model(self._feats(x), y)
+        for rows in (x, list(x), self._feats(x[:19]) + [x[19]]):
+            with pytest.raises(ValueError, match="ShearFeature"):
+                force.fit_shear_model(rows, y)
+        for row in (np.zeros(10), list(x[0])):
+            with pytest.raises(ValueError, match="ShearFeature"):
+                force.predict_shear(row, model)
 
     def test_no_contact_feature_refused(self):
         x, y, *_ = self._linear_data(20)
-        feats = [force.ShearFeature(row) for row in x]
+        feats = self._feats(x)
         feats[7] = force.ShearFeature(np.zeros(10), contact=False)
         with pytest.raises(ValueError, match="no-contact"):
             force.fit_shear_model(feats, y)
@@ -546,8 +575,8 @@ class TestShearModel:
     def test_rank_deficient_raises(self):
         x = np.tile(rng.normal(0, 1, 10), (30, 1))
         y = rng.normal(0, 1, (30, 2))
-        with pytest.raises(ValueError):
-            force.fit_shear_model(x, y)
+        with pytest.raises(ValueError, match="rank deficient"):
+            force.fit_shear_model(self._feats(x), y)
 
     def test_build_shear_features_pipeline(self):
         pairs, labels = sim.make_shear_dataset(12, rng=np.random.default_rng(4))

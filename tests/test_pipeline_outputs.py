@@ -75,7 +75,7 @@ def _outputs() -> list:
 
 
 def _force_outputs() -> list:
-    """[IDW field, HHD P, S and H, potentials phi and psi, predicted shear]
+    """[IDW field, HHD P, S and H, predicted shear]
     of one 240x320 marker grid dragged by (1.2, -0.9) mm over the full
     press's contact, on the 24x24 field grid of the tick, under the
     criterion-8 shear model."""
@@ -90,7 +90,7 @@ def _force_outputs() -> list:
     shear = force.predict_shear(force.shear_features(field, hhd, contact),
                                 criterion8_shear_model())
     return [field.values, hhd.P.values, hhd.S.values, hhd.H.values,
-            hhd.phi.values, hhd.psi.values, np.array(shear)]
+            np.array(shear)]
 
 
 def _save_outputs(path) -> None:
@@ -150,15 +150,13 @@ DIGESTS = [
 ]
 
 
-# SHA-256 of each of ``_force_outputs``: the IDW field, the HHD's P, S, H,
-# phi and psi, and the predicted shear, under single-threaded BLAS as above.
+# SHA-256 of each of ``_force_outputs``: the IDW field, the HHD's P, S and H,
+# and the predicted shear, under single-threaded BLAS as above.
 FORCE_DIGESTS = [
     "a31d2d1a66859b0cb3327387eb2ad65fc418c70b2553a1a9ccbadd31ba008bca",
     "caf5836a09c5dd25ebff54080ed70ec7a6d037b0fe05e8d2ba5c5a8b01867120",
     "3392b0dea6f97de32a08659c825dd8512fdbf01ff3b68e5ee5a328c3b44e4c72",
     "11bfd19ad89196c333a569d460f51f3feae09af078a231c4e3306c01e4dd90a8",
-    "22a3d265101ed92bbf585455bc12db34c3227a05b6ab77785f460183c036c557",
-    "d6b037e44b42f2789718ca85a00d905dfce40d1a7b60168569b334df4e187617",
     "2d4255dc3aae20996e936c81562e03f7436dc6bfc249673ceea464719cc366c0",
 ]
 
@@ -177,7 +175,7 @@ def test_outputs_match_pinned_digests(single_thread_outputs):
 # heights to this tolerance relative to each frame's largest height: only the
 # Poisson solve's products change their summation order. Of the marker-field
 # outputs, the IDW field calls no BLAS routine and agrees bit for bit; the
-# HHD's potentials and fields come from the same Poisson solver's products,
+# HHD's fields come from the same Poisson solver's products,
 # on a stack of parity sub-grids, and the shear from a least-squares fit and
 # a dot product, so each is held to the same
 # tolerance relative to its own largest magnitude (all were byte-equal on a
@@ -195,7 +193,7 @@ def test_outputs_agree_across_blas_threads(single_thread_outputs, tmp_path):
         assert np.max(np.abs(h1 - h2)) <= CROSS_THREAD_RTOL * np.max(h1)
     field, *rest = forces
     two_field, *two_rest = two_forces
-    assert len(rest) == len(two_rest) == 6
+    assert len(rest) == len(two_rest) == 4
     assert field.tobytes() == two_field.tobytes()
     for a, b in zip(rest, two_rest):
         assert np.max(np.abs(a - b)) <= CROSS_THREAD_RTOL * np.max(np.abs(a))

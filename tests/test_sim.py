@@ -460,9 +460,9 @@ class TestSlipSequence:
                                     np.random.default_rng(0), depth_mm=depth)
 
     def test_depth_at_sphere_radius_accepted(self):
-        fruit = _FakeFruit(1.0, 24.0, "smooth")
-        seq = sim.synth_slip_sequence(sim.GraspScene(fruit=fruit), 10, GEL,
-                                      np.random.default_rng(0), depth_mm=12.0)
+        assert sim.SLIP_SPHERE_RADIUS_MM == 16.0
+        seq = sim.synth_slip_sequence(sim.GraspScene(), 10, GEL,
+                                      np.random.default_rng(0), depth_mm=16.0)
         assert all(m.area > 0 for m in seq.masks)
 
     def test_benchmark_grid_size(self):

@@ -1,5 +1,7 @@
 """Slip detection: segmentation, velocities, the threshold rule, scoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,7 +349,7 @@ class TestAnalyzeSequence:
         assert np.array_equal(report.object_v, ov)
         assert np.array_equal(report.marker_v, mv)
         assert np.array_equal(report.flags, _flags(ov, mv, 10.0))
-        assert report.precision is None
+        assert not hasattr(report, "f1")     # scores are a SlipScore
 
     def test_report_invariant_enforced(self):
         diff = np.array([1.0, 20.0])
@@ -361,6 +363,9 @@ class TestEvaluation:
         pred = np.array([0, 1, 1, 0, 1], dtype=bool)
         truth = np.array([0, 1, 0, 1, 1], dtype=bool)
         out = slip.evaluate_slip_detector(pred, truth, fps=10.0)
+        assert isinstance(out, slip.SlipScore)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.f1 = 1.0
         assert out.precision == pytest.approx(2 / 3)
         assert out.recall == pytest.approx(2 / 3)
         assert out.f1 == pytest.approx(2 / 3)
