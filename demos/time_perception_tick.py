@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from gripsense import core, force, geometry, sim, slip
+from gripsense import core, force, geometry, sim
 from gripsense.core import HeightMap
 from gripsense.perception import Perception
 
@@ -49,7 +49,7 @@ def main():
     current = sim.CURRENT_GAIN * 3.0 + sim.CURRENT_OFFSET
     perception = Perception(geo_model, nf_model, sh_model, flat, rest)
 
-    for _ in range(slip.TICK_WINDOW):       # warm caches, fill the slip window
+    for _ in range(2):      # warm caches; the second tick runs the slip step
         perception.tick(img, moved, current)
     totals = []
     for _ in range(args.ticks):

@@ -703,12 +703,10 @@ def _by_frame(path, rows: list, n_frames: int | None = None) -> list:
 _MARKER_HEADER = "frame,id,x,y"
 
 
-def save_marker_tracks(path, tracks: Sequence[MarkerSet] | MarkerSet) -> None:
+def save_marker_tracks(path, tracks: Sequence[MarkerSet]) -> None:
     """Write marker tracks as CSV; the frame column indexes into the
     sequence, and ``# frames T`` keeps frames whose markers all dropped
     out."""
-    if isinstance(tracks, MarkerSet):
-        tracks = [tracks]
     with open(path, "w") as f:
         if tracks and tracks[0].frame_width is not None:
             first = tracks[0]

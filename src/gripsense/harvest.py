@@ -12,12 +12,12 @@ The contact seen by the slip rule is a small disc, ``ContactDisc``, in a
 square tracking window whose centre follows the slid object. It is held as
 its whole-pixel centre, which is exactly its centroid, and marker membership
 is a distance test on the markers' pixels, so a tick does no per-pixel work.
-The rule is ``slip.newest_velocity``, as in ``Perception.tick``: the raw
+The rule is ``slip.step_velocity``, as in ``Perception.tick``: the raw
 step of the disc and the markers from the previous tick to this one. The
 controller reads the slip flag only while pulling under a closed-loop
 strategy (``_reads_slip``), so a trial computes the flag on those ticks
-alone; every tick still draws its noise and extends the window, so the
-flag on a reading tick is the one an every-tick rule would give.
+alone; every tick still draws its noise and becomes the previous tick, so
+the flag on a reading tick is the one an every-tick rule would give.
 
 A tick is otherwise scalar work in Python floats and ints: the plant, the
 controller and the force decoder take and give numbers, the contact disc
@@ -28,7 +28,7 @@ trial draws its noise in blocks of whole ticks (``run_trial``).
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,8 +38,7 @@ from .core import (_check_int, _check_non_negative, _check_positive, _freeze,
                    _Frozen)
 from .force import fit_normal_force, predict_normal_force
 from .sim import CURRENT_GAIN, CURRENT_NOISE, CURRENT_OFFSET, make_force_samples
-from .slip import (DEFAULT_THRESHOLD_PX, TICK_WINDOW, detect_slip,
-                   newest_velocity)
+from .slip import DEFAULT_THRESHOLD_PX, detect_slip, step_velocity
 # Unused here, but bound on purpose: perfbench's span tracer test takes
 # ``harvest.object_velocity`` as its example of a name re-bound across layers.
 from .slip import object_velocity  # noqa: F401
@@ -390,7 +389,8 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
                        fruit_type=fruit.fruit_type)
     marker_rest = np.stack(np.meshgrid([-20.0, 0.0, 20.0], [-20.0, 0.0, 20.0]),
                            axis=-1).reshape(-1, 2) + _TRACK_WINDOW_PX / 2.0
-    contacts, positions = deque(maxlen=TICK_WINDOW), deque(maxlen=TICK_WINDOW)
+    # the previous tick's contact disc and marker positions
+    prev_disc = prev_xy = None
     trace = []
     slip_mm = 0.0
     start_px = 4.0 * _DISC_RADIUS_PX
@@ -423,12 +423,12 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
         f_est = max(0.0, predict_normal_force(current, _FORCE_MODEL))
         trace.append(f_est)
 
-        contacts.append(ContactDisc(start_px + slip_mm * px_per_mm))
-        positions.append(jittered[at])
+        disc, xy = ContactDisc(start_px + slip_mm * px_per_mm), jittered[at]
         # A trial pulls only after detect, approach and close, so a reading
-        # tick has both frames of the window.
+        # tick has a previous tick.
         slip_flag = _reads_slip(state, cfg) and detect_slip(
-            *newest_velocity(contacts, positions), threshold_px)
+            *step_velocity(prev_disc, disc, prev_xy, xy), threshold_px)
+        prev_disc, prev_xy = disc, xy
 
         attempt_before = state.attempt
         state = step_controller(state, (slip_flag, f_est), cfg)

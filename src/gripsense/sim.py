@@ -41,7 +41,8 @@ import numpy as np
 from .core import (DiffFrame, HeightMap, MarkerSet, TactileFrame, _Adopt,
                    _check_int, _check_non_negative, _check_positive,
                    _clip_owned, _Frozen, _owned, diff_image)
-from .slip import DEFAULT_CONTACT_THRESHOLD_MM, ContactMask
+from .slip import (DEFAULT_CONTACT_THRESHOLD_MM, DEFAULT_THRESHOLD_PX,
+                   ContactMask)
 
 # Combined gel + drive-train stiffness seen in series with the fruit during a
 # squeeze (N/mm). The split of commanded jaw travel between gel indentation
@@ -530,7 +531,7 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
                         gel: GelModel = GelModel(),
                         rng: np.random.Generator | None = None,
                         px_per_mm: float = 16.0,
-                        threshold_px: float = 10.0,
+                        threshold_px: float = DEFAULT_THRESHOLD_PX,
                         depth_mm: float = 1.0,
                         mask_noise_mm: float = 0.02,
                         marker_jitter_px: float = 0.3) -> SlipSequence:

@@ -5,16 +5,17 @@ The rule is deliberately simple: a frame is a slip frame when the contact
 region's centroid moves strictly more than ``threshold_px`` pixels per frame
 relative to the mean motion of the markers inside that region. Both motions
 are the raw step from the frame before, with no smoothing, so a burst is
-flagged on the frame it starts. ``object_velocity`` and ``marker_velocity``
-give whole series; ``newest_velocity``, the one entry of the perception tick
-and of harvest trials, gives the newest frame alone from the two frames the
-rule reads.
+flagged on the frame it starts. ``step_velocity`` is the one code that
+computes that step, from two frames alone with markers matched per step
+(``match_markers``): the perception tick and harvest trials call it on their
+newest pair, and ``object_velocity``, ``marker_velocity`` and
+``analyze_sequence`` map it over every consecutive pair of a series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +25,6 @@ from .core import (HeightMap, MarkerSet, _check_positive, _freeze, _Frozen,
 
 DEFAULT_THRESHOLD_PX = 10.0
 DEFAULT_CONTACT_THRESHOLD_MM = 0.3
-#: Frames of contact and marker history the slip rule reads each tick.
-TICK_WINDOW = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,32 +96,18 @@ class ContactMask(_Windowed):
 
     def contains(self, xy: np.ndarray) -> np.ndarray:
         """Membership test for (N, 2) pixel positions (x, y), each snapped
-        to the nearest pixel and clipped to the frame."""
+        to the nearest pixel and clipped to the frame: a position is in the
+        mask when clipping it to the box leaves it where it is and the box
+        holds True there."""
         xy = np.reshape(xy, (-1, 2))
         if self.area == 0:
             return np.zeros(len(xy), dtype=bool)
-        return _members([self], xy[None])[0]
-
-
-def _members(masks: Sequence[ContactMask], xy: np.ndarray) -> np.ndarray:
-    """(L, N) membership of positions ``xy`` (L, N, 2) in each of L masks
-    with contact, as ``ContactMask.contains`` tests them: a position,
-    snapped to the nearest pixel and clipped to the frame, is in a mask when
-    clipping it to the mask's box leaves it where it is and the box holds
-    True there. One pass over all masks, then one gather a mask."""
-    # frame width and height, then the box's columns and rows, each (L, 1)
-    w, h, c0, c1, r0, r1 = np.array(
-        [m.frame_shape[::-1] + m.support[2:] + m.support[:2] for m in masks]
-    ).T[:, :, None]
-    cells = np.rint(xy).astype(int)
-    x = np.clip(cells[..., 0], 0, w - 1)
-    y = np.clip(cells[..., 1], 0, h - 1)
-    bx = np.clip(x, c0, c1 - 1)
-    by = np.clip(y, r0, r1 - 1)
-    inside = (bx == x) & (by == y)
-    bx -= c0
-    by -= r0
-    return inside & np.array([m.values[r, c] for m, r, c in zip(masks, by, bx)])
+        (h, w), (r0, r1, c0, c1) = self.frame_shape, self.support
+        cells = np.clip(np.rint(xy).astype(int), 0, (w - 1, h - 1))
+        box = np.clip(cells, (c0, r0), (c1 - 1, r1 - 1))
+        kept = box == cells
+        return (kept[:, 0] & kept[:, 1]
+                & self.values[box[:, 1] - r0, box[:, 0] - c0])
 
 
 def segment_contact(h: HeightMap, threshold_mm: float = DEFAULT_CONTACT_THRESHOLD_MM) -> ContactMask:
@@ -138,24 +123,55 @@ def _object_step(prev, cur) -> np.ndarray:
     return np.zeros(2)
 
 
-def _member_velocity(steps: np.ndarray, inside: np.ndarray, xy: np.ndarray,
-                     contacts) -> np.ndarray:
-    """Mean (L, 2) of the (L, N, 2) marker steps over the markers each of L
-    contacts drags: those ``inside`` it (L, N, filled in place), else the
-    four of its positions ``xy`` (L, N, 2) nearest its centroid, ties to the
-    lower index. Zeros stand in for the others in the sum, which keeps the
-    bits of a mean over the members alone."""
-    for row in np.flatnonzero(~inside.any(axis=1)):
-        d = np.linalg.norm(xy[row] - contacts[row].centroid(), axis=1)
-        inside[row, np.argsort(d, kind="stable")[:4]] = True
-    return (np.add.reduce(steps * inside[:, :, None], axis=1)
-            / inside.sum(axis=1)[:, None])
+def match_markers(prev: MarkerSet, cur: MarkerSet) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (N, 2) in ``prev`` and in ``cur`` of the marker ids both
+    frames hold, row for row: the frames' own rows when their ids are equal,
+    else the shared ids in id order. N is 0 when they share no id."""
+    if np.array_equal(prev.ids, cur.ids):
+        return prev.xy, cur.xy
+    _, i, j = np.intersect1d(prev.ids, cur.ids, assume_unique=True,
+                             return_indices=True)
+    return prev.xy[i], cur.xy[j]
+
+
+def step_velocity(prev, cur, xy_prev, xy_cur) -> tuple[np.ndarray, np.ndarray]:
+    """Object and marker velocity (2,) px/frame of the step from frame
+    ``prev`` to frame ``cur``, the one code that computes a slip velocity.
+
+    The object velocity is the centroid step, zero unless both frames have
+    contact. The marker velocity is the mean step ``xy_cur - xy_prev`` of
+    the markers inside ``cur``'s contact, or of the four nearest its
+    centroid (ties to the lower row) when none is inside. ``xy_prev`` and
+    ``xy_cur`` hold (N, 2) positions of the same markers row for row
+    (``match_markers``). A step into a frame without contact, or with no
+    marker (N = 0), compares nothing: both velocities are zero. Of each
+    contact the step reads only ``area``, ``centroid()`` and
+    ``contains(xy)``.
+    """
+    xy_prev = np.asarray(xy_prev, dtype=np.float64)
+    xy_cur = np.asarray(xy_cur, dtype=np.float64)
+    if xy_prev.shape != xy_cur.shape or xy_cur.shape[1:] != (2,):
+        raise ValueError("marker positions of the two frames must be (N, 2) "
+                         "and match row for row")
+    if cur.area == 0 or not len(xy_cur):
+        return np.zeros(2), np.zeros(2)
+    inside = cur.contains(xy_cur)
+    if not inside.any():
+        d = np.linalg.norm(xy_cur - cur.centroid(), axis=1)
+        inside[np.argsort(d, kind="stable")[:4]] = True
+    # zeros stand in for the other markers in the sum, which keeps the bits
+    # of a mean over the members alone
+    v_mark = (np.add.reduce((xy_cur - xy_prev) * inside[:, None], axis=0)
+              / inside.sum())
+    return _object_step(prev, cur), v_mark
 
 
 def object_velocity(masks: Sequence[ContactMask]) -> np.ndarray:
     """Per-frame centroid velocity (T, 2) px/frame: frame t's centroid minus
     frame t-1's when both frames have contact, else zero (so the first
-    frame, and the first of each run of contact frames, get zero)."""
+    frame, and the first of each run of contact frames, get zero). This is
+    the object half of ``step_velocity`` on each frame pair, from the masks
+    alone."""
     if len(masks) < 2:
         raise ValueError("need at least 2 frames of contact masks")
     v = np.zeros((len(masks), 2))
@@ -163,67 +179,30 @@ def object_velocity(masks: Sequence[ContactMask]) -> np.ndarray:
     return v
 
 
-def matched_positions(tracks: Sequence[MarkerSet]) -> np.ndarray:
-    """Positions (T, N, 2) of the marker ids every frame holds: the frames'
-    own rows, or the shared ids in id order when a frame lost some. A window
-    with no common id raises ``ValueError``."""
-    xys = [t.xy for t in tracks]
-    if any(not np.array_equal(t.ids, tracks[0].ids) for t in tracks[1:]):
-        ids = reduce(np.intersect1d, [t.ids for t in tracks])
-        if ids.size == 0:
-            raise ValueError("no marker id is common to every frame")
-        xys = [t.xy[np.intersect1d(t.ids, ids, return_indices=True)[1]]
-               for t in tracks]
-    return np.array(xys)
-
-
-def marker_velocity(tracks: Sequence[MarkerSet],
-                    masks: Sequence[ContactMask]) -> np.ndarray:
-    """Mean velocity (T, 2) of the markers inside the contact region: the
-    member mean of each marker's step from the frame before.
-
-    Membership is evaluated against the frame's own mask. If noise
-    momentarily leaves no marker inside the region, the four markers nearest
-    the region centroid stand in, so the series stays defined.
-    A frame without contact has no region and gets zero velocity. Markers
-    are matched by id (``matched_positions``).
-    """
+def _steps(tracks: Sequence[MarkerSet],
+           masks: Sequence[ContactMask]) -> np.ndarray:
+    """Object and marker velocities (2, T, 2): row 0 zero, row t the
+    ``step_velocity`` from frame t-1 to frame t, markers matched per step."""
     if len(tracks) < 2:
         raise ValueError("need at least 2 frames of marker tracks")
     if len(masks) != len(tracks):
         raise ValueError("masks and tracks length mismatch")
-    pos = matched_positions(tracks)
-    v = np.zeros((len(tracks), 2))
-    live = 1 + np.flatnonzero([m.area > 0 for m in masks[1:]])
-    if not live.size:
-        return v
-    live_masks = [masks[t] for t in live]
-    live_xy = pos[live]
-    v[live] = _member_velocity(live_xy - pos[live - 1],
-                               _members(live_masks, live_xy), live_xy,
-                               live_masks)
+    v = np.zeros((2, len(tracks), 2))
+    for t in range(1, len(tracks)):
+        v[:, t] = step_velocity(masks[t - 1], masks[t],
+                                *match_markers(tracks[t - 1], tracks[t]))
     return v
 
 
-def newest_velocity(contacts: Sequence, xy) -> tuple[np.ndarray, np.ndarray]:
-    """Object and marker velocity (2,) of the newest frame of a window: the
-    last rows of ``object_velocity(contacts)`` and ``marker_velocity`` over
-    the same frames, bit for bit, from the last two frames alone through the
-    same two steps (``_object_step`` and ``_member_velocity``). Of each
-    contact the rule reads only ``area``, ``centroid()`` and
-    ``contains(xy)``; ``xy`` holds the (T, N, 2) marker positions, oldest
-    first, matched as ``matched_positions`` does.
+def marker_velocity(tracks: Sequence[MarkerSet],
+                    masks: Sequence[ContactMask]) -> np.ndarray:
+    """Per-frame marker velocity (T, 2) px/frame: row t is the marker half
+    of ``step_velocity`` from frame t-1 to frame t, with the markers both
+    frames hold (``match_markers``), so a marker lost in one frame changes
+    only the two steps that touch it. Row 0, a frame without contact, and a
+    step whose frames share no marker id get zero.
     """
-    xy = np.asarray(xy, dtype=np.float64)
-    if len(contacts) < 2 or len(xy) != len(contacts):
-        raise ValueError("need at least 2 frames, each with a contact and "
-                         "marker positions")
-    last = contacts[-1]
-    if last.area == 0:
-        return np.zeros(2), np.zeros(2)
-    v_mark = _member_velocity((xy[-1] - xy[-2])[None],
-                              last.contains(xy[-1])[None], xy[-1:], [last])[0]
-    return _object_step(contacts[-2], last), v_mark
+    return _steps(tracks, masks)[1]
 
 
 def detect_slip(obj_v: np.ndarray, marker_v: np.ndarray,
@@ -258,11 +237,16 @@ class SlipReport(_Frozen):
 
 def analyze_sequence(masks: Sequence[ContactMask], tracks: Sequence[MarkerSet],
                      threshold_px: float = DEFAULT_THRESHOLD_PX) -> SlipReport:
-    """Run the full per-frame detector over one trial; ``threshold_px`` must
-    be finite and positive."""
+    """Run the full per-frame detector over one trial: ``step_velocity`` on
+    each frame pair, then the threshold rule; ``threshold_px`` must be
+    finite and positive.
+
+    A step whose two frames share no marker id compares nothing: both of its
+    velocities are zero and it is not flagged, so there ``object_v`` differs
+    from the masks-only ``object_velocity``.
+    """
     _check_positive(threshold_px, "threshold_px")
-    ov = object_velocity(masks)
-    mv = marker_velocity(tracks, masks)
+    ov, mv = _steps(tracks, masks)
     diff = np.linalg.norm(ov - mv, axis=1)
     return SlipReport(ov, mv, diff, diff > threshold_px, threshold_px)
 

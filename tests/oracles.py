@@ -451,27 +451,30 @@ def train_ranker_reference(patches, forces, idx_a, idx_b, labels, epochs,
 # ---------------------------------------------------------------------------
 
 def marker_velocity_reference(tracks, masks):
-    """``slip.marker_velocity`` as first written: one frame at a time, the
-    markers ``ContactMask.contains`` finds inside the frame's mask, or the
-    four nearest its centroid when none is, averaged with a boolean-index
-    mean of each marker's raw step from the frame before; ids matched by
-    intersection when a frame lost some."""
-    from functools import reduce
-    xys = [t.xy for t in tracks]
-    if any(not np.array_equal(t.ids, tracks[0].ids) for t in tracks[1:]):
-        ids = reduce(np.intersect1d, [t.ids for t in tracks])
-        xys = [t.xy[np.intersect1d(t.ids, ids, return_indices=True)[1]]
-               for t in tracks]
+    """``slip.marker_velocity`` one frame pair at a time: the markers of
+    frame t that frame t-1 holds too (by a dict of ids; in the frames' own
+    rows when their ids are equal, else in id order), those
+    ``ContactMask.contains`` finds inside frame t's mask, or the four
+    nearest its centroid when none is, averaged with a boolean-index mean of
+    each marker's raw step from frame t-1. A frame without contact, or a
+    pair with no shared id, gets zero."""
     v = np.zeros((len(tracks), 2))
     for t in range(1, len(tracks)):
-        if masks[t].area == 0:
+        a, b = tracks[t - 1], tracks[t]
+        ids = list(b.ids) if list(a.ids) == list(b.ids) else sorted(
+            set(a.ids.tolist()) & set(b.ids.tolist()))
+        if masks[t].area == 0 or not ids:
             continue
-        inside = masks[t].contains(xys[t])
+        row_a = {i: k for k, i in enumerate(a.ids.tolist())}
+        row_b = {i: k for k, i in enumerate(b.ids.tolist())}
+        xy_a = a.xy[[row_a[i] for i in ids]]
+        xy_b = b.xy[[row_b[i] for i in ids]]
+        inside = masks[t].contains(xy_b)
         if not inside.any():
-            d = np.linalg.norm(xys[t] - masks[t].centroid(), axis=1)
+            d = np.linalg.norm(xy_b - masks[t].centroid(), axis=1)
             inside = np.zeros(len(d), dtype=bool)
             inside[np.argsort(d, kind="stable")[:4]] = True
-        v[t] = (xys[t] - xys[t - 1])[inside].mean(axis=0)
+        v[t] = (xy_b - xy_a)[inside].mean(axis=0)
     return v
 
 

@@ -349,6 +349,30 @@ class TestSimSlipRoundTrip:
         assert hashlib.sha256(csvs[0]).hexdigest() == (
             "b2f6d855d9626ab72140cbf1edb6f3263638db5f31d4ca2d9cf3a5c7c30ff729")
 
+    def test_frame_without_markers_is_a_zero_step(self, sim_dir, tmp_path,
+                                                  capsys):
+        """Frame 5's marker rows deleted, its ``# frames`` line kept: the run
+        exits 0, the steps into and out of frame 5 are zero and unflagged,
+        and every other row is byte-equal to the intact run's."""
+        lines = (sim_dir / "markers.csv").read_text().splitlines(True)
+        cut = tmp_path / "markers.csv"
+        cut.write_text("".join(x for x in lines if not x.startswith("5,")))
+        rows = []
+        for tracks in (sim_dir / "markers.csv", cut):
+            out = tmp_path / f"slip{len(rows)}.csv"
+            rc = cli.main(["slip", "--tracks", str(tracks),
+                           "--objects", str(sim_dir / "objects.csv"),
+                           "--out", str(out)])
+            assert rc == 0
+            rows.append(out.read_text().splitlines())
+        capsys.readouterr()
+        intact, got = rows
+        assert len(got) == len(intact) == 81
+        for t in (5, 6):
+            assert got[1 + t] == f"{t},0.0000,0.0000,0.0000,0.0000,0.0000,0"
+            assert got[1 + t] != intact[1 + t]
+        assert got[:6] + got[8:] == intact[:6] + intact[8:]
+
     def test_label_length_mismatch(self, sim_dir, tmp_path, capsys):
         labels = _write(tmp_path / "labels.csv", "frame,label,true_diff_px\n"
                         "0,0,0.0\n1,1,12.0\n")

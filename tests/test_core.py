@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import glob
 import importlib
 import os
 import pickle
@@ -521,11 +522,6 @@ class TestMarkerTrackIO:
             assert (a.frame_width, a.frame_height) == \
                 (b.frame_width, b.frame_height) == (100.0, 100.0)
 
-    def test_single_markerset_accepted(self, tmp_path):
-        p = tmp_path / "m.csv"
-        save_marker_tracks(p, self._tracks(1)[0])
-        assert len(load_marker_tracks(p)) == 1
-
     def test_empty_file_loads_as_empty_list(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("frame,id,x,y\n")
@@ -724,6 +720,50 @@ def test_no_module_reads_another_modules_private_names():
                     and not node.attr.startswith("__")):
                 offences.append(f"{info.name}: {node.value.id}.{node.attr}")
     assert not offences
+
+
+def _resolve(dotted: str):
+    """The object a dotted ``gripsense`` name stands for: a module, or an
+    attribute of one."""
+    try:
+        return importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        parent, _, leaf = dotted.rpartition(".")
+        return getattr(_resolve(parent), leaf)
+
+
+def test_every_gripsense_name_perfbench_uses_exists():
+    """The benchmark scripts under ``perfbench/`` run against this package:
+    every name they import from it, and every attribute they read through
+    such a name, must exist, so a deleted or renamed name fails here before
+    a benchmark run does."""
+    bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    names = set()
+    for path in sorted(glob.glob(os.path.join(bench, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        bound = {}                          # local name -> dotted name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name, a.name) for a in node.names
+                             if a.name.split(".")[0] == "gripsense")
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "gripsense"):
+                bound.update((a.asname or a.name, f"{node.module}.{a.name}")
+                             for a in node.names)
+        names.update(bound.values())
+        names.update(f"{bound[node.value.id]}.{node.attr}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in bound)
+    missing = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (AttributeError, ModuleNotFoundError):
+            missing.append(name)
+    assert len(names) > 50 and not missing
 
 
 def test_windowed_rasters_have_one_owner():

@@ -537,7 +537,7 @@ class TestExperiment:
         """``run_experiment(50, seed=0)``, the criterion-7 grid, exactly; and
         the traffic of its trials: the plant is stepped 13,329 times, and
         the slip rule runs on the 1,415 ticks that read its flag."""
-        calls = {"fruit_response": 0, "newest_velocity": 0}
+        calls = {"fruit_response": 0, "step_velocity": 0}
 
         def counted(name):
             fn = getattr(harvest, name)
@@ -548,7 +548,7 @@ class TestExperiment:
             monkeypatch.setattr(harvest, name, call)
 
         counted("fruit_response")
-        counted("newest_velocity")
+        counted("step_velocity")
         got = [(s.fruit_type, s.strategy, s.success_rate, s.mean_attempts,
                 s.force_mean, s.force_var, s.failure_counts)
                for s in harvest.run_experiment(50, seed=0)]
@@ -566,4 +566,4 @@ class TestExperiment:
             ("strawberry", "slip_force", 0.98, 1.52, 2.72081674729663,
              0.27485910785723716, {"bruise": 1}),
         ]
-        assert calls == {"fruit_response": 13329, "newest_velocity": 1415}
+        assert calls == {"fruit_response": 13329, "step_velocity": 1415}

@@ -139,24 +139,41 @@ class TestMarkerVelocity:
         assert np.all(np.isfinite(v))
         assert np.array_equal(v, want)
 
-    def test_mismatched_ids_raise(self):
+    def test_no_common_id_gives_a_zero_step(self):
+        """A step whose frames share no marker id compares nothing: both of
+        its velocities are zero and it is not flagged, though the contact
+        moved; the masks-only object series still shows the move."""
         a = MarkerSet(np.array([0, 1, 2]), rng.uniform(10, 80, (3, 2)))
         b = MarkerSet(np.array([3, 4, 5]), rng.uniform(10, 80, (3, 2)))
-        with pytest.raises(ValueError, match="no marker id is common"):
-            slip.marker_velocity([a, b], _disc_masks([(40.0, 40.0)] * 2))
+        masks = _disc_masks([(30.0, 40.0), (60.0, 40.0), (61.0, 40.0)])
+        tracks = [a, b, b.moved(np.full((3, 2), 0.5))]
+        report = slip.analyze_sequence(masks, tracks)
+        ov = slip.object_velocity(masks)
+        assert not report.marker_v[:2].any() and not report.object_v[:2].any()
+        assert not report.flags.any()
+        assert ov[1, 0] == pytest.approx(30.0)
+        assert report.object_v[2].tobytes() == ov[2].tobytes()
+        assert np.array_equal(report.marker_v,
+                              slip.marker_velocity(tracks, masks))
 
     def test_dropped_marker_matched_by_id(self):
+        """A marker lost in frame 2, with the rows reordered, leaves the two
+        steps into and out of frame 2 on the other eight markers and every
+        other step on all nine."""
         base = np.array([[40.0 + i * 2, 40.0 + j * 2]
                          for i in range(3) for j in range(3)])
         xy = [base + [1.5 * t, 0.5 * t] for t in range(6)]
         masks = _disc_masks([(44.0, 44.0)] * 6, r=20.0)
         keep = np.arange(9) != 3
-        want = slip.marker_velocity(
+        eight = slip.marker_velocity(
             [MarkerSet(np.arange(9)[keep], p[keep]) for p in xy], masks)
         tracks = [MarkerSet(np.arange(9), p) for p in xy]
+        nine = slip.marker_velocity(tracks, masks)
         order = np.flatnonzero(keep)[::-1]     # marker 3 lost, rows reordered
         tracks[2] = MarkerSet(order, xy[2][order])
-        assert np.array_equal(slip.marker_velocity(tracks, masks), want)
+        got = slip.marker_velocity(tracks, masks)
+        assert np.array_equal(got[2:4], eight[2:4])
+        assert np.array_equal(got[[0, 1, 4, 5]], nine[[0, 1, 4, 5]])
 
     def test_length_mismatch_raises(self):
         tracks = _static_tracks(3, rng.uniform(20, 70, (4, 2)))
@@ -165,8 +182,8 @@ class TestMarkerVelocity:
 
 
 class TestMarkerVelocityOracle:
-    """The one-pass series, membership of every frame at once and a masked
-    mean, byte-equal to ``marker_velocity_reference``'s frame loop."""
+    """The series, the step on each frame pair with a masked mean, byte-equal
+    to ``marker_velocity_reference``'s boolean-index mean."""
 
     @pytest.fixture(scope="class")
     def seqs(self):
@@ -218,13 +235,16 @@ class TestMarkerVelocityOracle:
         self._same(tracks, masks)
 
     def test_dropout_window(self, seqs):
+        """Frames that lost some markers in reversed rows, and a frame that
+        lost them all, whose two steps are zero."""
         seq = seqs[1]
-        tracks = list(seq.tracks[20:26])
+        tracks = list(seq.tracks[20:27])
         ids = tracks[0].ids
-        for t, lost in ((1, [3, 40]), (4, [3, 7, 80])):
+        for t, lost in ((1, [3, 40]), (4, [3, 7, 80]), (6, ids)):
             keep = np.flatnonzero(~np.isin(ids, lost))[::-1]
             tracks[t] = MarkerSet(ids[keep], tracks[t].xy[keep])
-        self._same(tracks, seq.masks[20:26])
+        v = self._same(tracks, seq.masks[20:27])
+        assert not v[6].any() and v[5].any()
 
 
 _FRAME = st.tuples(
@@ -234,11 +254,12 @@ _FRAME = st.tuples(
 
 
 class TestNewestVelocity:
-    """The newest-frame entry against the last rows of the two series."""
+    """The step the tick and harvest run on their newest frame pair against
+    every row of the series."""
 
     @staticmethod
     def _window(frames, seed):
-        """Masks and tracks of one window: contacts that are missing, far
+        """Masks and tracks of a few frames: contacts that are missing, far
         from every marker (the nearest-four fallback) or a disc among the
         markers, and frames that lost some of markers 0-5 in shuffled rows."""
         r = np.random.default_rng(seed)
@@ -257,35 +278,43 @@ class TestNewestVelocity:
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(_FRAME, min_size=2, max_size=6), st.integers(0, 2**32 - 1))
-    def test_bits_of_the_series_last_rows(self, frames, seed):
+    def test_every_series_row_is_the_step_on_its_pair(self, frames, seed):
         masks, tracks = self._window(frames, seed)
-        v_obj, v_mark = slip.newest_velocity(masks,
-                                             slip.matched_positions(tracks))
-        want_obj = slip.object_velocity(masks)[-1]
-        want_mark = slip.marker_velocity(tracks, masks)[-1]
-        assert v_obj.tobytes() == want_obj.tobytes()
-        assert v_mark.tobytes() == want_mark.tobytes()
+        report = slip.analyze_sequence(masks, tracks)
+        ov = slip.object_velocity(masks)
+        mv = slip.marker_velocity(tracks, masks)
+        assert not ov[0].any() and not mv[0].any() and not report.flags[0]
+        for t in range(1, len(masks)):
+            v_obj, v_mark = slip.step_velocity(
+                masks[t - 1], masks[t],
+                *slip.match_markers(tracks[t - 1], tracks[t]))
+            # frames share at least six ids, so the object rows agree
+            for got in (report.object_v[t], ov[t]):
+                assert got.tobytes() == v_obj.tobytes()
+            for got in (report.marker_v[t], mv[t]):
+                assert got.tobytes() == v_mark.tobytes()
 
     def test_window_cases_occur(self):
-        """The window above reaches the fallback, a broken run and dropout."""
+        """The frames above reach the fallback, a broken run and dropout."""
         frames = [("disc", set(), 48.0, 48.0, 20.0), ("none", {1}, 0, 0, 4.0),
                   ("disc", {2, 4}, 50.0, 47.0, 20.0), ("far", set(), 0, 0, 4.0)]
         masks, tracks = self._window(frames, 7)
         assert not masks[3].contains(tracks[3].xy).any()
-        assert len(slip.matched_positions(tracks)[0]) == 9
-        v_obj, v_mark = slip.newest_velocity(
-            masks[:3], slip.matched_positions(tracks[:3]))
+        xy_1, xy_2 = slip.match_markers(tracks[1], tracks[2])
+        assert len(xy_1) == len(xy_2) == 9
+        v_obj, v_mark = slip.step_velocity(masks[1], masks[2], xy_1, xy_2)
         assert not v_obj.any() and v_mark.any()     # a run starts anew
-        v_obj, v_mark = slip.newest_velocity(masks,
-                                             slip.matched_positions(tracks))
+        v_obj, v_mark = slip.step_velocity(
+            masks[2], masks[3], *slip.match_markers(tracks[2], tracks[3]))
         assert v_obj.any() and v_mark.any()
 
     def test_checks_the_window(self):
-        masks = _disc_masks([(40.0, 40.0)] * 3)
-        xy = np.zeros((3, 4, 2))
-        for contacts, positions in ((masks[:1], xy[:1]), (masks, xy[:2])):
-            with pytest.raises(ValueError, match="at least 2 frames, each"):
-                slip.newest_velocity(contacts, positions)
+        """The two frames' positions must be (N, 2) and match row for row."""
+        disc = _disc_masks([(40.0, 40.0)])[0]
+        xy = np.zeros((4, 2))
+        for a, b in ((xy, xy[:3]), (xy, xy[:1]), (xy[:, 0], xy[:, 0])):
+            with pytest.raises(ValueError, match="match row for row"):
+                slip.step_velocity(disc, disc, a, b)
 
 
 def _flags(ov, mv, threshold):
@@ -340,6 +369,30 @@ class TestThresholdRule:
 
 
 class TestAnalyzeSequence:
+    @pytest.fixture(scope="class")
+    def intact(self):
+        scene = sim.GraspScene(load_g=20)
+        return sim.synth_slip_sequence(scene, 200, rng=np.random.default_rng(3))
+
+    def test_a_lost_marker_changes_only_its_two_steps(self, intact):
+        """Marker 3 lost in frame 150 alone: every row but 150 and 151 keeps
+        its bits, and frame 50's speed is the step on frames 49-50."""
+        tracks = list(intact.tracks)
+        keep = tracks[150].ids != 3
+        tracks[150] = MarkerSet(tracks[150].ids[keep], tracks[150].xy[keep])
+        want = slip.analyze_sequence(intact.masks, intact.tracks)
+        got = slip.analyze_sequence(intact.masks, tracks)
+        rows = np.setdiff1d(np.arange(200), [150, 151])
+        for name in ("object_v", "marker_v", "speed_diff", "flags"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a[rows].tobytes() == b[rows].tobytes(), name
+        assert len(slip.match_markers(tracks[149], tracks[150])[0]) == (
+            len(intact.tracks[150]) - 1)
+        v_obj, v_mark = slip.step_velocity(
+            intact.masks[49], intact.masks[50],
+            *slip.match_markers(tracks[49], tracks[50]))
+        assert got.speed_diff[50] == np.linalg.norm(v_obj - v_mark)
+
     def test_consistent_with_components(self):
         scene = sim.GraspScene(load_g=50.0)
         seq = sim.synth_slip_sequence(scene, 80, rng=np.random.default_rng(1))

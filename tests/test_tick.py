@@ -80,7 +80,7 @@ def test_contact_ticks_survive_a_no_contact_frame_in_the_window(stack):
     # The approach frame and the first press frame, 1.1/6 mm deep, are
     # shallower than the contact threshold.
     no_contact = [d <= slip.DEFAULT_CONTACT_THRESHOLD_MM for d in DEPTHS]
-    window = slip.TICK_WINDOW
+    window = 2                  # the slip step reads this frame and the last
     masks = []
     gap_windows = no_shear = 0
     for k, frame in enumerate(_grasp(rest, ppm)):
@@ -166,7 +166,7 @@ _KEEP = st.one_of(st.none(), st.integers(0, 2), st.integers(3, 81))
        seed=st.integers(0, 2 ** 16))
 def test_marker_dropout_property(stack, sensor_grasp, keep, seed):
     """Over generated per-frame dropout: every tick gives a finite percept
-    or raises ``ValueError`` with the history as it was, fewer than 3
+    or raises ``ValueError`` with the previous frame as it was, fewer than 3
     markers always raise, and every percept equals that of a stream that
     never saw the failed ticks: with only full and too-few frames, the clean
     stream of the full frames."""
@@ -177,12 +177,11 @@ def test_marker_dropout_property(stack, sensor_grasp, keep, seed):
     for (img, markers, current), n in zip(frames, keep):
         if n is not None:
             markers = _drop(markers, np.sort(rng.permutation(len(markers))[:n]))
-        before = list(perception._history)
+        before = perception._previous
         try:
             p = perception.tick(img, markers, current)
         except ValueError:
-            assert len(before) == len(perception._history)
-            assert all(a is b for a, b in zip(before, perception._history))
+            assert perception._previous is before
             continue
         assert n is None or n >= 3
         assert np.isfinite(p.normal_n) and np.all(np.isfinite(p.shear_n))
@@ -205,8 +204,8 @@ def _rest_grid(shape):
                          ids=["8x8", "9x13", "64x64"])
 @pytest.mark.parametrize("kind", ["saturated", "black", "constant"])
 def test_tick_on_extreme_frames(stack, kind, shape):
-    """A full window and one more tick on frames no gel contact makes, down
-    to the 8x8 minimum: each percept is finite and has the raster's shape."""
+    """Three ticks, two of them with a slip step, on frames no gel contact
+    makes, down to the 8x8 minimum: each percept is finite and has the raster's shape."""
     gel = sim.GelModel()
     ppm = shape[1] / gel.gel_size_mm
     background = sim.render_tactile(HeightMap(np.zeros(shape), ppm),
@@ -216,7 +215,7 @@ def test_tick_on_extreme_frames(stack, kind, shape):
     rest = _rest_grid(shape)
     perception = Perception(*stack, background, rest)
     rng = np.random.default_rng(3)
-    for _ in range(slip.TICK_WINDOW + 1):
+    for _ in range(3):
         markers = rest.moved(rng.normal(0.0, 0.3, rest.xy.shape))
         p = perception.tick(frame, markers, 2.6)
         assert isinstance(p, Percept) and isinstance(p.slipping, bool)
