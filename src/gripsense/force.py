@@ -24,6 +24,7 @@ closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +70,18 @@ def fit_normal_force(samples) -> NormalForceModel:
 
 def predict_normal_force(current, model: NormalForceModel):
     """slope * I + intercept: a float for a Python int or float, with the
-    same IEEE operations as the array path, elementwise over array input."""
+    same IEEE operations as the array path, elementwise over array input.
+    A non-finite current raises ``ValueError`` naming it: a NaN force would
+    pass for a reading."""
     if isinstance(current, (int, float)):
+        if not math.isfinite(current):
+            raise ValueError(f"motor current must be finite, got {current}")
         return float(model.slope * current + model.intercept)
-    out = model.slope * np.asarray(current, dtype=np.float64) + model.intercept
+    current = np.asarray(current, dtype=np.float64)
+    bad = ~np.isfinite(current)
+    if bad.any():
+        raise ValueError(f"motor current must be finite, got {current[bad][0]}")
+    out = model.slope * current + model.intercept
     return float(out) if out.ndim == 0 else out
 
 
@@ -210,33 +219,44 @@ def hhd_decompose(v: DisplacementField) -> HHDResult:
     normal equations' operator is exactly 1/4 of the 5-point Dirichlet
     Laplacian, and the parities do not couple. Both potentials are
     ``core._poisson_solve`` of 4 rhs on each sub-grid; the sub-grids of one
-    shape, all four on an even interior, go to the solver as one stack. The
-    rhs, -4 div v and 4 curl v, is differenced on the interior alone, and
-    the fields keep the arrays built here (``core._Adopt``).
+    shape, all four on an even interior, go to the solver as one stack,
+    gathered from the rhs and scattered into the potentials by one index
+    each. The rhs, -4 div v and 4 curl v, is differenced on the interior
+    alone, and the fields keep the arrays built here (``core._Adopt``).
     """
     vals = v.values
     h, w = vals.shape[:2]
     if h < 8 or w < 8:
         raise ValueError("field must be at least 8x8")
+    # The interior's rhs in a (2, 2m, 2n) array, whose parity sub-grids are
+    # one reshape away: (oy, ox, potential, row, column). The extra row and
+    # column an odd interior leaves are never read.
+    m, n = (h - 1) // 2, (w - 1) // 2
+    rhs = np.empty((2, 2 * m, 2 * n))
+    rhs_phi, rhs_psi = rhs[:, :h - 2, :w - 2]
     ddx = vals[1:-1, 2:] - vals[1:-1, :-2]      # both components, interior
     ddx *= 0.5
     ddy = vals[2:, 1:-1] - vals[:-2, 1:-1]
     ddy *= 0.5
-    rhs = np.stack([ddx[:, :, 0] + ddy[:, :, 1], ddx[:, :, 1] - ddy[:, :, 0]])
-    rhs[0] *= -4.0
-    rhs[1] *= 4.0
+    np.add(ddx[:, :, 0], ddy[:, :, 1], out=rhs_phi)
+    rhs_phi *= -4.0
+    np.subtract(ddx[:, :, 1], ddy[:, :, 0], out=rhs_psi)
+    rhs_psi *= 4.0
     pots = np.zeros((2, h, w))
-    inner = pots[:, 1:-1, 1:-1]
-    grids = {}                  # interior parity sub-grids, by their shape
+    split = (2, m, 2, n, 2)
+    sub_rhs = rhs.reshape(split).transpose(2, 4, 0, 1, 3)
+    sub_pots = pots[:, 1:2 * m + 1, 1:2 * n + 1].reshape(split).transpose(
+        2, 4, 0, 1, 3)
+    grids = {}                  # the parities (oy, ox) of each sub-grid shape
     for oy in (0, 1):
         for ox in (0, 1):
-            g = (Ellipsis, slice(oy, None, 2), slice(ox, None, 2))
-            grids.setdefault(rhs[g].shape, []).append(g)
-    for shape, same in grids.items():
-        b = np.concatenate([rhs[g] for g in same])
+            grids.setdefault(((h - 1 - oy) // 2, (w - 1 - ox) // 2),
+                             []).append((oy, ox))
+    for (sh, sw), parities in grids.items():
+        oy, ox = zip(*parities)
+        b = sub_rhs[oy, ox, :, :sh, :sw].reshape(-1, sh, sw)
         _poisson_solve(b, b, np.empty_like(b))
-        for g, u in zip(same, b.reshape(len(same), *shape)):
-            inner[g] = u
+        sub_pots[oy, ox, :, :sh, :sw] = b.reshape(len(oy), 2, sh, sw)
     if not np.all(np.isfinite(pots)):
         raise ValueError("potential solve failed: non-finite solution")
     grad = np.empty((2, h, w, 2))               # d/dx, d/dy of phi and psi

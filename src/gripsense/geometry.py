@@ -35,9 +35,10 @@ every pixel.
 
 Both tick stages write their result once, into the array they return, and
 hand it to ``NormalMap`` or ``HeightMap`` wrapped in ``core._Adopt``, so the
-type checks it in place instead of copying it. ``predict_normals`` hands
-the MLP the window one band of whole rows at a time and writes each band's
-normals straight into its window-sized output; ``integrate_normals`` builds
+type checks it in place instead of copying it. ``predict_normals`` runs the
+MLP's hidden layers on the window one band of whole rows at a time and its
+float64 tail once per pass of several bands, which writes the pass's
+normals straight into the window-sized output; ``integrate_normals`` builds
 both slope fields, one after the other, in one buffer that then serves as
 the Poisson solve's work array. The reason is page faults: whether glibc
 serves a fresh full-frame array from pages it holds or from newly mapped
@@ -66,6 +67,10 @@ _NORM_CLAMP = 1.0 - 1e-9
 # Pixel rows per inference band: the two (band, 32) float32 hidden buffers
 # take 1 MB together, so a band's activations stay in a core's L2 cache.
 _BAND_PX = 4096
+# Bands per pass of the float64 tail. Its 40 B a pixel live in the hidden
+# buffers' 256 B a band row, which hold up to 6.4 bands; 4 keep the pass's
+# arrays at 640 kB, in L2 beside the layer-3 output.
+_PASS_BANDS = 4
 # The contact window that ``predict_normals`` hands ``integrate_normals``.
 # A pixel is hot when its largest channel |diff| exceeds _HOT_TAU, 6 sigma of
 # the 0.01 sensor noise, so untouched gel is hot in about 2e-9 of its pixels.
@@ -186,12 +191,14 @@ def build_calibration_dataset(presses) -> CalibrationDataset:
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _radial_gain(r: np.ndarray) -> np.ndarray:
-    """tanh(r)/r, with its series 1 - r^2/3 below 1e-6 where the quotient is 0/0."""
-    small = r < 1e-6
-    g = np.tanh(r)
-    g /= np.where(small, 1.0, r)
-    if np.any(small):
+def _radial_gain(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """tanh(r)/r, with its series 1 - r^2/3 below 1e-6 where the quotient is
+    0/0, written into ``out`` when given."""
+    g = np.tanh(r, out=out)
+    big = r >= 1e-6
+    np.divide(g, r, out=g, where=big)
+    if not big.all():
+        small = ~big
         g[small] = 1.0 - r[small] * r[small] / 3.0
     return g
 
@@ -297,14 +304,17 @@ def fit_rgb2normal(data: CalibrationDataset, epochs: int = DEFAULT_EPOCHS,
 
 
 def _mlp_kernel(model: Rgb2NormalModel, band: int) -> tuple:
-    """The float32 weights and biases ``_mlp`` multiplies by, and its two
-    (band, 32) float32 hidden buffers."""
+    """The float32 weights and biases ``_mlp`` multiplies by, and its work
+    memory for bands of up to ``band`` pixel rows: the (2, band, 32)
+    float32 hidden buffers, the same memory as float64 for the tail, and
+    the (_PASS_BANDS * band, 2) float32 layer-3 output of a pass."""
     f32 = np.float32
+    hidden = np.empty((2, band, LAYER_SIZES[1]), f32)
     return (np.ascontiguousarray(model.w1.T, f32), model.b1.astype(f32),
             np.ascontiguousarray(model.w2.T, f32), model.b2.astype(f32),
-            np.ascontiguousarray(model.w3.T, f32),
-            np.empty((band, LAYER_SIZES[1]), f32),
-            np.empty((band, LAYER_SIZES[2]), f32))
+            np.ascontiguousarray(model.w3.T, f32), hidden,
+            hidden.reshape(-1).view(np.float64),
+            np.empty((_PASS_BANDS * band, LAYER_SIZES[3]), f32))
 
 
 def _mlp(model: Rgb2NormalModel, feats: np.ndarray,
@@ -315,36 +325,78 @@ def _mlp(model: Rgb2NormalModel, feats: np.ndarray,
     ``feats`` is (N, 5): diff R, G, B and normalized x, y, as in training.
     Returns (N, 2) float64 (nx, ny), clamped below unit norm. The hidden
     layers run in float32 and agree with the float64 ``_forward`` to about
-    1e-6 per component; the radial squash runs in float64. Everything runs
-    over bands of at most ``_BAND_PX`` rows, reusing the hidden buffers, so
-    no temporary grows with N. ``kernel``, an ``_mlp_kernel`` of ``model``,
-    lets calls share one conversion of the weights and one pair of buffers,
-    whose rows set the band; without it the call builds its own.
+    1e-6 per component; the radial squash runs in float64. The hidden
+    layers run over bands of at most ``_BAND_PX`` rows, the float64 tail
+    over passes of ``_PASS_BANDS`` bands (``_infer``), all in the kernel's
+    work memory, so no temporary grows with N. ``kernel``, an
+    ``_mlp_kernel`` of ``model``, lets calls share one conversion of the
+    weights and one work memory, whose rows set the band; without it the
+    call builds its own.
     """
     n = feats.shape[0]
     if kernel is None:
         kernel = _mlp_kernel(model, max(1, min(n, _BAND_PX)))
-    w1, b1, w2, b2, w3, z1, z2 = kernel
-    band = z1.shape[0]
     out = np.empty((n, 2))
-    for s in range(0, n, band):
-        e = min(s + band, n)
-        a, b = z1[:e - s], z2[:e - s]
-        np.matmul(feats[s:e].astype(np.float32, copy=False), w1, out=a)
-        a += b1
-        np.tanh(a, out=a)
-        np.matmul(a, w2, out=b)
-        b += b2
-        np.tanh(b, out=b)
-        u = (b @ w3).astype(np.float64)
-        u += model.b3
-        r = np.sqrt(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1])
-        gain = _radial_gain(r)
-        over = r * gain > _NORM_CLAMP
-        if np.any(over):
-            gain[over] = _NORM_CLAMP / r[over]
-        np.multiply(u, gain[:, None], out=out[s:e])
+    _infer(model, feats, kernel, out)
     return out
+
+
+def _infer(model: Rgb2NormalModel, feats: np.ndarray, kernel: tuple,
+           n2: np.ndarray, nz: np.ndarray | None = None) -> None:
+    """The MLP over feature rows ``feats`` (N, 5): write (nx, ny) into
+    ``n2`` (N, 2) and, when given, nz into ``nz`` (N,).
+
+    The hidden layers run a band of the kernel's rows at a time, and layer
+    3 writes each band's output into the float32 buffer of a pass of
+    ``_PASS_BANDS`` bands, whose float64 tail then runs once (``_tail``).
+    """
+    w1, b1, w2, b2, w3, (z1, z2), tail, u32 = kernel
+    band, step = z1.shape[0], u32.shape[0]
+    for p in range(0, feats.shape[0], step):
+        f = feats[p:p + step]
+        n = f.shape[0]
+        for s in range(0, n, band):
+            e = min(s + band, n)
+            a, b = z1[:e - s], z2[:e - s]
+            np.matmul(f[s:e].astype(np.float32, copy=False), w1, out=a)
+            a += b1
+            np.tanh(a, out=a)
+            np.matmul(a, w2, out=b)
+            b += b2
+            np.tanh(b, out=b)
+            np.matmul(b, w3, out=u32[s:e])
+        _tail(model, u32[:n], tail, n2[p:p + n],
+              None if nz is None else nz[p:p + n])
+
+
+def _tail(model: Rgb2NormalModel, u32: np.ndarray, tail: np.ndarray,
+          n2: np.ndarray, nz: np.ndarray | None) -> None:
+    """The float64 end of the MLP on a pass's layer-3 output ``u32``
+    (n, 2), in place: the output bias, the radial squash, the clamp below
+    unit norm, and nz = sqrt(1 - nx^2 - ny^2) when ``nz`` is given. Its five
+    (n,) arrays are views of ``tail``, the hidden buffers' memory, which the
+    pass no longer needs. Every step is elementwise, so the bits do not
+    depend on how many bands a pass holds."""
+    n = u32.shape[0]
+    # one column at a time: an (n, 2) operand would run numpy's inner loop
+    # over 2 elements per pixel
+    u0, u1, r, gain, t = tail[:5 * n].reshape(5, n)
+    np.add(u32[:, 0], model.b3[0], out=u0)
+    np.add(u32[:, 1], model.b3[1], out=u1)
+    np.multiply(u0, u0, out=r)
+    r += np.multiply(u1, u1, out=t)
+    np.sqrt(r, out=r)
+    _radial_gain(r, gain)
+    over = np.multiply(r, gain, out=t) > _NORM_CLAMP
+    if over.any():
+        gain[over] = _NORM_CLAMP / r[over]
+    nx = np.multiply(u0, gain, out=n2[:, 0])
+    ny = np.multiply(u1, gain, out=n2[:, 1])
+    if nz is not None:
+        np.multiply(nx, nx, out=nz)
+        nz += np.multiply(ny, ny, out=t)
+        np.subtract(1.0, nz, out=nz)
+        np.sqrt(np.maximum(nz, 0.0, out=nz), out=nz)
 
 
 def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
@@ -356,28 +408,29 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     float32 largest-channel |diff|: the rows and columns with at least
     ``_HOT_COUNT`` pixels above ``_HOT_TAU``, widened by ``_WINDOW_MARGIN``
     px and clipped to the frame, or the empty window (0, 0, 0, 0) when no
-    row or no column has that many. That one pass is all the work outside
-    the window, where the gel is taken to be undeformed; a frame without
-    contact makes no MLP call and holds a (0, 0, 3) array.
+    row or no column has that many. That one pass, which counts the hot
+    pixels of each row and each column with ``np.count_nonzero``, is all
+    the work outside the window, where the gel is taken to be undeformed;
+    a frame without contact makes no MLP call and holds a (0, 0, 3) array.
 
-    It runs the float32 MLP on every window pixel (``_mlp``), which agrees
-    with the float64 ``_forward`` to about 1e-6 per component; its (nx, ny)
-    is clamped below unit norm and nz, in float64, completes the unit
-    vector.
+    It runs the float32 MLP on every window pixel (``_window_normals``),
+    which agrees with the float64 ``_forward`` to about 1e-6 per component;
+    its (nx, ny) is clamped below unit norm and nz, in float64, completes
+    the unit vector.
     """
     v = frame.values
     h, w, _ = v.shape
-    # Rounding to float32 commutes with abs and keeps the order, so this is
-    # the float32 frame's largest |diff| without a float32 copy of the frame.
-    mag = np.abs(v[:, :, 0], out=np.empty((h, w), np.float32))
-    tmp = np.empty_like(mag)
-    for c in (1, 2):
-        np.maximum(mag, np.abs(v[:, :, c], out=tmp), out=mag)
-    del tmp
-    hot = np.flatnonzero(mag > _HOT_TAU)
+    # The float32 frame's largest |diff|; one contiguous cast of the whole
+    # frame is faster than three of its strided channels.
+    a = v.astype(np.float32)
+    np.abs(a, out=a)
+    mag = np.maximum(a[:, :, 0], a[:, :, 1])
+    np.maximum(mag, a[:, :, 2], out=mag)
+    del a
+    hot = mag > _HOT_TAU
     del mag
-    r0, r1 = _span(np.bincount(hot // w, minlength=h))
-    c0, c1 = _span(np.bincount(hot % w, minlength=w))
+    r0, r1 = _span(np.count_nonzero(hot, axis=1))
+    c0, c1 = _span(np.count_nonzero(hot, axis=0))
     del hot
     if r1 <= r0 or c1 <= c0:
         return NormalMap(_Adopt(np.empty((0, 0, 3))), (0, 0, 0, 0), (h, w))
@@ -393,32 +446,34 @@ def _window_normals(model: Rgb2NormalModel, values: np.ndarray,
     (r0, r1, c0, c1) of the frame's diff ``values`` into ``out``, an
     (r1 - r0, c1 - c0, 3) array.
 
-    The window goes to ``_mlp`` in bands of whole rows, about ``_BAND_PX``
-    pixels each, whose features are sliced into one reused (rows, w, 5)
-    float32 block, so no temporary grows with the window.
+    The hidden layers run over bands of whole rows, about ``_BAND_PX``
+    pixels each (of ``_BAND_PX`` pixels when a row is wider), the float64
+    tail over passes of ``_PASS_BANDS`` bands (``_infer``), which write
+    (nx, ny) and nz straight into ``out``. Each pass's features are sliced
+    into one reused (rows, w, 5) float32 block, so no temporary grows with
+    the window's height.
     """
     r0, r1, c0, c1 = window
     xn, yn = _grid_coords(*values.shape[:2])
     yn = yn[r0:r1]
     values = values[r0:r1, c0:c1]
     h, w = out.shape[:2]
-    step = max(1, _BAND_PX // w)
-    feats = np.empty((min(step, h), w, 5), np.float32)
+    step = max(1, _BAND_PX // w)                # window rows per band
+    kernel = _mlp_kernel(model, min(step * w, h * w, _BAND_PX))
+    rows = _PASS_BANDS * step
+    feats = np.empty((min(rows, h), w, 5), np.float32)
     feats[:, :, 3] = xn[c0:c1]
-    kernel = _mlp_kernel(model, min(feats.shape[0] * w, _BAND_PX))
-    for s in range(0, h, step):
-        e = min(s + step, h)
+    flat = out.reshape(-1, 3)
+    for s in range(0, h, rows):
+        e = min(s + rows, h)
         f = feats[:e - s]
-        f[:, :, :3] = values[s:e]
+        # a channel at a time: copying (rows, w, 3) at once would run
+        # numpy's inner loop over 3 values per pixel
+        for c in range(3):
+            f[:, :, c] = values[s:e, :, c]
         f[:, :, 4] = yn[s:e, None]
-        n2 = _mlp(model, f.reshape(-1, 5), kernel).reshape(e - s, w, 2)
-        band = out[s:e]
-        band[:, :, :2] = n2
-        nz = band[:, :, 2]
-        np.square(n2, out=n2)
-        np.add(n2[:, :, 0], n2[:, :, 1], out=nz)
-        np.subtract(1.0, nz, out=nz)
-        np.sqrt(np.maximum(nz, 0.0, out=nz), out=nz)
+        _infer(model, f.reshape(-1, 5), kernel, flat[s * w:e * w, :2],
+               flat[s * w:e * w, 2])
 
 
 def _span(counts: np.ndarray) -> tuple[int, int]:

@@ -97,17 +97,20 @@ class ContactMask(_Windowed):
     def contains(self, xy: np.ndarray) -> np.ndarray:
         """Membership test for (N, 2) pixel positions (x, y), each snapped
         to the nearest pixel and clipped to the frame: a position is in the
-        mask when clipping it to the box leaves it where it is and the box
-        holds True there."""
+        mask when its pixel lies in the box and the box holds True there.
+        Only the positions inside the box read it."""
         xy = np.reshape(xy, (-1, 2))
         if self.area == 0:
             return np.zeros(len(xy), dtype=bool)
         (h, w), (r0, r1, c0, c1) = self.frame_shape, self.support
-        cells = np.clip(np.rint(xy).astype(int), 0, (w - 1, h - 1))
-        box = np.clip(cells, (c0, r0), (c1 - 1, r1 - 1))
-        kept = box == cells
-        return (kept[:, 0] & kept[:, 1]
-                & self.values[box[:, 1] - r0, box[:, 0] - c0])
+        # clipped before the cast to integers, which is undefined past
+        # their range
+        cells = np.rint(xy)
+        x = np.minimum(np.maximum(cells[:, 0], 0), w - 1).astype(np.intp)
+        y = np.minimum(np.maximum(cells[:, 1], 0), h - 1).astype(np.intp)
+        inside = (x >= c0) & (x < c1) & (y >= r0) & (y < r1)
+        inside[inside] = self.values[y[inside] - r0, x[inside] - c0]
+        return inside
 
 
 def segment_contact(h: HeightMap, threshold_mm: float = DEFAULT_CONTACT_THRESHOLD_MM) -> ContactMask:
@@ -144,7 +147,8 @@ def step_velocity(prev, cur, xy_prev, xy_cur) -> tuple[np.ndarray, np.ndarray]:
     centroid (ties to the lower row) when none is inside. ``xy_prev`` and
     ``xy_cur`` hold (N, 2) positions of the same markers row for row
     (``match_markers``). A step into a frame without contact, or with no
-    marker (N = 0), compares nothing: both velocities are zero. Of each
+    marker (N = 0), compares nothing: both velocities are zero. A
+    non-finite position raises, before any contact is read. Of each
     contact the step reads only ``area``, ``centroid()`` and
     ``contains(xy)``.
     """
@@ -153,17 +157,16 @@ def step_velocity(prev, cur, xy_prev, xy_cur) -> tuple[np.ndarray, np.ndarray]:
     if xy_prev.shape != xy_cur.shape or xy_cur.shape[1:] != (2,):
         raise ValueError("marker positions of the two frames must be (N, 2) "
                          "and match row for row")
+    if not (np.isfinite(xy_prev).all() and np.isfinite(xy_cur).all()):
+        raise ValueError("marker positions must be finite")
     if cur.area == 0 or not len(xy_cur):
         return np.zeros(2), np.zeros(2)
     inside = cur.contains(xy_cur)
     if not inside.any():
         d = np.linalg.norm(xy_cur - cur.centroid(), axis=1)
         inside[np.argsort(d, kind="stable")[:4]] = True
-    # zeros stand in for the other markers in the sum, which keeps the bits
-    # of a mean over the members alone
-    v_mark = (np.add.reduce((xy_cur - xy_prev) * inside[:, None], axis=0)
-              / inside.sum())
-    return _object_step(prev, cur), v_mark
+    moved = (xy_cur - xy_prev)[inside]
+    return _object_step(prev, cur), moved.sum(axis=0) / len(moved)
 
 
 def object_velocity(masks: Sequence[ContactMask]) -> np.ndarray:
@@ -208,9 +211,12 @@ def marker_velocity(tracks: Sequence[MarkerSet],
 def detect_slip(obj_v: np.ndarray, marker_v: np.ndarray,
                 threshold_px: float = DEFAULT_THRESHOLD_PX) -> bool:
     """Slip iff the velocity difference magnitude strictly exceeds the
-    threshold, which must be finite and positive."""
+    threshold, which must be finite and positive. A non-finite velocity
+    raises: NaN would otherwise read as no slip."""
     _check_positive(threshold_px, "threshold_px")
     diff = np.asarray(obj_v, dtype=np.float64) - np.asarray(marker_v, dtype=np.float64)
+    if not np.isfinite(diff).all():
+        raise ValueError("slip velocities must be finite")
     return bool(np.linalg.norm(diff) > threshold_px)
 
 

@@ -59,6 +59,18 @@ class TestNormalForce:
         out = force.predict_normal_force(np.array([0.0, 1.0, 2.0]), model)
         assert np.allclose(out, [1.0, 3.0, 5.0])
 
+    @pytest.mark.parametrize("current", [float("nan"), float("inf"),
+                                         np.float64("-inf"), np.array(np.nan),
+                                         [1.0, float("inf")],
+                                         np.array([[1.0, 2.0], [np.nan, 3.0]])])
+    def test_non_finite_current_raises(self, current):
+        """A NaN current once gave a NaN force, and [1, inf] gave
+        [2.1, inf]; now both paths raise, naming the current."""
+        model = force.NormalForceModel(1.0, 1.1)
+        with pytest.raises(ValueError, match="current must be finite, got "
+                                             r"(nan|-?inf)"):
+            force.predict_normal_force(current, model)
+
     def test_input_kinds_give_equal_models(self):
         r = np.random.default_rng(7)
         currents = r.uniform(0.5, 7.0, 50)

@@ -393,6 +393,58 @@ class TestInference:
         assert np.any(np.isclose(tangential, geometry._NORM_CLAMP,
                                  rtol=0, atol=1e-12)[_inside(normals)])
 
+    @staticmethod
+    def _branch_model():
+        """A model whose output is (20, 10) tanh(tanh(R)): exactly 0 at
+        R = 0, under the 1e-6 where the squash takes its series at
+        R = 1e-8, and past the clamp at R = 1."""
+        z = np.zeros
+        w1, w2, w3 = z((32, 5)), z((32, 32)), z((2, 32))
+        w1[0, 0] = w2[0, 0] = 1.0
+        w3[:, 0] = 20.0, 10.0
+        return geometry.Rgb2NormalModel(w1, z(32), w2, z(32), w3, z(2))
+
+    def test_tail_pass_spans_bands(self):
+        # One ``_mlp`` pass over four bands, the clamp branch in the first
+        # and the last and the series branch in the second, gives the bits
+        # of one call per band; ``predict_normals`` passes over four bands of
+        # window rows, here with the clamp in band 0 and the series in band 1.
+        model, band = self._branch_model(), geometry._BAND_PX
+        n = 3 * band + 1000
+        assert n <= geometry._PASS_BANDS * band
+        feats = np.random.default_rng(3).uniform(-0.3, 0.3, (n, 5))
+        clamp = np.r_[100:200, n - 100:n]
+        zero, tiny = np.r_[band:band + 100], np.r_[band + 100:band + 200]
+        feats[clamp, 0] = 1.0
+        feats[zero, 0] = 0.0
+        feats[tiny, 0] = 1e-8
+        got = geometry._mlp(model, feats)
+        banded = [geometry._mlp(model, feats[s:s + band])
+                  for s in range(0, n, band)]
+        assert np.array_equal(got, np.concatenate(banded))
+        norm = np.linalg.norm(got, axis=1)
+        assert np.allclose(norm[clamp], geometry._NORM_CLAMP, rtol=0,
+                           atol=1e-12)
+        assert not got[zero].any()
+        assert np.all((norm[tiny] > 0.0) & (norm[tiny] < 1e-6))
+        off = np.delete(norm, clamp)                  # no other on the clamp
+        assert np.all(off < geometry._NORM_CLAMP - 1e-6)
+
+        rows = geometry._BAND_PX // 320               # window rows per band
+        values = np.random.default_rng(4).uniform(-0.3, 0.3, (64, 320, 3))
+        values[:, :, 1] = 0.5                         # every pixel hot
+        values[:rows, :, 0] = 1.0
+        values[rows:2 * rows, :, 0] = 0.0
+        frame = DiffFrame(values, 10.0)
+        normals = _check_prediction(frame, model)
+        assert normals.support == (0, 64, 0, 320)
+        got = normals.values
+        assert np.array_equal(got, full_frame_normals_reference(values, model))
+        assert np.allclose(np.linalg.norm(got[:rows, :, :2], axis=2),
+                           geometry._NORM_CLAMP, rtol=0, atol=1e-12)
+        assert np.array_equal(got[rows:2 * rows], np.broadcast_to(
+            (0.0, 0.0, 1.0), got[rows:2 * rows].shape))
+
 
 class TestIntegration:
     def test_recovers_smooth_zero_boundary_surface(self):
@@ -532,6 +584,33 @@ class TestContactWindow:
                                       criterion8_model)
         assert support == (0, 0, 0, 0)
         assert np.array_equal(height, np.zeros(self.SHAPE))
+
+    def test_counts_on_their_thresholds(self, criterion8_model):
+        """A line is in the window with exactly ``_HOT_COUNT`` hot pixels and
+        out of it with one fewer, and a pixel is hot when its float32 |diff|
+        exceeds float32(0.06): at float32(0.06) itself it is not, at the
+        next float32 up it is, whatever float64 rounds to either."""
+        k, margin = geometry._HOT_COUNT, geometry._WINDOW_MARGIN
+        tau = np.float32(geometry._HOT_TAU)
+        up = float(np.nextafter(tau, np.float32(1.0)))
+        mid = (float(tau) + up) / 2.0                 # rounds to tau or up
+        box = (16, 16 + k, 20, 20 + k)
+        opened = (16 - margin, 16 + k + margin, 20 - margin, 20 + k + margin)
+        cases = [(up, 1, opened), (-up, 2, opened),
+                 (float(tau), 1, (0, 0, 0, 0)), (0.06, 0, (0, 0, 0, 0)),
+                 (float(np.nextafter(mid, 0.0)), 1, (0, 0, 0, 0)),
+                 (float(np.nextafter(mid, 1.0)), 1, opened)]
+        for level, channel, want in cases:
+            values = np.zeros((40, 56, 3))
+            values[box[0]:box[1], box[2]:box[3], channel] = level
+            values[:, :, (channel + 1) % 3] = 0.5 * level   # a lesser channel
+            support, _ = self._check(DiffFrame(values, 10.0), criterion8_model)
+            assert support == want, level
+            # one pixel fewer drops its row and its column from the window
+            values[box[0], box[2], channel] = float(tau)
+            support, _ = self._check(DiffFrame(values, 10.0), criterion8_model)
+            if want != (0, 0, 0, 0):
+                assert support == (want[0] + 1, want[1], want[2] + 1, want[3])
 
     def test_contact_cut_by_the_frame_edge(self, criterion8_model):
         support, height = self._check(self._render([(1.0, 11.0)]),

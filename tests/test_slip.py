@@ -1,6 +1,7 @@
 """Slip detection: segmentation, velocities, the threshold rule, scoring."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,87 @@ class TestSegmentation:
         m = slip.ContactMask(_disc(32, 16, 16, 5), 0.3)
         got = m.contains(np.array([[16.0, 16.0], [0.0, 0.0]]))
         assert got.tolist() == [True, False]
+
+
+def _contains_reference(mask, xy):
+    """Membership read off the whole raster: each position snapped to its
+    pixel by ``np.rint`` and clipped to the frame, one at a time."""
+    h, w = mask.frame_shape
+    raster = mask.raster()
+    return np.array([bool(raster[min(max(int(np.rint(y)), 0), h - 1),
+                                 min(max(int(np.rint(x)), 0), w - 1)])
+                     for x, y in xy], dtype=bool).reshape(len(xy))
+
+
+class TestContains:
+    """``ContactMask.contains`` against the raster, one position at a time."""
+
+    @staticmethod
+    def _coordinate(size, lo, hi):
+        """Coordinates along an axis of ``size`` pixels whose mask box spans
+        [lo, hi): anywhere on or off the frame, on the box's edges and half a
+        pixel either side, where ``np.rint`` rounds half to even, and exactly
+        on the half pixels."""
+        edges = [b + d for b in (lo, hi - 1, 0, size - 1)
+                 for d in (-1.0, -0.5, -0.49999, 0.0, 0.49999, 0.5, 1.0)]
+        return st.one_of(st.floats(-2.0 * size, 3.0 * size),
+                         st.sampled_from(edges),
+                         st.integers(-3, size + 3).map(lambda k: k + 0.5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_matches_the_raster(self, h, w, data):
+        r0 = data.draw(st.integers(0, h))
+        c0 = data.draw(st.integers(0, w))
+        r1 = data.draw(st.integers(r0, h))
+        c1 = data.draw(st.integers(c0, w))
+        cells = data.draw(st.lists(st.booleans(), min_size=(r1 - r0) * (c1 - c0),
+                                   max_size=(r1 - r0) * (c1 - c0)))
+        values = np.zeros((h, w), bool)
+        values[r0:r1, c0:c1] = np.reshape(cells, (r1 - r0, c1 - c0))
+        mask = slip.ContactMask(values, 0.3)
+        r0, r1, c0, c1 = mask.support           # the tight box, maybe empty
+        n = data.draw(st.integers(0, 12))
+        xs = data.draw(st.lists(self._coordinate(w, c0, c1), min_size=n,
+                                max_size=n))
+        ys = data.draw(st.lists(self._coordinate(h, r0, r1), min_size=n,
+                                max_size=n))
+        xy = np.column_stack([xs, ys]).reshape(n, 2)
+        got = mask.contains(xy)
+        assert got.dtype == bool and got.shape == (n,)
+        assert np.array_equal(got, _contains_reference(mask, xy))
+
+    def test_off_the_frame_reads_the_edge_pixels(self):
+        """A position past any side of the frame snaps to the pixel on that
+        edge, so a mask that covers the edge holds it, however far out:
+        1e19 px once read as the opposite edge, cast to an integer first."""
+        edge = np.zeros((6, 9), bool)
+        edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
+        xy = np.array([[-7.0, 2.0], [15.2, 3.0], [4.0, -0.6], [4.0, 9.0],
+                       [-1.0, -1.0], [1e9, 1e9], [1e19, 3.0], [-1e300, 3.0],
+                       [4.0, 1e30], [4.0, 2.0]])
+        for mask in (slip.ContactMask(edge, 0.3),
+                     slip.ContactMask(np.ones((6, 9), bool), 0.3)):
+            want = _contains_reference(mask, xy)
+            assert want[:-1].all()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(mask.contains(xy), want)
+        right = slip.ContactMask(edge * (np.arange(9) == 8), 0.3)
+        assert right.contains([[1e19, 3.0], [-1e19, 3.0]]).tolist() == [True,
+                                                                        False]
+
+    def test_a_window_mask_of_a_larger_frame(self):
+        """A mask built from a window reads the same as its whole-frame twin."""
+        whole = np.zeros((30, 40), bool)
+        whole[12:20, 0:7] = _disc(8, 3, 3, 3)[:, :7]
+        window = slip.ContactMask(whole[10:22, 0:9], 0.3, 1.0, (10, 22, 0, 9),
+                                  (30, 40))
+        xy = np.array([[x, y] for x in np.arange(-3.0, 12.0, 0.5)
+                       for y in np.arange(8.0, 24.0, 0.5)])
+        want = _contains_reference(slip.ContactMask(whole, 0.3), xy)
+        assert want.any() and not want.all()
+        assert np.array_equal(window.contains(xy), want)
 
 
 class TestObjectVelocity:
@@ -316,6 +398,23 @@ class TestNewestVelocity:
             with pytest.raises(ValueError, match="match row for row"):
                 slip.step_velocity(disc, disc, a, b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_position_raises(self, bad, which):
+        """A NaN position once read as a marker velocity of NaN, which the
+        rule took for no slip; now the step raises, whether or not the frame
+        has contact, and before ``contains`` casts it to a pixel."""
+        disc = _disc_masks([(40.0, 40.0)])[0]
+        xy = np.array([[40.0, 40.0], [41.0, 39.0], [80.0, 10.0]])
+        moved = [xy, xy + 1.0]
+        moved[which] = moved[which].copy()
+        moved[which][1, which] = bad
+        for cur in (disc, _EMPTY):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="must be finite"):
+                    slip.step_velocity(disc, cur, *moved)
+
 
 def _flags(ov, mv, threshold):
     """The threshold rule applied frame by frame."""
@@ -361,6 +460,16 @@ class TestThresholdRule:
         with pytest.raises(ValueError, match=match):
             sim.synth_slip_sequence(sim.GraspScene(load_g=10.0), 10,
                                     threshold_px=bad)
+
+    @pytest.mark.parametrize("v", [[np.nan, 0.0], [0.0, np.inf],
+                                   [-np.inf, np.nan]])
+    def test_non_finite_velocity_raises(self, v):
+        """NaN is not greater than the threshold, so it once read as no
+        slip."""
+        with pytest.raises(ValueError, match="must be finite"):
+            slip.detect_slip(v, [0.0, 0.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            slip.detect_slip([0.0, 0.0], v)
 
     def test_huge_threshold_flags_nothing(self):
         ov = rng.normal(0, 50, (40, 2))

@@ -142,8 +142,12 @@ def test_failed_tick_leaves_the_history_untouched(stack):
     clean = Perception(*stack, background, rest)
     seen_bad = Perception(*stack, background, rest)
     for k, frame in enumerate(frames):
+        img, markers, current = frame
+        if k == 3:          # a NaN current once ticked to a NaN normal_n
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="current must be finite"):
+                    seen_bad.tick(img, markers, bad)
         if k == 5:
-            img, markers, current = frame
             with pytest.raises(ValueError, match="3 matched markers"):
                 seen_bad.tick(img, _drop(markers, slice(0, 2)), current)
         p, q = seen_bad.tick(*frame), clean.tick(*frame)
