@@ -5,7 +5,9 @@ For the time each stage takes, run the benchmark with its per-layer trace:
 python3 perfbench/run.py --workload tick_240x320 --seed 1 --seconds 15
 --trace 1.
 
-Run: python3 demos/time_perception_tick.py [--resolution 128]
+Run: python3 demos/time_perception_tick.py [--resolution 128] [--width W]
+(--width defaults to --resolution; --resolution 240 --width 320 times the
+realistic 240x320 sensor raster.)
 """
 
 import argparse
@@ -20,17 +22,21 @@ from gripsense.perception import Perception
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--resolution", type=int, default=128)
+    parser.add_argument("--resolution", type=int, default=128,
+                        help="raster rows (and columns, without --width)")
+    parser.add_argument("--width", type=int, default=None,
+                        help="raster columns (default: --resolution)")
     parser.add_argument("--ticks", type=int, default=20)
     args = parser.parse_args()
 
-    res = args.resolution
+    shape = (args.resolution, args.width or args.resolution)
     gel = sim.GelModel()
     rig = sim.default_rig()
-    ppm = res / gel.gel_size_mm
-    flat = sim.render_tactile(HeightMap(np.zeros((res, res)), ppm), rig, gel)
-    raw = sim.indent_heightmap(sim.Sphere(8.0), (15.0, 15.0), 1.0,
-                               (res, res), gel)
+    ppm = shape[1] / gel.gel_size_mm
+    flat = sim.render_tactile(HeightMap(np.zeros(shape), ppm), rig, gel)
+    extent = np.array(shape[::-1]) / ppm
+    raw = sim.indent_heightmap(sim.Sphere(8.0), tuple(extent / 2.0), 1.0,
+                               shape, gel)
     # sensor noise, so untouched gel differs from the background as it does
     # on a real sensor
     img = sim.render_tactile(raw, rig, gel, 0.01, np.random.default_rng(3))
@@ -44,7 +50,7 @@ def main():
         sim.make_force_samples(2000, rng=np.random.default_rng(1))))
     pairs, labels = sim.make_shear_dataset(40, rng=np.random.default_rng(2))
     sh_model = force.fit_shear_model(force.build_shear_features(pairs), labels)
-    rest = sim.marker_grid(gel, ppm, (res, res))
+    rest = sim.marker_grid(gel, ppm, shape)
     moved = rest.moved(np.full(rest.xy.shape, 0.4))
     current = sim.CURRENT_GAIN * 3.0 + sim.CURRENT_OFFSET
     perception = Perception(geo_model, nf_model, sh_model, flat, rest)
@@ -59,11 +65,11 @@ def main():
 
     r0, r1, c0, c1 = geometry.predict_normals(core.diff_image(img, flat),
                                               geo_model).support
-    window_share = (r1 - r0) * (c1 - c0) / (res * res)
+    window_share = (r1 - r0) * (c1 - c0) / (shape[0] * shape[1])
     print(f"MLP evaluated on the contact window, {100 * window_share:.1f}% of "
           f"pixels; the rest are flat")
     print(f"median tick {1e3 * float(np.median(totals)):.1f} ms at "
-          f"{res}x{res} over {args.ticks} runs "
+          f"{shape[0]}x{shape[1]} over {args.ticks} runs "
           f"(15 Hz budget: 66 ms)")
 
 

@@ -21,7 +21,9 @@ copies the caller's array, or keeps an ``_Adopt``-wrapped one that a stage
 has just built, runs the checks the type asks for and marks it read-only.
 Unpickling marks the restored arrays read-only again, and values computed
 once and kept (``functools.cached_property``) are frozen and pickle along,
-so instances can be shared freely across threads, ticks and processes.
+so instances can be shared freely across threads, ticks and processes. A
+``DiffFrame`` of two ``TactileFrame``s keeps their pixels as they are:
+they are checked and read-only already.
 These types compare by identity (``eq=False``): a field-wise ``==`` would
 ask an array for one truth value and raise.
 
@@ -198,14 +200,21 @@ class _Windowed(_Frozen):
         likewise; the grid box (i0, i1, j0, j1) reads the window, whose
         entries it reads are ``values``, and only the window is read."""
         oh, ow = _check_frame_shape(shape)
-        h, w = self.frame_shape
         r0, r1, c0, c1 = self.support
-        ri = np.minimum((np.arange(oh) + 0.5) * h / oh, h - 1).astype(int)
-        ci = np.minimum((np.arange(ow) + 0.5) * w / ow, w - 1).astype(int)
-        i0, i1 = np.searchsorted(ri, (r0, r1))
-        j0, j1 = np.searchsorted(ci, (c0, c1))
-        return (self.values[np.ix_(ri[i0:i1] - r0, ci[j0:j1] - c0)],
-                (i0, i1, j0, j1), (oh, ow))
+        rows, i0, i1 = _nearest_lines(oh, self.frame_shape[0], r0, r1)
+        cols, j0, j1 = _nearest_lines(ow, self.frame_shape[1], c0, c1)
+        return self.values[rows][:, cols], (i0, i1, j0, j1), (oh, ow)
+
+
+def _nearest_lines(n: int, size: int, lo: int, hi: int) -> tuple:
+    """The grid lines i0:i1, of n over ``size`` frame lines, that read frame
+    lines lo:hi, grid line i reading frame line min(floor((i + 0.5) size /
+    n), size - 1): (the frame lines they read less lo, i0, i1)."""
+    lines = np.minimum((np.arange(n) + 0.5) * size / n, size - 1).astype(int)
+    i0, i1 = int(lines.searchsorted(lo)), int(lines.searchsorted(hi))
+    lines = lines[i0:i1]
+    lines -= lo
+    return lines, i0, i1
 
 
 # _lbfgs: curvature pairs kept, Armijo's sufficient-decrease constant, step
@@ -417,23 +426,80 @@ class TactileFrame(_Frozen):
 
 @dataclass(frozen=True, eq=False)
 class DiffFrame(_Frozen):
-    """Background-subtracted frame; values in [-1, 1] on the source grid."""
+    """Background-subtracted frame, ``minuend - subtrahend``, on the source
+    grid: values in [-1, 1].
 
-    values: np.ndarray          # (H, W, 3)
+    The frame is held as its two operands, and their difference is formed
+    only where it is read. ``DiffFrame(contact, px_per_mm, background)``,
+    which ``diff_image`` builds, takes two ``TactileFrame``s of one shape and
+    pitch ``px_per_mm`` and keeps their read-only pixels without copying
+    them: both lie in [0, 1], so the difference lies in [-1, 1] by
+    construction. ``DiffFrame(values, px_per_mm)`` keeps a copy of a
+    difference, checked to lie in [-1, 1], as the minuend of a subtrahend of
+    0.0, which subtracts exactly.
+
+    ``subtract`` writes the difference of a region into a caller's array,
+    rounded once to its dtype; the contact window pass of
+    ``geometry.predict_normals`` reads the frame only through it.
+    ``values`` is the whole-frame difference, built on first use for the
+    readers that want all of it (the calibration dataset, the CLI) and kept.
+    """
+
+    minuend: np.ndarray         # (H, W, 3)
     px_per_mm: float
+    subtrahend: np.ndarray | float = 0.0
 
     def __post_init__(self):
-        v = _owned(self.values)
+        a, b = self.minuend, self.subtrahend
+        if isinstance(b, TactileFrame):
+            if not isinstance(a, TactileFrame):
+                raise ValueError("a TactileFrame subtrahend needs a "
+                                 "TactileFrame minuend")
+            if a.pixels.shape != b.pixels.shape:
+                raise ValueError(f"shape mismatch: {a.pixels.shape} vs "
+                                 f"{b.pixels.shape}")
+            if a.px_per_mm != b.px_per_mm:
+                raise ValueError(f"pitch mismatch: contact at {a.px_per_mm} "
+                                 f"px/mm, background at {b.px_per_mm} px/mm")
+            if self.px_per_mm != a.px_per_mm:
+                raise ValueError(f"px_per_mm {self.px_per_mm} is not the "
+                                 f"frames' pitch {a.px_per_mm}")
+            object.__setattr__(self, "minuend", a.pixels)
+            object.__setattr__(self, "subtrahend", b.pixels)
+            return
+        if not (np.ndim(b) == 0 and b == 0.0):
+            raise ValueError(f"subtrahend must be a TactileFrame or 0.0, got {b!r}")
+        v = _owned(a)
         if v.ndim != 3 or v.shape[2] != 3:
             raise ValueError(f"values must be (H, W, 3), got {v.shape}")
         _check_nonempty(v, "diff frame")
         _clip_owned(v, -1.0, 1.0, "diff values")
         _check_positive(self.px_per_mm, "px_per_mm")
-        self._keep("values", _Adopt(v))
+        self._keep("minuend", _Adopt(v))
+        object.__setattr__(self, "subtrahend", 0.0)   # not a mutable 0-d array
 
     @property
     def shape(self) -> tuple:
-        return self.values.shape
+        return self.minuend.shape
+
+    def subtract(self, index, out: np.ndarray) -> np.ndarray:
+        """Write the difference at ``index`` of the (H, W, 3) frame into
+        ``out`` and return it, without building ``values``: the float64
+        difference of the operands, rounded once to ``out``'s dtype, so into
+        float32 it is ``values[index].astype(np.float32)`` bit for bit."""
+        b = self.subtrahend
+        return np.subtract(self.minuend[index], b if np.ndim(b) == 0 else
+                           b[index], out=out)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The whole-frame difference (H, W, 3), read-only, built on first
+        use and kept."""
+        if np.ndim(self.subtrahend) == 0:
+            return self.minuend
+        v = np.subtract(self.minuend, self.subtrahend)
+        _clip_owned(v, -1.0, 1.0, "diff values")
+        return _freeze(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -565,12 +631,10 @@ class DisplacementField(_Frozen):
 # ---------------------------------------------------------------------------
 
 def diff_image(contact: TactileFrame, background: TactileFrame) -> DiffFrame:
-    """Pixelwise contact minus background, subtracted into the returned array."""
-    if contact.pixels.shape != background.pixels.shape:
-        raise ValueError(
-            f"shape mismatch: {contact.pixels.shape} vs {background.pixels.shape}")
-    return DiffFrame(_Adopt(np.subtract(contact.pixels, background.pixels)),
-                     contact.px_per_mm)
+    """Pixelwise contact minus background: a ``DiffFrame`` of the two frames,
+    which copies no pixels; ValueError unless they have one shape and one
+    pitch."""
+    return DiffFrame(contact, contact.px_per_mm, background)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,10 @@ height is one constant c >= 0, not zero. A frame without contact gets an
 empty window and exactly zero height without an MLP call or a solve. A
 gripper contact covers about a 100x100 box of a 240x320 frame, so the
 |diff| pass that finds the window is the only inference work done on
-every pixel.
+every pixel. Neither pass reads ``DiffFrame.values``: each subtracts the
+frame's two operands itself (``DiffFrame.subtract``), the window pass
+straight into float32 and the MLP's feature fill for the window's rows
+only, so no float64 difference of the whole frame is built.
 
 Both tick stages write their result once, into the array they return, and
 hand it to ``NormalMap`` or ``HeightMap`` wrapped in ``core._Adopt``, so the
@@ -405,7 +408,8 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     (0, 0, 1) by definition.
 
     The result's ``support`` is the contact window, read off the frame's
-    float32 largest-channel |diff|: the rows and columns with at least
+    float32 largest-channel |diff|, which ``DiffFrame.subtract`` writes
+    straight from the frame's operands: the rows and columns with at least
     ``_HOT_COUNT`` pixels above ``_HOT_TAU``, widened by ``_WINDOW_MARGIN``
     px and clipped to the frame, or the empty window (0, 0, 0, 0) when no
     row or no column has that many. That one pass, which counts the hot
@@ -418,11 +422,10 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
     its (nx, ny) is clamped below unit norm and nz, in float64, completes
     the unit vector.
     """
-    v = frame.values
-    h, w, _ = v.shape
-    # The float32 frame's largest |diff|; one contiguous cast of the whole
-    # frame is faster than three of its strided channels.
-    a = v.astype(np.float32)
+    h, w, _ = frame.shape
+    # The float32 frame's largest |diff|; one contiguous subtraction of the
+    # whole frame is faster than three of its strided channels.
+    a = frame.subtract(..., np.empty((h, w, 3), np.float32))
     np.abs(a, out=a)
     mag = np.maximum(a[:, :, 0], a[:, :, 1])
     np.maximum(mag, a[:, :, 2], out=mag)
@@ -436,27 +439,25 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
         return NormalMap(_Adopt(np.empty((0, 0, 3))), (0, 0, 0, 0), (h, w))
     support = (r0, r1, c0, c1)
     out = np.empty((r1 - r0, c1 - c0, 3))
-    _window_normals(model, v, support, out)
+    _window_normals(model, frame, support, out)
     return NormalMap(_Adopt(out), support, (h, w))
 
 
-def _window_normals(model: Rgb2NormalModel, values: np.ndarray,
+def _window_normals(model: Rgb2NormalModel, frame: DiffFrame,
                     window: tuple, out: np.ndarray) -> None:
     """Write the normals of ``predict_normals`` inside ``window`` =
-    (r0, r1, c0, c1) of the frame's diff ``values`` into ``out``, an
-    (r1 - r0, c1 - c0, 3) array.
+    (r0, r1, c0, c1) of ``frame`` into ``out``, an (r1 - r0, c1 - c0, 3)
+    array.
 
     The hidden layers run over bands of whole rows, about ``_BAND_PX``
     pixels each (of ``_BAND_PX`` pixels when a row is wider), the float64
     tail over passes of ``_PASS_BANDS`` bands (``_infer``), which write
-    (nx, ny) and nz straight into ``out``. Each pass's features are sliced
-    into one reused (rows, w, 5) float32 block, so no temporary grows with
-    the window's height.
+    (nx, ny) and nz straight into ``out``. Each pass's diff is subtracted
+    from the frame's operands into one reused (rows, w, 5) float32 feature
+    block, so no temporary grows with the window's height.
     """
     r0, r1, c0, c1 = window
-    xn, yn = _grid_coords(*values.shape[:2])
-    yn = yn[r0:r1]
-    values = values[r0:r1, c0:c1]
+    xn, yn = _grid_coords(*frame.shape[:2])
     h, w = out.shape[:2]
     step = max(1, _BAND_PX // w)                # window rows per band
     kernel = _mlp_kernel(model, min(step * w, h * w, _BAND_PX))
@@ -467,11 +468,12 @@ def _window_normals(model: Rgb2NormalModel, values: np.ndarray,
     for s in range(0, h, rows):
         e = min(s + rows, h)
         f = feats[:e - s]
-        # a channel at a time: copying (rows, w, 3) at once would run
+        # a channel at a time: subtracting (rows, w, 3) at once would run
         # numpy's inner loop over 3 values per pixel
         for c in range(3):
-            f[:, :, c] = values[s:e, :, c]
-        f[:, :, 4] = yn[s:e, None]
+            frame.subtract((slice(r0 + s, r0 + e), slice(c0, c1), c),
+                           f[:, :, c])
+        f[:, :, 4] = yn[r0 + s:r0 + e, None]
         _infer(model, f.reshape(-1, 5), kernel, flat[s * w:e * w, :2],
                flat[s * w:e * w, 2])
 

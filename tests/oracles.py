@@ -162,6 +162,20 @@ def contact_window_reference(diff_values, tau=0.06, count=8, margin=8):
             max(cols[0] - margin, 0), min(cols[-1] + 1 + margin, w))
 
 
+def on_grid_reference(windowed, shape):
+    """``core._Windowed.on_grid`` by its first formula: both index maps
+    built whole, bounded by a searchsorted over a tuple and read through
+    ``np.ix_``."""
+    (oh, ow), (h, w) = shape, windowed.frame_shape
+    r0, r1, c0, c1 = windowed.support
+    ri = np.minimum((np.arange(oh) + 0.5) * h / oh, h - 1).astype(int)
+    ci = np.minimum((np.arange(ow) + 0.5) * w / ow, w - 1).astype(int)
+    i0, i1 = np.searchsorted(ri, (r0, r1))
+    j0, j1 = np.searchsorted(ci, (c0, c1))
+    return (windowed.values[np.ix_(ri[i0:i1] - r0, ci[j0:j1] - c0)],
+            (i0, i1, j0, j1), (oh, ow))
+
+
 def windowed_poisson_reference(normals, support, px_per_mm):
     """Heights solved only inside ``support`` = (r0, r1, c0, c1): the sparse
     ``poisson_reference`` of the window's normals, zero outside, and the

@@ -25,6 +25,7 @@ from gripsense.core import (DiffFrame, DisplacementField, HeightMap,
                             load_marker_tracks, save_heightmap,
                             save_marker_tracks)
 from gripsense.slip import ContactMask
+from oracles import on_grid_reference
 
 rng = np.random.default_rng(7)
 
@@ -408,6 +409,7 @@ class TestContactMask(_WindowContract):
         np.clip(cells, 0, np.array([w, h]) - 1, out=cells)
         assert np.array_equal(m.contains(xy), values[cells[:, 1], cells[:, 0]])
         on_grid, box, grid = m.on_grid(shape)
+        _assert_same_map((on_grid, box, grid), on_grid_reference(m, shape))
         small = ContactMask(on_grid, 0.3, 2.0, box, grid)
         assert small.frame_shape == shape
         assert small.raster().tobytes() == \
@@ -415,6 +417,22 @@ class TestContactMask(_WindowContract):
         again = ContactMask(small.raster(), 0.3, 2.0)
         assert again.support == small.support
         assert again.values.tobytes() == small.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30),
+           st.tuples(st.integers(0, 30), st.integers(0, 30),
+                     st.integers(0, 30), st.integers(0, 30)),
+           st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    def test_normal_map_on_grid_matches_its_first_formula(self, h, w, box,
+                                                          shape):
+        """A normal map's window, empty or not, maps onto another grid as
+        the whole index maps read through ``np.ix_`` do, bit for bit."""
+        r0, c0 = min(box[0], h), min(box[2], w)
+        r1, c1 = min(max(box[1], r0), h), min(max(box[3], c0), w)
+        nx = 1e-4 * np.arange((r1 - r0) * (c1 - c0)).reshape(r1 - r0, c1 - c0)
+        values = np.stack([nx, np.zeros_like(nx), np.sqrt(1.0 - nx * nx)], 2)
+        n = NormalMap(values, (r0, r1, c0, c1), (h, w))
+        _assert_same_map(n.on_grid(shape), on_grid_reference(n, shape))
 
     def test_window_input_keeps_the_tight_box(self):
         window = np.zeros((4, 5), dtype=bool)
@@ -445,6 +463,14 @@ class TestContactMask(_WindowContract):
             ContactMask(np.eye(3, dtype=bool), 0.3).on_grid(shape)
 
 
+def _assert_same_map(got, want):
+    """Two ``on_grid`` results are equal: values bit for bit, with their
+    dtype and shape, and the same box and grid."""
+    assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+
+
 class TestDiffImage:
     def test_subtracts_and_preserves_metadata(self):
         a = TactileFrame(np.full((8, 8, 3), 0.75), 2.0)
@@ -459,6 +485,36 @@ class TestDiffImage:
         b = TactileFrame(np.zeros((8, 9, 3)), 2.0)
         with pytest.raises(ValueError):
             diff_image(a, b)
+
+    def test_pitch_mismatch_raises(self):
+        """A diff at the contact's pitch of a background at another would be
+        integrated at the background's: both pitches are named instead."""
+        a = TactileFrame(np.zeros((8, 8, 3)), 10.0)
+        b = TactileFrame(np.zeros((8, 8, 3)), 4.0)
+        with pytest.raises(ValueError, match="contact at 10.0 px/mm, "
+                                             "background at 4.0 px/mm"):
+            diff_image(a, b)
+        with pytest.raises(ValueError, match="not the frames' pitch"):
+            DiffFrame(a, 4.0, TactileFrame(np.zeros((8, 8, 3)), 10.0))
+
+    @pytest.mark.parametrize("minuend, subtrahend", [
+        (np.zeros((8, 8, 3)), TactileFrame(np.zeros((8, 8, 3)), 2.0)),
+        (np.zeros((8, 8, 3)), np.zeros((8, 8, 3))),
+        (np.zeros((8, 8, 3)), 0.5),
+    ], ids=["array minus frame", "array minus array", "nonzero scalar"])
+    def test_subtrahend_is_a_frame_or_zero(self, minuend, subtrahend):
+        with pytest.raises(ValueError, match="TactileFrame"):
+            DiffFrame(minuend, 2.0, subtrahend)
+
+    def test_subtract_rounds_once_into_the_callers_array(self):
+        a = TactileFrame(rng.random((8, 9, 3)), 2.0)
+        b = TactileFrame(rng.random((8, 9, 3)), 2.0)
+        for d in (diff_image(a, b), DiffFrame(a.pixels - b.pixels, 2.0)):
+            out = np.empty((3, 4), np.float32)
+            assert d.subtract((slice(2, 5), slice(1, 5), 1), out) is out
+            want = (a.pixels - b.pixels)[2:5, 1:5, 1].astype(np.float32)
+            assert out.tobytes() == want.tobytes()
+            assert "values" not in vars(d)
 
 
 class TestHeightmapIO:
@@ -588,6 +644,9 @@ _EMBEDDER = softness.ClipEmbedder(*_zeros(softness._EMBEDDER_SHAPES.values()))
 _ARRAY_TYPES = {
     "TactileFrame": lambda: TactileFrame(np.zeros((8, 8, 3)), 4.0),
     "DiffFrame": lambda: DiffFrame(np.zeros((8, 8, 3)), 4.0),
+    "DiffFrame of two frames": lambda: diff_image(
+        TactileFrame(np.ones((8, 8, 3)), 4.0),
+        TactileFrame(np.zeros((8, 8, 3)), 4.0)),
     "NormalMap": lambda: NormalMap(_flat(4, 4)),
     "NormalMap window": lambda: NormalMap(_flat(2, 3), (1, 3, 0, 3), (4, 4)),
     "ContactMask window": lambda: ContactMask(np.eye(2, 3, dtype=bool), 0.3,
@@ -635,13 +694,16 @@ def test_array_types_compare_by_identity(name):
 
 def _with_caches():
     """Instances whose values kept on first use are filled: a mask's area
-    and centroid, and a rest marker set's IDW neighbour table."""
+    and centroid, a rest marker set's IDW neighbour table and the whole
+    difference of two frames."""
     mask = ContactMask(np.eye(5, dtype=bool), 0.3)
     mask.centroid()
     rest = MarkerSet([0, 1, 2], [[1.0, 1.0], [6.0, 1.0], [1.0, 6.0]],
                      frame_width=8.0, frame_height=8.0)
     force.interpolate_markers(rest, rest, (4, 4))
-    return {"ContactMask": mask, "MarkerSet": rest}
+    diff = _ARRAY_TYPES["DiffFrame of two frames"]()
+    diff.values
+    return {"ContactMask": mask, "MarkerSet": rest, "DiffFrame": diff}
 
 
 def _arrays(x, seen=None):

@@ -23,8 +23,8 @@ DEMOS = {
                        "--epochs", "5"], "aggregate"),
     "reconstruct_pyramid": (["--resolution", "32", "--presses", "2",
                              "--epochs", "5"], "pyramid reconstruction"),
-    "time_perception_tick": (["--resolution", "32", "--ticks", "2"],
-                             "median tick"),
+    "time_perception_tick": (["--resolution", "32", "--width", "48",
+                              "--ticks", "2"], "ms at 32x48"),
 }
 
 

@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gripsense import geometry, sim
 from gripsense.core import (DiffFrame, HeightMap, NormalMap, TactileFrame,
@@ -516,6 +518,32 @@ class TestIntegration:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+_TAU32 = np.float32(geometry._HOT_TAU)
+_UP = float(np.nextafter(_TAU32, np.float32(1.0)))
+_MID = (float(_TAU32) + _UP) / 2.0             # rounds to tau or up
+# A box of _HOT_COUNT x _HOT_COUNT pixels at each level of
+# _THRESHOLD_LEVELS = (level, channel, whether the box is hot): the next
+# float32 above tau, both signs; tau itself and 0.06; and both sides of the
+# float64 midpoint between the two.
+_THRESHOLD_BOX = (16, 16 + geometry._HOT_COUNT, 20, 20 + geometry._HOT_COUNT)
+_THRESHOLD_LEVELS = [(_UP, 1, True), (-_UP, 2, True), (float(_TAU32), 1, False),
+                     (0.06, 0, False), (float(np.nextafter(_MID, 0.0)), 1, False),
+                     (float(np.nextafter(_MID, 1.0)), 1, True)]
+
+
+def _threshold_diff(level, channel, fewer=False):
+    """A 40x56 diff with ``level`` in ``channel`` on ``_THRESHOLD_BOX`` and
+    half of it in the next channel everywhere; with ``fewer``, the box's
+    first pixel at tau, one hot pixel fewer in its row and its column."""
+    r0, r1, c0, c1 = _THRESHOLD_BOX
+    values = np.zeros((40, 56, 3))
+    values[r0:r1, c0:c1, channel] = level
+    values[:, :, (channel + 1) % 3] = 0.5 * level   # a lesser channel
+    if fewer:
+        values[r0, c0, channel] = float(_TAU32)
+    return values
+
+
 class TestContactWindow:
     """The contact window ``predict_normals`` reads off the diff and the
     heights ``integrate_normals`` solves inside it, on rendered 240x320
@@ -590,26 +618,18 @@ class TestContactWindow:
         out of it with one fewer, and a pixel is hot when its float32 |diff|
         exceeds float32(0.06): at float32(0.06) itself it is not, at the
         next float32 up it is, whatever float64 rounds to either."""
-        k, margin = geometry._HOT_COUNT, geometry._WINDOW_MARGIN
-        tau = np.float32(geometry._HOT_TAU)
-        up = float(np.nextafter(tau, np.float32(1.0)))
-        mid = (float(tau) + up) / 2.0                 # rounds to tau or up
-        box = (16, 16 + k, 20, 20 + k)
-        opened = (16 - margin, 16 + k + margin, 20 - margin, 20 + k + margin)
-        cases = [(up, 1, opened), (-up, 2, opened),
-                 (float(tau), 1, (0, 0, 0, 0)), (0.06, 0, (0, 0, 0, 0)),
-                 (float(np.nextafter(mid, 0.0)), 1, (0, 0, 0, 0)),
-                 (float(np.nextafter(mid, 1.0)), 1, opened)]
-        for level, channel, want in cases:
-            values = np.zeros((40, 56, 3))
-            values[box[0]:box[1], box[2]:box[3], channel] = level
-            values[:, :, (channel + 1) % 3] = 0.5 * level   # a lesser channel
+        r0, r1, c0, c1 = _THRESHOLD_BOX
+        m = geometry._WINDOW_MARGIN
+        opened = (r0 - m, r1 + m, c0 - m, c1 + m)
+        for level, channel, hot in _THRESHOLD_LEVELS:
+            want = opened if hot else (0, 0, 0, 0)
+            values = _threshold_diff(level, channel)
             support, _ = self._check(DiffFrame(values, 10.0), criterion8_model)
             assert support == want, level
             # one pixel fewer drops its row and its column from the window
-            values[box[0], box[2], channel] = float(tau)
+            values = _threshold_diff(level, channel, fewer=True)
             support, _ = self._check(DiffFrame(values, 10.0), criterion8_model)
-            if want != (0, 0, 0, 0):
+            if hot:
                 assert support == (want[0] + 1, want[1], want[2] + 1, want[3])
 
     def test_contact_cut_by_the_frame_edge(self, criterion8_model):
@@ -647,6 +667,58 @@ class TestContactWindow:
             normals = geometry.predict_normals(diff, criterion8_model)
             whole = geometry.integrate_normals(NormalMap(normals.values), ppm)
             assert np.array_equal(height, whole.values)
+
+
+def _frame_pairs(kind, h, w, level, seed):
+    """(contact, background) ``TactileFrame`` pairs at 10 px/mm: a
+    saturated, black, constant or random contact over a random background,
+    or, for "threshold", every frame of ``test_counts_on_their_thresholds``
+    as a pair with the diff's positive part in the contact and its negative
+    part in the background, so the pair subtracts to it exactly."""
+    if kind == "threshold":
+        diffs = [_threshold_diff(lvl, channel, fewer)
+                 for lvl, channel, _ in _THRESHOLD_LEVELS
+                 for fewer in (False, True)]
+        return [(TactileFrame(np.maximum(v, 0.0), 10.0),
+                 TactileFrame(np.maximum(-v, 0.0), 10.0)) for v in diffs]
+    r = np.random.default_rng(seed)
+    contact = {"saturated": np.ones((h, w, 3)), "black": np.zeros((h, w, 3)),
+               "constant": np.full((h, w, 3), level),
+               "random": r.random((h, w, 3))}[kind]
+    return [(TactileFrame(contact, 10.0),
+             TactileFrame(r.uniform(0.0, 1.0, (h, w, 3)), 10.0))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["saturated", "black", "constant", "random",
+                        "threshold"]),
+       st.integers(8, 40), st.integers(8, 40), st.floats(0.0, 1.0),
+       st.integers(0, 10_000))
+@example("threshold", 8, 8, 0.0, 0)
+def test_two_frames_and_their_difference_agree(criterion8_model, kind, h, w,
+                                               level, seed):
+    """``diff_image`` keeps its two frames and ``predict_normals`` subtracts
+    them where it reads them; the difference stored whole gives the same
+    window and normals bit for bit, and ``values``, built on first use, is
+    that difference, in [-1, 1] and read-only, also after pickling."""
+    for contact, background in _frame_pairs(kind, h, w, level, seed):
+        diff = diff_image(contact, background)
+        assert np.shares_memory(diff.minuend, contact.pixels)
+        assert np.shares_memory(diff.subtrahend, background.pixels)
+        stored = DiffFrame(contact.pixels - background.pixels, 10.0)
+        got = geometry.predict_normals(diff, criterion8_model)
+        want = geometry.predict_normals(stored, criterion8_model)
+        assert "values" not in vars(diff)
+        assert got.support == want.support
+        assert got.values.tobytes() == want.values.tobytes()
+        v = diff.values
+        assert v.tobytes() == (contact.pixels - background.pixels).tobytes()
+        assert -1.0 <= v.min() and v.max() <= 1.0
+        assert not v.flags.writeable and diff.values is v
+        copy = pickle.loads(pickle.dumps(diff))
+        assert copy.values.tobytes() == v.tobytes()
+        assert not any(a.flags.writeable for a in
+                       (copy.values, copy.minuend, copy.subtrahend))
 
 
 class TestReconstructionError:

@@ -150,6 +150,10 @@ def test_failed_tick_leaves_the_history_untouched(stack):
         if k == 5:
             with pytest.raises(ValueError, match="3 matched markers"):
                 seen_bad.tick(img, _drop(markers, slice(0, 2)), current)
+        if k == 6:          # once integrated at the background's pitch
+            with pytest.raises(ValueError, match="pitch mismatch"):
+                seen_bad.tick(core.TactileFrame(img.pixels, ppm / 2.0),
+                              markers, current)
         p, q = seen_bad.tick(*frame), clean.tick(*frame)
         assert _same(p, q) and p.slip_speed_px == q.slip_speed_px
 
