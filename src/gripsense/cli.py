@@ -195,6 +195,8 @@ def _cmd_reconstruct(args, cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_force(args, cfg: Config) -> int:
+    n_frames = cfg["force.frames"]
+    core._check_int(n_frames, "force.frames")
     rng = np.random.default_rng(args.seed)
     currents, forces = sim.make_force_samples(cfg["force.samples"], rng)
     normal_model = force.fit_normal_force(np.column_stack([currents, forces]))
@@ -208,7 +210,6 @@ def _cmd_force(args, cfg: Config) -> int:
         sim.Sphere(15.0), (mid, mid), 1.2, (240, 240), gel))
     rest = sim.marker_grid(gel, mask.px_per_mm, mask.frame_shape)
     angle = math.pi / 6.0
-    n_frames = cfg["force.frames"]
     with _out_stream(args.out) as f:
         f.write("frame,f_n,f_x,f_y,true_f_n,true_f_x,true_f_y\n")
         for t in range(n_frames):

@@ -22,8 +22,8 @@ has just built, runs the checks the type asks for and marks it read-only.
 Unpickling marks the restored arrays read-only again, and values computed
 once and kept (``functools.cached_property``) are frozen and pickle along,
 so instances can be shared freely across threads, ticks and processes. A
-``DiffFrame`` of two ``TactileFrame``s keeps their pixels as they are:
-they are checked and read-only already.
+``DiffFrame`` keeps its two ``TactileFrame``s as they are: they are
+checked and read-only already.
 These types compare by identity (``eq=False``): a field-wise ``==`` would
 ask an array for one truth value and raise.
 
@@ -426,18 +426,13 @@ class TactileFrame(_Frozen):
 
 @dataclass(frozen=True, eq=False)
 class DiffFrame(_Frozen):
-    """Background-subtracted frame, ``minuend - subtrahend``, on the source
-    grid: values in [-1, 1].
+    """Background-subtracted frame on the source grid: ``contact`` minus
+    ``background``, two ``TactileFrame``s of one shape and pitch, whose
+    ``px_per_mm`` and ``shape`` it has. Values lie in [-1, 1].
 
-    The frame is held as its two operands, and their difference is formed
-    only where it is read. ``DiffFrame(contact, px_per_mm, background)``,
-    which ``diff_image`` builds, takes two ``TactileFrame``s of one shape and
-    pitch ``px_per_mm`` and keeps their read-only pixels without copying
-    them: both lie in [0, 1], so the difference lies in [-1, 1] by
-    construction. ``DiffFrame(values, px_per_mm)`` keeps a copy of a
-    difference, checked to lie in [-1, 1], as the minuend of a subtrahend of
-    0.0, which subtracts exactly.
-
+    The frame keeps the two frames, whose pixels are checked, in [0, 1] and
+    read-only already, so it copies nothing and the difference lies in
+    [-1, 1] by construction; the difference is formed only where it is read.
     ``subtract`` writes the difference of a region into a caller's array,
     rounded once to its dtype; the contact window pass of
     ``geometry.predict_normals`` reads the frame only through it.
@@ -445,61 +440,44 @@ class DiffFrame(_Frozen):
     readers that want all of it (the calibration dataset, the CLI) and kept.
     """
 
-    minuend: np.ndarray         # (H, W, 3)
-    px_per_mm: float
-    subtrahend: np.ndarray | float = 0.0
+    contact: TactileFrame
+    background: TactileFrame
 
     def __post_init__(self):
-        a, b = self.minuend, self.subtrahend
-        if isinstance(b, TactileFrame):
-            if not isinstance(a, TactileFrame):
-                raise ValueError("a TactileFrame subtrahend needs a "
-                                 "TactileFrame minuend")
-            if a.pixels.shape != b.pixels.shape:
-                raise ValueError(f"shape mismatch: {a.pixels.shape} vs "
-                                 f"{b.pixels.shape}")
-            if a.px_per_mm != b.px_per_mm:
-                raise ValueError(f"pitch mismatch: contact at {a.px_per_mm} "
-                                 f"px/mm, background at {b.px_per_mm} px/mm")
-            if self.px_per_mm != a.px_per_mm:
-                raise ValueError(f"px_per_mm {self.px_per_mm} is not the "
-                                 f"frames' pitch {a.px_per_mm}")
-            object.__setattr__(self, "minuend", a.pixels)
-            object.__setattr__(self, "subtrahend", b.pixels)
-            return
-        if not (np.ndim(b) == 0 and b == 0.0):
-            raise ValueError(f"subtrahend must be a TactileFrame or 0.0, got {b!r}")
-        v = _owned(a)
-        if v.ndim != 3 or v.shape[2] != 3:
-            raise ValueError(f"values must be (H, W, 3), got {v.shape}")
-        _check_nonempty(v, "diff frame")
-        _clip_owned(v, -1.0, 1.0, "diff values")
-        _check_positive(self.px_per_mm, "px_per_mm")
-        self._keep("minuend", _Adopt(v))
-        object.__setattr__(self, "subtrahend", 0.0)   # not a mutable 0-d array
+        a, b = self.contact, self.background
+        if not (isinstance(a, TactileFrame) and isinstance(b, TactileFrame)):
+            raise ValueError(f"a DiffFrame is two TactileFrames, got "
+                             f"{type(a).__name__} and {type(b).__name__}")
+        if a.pixels.shape != b.pixels.shape:
+            raise ValueError(f"shape mismatch: {a.pixels.shape} vs "
+                             f"{b.pixels.shape}")
+        if a.px_per_mm != b.px_per_mm:
+            raise ValueError(f"pitch mismatch: contact at {a.px_per_mm} "
+                             f"px/mm, background at {b.px_per_mm} px/mm")
+
+    @property
+    def px_per_mm(self) -> float:
+        return self.contact.px_per_mm
 
     @property
     def shape(self) -> tuple:
-        return self.minuend.shape
+        return self.contact.pixels.shape
 
     def subtract(self, index, out: np.ndarray) -> np.ndarray:
         """Write the difference at ``index`` of the (H, W, 3) frame into
         ``out`` and return it, without building ``values``: the float64
-        difference of the operands, rounded once to ``out``'s dtype, so into
-        float32 it is ``values[index].astype(np.float32)`` bit for bit."""
-        b = self.subtrahend
-        return np.subtract(self.minuend[index], b if np.ndim(b) == 0 else
-                           b[index], out=out)
+        difference of the two frames, rounded once to ``out``'s dtype, so
+        into float32 it is ``values[index].astype(np.float32)`` bit for
+        bit."""
+        return np.subtract(self.contact.pixels[index],
+                           self.background.pixels[index], out=out)
 
     @cached_property
     def values(self) -> np.ndarray:
         """The whole-frame difference (H, W, 3), read-only, built on first
         use and kept."""
-        if np.ndim(self.subtrahend) == 0:
-            return self.minuend
-        v = np.subtract(self.minuend, self.subtrahend)
-        _clip_owned(v, -1.0, 1.0, "diff values")
-        return _freeze(v)
+        return _freeze(np.subtract(self.contact.pixels,
+                                   self.background.pixels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -631,10 +609,10 @@ class DisplacementField(_Frozen):
 # ---------------------------------------------------------------------------
 
 def diff_image(contact: TactileFrame, background: TactileFrame) -> DiffFrame:
-    """Pixelwise contact minus background: a ``DiffFrame`` of the two frames,
-    which copies no pixels; ValueError unless they have one shape and one
-    pitch."""
-    return DiffFrame(contact, contact.px_per_mm, background)
+    """Pixelwise contact minus background: the ``DiffFrame`` of the two
+    frames, which copies no pixels; ValueError unless they have one shape
+    and one pitch."""
+    return DiffFrame(contact, background)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ empty window and exactly zero height without an MLP call or a solve. A
 gripper contact covers about a 100x100 box of a 240x320 frame, so the
 |diff| pass that finds the window is the only inference work done on
 every pixel. Neither pass reads ``DiffFrame.values``: each subtracts the
-frame's two operands itself (``DiffFrame.subtract``), the window pass
+frame's two camera frames itself (``DiffFrame.subtract``), the window pass
 straight into float32 and the MLP's feature fill for the window's rows
 only, so no float64 difference of the whole frame is built.
 
@@ -154,17 +154,18 @@ def build_calibration_dataset(presses) -> CalibrationDataset:
     """Label sphere-press frames with analytic cap normals.
 
     Each press is (DiffFrame, center px (x, y), contact radius px, sphere
-    radius mm, px_per_mm). In-contact pixels get the sphere normal at their
-    offset from the center; an equal-sized, evenly strided sample of
-    out-of-contact pixels gets the flat normal (0, 0, 1) so the model also
-    learns the background.
+    radius mm), at the frame's pitch. In-contact pixels get the sphere
+    normal at their offset from the center; an equal-sized, evenly strided
+    sample of out-of-contact pixels gets the flat normal (0, 0, 1) so the
+    model also learns the background.
     """
     if not presses:
         raise ValueError("need at least one calibration press")
     feats, norms = [], []
-    for frame, center, contact_radius_px, sphere_radius_mm, px_per_mm in presses:
+    for frame, center, contact_radius_px, sphere_radius_mm in presses:
         cx, cy = float(center[0]), float(center[1])
-        h, w, _ = frame.values.shape
+        h, w, _ = frame.shape
+        px_per_mm = frame.px_per_mm
         if not (0.0 <= cx <= w - 1 and 0.0 <= cy <= h - 1):
             raise ValueError("sphere center outside the frame")
         if not contact_radius_px < sphere_radius_mm * px_per_mm:
@@ -320,27 +321,22 @@ def _mlp_kernel(model: Rgb2NormalModel, band: int) -> tuple:
             np.empty((_PASS_BANDS * band, LAYER_SIZES[3]), f32))
 
 
-def _mlp(model: Rgb2NormalModel, feats: np.ndarray,
-         kernel: tuple | None = None) -> np.ndarray:
+def _mlp(model: Rgb2NormalModel, feats: np.ndarray) -> np.ndarray:
     """The float32 inference pass over pixel rows, which
-    ``predict_normals`` runs on every window pixel.
+    ``predict_normals`` runs on every window pixel (through
+    ``_window_normals``); the feature-level reference of the tests.
 
     ``feats`` is (N, 5): diff R, G, B and normalized x, y, as in training.
     Returns (N, 2) float64 (nx, ny), clamped below unit norm. The hidden
     layers run in float32 and agree with the float64 ``_forward`` to about
     1e-6 per component; the radial squash runs in float64. The hidden
     layers run over bands of at most ``_BAND_PX`` rows, the float64 tail
-    over passes of ``_PASS_BANDS`` bands (``_infer``), all in the kernel's
-    work memory, so no temporary grows with N. ``kernel``, an
-    ``_mlp_kernel`` of ``model``, lets calls share one conversion of the
-    weights and one work memory, whose rows set the band; without it the
-    call builds its own.
+    over passes of ``_PASS_BANDS`` bands (``_infer``), all in one
+    ``_mlp_kernel``'s work memory, so no temporary grows with N.
     """
     n = feats.shape[0]
-    if kernel is None:
-        kernel = _mlp_kernel(model, max(1, min(n, _BAND_PX)))
     out = np.empty((n, 2))
-    _infer(model, feats, kernel, out)
+    _infer(model, feats, _mlp_kernel(model, max(1, min(n, _BAND_PX))), out)
     return out
 
 
@@ -409,13 +405,14 @@ def predict_normals(frame: DiffFrame, model: Rgb2NormalModel) -> NormalMap:
 
     The result's ``support`` is the contact window, read off the frame's
     float32 largest-channel |diff|, which ``DiffFrame.subtract`` writes
-    straight from the frame's operands: the rows and columns with at least
-    ``_HOT_COUNT`` pixels above ``_HOT_TAU``, widened by ``_WINDOW_MARGIN``
-    px and clipped to the frame, or the empty window (0, 0, 0, 0) when no
-    row or no column has that many. That one pass, which counts the hot
-    pixels of each row and each column with ``np.count_nonzero``, is all
-    the work outside the window, where the gel is taken to be undeformed;
-    a frame without contact makes no MLP call and holds a (0, 0, 3) array.
+    straight from the frame's two camera frames: the rows and columns with
+    at least ``_HOT_COUNT`` pixels above ``_HOT_TAU``, widened by
+    ``_WINDOW_MARGIN`` px and clipped to the frame, or the empty window
+    (0, 0, 0, 0) when no row or no column has that many. That one pass,
+    which counts the hot pixels of each row and each column with
+    ``np.count_nonzero``, is all the work outside the window, where the gel
+    is taken to be undeformed; a frame without contact makes no MLP call
+    and holds a (0, 0, 3) array.
 
     It runs the float32 MLP on every window pixel (``_window_normals``),
     which agrees with the float64 ``_forward`` to about 1e-6 per component;
@@ -453,8 +450,8 @@ def _window_normals(model: Rgb2NormalModel, frame: DiffFrame,
     pixels each (of ``_BAND_PX`` pixels when a row is wider), the float64
     tail over passes of ``_PASS_BANDS`` bands (``_infer``), which write
     (nx, ny) and nz straight into ``out``. Each pass's diff is subtracted
-    from the frame's operands into one reused (rows, w, 5) float32 feature
-    block, so no temporary grows with the window's height.
+    from the frame's two camera frames into one reused (rows, w, 5) float32
+    feature block, so no temporary grows with the window's height.
     """
     r0, r1, c0, c1 = window
     xn, yn = _grid_coords(*frame.shape[:2])

@@ -27,7 +27,7 @@ texture are evaluated once per clip, on the deepest frame's cap box, and the
 blur and the shading run over all frames at once. Its random draws stay per
 frame and in the same order, the current noise and then the pixel noise, so
 a clip is bit-identical to rendering its frames one by one. The clip comes
-back as a ``SqueezeFrames``, the difference stack with its frames as views.
+back as that stack minus the untouched gel's frame, one plain array.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DiffFrame, HeightMap, MarkerSet, TactileFrame, _Adopt,
-                   _check_int, _check_non_negative, _check_positive,
-                   _clip_owned, _Frozen, _owned, diff_image)
+from .core import (HeightMap, MarkerSet, TactileFrame, _check_int,
+                   _check_non_negative, _check_positive, _clip_owned, _Frozen,
+                   diff_image)
 from .slip import (DEFAULT_CONTACT_THRESHOLD_MM, DEFAULT_THRESHOLD_PX,
                    ContactMask)
 
@@ -682,9 +682,9 @@ def make_calibration_presses(n: int = 8, sphere_radius_mm: float = 5.0,
                              noise_sigma: float = 0.0):
     """Sphere presses with analytic contact geometry for normal calibration.
 
-    Returns (diff frame, center px, contact radius px, sphere radius mm,
-    px_per_mm) tuples. Renders skip membrane smoothing so the analytic cap
-    normals label in-contact pixels exactly.
+    Returns (diff frame, center px, contact radius px, sphere radius mm)
+    tuples; the pitch is the diff frame's. Renders skip membrane smoothing
+    so the analytic cap normals label in-contact pixels exactly.
     """
     if n < 1:
         raise ValueError("need at least one press")
@@ -708,7 +708,7 @@ def make_calibration_presses(n: int = 8, sphere_radius_mm: float = 5.0,
         contact_px = math.sqrt(depth * (2.0 * sphere_radius_mm - depth)) * ppm
         presses.append((diff_image(img, flat),
                         (cx * ppm - 0.5, cy * ppm - 0.5),
-                        contact_px, sphere_radius_mm, ppm))
+                        contact_px, sphere_radius_mm))
     return presses
 
 
@@ -760,38 +760,14 @@ def make_shear_dataset(n: int = 300, rng: np.random.Generator | None = None,
     return pairs, labels
 
 
-@dataclass(frozen=True, eq=False)
-class SqueezeFrames(_Frozen):
-    """The difference frames of one squeeze clip, held as one (T, H, W, 3)
-    stack: a sequence of T ``DiffFrame`` views of it, so a consumer of the
-    whole clip reads ``values`` without stacking the frames again."""
-
-    values: np.ndarray          # (T, H, W, 3), values in [-1, 1]
-    px_per_mm: float
-
-    def __post_init__(self):
-        v = _owned(self.values)
-        if v.ndim != 4 or v.shape[-1] != 3:
-            raise ValueError(f"values must be (T, H, W, 3), got {v.shape}")
-        # every frame's DiffFrame check, once over the stack
-        _clip_owned(v, -1.0, 1.0, "diff values")
-        _check_positive(self.px_per_mm, "px_per_mm")
-        self._keep("values", _Adopt(v))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, t: int) -> DiffFrame:
-        return DiffFrame(_Adopt(self.values[t]), self.px_per_mm)
-
-
 def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel(),
                            rig: LightRig = default_rig(),
                            rng: np.random.Generator | None = None,
                            squeeze_mm: float = 3.0, resolution: int = 64,
                            noise_sigma: float = 0.0,
                            current_noise: float = CURRENT_NOISE):
-    """Squeeze a fruit; return (``SqueezeFrames``, motor-current trace).
+    """Squeeze a fruit; return its (n_frames, H, W, 3) difference stack,
+    each frame minus the untouched gel's, and its motor-current trace.
 
     The jaws command ``squeeze_mm`` of travel split between gel and fruit in
     series, so a stiffer fruit indents the gel faster (contact area grows
@@ -845,7 +821,7 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
     # every frame's TactileFrame check, once over the stack
     _clip_owned(np.clip(img, 0.0, 1.0, out=img), 0.0, 1.0, "pixel intensities")
     img -= background.pixels          # the difference stack, in place
-    return SqueezeFrames(_Adopt(img), ppm), currents
+    return img, currents
 
 
 def make_force_samples(n: int = 10000, rng: np.random.Generator | None = None,

@@ -433,7 +433,7 @@ def build_clip_library(trials_per_cell: int = 10, seed: int = 0,
                     noise_sigma=_CLIP_NOISE_SIGMA)
                 est = predict_normal_force(currents, calibration)
                 clips.append(CompressionClip(
-                    _patch16(frames.values),
+                    _patch16(frames),
                     np.maximum(est, 0.0), texture, shore))
     return clips
 

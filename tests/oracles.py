@@ -142,6 +142,19 @@ def poisson_reference(normals, px_per_mm):
     return full - full.min()
 
 
+def frames_of(diff_values, px_per_mm=10.0):
+    """A difference in [-1, 1] as the ``DiffFrame`` of two camera frames:
+    its positive part, and its zeros with their sign, in the contact frame
+    and its negative part in the background, so the frames subtract back to
+    it bit for bit."""
+    from gripsense.core import DiffFrame, TactileFrame
+
+    v = np.asarray(diff_values, np.float64)
+    keep = v >= 0.0
+    return DiffFrame(TactileFrame(np.where(keep, v, 0.0), px_per_mm),
+                     TactileFrame(np.where(keep, 0.0, -v), px_per_mm))
+
+
 def contact_window_reference(diff_values, tau=0.06, count=8, margin=8):
     """The contact window (r0, r1, c0, c1) by its definition, line by line.
 

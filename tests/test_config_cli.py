@@ -555,6 +555,20 @@ class TestForceCommand:
         row = [float(v) for v in lines[3].split(",")]
         assert row[1] == pytest.approx(row[4], rel=0.35)
 
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_frame_count_below_one_is_an_error(self, tmp_path, capsys,
+                                               frames):
+        cfg = _write(tmp_path / "bad.cfg", f"force.frames = {frames}\n")
+        out = tmp_path / "force.csv"
+        capsys.readouterr()
+        rc = cli.main(["force", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: force.frames must be an integer "
+                                f">= 1, got {frames}\n")
+        assert not out.exists()
+
 
 class TestSoftnessCommands:
     TINY = ("softness.train_trials = 2\nsoftness.test_trials = 2\n"

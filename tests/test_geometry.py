@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gripsense import geometry, sim
-from gripsense.core import (DiffFrame, HeightMap, NormalMap, TactileFrame,
-                            diff_image)
+from gripsense.core import HeightMap, NormalMap, TactileFrame, diff_image
 from oracles import (ORACLE_NORMAL_TOL, cap_normals_fd,
-                     contact_window_reference, fd_gradient_at,
+                     contact_window_reference, fd_gradient_at, frames_of,
                      fit_rgb2normal_reference, full_frame_normals_reference,
                      poisson_reference, rgb2normal_init,
                      rgb2normal_loss_and_grads, windowed_poisson_reference)
@@ -29,9 +28,10 @@ def _press_fixture(resolution=64, n=4, noise=0.0, seed=0):
 class TestCalibrationDataset:
     def test_labels_match_analytic_cap_normals(self):
         presses = _press_fixture(n=1)
-        frame, (cx, cy), contact_px, r_mm, ppm = presses[0]
+        frame, (cx, cy), contact_px, r_mm = presses[0]
+        ppm = frame.px_per_mm
         data = geometry.build_calibration_dataset(presses)
-        h, w, _ = frame.values.shape
+        h, w, _ = frame.shape
         xm, ym = np.meshgrid(np.arange(w), np.arange(h))
         dx = (xm.ravel() - cx) / ppm
         dy = (ym.ravel() - cy) / ppm
@@ -62,13 +62,13 @@ class TestCalibrationDataset:
     def test_rejects_bad_presses(self):
         with pytest.raises(ValueError):
             geometry.build_calibration_dataset([])
-        frame, center, contact_px, r_mm, ppm = _press_fixture(n=1)[0]
+        frame, center, contact_px, r_mm = _press_fixture(n=1)[0]
         with pytest.raises(ValueError, match="center"):
             geometry.build_calibration_dataset(
-                [(frame, (1e4, 1e4), contact_px, r_mm, ppm)])
+                [(frame, (1e4, 1e4), contact_px, r_mm)])
         with pytest.raises(ValueError, match="contact radius"):
             geometry.build_calibration_dataset(
-                [(frame, center, r_mm * ppm + 1.0, r_mm, ppm)])
+                [(frame, center, r_mm * frame.px_per_mm + 1.0, r_mm)])
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
@@ -286,14 +286,15 @@ def test_flat_frame_reads_no_phantom_height(criterion8_model):
     assert geometry.integrate_normals(normals, ppm).values.max() <= 0.1
 
 
-def _reference_normals(frame, model):
-    """The float64 ``_forward``, clamped below unit norm, nz completing the unit vector."""
+def _reference_normals(values, model):
+    """The float64 ``_forward`` on the diff ``values``, clamped below unit
+    norm, nz completing the unit vector."""
     params = (model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
-    n2, _ = geometry._forward(params, geometry._pixel_features(frame.values))
+    n2, _ = geometry._forward(params, geometry._pixel_features(values))
     norm = np.linalg.norm(n2, axis=1, keepdims=True)
     n2 = n2 * np.minimum(1.0, geometry._NORM_CLAMP / np.maximum(norm, 1e-300))
     nz = np.sqrt(np.maximum(1.0 - np.sum(n2 * n2, axis=1), 0.0))
-    return np.column_stack([n2, nz]).reshape(frame.values.shape)
+    return np.column_stack([n2, nz]).reshape(values.shape)
 
 
 def _inside(normals):
@@ -341,40 +342,37 @@ class TestInference:
         return {k: diff_image(f, background) for k, f in frames.items()}
 
     @staticmethod
-    def _check_kernel(frame, model):
-        got = full_frame_normals_reference(frame.values, model)
-        assert np.max(np.abs(got - _reference_normals(frame, model))) <= 1e-5
+    def _check_kernel(values, model):
+        got = full_frame_normals_reference(values, model)
+        assert np.max(np.abs(got - _reference_normals(values, model))) <= 1e-5
         return got
 
     def test_matches_float64_forward(self, criterion8_model):
         for frame in self._frames().values():
-            self._check_kernel(frame, criterion8_model)
+            self._check_kernel(frame.values, criterion8_model)
 
     # The kernel runs over bands of _BAND_PX pixel rows: 13 x 317 pixels end
     # in a short band, 3 x 5000 and 8 x 1875 in three full ones and a short
     # one, which one call over all the pixels must give as separate calls
     # do. ``predict_normals`` hands the kernel whole window rows, at most
     # _BAND_PX pixels a call: bands of 12 rows and one of a row at 13 x 317,
-    # four of 2 rows at 8 x 1875. With 3 rows no column can hold _HOT_COUNT
-    # hot pixels, so that frame opens no window; the others open one over
-    # the whole frame.
+    # four of 2 rows at 8 x 1875, each frame opening a window over its
+    # whole raster. No pair of camera frames is 3 rows high (a TactileFrame
+    # is at least 8 x 8), so 3 x 5000 checks the kernel alone.
     @pytest.mark.parametrize("shape", [(13, 317), (3, 5000), (8, 1875)])
     def test_band_boundaries(self, criterion8_model, shape):
         n = shape[0] * shape[1]
         band = geometry._BAND_PX
         assert n > band and n % band
         values = np.random.default_rng(shape[1]).uniform(-0.3, 0.3, shape + (3,))
-        frame = DiffFrame(values, 10.0)
-        self._check_kernel(frame, criterion8_model)
+        self._check_kernel(values, criterion8_model)
         feats = geometry._pixel_features(values)
         banded = [geometry._mlp(criterion8_model, feats[s:s + band])
                   for s in range(0, n, band)]
         assert np.array_equal(geometry._mlp(criterion8_model, feats),
                               np.concatenate(banded))
-        normals = _check_prediction(frame, criterion8_model)
-        if shape[0] < geometry._HOT_COUNT:
-            assert normals.support == (0, 0, 0, 0)
-        else:
+        if min(shape) >= 8:
+            normals = _check_prediction(frames_of(values), criterion8_model)
             assert normals.support == (0, shape[0], 0, shape[1])
 
     def test_clamp_branch(self, criterion8_model):
@@ -385,7 +383,7 @@ class TestInference:
         loud = geometry.Rgb2NormalModel(m.w1, m.b1, m.w2, m.b2, m.w3,
                                         m.b3 + [12.0, 0.0])
         frame = self._frames()["noisy press"]
-        dense = self._check_kernel(frame, loud)
+        dense = self._check_kernel(frame.values, loud)
         tangential = np.linalg.norm(dense[:, :, :2], axis=2)
         assert np.mean(np.isclose(tangential, geometry._NORM_CLAMP,
                                   rtol=0, atol=1e-12)) > 0.5
@@ -437,7 +435,7 @@ class TestInference:
         values[:, :, 1] = 0.5                         # every pixel hot
         values[:rows, :, 0] = 1.0
         values[rows:2 * rows, :, 0] = 0.0
-        frame = DiffFrame(values, 10.0)
+        frame = frames_of(values)
         normals = _check_prediction(frame, model)
         assert normals.support == (0, 64, 0, 320)
         got = normals.values
@@ -473,7 +471,7 @@ class TestIntegration:
         data = geometry.build_calibration_dataset(presses)
         model = geometry.fit_rgb2normal(data, epochs=150, seed=0)
         nm = geometry.predict_normals(presses[0][0], model)
-        hm = geometry.integrate_normals(nm, presses[0][4])
+        hm = geometry.integrate_normals(nm, presses[0][0].px_per_mm)
         assert hm.values.min() == 0.0
 
     def test_px_per_mm_validation(self):
@@ -608,7 +606,7 @@ class TestContactWindow:
         flat = r.choice(values.shape[0] * values.shape[1], 60, replace=False)
         values.reshape(-1, 3)[flat, r.integers(0, 3, 60)] = 0.5
         values[100, 40:47, 1] = -0.5            # 7 hot pixels in one row
-        support, height = self._check(DiffFrame(values, diff.px_per_mm),
+        support, height = self._check(frames_of(values, diff.px_per_mm),
                                       criterion8_model)
         assert support == (0, 0, 0, 0)
         assert np.array_equal(height, np.zeros(self.SHAPE))
@@ -624,11 +622,11 @@ class TestContactWindow:
         for level, channel, hot in _THRESHOLD_LEVELS:
             want = opened if hot else (0, 0, 0, 0)
             values = _threshold_diff(level, channel)
-            support, _ = self._check(DiffFrame(values, 10.0), criterion8_model)
+            support, _ = self._check(frames_of(values), criterion8_model)
             assert support == want, level
             # one pixel fewer drops its row and its column from the window
             values = _threshold_diff(level, channel, fewer=True)
-            support, _ = self._check(DiffFrame(values, 10.0), criterion8_model)
+            support, _ = self._check(frames_of(values), criterion8_model)
             if hot:
                 assert support == (want[0] + 1, want[1], want[2] + 1, want[3])
 
@@ -679,8 +677,7 @@ def _frame_pairs(kind, h, w, level, seed):
         diffs = [_threshold_diff(lvl, channel, fewer)
                  for lvl, channel, _ in _THRESHOLD_LEVELS
                  for fewer in (False, True)]
-        return [(TactileFrame(np.maximum(v, 0.0), 10.0),
-                 TactileFrame(np.maximum(-v, 0.0), 10.0)) for v in diffs]
+        return [(d.contact, d.background) for d in map(frames_of, diffs)]
     r = np.random.default_rng(seed)
     contact = {"saturated": np.ones((h, w, 3)), "black": np.zeros((h, w, 3)),
                "constant": np.full((h, w, 3), level),
@@ -698,16 +695,16 @@ def _frame_pairs(kind, h, w, level, seed):
 def test_two_frames_and_their_difference_agree(criterion8_model, kind, h, w,
                                                level, seed):
     """``diff_image`` keeps its two frames and ``predict_normals`` subtracts
-    them where it reads them; the difference stored whole gives the same
-    window and normals bit for bit, and ``values``, built on first use, is
-    that difference, in [-1, 1] and read-only, also after pickling."""
+    them where it reads them; another pair with the same difference, its
+    positive and its negative part (``frames_of``), gives the same window
+    and normals bit for bit, and ``values``, built on first use, is that
+    difference, in [-1, 1] and read-only, also after pickling."""
     for contact, background in _frame_pairs(kind, h, w, level, seed):
         diff = diff_image(contact, background)
-        assert np.shares_memory(diff.minuend, contact.pixels)
-        assert np.shares_memory(diff.subtrahend, background.pixels)
-        stored = DiffFrame(contact.pixels - background.pixels, 10.0)
+        assert diff.contact is contact and diff.background is background
+        split = frames_of(contact.pixels - background.pixels)
         got = geometry.predict_normals(diff, criterion8_model)
-        want = geometry.predict_normals(stored, criterion8_model)
+        want = geometry.predict_normals(split, criterion8_model)
         assert "values" not in vars(diff)
         assert got.support == want.support
         assert got.values.tobytes() == want.values.tobytes()
@@ -718,7 +715,8 @@ def test_two_frames_and_their_difference_agree(criterion8_model, kind, h, w,
         copy = pickle.loads(pickle.dumps(diff))
         assert copy.values.tobytes() == v.tobytes()
         assert not any(a.flags.writeable for a in
-                       (copy.values, copy.minuend, copy.subtrahend))
+                       (copy.values, copy.contact.pixels,
+                        copy.background.pixels))
 
 
 class TestReconstructionError:
@@ -764,7 +762,7 @@ class TestPersistence:
                                   getattr(criterion8_model, f.name))
         values = np.random.default_rng(0).normal(0.0, 0.02, (24, 32, 3))
         values[4:13, :9] += 0.2             # a block of contact opens a window
-        frame = DiffFrame(values, 10.0)
+        frame = frames_of(values)
         got = geometry.predict_normals(frame, back)
         assert got.support != (0, 0, 0, 0)
         want = geometry.predict_normals(frame, criterion8_model)

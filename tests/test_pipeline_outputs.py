@@ -204,13 +204,15 @@ def test_normals_match_the_full_frame_oracle(model, grasp, monkeypatch):
     """Every digest case against ``full_frame_normals_reference``: exactly
     flat outside the window, within the oracle's tolerances inside it, and
     bit for bit on the saturated frame's whole-frame window; the approach
-    frame opens no window, reads zero height and makes no ``_mlp`` call."""
+    frame opens no window, reads zero height and makes no MLP call, and
+    every other case runs the MLP once, over its window
+    (``_window_normals``)."""
     background, frames = grasp
     ppm = background.px_per_mm
     h, w = SHAPE
-    calls, mlp = [], geometry._mlp
-    monkeypatch.setattr(geometry, "_mlp",
-                        lambda *a, **k: calls.append(a) or mlp(*a, **k))
+    calls, window_normals = [], geometry._window_normals
+    monkeypatch.setattr(geometry, "_window_normals",
+                        lambda *a: calls.append(a) or window_normals(*a))
     supports = []
     for m, frame in _cases(model, frames):
         diff = diff_image(frame, background)
@@ -238,6 +240,8 @@ def test_normals_match_the_full_frame_oracle(model, grasp, monkeypatch):
             assert np.array_equal(heights, want_heights)
         if not inside.any():
             assert made == 0 and not heights.any()
+        else:
+            assert made == 1 and calls[0][2] == normals.support
     assert supports[0] == (0, 0, 0, 0) and supports[3] == (0, h, 0, w)
 
 

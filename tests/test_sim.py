@@ -521,7 +521,6 @@ class TestDatasets:
             resolution=48, current_noise=0.0)
         assert len(frames) == 8 and currents.shape == (8,)
         assert np.all(np.diff(currents) > 0)
-        assert all(isinstance(f, DiffFrame) for f in frames)
 
     @pytest.mark.parametrize("fruit_type, noise_sigma, current_noise", [
         ("smooth", 0.0, 0.0), ("cherry_tomato", 0.01, sim.CURRENT_NOISE),
@@ -540,8 +539,7 @@ class TestDatasets:
         assert currents.tobytes() == want_currents.tobytes()
         assert len(frames) == len(want_frames)
         for frame, want in zip(frames, want_frames):
-            assert frame.values.tobytes() == want.tobytes()
-            assert frame.px_per_mm == 40 / GEL.gel_size_mm
+            assert frame.tobytes() == want.tobytes()
 
     def test_compression_clip_reaching_the_frame_edges_matches_oracle(self):
         """A fruit whose deepest cap, blurred, covers the whole gel: every
@@ -555,38 +553,23 @@ class TestDatasets:
         want_frames, want_currents = compression_clip_reference(
             fruit, rng=np.random.default_rng(2), **kwargs)
         assert currents.tobytes() == want_currents.tobytes()
-        assert frames.values.tobytes() == np.array(want_frames).tobytes()
-        edges = frames.values[-1]
+        assert frames.tobytes() == np.array(want_frames).tobytes()
+        edges = frames[-1]
         for edge in (edges[0], edges[-1], edges[:, 0], edges[:, -1]):
             assert np.all(edge.any(axis=-1))
 
     def test_compression_clip_is_one_stack_of_frame_views(self):
+        """The clip's differences come back as one plain float64
+        (T, H, W, 3) array in [-1, 1], whose frames are views of it."""
         fruit = _FakeFruit(1.2, 20.0, "cherry_tomato")
         frames, _ = sim.synth_compression_clip(
             fruit, n_frames=5, rng=np.random.default_rng(0), resolution=32,
             noise_sigma=0.01)
-        assert isinstance(frames, sim.SqueezeFrames)
-        assert frames.values.shape == (5, 32, 32, 3)
-        assert not frames.values.flags.writeable
-        assert len(frames) == 5 and len(list(frames)) == 5
+        assert type(frames) is np.ndarray and frames.dtype == np.float64
+        assert frames.shape == (5, 32, 32, 3) and frames.flags.c_contiguous
+        assert -1.0 <= frames.min() and frames.max() <= 1.0
         for t in (0, 4, -1):
-            frame = frames[t]
-            assert isinstance(frame, DiffFrame)
-            assert frame.px_per_mm == frames.px_per_mm == 32 / GEL.gel_size_mm
-            assert np.shares_memory(frame.values, frames.values)
-            assert frame.values.tobytes() == frames.values[t].tobytes()
-        with pytest.raises(IndexError):
-            frames[5]
-
-    @pytest.mark.parametrize("values, match", [
-        (np.zeros((8, 8, 3)), "T, H, W, 3"), (np.zeros((2, 8, 8, 2)), "T, H, W, 3"),
-        (np.full((2, 8, 8, 3), 1.5), r"\[-1, 1\]"),
-        (np.full((2, 8, 8, 3), np.nan), "finite")])
-    def test_squeeze_frames_validation(self, values, match):
-        with pytest.raises(ValueError, match=match):
-            sim.SqueezeFrames(values, 2.0)
-        with pytest.raises(ValueError, match="px_per_mm"):
-            sim.SqueezeFrames(np.zeros((2, 8, 8, 3)), 0.0)
+            assert np.shares_memory(frames[t], frames) and frames[t].any()
 
     @pytest.mark.parametrize("name", ["noise_sigma", "current_noise"])
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
@@ -626,11 +609,12 @@ class TestDatasets:
         presses = sim.make_calibration_presses(4, rng=np.random.default_rng(2),
                                                resolution=64)
         assert len(presses) == 4
-        for frame, center, contact_px, radius_mm, ppm in presses:
+        for frame, center, contact_px, radius_mm in presses:
             assert isinstance(frame, DiffFrame)
-            assert frame.values.shape == (64, 64, 3)
+            assert frame.shape == (64, 64, 3)
+            assert frame.px_per_mm == 64 / GEL.gel_size_mm
             assert radius_mm == 5.0
-            assert 0 < contact_px < radius_mm * ppm
+            assert 0 < contact_px < radius_mm * frame.px_per_mm
             assert 0 <= center[0] <= 63 and 0 <= center[1] <= 63
 
     def test_calibration_press_validation(self):
@@ -675,8 +659,8 @@ class TestBoxRendering:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert frames.values.nbytes == 24 * 64 * 64 * 3 * 8
-        assert peak <= 2.5 * frames.values.nbytes
+        assert frames.nbytes == 24 * 64 * 64 * 3 * 8
+        assert peak <= 2.5 * frames.nbytes
 
     def test_default_clip_takes_normals_of_at_most_half_its_pixels(
             self, monkeypatch):

@@ -89,7 +89,7 @@ class TestBasics:
             n_frames=6, rng=r, resolution=size, noise_sigma=0.01)
         stack = np.concatenate([
             r.uniform(-1.0, 1.0, (5, size, size, 3)),
-            np.array([f.values for f in frames]),
+            frames,
             np.zeros((1, size, size, 3)), np.full((1, size, size, 3), -0.0),
             np.where(r.random((1, size, size, 3)) < 0.5, -0.0, 0.0)])
         got = softness._patch16(stack)
@@ -443,7 +443,7 @@ class TestLibraryAndEval:
         def recorded(*args, **kwargs):
             frames, currents = render(*args, **kwargs)
             for frame in frames:
-                digest.update(frame.values.tobytes())
+                digest.update(frame.tobytes())
             return frames, currents
 
         monkeypatch.setattr(sim, "synth_compression_clip", recorded)
@@ -467,13 +467,13 @@ class TestLibraryAndEval:
 
     def test_library_pools_each_clip_stack_without_a_copy(self, monkeypatch):
         """Each clip's patches are pooled straight from the difference stack
-        its ``SqueezeFrames`` holds, not from the frames stacked again."""
+        the simulator returns, not from a copy of it."""
         stacks, pooled = [], []
         render, pool = sim.synth_compression_clip, softness._patch16
 
         def rendered(*args, **kwargs):
             frames, currents = render(*args, **kwargs)
-            stacks.append(frames.values)
+            stacks.append(frames)
             return frames, currents
 
         monkeypatch.setattr(sim, "synth_compression_clip", rendered)

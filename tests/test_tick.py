@@ -299,12 +299,13 @@ def test_tick_heights_match_the_full_frame_oracle(stack, monkeypatch):
     """Every tick's heights against those solved, in the same window, from
     the normals computed on the whole frame: within the oracle's tolerance
     on the grasp, bit for bit on a saturated frame, and exactly zero with no
-    MLP call on the approach frame, which opens no window."""
+    MLP call on the approach frame, which opens no window; every other
+    frame runs the MLP once, over its window (``_window_normals``)."""
     background, rest, ppm = _sensor()
     perception = Perception(*stack, background, rest)
-    calls, mlp = [], geometry._mlp
-    monkeypatch.setattr(geometry, "_mlp",
-                        lambda *a, **k: calls.append(a) or mlp(*a, **k))
+    calls, window_normals = [], geometry._window_normals
+    monkeypatch.setattr(geometry, "_window_normals",
+                        lambda *a: calls.append(a) or window_normals(*a))
     saturated = core.TactileFrame(np.ones(SHAPE + (3,)), ppm)
     frames = _grasp(rest, ppm) + [(saturated, rest, 2.6)]
     empty = 0
@@ -326,4 +327,6 @@ def test_tick_heights_match_the_full_frame_oracle(stack, monkeypatch):
             assert made == 0
             assert np.array_equal(p.height.values, np.zeros(SHAPE))
             empty += 1
+        else:
+            assert made == 1 and calls[0][2] == support
     assert empty == 1 and support == (0, SHAPE[0], 0, SHAPE[1])
