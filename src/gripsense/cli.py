@@ -137,7 +137,7 @@ def _cmd_slip(args, cfg: Config) -> int:
           f"threshold_px={threshold:g}")
     if args.labels:
         labels = _load_labels(args.labels)
-        scored = slip.evaluate_slip_detector(report.flags, labels)
+        scored = slip.evaluate_slip_detector([report.flags], [labels])
         print(f"precision={scored.precision:.3f} recall={scored.recall:.3f} "
               f"f1={scored.f1:.3f} lead_s={scored.mean_lead_s:.3f}")
     return 0

@@ -94,9 +94,8 @@ class Rgb2NormalModel(_Frozen):
     Input 5 (diff R, G, B, normalized x, y), two tanh hidden layers of 32,
     linear output 2 squashed radially so (nx, ny) always has norm < 1;
     nz = sqrt(1 - nx^2 - ny^2) then makes the normal unit by construction.
-    ``final_loss`` is the training loss after the last step (None for models
-    loaded from disk); ``loss_history`` holds the loss before each L-BFGS
-    iteration plus the final value.
+    ``loss_history`` holds the loss before each L-BFGS iteration plus the
+    final value, and is empty for models loaded from disk.
     """
 
     w1: np.ndarray
@@ -105,13 +104,17 @@ class Rgb2NormalModel(_Frozen):
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-    final_loss: float | None = None
     loss_history: tuple = ()
 
     def __post_init__(self):
         for name, shape in zip(("w1", "b1", "w2", "b2", "w3", "b3"),
                                _WEIGHT_SHAPES):
             self._keep(name, getattr(self, name), shape=shape, finite=True)
+
+    @property
+    def final_loss(self) -> float | None:
+        """Loss after the last step; None without a history (a loaded model)."""
+        return self.loss_history[-1] if self.loss_history else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,8 +306,7 @@ def fit_rgb2normal(data: CalibrationDataset, epochs: int = DEFAULT_EPOCHS,
     buf = _training_buffers(len(data))
     params, history = _lbfgs(lambda p: _loss_and_grads(p, x, t, buf), params,
                              epochs, learning_rate)
-    return Rgb2NormalModel(*params, final_loss=history[-1],
-                           loss_history=tuple(history))
+    return Rgb2NormalModel(*params, loss_history=tuple(history))
 
 
 def _mlp_kernel(model: Rgb2NormalModel, band: int) -> tuple:
@@ -563,5 +565,4 @@ def save_rgb2normal(model: Rgb2NormalModel, path) -> None:
 
 
 def load_rgb2normal(path) -> Rgb2NormalModel:
-    return Rgb2NormalModel(*_load_arrays(path, _WEIGHTS_HEADER, _WEIGHT_SHAPES),
-                           final_loss=None)
+    return Rgb2NormalModel(*_load_arrays(path, _WEIGHTS_HEADER, _WEIGHT_SHAPES))

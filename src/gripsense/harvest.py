@@ -134,9 +134,9 @@ class StrategyConfig:
     pulls once. ``slip`` additionally re-closes by ``retry_increment_mm``
     whenever slip is flagged while pulling. ``slip_force`` closes until the
     estimated normal force reaches a commanded value that starts at the
-    per-fruit initial force and rises by the per-fruit increment on slip.
-    The margin must be finite and non-negative, the increment finite and
-    positive, and ``max_retries`` an integer of at least 1.
+    fruit's ``INITIAL_FORCE_N`` and rises by its ``FORCE_INCREMENT_N`` on
+    slip. The margin must be finite and non-negative, the increment finite
+    and positive, and ``max_retries`` an integer of at least 1.
     """
 
     strategy: str
@@ -150,16 +150,6 @@ class StrategyConfig:
         _check_non_negative(self.close_margin_mm, "close_margin_mm")
         _check_positive(self.retry_increment_mm, "retry_increment_mm")
         _check_int(self.max_retries, "max_retries")
-
-    def initial_force(self, fruit_type: str) -> float:
-        if fruit_type not in INITIAL_FORCE_N:
-            raise ValueError(f"no initial force for fruit type {fruit_type!r}")
-        return INITIAL_FORCE_N[fruit_type]
-
-    def force_increment(self, fruit_type: str) -> float:
-        if fruit_type not in FORCE_INCREMENT_N:
-            raise ValueError(f"no force increment for fruit type {fruit_type!r}")
-        return FORCE_INCREMENT_N[fruit_type]
 
 
 @dataclass(frozen=True)
@@ -299,7 +289,7 @@ def step_controller(state: GraspState, percepts, cfg: StrategyConfig) -> GraspSt
         # retry: bump the attempt, raise the commanded force for slip_force,
         # and re-enter the closing phase.
         if cfg.strategy == "slip_force":
-            commanded += cfg.force_increment(state.fruit_type)
+            commanded += FORCE_INCREMENT_N[state.fruit_type]
         name, attempt, phase = "close", attempt + 1, 0
     return GraspState(name, opening, commanded, attempt,
                       max(state.peak_force_n, float(f_n)),
@@ -384,7 +374,7 @@ def run_trial(fruit: FruitModel, cfg: StrategyConfig, seed: int = 0,
     measured = fruit.diameter_mm + (
         rng.normal(0.0, diameter_noise_mm) if diameter_noise_mm > 0 else 0.0)
     state = GraspState(state="detect", opening_mm=START_OPENING_MM,
-                       commanded_force_n=cfg.initial_force(fruit.fruit_type),
+                       commanded_force_n=INITIAL_FORCE_N[fruit.fruit_type],
                        measured_diameter_mm=max(1.0, measured),
                        fruit_type=fruit.fruit_type)
     marker_rest = np.stack(np.meshgrid([-20.0, 0.0, 20.0], [-20.0, 0.0, 20.0]),

@@ -9,8 +9,9 @@ explicitly passed ``numpy.random.Generator``, so identical seeds give
 bit-identical outputs and scenes are safe to generate in parallel.
 
 Slip sequences draw their mask noise over the whole frame, which keeps the
-random stream of every frame the same, but evaluate the indenter only in
-the box around the pressed cap: outside it the penetration is exactly zero.
+random stream of every frame the same, but build each mask only in the box
+around the pressed cap: outside it the penetration is exactly zero and the
+noise alone never reaches the contact threshold.
 
 Rendering works on the box the contact reaches. ``_shade`` takes normals,
 light products and channel sums only in the box of the non-zero heights,
@@ -38,9 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (HeightMap, MarkerSet, TactileFrame, _check_int,
-                   _check_non_negative, _check_positive, _clip_owned, _Frozen,
-                   diff_image)
+from .core import (HeightMap, MarkerSet, TactileFrame, _check_non_negative,
+                   _check_positive, _clip_owned, _Frozen, diff_image)
 from .slip import (DEFAULT_CONTACT_THRESHOLD_MM, DEFAULT_THRESHOLD_PX,
                    ContactMask)
 
@@ -56,13 +56,25 @@ CURRENT_OFFSET = 0.2
 CURRENT_NOISE = 0.06
 # Range of the forces (N) that ``make_force_samples`` draws uniformly.
 _FORCE_RANGE_N = (0.5, 8.0)
+# Commanded jaw travel (mm) of a ``synth_compression_clip`` squeeze.
+SQUEEZE_MM = 3.0
+# Range of the press depths (mm) that ``make_calibration_presses`` draws.
+_PRESS_DEPTH_RANGE_MM = (0.4, 1.2)
 
 # ``make_shear_dataset``: marker tracking jitter (px) and shear force per mm
 # of drag (N/mm).
 SHEAR_JITTER_PX = 0.3
 SHEAR_FORCE_PER_MM = 0.8
-# Radius (mm) of the sphere that ``synth_slip_sequence`` presses and drags.
+# ``synth_slip_sequence``: radius (mm) of the sphere it presses and drags,
+# and the sigma (mm) of the noise on each frame's cap height.
 SLIP_SPHERE_RADIUS_MM = 16.0
+SLIP_MASK_NOISE_MM = 0.02
+
+# The elastomer pad: Gaussian membrane smoothing scale (mm), the marker grid
+# (rows, columns) and the untouched gel's RGB colour.
+MEMBRANE_SIGMA_MM = 1.0
+MARKER_ROWS, MARKER_COLS = 9, 9
+BACKGROUND_COLOR = (0.30, 0.30, 0.30)
 
 # ``default_rig``: LED elevation, per-channel intensity and azimuths (deg).
 _RIG_ELEVATION_DEG = 60.0
@@ -81,19 +93,12 @@ TEXTURE_PARAMS = {
 
 @dataclass(frozen=True)
 class GelModel:
-    """Elastomer pad geometry and appearance."""
+    """Elastomer pad size; the pad's other properties are module constants."""
 
     gel_size_mm: float = 30.0
-    membrane_sigma_mm: float = 1.0
-    marker_rows: int = 9
-    marker_cols: int = 9
-    background_color: tuple = (0.30, 0.30, 0.30)
 
     def __post_init__(self):
         _check_positive(self.gel_size_mm, "gel_size_mm")
-        _check_positive(self.membrane_sigma_mm, "membrane_sigma_mm")
-        _check_int(self.marker_rows, "marker_rows")
-        _check_int(self.marker_cols, "marker_cols")
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,8 +365,7 @@ def _normals(values: np.ndarray, px_per_mm: float) -> np.ndarray:
     return n
 
 
-def _shade(values: np.ndarray, px_per_mm: float, rig: LightRig,
-           gel: GelModel) -> np.ndarray:
+def _shade(values: np.ndarray, px_per_mm: float, rig: LightRig) -> np.ndarray:
     """Noise-free, unclipped (..., H, W, 3) image of heights (..., H, W):
     per channel, background + sum over lights of intensity * max(0, n . l).
 
@@ -374,7 +378,7 @@ def _shade(values: np.ndarray, px_per_mm: float, rig: LightRig,
     rasters, and each channel with a non-zero intensity is accumulated in
     place, light after light; the skipped +0.0 products would change no sum.
     """
-    flat = np.array(gel.background_color, dtype=np.float64)
+    flat = np.array(BACKGROUND_COLOR, dtype=np.float64)
     for ldir, lint in zip(rig.directions, rig.intensities):
         flat += ldir[2] * lint
     img = np.empty(values.shape + (3,))
@@ -385,7 +389,7 @@ def _shade(values: np.ndarray, px_per_mm: float, rig: LightRig,
     r0, r1, c0, c1 = box
     n = _normals(values[..., r0:r1, c0:c1], px_per_mm)
     inside = img[..., r0:r1, c0:c1, :]
-    inside[:] = gel.background_color
+    inside[:] = BACKGROUND_COLOR
     shade, term = np.empty(n.shape[:-1]), np.empty(n.shape[:-1])
     for ldir, lint in zip(rig.directions, rig.intensities):
         np.matmul(n.reshape(-1, 3), ldir, out=shade.reshape(-1))
@@ -403,10 +407,11 @@ def render_tactile(h: HeightMap, rig: LightRig = default_rig(),
     Per channel: background + sum over lights of intensity * max(0, n . l),
     shaded only around the contact and the flat gel's colour elsewhere
     (``_shade``). Deterministic for identical inputs; noise requires an
-    explicit ``rng``, and a ``noise_sigma`` of 0 draws nothing.
+    explicit ``rng``, and a ``noise_sigma`` of 0 draws nothing. ``gel`` is
+    not read: the colour is ``BACKGROUND_COLOR``.
     """
     _check_non_negative(noise_sigma, "noise_sigma")
-    img = _shade(h.values, h.px_per_mm, rig, gel)
+    img = _shade(h.values, h.px_per_mm, rig)
     if noise_sigma > 0.0:
         if rng is None:
             raise ValueError("pixel noise requires an explicit rng")
@@ -415,10 +420,11 @@ def render_tactile(h: HeightMap, rig: LightRig = default_rig(),
 
 
 def marker_grid(gel: GelModel, px_per_mm: float, frame: tuple[int, int]) -> MarkerSet:
-    """Rest marker positions: a uniform grid with one-pitch margins."""
+    """Rest marker positions: a uniform ``MARKER_ROWS`` x ``MARKER_COLS``
+    grid with one-pitch margins; ``gel`` and ``px_per_mm`` are unread."""
     h, w = frame
-    xs = (np.arange(gel.marker_cols) + 1.0) * w / (gel.marker_cols + 1.0)
-    ys = (np.arange(gel.marker_rows) + 1.0) * h / (gel.marker_rows + 1.0)
+    xs = (np.arange(MARKER_COLS) + 1.0) * w / (MARKER_COLS + 1.0)
+    ys = (np.arange(MARKER_ROWS) + 1.0) * h / (MARKER_ROWS + 1.0)
     gx, gy = np.meshgrid(xs, ys)
     xy = np.column_stack([gx.ravel(), gy.ravel()])
     ids = np.arange(xy.shape[0], dtype=np.int64)
@@ -453,7 +459,7 @@ def deform_markers(rest: MarkerSet, contact: ContactMask, shear_mm: np.ndarray,
     ppm = contact.px_per_mm
     c = contact.centroid()
     a_px = contact.equivalent_radius_px()
-    sigma_px = max(gel.membrane_sigma_mm, 1e-9) * ppm
+    sigma_px = MEMBRANE_SIGMA_MM * ppm
     rel = rest.xy - c
     if mode == "translation":
         u = shear_mm / mag
@@ -533,7 +539,6 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
                         px_per_mm: float = 16.0,
                         threshold_px: float = DEFAULT_THRESHOLD_PX,
                         depth_mm: float = 1.0,
-                        mask_noise_mm: float = 0.02,
                         marker_jitter_px: float = 0.3) -> SlipSequence:
     """Static -> incipient -> stick-slip grasp sequence with exact labels.
 
@@ -543,7 +548,7 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     (stick-slip), matching how a held object actually loses grip, and keep
     the contact patch inside the gel. Zero load never enters phase 3.
 
-    Each frame's mask is cap height plus N(0, ``mask_noise_mm``) noise,
+    Each frame's mask is cap height plus N(0, ``SLIP_MASK_NOISE_MM``) noise,
     above 0.3 mm. A frame draws its noise, the whole frame's and then its
     markers' N(0, ``marker_jitter_px``) jitter, as one block of standard
     normals into one reused buffer, and scales it: the same stream and, as
@@ -552,18 +557,15 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     coordinate. The cap is evaluated only in the box around its support,
     where it is not zero; ``depth_mm`` must lie in (0.3, sphere radius] so
     that the cap reaches the threshold and that support is a true spherical
-    cap. Off the box the mask is the noise alone above 0.3 mm, which no
-    pixel reaches when ``mask_noise_mm`` times the frame's largest draw does
-    not (rounding sigma * z is monotone in z); then the mask is built from
-    the box alone, else from the whole frame. Each ``ContactMask`` keeps
-    only the bounding box of its pixels above the threshold, the cap's
-    unless the noise alone crosses it. Negative or non-finite noise levels
-    raise, and so does a ``threshold_px`` that is not finite and positive.
+    cap. Off the box the mask would be the noise alone above 0.3 mm, which
+    takes a standard normal draw above 15 at 0.02 mm (odds below 1e-50 a
+    pixel), so each mask is built from the box alone. A negative or
+    non-finite ``marker_jitter_px`` raises, and so does a ``threshold_px``
+    that is not finite and positive.
     """
     if n_frames < 10:
         raise ValueError("need at least 10 frames")
     _check_positive(threshold_px, "threshold_px")
-    _check_non_negative(mask_noise_mm, "mask_noise_mm")
     _check_non_negative(marker_jitter_px, "marker_jitter_px")
     sphere_r = SLIP_SPHERE_RADIUS_MM
     if not depth_mm > DEFAULT_CONTACT_THRESHOLD_MM:
@@ -634,22 +636,15 @@ def synth_slip_sequence(scene: GraspScene, n_frames: int = 200,
     for t in range(n_frames):
         rng.standard_normal(out=z)
         # the penetration is +0.0 off the cap, where pen + noise is the noise
-        # itself; so only the box around the cap adds the penetration
+        # alone, which never crosses the threshold; so only the box is read
         r0, r1, c0, c1 = _cap_box(centers_mm[t], sphere_r, depth_mm,
                                   px_per_mm, size_px)
         pen = sphere.penetration(xs[None, c0:c1] - centers_mm[t, 0],
                                  xs[r0:r1, None] - centers_mm[t, 1], depth_mm)
-        box = (pen + mask_noise_mm * z_mask[r0:r1, c0:c1]
+        box = (pen + SLIP_MASK_NOISE_MM * z_mask[r0:r1, c0:c1]
                > DEFAULT_CONTACT_THRESHOLD_MM)
-        if mask_noise_mm * z_mask.max() > DEFAULT_CONTACT_THRESHOLD_MM:
-            values = mask_noise_mm * z_mask > DEFAULT_CONTACT_THRESHOLD_MM
-            values[r0:r1, c0:c1] = box
-            masks.append(ContactMask(values, DEFAULT_CONTACT_THRESHOLD_MM,
-                                     px_per_mm))
-        else:
-            masks.append(ContactMask(box, DEFAULT_CONTACT_THRESHOLD_MM,
-                                     px_per_mm, (r0, r1, c0, c1),
-                                     (size_px, size_px)))
+        masks.append(ContactMask(box, DEFAULT_CONTACT_THRESHOLD_MM, px_per_mm,
+                                 (r0, r1, c0, c1), (size_px, size_px)))
         if t > 0:
             marker_pos = marker_pos + v_mark[t] * direction
         jitter = marker_jitter_px * z_jitter
@@ -678,18 +673,21 @@ def make_slip_benchmark(seed: int = 0, poses: Sequence[str] = ("top", "side"),
 def make_calibration_presses(n: int = 8, sphere_radius_mm: float = 5.0,
                              rng: np.random.Generator | None = None,
                              resolution: int = 128,
-                             depth_range: tuple[float, float] = (0.4, 1.2),
                              noise_sigma: float = 0.0):
     """Sphere presses with analytic contact geometry for normal calibration.
 
     Returns (diff frame, center px, contact radius px, sphere radius mm)
-    tuples; the pitch is the diff frame's. Renders skip membrane smoothing
-    so the analytic cap normals label in-contact pixels exactly.
+    tuples; the pitch is the diff frame's. Depths are uniform in
+    ``_PRESS_DEPTH_RANGE_MM``, so the sphere radius must exceed its 1.2 mm
+    top. Renders skip membrane smoothing so the analytic cap normals label
+    in-contact pixels exactly.
     """
     if n < 1:
         raise ValueError("need at least one press")
-    if not 0.0 < depth_range[0] <= depth_range[1] < sphere_radius_mm:
-        raise ValueError("depth range must lie strictly inside (0, radius)")
+    lo, hi = _PRESS_DEPTH_RANGE_MM
+    if not sphere_radius_mm > hi:
+        raise ValueError(f"sphere radius must exceed the {hi} mm deepest "
+                         f"press, got {sphere_radius_mm}")
     _check_non_negative(noise_sigma, "noise_sigma")
     rng = np.random.default_rng(0) if rng is None else rng
     gel, rig = GelModel(), default_rig()
@@ -700,7 +698,7 @@ def make_calibration_presses(n: int = 8, sphere_radius_mm: float = 5.0,
     margin = sphere_radius_mm
     presses = []
     for _ in range(n):
-        depth = rng.uniform(depth_range[0], depth_range[1])
+        depth = rng.uniform(lo, hi)
         cx, cy = rng.uniform(margin, gel.gel_size_mm - margin, 2)
         raw = indent_heightmap(sphere, (cx, cy), depth, grid, gel)
         img = render_tactile(raw, rig, gel, noise_sigma,
@@ -760,19 +758,18 @@ def make_shear_dataset(n: int = 300, rng: np.random.Generator | None = None,
     return pairs, labels
 
 
-def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel(),
-                           rig: LightRig = default_rig(),
+def synth_compression_clip(fruit, n_frames: int = 24,
                            rng: np.random.Generator | None = None,
-                           squeeze_mm: float = 3.0, resolution: int = 64,
-                           noise_sigma: float = 0.0,
-                           current_noise: float = CURRENT_NOISE):
+                           resolution: int = 64, noise_sigma: float = 0.0):
     """Squeeze a fruit; return its (n_frames, H, W, 3) difference stack,
     each frame minus the untouched gel's, and its motor-current trace.
 
-    The jaws command ``squeeze_mm`` of travel split between gel and fruit in
+    The jaws command ``SQUEEZE_MM`` of travel split between gel and fruit in
     series, so a stiffer fruit indents the gel faster (contact area grows
-    faster) and raises the current faster. ``fruit`` needs ``stiffness_n_mm``,
-    ``diameter_mm`` and ``fruit_type`` attributes.
+    faster) and raises the current faster. The default gel and rig render
+    it, and the current carries N(0, ``CURRENT_NOISE``) noise. ``fruit``
+    needs ``stiffness_n_mm``, ``diameter_mm`` and ``fruit_type``
+    attributes.
 
     The clip renders as one (n_frames, H, W) stack: every gel depth is
     checked as ``indent_heightmap`` checks it, the fruit's dome and bumps are
@@ -780,14 +777,14 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
     each only in the box the fruit reaches (``_gaussian_blur``, ``_shade``).
     The random draws stay in a per-frame loop in the order of rendering the
     frames one by one (frame t's current noise, then its pixel noise), so
-    the frames and currents are bit-identical to that. Noise levels of 0
-    draw nothing; negative or non-finite ones raise.
+    the frames and currents are bit-identical to that. A ``noise_sigma`` of
+    0 draws no pixel noise; a negative or non-finite one raises.
     """
     if n_frames < 4:
         raise ValueError("need at least 4 frames")
     _check_non_negative(noise_sigma, "noise_sigma")
-    _check_non_negative(current_noise, "current_noise")
     rng = np.random.default_rng(0) if rng is None else rng
+    gel, rig = GelModel(), default_rig()
     kf = fruit.stiffness_n_mm
     kg = SERIES_STIFFNESS
     density, amplitude = TEXTURE_PARAMS.get(fruit.fruit_type, (0.0, 0.0))
@@ -797,7 +794,7 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
     grid = (resolution, resolution)
     (xm, ym), ppm = _grid_mm(grid, gel)
     background = render_tactile(HeightMap(np.zeros(grid), ppm), rig, gel)
-    s = squeeze_mm * np.arange(1, n_frames + 1) / n_frames
+    s = SQUEEZE_MM * np.arange(1, n_frames + 1) / n_frames
     x_gel = s * kf / (kg + kf)
     for depth in x_gel:
         _check_depth(shape, depth)
@@ -811,11 +808,10 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
                                                  ym[r0:r1, c0:c1] - mid,
                                                  x_gel[:, None, None])
     # the penetration stack is freed once blurred
-    pressed = _gaussian_blur(pressed, gel.membrane_sigma_mm * ppm)
-    img = _shade(pressed, ppm, rig, gel)
+    pressed = _gaussian_blur(pressed, MEMBRANE_SIGMA_MM * ppm)
+    img = _shade(pressed, ppm, rig)
     for t in range(n_frames):
-        if current_noise > 0:
-            currents[t] += rng.normal(0.0, current_noise)
+        currents[t] += rng.normal(0.0, CURRENT_NOISE)
         if noise_sigma > 0:
             img[t] += rng.normal(0.0, noise_sigma, img.shape[1:])
     # every frame's TactileFrame check, once over the stack
@@ -824,11 +820,11 @@ def synth_compression_clip(fruit, n_frames: int = 24, gel: GelModel = GelModel()
     return img, currents
 
 
-def make_force_samples(n: int = 10000, rng: np.random.Generator | None = None,
-                       noise: float = CURRENT_NOISE):
-    """(current, force) samples from the linear motor model with current
-    noise, forces uniform in [0.5, 8] N."""
+def make_force_samples(n: int = 10000, rng: np.random.Generator | None = None):
+    """(current, force) samples from the linear motor model with
+    N(0, ``CURRENT_NOISE``) current noise, forces uniform in [0.5, 8] N."""
     rng = np.random.default_rng(0) if rng is None else rng
     forces = rng.uniform(_FORCE_RANGE_N[0], _FORCE_RANGE_N[1], n)
-    currents = CURRENT_GAIN * forces + CURRENT_OFFSET + rng.normal(0.0, noise, n)
+    currents = (CURRENT_GAIN * forces + CURRENT_OFFSET
+                + rng.normal(0.0, CURRENT_NOISE, n))
     return currents, forces

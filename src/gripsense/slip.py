@@ -25,6 +25,8 @@ from .core import (HeightMap, MarkerSet, _check_positive, _freeze, _Frozen,
 
 DEFAULT_THRESHOLD_PX = 10.0
 DEFAULT_CONTACT_THRESHOLD_MM = 0.3
+#: Frames per second of a slip series: the perception tick rate.
+TICK_HZ = 15.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +115,11 @@ class ContactMask(_Windowed):
         return inside
 
 
-def segment_contact(h: HeightMap, threshold_mm: float = DEFAULT_CONTACT_THRESHOLD_MM) -> ContactMask:
-    """Threshold the heightmap into a contact mask (strictly greater than)."""
-    return ContactMask(h.values > threshold_mm, threshold_mm, h.px_per_mm)
+def segment_contact(h: HeightMap) -> ContactMask:
+    """Threshold the heightmap into a contact mask: heights strictly above
+    ``DEFAULT_CONTACT_THRESHOLD_MM``."""
+    return ContactMask(h.values > DEFAULT_CONTACT_THRESHOLD_MM,
+                       DEFAULT_CONTACT_THRESHOLD_MM, h.px_per_mm)
 
 
 def _object_step(prev, cur) -> np.ndarray:
@@ -258,10 +262,10 @@ def analyze_sequence(masks: Sequence[ContactMask], tracks: Sequence[MarkerSet],
 
 
 def _as_trials(x) -> list[np.ndarray]:
-    x = list(x) if not isinstance(x, np.ndarray) else [x]
-    if len(x) and np.asarray(x[0]).ndim == 0:      # a single flat series
-        return [np.asarray(x, dtype=bool)]
-    return [np.asarray(t, dtype=bool) for t in x]
+    trials = [np.asarray(t, dtype=bool) for t in x]
+    if any(t.ndim != 1 for t in trials):
+        raise ValueError("each trial must be a 1-D series of frame flags")
+    return trials
 
 
 @dataclass(frozen=True)
@@ -274,15 +278,16 @@ class SlipScore:
     mean_lead_s: float
 
 
-def evaluate_slip_detector(predictions, ground_truth, fps: float = 15.0) -> SlipScore:
+def evaluate_slip_detector(predictions, ground_truth) -> SlipScore:
     """Frame-level precision/recall/F1 pooled over trials, plus mean lead time.
 
-    Lead time for a trial is (ground-truth onset time - first predicted slip
-    time); positive means the detector fired early. It is averaged over trials
-    that contain at least one correctly detected slip frame. ``fps`` must be
-    finite and positive.
+    ``predictions`` and ``ground_truth`` are sequences of trials, each a 1-D
+    series of per-frame flags; a 2-D array's rows are its trials. Lead time
+    for a trial is (ground-truth onset time - first predicted slip time) at
+    ``TICK_HZ`` frames per second; positive means the detector fired early.
+    It is averaged over trials that contain at least one correctly detected
+    slip frame.
     """
-    _check_positive(fps, "fps")
     preds = _as_trials(predictions)
     truths = _as_trials(ground_truth)
     if len(preds) != len(truths):
@@ -298,7 +303,7 @@ def evaluate_slip_detector(predictions, ground_truth, fps: float = 15.0) -> Slip
         if np.any(p & g):
             t_gt = int(np.argmax(g))
             t_pred = int(np.argmax(p))
-            leads.append((t_gt - t_pred) / fps)
+            leads.append((t_gt - t_pred) / TICK_HZ)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

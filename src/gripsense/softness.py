@@ -145,7 +145,6 @@ class RankerModel(_Frozen):
     embedder: ClipEmbedder
     comparator: np.ndarray
     bias: float = 0.0
-    final_loss: float | None = None
     loss_history: tuple = ()
 
     def __post_init__(self):
@@ -157,6 +156,11 @@ class RankerModel(_Frozen):
         if not np.isfinite(self.bias):
             raise ValueError("bias must be finite")
         object.__setattr__(self, "bias", float(self.bias))
+
+    @property
+    def final_loss(self) -> float | None:
+        """Loss after the last step; None without a history (a loaded model)."""
+        return self.loss_history[-1] if self.loss_history else None
 
     @property
     def skew_matrix(self) -> np.ndarray:
@@ -360,7 +364,7 @@ def train_ranker(pairs, epochs: int = DEFAULT_EPOCHS,
         _init_params(seed), epochs, learning_rate)
     return RankerModel(embedder=ClipEmbedder(*params[:7]),
                        comparator=params[7], bias=float(params[8]),
-                       final_loss=history[-1], loss_history=tuple(history))
+                       loss_history=tuple(history))
 
 
 @dataclass(frozen=True)
@@ -410,8 +414,8 @@ def build_clip_library(trials_per_cell: int = 10, seed: int = 0,
                        shore00_levels=SHORE00_LEVELS, n_frames: int = 24,
                        resolution: int = 64) -> list:
     """Simulate squeeze clips for every texture and hardness level: fruit of
-    ``_CLIP_DIAMETER_MM`` squeezed by ``sim.synth_compression_clip`` at its
-    default gel, rig and travel, rendered with ``_CLIP_NOISE_SIGMA`` noise.
+    ``_CLIP_DIAMETER_MM`` squeezed by ``sim.synth_compression_clip``, which
+    fixes the gel, rig and travel, rendered with ``_CLIP_NOISE_SIGMA`` noise.
 
     Per-frame forces come from a motor-current calibration fitted on the
     spot, mirroring how a real pipeline would label clips; small negative

@@ -535,7 +535,7 @@ def run_trial_reference(fruit, cfg, seed=0):
         0.0, harvest.DEFAULT_DIAMETER_NOISE_MM)
     state = harvest.GraspState(
         state="detect", opening_mm=harvest.START_OPENING_MM,
-        commanded_force_n=cfg.initial_force(fruit.fruit_type),
+        commanded_force_n=harvest.INITIAL_FORCE_N[fruit.fruit_type],
         measured_diameter_mm=max(1.0, measured), fruit_type=fruit.fruit_type)
     rest = np.stack(np.meshgrid([-20.0, 0.0, 20.0], [-20.0, 0.0, 20.0]),
                     axis=-1).reshape(-1, 2) + 160.0
@@ -583,10 +583,11 @@ def run_trial_reference(fruit, cfg, seed=0):
 
 
 def slip_masks_reference(seq, sphere_radius_mm, depth_mm, rng,
-                         mask_noise_mm=0.02, marker_jitter_px=0.3):
+                         marker_jitter_px=0.3):
     """Whole-frame contact masks of a ``synth_slip_sequence`` result.
 
-    Every pixel gets cap height plus its noise draw, thresholded at 0.3 mm.
+    Every pixel gets cap height plus its N(0, 0.02 mm) noise draw,
+    thresholded at 0.3 mm.
     ``rng`` must be in the state the sequence's generator was in before it
     was drawn; each frame draws its mask noise, then its marker jitter. The
     object track is in pixels; ``px_per_mm`` must be a power of two so that
@@ -600,14 +601,13 @@ def slip_masks_reference(seq, sphere_radius_mm, depth_mm, rng,
     out = []
     for cx, cy in seq.object_track / ppm:
         pen = cap_height(xm - cx, ym - cy, sphere_radius_mm, depth_mm)
-        noisy = pen + rng.normal(0.0, mask_noise_mm, pen.shape)
+        noisy = pen + rng.normal(0.0, 0.02, pen.shape)
         rng.normal(0.0, marker_jitter_px, (n_markers, 2))
         out.append(noisy > 0.3)
     return out
 
 
-def slip_tracks_reference(seq, gel, rng, mask_noise_mm=0.02,
-                          marker_jitter_px=0.3):
+def slip_tracks_reference(seq, gel, rng, marker_jitter_px=0.3):
     """Marker tracks (T, N, 2) of a ``synth_slip_sequence`` result: the rest
     grid moved by the jitter-free marker speed along the pose's direction,
     plus one ``normal`` draw a frame, clipped to the frame. ``rng`` as for
@@ -618,7 +618,7 @@ def slip_tracks_reference(seq, gel, rng, mask_noise_mm=0.02,
     direction = np.array([0.0, 1.0] if seq.pose == "top" else [1.0, 0.0])
     out = []
     for t, speed in enumerate(seq.marker_speed):
-        rng.normal(0.0, mask_noise_mm, (size, size))
+        rng.normal(0.0, 0.02, (size, size))
         if t > 0:
             pos = pos + speed * direction
         jitter = rng.normal(0.0, marker_jitter_px, pos.shape)
@@ -636,15 +636,16 @@ def gradient_normals_reference(values, px_per_mm):
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
-def shade_reference(values, px_per_mm, rig, gel):
+def shade_reference(values, px_per_mm, rig):
     """(..., H, W, 3) noise-free, unclipped image of heights (..., H, W),
     shaded over the whole frame: ``gradient_normals_reference`` normals,
-    each light's n . l clamped at 0, and per channel the background plus
-    every light's intensity times it, all three channels, light after
-    light."""
+    each light's n . l clamped at 0, and per channel the gel's background
+    colour plus every light's intensity times it, all three channels, light
+    after light."""
+    from gripsense import sim
     n = gradient_normals_reference(values, px_per_mm)
     img = np.empty(values.shape + (3,))
-    img[:] = gel.background_color
+    img[:] = sim.BACKGROUND_COLOR
     for ldir, lint in zip(rig.directions, rig.intensities):
         shade = np.maximum(n.reshape(-1, 3) @ ldir, 0.0).reshape(values.shape)
         for c in range(3):
@@ -652,41 +653,41 @@ def shade_reference(values, px_per_mm, rig, gel):
     return img
 
 
-def render_reference(values, px_per_mm, rig, gel, noise_sigma=0.0, rng=None):
+def render_reference(values, px_per_mm, rig, noise_sigma=0.0, rng=None):
     """``shade_reference`` plus N(0, noise_sigma) pixel noise when
     ``noise_sigma`` > 0, clipped to [0, 1]."""
-    img = shade_reference(values, px_per_mm, rig, gel)
+    img = shade_reference(values, px_per_mm, rig)
     if noise_sigma > 0:
         img += rng.normal(0.0, noise_sigma, img.shape)
     return np.clip(img, 0.0, 1.0)
 
 
-def press(raw, gel=None):
-    """Membrane smoothing of a single heightmap: Gaussian blur at the
-    membrane scale by ``scipy.ndimage.gaussian_filter`` with zero padding."""
+def press(raw, sigma_px=None):
+    """Membrane smoothing of a single heightmap: Gaussian blur by
+    ``scipy.ndimage.gaussian_filter`` with zero padding, at ``sigma_px`` or
+    else at the membrane scale, ``sim.MEMBRANE_SIGMA_MM`` in pixels."""
     from scipy.ndimage import gaussian_filter
 
     from gripsense import sim
     from gripsense.core import HeightMap
 
-    if gel is None:
-        gel = sim.GelModel()
-    sigma_px = gel.membrane_sigma_mm * raw.px_per_mm
+    if sigma_px is None:
+        sigma_px = sim.MEMBRANE_SIGMA_MM * raw.px_per_mm
     return HeightMap(gaussian_filter(raw.values, sigma_px, mode="constant"),
                      raw.px_per_mm)
 
 
-def compression_clip_reference(fruit, n_frames, gel, rig, rng, squeeze_mm,
-                               resolution, noise_sigma, current_noise):
+def compression_clip_reference(fruit, n_frames, rng, resolution, noise_sigma):
     """A ``synth_compression_clip`` result rendered one whole frame at a time.
 
     Each frame is its own full-frame heightmap, ``press`` blur,
-    ``render_reference`` and difference; frame t draws its current noise,
-    then its pixel noise. ``rng`` must be in the state the clip's generator
-    was in.
+    ``render_reference`` and difference under the default gel and rig;
+    frame t draws its current noise, then its pixel noise. ``rng`` must be
+    in the state the clip's generator was in.
     """
     from gripsense import sim
 
+    gel, rig = sim.GelModel(), sim.default_rig()
     kf, kg = fruit.stiffness_n_mm, sim.SERIES_STIFFNESS
     density, amplitude = sim.TEXTURE_PARAMS.get(fruit.fruit_type, (0.0, 0.0))
     shape = sim.FruitSurface(density, amplitude,
@@ -696,15 +697,15 @@ def compression_clip_reference(fruit, n_frames, gel, rig, rng, squeeze_mm,
     ppm = resolution / gel.gel_size_mm
     center = (gel.gel_size_mm / 2.0, gel.gel_size_mm / 2.0)
     background = render_reference(
-        press(sim.indent_heightmap(shape, center, 0.0, grid, gel), gel).values,
-        ppm, rig, gel)
+        press(sim.indent_heightmap(shape, center, 0.0, grid, gel)).values,
+        ppm, rig)
     frames, currents = [], np.empty(n_frames)
     for t in range(n_frames):
-        x_gel = squeeze_mm * (t + 1) / n_frames * kf / (kg + kf)
+        x_gel = sim.SQUEEZE_MM * (t + 1) / n_frames * kf / (kg + kf)
         currents[t] = sim.CURRENT_GAIN * (kg * x_gel) + sim.CURRENT_OFFSET \
-            + (rng.normal(0.0, current_noise) if current_noise > 0 else 0.0)
-        hm = press(sim.indent_heightmap(shape, center, x_gel, grid, gel), gel)
-        frames.append(render_reference(hm.values, ppm, rig, gel, noise_sigma,
+            + rng.normal(0.0, sim.CURRENT_NOISE)
+        hm = press(sim.indent_heightmap(shape, center, x_gel, grid, gel))
+        frames.append(render_reference(hm.values, ppm, rig, noise_sigma,
                                        rng) - background)
     return frames, currents
 

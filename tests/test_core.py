@@ -751,22 +751,49 @@ def test_arrays_read_only_when_built_and_unpickled(name):
         assert len(arrays) == len(list(_arrays(x)))     # caches pickle along
 
 
+def _array_types():
+    """(own, nested): the package's dataclasses with an ndarray field, and
+    those without one that have a field naming a type of either set,
+    found transitively."""
+    classes = {obj for info in pkgutil.iter_modules(gripsense.__path__)
+               for obj in vars(importlib.import_module(
+                   "gripsense." + info.name)).values()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+
+    def names(cls):
+        return {word for f in dataclasses.fields(cls)
+                for word in re.findall(r"\w+", str(f.type))}
+
+    own = {cls for cls in classes if "ndarray" in names(cls)}
+    nested, holders = set(), {cls.__name__ for cls in own}
+    while True:
+        more = {cls for cls in classes - own - nested if names(cls) & holders}
+        if not more:
+            return own, nested
+        nested |= more
+        holders |= {cls.__name__ for cls in more}
+
+
 def test_every_array_type_is_registered():
-    """A frozen type with an ndarray field holds the read-only invariant
-    only through ``_Frozen`` and is tested only through ``_ARRAY_TYPES``."""
-    found = set()
-    for info in pkgutil.iter_modules(gripsense.__path__):
-        module = importlib.import_module("gripsense." + info.name)
-        for obj in vars(module).values():
-            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
-                    and any("ndarray" in str(f.type)
-                            for f in dataclasses.fields(obj))):
-                found.add(obj)
-    # ``DiffFrame``'s fields are its two ``TactileFrame``s, not ndarrays, so
-    # the scan does not find it; ``_ARRAY_TYPES`` holds one all the same
-    assert len(found) >= 17
-    assert {cls.__name__ for cls in found} <= set(_ARRAY_TYPES)
-    assert all(issubclass(cls, _Frozen) for cls in found)
+    """A frozen type that holds an ndarray, in a field of its own or in a
+    field of another such type, is tested only through ``_ARRAY_TYPES``;
+    one with an ndarray field of its own holds the read-only invariant only
+    through ``_Frozen``."""
+    own, nested = _array_types()
+    assert len(own) >= 17
+    assert {"DiffFrame", "HHDResult", "Percept"} <= {
+        cls.__name__ for cls in nested}
+    assert {cls.__name__ for cls in own | nested} <= set(_ARRAY_TYPES)
+    assert all(issubclass(cls, _Frozen) for cls in own)
+
+
+def test_array_type_scan_finds_a_nested_holder():
+    """Positive control: ``HHDResult`` holds its arrays only in its three
+    ``DisplacementField``s, and a registry without it misses one found
+    type, that one."""
+    own, nested = _array_types()
+    without = set(_ARRAY_TYPES) - {"HHDResult"}
+    assert {cls.__name__ for cls in own | nested} - without == {"HHDResult"}
 
 
 def test_no_module_reads_another_modules_private_names():

@@ -107,20 +107,28 @@ class TestFruitResponse:
 
 class TestStrategyConfig:
     def test_schedules(self):
-        cfg = harvest.StrategyConfig(strategy="slip_force")
-        assert cfg.initial_force("cherry_tomato") == pytest.approx(1.2)
-        assert cfg.force_increment("cherry_tomato") == pytest.approx(0.3)
-        assert cfg.initial_force("strawberry") == pytest.approx(2.0)
-        assert cfg.force_increment("strawberry") == pytest.approx(1.0)
+        assert harvest.INITIAL_FORCE_N == {"cherry_tomato": 1.2,
+                                           "strawberry": 2.0}
+        assert harvest.FORCE_INCREMENT_N == {"cherry_tomato": 0.3,
+                                             "strawberry": 1.0}
+
+    def test_fruit_tables_name_the_same_fruit_types(self):
+        """The force schedule is read by fruit type without a check: every
+        table must hold exactly the ablation's fruit types."""
+        for table in (harvest.DEFAULT_POPULATIONS, harvest.INITIAL_FORCE_N,
+                      harvest.FORCE_INCREMENT_N):
+            assert set(table) == set(harvest.FRUIT_TYPES)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             harvest.StrategyConfig(strategy="telepathy")
         with pytest.raises(ValueError):
             harvest.StrategyConfig(strategy="slip", max_retries=0)
-        cfg = harvest.StrategyConfig(strategy="slip")
-        with pytest.raises(ValueError):
-            cfg.initial_force("durian")
+        # a fruit type without a force schedule never reaches the controller
+        with pytest.raises(ValueError, match="unknown fruit type"):
+            harvest.GraspState("detect", 40.0, 1.0, fruit_type="durian")
+        with pytest.raises(ValueError, match="unknown fruit type"):
+            dataclasses.replace(TOMATO, fruit_type="durian")
 
     @pytest.mark.parametrize("kw", [
         {"close_margin_mm": np.nan}, {"close_margin_mm": np.inf},

@@ -61,13 +61,11 @@ def _heights(case):
 
 
 # the default rig, and one with zero and non-zero intensities in every
-# light and every channel over a background with a zero channel
+# light and every channel
 _MIXED = np.array([[0.35, 0.0, 0.2], [0.0, 0.0, 0.5], [0.3, 0.25, 0.0]])
 _DIRS = np.array([[0.5, 0.0, math.sqrt(0.75)], [-0.3, 0.4, math.sqrt(0.75)],
                   [0.0, -0.6, 0.8]])
-RIGS = {"default": (sim.default_rig(), GEL),
-        "mixed": (sim.LightRig(_DIRS, _MIXED),
-                  sim.GelModel(background_color=(0.0, 0.25, 0.4)))}
+RIGS = {"default": sim.default_rig(), "mixed": sim.LightRig(_DIRS, _MIXED)}
 
 
 class TestShapes:
@@ -115,12 +113,7 @@ class TestShapes:
         (lambda: sim.FruitSurface(np.nan, 0.1), "bump_density"),
         (lambda: sim.FruitSurface(0.5, np.inf), "bump_amplitude_mm"),
         (lambda: sim.FruitSurface(0.5, 0.1, np.nan), "base_radius_mm"),
-        (lambda: sim.GelModel(gel_size_mm=np.inf), "gel_size_mm"),
-        (lambda: sim.GelModel(membrane_sigma_mm=np.inf), "membrane_sigma_mm"),
-        (lambda: sim.GelModel(membrane_sigma_mm=0.0), "membrane_sigma_mm"),
-        (lambda: sim.GelModel(marker_rows=2.5), "marker_rows"),
-        (lambda: sim.GelModel(marker_cols=0), "marker_cols"),
-        (lambda: sim.GelModel(marker_cols=True), "marker_cols")])
+        (lambda: sim.GelModel(gel_size_mm=np.inf), "gel_size_mm")])
     def test_scene_types_reject_non_finite_and_fractional(self, make, field):
         with pytest.raises(ValueError, match=field):
             make()
@@ -169,8 +162,7 @@ class TestHeightmaps:
         assert got.shape == values.shape
         for blurred, raster in zip(got.reshape((-1,) + shape[-2:]),
                                    values.reshape((-1,) + shape[-2:])):
-            want = press(HeightMap(raster, 1.0),
-                         sim.GelModel(membrane_sigma_mm=sigma_px)).values
+            want = press(HeightMap(raster, 1.0), sigma_px).values
             assert blurred.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", sorted(HEIGHT_CASES) + ["stacked"])
@@ -183,8 +175,7 @@ class TestHeightmaps:
                   if case == "stacked" else _heights(case))
         for sigma_px in (0.8, 1.3, 64 / 30.0):
             got = sim._gaussian_blur(values, sigma_px)
-            want = [press(HeightMap(raster, 1.0),
-                          sim.GelModel(membrane_sigma_mm=sigma_px)).values
+            want = [press(HeightMap(raster, 1.0), sigma_px).values
                     for raster in values.reshape((-1, 20, 27))]
             assert got.tobytes() == np.array(want).tobytes()
 
@@ -227,14 +218,14 @@ class TestNormalsAndRendering:
     def test_render_bit_equal_to_full_frame_oracle(self, case, rig):
         """``render_tactile`` shades only around the heights; its frame is
         the whole-frame oracle's, byte for byte, with and without noise."""
-        values, (lights, gel) = _heights(case), RIGS[rig]
+        values, lights = _heights(case), RIGS[rig]
         hm = HeightMap(values, 2.5)
-        got = sim.render_tactile(hm, lights, gel).pixels
-        want = render_reference(values, 2.5, lights, gel)
+        got = sim.render_tactile(hm, lights).pixels
+        want = render_reference(values, 2.5, lights)
         assert got.tobytes() == want.tobytes()
-        got = sim.render_tactile(hm, lights, gel, 0.02,
+        got = sim.render_tactile(hm, lights, GEL, 0.02,
                                  np.random.default_rng(1)).pixels
-        want = render_reference(values, 2.5, lights, gel, 0.02,
+        want = render_reference(values, 2.5, lights, 0.02,
                                 np.random.default_rng(1))
         assert got.tobytes() == want.tobytes()
 
@@ -242,10 +233,10 @@ class TestNormalsAndRendering:
     def test_stacked_shade_bit_equal_to_full_frame_oracle(self, rig):
         """Every height case in one stack, whose box is their union: each
         raster's unclipped image is the whole-frame oracle's."""
-        lights, gel = RIGS[rig]
+        lights = RIGS[rig]
         stack = np.array([_heights(name) for name in sorted(HEIGHT_CASES)])
-        got = sim._shade(stack, 2.5, lights, gel)
-        want = shade_reference(stack, 2.5, lights, gel)
+        got = sim._shade(stack, 2.5, lights)
+        want = shade_reference(stack, 2.5, lights)
         assert got.shape == stack.shape + (3,)
         assert got.tobytes() == want.tobytes()
 
@@ -256,10 +247,10 @@ class TestNormalsAndRendering:
         normals = sim._normals
         monkeypatch.setattr(sim, "_normals",
                             lambda v, ppm: calls.append(v.shape) or normals(v, ppm))
-        for lights, gel in RIGS.values():
+        for lights in RIGS.values():
             for flat in (np.zeros((3, 20, 27)), np.full((20, 27), -0.0)):
-                got = sim._shade(flat, 2.5, lights, gel)
-                want = shade_reference(flat, 2.5, lights, gel)
+                got = sim._shade(flat, 2.5, lights)
+                want = shade_reference(flat, 2.5, lights)
                 assert got.tobytes() == want.tobytes()
         assert calls == []
 
@@ -297,7 +288,7 @@ class TestNormalsAndRendering:
 class TestMarkers:
     def test_grid_count_and_margins(self):
         m = sim.marker_grid(GEL, 16.0, (480, 480))
-        assert len(m) == GEL.marker_rows * GEL.marker_cols
+        assert len(m) == sim.MARKER_ROWS * sim.MARKER_COLS
         assert m.xy.min() > 0 and m.xy.max() < 479.0
 
     def test_zero_shear_or_empty_contact_is_identity(self):
@@ -394,24 +385,19 @@ class TestSlipSequence:
         late = self._seq(load=10.0).phase3_start
         assert early < late
 
-    @pytest.mark.parametrize("pose, load, depth, noise", [
-        ("top", 0.0, 1.0, 0.02), ("top", 10.0, 1.0, 0.02),
-        ("top", 50.0, 1.0, 0.02), ("side", 0.0, 1.0, 0.02),
-        ("side", 10.0, 1.0, 0.02), ("side", 50.0, 1.0, 0.02),
+    @pytest.mark.parametrize("pose, load, depth", [
+        ("top", 0.0, 1.0), ("top", 10.0, 1.0), ("top", 50.0, 1.0),
+        ("side", 0.0, 1.0), ("side", 10.0, 1.0), ("side", 50.0, 1.0),
         # the cap covers the whole frame and its box is clipped on all sides
-        ("top", 20.0, 16.0, 0.02),
-        ("side", 50.0, 1.0, 0.0),
-        # noise wide enough to pass the threshold off the cap
-        ("top", 10.0, 2.0, 0.15),
+        ("top", 20.0, 16.0),
         # the burst drives the centre into the clamp at the gel edge
-        ("side", 2000.0, 1.0, 0.02),
+        ("side", 2000.0, 1.0),
     ])
-    def test_masks_match_full_frame_formula(self, pose, load, depth, noise):
+    def test_masks_match_full_frame_formula(self, pose, load, depth):
         scene = sim.GraspScene(pose=pose, load_g=load)
         seq = sim.synth_slip_sequence(scene, 24, GEL, np.random.default_rng(4),
-                                      depth_mm=depth, mask_noise_mm=noise)
-        want = slip_masks_reference(seq, 16.0, depth, np.random.default_rng(4),
-                                    mask_noise_mm=noise)
+                                      depth_mm=depth)
+        want = slip_masks_reference(seq, 16.0, depth, np.random.default_rng(4))
         for mask, ref in zip(seq.masks, want):
             assert np.array_equal(mask.raster(), ref)
         if load == 2000.0:
@@ -420,35 +406,20 @@ class TestSlipSequence:
             assert track_mm[-1, 0] == GEL.gel_size_mm - (
                 np.sqrt(2.0 * 16.0 * depth - depth ** 2) + 0.5)
 
-    @pytest.mark.parametrize("pose, noise, jitter", [
-        ("top", 0.02, 0.3), ("side", 0.0, 0.0), ("side", 0.5, 2.0)])
-    def test_tracks_match_per_frame_draws(self, pose, noise, jitter):
+    @pytest.mark.parametrize("pose, jitter", [
+        ("top", 0.3), ("side", 0.0), ("side", 2.0)])
+    def test_tracks_match_per_frame_draws(self, pose, jitter):
         seq = sim.synth_slip_sequence(
             sim.GraspScene(pose=pose, load_g=50.0), 24, GEL,
-            np.random.default_rng(6), mask_noise_mm=noise,
-            marker_jitter_px=jitter)
+            np.random.default_rng(6), marker_jitter_px=jitter)
         want = slip_tracks_reference(seq, GEL, np.random.default_rng(6),
-                                     noise, jitter)
+                                     jitter)
         got = np.array([t.xy for t in seq.tracks])
         assert got.tobytes() == want.tobytes()
 
-    def test_noise_crossing_off_the_cap_keeps_the_whole_frame_formula(self):
-        """Noise so wide that it alone crosses the threshold far from the
-        cap: every mask is the whole frame's formula, and reaches past the
-        cap's box."""
-        seq = sim.synth_slip_sequence(sim.GraspScene(load_g=10.0), 12, GEL,
-                                      np.random.default_rng(8),
-                                      mask_noise_mm=0.5)
-        want = slip_masks_reference(seq, 16.0, 1.0, np.random.default_rng(8),
-                                    mask_noise_mm=0.5)
-        for mask, ref in zip(seq.masks, want):
-            assert np.array_equal(mask.raster(), ref)
-            assert mask.support[1] - mask.support[0] > 400
-
-    @pytest.mark.parametrize("name", ["mask_noise_mm", "marker_jitter_px"])
+    @pytest.mark.parametrize("name", ["marker_jitter_px"])
     @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
     def test_rejects_bad_noise(self, name, bad):
-        # unchecked, a NaN mask noise reads as no contact anywhere
         with pytest.raises(ValueError, match=name):
             sim.synth_slip_sequence(sim.GraspScene(), 20, GEL,
                                     np.random.default_rng(0), **{name: bad})
@@ -507,31 +478,36 @@ class TestDatasets:
             sim.make_shear_dataset(2, mask_px=mask_px)
 
     def test_force_samples_follow_linear_model(self):
+        """Currents are the linear motor model plus zero-mean noise of
+        sigma ``CURRENT_NOISE``."""
         currents, forces = sim.make_force_samples(
-            4000, np.random.default_rng(0), noise=0.0)
-        fit = np.polynomial.polynomial.polyfit(forces, currents, 1)
-        assert fit[1] == pytest.approx(sim.CURRENT_GAIN, abs=1e-9)
-        assert fit[0] == pytest.approx(sim.CURRENT_OFFSET, abs=1e-9)
+            4000, np.random.default_rng(0))
+        noise = currents - (sim.CURRENT_GAIN * forces + sim.CURRENT_OFFSET)
+        assert abs(noise.mean()) < 4 * sim.CURRENT_NOISE / np.sqrt(4000)
+        assert noise.std() == pytest.approx(sim.CURRENT_NOISE, rel=0.05)
         assert forces.min() >= 0.5 and forces.max() <= 8.0
 
     def test_compression_clip_monotone_current(self):
+        """The current is the motor model of the gel's share of the force,
+        which rises frame by frame, within 4 sigma of its noise."""
         fruit = _FakeFruit(1.2, 20.0, "smooth")
         frames, currents = sim.synth_compression_clip(
-            fruit, n_frames=8, rng=np.random.default_rng(0),
-            resolution=48, current_noise=0.0)
+            fruit, n_frames=8, rng=np.random.default_rng(0), resolution=48)
         assert len(frames) == 8 and currents.shape == (8,)
-        assert np.all(np.diff(currents) > 0)
+        x_gel = sim.SQUEEZE_MM * np.arange(1, 9) / 8 * 1.2 / (
+            sim.SERIES_STIFFNESS + 1.2)
+        model = sim.CURRENT_GAIN * sim.SERIES_STIFFNESS * x_gel \
+            + sim.CURRENT_OFFSET
+        assert np.all(np.diff(model) > 0)
+        assert np.all(np.abs(currents - model) < 4 * sim.CURRENT_NOISE)
 
-    @pytest.mark.parametrize("fruit_type, noise_sigma, current_noise", [
-        ("smooth", 0.0, 0.0), ("cherry_tomato", 0.01, sim.CURRENT_NOISE),
-        ("strawberry", 0.02, 0.0), ("strawberry", 0.0, sim.CURRENT_NOISE)])
+    @pytest.mark.parametrize("fruit_type, noise_sigma", [
+        ("smooth", 0.0), ("cherry_tomato", 0.01), ("strawberry", 0.02),
+        ("strawberry", 0.0)])
     def test_compression_clip_bit_equal_to_frame_loop(self, fruit_type,
-                                                       noise_sigma,
-                                                       current_noise):
+                                                       noise_sigma):
         fruit = _FakeFruit(0.9, 18.0, fruit_type)
-        kwargs = dict(n_frames=5, gel=GEL, rig=sim.default_rig(),
-                      squeeze_mm=3.0, resolution=40, noise_sigma=noise_sigma,
-                      current_noise=current_noise)
+        kwargs = dict(n_frames=5, resolution=40, noise_sigma=noise_sigma)
         frames, currents = sim.synth_compression_clip(
             fruit, rng=np.random.default_rng(6), **kwargs)
         want_frames, want_currents = compression_clip_reference(
@@ -544,10 +520,8 @@ class TestDatasets:
     def test_compression_clip_reaching_the_frame_edges_matches_oracle(self):
         """A fruit whose deepest cap, blurred, covers the whole gel: every
         box is clipped to the frame on all four sides."""
-        fruit = _FakeFruit(3.0, 60.0, "strawberry")
-        kwargs = dict(n_frames=4, gel=GEL, rig=sim.default_rig(),
-                      squeeze_mm=8.0, resolution=32, noise_sigma=0.0,
-                      current_noise=sim.CURRENT_NOISE)
+        fruit = _FakeFruit(20.0, 200.0, "strawberry")
+        kwargs = dict(n_frames=4, resolution=32, noise_sigma=0.0)
         frames, currents = sim.synth_compression_clip(
             fruit, rng=np.random.default_rng(2), **kwargs)
         want_frames, want_currents = compression_clip_reference(
@@ -571,7 +545,7 @@ class TestDatasets:
         for t in (0, 4, -1):
             assert np.shares_memory(frames[t], frames) and frames[t].any()
 
-    @pytest.mark.parametrize("name", ["noise_sigma", "current_noise"])
+    @pytest.mark.parametrize("name", ["noise_sigma"])
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_compression_clip_rejects_bad_noise(self, name, bad):
         with pytest.raises(ValueError, match=name):
@@ -585,24 +559,19 @@ class TestDatasets:
                 sim.make_calibration_presses(2, noise_sigma=bad)
 
     def test_compression_clip_checks_every_depth(self):
-        # the gel takes 1.2 / 3.2 of the squeeze: 15 mm of a 40 mm squeeze,
-        # deeper than the 10 mm fruit radius from the sixth of 8 frames on
-        fruit = _FakeFruit(1.2, 20.0, "smooth")
+        # the gel takes 1.2 / 3.2 of the 3 mm squeeze, 1.125 mm, deeper
+        # than the 1 mm fruit radius on the last of 8 frames alone
+        fruit = _FakeFruit(1.2, 2.0, "smooth")
         with pytest.raises(ValueError, match="exceeds shape height"):
-            sim.synth_compression_clip(fruit, n_frames=8, squeeze_mm=40.0,
-                                       resolution=32)
-        for squeeze in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="non-negative"):
-                sim.synth_compression_clip(fruit, n_frames=8,
-                                           squeeze_mm=squeeze, resolution=32)
+            sim.synth_compression_clip(fruit, n_frames=8, resolution=32)
 
     def test_stiffer_fruit_draws_more_current(self):
         soft = sim.synth_compression_clip(
             _FakeFruit(0.6, 20.0, "smooth"), n_frames=6, resolution=48,
-            rng=np.random.default_rng(0), current_noise=0.0)[1]
+            rng=np.random.default_rng(0))[1]
         firm = sim.synth_compression_clip(
             _FakeFruit(2.0, 20.0, "smooth"), n_frames=6, resolution=48,
-            rng=np.random.default_rng(0), current_noise=0.0)[1]
+            rng=np.random.default_rng(0))[1]
         assert firm[-1] > soft[-1]
 
     def test_calibration_presses_geometry(self):
@@ -620,8 +589,10 @@ class TestDatasets:
     def test_calibration_press_validation(self):
         with pytest.raises(ValueError):
             sim.make_calibration_presses(0)
-        with pytest.raises(ValueError):
-            sim.make_calibration_presses(2, depth_range=(0.5, 6.0))
+        # the presses reach 1.2 mm deep, so the sphere must be larger
+        for radius in (1.2, 0.5, float("nan")):
+            with pytest.raises(ValueError, match="sphere radius"):
+                sim.make_calibration_presses(2, radius)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))

@@ -35,14 +35,14 @@ def _static_tracks(n_frames, xy):
 class TestSegmentation:
     def test_strictly_greater_than_threshold(self):
         h = HeightMap(np.array([[0.0, 0.3], [0.31, 1.0]]).repeat(4, 0).repeat(4, 1), 2.0)
-        m = slip.segment_contact(h, 0.3)
+        m = slip.segment_contact(h)
         assert m.area == 32                        # the 0.31 and 1.0 blocks
         assert m.px_per_mm == 2.0
         assert m.threshold_mm == 0.3
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            slip.segment_contact(HeightMap(np.zeros((8, 8)), 1.0), 0.0)
+        with pytest.raises(ValueError, match="threshold_mm"):
+            slip.ContactMask(np.zeros((8, 8), dtype=bool), 0.0)
 
     def test_resample_preserves_coverage_fraction(self):
         m = slip.ContactMask(_disc(64, 32, 32, 20), 0.3, 2.0)
@@ -524,7 +524,7 @@ class TestEvaluation:
     def test_exact_counts(self):
         pred = np.array([0, 1, 1, 0, 1], dtype=bool)
         truth = np.array([0, 1, 0, 1, 1], dtype=bool)
-        out = slip.evaluate_slip_detector(pred, truth, fps=10.0)
+        out = slip.evaluate_slip_detector([pred], [truth])
         assert isinstance(out, slip.SlipScore)
         with pytest.raises(dataclasses.FrozenInstanceError):
             out.f1 = 1.0
@@ -537,16 +537,29 @@ class TestEvaluation:
     def test_lead_time_sign(self):
         pred = np.array([0, 1, 0, 1], dtype=bool)    # fires at frame 1
         truth = np.array([0, 0, 0, 1], dtype=bool)   # onset at frame 3
-        out = slip.evaluate_slip_detector(pred, truth, fps=15.0)
+        out = slip.evaluate_slip_detector([pred], [truth])
+        assert slip.TICK_HZ == 15.0
         assert out.mean_lead_s == pytest.approx(2 / 15.0)
 
-    @pytest.mark.parametrize("fps", [0.0, -15.0, np.nan, np.inf])
-    def test_rejects_bad_fps(self, fps):
-        """Before, 0 divided by zero on a trial with a hit and a negative
-        rate flipped the lead's sign."""
-        hit = np.array([0, 1, 1], dtype=bool)
-        with pytest.raises(ValueError, match="fps must be finite and positive"):
-            slip.evaluate_slip_detector(hit, hit, fps=fps)
+    def test_rows_of_a_2d_array_are_trials(self):
+        """Each row is scored as its own trial, as the same rows in a
+        list are: the first trial fires a frame early and the second a
+        frame late, so their mean lead is 0 (read as one trial, the
+        flattened onsets once gave 1 / 15 s)."""
+        p = np.array([[0, 1, 1, 0], [0, 0, 1, 1]], dtype=bool)
+        g = np.array([[0, 0, 1, 1], [0, 1, 1, 0]], dtype=bool)
+        as_array = slip.evaluate_slip_detector(p, g)
+        as_list = slip.evaluate_slip_detector(list(p), list(g))
+        assert as_array == as_list
+        assert as_array.mean_lead_s == pytest.approx(0.0)
+        assert as_array.precision == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("flags", [
+        np.zeros(5, bool), [np.zeros((2, 3), bool)], [True, False]],
+        ids=["one flat series", "a 2-D trial", "scalar trials"])
+    def test_trial_that_is_not_1d_raises(self, flags):
+        with pytest.raises(ValueError, match="1-D"):
+            slip.evaluate_slip_detector(flags, flags)
 
     def test_multiple_trials_pooled(self):
         p1 = np.array([1, 0], dtype=bool)
@@ -568,7 +581,8 @@ class TestEvaluation:
                                         [np.zeros(4, bool)])
 
     def test_no_positives_gives_zero_scores(self):
-        out = slip.evaluate_slip_detector(np.zeros(5, bool), np.zeros(5, bool))
+        out = slip.evaluate_slip_detector([np.zeros(5, bool)],
+                                          [np.zeros(5, bool)])
         assert out.precision == 0.0 and out.recall == 0.0 and out.f1 == 0.0
 
 
@@ -586,7 +600,7 @@ class TestDetectorOnSimulator:
                                       rng=np.random.default_rng(3))
         report = slip.analyze_sequence(seq.masks, seq.tracks, 10.0)
         assert seq.labels.any()
-        scored = slip.evaluate_slip_detector(report.flags, seq.labels)
+        scored = slip.evaluate_slip_detector([report.flags], [seq.labels])
         assert scored.f1 > 0.5
 
     def test_held_out_grid_under_ten_times_the_marker_jitter(self):
